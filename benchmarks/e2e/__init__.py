@@ -1,0 +1,1 @@
+"""The seeded end-to-end benchmark (see README.md in this directory)."""
