@@ -22,6 +22,7 @@ from repro.core import FilterReplica, TemplateRegistry
 from repro.server import SimulatedNetwork
 from repro.sync import ResyncProvider
 from repro.workload import QueryType
+from tests.oracles import LinearFilterReplica
 
 from .common import BenchEnv, block_filter, hot_blocks, report
 
@@ -39,22 +40,20 @@ N_QUERIES = 3000
 def run_replica(env: BenchEnv, templates, cache_policy="fifo", cache=0):
     master = env.fresh_master()
     provider = ResyncProvider(master)
-    # routing=False pins the paper's linear containment scan: template
-    # pruning is a simplification of *that* scan (§7.4's "directly
-    # proportional to the number of stored filters"), and the routed
-    # answer path (bench_replica_scaling) already narrows candidates so
-    # far that there is nothing left for templates to prune.  amq=False
-    # keeps the prescreens (docs/ROUTING.md §10) out of the same scan:
-    # the negative result cache short-circuits repeated misses, which
-    # would deflate the check counts this ablation compares.
-    replica = FilterReplica(
+    # LinearFilterReplica pins the paper's linear containment scan:
+    # template pruning is a simplification of *that* scan (§7.4's
+    # "directly proportional to the number of stored filters"), and the
+    # routed answer path (bench_replica_scaling) already narrows
+    # candidates so far that there is nothing left for templates to
+    # prune.  The oracle also has no negative result cache, which would
+    # short-circuit repeated misses and deflate the check counts this
+    # ablation compares.
+    replica = LinearFilterReplica(
         "branch",
         network=SimulatedNetwork(),
         templates=templates,
         cache_capacity=cache,
         cache_policy=cache_policy,
-        routing=False,
-        amq=False,
     )
     for block, cc, _h in hot_blocks(env)[:N_FILTERS]:
         replica.add_filter(block_filter(block, cc), provider)

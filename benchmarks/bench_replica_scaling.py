@@ -40,6 +40,7 @@ from repro.core.containment import clear_containment_cache
 from repro.ldap import Entry, ReSyncControl, Scope, SearchRequest, SyncMode
 from repro.server import DirectoryServer, Modification
 from repro.sync import ResyncProvider
+from tests.oracles import LinearFilterReplica
 
 from .common import quiesced_gc as _quiesced
 from .common import report
@@ -109,10 +110,10 @@ def _fresh_master(site_entries: List[List[Entry]]) -> DirectoryServer:
 # sweep points
 # ----------------------------------------------------------------------
 def _answer_point(
-    site_entries: List[List[Entry]], n_filters: int, routing: bool
+    site_entries: List[List[Entry]], n_filters: int, replica_cls
 ) -> Dict[str, float]:
     """Answer *N_QUERIES* distinct serial lookups over *n_filters*."""
-    replica = FilterReplica("r", cache_capacity=0, routing=routing)
+    replica = replica_cls("r", cache_capacity=0)
     for block in range(n_filters):
         replica.load_directly(_block_filter(block), site_entries[block])
     rates = []
@@ -185,8 +186,8 @@ def scaling_rows(site_entries):
     rows = []
     points = {}
     for n in SWEEP:
-        linear_a = _answer_point(site_entries, n, routing=False)
-        routed_a = _answer_point(site_entries, n, routing=True)
+        linear_a = _answer_point(site_entries, n, LinearFilterReplica)
+        routed_a = _answer_point(site_entries, n, FilterReplica)
         linear_f = _fanout_point(site_entries, n, routed=False)
         routed_f = _fanout_point(site_entries, n, routed=True)
         points[n] = (linear_a, routed_a, linear_f, routed_f)
@@ -275,7 +276,7 @@ def test_replica_scaling(benchmark, site_entries, scaling_rows):
     assert points[last][0]["checks_per_query"] >= last / 4
 
     # Timed unit: one routed answer at the top sweep point.
-    replica = FilterReplica("r", cache_capacity=0, routing=True)
+    replica = FilterReplica("r", cache_capacity=0)
     for block in range(top):
         replica.load_directly(_block_filter(block), site_entries[block])
     sample = SearchRequest("o=xyz", Scope.SUB, "(serialNumber=004201US)")
@@ -283,10 +284,10 @@ def test_replica_scaling(benchmark, site_entries, scaling_rows):
 
 
 # ----------------------------------------------------------------------
-# E18b — prescreened answering at 10^5 stored filters (docs/ROUTING.md
-# §10): the AMQ prescreens must keep the per-answer cost flat from the
-# routed sweep's top (500) up to the 50k rung, with containment checks
-# per query independent of the population.
+# E18b — routed answering at 10^5 stored filters (docs/ROUTING.md §10):
+# the per-answer cost must stay flat from the routed sweep's top (500)
+# up to the 50k rung, with containment checks per query independent of
+# the population.
 # ----------------------------------------------------------------------
 PRESCREEN_REF = 500
 PRESCREEN_RUNG = 50_000
@@ -318,18 +319,17 @@ def _wide_person(block: int) -> Entry:
     )
 
 
-def _prescreen_point(n_filters: int, amq: bool) -> Dict[str, float]:
+def _prescreen_point(n_filters: int) -> Dict[str, float]:
     """Answer a 50/50 hit/miss mix over *n_filters* stored filters.
 
     Hits are per-block equality serials (contained in exactly one
     stored filter); misses are serials from blocks past the population
-    (contained in none — the case the prescreens exist for).  Serials
-    are distinct per query *and per pass*, so neither the QC pair
-    cache, the routing memo, nor the negative result caches can answer
-    from an earlier pass's work; what remains is the per-answer routing
-    cost the flatness floor guards.
+    (contained in none).  Serials are distinct per query *and per
+    pass*, so neither the QC pair cache, the routing memo, nor the
+    negative result cache can answer from an earlier pass's work; what
+    remains is the per-answer routing cost the flatness floor guards.
     """
-    replica = FilterReplica("r", cache_capacity=0, amq=amq)
+    replica = FilterReplica("r", cache_capacity=0)
     for block in range(n_filters):
         replica.load_directly(_wide_filter(block), [_wide_person(block)])
     rates = []
@@ -358,64 +358,34 @@ def _prescreen_point(n_filters: int, amq: bool) -> Dict[str, float]:
         assert hits == PRESCREEN_QUERIES // 2
         if rep:  # pass 0 is the warm-up
             rates.append(PRESCREEN_QUERIES / elapsed if elapsed else 0.0)
-    routing_amq = replica._index.amq if replica._index is not None else None
-    point = {
+    return {
         "rate": max(rates),  # best pass: min-time estimator (see TIMING_REPEATS)
         "checks_per_query": replica.containment_checks
         / (passes * PRESCREEN_QUERIES),
-        "amq_items": float(routing_amq.items) if routing_amq else 0.0,
-        # Per-pass, so the committed count does not scale with
-        # PRESCREEN_REPEATS (items/extensions/fpr are population
-        # properties and need no normalization).
-        "amq_negatives": routing_amq.negatives / passes if routing_amq else 0.0,
-        "amq_extensions": float(routing_amq.extensions) if routing_amq else 0.0,
-        "amq_fpr": routing_amq.fpr() if routing_amq else 0.0,
     }
-    del replica
-    return point
 
 
 def test_replica_scaling_prescreen(benchmark):
     rungs = [PRESCREEN_REF, PRESCREEN_RUNG]
     if os.environ.get(FULL_SWEEP_ENV):
         rungs += [200_000, 500_000]
-    points = {}
-    rows = []
-    for n in rungs:
-        on = _prescreen_point(n, amq=True)
-        off = _prescreen_point(n, amq=False)
-        points[n] = (on, off)
-        rows.append(
-            (
-                n,
-                on["rate"],
-                off["rate"],
-                on["checks_per_query"],
-                on["amq_items"],
-                on["amq_negatives"],
-                on["amq_fpr"],
-            )
-        )
+    points = {n: _prescreen_point(n) for n in rungs}
+    rows = [(n, points[n]["rate"], points[n]["checks_per_query"]) for n in rungs]
 
-    ref_on = points[PRESCREEN_REF][0]
-    rung_on, rung_off = points[PRESCREEN_RUNG]
+    ref, rung = points[PRESCREEN_REF], points[PRESCREEN_RUNG]
     metrics = {
         # Gated rates (validate_results: lower is a regression).
-        "prescreen_ref_per_s": ref_on["rate"],
-        "prescreen_50k_per_s": rung_on["rate"],
+        "prescreen_ref_per_s": ref["rate"],
+        "prescreen_50k_per_s": rung["rate"],
         # Informational context for the baseline diff.
-        "prescreen_50k_off_rate": rung_off["rate"],
-        "flatness_50k_vs_ref": rung_on["rate"] / ref_on["rate"],
-        "checks_per_query_at_50k": rung_on["checks_per_query"],
-        "amq_items_at_50k": rung_on["amq_items"],
-        "amq_negatives_at_50k": rung_on["amq_negatives"],
-        "amq_fpr_at_50k": rung_on["amq_fpr"],
+        "flatness_50k_vs_ref": rung["rate"] / ref["rate"],
+        "checks_per_query_at_50k": rung["checks_per_query"],
     }
     report(
         "replica_scaling_prescreen",
-        f"Prescreened answering, 50/50 hit-miss mix, {PRESCREEN_QUERIES} "
+        f"Routed answering, 50/50 hit-miss mix, {PRESCREEN_QUERIES} "
         f"queries per pass, best of {PRESCREEN_REPEATS}",
-        ["size", "amq/s", "off/s", "chk/q", "amq_n", "amq_neg", "amq_fpr"],
+        ["size", "answers/s", "chk/q"],
         rows,
         params={
             "ref": PRESCREEN_REF,
@@ -434,23 +404,18 @@ def test_replica_scaling_prescreen(benchmark):
     # Flatness floor (machine-independent: both points are measured by
     # the same function in the same process): 100x the population may
     # cost at most 2x the per-answer time.
-    assert rung_on["rate"] >= ref_on["rate"] / 2.0, (
-        "prescreened answering is not flat: "
-        f"{rung_on['rate']:.0f}/s at {PRESCREEN_RUNG} vs "
-        f"{ref_on['rate']:.0f}/s at {PRESCREEN_REF}"
+    assert rung["rate"] >= ref["rate"] / 2.0, (
+        "routed answering is not flat: "
+        f"{rung['rate']:.0f}/s at {PRESCREEN_RUNG} vs "
+        f"{ref['rate']:.0f}/s at {PRESCREEN_REF}"
     )
     for n in rungs:
-        if n <= PRESCREEN_REF:
-            continue
-        on, _ = points[n]
-        # ~1 containment check per hit, none per prescreened miss; any
-        # population dependence would blow through this ceiling.
-        assert on["checks_per_query"] <= 2.0
-        # The routing AMQ is active and actually screening at scale.
-        assert on["amq_items"] > 0
-        assert on["amq_negatives"] > 0
+        if n > PRESCREEN_REF:
+            # ~1 containment check per hit, none per miss; any
+            # population dependence would blow through this ceiling.
+            assert points[n]["checks_per_query"] <= 2.0
 
-    # Timed unit: one prescreened miss at the rung.
+    # Timed unit: one miss at the rung.
     replica = FilterReplica("r", cache_capacity=0)
     for block in range(PRESCREEN_RUNG):
         replica.load_directly(_wide_filter(block), [_wide_person(block)])

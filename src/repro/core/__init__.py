@@ -7,12 +7,13 @@
 * :mod:`repro.core.filter_replica` — filter based replication (§3, §7);
 * :mod:`repro.core.generalization` / :mod:`repro.core.selection` —
   replica content determination (§6);
-* :mod:`repro.core.query_cache` — recent-user-query window (§7.4);
+* :mod:`repro.core.query_cache` — recent-user-query window (§7.4) and
+  the exact-key negative result cache of the stored-filter scan;
 * :mod:`repro.core.routing` — sublinear candidate routing for the
-  containment scans (docs/ROUTING.md).
+  containment scans (docs/ROUTING.md), the only answering path; the
+  linear reference scans live in ``tests/oracles``.
 """
 
-from .amq import AdaptiveQuotientFilter
 from .containment import (
     attributes_contained_in,
     query_contained_in,
@@ -63,7 +64,6 @@ __all__ = [
     "RecentQueryCache",
     "CachedQuery",
     "NegativeResultCache",
-    "AdaptiveQuotientFilter",
     "ContainmentIndex",
     "guard_atoms",
     "probe_atoms",

@@ -16,15 +16,15 @@ The replica combines the three content sources of §7:
 * **dynamic selection** — stored filters can be installed/discarded at
   runtime by :class:`repro.core.selection.FilterSelector` revolutions.
 
-With ``routing=True`` (the default) the ``QC`` scan is replaced by
-candidate routing through a :class:`~repro.core.routing.
-ContainmentIndex` — guard-atom posting lists plus a base-DN region
-prefix structure, with a positive memo for repeat queries — so
-``answer()`` consults O(candidates) stored filters instead of all of
-them, and hit evaluation runs compiled filters over
+The ``QC`` scan is candidate routing through a
+:class:`~repro.core.routing.ContainmentIndex` — guard-atom posting
+lists plus a base-DN region prefix structure, with a positive memo for
+repeat queries — so ``answer()`` consults O(candidates) stored filters
+instead of all of them, and hit evaluation runs compiled filters over
 :meth:`SyncedContent.evaluate`'s incremental indexes instead of an
-interpreted full-content rescan.  ``routing=False`` keeps the seed
-linear scan callable as the equivalence oracle (docs/ROUTING.md).
+interpreted full-content rescan.  The seed linear scan lives on as the
+equivalence oracle ``tests/oracles.LinearFilterReplica``
+(docs/ROUTING.md §9).
 
 Template-based containment (§3.4.2) prunes the stored filters checked
 per query; ``containment_checks`` counts the comparisons actually made
@@ -91,18 +91,8 @@ class FilterReplica:
             is contained in some stored query, by uniting the per-
             disjunct evaluations.  Sound (each disjunct's answer set is
             complete) and strictly increases hit ratio.
-        routing: route stored-filter and cache lookups through
-            :class:`~repro.core.routing.ContainmentIndex` and evaluate
-            hits through content indexes; ``False`` replays the seed
-            linear scans (the property-test oracle).
-        amq: enable the miss-side prescreens of docs/ROUTING.md §10 —
-            the routing index's guard-atom AMQ, content-index AMQs, and
-            the negative result caches over the stored-filter scan and
-            the QC window.  ``False`` bypasses every prescreen while
-            keeping answers byte-identical (the oracle for
-            ``tests/core/test_prescreen_equivalence.py``).
         metrics: registry for ``core.replica.*`` / ``core.route.*`` /
-            ``core.amq.*`` counters (private registry by default).
+            ``core.qc.negcache.*`` counters (private registry by default).
     """
 
     def __init__(
@@ -114,8 +104,6 @@ class FilterReplica:
         cache_capacity: int = 0,
         compose_unions: bool = False,
         cache_policy: str = "fifo",
-        routing: bool = True,
-        amq: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.name = name
@@ -123,21 +111,15 @@ class FilterReplica:
         self.network = network
         self.templates = templates
         self.compose_unions = compose_unions
-        self.routing = routing
-        self.amq = amq
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = RecentQueryCache(
-            cache_capacity, policy=cache_policy, indexed=routing, amq=amq
-        )
+        self.cache = RecentQueryCache(cache_capacity, policy=cache_policy)
         self._stored: Dict[SearchRequest, StoredFilter] = {}
-        self._index: Optional[ContainmentIndex] = (
-            ContainmentIndex(amq=amq) if routing else None
-        )
+        self._index = ContainmentIndex()
         # Stored-path negative cache: only when no template registry is
         # attached — registries are mutable, and a template registered
         # after a recorded miss could change the prune decision.
         self._negative: Optional[NegativeResultCache] = (
-            NegativeResultCache() if amq and templates is None else None
+            NegativeResultCache() if templates is None else None
         )
         self._persist_handles: Dict[SearchRequest, object] = {}
         self.stats = HitStats()
@@ -175,15 +157,14 @@ class FilterReplica:
             return self._stored[request]
         stored = StoredFilter(
             request=request,
-            content=SyncedContent(request, network=self.network, amq=self.amq),
+            content=SyncedContent(request, network=self.network),
             key=template_key(request.filter),
             sync_interval=sync_interval,
         )
         if provider is not None:
             stored.content.poll(provider)
         self._stored[request] = stored
-        if self._index is not None:
-            self._index.add(request, stored)
+        self._index.add(request, stored)
         if self._negative is not None:
             # The new filter may contain a previously-missed request.
             self._negative.invalidate()
@@ -193,8 +174,7 @@ class FilterReplica:
     def remove_filter(self, request: SearchRequest, provider=None) -> None:
         """Discard a replicated query (ending its sync session)."""
         stored = self._stored.pop(request, None)
-        if self._index is not None:
-            self._index.remove(request)
+        self._index.remove(request)
         self._size_memo = None
         handle = self._persist_handles.pop(request, None)
         if handle is not None:
@@ -271,10 +251,15 @@ class FilterReplica:
         """One sync round: poll every stored filter that is due.
 
         A filter with ``sync_interval`` n is polled on every n-th round
-        (per-object-type consistency levels, §3.2).
+        (per-object-type consistency levels, §3.2).  Persist-subscribed
+        filters are skipped: their session is connection-bound (no
+        cookie), so a poll would be a full initial load on a second
+        provider session.
         """
         self._sync_round += 1
         for stored in self._stored.values():
+            if stored.request in self._persist_handles:
+                continue
             if self._sync_round % stored.sync_interval == 0:
                 stored.content.poll(provider)
 
@@ -296,44 +281,27 @@ class FilterReplica:
     def _find_stored(self, request: SearchRequest, qkey: str) -> Optional[StoredFilter]:
         """First stored query containing *request*, in insertion order.
 
-        The routed path consults the :class:`ContainmentIndex` (positive
-        memo, then guard-atom/region candidates); the linear path
-        replays the seed scan.  Both apply the ``templates.may_answer``
-        prune and count each :func:`query_contained_in` actually run, so
-        answers — and the prune's effect on ``containment_checks`` — are
-        identical.
+        Consults the :class:`ContainmentIndex` (positive memo, then
+        guard-atom/region candidates), applies the
+        ``templates.may_answer`` prune and counts each
+        :func:`query_contained_in` actually run.
 
-        With prescreens on, a request that already proved to miss every
-        stored filter short-circuits through the negative result cache
-        (exact keys; invalidated whenever a filter is added), skipping
-        both the candidate walk and its containment checks.  The
-        *answer* is identical either way — only the re-derivation cost
-        differs.
+        A request that already proved to miss every stored filter
+        short-circuits through the negative result cache (exact keys;
+        invalidated whenever a filter is added), skipping both the
+        candidate walk and its containment checks.  The *answer* is
+        identical either way — only the re-derivation cost differs.
         """
         if self._negative is not None and self._negative.known_miss(request):
             return None
-        if self._index is not None:
-            memo = self._index.memo_get(request)
-            if memo is not None:
-                self._route_memo_hits.inc()
-                return memo.handle
-            candidates = self._index.candidates(request)
-            self._route_candidates.inc(len(candidates))
-            for cand in candidates:
-                stored = cand.handle
-                if self.templates is not None and not self.templates.may_answer(
-                    stored.key, qkey
-                ):
-                    continue
-                self.containment_checks += 1
-                self._checks_stored.inc()
-                if query_contained_in(request, stored.request):
-                    self._index.memo_put(request, cand)
-                    return stored
-            if self._negative is not None:
-                self._negative.note_miss(request)
-            return None
-        for stored in self._stored.values():
+        memo = self._index.memo_get(request)
+        if memo is not None:
+            self._route_memo_hits.inc()
+            return memo.handle
+        candidates = self._index.candidates(request)
+        self._route_candidates.inc(len(candidates))
+        for cand in candidates:
+            stored = cand.handle
             if self.templates is not None and not self.templates.may_answer(
                 stored.key, qkey
             ):
@@ -341,6 +309,7 @@ class FilterReplica:
             self.containment_checks += 1
             self._checks_stored.inc()
             if query_contained_in(request, stored.request):
+                self._index.memo_put(request, cand)
                 return stored
         if self._negative is not None:
             self._negative.note_miss(request)
@@ -439,70 +408,34 @@ class FilterReplica:
 
     def _evaluate(self, request: SearchRequest, stored: StoredFilter) -> List[Entry]:
         """Evaluate *request* over the containing stored query's content."""
-        if self.routing:
-            return stored.content.evaluate(request)
-        return [
-            request.project(entry)
-            for entry in stored.content.entries.values()
-            if request.selects(entry)
-        ]
+        return stored.content.evaluate(request)
 
     def observe_miss(self, request: SearchRequest, entries: Sequence[Entry]) -> None:
         """Feed a master-answered query back into the recent-query cache."""
         self.cache.insert(request, entries)
 
     # ------------------------------------------------------------------
-    # prescreen observability
+    # negative-cache observability
     # ------------------------------------------------------------------
     def sync_amq_metrics(self) -> None:
-        """Mirror the prescreens' plain-int accounting into the metric
-        registry (docs/OBSERVABILITY.md §2).
+        """Mirror the stored-path negative cache's plain-int accounting
+        into the metric registry (docs/OBSERVABILITY.md §2).
 
-        The prescreens keep plain ints on the hot path; this publishes
-        them on demand — benches and dashboards call it once per
-        snapshot instead of paying instrument updates per answer.
+        The cache keeps plain ints on the hot path; this publishes them
+        on demand — benches and dashboards call it once per snapshot
+        instead of paying instrument updates per answer.
         ``Counter.set`` is the documented idiom for syncing externally
         maintained counts.
         """
-        sites = []
-        if self._index is not None and self._index.amq is not None:
-            sites.append(("routing", self._index.amq))
-        cache_index = self.cache._index
-        if cache_index is not None and cache_index.amq is not None:
-            sites.append(("query_cache", cache_index.amq))
-        for stored in self._stored.values():
-            summary = stored.content.amq_summary()
-            if summary is not None:
-                sites.append(("content", summary))
-                break  # one representative content index per snapshot
-        for site, summary in sites:
-            self.metrics.counter("core.amq.lookups", site=site).set(summary.lookups)
-            self.metrics.counter("core.amq.negatives", site=site).set(
-                summary.negatives
-            )
-            self.metrics.counter("core.amq.extensions", site=site).set(
-                summary.extensions
-            )
-            self.metrics.gauge("core.amq.items", site=site).set(summary.items)
-            self.metrics.gauge("core.amq.occupancy", site=site).set(
-                summary.occupancy()
-            )
-            self.metrics.gauge("core.amq.fpr", site=site).set(summary.fpr())
-        for site, negcache in (
-            ("stored", self._negative),
-            ("query_cache", self.cache.negatives),
-        ):
-            if negcache is None:
-                continue
-            self.metrics.counter("core.qc.negcache.hits", site=site).set(
-                negcache.hits
-            )
-            self.metrics.counter("core.qc.negcache.lookups", site=site).set(
-                negcache.lookups
-            )
-            self.metrics.counter("core.qc.negcache.invalidations", site=site).set(
-                negcache.invalidations
-            )
+        negcache = self._negative
+        if negcache is None:
+            return
+        counter = self.metrics.counter
+        counter("core.qc.negcache.hits", site="stored").set(negcache.hits)
+        counter("core.qc.negcache.lookups", site="stored").set(negcache.lookups)
+        counter("core.qc.negcache.invalidations", site="stored").set(
+            negcache.invalidations
+        )
 
     # ------------------------------------------------------------------
     # sizing

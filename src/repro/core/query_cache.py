@@ -8,11 +8,11 @@ entries, answered through the same containment machinery as stored
 filters, and results may be slightly stale by design.
 
 Lookup is routed through a recency-ordered
-:class:`~repro.core.routing.ContainmentIndex` (``indexed=True``, the
-default): instead of scanning the whole window newest-first, only
-guard-atom/region candidates are containment-checked, in the same
-newest-first order, so hits and results are byte-identical to the
-linear scan (kept reachable with ``indexed=False`` as the test oracle).
+:class:`~repro.core.routing.ContainmentIndex`: instead of scanning the
+whole window newest-first, only guard-atom/region candidates are
+containment-checked, in the same newest-first order, so hits and
+results are byte-identical to the linear scan
+(``tests/oracles.LinearRecentQueryCache``, the property-test oracle).
 Hit evaluation uses compiled filters (one closure per distinct query
 filter via :func:`~repro.ldap.matching.compile_filter_cached`), and
 ``containment_checks`` counts the :func:`query_contained_in` calls
@@ -42,17 +42,18 @@ class NegativeResultCache:
     Today only *positive* containment outcomes are memoized (the
     routing index's winner memo); a repeated miss re-derives the whole
     "nothing contains this" proof every time.  This cache closes that
-    gap: ``note_miss`` records a request that provably missed, and
-    ``known_miss`` answers the repeat in one dict probe.
+    gap for the replica's stored-filter scan: ``note_miss`` records a
+    request that provably missed, and ``known_miss`` answers the repeat
+    in one dict probe.
 
     Soundness requires exactness — an approximate structure could
     wrongly skip a *hit* — so keys are the full :class:`~repro.ldap.
     query.SearchRequest` (hashable by value), and any event that can
-    turn a miss into a hit (a query or filter **added** to the
-    population) drops the whole cache via :meth:`invalidate`.
-    Removals and evictions can only turn hits into misses, so they
-    need no invalidation.  FIFO-bounded; owners count hits/misses/
-    invalidations and mirror them into ``core.qc.negcache.*``.
+    turn a miss into a hit (a filter **added** to the population)
+    drops the whole cache via :meth:`invalidate`.  Removals can only
+    turn hits into misses, so they need no invalidation.  FIFO-bounded;
+    the owner mirrors hits/lookups/invalidations into
+    ``core.qc.negcache.*``.
     """
 
     def __init__(self, capacity: int = 4_096):
@@ -111,27 +112,11 @@ class RecentQueryCache:
 
     Queries identical to an already-cached one refresh its result but do
     not consume an extra slot.
-
-    ``indexed=False`` disables candidate routing and replays the seed
-    linear scan — the equivalence oracle for the property tests.
-
-    ``amq=True`` (the default) adds the miss-side prescreens of
-    docs/ROUTING.md §10: the routing index's guard-atom AMQ, plus a
-    :class:`NegativeResultCache` so a request that already proved to
-    miss the window is re-answered in one probe.  Insertions (the only
-    event that can turn a miss into a hit) invalidate it wholesale;
-    answers are byte-identical with ``amq=False``.
     """
 
     POLICIES = ("fifo", "lru")
 
-    def __init__(
-        self,
-        capacity: int = 50,
-        policy: str = "fifo",
-        indexed: bool = True,
-        amq: bool = True,
-    ):
+    def __init__(self, capacity: int = 50, policy: str = "fifo"):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
         if policy not in self.POLICIES:
@@ -139,12 +124,7 @@ class RecentQueryCache:
         self.capacity = capacity
         self.policy = policy
         self._window: "OrderedDict[SearchRequest, CachedQuery]" = OrderedDict()
-        self._index: Optional[ContainmentIndex] = (
-            ContainmentIndex(order="recency", amq=amq) if indexed and capacity else None
-        )
-        self.negatives: Optional[NegativeResultCache] = (
-            NegativeResultCache() if amq and capacity else None
-        )
+        self._index = ContainmentIndex(order="recency")
         self._dn_refs: Dict[DN, int] = {}
         self.lookups = 0
         self.hits = 0
@@ -172,8 +152,7 @@ class RecentQueryCache:
 
     def _evict(self, request: SearchRequest, cached: CachedQuery) -> None:
         self._deref(cached.entries)
-        if self._index is not None:
-            self._index.remove(request)
+        self._index.remove(request)
 
     def insert(self, request: SearchRequest, entries: Sequence[Entry]) -> None:
         """Cache *request* with its result, evicting the oldest entry."""
@@ -189,13 +168,7 @@ class RecentQueryCache:
         )
         self._window[request] = cached
         self._ref(cached.entries)
-        if self._index is not None:
-            self._index.add(request, cached)
-        if self.negatives is not None:
-            # A new cached query may contain a previously-missed
-            # request; evictions below cannot create hits, so this is
-            # the only invalidation point.
-            self.negatives.invalidate()
+        self._index.add(request, cached)
         while len(self._window) > self.capacity:
             old_request, old_cached = self._window.popitem(last=False)
             self._evict(old_request, old_cached)
@@ -204,18 +177,13 @@ class RecentQueryCache:
         """Answer *request* from a containing cached query, if any.
 
         Returns (entries, cache key) on a hit, None on a miss.  Newest
-        cached queries are consulted first (temporal locality); with the
-        index only routed candidates are checked, in the same order.
+        cached queries are consulted first (temporal locality); only
+        routed candidates are checked.
         """
         self.lookups += 1
-        if self.negatives is not None and self.negatives.known_miss(request):
-            return None
         request_attrs = attributes_of(request.filter)
-        if self._index is not None:
-            window = (c.handle for c in self._index.candidates(request))
-        else:
-            window = reversed(self._window.values())
-        for cached in window:
+        for cand in self._index.candidates(request):
+            cached = cand.handle
             if not cached.filter_attrs <= request_attrs:
                 continue
             self.containment_checks += 1
@@ -229,11 +197,8 @@ class RecentQueryCache:
                 ]
                 if self.policy == "lru":
                     self._window.move_to_end(cached.request)
-                    if self._index is not None:
-                        self._index.touch(cached.request)
+                    self._index.touch(cached.request)
                 return answer, str(cached.request)
-        if self.negatives is not None:
-            self.negatives.note_miss(request)
         return None
 
     def entry_count(self) -> int:
@@ -247,5 +212,4 @@ class RecentQueryCache:
     def clear(self) -> None:
         self._window.clear()
         self._dn_refs.clear()
-        if self._index is not None:
-            self._index.clear()
+        self._index.clear()

@@ -33,7 +33,7 @@ extra candidates only cost a check.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ldap.attributes import AttributeRegistry, DEFAULT_REGISTRY
 from ..ldap.filters import (
@@ -48,7 +48,6 @@ from ..ldap.filters import (
     simplify,
 )
 from ..ldap.query import SearchRequest
-from .amq import AdaptiveQuotientFilter
 
 __all__ = ["ContainmentIndex", "Candidate", "guard_atoms", "probe_atoms"]
 
@@ -59,11 +58,6 @@ _ANY: Atom = ("any",)
 
 #: Memo entries kept before the positive memo is wholesale cleared.
 MEMO_CAPACITY = 65_536
-
-#: Populations below this skip the AMQ prescreen: a dict probe on a
-#: small atom map is already one hash, so the summary only pays off
-#: once the guard-atom map is large (docs/ROUTING.md §10).
-AMQ_MIN_POPULATION = 1_024
 
 
 def _norm(registry: AttributeRegistry, attr: str, value: str) -> str:
@@ -217,14 +211,6 @@ class ContainmentIndex:
             positive memo); ``"recency"`` iterates newest-first,
             mirroring the recent-query cache's window (the memo stays
             off: a later insert may preempt an older winner).
-        amq: keep an :class:`~repro.core.amq.AdaptiveQuotientFilter`
-            over the guard atoms and prescreen every probe atom through
-            it before touching the posting map — a definitely-absent
-            atom costs one hash instead of a dict miss on a population-
-            sized map.  ``False`` bypasses the prescreen (the oracle
-            for the byte-identical-candidates property tests).
-        amq_min_population: registered queries needed before the
-            prescreen activates (tests pass 0 to force it on).
     """
 
     ORDERS = ("insertion", "recency")
@@ -234,18 +220,12 @@ class ContainmentIndex:
         registry: Optional[AttributeRegistry] = None,
         order: str = "insertion",
         memo_capacity: int = MEMO_CAPACITY,
-        amq: bool = True,
-        amq_min_population: int = AMQ_MIN_POPULATION,
     ):
         if order not in self.ORDERS:
             raise ValueError(f"unknown order {order!r}; pick from {self.ORDERS}")
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._order = order
         self._memo_capacity = memo_capacity
-        self._amq_enabled = amq
-        self._amq_min_population = amq_min_population
-        self._amq: Optional[AdaptiveQuotientFilter] = None
-        self._amq_stale = 0
         self._uids = itertools.count(1)
         self._seqs = itertools.count(1)
         self._by_request: Dict[SearchRequest, Candidate] = {}
@@ -273,18 +253,10 @@ class ContainmentIndex:
         self._by_request[request] = cand
         for atom in cand.atoms:
             self._atom_postings.setdefault(atom, set()).add(cand)
-            if self._amq is not None:
-                self._amq.add(atom)
         return cand
 
     def remove(self, request: SearchRequest) -> bool:
-        """Unregister *request*; memo entries die by liveness check.
-
-        The AMQ cannot delete: removed guard atoms stay as stale
-        "maybe" entries (sound — they only re-admit the dict probe the
-        prescreen would have skipped) until staleness reaches the live
-        population, at which point the summary is rebuilt.
-        """
+        """Unregister *request*; memo entries die by liveness check."""
         cand = self._by_request.pop(request, None)
         if cand is None:
             return False
@@ -294,11 +266,6 @@ class ContainmentIndex:
                 postings.discard(cand)
                 if not postings:
                     del self._atom_postings[atom]
-        if self._amq is not None:
-            self._amq_stale += len(cand.atoms)
-            if self._amq_stale > max(64, len(self._atom_postings)):
-                self._amq = None  # rebuilt lazily on the next prescreen
-                self._amq_stale = 0
         return True
 
     def touch(self, request: SearchRequest) -> None:
@@ -311,39 +278,12 @@ class ContainmentIndex:
         self._by_request.clear()
         self._atom_postings.clear()
         self._memo.clear()
-        self._amq = None
-        self._amq_stale = 0
 
     def __len__(self) -> int:
         return len(self._by_request)
 
     def __contains__(self, request: SearchRequest) -> bool:
         return request in self._by_request
-
-    # ------------------------------------------------------------------
-    # AMQ prescreen
-    # ------------------------------------------------------------------
-    @property
-    def amq(self) -> Optional[AdaptiveQuotientFilter]:
-        """The live guard-atom summary (None while inactive)."""
-        return self._amq
-
-    def _active_amq(self) -> Optional[AdaptiveQuotientFilter]:
-        """The prescreen summary, (re)built once the population
-        justifies it; None below the activation threshold."""
-        if not self._amq_enabled:
-            return None
-        if len(self._by_request) < self._amq_min_population:
-            return None
-        if self._amq is None:
-            summary = AdaptiveQuotientFilter(
-                expected_items=max(64, 2 * len(self._atom_postings))
-            )
-            for atom in self._atom_postings:
-                summary.add(atom)
-            self._amq = summary
-            self._amq_stale = 0
-        return self._amq
 
     # ------------------------------------------------------------------
     # candidate routing
@@ -359,21 +299,14 @@ class ContainmentIndex:
         ``len(rk) + 1`` prefixes of the request's own key.  The region
         test is a per-candidate membership check against that small
         prefix set, so its cost tracks the matched candidates, not the
-        population.  With the AMQ prescreen active, probe atoms the
-        summary rules out skip the posting map entirely; the summary
-        has no false negatives, so the matched set — and therefore the
-        returned candidates — are identical with and without it.
+        population.
         """
         self.probes += 1
         if not self._by_request:
             return []
-        amq = self._active_amq()
-        atoms: Iterable[Atom] = probe_atoms(request.filter, self._registry)
-        if amq is not None:
-            atoms = amq.screen(atoms)
         matched: Set[Candidate] = set()
         postings_get = self._atom_postings.get
-        for atom in atoms:
+        for atom in probe_atoms(request.filter, self._registry):
             postings = postings_get(atom)
             if postings:
                 matched |= postings

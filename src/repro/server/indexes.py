@@ -344,21 +344,12 @@ class ContentIndex:
     Candidate sets are supersets; callers re-verify every candidate
     against the real filter and scope, so staleness bugs can cost speed
     but never correctness.
-
-    With ``amq=True`` an :class:`~repro.core.amq.AdaptiveQuotientFilter`
-    summarizes the built equality keys and the DN-region prefixes, so a
-    definitely-absent equality value or base DN short-circuits before
-    the posting/range lookup (docs/ROUTING.md §10).  The summary has no
-    false negatives; deletions leave stale "maybe" entries and trigger
-    a rebuild once staleness reaches the content size, so candidate
-    sets are identical with the prescreen on or off.
     """
 
     def __init__(
         self,
         entries: Dict[DN, "Entry"],
         registry: Optional["AttributeRegistry"] = None,
-        amq: bool = True,
     ):
         from ..ldap.attributes import DEFAULT_REGISTRY
 
@@ -368,9 +359,6 @@ class ContentIndex:
         self._seq: Dict[DN, int] = {}
         self._next_seq = 0
         self._rk: List[Tuple[Tuple, DN]] = []
-        self._amq_enabled = amq
-        self._amq = None  # built with the first equality index
-        self._amq_stale = 0
         for dn in entries:
             self._admit(dn)
         self._rk.sort()
@@ -379,41 +367,6 @@ class ContentIndex:
         self._seq[dn] = self._next_seq
         self._next_seq += 1
         self._rk.append((dn.reversed_key(), dn))
-        if self._amq is not None:
-            self._amq_add_dn(dn)
-
-    # ------------------------------------------------------------------
-    # AMQ prescreen maintenance
-    # ------------------------------------------------------------------
-    @property
-    def amq(self):
-        """The live equality/DN summary (None until an index builds)."""
-        return self._amq
-
-    def _amq_add_dn(self, dn: DN) -> None:
-        rk = dn.reversed_key()
-        amq = self._amq
-        for i in range(1, len(rk) + 1):
-            amq.add(("rk", rk[:i]))
-
-    def _amq_add_values(self, attr_key: str, atype, values: Iterable[str]) -> None:
-        amq = self._amq
-        for value in values:
-            amq.add(("eq", attr_key, atype.normalize(value)))
-
-    def _build_amq(self) -> None:
-        """(Re)build the summary from every built structure."""
-        from ..core.amq import AdaptiveQuotientFilter
-
-        self._amq = AdaptiveQuotientFilter(
-            expected_items=max(64, 4 * len(self._seq))
-        )
-        self._amq_stale = 0
-        for _rk, dn in self._rk:
-            self._amq_add_dn(dn)
-        for attr_key, index in self._eq.items():
-            for norm in index._postings:
-                self._amq.add(("eq", attr_key, norm))
 
     # ------------------------------------------------------------------
     # incremental maintenance (owner's mutation funnel)
@@ -424,22 +377,13 @@ class ContentIndex:
             self._seq[dn] = self._next_seq
             self._next_seq += 1
             bisect.insort(self._rk, (dn.reversed_key(), dn))
-            if self._amq is not None:
-                self._amq_add_dn(dn)
         for attr, index in self._eq.items():
             if old is not None:
                 index.remove(dn, old.get(attr))
             index.insert(dn, new.get(attr))
-            if self._amq is not None:
-                self._amq_add_values(attr, index._atype, new.get(attr))
 
     def discard(self, dn: DN, old: "Entry") -> None:
-        """Fold one delete into every built structure.
-
-        The AMQ keeps the removed keys as stale "maybe" entries (sound
-        — a stale maybe only re-admits the exact lookup) and is rebuilt
-        once staleness reaches the content size.
-        """
+        """Fold one delete into every built structure."""
         if self._seq.pop(dn, None) is None:
             return
         key = (dn.reversed_key(), dn)
@@ -448,10 +392,6 @@ class ContentIndex:
             del self._rk[pos]
         for attr, index in self._eq.items():
             index.remove(dn, old.get(attr))
-        if self._amq is not None:
-            self._amq_stale += 1
-            if self._amq_stale > max(64, len(self._seq)):
-                self._build_amq()
 
     def seq_of(self, dn: DN) -> int:
         """Insertion rank of *dn* (stable across upserts of the same
@@ -469,19 +409,11 @@ class ContentIndex:
             for dn, entry in self._entries.items():
                 index.insert(dn, entry.get(attr))
             self._eq[key] = index
-            if self._amq_enabled:
-                if self._amq is None:
-                    self._build_amq()  # folds this index in too
-                else:
-                    for norm in index._postings:
-                        self._amq.add(("eq", key, norm))
         return index
 
     def region(self, base: DN) -> Set[DN]:
         """DNs at or under *base* (SUB superset; ONE/BASE re-verify)."""
         rk = base.reversed_key()
-        if rk and self._amq is not None and ("rk", rk) not in self._amq:
-            return set()  # definitely no DN at or under *base*
         found: Set[DN] = set()
         pos = bisect.bisect_left(self._rk, (rk,))
         depth = len(rk)
@@ -506,17 +438,8 @@ class ContentIndex:
         flt = simplify(request.filter)
         conjuncts = flt.children if isinstance(flt, And) else (flt,)
         best: Optional[Set[DN]] = None
-        amq = self._amq
         for node in conjuncts:
             if isinstance(node, Equality):
-                key = node.attr_key
-                if amq is not None and key in self._eq:
-                    # Prescreen already-built attributes: a definitely-
-                    # absent value cannot match, exactly as the posting
-                    # lookup below would conclude.
-                    norm = self._eq[key]._atype.normalize(node.value)
-                    if ("eq", key, norm) not in amq:
-                        return set()
                 postings = self._ensure_eq(node.attr).lookup(node.value)
                 best = postings if best is None else best & postings
                 if not best:

@@ -49,21 +49,11 @@ class SyncedContent:
     Args:
         request: the replicated query (the unit of replication).
         network: optional network for traffic accounting.
-        amq: forwarded to the lazily built
-            :class:`~repro.server.indexes.ContentIndex` — its equality
-            /DN AMQ prescreen (docs/ROUTING.md §10); ``False`` bypasses
-            it for the byte-identical-evaluation oracle.
     """
 
-    def __init__(
-        self,
-        request: SearchRequest,
-        network: Optional[SimulatedNetwork] = None,
-        amq: bool = True,
-    ):
+    def __init__(self, request: SearchRequest, network: Optional[SimulatedNetwork] = None):
         self.request = request
         self.network = network
-        self.amq = amq
         self._entries: Dict[DN, Entry] = {}
         self._index: Optional[ContentIndex] = None
         self.cookie: Optional[str] = None
@@ -307,7 +297,7 @@ class SyncedContent:
         entries = self._entries
         if len(entries) >= INDEX_MIN_ENTRIES:
             if self._index is None:
-                self._index = ContentIndex(entries, amq=self.amq)
+                self._index = ContentIndex(entries)
             candidates = self._index.candidates(request)
             if candidates is not None and len(candidates) < len(entries):
                 seq_of = self._index.seq_of
@@ -326,10 +316,6 @@ class SyncedContent:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    def amq_summary(self):
-        """The content index's live AMQ summary, if one exists."""
-        return self._index.amq if self._index is not None else None
-
     def dns(self) -> set:
         """DNs currently held."""
         return set(self.entries)

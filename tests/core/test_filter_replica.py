@@ -160,6 +160,42 @@ class TestTemplateAdmission:
         assert replica.containment_checks == before  # mail filter never checked
 
 
+class TestNegativeCache:
+    def test_stored_negative_cache_invalidated_by_add_filter(self):
+        """A recorded miss must not survive a filter that now contains it."""
+        replica = FilterReplica("r")
+        query = SearchRequest("o=xyz", Scope.SUB, "(sn=ab)")
+        assert not replica.answer(query).is_hit
+        assert not replica.answer(query).is_hit  # negcache path, still a miss
+        assert replica._negative is not None and replica._negative.hits >= 1
+        replica.load_directly(query, [person("cn=s,o=xyz", sn="ab")])
+        answer = replica.answer(query)
+        assert answer.is_hit
+        assert [str(e.dn) for e in answer.entries] == ["cn=s,o=xyz"]
+
+    def test_negative_cache_counters_surface_in_metrics(self):
+        replica = FilterReplica("r", cache_capacity=4)
+        miss = SearchRequest("o=xyz", Scope.SUB, "(uid=zzz)")
+        replica.answer(miss)
+        replica.answer(miss)
+        replica.sync_amq_metrics()
+        counter = replica.metrics.counter
+        assert counter("core.qc.negcache.hits", site="stored").value >= 1
+        assert counter("core.qc.negcache.lookups", site="stored").value >= 2
+
+    def test_no_negative_cache_with_template_registry(self):
+        """Registries are mutable: a template registered after a recorded
+        miss could change the prune decision, so no misses are recorded."""
+        registry = TemplateRegistry.from_strings("(sn=_)")
+        replica = FilterReplica("r", templates=registry)
+        assert replica._negative is None
+        query = SearchRequest("o=xyz", Scope.SUB, "(sn=ab)")
+        assert not replica.answer(query).is_hit
+        assert not replica.answer(query).is_hit
+        replica.sync_amq_metrics()
+        assert not any(k.startswith("core.qc.negcache") for k in replica.metrics.to_dict())
+
+
 class TestCacheIntegration:
     def test_miss_feeds_cache_then_hits(self, master, provider):
         replica = FilterReplica("branch", cache_capacity=10)

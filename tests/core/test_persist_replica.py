@@ -85,6 +85,22 @@ class TestSubscribePersist:
         assert net.open_connections == 0
         assert provider.active_session_count == 0
 
+    def test_sync_skips_persist_subscribed_filters(self, master):
+        """A subscribed filter has no cookie; polling it would be a full
+        initial load on a second, orphaned provider session."""
+        provider = ResyncProvider(master)
+        net = SimulatedNetwork()
+        replica = FilterReplica("r", network=net)
+        replica.add_filter(DEPT0, provider)
+        replica.subscribe_persist(provider)
+        pdus = net.stats.sync_entry_pdus
+        sessions = provider.active_session_count
+        replica.sync(provider)
+        assert net.stats.sync_entry_pdus == pdus
+        assert provider.active_session_count == sessions
+        replica.unsubscribe_persist()
+        assert provider.active_session_count == 0
+
     def test_remove_filter_closes_its_connection(self, master):
         provider = ResyncProvider(master)
         net = SimulatedNetwork()

@@ -1,10 +1,13 @@
 """Routed replica answering must be byte-identical to the seed scan.
 
-``FilterReplica(routing=False)`` preserves the seed linear containment
-scan and interpreted evaluation — the oracle.  The property drives both
-replicas through identical stored-filter sets, query streams, and
-cache feedback, and requires identical answers: status, entry list
-*including order*, ``answered_by`` attribution, and referrals.
+``tests.oracles.LinearFilterReplica`` preserves the seed linear
+containment scan (no negative cache) and interpreted evaluation — the
+oracle.  The property drives both replicas through identical
+stored-filter sets, query streams, and cache feedback, and requires
+identical answers: status, entry list *including order*,
+``answered_by`` attribution, and referrals.  Every stream is replayed
+once so the second pass runs through the routed side's positive memo
+and negative result cache.
 
 The file also carries the satellite regressions that ride on this
 subsystem: the union path's template pruning, cache containment-check
@@ -29,7 +32,10 @@ from repro.ldap import (
     SearchRequest,
     Substring,
 )
+from repro.server.indexes import ContentIndex
 from repro.sync import SyncUpdate
+
+from tests.oracles import LinearFilterReplica
 
 _ATTRS = ["sn", "uid", "l"]
 _VALUES = ["a", "ab", "abc", "b", "ba", "c"]
@@ -107,20 +113,19 @@ def _answer_fp(answer):
     )
 
 
-def _drive(routing, directory, stored_requests, queries, capacity, unions, policy):
-    replica = FilterReplica(
+def _drive(replica_cls, directory, stored_requests, queries, capacity, unions, policy):
+    replica = replica_cls(
         "r",
         cache_capacity=capacity,
         compose_unions=unions,
         cache_policy=policy,
-        routing=routing,
     )
     for request in stored_requests:
         replica.load_directly(
             request, [e for e in directory if request.selects(e)]
         )
     outcomes = []
-    for query in queries:
+    for query in queries + queries:
         answer = replica.answer(query)
         outcomes.append(_answer_fp(answer))
         if not answer.is_hit:
@@ -128,7 +133,7 @@ def _drive(routing, directory, stored_requests, queries, capacity, unions, polic
             replica.observe_miss(
                 query, [e for e in directory if query.selects(e)]
             )
-    return outcomes
+    return outcomes, replica.containment_checks
 
 
 @settings(max_examples=80, deadline=None)
@@ -143,13 +148,15 @@ def _drive(routing, directory, stored_requests, queries, capacity, unions, polic
 def test_routed_answers_equal_linear(
     directory, stored_requests, queries, capacity, unions, policy
 ):
-    routed = _drive(
-        True, directory, stored_requests, queries, capacity, unions, policy
+    routed, routed_checks = _drive(
+        FilterReplica, directory, stored_requests, queries, capacity, unions, policy
     )
-    linear = _drive(
-        False, directory, stored_requests, queries, capacity, unions, policy
+    linear, linear_checks = _drive(
+        LinearFilterReplica, directory, stored_requests, queries, capacity, unions, policy
     )
     assert routed == linear
+    # Routing only ever skips checks the scan would have made.
+    assert routed_checks <= linear_checks
 
 
 _TEMPLATES = TemplateRegistry.from_strings("(sn=_)", "(uid=_)", "(|(sn=_)(uid=_))")
@@ -164,17 +171,39 @@ _TEMPLATES = TemplateRegistry.from_strings("(sn=_)", "(uid=_)", "(|(sn=_)(uid=_)
 def test_routed_answers_equal_linear_with_templates(
     directory, stored_requests, queries
 ):
-    def drive(routing):
-        replica = FilterReplica(
-            "r", templates=_TEMPLATES, compose_unions=True, routing=routing
-        )
+    def drive(replica_cls):
+        replica = replica_cls("r", templates=_TEMPLATES, compose_unions=True)
         for request in stored_requests:
             replica.load_directly(
                 request, [e for e in directory if request.selects(e)]
             )
         return [_answer_fp(replica.answer(q)) for q in queries]
 
-    assert drive(True) == drive(False)
+    assert drive(FilterReplica) == drive(LinearFilterReplica)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_entries, min_size=1, max_size=8, unique_by=lambda e: str(e.dn)),
+    st.lists(_requests, min_size=1, max_size=8),
+    st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+)
+def test_content_index_candidates_sound(directory, queries, deletions):
+    """``ContentIndex.candidates`` is ``None`` ("scan") or a superset of
+    the entries the query selects, through lazy index builds and
+    deletes — the contract ``SyncedContent.evaluate`` re-verifies under."""
+    live = {e.dn: e for e in directory}
+    index = ContentIndex(live)
+    for query in queries:  # build some equality indexes
+        index.candidates(query)
+    for i in deletions:
+        dns = list(live)
+        if i < len(dns):
+            index.discard(dns[i], live.pop(dns[i]))
+    for query in queries:
+        candidates = index.candidates(query)
+        if candidates is not None:
+            assert {dn for dn, e in live.items() if query.selects(e)} <= candidates
 
 
 # ----------------------------------------------------------------------
@@ -200,9 +229,7 @@ def test_union_path_applies_template_pruning():
     registry = TemplateRegistry.from_strings(
         "(sn=_)", "(mail=_)", "(|(sn=_)(mail=_))"
     )
-    replica = FilterReplica(
-        "r", templates=registry, compose_unions=True, routing=False
-    )
+    replica = LinearFilterReplica("r", templates=registry, compose_unions=True)
     mail_req = SearchRequest("o=xyz", Scope.SUB, "(mail=b)")
     sn_req = SearchRequest("o=xyz", Scope.SUB, "(sn=a)")
     replica.load_directly(mail_req, [_person("cn=m,o=xyz", mail="b")])
