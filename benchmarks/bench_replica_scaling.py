@@ -25,6 +25,15 @@ equality serials (so neither the QC pair cache nor the routing memo can
 answer from a previous query); updates replace ``telephoneNumber`` — an
 attribute no filter constrains, which is exactly the case the paper's
 linear fan-out pays full price for and holder routing does not.
+
+That update stream flatters any router: it never changes an attribute a
+session filter names.  The *mixed* fan-out row therefore drives what a
+directory really sees — hire, department move, rename, leave — against
+block and single-department sessions, which all name ``serialNumber`` /
+``departmentNumber`` / ``objectClass``, and reports sessions visited
+(``sync.route.candidates``) beside sessions notified per update.  Its
+ceilings fail on a reversion to attribute-level routing (visits growing
+with the session count) independent of machine speed.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from repro.core.containment import clear_containment_cache
 from repro.ldap import Entry, ReSyncControl, Scope, SearchRequest, SyncMode
 from repro.server import DirectoryServer, Modification
 from repro.sync import ResyncProvider
-from tests.oracles import LinearFilterReplica
+from tests.oracles import LinearFilterReplica, LinearResyncProvider
 
 from .common import quiesced_gc as _quiesced
 from .common import report
@@ -50,6 +59,9 @@ PERSONS_PER_BLOCK = 4
 SWEEP = (50, 200, 500)
 N_QUERIES = 400
 N_UPDATES = 150
+# Mixed row: each group hires one person, moves their department,
+# renames them and lets them leave — 4 updates, master state restored.
+MIXED_GROUPS = 40
 # Every timed loop runs 1 warm-up + TIMING_REPEATS passes and reports
 # the *best* pass (the min-time estimator `timeit` recommends): on a
 # shared single-vCPU runner, host CPU steal only ever slows a pass
@@ -146,11 +158,11 @@ def _answer_point(
 
 
 def _fanout_point(
-    site_entries: List[List[Entry]], n_sessions: int, routed: bool
+    site_entries: List[List[Entry]], n_sessions: int, provider_cls
 ) -> Dict[str, float]:
     """Fan *N_UPDATES* master updates out to *n_sessions* poll sessions."""
     master = _fresh_master(site_entries)
-    provider = ResyncProvider(master, routed=routed)
+    provider = provider_cls(master)
     for i in range(n_sessions):
         provider.handle(
             _block_filter(i % BLOCKS), ReSyncControl(mode=SyncMode.POLL)
@@ -181,6 +193,57 @@ def _fanout_point(
     }
 
 
+def _department_filter(dept: int) -> SearchRequest:
+    return SearchRequest(
+        "o=xyz", Scope.SUB, f"(&(objectClass=person)(departmentNumber={dept:03d}))"
+    )
+
+
+def _mixed_fanout_point(
+    site_entries: List[List[Entry]], n_sessions: int
+) -> Dict[str, float]:
+    """Hire / department move / rename / leave against *n_sessions* poll
+    sessions, half per-block and half per-department.
+
+    Hires land in the blocks and departments the smallest sweep point
+    already covers, so every size notifies the same sessions per update
+    and only the number of sessions *naming* the touched attributes
+    grows — what value-level routing must not be sensitive to.
+    """
+    master = _fresh_master(site_entries)
+    provider = ResyncProvider(master)
+    for i in range(n_sessions):
+        request = _block_filter(i // 2) if i % 2 else _department_filter(i // 2)
+        provider.handle(request, ReSyncControl(mode=SyncMode.POLL))
+    covered = SWEEP[0] // 2
+    candidates = master.metrics.counter("sync.route.candidates")
+    notified = master.metrics.counter("sync.route.notified")
+    rates = []
+    passes = 1 + TIMING_REPEATS  # warm-up + timed repeats
+    for rep in range(passes):
+        with _quiesced():
+            start = time.perf_counter()
+            for g in range(MIXED_GROUPS):
+                block, dept = g % covered, (g * 7) % covered
+                hired = _person(block, 90 + g % 10)
+                hired.put("departmentNumber", f"{dept:03d}")
+                dn = f"cn=hire{g},o=xyz"
+                master.add(hired.with_dn(dn))
+                moved = f"{(dept + 1) % covered:03d}"
+                master.modify(dn, [Modification.replace("departmentNumber", moved)])
+                master.modify_dn(dn, new_rdn=f"cn=hire{g}r")
+                master.delete(f"cn=hire{g}r,o=xyz")
+            elapsed = time.perf_counter() - start
+        if rep:  # pass 0 is the warm-up
+            rates.append(4 * MIXED_GROUPS / elapsed if elapsed else 0.0)
+    updates = passes * 4 * MIXED_GROUPS
+    return {
+        "rate": max(rates),  # best pass: min-time estimator (see TIMING_REPEATS)
+        "candidates_per_update": candidates.value / updates,
+        "notified_per_update": notified.value / updates,
+    }
+
+
 @pytest.fixture(scope="module")
 def scaling_rows(site_entries):
     rows = []
@@ -188,9 +251,10 @@ def scaling_rows(site_entries):
     for n in SWEEP:
         linear_a = _answer_point(site_entries, n, LinearFilterReplica)
         routed_a = _answer_point(site_entries, n, FilterReplica)
-        linear_f = _fanout_point(site_entries, n, routed=False)
-        routed_f = _fanout_point(site_entries, n, routed=True)
-        points[n] = (linear_a, routed_a, linear_f, routed_f)
+        linear_f = _fanout_point(site_entries, n, LinearResyncProvider)
+        routed_f = _fanout_point(site_entries, n, ResyncProvider)
+        mixed_f = _mixed_fanout_point(site_entries, n)
+        points[n] = (linear_a, routed_a, linear_f, routed_f, mixed_f)
         rows.append(
             (
                 n,
@@ -202,6 +266,9 @@ def scaling_rows(site_entries):
                 linear_f["rate"],
                 routed_f["rate"],
                 routed_f["rate"] / linear_f["rate"],
+                mixed_f["rate"],
+                mixed_f["candidates_per_update"],
+                mixed_f["notified_per_update"],
             )
         )
     return rows, points
@@ -210,11 +277,12 @@ def scaling_rows(site_entries):
 def test_replica_scaling(benchmark, site_entries, scaling_rows):
     rows, points = scaling_rows
     top = SWEEP[-1]
-    linear_a, routed_a, linear_f, routed_f = points[top]
+    linear_a, routed_a, linear_f, routed_f, mixed_f = points[top]
     metrics = {
         # Gated rates (validate_results: lower is a regression).
         "answer_routed_per_s": routed_a["rate"],
         "fanout_routed_per_s": routed_f["rate"],
+        "fanout_mixed_per_s": mixed_f["rate"],
         # Informational context for the baseline diff.
         "answer_linear_rate": linear_a["rate"],
         "fanout_linear_rate": linear_f["rate"],
@@ -223,6 +291,8 @@ def test_replica_scaling(benchmark, site_entries, scaling_rows):
         "routed_checks_per_query_at_500": routed_a["checks_per_query"],
         "linear_checks_per_query_at_500": linear_a["checks_per_query"],
         "routed_candidates_per_update_at_500": routed_f["candidates_per_update"],
+        "mixed_candidates_per_update_at_500": mixed_f["candidates_per_update"],
+        "mixed_notified_per_update_at_500": mixed_f["notified_per_update"],
     }
     report(
         "replica_scaling",
@@ -238,6 +308,9 @@ def test_replica_scaling(benchmark, site_entries, scaling_rows):
             "upd_lin/s",
             "upd_rt/s",
             "upd_x",
+            "mix_rt/s",
+            "mix_cand",
+            "mix_notif",
         ],
         rows,
         params={
@@ -245,6 +318,7 @@ def test_replica_scaling(benchmark, site_entries, scaling_rows):
             "persons_per_block": PERSONS_PER_BLOCK,
             "queries_per_point": N_QUERIES,
             "updates_per_point": N_UPDATES,
+            "mixed_updates_per_point": 4 * MIXED_GROUPS,
             "sweep": "/".join(str(n) for n in SWEEP),
         },
         metrics=metrics,
@@ -257,7 +331,7 @@ def test_replica_scaling(benchmark, site_entries, scaling_rows):
     # Perf smoke (machine-independent): the routed paths must beat the
     # linear oracles by 5x at the top of the sweep, and never be the
     # slower path anywhere.  A reversion to the linear scan fails here.
-    for n, (la, ra, lf, rf) in points.items():
+    for n, (la, ra, lf, rf, _mf) in points.items():
         floor = 5.0 if n == top else 1.5
         assert ra["rate"] >= floor * la["rate"], (
             f"answer routing speedup below {floor}x at {n} stored filters"
@@ -274,6 +348,21 @@ def test_replica_scaling(benchmark, site_entries, scaling_rows):
     assert routed_cpq[last] <= 4.0
     assert routed_cpq[last] <= 2.0 * routed_cpq[first] + 1.0
     assert points[last][0]["checks_per_query"] >= last / 4
+
+    # Mixed fan-out: visits track notifications (value-level routing),
+    # not the sessions naming the touched attributes — within a small
+    # constant of the notified count, and flat across the 10x sweep.
+    # Attribute-level routing visits ~n here and fails both.
+    mixed = {n: points[n][4] for n in SWEEP}
+    for n in SWEEP:
+        assert mixed[n]["candidates_per_update"] <= mixed[n]["notified_per_update"] + 1.5, (
+            f"mixed fan-out visits {mixed[n]['candidates_per_update']:.1f} sessions "
+            f"to notify {mixed[n]['notified_per_update']:.1f} at {n} sessions"
+        )
+    assert (
+        mixed[last]["candidates_per_update"]
+        <= mixed[first]["candidates_per_update"] + 0.5
+    )
 
     # Timed unit: one routed answer at the top sweep point.
     replica = FilterReplica("r", cache_capacity=0)

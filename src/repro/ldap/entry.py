@@ -158,6 +158,13 @@ class Entry:
         """Canonical names of all attributes present."""
         return [canonical for canonical, _values in self._attrs.values()]
 
+    def keyed_values(self) -> Iterator[Tuple[str, List[str]]]:
+        """``(lower-cased literal name, values)`` pairs — the keys
+        :meth:`get` resolves, where ``__iter__`` yields canonical names
+        (which fold aliases).  The lists are the entry's own: read-only."""
+        for key, (_canonical, values) in self._attrs.items():
+            yield key, values
+
     @property
     def object_classes(self) -> Set[str]:
         """Lower-cased object classes of the entry."""

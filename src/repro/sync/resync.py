@@ -82,7 +82,7 @@ class PersistHandle:
     def abandon(self) -> None:
         """Tear down the persistent connection without a sync_end."""
         if self.active:
-            self._provider._end_persist(self._session)
+            self._provider._end_session(self._session.session_id)
             self.active = False
             if self.delivery_queue is not None:
                 self.delivery_queue.close()
@@ -94,15 +94,14 @@ class ResyncProvider:
     Registers itself as an update listener on *server*; every committed
     update is folded into each active session's pending actions.
 
-    With ``routed=True`` (the default) the fan-out goes through a
-    :class:`~repro.sync.router.SessionRouter`: only sessions whose
-    holder/attribute-fingerprint/region summaries say the update *can*
-    affect them are visited — a superset of the sessions the linear
-    scan would notify (property-tested), visited in the same creation
+    The fan-out goes through a :class:`~repro.sync.router.SessionRouter`:
+    only the sessions holding the updated entry, plus those the after
+    image's own values can reach (value atoms, region, changed-attribute
+    fingerprint), are visited — a superset of the sessions a scan over
+    all of them would notify (property-tested against
+    ``tests/oracles.LinearResyncProvider``), visited in the same creation
     order with the same compiled-vs-interpreted-equivalent predicate,
     so the per-session notification streams are byte-identical.
-    ``routed=False`` keeps the seed linear scan (the test oracle, also
-    reachable as :meth:`on_update_linear`).
 
     With a *journal* the provider becomes **durable** (docs/PROTOCOL.md
     §10): every state-changing event is journaled write-ahead, state is
@@ -117,7 +116,6 @@ class ResyncProvider:
     Args:
         server: the master directory server.
         idle_limit: logical-time session expiry (the admin time limit).
-        routed: route ``on_update`` through the session router.
         durability: history caps / admission / snapshot cadence; implied
             (with defaults) when *journal* is given.
         journal: write-ahead journal backend; None keeps the seed
@@ -128,13 +126,12 @@ class ResyncProvider:
         self,
         server: DirectoryServer,
         idle_limit: int = 100_000,
-        routed: bool = True,
         durability: Optional[DurabilityConfig] = None,
         journal: Optional[JournalBackend] = None,
     ):
         self.server = server
-        self.sessions = SessionStore(idle_limit=idle_limit)
-        self.router: Optional[SessionRouter] = SessionRouter() if routed else None
+        self.router = SessionRouter()
+        self.sessions = self._new_store(idle_limit)
         self._persist_callbacks: Dict[str, DeliverFn] = {}
         self._route_candidates = server.metrics.counter("sync.route.candidates")
         self._route_notified = server.metrics.counter("sync.route.notified")
@@ -189,21 +186,12 @@ class ResyncProvider:
         self._watermark = record.csn
         if self.durability is not None:
             self._note_last_change(record)
-        if self.router is None:
-            self.on_update_linear(record)
-        else:
-            self._on_update_routed(record)
-            # Recovered-but-not-yet-registered sessions take the linear
-            # path until their first poll re-registers them.
-            for sid in list(self._lazy_router):
-                session = self.sessions.get(sid)
-                if session is None:
-                    self._lazy_router.discard(sid)
-                    continue
-                self._apply_to_session(session, record)
+        self._fan_out(record)
         self._maybe_snapshot()
 
-    def _on_update_routed(self, record: UpdateRecord) -> None:
+    def _fan_out(self, record: UpdateRecord) -> None:
+        """Notify the sessions *record* affects (overridden by the
+        all-sessions oracle, ``tests/oracles.LinearResyncProvider``)."""
         # Phase 1: route, resolve the exact membership predicate per
         # candidate (pre-resolved by the holder index where it already
         # knows the answer — SessionRouter.route_verdicts), and advance
@@ -216,18 +204,15 @@ class ResyncProvider:
         routed = self.router.route_verdicts(record)
         self._route_candidates.inc(len(routed))
         visits = []
-        sessions_get = self.sessions.get
         same_dn = record.dn == record.effective_dn
         for rs, verdict in routed:
-            session = sessions_get(rs.session_id)
-            if session is None:
-                self.router.unregister(rs.session_id)  # expired meanwhile
-                continue
             if verdict is not None:
                 in_before, in_after = verdict
             else:
-                in_before = record.before is not None and rs.selects(record.before)
-                in_after = record.after is not None and rs.selects(record.after)
+                # The holder index is exact, so only the after image
+                # (never None on an unresolved verdict) needs evaluating.
+                in_before = record.dn in rs.held
+                in_after = rs.selects(record.after)
                 if not in_before and not in_after:
                     continue
             if not (in_before and in_after and same_dn):
@@ -235,7 +220,7 @@ class ResyncProvider:
                 self.router.note_delivery(
                     rs, in_before, in_after, record.dn, record.effective_dn
                 )
-            visits.append((session, in_before, in_after))
+            visits.append((rs.session, in_before, in_after))
         self._route_notified.inc(len(visits))
         # Phase 2: notify, in session-creation order (== linear order).
         # One shared frozen SyncUpdate per outcome kind serves every
@@ -266,16 +251,14 @@ class ResyncProvider:
                     enters = SyncUpdate.add(record.after)
                 session.enqueue(enters)
             flush(session)
-
-    def on_update_linear(self, record: UpdateRecord) -> None:
-        """The seed linear fan-out — every active session's filter is
-        evaluated against the update (the routing-equivalence oracle)."""
-        for session in self.sessions.active_sessions():
-            self._apply_to_session(session, record)
+        # Recovered-but-not-yet-registered sessions are evaluated one by
+        # one until their first poll re-registers them.
+        for sid in list(self._lazy_router):
+            self._apply_to_session(self.sessions.get(sid), record)
 
     def _apply_to_session(self, session: Session, record: UpdateRecord) -> None:
-        """Evaluate *record* against one session exactly like the linear
-        scan (also the journal-replay fan-out)."""
+        """Evaluate *record* against one session with both images — the
+        journal-replay fan-out and the lazy post-recovery path."""
         request = session.request
         in_before = record.before is not None and request.selects(record.before)
         in_after = record.after is not None and request.selects(record.after)
@@ -372,9 +355,7 @@ class ResyncProvider:
                 session.seed_content(content)
                 session.drain_csn = self._watermark
                 session.prev_drain_csn = self._watermark
-                if self.router is not None:
-                    self.router.register(session)
-                    self.router.seed(session, (e.dn for e in content))
+                self.router.register(session, (e.dn for e in content))
                 updates = [SyncUpdate.add(e) for e in content]
                 sp.add("entries_sent", len(updates))
             response = SyncResponse(updates=updates, initial=True)
@@ -431,11 +412,11 @@ class ResyncProvider:
                     # replay must advance it identically.
                     self._journal_event({"t": "touch", "sid": session.session_id})
                     raise
-            if self.router is not None and session.session_id in self._lazy_router:
+            if session.session_id in self._lazy_router:
                 # Lazy re-registration: the recovered session's first
                 # poll re-enters the router, seeded from its (possibly
                 # just resumed) content mirror.
-                self.router.reregister(session, session.content_dns)
+                self.router.register(session, session.content_dns)
                 self._lazy_router.discard(session.session_id)
 
         if control.mode is SyncMode.PERSIST:
@@ -506,9 +487,7 @@ class ResyncProvider:
             session.seed_content(content)
             session.drain_csn = self._watermark
             session.prev_drain_csn = self._watermark
-            if self.router is not None:
-                self.router.register(session)
-                self.router.seed(session, (e.dn for e in content))
+            self.router.register(session, (e.dn for e in content))
             sketch = build_sketch(content, cells, salt=rreq.salt)
             sp.add("entries_sketched", len(content))
         self._reconcile_served.inc()
@@ -582,10 +561,9 @@ class ResyncProvider:
         streams simply stop; consumers detect the dead connection and
         re-subscribe.
         """
-        self.sessions = SessionStore(idle_limit=self.sessions.idle_limit)
+        self.sessions = self._new_store(self.sessions.idle_limit)
         self._persist_callbacks.clear()
-        if self.router is not None:
-            self.router.reset()
+        self.router.reset()
         self._lazy_router.clear()
         self._last_change.clear()
         self._watermark = self.server.current_csn
@@ -653,13 +631,19 @@ class ResyncProvider:
             self._unknown_cookie.inc()
             return
         self._journal_event({"t": "end", "sid": sid})
-        if self.router is not None:
-            self.router.unregister(sid)
-        self._lazy_router.discard(sid)
+        self._forget_session(sid)
 
-    def _end_persist(self, session: Session) -> None:
-        self._persist_callbacks.pop(session.session_id, None)
-        self._end_session(session.session_id)
+    def _forget_session(self, sid: str) -> None:
+        """Drop everything kept per session outside the store — for an
+        ended session and (``SessionStore.on_expire``) an expired one."""
+        self.router.unregister(sid)
+        self._lazy_router.discard(sid)
+        self._persist_callbacks.pop(sid, None)
+
+    def _new_store(self, idle_limit: int) -> SessionStore:
+        store = SessionStore(idle_limit=idle_limit)
+        store.on_expire = self._forget_session
+        return store
 
     def _search_content(self, request: SearchRequest):
         """Current master content of *request*, in deterministic DN
@@ -848,10 +832,9 @@ class ResyncProvider:
         snapshot, records, dropped = self.journal.load()
         if dropped:
             self._dropped.inc(dropped)
-        self.sessions = SessionStore(idle_limit=self.sessions.idle_limit)
+        self.sessions = self._new_store(self.sessions.idle_limit)
         self._persist_callbacks.clear()
-        if self.router is not None:
-            self.router.reset()
+        self.router.reset()
         self._lazy_router.clear()
         self._last_change.clear()
         self._watermark = 0
@@ -889,10 +872,7 @@ class ResyncProvider:
             # which now covers it.
             self._watermark = self.server.current_csn
             self._last_change.clear()
-        if self.router is not None:
-            self._lazy_router = {
-                s.session_id for s in self.sessions.active_sessions()
-            }
+        self._lazy_router = {s.session_id for s in self.sessions.active_sessions()}
         self._write_snapshot()
         if self.admission is not None:
             self.admission.reset()

@@ -3,116 +3,121 @@
 ``ResyncProvider.on_update`` must decide, for every committed master
 update, which active sessions to notify.  The seed implementation
 evaluates every session's filter against the update's before/after
-entries — linear in the session count, twice per update, interpreted.
-The :class:`SessionRouter` keeps per-session routing summaries so only
-sessions that *can* be affected are visited:
+entries — linear in the session count, twice per update, interpreted
+(kept as ``tests/oracles.LinearResyncProvider``).  The
+:class:`SessionRouter` keeps per-session routing summaries so only
+sessions the update's *values* can reach are visited:
 
 * **holders** — a ``DN → sessions`` map mirroring each session's
   master-side content (``Session.content_dns``), seeded from the
   initial content and advanced by :meth:`note_delivery` after every
-  notification.  Any update whose entry was in a session's content
-  (``in_before``) must route through this map.
-* **attribute fingerprints** — ``attributes_of(filter)`` posting lists.
-  An in-place MODIFY can only change a filter's verdict when some
-  *changed* attribute occurs in the filter, so non-holders are visited
-  only when the changed-attribute set intersects their fingerprint.
-* **anchors** — a set of attributes such that any entry matching the
-  filter holds at least one of them (:func:`anchor_attrs`).  An ADD (or
-  the new position of a rename) routes to sessions whose anchor set
-  intersects the entry's attributes; filters without derivable anchors
-  (NOT shapes) are visited for every add in region.
-* **regions** — sessions bucketed by ``base.reversed_key()``; a DN can
-  only be in a session's scope when the session base's key prefixes
-  the DN's, probed like the replica-side
-  :class:`~repro.core.routing.ContainmentIndex`.
+  notification.  It is exact, so it answers ``in_before`` outright: an
+  update can only leave (or change inside) the sessions holding its DN.
+* **value atoms** — a necessary condition for an entry to *match* the
+  filter, in the vocabulary of the replica-side
+  :class:`~repro.core.routing.ContainmentIndex`: ``("eq", attr, value)``,
+  ``("pfx", attr, initial)`` and ``("attr", attr)``.  Sessions are
+  posted under their atoms; an entry can only *enter* the sessions its
+  own normalized values probe (:meth:`SessionRouter.anchor_atoms`).
+  Filters without derivable atoms (NOT shapes) see every add in region.
+* **attribute fingerprints** — ``attributes_of(filter)``.  An in-place
+  MODIFY can only flip a filter's verdict when some *changed* attribute
+  occurs in the filter, so holders outside the changed set stay put
+  without evaluation and entering candidates outside it are dropped.
+* **regions** — ``base.reversed_key()``; a DN can only be in a
+  session's scope when the session base's key prefixes the DN's, so
+  matched sessions are checked against the DN's own key prefixes.
 
-Soundness (property-tested in ``tests/sync/test_router.py``): routing
-never skips a session the linear scan would notify — skipped sessions
-provably have ``in_before == in_after == False``.  Visited candidates
-re-evaluate exactly the linear predicate (scope + compiled filter), in
-session-creation order, so the notification streams are byte-identical
-to the seed fan-out's.
+Soundness (property-tested in ``tests/sync/test_router.py``,
+docs/ROUTING.md §6): routing never skips a session the linear scan
+would notify — skipped sessions provably have ``in_before == in_after
+== False``.  Visited candidates re-evaluate exactly the linear
+predicate (scope + compiled filter), in session-creation order, so the
+notification streams are byte-identical to the linear scan's.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..ldap.attributes import DEFAULT_REGISTRY
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
-from ..ldap.filters import And, Filter, Not, Or, Predicate, attributes_of, simplify
+from ..ldap.filters import (
+    And,
+    Equality,
+    Filter,
+    Or,
+    Predicate,
+    Substring,
+    attributes_of,
+    simplify,
+)
 from ..ldap.matching import compile_filter_cached
 from ..server.operations import UpdateRecord
 from .session import Session
 
-__all__ = ["SessionRouter", "RoutedSession", "anchor_attrs"]
+__all__ = ["SessionRouter", "RoutedSession"]
+
+#: ``(kind, attr[, value])``; kinds ``eq``, ``pfx``, ``attr`` as in
+#: :mod:`repro.core.routing`, ranked by how few entries they admit.
+Atom = Tuple
+_STRENGTH = {"attr": 0, "pfx": 1, "eq": 2}
 
 _EMPTY: FrozenSet["RoutedSession"] = frozenset()
+_serial = attrgetter("serial")  # creation order == the linear scan's order
 
 # Pre-resolved membership verdicts (see SessionRouter.route_verdicts).
 _VERDICT_STAYS: Tuple[bool, bool] = (True, True)
 _VERDICT_GONE: Tuple[bool, bool] = (True, False)
 
 
-def anchor_attrs(flt: Filter) -> Optional[FrozenSet[str]]:
-    """Attributes of which any entry matching *flt* must hold one.
+def _leaf_atom(pred: Predicate) -> Atom:
+    """The atom every entry matching *pred* probes.
 
-    ``None`` means no such set is derivable (the filter may match
-    entries lacking any particular attribute — NOT shapes), so the
-    session must see every add.  Derivation: a predicate anchors on its
-    own attribute (matching requires it present); an AND anchors on any
-    one child's anchors (the smallest is kept); an OR needs anchors from
-    *every* child and takes the union.
+    Normalization is literally the compiled predicate's
+    (``compile_filter_cached``: default registry, the predicate's own
+    attribute spelling, ``str()`` for substring parts), so "the entry
+    matches" implies "the entry's values hit this atom" by construction.
     """
-    flt = simplify(flt)
-    return _anchors(flt)
-
-
-def _anchors(flt: Filter) -> Optional[FrozenSet[str]]:
-    if isinstance(flt, Predicate):
-        return frozenset((flt.attr_key,))
-    if isinstance(flt, And):
-        best: Optional[FrozenSet[str]] = None
-        for child in flt.children:
-            found = _anchors(child)
-            if found is not None and (best is None or len(found) < len(best)):
-                best = found
-        return best
-    if isinstance(flt, Or):
-        merged: Set[str] = set()
-        for child in flt.children:
-            found = _anchors(child)
-            if found is None:
-                return None
-            merged |= found
-        return frozenset(merged)
-    if isinstance(flt, Not):
-        return None
-    return None  # pragma: no cover - all node kinds handled
+    key = pred.attr_key
+    normalize = DEFAULT_REGISTRY.get(pred.attr).normalize
+    if isinstance(pred, Equality):
+        return ("eq", key, normalize(pred.value))
+    if isinstance(pred, Substring) and pred.initial:
+        prefix = str(normalize(pred.initial))
+        if prefix:
+            return ("pfx", key, prefix)
+    return ("attr", key)
 
 
 class RoutedSession:
     """One registered session plus its routing summary."""
 
     __slots__ = (
+        "session",
         "session_id",
         "serial",
         "request",
         "compiled",
         "fingerprint",
-        "anchors",
+        "atoms",
         "region",
         "held",
     )
 
-    def __init__(self, session: Session, serial: int):
+    def __init__(
+        self, session: Session, serial: int, atoms: Optional[FrozenSet[Atom]]
+    ):
+        self.session = session
         self.session_id = session.session_id
         self.serial = serial
         self.request = session.request
         self.compiled = compile_filter_cached(session.request.filter)
         self.fingerprint = attributes_of(session.request.filter)
-        self.anchors = anchor_attrs(session.request.filter)
+        self.atoms = atoms  # None: unanchored, sees every add in region
         self.region = session.request.base.reversed_key()
         self.held: Set[DN] = set()
 
@@ -125,14 +130,17 @@ class RoutedSession:
 
 
 class SessionRouter:
-    """Attribute/region/holder routing over a provider's sessions."""
+    """Value-atom/region/holder routing over a provider's sessions."""
 
     def __init__(self):
         self._serials = itertools.count(1)
         self._sessions: Dict[str, RoutedSession] = {}
-        self._by_attr: Dict[str, Set[RoutedSession]] = {}
-        self._by_region: Dict[Tuple, Set[RoutedSession]] = {}
-        self._anchored: Dict[str, Set[RoutedSession]] = {}
+        # attr -> atom -> sessions anchored on it; attribute first, so an
+        # entry's unposted attributes cost one lookup, not a normalization.
+        self._postings: Dict[str, Dict[Atom, Set[RoutedSession]]] = {}
+        # attr -> {prefix length -> distinct ``pfx`` atoms of that length}:
+        # a value is probed once per registered length, never per character.
+        self._pfx_lens: Dict[str, Dict[int, int]] = {}
         self._unanchored: Set[RoutedSession] = set()
         self._holders: Dict[DN, Set[RoutedSession]] = {}
 
@@ -143,72 +151,111 @@ class SessionRouter:
         return session_id in self._sessions
 
     # ------------------------------------------------------------------
+    # anchor atoms
+    # ------------------------------------------------------------------
+    def anchor_atoms(self, flt: Filter) -> Optional[FrozenSet[Atom]]:
+        """Atoms of which any entry matching *flt* must probe one.
+
+        ``None`` means no such set is derivable (the filter may match
+        entries lacking any particular attribute — NOT shapes), so the
+        session must see every add.  A leaf anchors on its own atom; an
+        AND on any one conjunct's atoms — the most selective is kept,
+        ranked by the weakest atom's kind and then by how many sessions
+        are *currently* posted under the atoms, so
+        ``(&(objectClass=person)(departmentNumber=42))`` lands on the
+        department once anything else is posted under ``person``; an OR
+        needs atoms from *every* disjunct and takes the union.
+        """
+        return self._atoms(simplify(flt))
+
+    def _atoms(self, flt: Filter) -> Optional[FrozenSet[Atom]]:
+        if isinstance(flt, Predicate):
+            return frozenset((_leaf_atom(flt),))
+        if isinstance(flt, And):
+            best: Optional[FrozenSet[Atom]] = None
+            for child in flt.children:
+                found = self._atoms(child)
+                if found is not None and (
+                    best is None or self._rank(found) > self._rank(best)
+                ):
+                    best = found
+            return best
+        if isinstance(flt, Or):
+            merged: Set[Atom] = set()
+            for child in flt.children:
+                found = self._atoms(child)
+                if found is None:
+                    return None
+                merged |= found
+            return frozenset(merged)
+        return None  # NOT: matches entries lacking the attribute
+
+    def _rank(self, atoms: FrozenSet[Atom]) -> Tuple[int, int]:
+        """Selectivity of one atom set (higher = fewer entries reach it):
+        OR semantics make it as weak as its weakest atom."""
+        posted = sum(
+            len(self._postings.get(atom[1], {}).get(atom, ())) for atom in atoms
+        )
+        weakest = min((_STRENGTH[atom[0]] for atom in atoms), default=len(_STRENGTH))
+        return (weakest, -posted)
+
+    # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def register(self, session: Session) -> RoutedSession:
-        """Register *session* (called when the provider creates it)."""
+    def register(self, session: Session, dns=()) -> RoutedSession:
+        """Enter *session* with *dns* as its held content — the initial
+        content the provider just delivered, or a recovered session's
+        content mirror on its first post-crash poll (lazy
+        re-registration, docs/PROTOCOL.md §10).  Any stale registration
+        (and its holder state) is replaced wholesale."""
         self.unregister(session.session_id)
-        rs = RoutedSession(session, next(self._serials))
+        atoms = self.anchor_atoms(session.request.filter)
+        rs = RoutedSession(session, next(self._serials), atoms)
         self._sessions[rs.session_id] = rs
-        for attr in rs.fingerprint:
-            self._by_attr.setdefault(attr, set()).add(rs)
-        self._by_region.setdefault(rs.region, set()).add(rs)
-        if rs.anchors is None:
+        if atoms is None:
             self._unanchored.add(rs)
-        else:
-            for attr in rs.anchors:
-                self._anchored.setdefault(attr, set()).add(rs)
-        return rs
-
-    def seed(self, session: Session, dns) -> None:
-        """Mirror the initial content delivered to *session*."""
-        rs = self._sessions.get(session.session_id)
-        if rs is None:
-            return
+        for atom in atoms or ():
+            posted = self._postings.setdefault(atom[1], {})
+            bucket = posted.get(atom)
+            if bucket is None:
+                bucket = posted[atom] = set()
+                if atom[0] == "pfx":
+                    lens = self._pfx_lens.setdefault(atom[1], {})
+                    lens[len(atom[2])] = lens.get(len(atom[2]), 0) + 1
+            bucket.add(rs)
         for dn in dns:
             self._hold(rs, dn)
-
-    def reregister(self, session: Session, dns) -> RoutedSession:
-        """(Re-)enter *session* with *dns* as its held content in one
-        step — the lazy re-registration a recovered provider performs on
-        a session's first post-crash poll, after which routed fan-out
-        replaces the linear fallback (docs/PROTOCOL.md §10).  Any stale
-        registration (and its holder state) is replaced wholesale."""
-        rs = self.register(session)
-        self.seed(session, dns)
         return rs
 
     def unregister(self, session_id: str) -> None:
         rs = self._sessions.pop(session_id, None)
         if rs is None:
             return
-        for attr in rs.fingerprint:
-            self._drop(self._by_attr, attr, rs)
-        self._drop(self._by_region, rs.region, rs)
-        if rs.anchors is None:
-            self._unanchored.discard(rs)
-        else:
-            for attr in rs.anchors:
-                self._drop(self._anchored, attr, rs)
+        self._unanchored.discard(rs)
+        for atom in rs.atoms or ():
+            posted = self._postings[atom[1]]
+            posted[atom].discard(rs)
+            if not posted[atom]:
+                del posted[atom]
+                if not posted:
+                    del self._postings[atom[1]]
+                if atom[0] == "pfx":
+                    lens = self._pfx_lens[atom[1]]
+                    lens[len(atom[2])] -= 1
+                    if not lens[len(atom[2])]:
+                        del lens[len(atom[2])]
+                        if not lens:
+                            del self._pfx_lens[atom[1]]
         for dn in list(rs.held):
-            self._drop(self._holders, dn, rs)
+            self._unhold(rs, dn)
 
     def reset(self) -> None:
         """Forget every session (provider restart)."""
         self._sessions.clear()
-        self._by_attr.clear()
-        self._by_region.clear()
-        self._anchored.clear()
+        self._postings.clear()
+        self._pfx_lens.clear()
         self._unanchored.clear()
         self._holders.clear()
-
-    @staticmethod
-    def _drop(postings: Dict, key, rs: "RoutedSession") -> None:
-        bucket = postings.get(key)
-        if bucket is not None:
-            bucket.discard(rs)
-            if not bucket:
-                del postings[key]
 
     # ------------------------------------------------------------------
     # holder tracking (mirrors Session._track_content)
@@ -219,7 +266,11 @@ class SessionRouter:
 
     def _unhold(self, rs: RoutedSession, dn: DN) -> None:
         rs.held.discard(dn)
-        self._drop(self._holders, dn, rs)
+        bucket = self._holders.get(dn)
+        if bucket is not None:
+            bucket.discard(rs)
+            if not bucket:
+                del self._holders[dn]
 
     def note_delivery(
         self,
@@ -243,45 +294,53 @@ class SessionRouter:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _region_candidates(self, dn: DN) -> Set[RoutedSession]:
-        rk = dn.reversed_key()
-        found: Set[RoutedSession] = set()
-        for i in range(len(rk) + 1):
-            bucket = self._by_region.get(rk[:i])
-            if bucket:
-                found |= bucket
+    def _reachable(self, entry: Entry) -> Set[RoutedSession]:
+        """Sessions whose anchor atoms *entry*'s own values probe, plus
+        the unanchored ones — every session *entry* could match."""
+        found = set(self._unanchored)
+        for key, values in entry.keyed_values():
+            posted = self._postings.get(key)
+            if posted is None:
+                continue
+            postings = posted.get
+            found |= postings(("attr", key), _EMPTY)
+            normalize = DEFAULT_REGISTRY.get(key).normalize
+            lens = self._pfx_lens.get(key)
+            for value in values:
+                norm = normalize(value)
+                found |= postings(("eq", key, norm), _EMPTY)
+                if lens:
+                    text = str(norm)
+                    for n in lens:
+                        found |= postings(("pfx", key, text[:n]), _EMPTY)
         return found
 
     @staticmethod
     def _changed_attrs(before: Entry, after: Entry) -> Set[str]:
         """Attributes whose raw value lists differ (a superset of the
-        semantically changed set, which is all soundness needs)."""
-        names = {n.lower() for n in before.attribute_names()}
-        names |= {n.lower() for n in after.attribute_names()}
+        semantically changed set, which is all soundness needs), under
+        the literal lower-cased names filters look values up by."""
+        old, new = dict(before.keyed_values()), dict(after.keyed_values())
         return {
-            name
-            for name in names
-            if sorted(before.get(name)) != sorted(after.get(name))
+            key
+            for key in old.keys() | new.keys()
+            if old.get(key) != new.get(key)
+            and sorted(old.get(key, ())) != sorted(new.get(key, ()))
         }
-
-    def route(self, record: UpdateRecord) -> List[RoutedSession]:
-        """Sessions that may be affected by *record*, in creation order.
-
-        A superset of ``{s : in_before(s) or in_after(s)}`` — the
-        guarantee the equivalence property tests.  The caller still
-        evaluates the exact predicate per candidate.
-        """
-        return [rs for rs, _ in self.route_verdicts(record)]
 
     def route_verdicts(
         self, record: UpdateRecord
     ) -> List[Tuple[RoutedSession, Optional[Tuple[bool, bool]]]]:
-        """Route *record* and pre-resolve ``(in_before, in_after)`` for
-        the candidates whose verdict the holder index already knows.
+        """Sessions *record* may affect, in creation order — a superset
+        of ``{s : in_before(s) or in_after(s)}`` — with ``(in_before,
+        in_after)`` pre-resolved where the holder index already knows it.
 
         Holder state mirrors each session's content exactly — seeded
         from the initial search, advanced with the exact verdict on
-        every delivery — so two cases need no filter evaluation:
+        every delivery — so ``in_before`` is "holds the old DN" and only
+        holders can leave.  Only the *after* image decides who enters:
+        the sessions its values reach (:meth:`_reachable`) whose region
+        covers the new DN.  Two cases need no filter evaluation at all:
 
         * **DELETE**: every candidate is a holder of the deleted DN, so
           the verdict is ``(True, False)``.
@@ -289,56 +348,42 @@ class SessionRouter:
           holder's filter fingerprint: the compiled verdict cannot flip
           (``_changed_attrs`` over-approximates the semantic change) and
           the scope verdict is fixed by the unchanged DN, so the verdict
-          stays ``(True, True)``.
+          stays ``(True, True)``.  For the same reason a non-holder the
+          changed attributes miss cannot enter and is not a candidate.
 
-        Every other candidate (adds, renames, holders whose fingerprint
-        meets the changed set, non-holders) carries ``None`` and keeps
-        the caller's exact ``selects`` evaluation.  This is the fan-out
-        fast path: at high session counts most candidates are holders
-        untouched by the changed attributes, and their two filter
-        evaluations per notification disappear.
+        Every other candidate carries ``None``: the caller reads
+        ``in_before`` off ``held`` and evaluates ``selects`` on the
+        after image only.
         """
-        candidates: Set[RoutedSession] = set()
         old_dn = record.dn
-        new_dn = record.effective_dn
+        after = record.after
         holders = (
-            self._holders.get(old_dn, _EMPTY)
-            if record.before is not None
-            else _EMPTY
+            self._holders.get(old_dn, _EMPTY) if record.before is not None else _EMPTY
         )
-        candidates |= holders
+        if after is None:
+            return [(rs, _VERDICT_GONE) for rs in sorted(holders, key=_serial)]
+        new_dn = record.effective_dn
         changed: Optional[Set[str]] = None
-        if record.after is not None:
-            if record.before is not None and old_dn == new_dn:
-                # In-place MODIFY: a non-holder's verdict can only flip
-                # when a changed attribute occurs in its filter.
-                changed = self._changed_attrs(record.before, record.after)
-                touched: Set[RoutedSession] = set()
-                for attr in changed:
-                    bucket = self._by_attr.get(attr)
-                    if bucket:
-                        touched |= bucket
-                if touched:
-                    candidates |= touched & self._region_candidates(new_dn)
-            else:
-                # ADD, or the new position of a rename: an entry can
-                # only enter a session whose region covers the DN and
-                # whose filter's anchors intersect the entry.
-                present = {n.lower() for n in record.after.attribute_names()}
-                for rs in self._region_candidates(new_dn):
-                    if rs.anchors is None or rs.anchors & present:
-                        candidates.add(rs)
-        ordered = sorted(candidates, key=lambda rs: rs.serial)
-        if record.after is None:
-            return [(rs, _VERDICT_GONE) for rs in ordered]
-        if changed is not None:
-            return [
-                (
-                    rs,
-                    _VERDICT_STAYS
-                    if rs in holders and changed.isdisjoint(rs.fingerprint)
-                    else None,
-                )
-                for rs in ordered
-            ]
-        return [(rs, None) for rs in ordered]
+        if record.before is not None and old_dn == new_dn:
+            changed = self._changed_attrs(record.before, after)
+        rk = new_dn.reversed_key()
+        regions = {rk[:i] for i in range(len(rk) + 1)}
+        candidates = {
+            rs
+            for rs in self._reachable(after)
+            if rs.region in regions
+            and (changed is None or not changed.isdisjoint(rs.fingerprint))
+        }
+        candidates |= holders
+        ordered = sorted(candidates, key=_serial)
+        if changed is None:
+            return [(rs, None) for rs in ordered]
+        return [
+            (
+                rs,
+                _VERDICT_STAYS
+                if rs in holders and changed.isdisjoint(rs.fingerprint)
+                else None,
+            )
+            for rs in ordered
+        ]

@@ -29,7 +29,8 @@ the two cases apart.
 
 Sessions are identified by opaque cookies and expire after
 ``idle_limit`` polls of global session-store activity without being
-polled (the paper's "admin time limit", in logical time).
+polled (the paper's "admin time limit", in logical time); the store
+reports each expiry to its owner (``SessionStore.on_expire``).
 """
 
 from __future__ import annotations
@@ -311,6 +312,10 @@ class SessionStore:
         self.idle_limit = idle_limit
         self._tick = 0
         self._expiring = False
+        # Called with the id of every session :meth:`_expire` drops, so
+        # the owner can forget what it keeps per session (routing
+        # registration, persist callback) at expiry rather than never.
+        self.on_expire: Optional[Callable[[str], None]] = None
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -459,6 +464,8 @@ class SessionStore:
             ]
             for sid in stale:
                 self._sessions.pop(sid, None)
+                if self.on_expire is not None:
+                    self.on_expire(sid)
         finally:
             self._expiring = False
 

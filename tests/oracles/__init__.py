@@ -1,20 +1,24 @@
-"""Linear reference implementations of the replica's answering path.
+"""Linear reference implementations of the routed production paths.
 
 ``repro.core`` answers through one path: candidate routing
 (:class:`~repro.core.routing.ContainmentIndex`), indexed evaluation and
-an exact negative result cache.  The seed's linear scans live here, as
-the oracles the equivalence properties
-(``tests/core/test_routing_equivalence.py``) compare against and the
-"linear" arm the scaling/ablation benches measure:
+an exact negative result cache; ``repro.sync`` fans updates out through
+one path, the :class:`~repro.sync.router.SessionRouter`.  The seed's
+linear scans live here, as the oracles the equivalence properties
+(``tests/core/test_routing_equivalence.py``,
+``tests/sync/test_router.py``) compare against and the "linear" arm the
+scaling/ablation benches measure:
 
 * :class:`LinearFilterReplica` — every stored filter containment-checked
   in insertion order, no negative cache, hits evaluated by an
   interpreted scan of the whole content;
 * :class:`LinearRecentQueryCache` — the whole window scanned
-  newest-first, hits evaluated the same interpreted way.
+  newest-first, hits evaluated the same interpreted way;
+* :class:`LinearResyncProvider` — every active session's filter
+  evaluated, interpreted, against both images of every update.
 
-Both subclass the production class so filter management, sync, stats
-and window bookkeeping are shared; only the scans differ.
+Each subclasses the production class so filter management, sync, stats,
+window and session bookkeeping are shared; only the scans differ.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from typing import List, Optional, Tuple
 from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_contained_in
 from repro.ldap import Entry, SearchRequest
 from repro.ldap.filters import attributes_of
+from repro.sync import ResyncProvider
 
-__all__ = ["LinearFilterReplica", "LinearRecentQueryCache"]
+__all__ = ["LinearFilterReplica", "LinearRecentQueryCache", "LinearResyncProvider"]
 
 
 class LinearRecentQueryCache(RecentQueryCache):
@@ -75,3 +80,11 @@ class LinearFilterReplica(FilterReplica):
             for entry in stored.content.entries.values()
             if request.selects(entry)
         ]
+
+
+class LinearResyncProvider(ResyncProvider):
+    """Provider fanning out by the seed's scan over all active sessions."""
+
+    def _fan_out(self, record) -> None:
+        for session in self.sessions.active_sessions():
+            self._apply_to_session(session, record)

@@ -2,15 +2,19 @@
 
 The router's contract has two halves, both tested here:
 
-* **completeness** — ``route(record)`` never skips a session the seed
-  linear scan would notify (audited per update inside the equivalence
+* **completeness** — ``route_verdicts(record)`` never skips a session
+  the linear scan would notify, and never pre-resolves a verdict the
+  scan would not reach (audited per update inside the equivalence
   property, via a wrapper that replays the linear verdict for every
   active session);
-* **equivalence** — with routing on, every session's notification
-  stream (poll batches and persist deliveries) is byte-identical to a
-  linear provider fed the same update stream, for poll and persist
-  modes, including deliver callbacks that update the master and
-  re-enter ``on_update`` mid-flush.
+* **equivalence** — every session's notification stream (poll batches
+  and persist deliveries) is byte-identical to that of
+  ``tests/oracles.LinearResyncProvider`` fed the same update stream, for
+  poll and persist modes, including deliver callbacks that update the
+  master and re-enter ``on_update`` mid-flush;
+
+plus **precision** — routing is by value, so the visited set tracks the
+notified set, not the number of sessions naming an attribute.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -32,31 +36,87 @@ from repro.ldap import (
     parse_filter,
 )
 from repro.server import DirectoryServer, LdapError, Modification
-from repro.sync import ResyncProvider
-from repro.sync.router import anchor_attrs
+from repro.sync import ResyncProvider, SessionRouter
+from repro.sync.session import Session
+from tests.oracles import LinearResyncProvider
 
 # ----------------------------------------------------------------------
-# anchor derivation
+# anchor-atom derivation
 # ----------------------------------------------------------------------
+
+
+def _atoms(text: str, router: SessionRouter = None):
+    return (router or SessionRouter()).anchor_atoms(parse_filter(text))
+
+
+def _register(router: SessionRouter, sid: str, text: str, base: str = "o=xyz"):
+    return router.register(Session(sid, SearchRequest(base, Scope.SUB, text)))
 
 
 def test_predicate_anchors_on_its_attribute():
-    assert anchor_attrs(parse_filter("(sn=a)")) == {"sn"}
-    assert anchor_attrs(parse_filter("(sn=*)")) == {"sn"}
+    """Valued leaves anchor on the value, under the compiled predicate's
+    own normalization; the rest on the attribute being present."""
+    assert _atoms("(sn= A  b )") == {("eq", "sn", "a b")}
+    assert _atoms("(age=007)") == {("eq", "age", 7)}  # integer syntax
+    assert _atoms("(age=x7)") == {("eq", "age", "x7")}  # schema-violating
+    assert _atoms("(SN=ab*)") == {("pfx", "sn", "ab")}
+    assert _atoms("(sn=Ab*c*d)") == {("pfx", "sn", "ab")}
+    # No alias folding: Entry.get("surname") never reads "sn" either.
+    assert _atoms("(surname=a)") == {("eq", "surname", "a")}
+    for text in ("(sn=*)", "(sn>=a)", "(sn<=a)", "(sn~=a)", "(sn=*a)", "(sn=*a*)"):
+        assert _atoms(text) == {("attr", "sn")}, text
+    # An initial that normalizes to empty constrains nothing.
+    blank = Substring("sn", initial="  ", final="a")
+    assert SessionRouter().anchor_atoms(blank) == {("attr", "sn")}
 
 
 def test_and_anchors_on_one_conjunct():
-    got = anchor_attrs(parse_filter("(&(objectClass=person)(sn=a))"))
-    assert got is not None and len(got) == 1
+    """...the strongest: eq over pfx over attr, unanchored never."""
+    assert _atoms("(&(sn=*)(uid=b))") == {("eq", "uid", "b")}
+    assert _atoms("(&(sn=a*)(uid=*))") == {("pfx", "sn", "a")}
+    assert _atoms("(&(!(sn=a))(uid=*))") == {("attr", "uid")}
+    # An OR conjunct is as weak as its weakest disjunct.
+    assert _atoms("(&(|(sn=a)(uid=*))(l=b*))") == {("pfx", "l", "b")}
+
+
+def test_and_ties_break_by_current_posting_size():
+    router = SessionRouter()
+    both = "(&(objectClass=person)(departmentNumber=42))"
+    # Nothing posted yet: the first of equally strong conjuncts.
+    assert _atoms(both, router) == {("eq", "objectclass", "person")}
+    _register(router, "s1", "(objectClass=person)", base="c=us,o=xyz")
+    # ``person`` now has a posting, the department none.
+    assert _atoms(both, router) == {("eq", "departmentnumber", "42")}
+    rs = _register(router, "s2", both)
+    assert rs.atoms == {("eq", "departmentnumber", "42")}
+    router.unregister("s1")
+    router.unregister("s2")
+    assert not router._postings
 
 
 def test_or_anchors_union_all_disjuncts():
-    assert anchor_attrs(parse_filter("(|(sn=a)(uid=b))")) == {"sn", "uid"}
+    assert _atoms("(|(sn=a)(uid=b*))") == {("eq", "sn", "a"), ("pfx", "uid", "b")}
 
 
 def test_not_has_no_anchor():
-    assert anchor_attrs(parse_filter("(!(sn=a))")) is None
-    assert anchor_attrs(parse_filter("(|(sn=a)(!(uid=b)))")) is None
+    assert _atoms("(!(sn=a))") is None
+    assert _atoms("(|(sn=a)(!(uid=b)))") is None
+    assert _atoms("(&(!(sn=a))(!(uid=b)))") is None
+
+
+def test_prefix_lengths_are_tracked_per_attribute():
+    router = SessionRouter()
+    _register(router, "s1", "(sn=ab*)")
+    _register(router, "s2", "(sn=cd*)")
+    _register(router, "s3", "(sn=abcd*)")
+    _register(router, "s4", "(uid=x*)")
+    assert router._pfx_lens == {"sn": {2: 2, 4: 1}, "uid": {1: 1}}
+    router.unregister("s1")
+    router.unregister("s3")
+    assert router._pfx_lens == {"sn": {2: 1}, "uid": {1: 1}}
+    router.unregister("s2")
+    router.unregister("s4")
+    assert not router._pfx_lens and not router._postings
 
 
 # ----------------------------------------------------------------------
@@ -72,8 +132,15 @@ _POOL = [
     "cn=u1,c=us,o=xyz",
 ]
 
-_ATTRS = ["sn", "uid", "l"]
-_VALUES = ["a", "ab", "abc", "b", "ba", "c"]
+# A small universe so that filters and entries collide often, chosen for
+# where the router's normalization could drift from the compiled
+# predicate's: case/whitespace variants of one directory string ("ab",
+# " Ab "), an integer-syntax attribute ("007" == "7"; "x7" violates the
+# schema and degrades to a string), and ``surname`` — an alias of ``sn``
+# that neither Entry.get nor the router folds, so filters and entries
+# spelled differently must keep missing each other on both sides.
+_ATTRS = ["sn", "age", "surname"]
+_VALUES = ["a", "A ", "ab", " Ab ", "abc", "b", "007", "7", "x7"]
 
 
 def _build_master(name: str) -> DirectoryServer:
@@ -90,15 +157,15 @@ def _apply(master: DirectoryServer, op) -> None:
     kind = op[0]
     try:
         if kind == "upsert":
-            _kind, dn, attr, value = op
+            _kind, dn, attr, values = op
             if master.store.get(dn) is not None:
-                master.modify(dn, [Modification.replace(attr, value)])
+                master.modify(dn, [Modification.replace(attr, *values)])
             else:
                 rdn = dn.split(",", 1)[0].split("=", 1)[1]
                 master.add(
                     Entry(
                         dn,
-                        {"objectClass": ["person"], "cn": rdn, attr: [value]},
+                        {"objectClass": ["person"], "cn": rdn, attr: list(values)},
                     )
                 )
         elif kind == "clearattr":
@@ -127,18 +194,20 @@ def _update_fp(update):
 
 
 class _RouteAudit:
-    """Wraps ``router.route`` to assert completeness on every update:
-    any session the linear verdict would notify must be routed."""
+    """Wraps ``router.route_verdicts`` to assert, on every update, that
+    any session the linear verdict would notify is routed and that every
+    pre-resolved verdict (and the holder-derived ``in_before`` of the
+    rest) is the linear one."""
 
     def __init__(self, provider: ResyncProvider):
         self.provider = provider
         self.violations = []
-        self._inner = provider.router.route
-        provider.router.route = self._route  # type: ignore[method-assign]
+        self._inner = provider.router.route_verdicts
+        provider.router.route_verdicts = self._route  # type: ignore[method-assign]
 
     def _route(self, record):
         routed = self._inner(record)
-        routed_ids = {rs.session_id for rs in routed}
+        verdicts = {rs.session_id: (rs, verdict) for rs, verdict in routed}
         for session in self.provider.sessions.active_sessions():
             in_before = record.before is not None and session.request.selects(
                 record.before
@@ -146,17 +215,25 @@ class _RouteAudit:
             in_after = record.after is not None and session.request.selects(
                 record.after
             )
-            if (in_before or in_after) and session.session_id not in routed_ids:
-                self.violations.append((str(record.dn), session.session_id))
+            found = verdicts.get(session.session_id)
+            if found is None:
+                if in_before or in_after:
+                    self.violations.append(("skipped", str(record.dn), session.session_id))
+                continue
+            rs, verdict = found
+            if verdict is not None and verdict != (in_before, in_after):
+                self.violations.append(("verdict", str(record.dn), session.session_id))
+            if (record.dn in rs.held) != in_before:
+                self.violations.append(("holder", str(record.dn), session.session_id))
         return routed
 
 
-def _run_side(routed: bool, ops1, ops2, requests, persist_flags):
-    master = _build_master(f"m-{routed}")
+def _run_side(provider_cls, ops1, ops2, requests, persist_flags):
+    master = _build_master(provider_cls.__name__)
     for dn in _POOL[:3]:  # part of the pool pre-exists
-        _apply(master, ("upsert", dn, "sn", "a"))
-    provider = ResyncProvider(master, routed=routed)
-    audit = _RouteAudit(provider) if routed else None
+        _apply(master, ("upsert", dn, "sn", ("a",)))
+    provider = provider_cls(master)
+    audit = _RouteAudit(provider) if provider_cls is ResyncProvider else None
 
     streams = []  # one list of update fingerprints per session
     cookies = []
@@ -194,20 +271,23 @@ def _run_side(routed: bool, ops1, ops2, requests, persist_flags):
     poll_all()
 
     if audit is not None:
-        assert not audit.violations, f"routing skipped sessions: {audit.violations}"
+        assert not audit.violations, f"routing diverged: {audit.violations}"
     return streams
 
 
 _attr = st.sampled_from(_ATTRS)
 _value = st.sampled_from(_VALUES)
+# Initials that normalize to empty ("  ") must constrain nothing.
+_initial = st.sampled_from(_VALUES + ["  "])
 
 _leaves = st.one_of(
     st.builds(Equality, _attr, _value),
     st.builds(GreaterOrEqual, _attr, _value),
     st.builds(LessOrEqual, _attr, _value),
     st.builds(Present, _attr),
-    st.builds(lambda a, v: Substring(a, initial=v), _attr, _value),
+    st.builds(lambda a, v: Substring(a, initial=v), _attr, _initial),
     st.builds(lambda a, v: Substring(a, final=v), _attr, _value),
+    st.builds(lambda a, i, f: Substring(a, initial=i, final=f), _attr, _initial, _value),
 )
 
 _filters = st.recursive(
@@ -230,7 +310,10 @@ _requests = st.builds(
 _ops = st.lists(
     st.one_of(
         st.tuples(
-            st.just("upsert"), st.sampled_from(_POOL), _attr, _value
+            st.just("upsert"),
+            st.sampled_from(_POOL),
+            _attr,
+            st.lists(_value, min_size=1, max_size=2).map(tuple),  # multi-valued
         ),
         st.tuples(st.just("clearattr"), st.sampled_from(_POOL), _attr),
         st.tuples(st.just("delete"), st.sampled_from(_POOL)),
@@ -245,7 +328,75 @@ _ops = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+def test_every_matching_entry_reaches_its_session():
+    """Atom soundness, exhaustively over the small universe: whenever the
+    compiled filter matches an entry, the entry's own values probe the
+    session's atoms.  Every leaf shape, plus AND / OR / AND-NOT pairs
+    (whose anchors depend on the postings registered before them)."""
+    initials = _VALUES + ["  "]
+    leaves = []
+    for attr in _ATTRS:
+        leaves.append(Present(attr))
+        for value in _VALUES:
+            leaves += [
+                Equality(attr, value),
+                GreaterOrEqual(attr, value),
+                LessOrEqual(attr, value),
+                Substring(attr, final=value),
+            ]
+        for initial in initials:
+            leaves.append(Substring(attr, initial=initial))
+            leaves += [Substring(attr, initial=initial, final=v) for v in _VALUES]
+    sample = [f for f in leaves if isinstance(f, (Equality, Present))][::3]
+    sample += [Substring("sn", initial="a"), Substring("age", initial="00")]
+    filters = list(leaves)
+    for left in sample:
+        for right in sample:
+            filters += [And((left, right)), Or((left, right)), And((left, Not(right)))]
+    router = SessionRouter()
+    sessions = [
+        router.register(Session(f"s{i}", SearchRequest("o=xyz", Scope.SUB, flt)))
+        for i, flt in enumerate(filters)
+    ]
+    value_lists = [[v] for v in _VALUES]
+    value_lists += [[v, w] for i, v in enumerate(_VALUES) for w in _VALUES[i + 1 :]]
+    entries = [Entry("cn=e,o=xyz", {attr: values}) for attr in _ATTRS for values in value_lists]
+    entries += [
+        Entry("cn=e,o=xyz", {a: [v], b: [w]})
+        for i, a in enumerate(_ATTRS)
+        for b in _ATTRS[i + 1 :]
+        for v in _VALUES
+        for w in _VALUES
+    ]
+    matched = 0
+    for entry in entries:
+        reached = router._reachable(entry)
+        for rs in sessions:
+            if rs.compiled(entry):
+                matched += 1
+                assert rs in reached, (str(rs.request.filter), dict(entry))
+    assert matched > len(entries)  # the universe does collide
+
+
+def test_changed_attributes_use_literal_names():
+    """An attribute stored under an alias spelling changes under that
+    spelling: a holder filtering on it must be re-evaluated, not resolved
+    as untouched because the canonical name's values did not move."""
+    master = _build_master("m-alias")
+    master.add(Entry("cn=e0,o=xyz", {"objectClass": ["person"], "cn": "e0", "surname": "b"}))
+    provider = ResyncProvider(master)
+    request = SearchRequest("o=xyz", Scope.SUB, "(surname=a)")
+    cookie = provider.handle(request, ReSyncControl(mode=SyncMode.POLL)).cookie
+    seen = []
+    for value in ("a", "b"):  # enters, then leaves again
+        master.modify("cn=e0,o=xyz", [Modification.replace("surname", value)])
+        response = provider.handle(request, ReSyncControl(mode=SyncMode.POLL, cookie=cookie))
+        cookie = response.cookie
+        seen += [(u.action.name, str(u.dn)) for u in response.updates]
+    assert seen == [("ADD", "cn=e0,o=xyz"), ("DELETE", "cn=e0,o=xyz")]
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     _ops,
     _ops,
@@ -254,10 +405,10 @@ _ops = st.lists(
 )
 def test_routed_fanout_equals_linear(ops1, ops2, requests, persist_flags):
     """Poll batches and persist deliveries are byte-identical between the
-    routed provider and the seed linear scan, and routing never skips a
+    routed provider and the linear oracle, and routing never skips a
     session the linear verdict would notify (audited per update)."""
-    routed = _run_side(True, ops1, ops2, requests, persist_flags)
-    linear = _run_side(False, ops1, ops2, requests, persist_flags)
+    routed = _run_side(ResyncProvider, ops1, ops2, requests, persist_flags)
+    linear = _run_side(LinearResyncProvider, ops1, ops2, requests, persist_flags)
     assert routed == linear
 
 
@@ -266,11 +417,11 @@ def test_reentrant_persist_delivery_matches_linear():
     on_update mid-flush; the routed two-phase fan-out must interleave
     the nested record between deliveries exactly like the linear scan."""
 
-    def run(routed: bool):
-        master = _build_master(f"m-{routed}")
+    def run(provider_cls):
+        master = _build_master(provider_cls.__name__)
         for dn in _POOL[:3]:
-            _apply(master, ("upsert", dn, "sn", "a"))
-        provider = ResyncProvider(master, routed=routed)
+            _apply(master, ("upsert", dn, "sn", ("a",)))
+        provider = provider_cls(master)
         wide = SearchRequest("o=xyz", Scope.SUB, "(sn=*)")
         log1, log2 = [], []
         fired = []
@@ -288,13 +439,13 @@ def test_reentrant_persist_delivery_matches_linear():
         master.modify("cn=e0,o=xyz", [Modification.replace("sn", "ab")])
         return log1, log2
 
-    assert run(True) == run(False)
+    assert run(ResyncProvider) == run(LinearResyncProvider)
 
 
 def test_ended_session_is_unrouted():
     master = _build_master("m-end")
-    _apply(master, ("upsert", "cn=e0,o=xyz", "sn", "a"))
-    provider = ResyncProvider(master, routed=True)
+    _apply(master, ("upsert", "cn=e0,o=xyz", "sn", ("a",)))
+    provider = ResyncProvider(master)
     request = SearchRequest("o=xyz", Scope.SUB, "(sn=*)")
     response = provider.handle(request, ReSyncControl(mode=SyncMode.POLL))
     assert len(provider.router) == 1
@@ -308,7 +459,7 @@ def test_ended_session_is_unrouted():
 
 def test_restart_resets_router():
     master = _build_master("m-restart")
-    provider = ResyncProvider(master, routed=True)
+    provider = ResyncProvider(master)
     provider.handle(
         SearchRequest("o=xyz", Scope.SUB, "(sn=*)"),
         ReSyncControl(mode=SyncMode.POLL),
@@ -318,19 +469,104 @@ def test_restart_resets_router():
     assert len(provider.router) == 0
 
 
-def test_expired_session_lazily_unregistered():
+def test_expired_session_forgotten_at_expiry():
+    """An expired session must not wait for an update that happens to
+    route to it: with value-level routing a dead ``(sn=a)`` session is
+    only ever visited when an entry's sn becomes or stops being ``a``."""
     master = _build_master("m-expire")
-    _apply(master, ("upsert", "cn=e0,o=xyz", "sn", "a"))
-    provider = ResyncProvider(master, idle_limit=2, routed=True)
+    _apply(master, ("upsert", "cn=e0,o=xyz", "sn", ("a",)))
+    provider = ResyncProvider(master, idle_limit=2)
     stale_req = SearchRequest("o=xyz", Scope.SUB, "(sn=a)")
-    provider.handle(stale_req, ReSyncControl(mode=SyncMode.POLL))
+    delivered = []
+    _response, stale = provider.persist(stale_req, delivered.append)
+    assert stale.session_id in provider._persist_callbacks
     busy_req = SearchRequest("o=xyz", Scope.SUB, "(sn=*)")
     response = provider.handle(busy_req, ReSyncControl(mode=SyncMode.POLL))
     for _ in range(4):  # run the store's activity clock past the limit
         response = provider.handle(
             busy_req, ReSyncControl(mode=SyncMode.POLL, cookie=response.cookie)
         )
+    # Gone at expiry, before any update: registration, holder postings
+    # and the persist callback (with whatever delivery queue it closes over).
     assert provider.active_session_count == 1
-    assert len(provider.router) == 2  # stale registration still around
+    assert len(provider.router) == 1
+    assert stale.session_id not in provider.router
+    assert stale.session_id not in provider._persist_callbacks
+    assert all(
+        rs.session_id != stale.session_id
+        for bucket in provider.router._holders.values()
+        for rs in bucket
+    )
     master.modify("cn=e0,o=xyz", [Modification.replace("sn", "ab")])
-    assert len(provider.router) == 1  # dropped on first routed visit
+    assert delivered == []
+
+
+# ----------------------------------------------------------------------
+# precision: value-level, not attribute-level
+# ----------------------------------------------------------------------
+
+
+def test_updates_route_to_the_sessions_their_values_reach():
+    """200 single-department + 200 serial-block sessions all *mention*
+    departmentNumber / serialNumber / objectClass; a hire, a department
+    move and a rename must each visit only the handful whose values they
+    carry, while a NOT-shaped session still sees every add in its region."""
+    master = _build_master("m-precision")
+    master.add(Entry("ou=lab,o=xyz", {"objectClass": ["organizationalUnit"], "ou": "lab"}))
+    provider = ResyncProvider(master)
+    poll = ReSyncControl(mode=SyncMode.POLL)
+    for n in range(200):
+        provider.handle(
+            SearchRequest(
+                "o=xyz", Scope.SUB, f"(&(objectClass=person)(departmentNumber={n:03d}))"
+            ),
+            poll,
+        )
+        provider.handle(SearchRequest("o=xyz", Scope.SUB, f"(serialNumber={n:04d}*US)"), poll)
+    negated = provider.handle(SearchRequest("ou=lab,o=xyz", Scope.SUB, "(!(sn=a))"), poll)
+    candidates = master.metrics.counter("sync.route.candidates")
+    notified = master.metrics.counter("sync.route.notified")
+
+    def routed_by(action):
+        before = candidates.value, notified.value
+        action()
+        return candidates.value - before[0], notified.value - before[1]
+
+    def person(dn, serial, dept):
+        return Entry(
+            dn,
+            {
+                "objectClass": ["person", "top"],
+                "cn": "x",
+                "sn": "hire",
+                "serialNumber": serial,
+                "departmentNumber": dept,
+            },
+        )
+
+    hire = routed_by(lambda: master.add(person("cn=h1,o=xyz", "004217US", "042")))
+    move = routed_by(
+        lambda: master.modify(
+            "cn=h1,o=xyz", [Modification.replace("departmentNumber", "043")]
+        )
+    )
+    rename = routed_by(lambda: master.modify_dn("cn=h1,o=xyz", new_rdn="cn=h2"))
+    for what, (visited, told), expect_told in (
+        ("hire", hire, 2),  # its block, its department
+        ("move", move, 3),  # its block, the department left and the one joined
+        ("rename", rename, 2),
+    ):
+        assert told == expect_told, what
+        assert visited <= 4, f"{what} visited {visited} of 401 sessions"
+
+    # The unanchored session is visited by every add in its region (and
+    # by none outside it), whatever the entry's values.
+    visited, told = routed_by(
+        lambda: master.add(person("cn=h3,ou=lab,o=xyz", "999999US", "999"))
+    )
+    assert told == 1 and visited <= 2  # (+ the department session posted under person)
+    response = provider.handle(
+        SearchRequest("ou=lab,o=xyz", Scope.SUB, "(!(sn=a))"),
+        ReSyncControl(mode=SyncMode.POLL, cookie=negated.cookie),
+    )
+    assert [str(u.dn) for u in response.updates] == ["cn=h3,ou=lab,o=xyz"]
