@@ -25,6 +25,7 @@ from repro.server import (
 )
 from repro.sync import (
     DurabilityConfig,
+    HealthPolicy,
     MemoryJournal,
     ResilientConsumer,
     ResyncProvider,
@@ -41,6 +42,14 @@ CRASH_STEPS = (5, 10)
 SEED = 101
 FAULT_STEPS = 15
 MAX_CLEAN_CYCLES = 16
+POLICY = RetryPolicy(max_attempts=4, persist_refresh_interval=4)
+#: Retry budget sized to the schedule: every faulty and every clean
+#: cycle may spend its full per-cycle cap, so a cell measures what
+#: convergence costs, never budget exhaustion.  Breaker and quarantine
+#: thresholds are the defaults.
+HEALTH = HealthPolicy(
+    max_total_attempts=(FAULT_STEPS + MAX_CLEAN_CYCLES) * POLICY.max_attempts
+)
 
 
 def person(name: str, dept: str = "42") -> Entry:
@@ -85,7 +94,8 @@ def run_cell(mode: str, rate: float, seed: int = SEED) -> dict:
         network=net,
         seed=seed,
         mode=mode,
-        policy=RetryPolicy(max_attempts=4, persist_refresh_interval=4),
+        policy=POLICY,
+        health=HEALTH,
     )
     for step in range(FAULT_STEPS):
         mutate(master, step)
@@ -125,7 +135,8 @@ def run_crash_cell(mode: str, rate: float, seed: int = SEED) -> dict:
         network=net,
         seed=seed,
         mode=mode,
-        policy=RetryPolicy(max_attempts=4, persist_refresh_interval=4),
+        policy=POLICY,
+        health=HEALTH,
     )
     for step in range(FAULT_STEPS):
         mutate(master, step)
@@ -235,6 +246,8 @@ def test_fault_convergence(benchmark, provider_crash):
         network=t_net,
         seed=SEED,
         policy=RetryPolicy(max_attempts=8),
+        # The timed loop is open-ended; it must never run out of budget.
+        health=HealthPolicy(max_total_attempts=10**9, max_total_backoff_ms=1e15),
     )
     t_consumer.sync_once()
     step = [0]

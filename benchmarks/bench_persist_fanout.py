@@ -3,22 +3,23 @@
 The paper's §5.2 persist mode pushes every master update to every
 affected replica over its own connection — per notification: one filter
 fan-out visit, one encode, one consumer apply.  At thousands of live
-persist sessions that per-PDU cost is the scaling wall.  The pipelined
-transport (docs/TRANSPORT.md) amortizes it: per-session
+persist sessions that per-PDU cost is the scaling wall.  The network's
+persist transport (docs/TRANSPORT.md) amortizes it: per-session
 :class:`~repro.sync.delivery.DeliveryQueue` batching coalesces bursts
 per DN under backpressure, so a hot entry costs one delivered PDU per
 batch window instead of one per update.
 
 Both arms charge **encoded-length-accurate** bytes so the comparison is
-apples-to-apples on accounting fidelity: the synchronous arm runs
-``wire_accurate=True`` (every notification BER-encoded as its own PDU —
-what a real per-entry wire transport pays), the pipelined arm encodes
-coalesced batch frames (:func:`repro.ldap.ber.encode_sync_batch`).
+apples-to-apples on accounting fidelity: the synchronous control arm is
+``tests.oracles.per_pdu_persist`` (every notification delivered inline
+and BER-encoded as its own PDU — what a real per-entry wire transport
+pays), the batched arm is ``SimulatedNetwork.persist_exchange``, which
+encodes coalesced batch frames (:func:`repro.ldap.ber.encode_sync_batch`).
 
 The timed unit is the **fan-out replay**: a fixed schedule of committed
 :class:`~repro.server.operations.UpdateRecord` (captured once from a
 scratch master) is fed through ``provider.on_update`` and, for the
-pipelined arm, drained with ``net.settle()``.  Master-side index
+batched arm, drained with ``net.settle()``.  Master-side index
 maintenance is deliberately outside the loop — ``bench_replica_scaling``
 covers it; this bench isolates what the transport changes.
 
@@ -41,6 +42,7 @@ import pytest
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import DirectoryServer, Modification, SimulatedNetwork
 from repro.sync import BatchConfig, ResyncProvider, SyncedContent
+from tests.oracles import per_pdu_persist
 
 from .common import quiesced_gc as _quiesced
 from .common import report
@@ -148,27 +150,34 @@ def update_records():
 
 
 def _fanout_point(
-    records, n_sessions: int, pipelined: bool
+    records, n_sessions: int, batched: bool
 ) -> Tuple[Dict[str, float], Dict[str, Entry]]:
     """Replay the update schedule into *n_sessions* live persist
-    sessions; returns (measurements, probe session's applied content)."""
-    if pipelined:
-        net = SimulatedNetwork(pipelined=True, batch=BATCH, seed=7)
-    else:
-        net = SimulatedNetwork(wire_accurate=True)
+    sessions — through the network's batched transport, or the
+    per-PDU-encoded synchronous control arm; returns (measurements,
+    probe session's applied content)."""
+    net = SimulatedNetwork(batch=BATCH, seed=7)
     master = _fresh_master()
     net.register(master)
     provider = ResyncProvider(master)
     contents: List[SyncedContent] = []
     for i in range(n_sessions):
         request = _block_filter(i % BLOCKS)
-        content = SyncedContent(request, network=net)
-        deliveries, handle = net.persist_exchange(
-            provider, request, content.apply_notification
-        )
-        content.apply(deliveries[-1].response)
-        if pipelined:
+        if batched:
+            content = SyncedContent(request, network=net)
+            deliveries, handle = net.persist_exchange(
+                provider, request, content.apply_notification
+            )
+            content.apply(deliveries[-1].response)
             handle.delivery_queue.consumer_delay_ms = CONSUMER_DELAY_MS
+        else:
+            # The control arm charges each PDU itself, so its contents
+            # carry no network of their own.
+            content = SyncedContent(request)
+            response, _handle = per_pdu_persist(
+                provider, request, content.apply_notification, net
+            )
+            content.apply(response)
         contents.append(content)
     rates = []
     passes = 1 + TIMING_REPEATS  # warm-up + timed repeats
@@ -180,7 +189,7 @@ def _fanout_point(
             start = time.perf_counter()
             for record in records:
                 provider.on_update(record)
-            if pipelined:
+            if batched:
                 net.settle()
             elapsed = time.perf_counter() - start
         if rep:  # pass 0 is the warm-up
@@ -214,8 +223,8 @@ def fanout_points(update_records):
     points = {}
     rows = []
     for n in SWEEP:
-        sync_point, sync_probe = _fanout_point(update_records, n, pipelined=False)
-        piped_point, piped_probe = _fanout_point(update_records, n, pipelined=True)
+        sync_point, sync_probe = _fanout_point(update_records, n, batched=False)
+        piped_point, piped_probe = _fanout_point(update_records, n, batched=True)
         # Equivalence guard: both arms applied the same final content.
         assert {str(dn) for dn in sync_probe} == {str(dn) for dn in piped_probe}
         for dn, entry in sync_probe.items():
@@ -306,7 +315,7 @@ def test_persist_fanout(benchmark, update_records, fanout_points):
 
     # Timed unit: one replayed update through the batched fan-out at the
     # top sweep point (fresh small net so the unit is self-contained).
-    net = SimulatedNetwork(pipelined=True, batch=BATCH, seed=7)
+    net = SimulatedNetwork(batch=BATCH, seed=7)
     master = _fresh_master()
     net.register(master)
     provider = ResyncProvider(master)

@@ -513,7 +513,7 @@ def test_replica_scaling_prescreen(benchmark):
 
 
 # ----------------------------------------------------------------------
-# E18c — live persist sessions at 10^3..10^4 on the pipelined transport
+# E18c — live persist sessions at 10^3..10^4 on the batched transport
 # (docs/TRANSPORT.md): §5.2's connection-scaling worry.  The routed
 # sweep above caps at 500 poll sessions; this rung ladder drives the
 # batched fan-out (bench_persist_fanout's replay workload) at 500 and
@@ -539,7 +539,7 @@ def test_replica_scaling_sessions(benchmark):
     points = {}
     rows = []
     for n in rungs:
-        point, _ = _fanout_point(records, n, pipelined=True)
+        point, _ = _fanout_point(records, n, batched=True)
         # Delivered-notification rate: each update notifies the target
         # block's subscribers (n / FANOUT_BLOCKS live sessions).
         point["notified_per_s"] = point["rate"] * (n / FANOUT_BLOCKS)
@@ -566,7 +566,7 @@ def test_replica_scaling_sessions(benchmark):
     }
     report(
         "replica_scaling_sessions",
-        f"Pipelined persist fan-out at {'/'.join(str(n) for n in rungs)} "
+        f"Batched persist fan-out at {'/'.join(str(n) for n in rungs)} "
         f"live sessions, {len(records)} updates per pass",
         ["sessions", "upd/s", "notif/s", "coalesce", "p99_ms"],
         rows,
@@ -603,7 +603,7 @@ def test_replica_scaling_sessions(benchmark):
     from repro.sync import SyncedContent
     from .bench_persist_fanout import BATCH, _block_filter, _fresh_master
 
-    net = SimulatedNetwork(pipelined=True, batch=BATCH, seed=7)
+    net = SimulatedNetwork(batch=BATCH, seed=7)
     master = _fresh_master()
     net.register(master)
     provider = ResyncProvider(master)

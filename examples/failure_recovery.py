@@ -11,7 +11,7 @@ Run:  python examples/failure_recovery.py
 
 from repro.ldap import Entry, ReSyncControl, Scope, SearchRequest, SyncMode
 from repro.server import DirectoryServer, Modification
-from repro.sync import ResyncProvider, SyncedContent
+from repro.sync import ResilientConsumer, ResyncProvider, SyncedContent
 
 
 def person(name: str) -> Entry:
@@ -53,8 +53,9 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\nreplica crashes (all local state lost); restarts with a null cookie")
     master.modify("cn=E2,o=xyz", [Modification.replace("title", "post-crash")])
-    reborn = SyncedContent(S)
-    response = reborn.poll(provider)
+    consumer = ResilientConsumer(S, provider)
+    reborn = consumer.content
+    response = consumer.sync_once()
     print(f"full reload delivered {len(response.updates)} entries")
     print(f"converged: {reborn.matches_master(master)}")
 
@@ -66,8 +67,8 @@ def main() -> None:
     master.modify("cn=E2,o=xyz", [Modification.replace("title", "newer")])
     reborn.poll(provider)
     reborn.cookie = stale
-    response = reborn.resilient_poll(provider)  # falls back to a reload
-    print(f"resilient poll recovered via reload ({len(response.updates)} entries)")
+    response = consumer.sync_once()  # falls back to a reload
+    print(f"resilient cycle recovered via reload ({len(response.updates)} entries)")
     print(f"converged: {reborn.matches_master(master)}")
 
 

@@ -6,7 +6,7 @@ into one closed-loop experiment:
 * a master loaded from the synthetic enterprise directory, fronted by a
   durable (journaled) :class:`~repro.sync.resync.ResyncProvider`;
 * N tenant replicas — one :class:`~repro.sync.ResilientConsumer` per
-  country subtree, each with the health state machine enabled
+  country subtree, each under the config's health policy
   (docs/FAULTS.md §4);
 * the :class:`~repro.workload.SoakScenario` load plan (diurnal update
   waves, flash-crowd query bursts, region renames);
@@ -102,7 +102,7 @@ class SoakConfig:
         max_backoff_ms=2_000.0,
         degraded_after=2,
     )
-    health: Optional[HealthPolicy] = HealthPolicy(
+    health: HealthPolicy = HealthPolicy(
         max_total_attempts=512,
         max_total_backoff_ms=3_600_000.0,
         breaker_threshold=5,

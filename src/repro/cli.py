@@ -376,7 +376,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 def _cmd_soak(args: argparse.Namespace) -> int:
     """Chaos soak run with the canonical fault schedule.
 
-    Drives a master plus N tenant replicas (health state machine on)
+    Drives a master plus N tenant replicas
     through simulated hours of diurnal updates, flash-crowd query
     bursts and region renames, under overlapping fault windows —
     partitions, crashes, slow nodes, message noise — checking the soak

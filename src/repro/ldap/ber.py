@@ -452,7 +452,7 @@ def encode_sync_batch(updates, message_id: int = 1) -> bytes:
     """LDAPMessage { messageID, [APPLICATION 26] SEQUENCE OF update }.
 
     The wire frame of one coalesced persist-mode notification batch:
-    the pipelined transport's ``bytes_sent`` charges exactly
+    the network's ``bytes_sent`` charges exactly
     ``len(encode_sync_batch(batch))`` (property-tested in
     ``tests/ldap/test_ber_batch.py``).
     """

@@ -93,19 +93,15 @@ restarting consumer is about to read its snapshot — via
 stream so existing exchange/notification/journal schedules for a seed
 stay byte-identical.
 
-Persist-mode notification streams get their own decision stream
-(``notification_drop`` / ``notification_duplicate``), applied by the
-:meth:`FaultyNetwork.wrap_deliver` wrapper around the consumer's
-deliver callback.
-
-Pipelined (batched) persist streams get yet another independent
-stream, ``:b``: :meth:`FaultyNetwork.deliver_batch` can drop a whole
-flushed batch (``batch_drop``) or truncate it at a batch boundary
-(``batch_truncate`` — the delivered prefix surfaces exactly like
-:class:`ResponseTruncated.partial` does for a cut poll response).
-Synchronous runs never flush batches, so for a given seed their
-exchange/notification schedules stay byte-identical whether or not the
-spec enables batch faults.
+Persist-mode notification streams have one fault seam,
+:meth:`FaultyNetwork.deliver_batch`, fed by two independent streams.
+``:b`` decides per flushed batch: drop it whole (``batch_drop``) or
+truncate it at a batch boundary (``batch_truncate`` — the delivered
+prefix surfaces exactly like :class:`ResponseTruncated.partial` does
+for a cut poll response).  ``:n`` decides per PDU inside a batch that
+got through: ``notification_drop`` removes it from the frame,
+``notification_duplicate`` carries it twice.  Like ``:p``, the ``:n``
+stream is drawn only when the spec enables one of its faults.
 """
 
 from __future__ import annotations
@@ -207,8 +203,8 @@ class FaultSpec:
             crash=rate / 4,
             notification_drop=rate,
             notification_duplicate=rate,
-            # Only pipelined (batched) persist streams are affected —
-            # the :b stream; synchronous runs never draw from it.
+            # Only persist streams are affected (the :b stream, drawn
+            # once per flushed batch).
             batch_drop=rate,
             batch_truncate=rate,
             # Only durable (journaled) providers are affected; a crash
@@ -295,7 +291,8 @@ class FaultPlan:
         )
 
     def next_notification(self) -> Tuple[bool, bool]:
-        """(drop, duplicate) decisions for the next pushed notification."""
+        """(drop, duplicate) decisions for the next notification PDU
+        inside a delivered persist batch — its own ``:n`` stream."""
         rng = random.Random(f"{self.seed}:n{self._notification_index}")
         self._notification_index += 1
         return (
@@ -305,9 +302,9 @@ class FaultPlan:
 
     def next_batch(self) -> Tuple[bool, bool, float]:
         """(drop, truncate, keep position) decisions for the next
-        flushed persist batch — its own ``:b`` stream, so synchronous
-        runs (which never flush batches) keep byte-identical
-        exchange/notification schedules for the same seed."""
+        flushed persist batch — its own ``:b`` stream, so poll-only
+        runs (which never flush batches) keep byte-identical exchange
+        schedules for the same seed."""
         rng = random.Random(f"{self.seed}:b{self._batch_index}")
         self._batch_index += 1
         return (
@@ -773,17 +770,23 @@ class FaultyNetwork(SimulatedNetwork):
             store.damage_stale_cookie()
 
     def deliver_batch(self, deliver: Callable, updates: List) -> int:
-        """Apply batch-boundary faults to one flushed persist batch.
+        """Apply persist-stream faults to one flushed batch — the only
+        place persist notifications are damaged.
 
-        Draws from the independent ``:b`` stream.  A dropped batch
-        never reaches the wire (nothing charged, 0 delivered); a
+        Batch-boundary faults draw from the ``:b`` stream.  A dropped
+        batch never reaches the wire (nothing charged, 0 delivered); a
         truncated batch delivers — and charges — a proper prefix,
         exactly as :class:`ResponseTruncated.partial` surfaces the
-        delivered prefix of a cut poll response.  The delivering
+        delivered prefix of a cut poll response.  What gets through is
+        then screened per PDU on the ``:n`` stream (drawn only when the
+        spec enables it): a dropped notification leaves the frame
+        before encoding, a duplicated one travels — and is charged —
+        twice.  The delivering
         :class:`~repro.sync.delivery.DeliveryQueue` reports the
-        delivered count back to the caller, and the *undelivered* tail
-        is simply gone — convergence then rides on the consumer's
-        resilience ladder, as with every other transport fault.
+        delivered count back to the caller, and whatever was *not*
+        delivered is simply gone — convergence then rides on the
+        consumer's resilience ladder, as with every other transport
+        fault.
         """
         if self.plan is None or not updates:
             return super().deliver_batch(deliver, updates)
@@ -794,32 +797,21 @@ class FaultyNetwork(SimulatedNetwork):
         if truncate and len(updates) > 1:
             keep = min(int(keep_position * len(updates)), len(updates) - 1)
             self._record("batch_truncate")
-            return super().deliver_batch(deliver, updates[:keep])
+            updates = updates[:keep]
+        spec = self.plan.spec
+        if spec.notification_drop > 0.0 or spec.notification_duplicate > 0.0:
+            carried = []
+            for update in updates:
+                lost, duplicate = self.plan.next_notification()
+                if lost:
+                    self._record("notification_drop")
+                    continue
+                carried.append(update)
+                if duplicate:
+                    self._record("notification_duplicate")
+                    carried.append(update)
+            updates = carried
         return super().deliver_batch(deliver, updates)
-
-    def wrap_deliver(self, deliver: Callable) -> Callable:
-        """Apply notification-level faults to a persist deliver callback.
-
-        Composes over the base wrapper (wire-accurate charging when
-        enabled) so a duplicated notification charges twice and a
-        dropped one never reaches the wire accounting — drops happen
-        provider-side, before encoding."""
-        deliver = super().wrap_deliver(deliver)
-
-        def faulty_deliver(update):
-            if self.plan is None:
-                deliver(update)
-                return
-            drop, duplicate = self.plan.next_notification()
-            if drop:
-                self._record("notification_drop")
-                return
-            deliver(update)
-            if duplicate:
-                self._record("notification_duplicate")
-                deliver(update)
-
-        return faulty_deliver
 
     # ------------------------------------------------------------------
     # fault construction helpers

@@ -28,12 +28,18 @@ mirrored to ``net.connections.open`` / ``net.connections.total``.
 Since ISSUE 3 the network is also the **fault-injection seam**: every
 synchronization exchange between a consumer and a provider is routed
 through :meth:`SimulatedNetwork.sync_exchange` /
-:meth:`SimulatedNetwork.persist_exchange`, and persist-mode
-notification callbacks through :meth:`SimulatedNetwork.wrap_deliver`.
-On this perfect base network those hooks only do the historical
-round-trip accounting; :class:`repro.server.faults.FaultyNetwork`
+:meth:`SimulatedNetwork.persist_exchange`, and every persist-mode
+notification through :meth:`SimulatedNetwork.deliver_batch`.
+On this perfect base network those hooks only do the traffic
+accounting; :class:`repro.server.faults.FaultyNetwork`
 overrides them to drop, duplicate, delay, truncate and crash
 deterministically (``net.fault.*`` metrics, docs/PROTOCOL.md §9).
+
+A persist session opened through the network is always batched
+(docs/TRANSPORT.md): a per-session
+:class:`~repro.sync.delivery.DeliveryQueue` flushes encoded frames
+through ``deliver_batch``.  A consumer that calls ``provider.persist``
+itself speaks the protocol in-process and charges its own estimates.
 """
 
 from __future__ import annotations
@@ -282,32 +288,18 @@ class SimulatedNetwork:
     backs :attr:`stats` and the connection/latency instruments — the
     single export point for one experiment's protocol traffic.
 
-    Since ISSUE 9 the network can run **pipelined** (docs/TRANSPORT.md):
-    an embedded :class:`~repro.server.scheduler.DeterministicScheduler`
+    An embedded :class:`~repro.server.scheduler.DeterministicScheduler`
     drives batched persist fan-out (per-session
     :class:`~repro.sync.delivery.DeliveryQueue`) and pipelined request
-    completion, while ``pipelined=False`` (the default) keeps the
-    historical synchronous call-in/call-out path byte-for-byte intact as
-    the equivalence oracle.
+    completion (docs/TRANSPORT.md); :meth:`settle` drains it.
 
     Args:
         round_trip_latency_ms: simulated latency charged per round trip;
             purely additive bookkeeping (``elapsed_ms``), no sleeping.
         registry: metrics registry to report into (default: private).
-        pipelined: route persist deliveries through per-session
-            batching queues and charge real encoded-frame bytes.
         batch: batching/backpressure knobs for the persist queues
             (:class:`~repro.sync.delivery.BatchConfig`; default config
             when ``None``).
-        wire_accurate: synchronous mode only — encode every persist
-            notification as its own wire PDU
-            (:func:`repro.ldap.ber.encode_sync_update`) and charge the
-            exact frame length, what a real per-entry synchronous
-            transport pays per notification.  This is the
-            accounting-comparable control arm for the pipelined
-            transport's batch frames (``bench_persist_fanout``); the
-            default (``False``) keeps the historical estimate-based
-            consumer-side charge byte-for-byte intact.
         scheduler: event loop to run on (default: a fresh
             :class:`DeterministicScheduler` seeded with *seed*, sharing
             this registry).
@@ -318,9 +310,7 @@ class SimulatedNetwork:
         self,
         round_trip_latency_ms: float = 0.0,
         registry: Optional[MetricsRegistry] = None,
-        pipelined: bool = False,
         batch=None,
-        wire_accurate: bool = False,
         scheduler: Optional[DeterministicScheduler] = None,
         seed: int = 0,
     ):
@@ -328,17 +318,20 @@ class SimulatedNetwork:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.stats = TrafficStats(registry=self.registry)
         self.round_trip_latency_ms = round_trip_latency_ms
-        self.pipelined = pipelined
         self.batch_config = batch
-        self.wire_accurate = wire_accurate
         self.scheduler = (
             scheduler
             if scheduler is not None
             else DeterministicScheduler(seed, registry=self.registry)
         )
-        #: Live persist delivery queues by session id (pipelined mode);
-        #: queues unregister themselves on close.
+        #: Live persist delivery queues by session id; queues
+        #: unregister themselves on close.
         self.persist_queues: Dict[str, object] = {}
+        #: The update :meth:`deliver_batch` is handing to a deliver
+        #: callback right now (None outside a delivery).  Its frame is
+        #: already charged, so a consumer applying *this object* must
+        #: not charge its own estimate on top.
+        self.delivering = None
         self._elapsed = self.registry.gauge("net.latency.elapsed_ms")
         self._open = self.registry.gauge("net.connections.open")
         self._total = self.registry.counter("net.connections.total")
@@ -351,14 +344,6 @@ class SimulatedNetwork:
         #: persist-mode subscription compare epochs to detect that their
         #: connection died with the old server incarnation.
         self.crash_epoch = 0
-
-    @property
-    def charges_persist_bytes(self) -> bool:
-        """True when the transport itself charges persist notification
-        bytes (as encoded batch frames, :meth:`charge_sync_batch`) —
-        consumers must then skip their per-update estimate charge to
-        avoid double counting."""
-        return self.pipelined or self.wire_accurate
 
     def register(self, server: DirectoryServer) -> None:
         """Make *server* reachable at its URL."""
@@ -456,16 +441,11 @@ class SimulatedNetwork:
         """Open a persist-mode session on *provider*.
 
         Returns ``(deliveries, handle)`` where *deliveries* carries the
-        initial response.
-
-        Synchronous mode: *deliver* is wrapped by :meth:`wrap_deliver`,
-        so notification-level faults apply to the pushed stream too.
-
-        Pipelined mode: *deliver* is handed to a per-session
+        initial response.  *deliver* is handed to a per-session
         :class:`~repro.sync.delivery.DeliveryQueue` that batches
         notifications on the scheduler's virtual clock and flushes them
-        through :meth:`deliver_batch` (the batch-boundary fault seam).
-        The queue rides on the returned handle (``handle.delivery_queue``)
+        through :meth:`deliver_batch` (the persist fault seam).  The
+        queue rides on the returned handle (``handle.delivery_queue``)
         and is closed with it.
         """
         self.charge_round_trip()
@@ -473,69 +453,54 @@ class SimulatedNetwork:
         return [Delivery(response)], handle
 
     def _open_persist(self, provider, request, deliver, cookie):
-        """Open the server-side persist session, routing *deliver*
-        through the mode-appropriate path (shared with fault-injecting
-        subclasses, which add their own exchange faults around it)."""
-        if not self.pipelined:
-            return provider.persist(
-                request, self.wrap_deliver(deliver), cookie=cookie
-            )
+        """Open the server-side persist session behind a fresh
+        :class:`~repro.sync.delivery.DeliveryQueue` (shared with
+        fault-injecting subclasses, which add their own exchange faults
+        around it)."""
         from ..sync.delivery import DeliveryQueue
 
         queue = DeliveryQueue(
             deliver, network=self, scheduler=self.scheduler, config=self.batch_config
         )
         response, handle = provider.persist(request, queue, cookie=cookie)
-        session_id = getattr(handle, "session_id", None)
-        queue.session_id = session_id
-        if session_id is not None:
-            self.persist_queues[session_id] = queue
-            queue.on_close = lambda q: self.persist_queues.pop(q.session_id, None)
+        queue.session_id = handle.session_id
+        self.persist_queues[handle.session_id] = queue
+        queue.on_close = lambda q: self.persist_queues.pop(q.session_id, None)
         handle.delivery_queue = queue
         return response, handle
-
-    def wrap_deliver(self, deliver: Callable) -> Callable:
-        """Hook for notification-level faults; identity on the perfect
-        network unless ``wire_accurate`` asks for per-PDU encoding."""
-        if not self.wire_accurate or self.pipelined:
-            return deliver
-        from ..ldap.ber import encode_sync_update
-
-        charge_entry = self.charge_sync_entry
-        charge_dn = self.charge_sync_dn
-
-        def wired(update):
-            frame_len = len(encode_sync_update(update))
-            if update.entry is not None:
-                charge_entry(frame_len)
-            else:
-                charge_dn(frame_len)
-            deliver(update)
-
-        return wired
 
     def deliver_batch(self, deliver: Callable, updates: List) -> int:
         """Deliver one coalesced persist batch; returns PDUs delivered.
 
         Charges the batch's *encoded* wire length
-        (:meth:`charge_sync_batch`) and invokes *deliver* per update.
-        Fault-injecting subclasses override this to drop or truncate at
-        batch boundaries on the independent ``:b`` seed stream
-        (docs/PROTOCOL.md §9, docs/TRANSPORT.md §5).
+        (:meth:`charge_sync_batch`) and invokes *deliver* per update,
+        exposing the update in flight as :attr:`delivering`.
+        Fault-injecting subclasses override this — the one persist
+        fault seam — to drop or truncate whole batches (``:b`` stream)
+        and drop or duplicate single PDUs inside one (``:n`` stream;
+        docs/PROTOCOL.md §9, docs/TRANSPORT.md §5).
         """
         if not updates:
             return 0
         self.charge_sync_batch(updates)
-        for update in updates:
-            deliver(update)
+        # A deliver callback may update the master and so flush another
+        # queue from inside this loop; restore the outer delivery's
+        # marker when the nested one returns.
+        outer = self.delivering
+        try:
+            for update in updates:
+                self.delivering = update
+                deliver(update)
+        finally:
+            self.delivering = outer
         return len(updates)
 
     def charge_sync_batch(self, updates: List) -> None:
         """Account one encoded sync batch frame.
 
         ``bytes_sent`` grows by the exact BER-encoded frame length
-        (:func:`repro.ldap.ber.encoded_sync_batch_size`), making the
-        byte metric encoded-length-accurate in pipelined mode; the
+        (:func:`repro.ldap.ber.encoded_sync_batch_size`), so the byte
+        metric is encoded-length-accurate for queued sessions; the
         per-kind PDU counters still count each carried update.
         """
         from ..ldap.ber import encoded_sync_batch_size
@@ -550,7 +515,7 @@ class SimulatedNetwork:
     def settle(self, max_events: int = 1_000_000) -> int:
         """Run the embedded scheduler until idle — every pending batch
         flush, ack and pipelined completion executes.  Returns events
-        run.  Harmless (0) on a synchronous network."""
+        run (0 when nothing was pending)."""
         return self.scheduler.run_until_idle(max_events=max_events)
 
     def reconcile_exchange(self, provider, request, rreq):

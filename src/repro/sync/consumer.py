@@ -26,13 +26,8 @@ from ..ldap.matching import compile_filter_cached
 from ..ldap.query import SearchRequest
 from ..obs.tracing import span
 from ..server.indexes import ContentIndex
-from ..server.network import (
-    Delivery,
-    OperationTimeout,
-    SimulatedNetwork,
-    TransportError,
-)
-from .protocol import SyncProtocolError, SyncResponse, SyncUpdate
+from ..server.network import Delivery, OperationTimeout, SimulatedNetwork
+from .protocol import SyncResponse, SyncUpdate
 
 __all__ = ["SyncedContent"]
 
@@ -157,11 +152,15 @@ class SyncedContent:
             self._discard(dn)
 
     def apply_notification(self, update: SyncUpdate) -> None:
-        """Apply one persist-mode change notification."""
-        if not getattr(self.network, "charges_persist_bytes", False):
-            # A pipelined transport already charged the notification as
-            # part of its encoded batch frame (charge_sync_batch);
-            # charging the per-update estimate here would double count.
+        """Apply one persist-mode change notification.
+
+        Whoever delivers the notification charges it: an update the
+        network is handing over out of a batch frame
+        (``network.delivering``) was charged as part of that frame; any
+        other caller — a consumer subscribed in-process through
+        ``provider.persist`` — gets the per-update estimate here.
+        """
+        if getattr(self.network, "delivering", None) is not update:
             self._charge(update)
         self.updates_applied += 1
         if update.action in (SyncAction.ADD, SyncAction.MODIFY):
@@ -236,38 +235,6 @@ class SyncedContent:
         """
         self.cookie = None
         return self.poll(provider, timeout_ms=timeout_ms)
-
-    def resilient_poll(self, provider, max_attempts: int = 4) -> SyncResponse:
-        """Poll, recovering from protocol errors and transport faults.
-
-        Two recovery paths, matching the fault taxonomy of
-        docs/PROTOCOL.md §9:
-
-        * :class:`SyncProtocolError` — the session is gone (expired,
-          unknown or too-old cookie): fall back to a full reload
-          (null cookie), the paper's §5 recovery path.
-        * :class:`TransportError` — the session is fine, a message was
-          lost: retry, up to *max_attempts* transport failures, without
-          touching local content.  A transient fault must never wipe
-          the replica (regression-tested in
-          ``tests/sync/test_resilient.py``).
-
-        Raises the last :class:`TransportError` when attempts are
-        exhausted.  For backoff pacing, timeouts and degraded-mode
-        handling use :class:`~repro.sync.resilient.ResilientConsumer`.
-        """
-        failures = 0
-        while True:
-            try:
-                return self.poll(provider)
-            except SyncProtocolError:
-                if self.cookie is None:
-                    raise  # a fresh session was refused — not recoverable
-                self.cookie = None  # session gone: retry as a full reload
-            except TransportError:
-                failures += 1
-                if failures >= max_attempts:
-                    raise
 
     def end(self, provider) -> None:
         """Terminate the session at the provider (mode ``sync_end``)."""

@@ -1,11 +1,11 @@
 """Per-session batching of persist-mode notifications.
 
-The synchronous transport delivers every persist notification inline
-with the master update — one callback, one charge, one consumer apply
-per update per session.  At thousands of live persist sessions (§5.2's
-scaling worry) that per-notification overhead dominates.  The pipelined
-transport (docs/TRANSPORT.md) instead hands each session's deliveries
-to a :class:`DeliveryQueue` that:
+Delivering every persist notification inline with the master update —
+one callback, one charge, one consumer apply per update per session —
+is what §5.2 worries about: at thousands of live persist sessions that
+per-notification overhead dominates.  The network's persist transport
+(docs/TRANSPORT.md) instead hands each session's deliveries to a
+:class:`DeliveryQueue` that:
 
 * **batches** — notifications accumulate and flush as one wire frame
   (:func:`repro.ldap.ber.encode_sync_batch`) when the batch reaches
@@ -25,13 +25,15 @@ to a :class:`DeliveryQueue` that:
   ``tests/sync/test_transport_equivalence.py``).
 
 Below the high-water mark the queue preserves the exact per-update
-sequence, so the delivered stream is byte-identical to the synchronous
-oracle's (the PR 4/PR 8 equivalence playbook).
+sequence, so the delivered stream is byte-identical to what an
+in-process ``provider.persist`` callback receives (the reference of
+that test module).
 
-Faults apply at **batch boundaries**: the queue delivers through
+Faults apply where the queue meets the wire: it delivers through
 :meth:`repro.server.network.SimulatedNetwork.deliver_batch`, which
-`FaultyNetwork` overrides with its independent ``:b`` decision stream
-(whole-batch drop, prefix truncation).
+`FaultyNetwork` overrides with its independent ``:b`` (whole-batch
+drop, prefix truncation) and ``:n`` (per-PDU drop, duplication)
+decision streams.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ __all__ = ["BatchConfig", "DeliveryQueue"]
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """Batching/backpressure knobs of one pipelined network's queues.
+    """Batching/backpressure knobs of one network's persist queues.
 
     Attributes:
         max_batch: flush when this many PDUs are pending (size bound).
@@ -74,10 +76,9 @@ class BatchConfig:
 class DeliveryQueue:
     """Batches one persist session's notifications (docs/TRANSPORT.md §4).
 
-    Callable so it can stand in for the plain per-update deliver
-    callback (``queue(update)`` == ``queue.offer(update)``); the
-    provider's ``_flush_persist`` detects :meth:`offer_many` and hands
-    whole queued runs over in one call.
+    Passed to ``provider.persist`` in place of a per-update deliver
+    callback; the provider's ``_flush_persist`` detects
+    :meth:`offer_many` and hands whole queued runs over in one call.
     """
 
     def __init__(
@@ -128,28 +129,9 @@ class DeliveryQueue:
     # ------------------------------------------------------------------
     # offering (the provider side)
     # ------------------------------------------------------------------
-    def __call__(self, update: SyncUpdate) -> None:
-        self.offer(update)
-
     def offer(self, update: SyncUpdate) -> None:
         """Queue one notification; may flush or degrade."""
-        if self._closed:
-            return
-        self._offered.inc()
-        now = self._scheduler.now
-        if self._degraded:
-            self._merge(update, now)
-        else:
-            self._pending.append((update, now))
-            if len(self._pending) > self._high_water:
-                self._degrade()
-        depth = self.pending_count
-        if depth > self._depth_gauge.value:
-            self._depth_gauge.set(depth)
-        if depth >= self._max_batch:
-            self.flush()
-        else:
-            self._arm_timer(now)
+        self.offer_many([update])
 
     def offer_many(self, updates: List[SyncUpdate]) -> None:
         """Queue a run of notifications (one provider flush) at once.
@@ -204,16 +186,6 @@ class DeliveryQueue:
     # ------------------------------------------------------------------
     # coalesced-retain degradation
     # ------------------------------------------------------------------
-    def _merge(self, update: SyncUpdate, now: float) -> None:
-        existing = self._coalesced.get(update.dn)
-        if existing is not None:
-            # Net effect per DN: the latest state-setter wins (delete of
-            # an entry the consumer never saw is a no-op on apply).
-            self._coalesced_away.inc()
-            self._coalesced[update.dn] = (update, existing[1])
-        else:
-            self._coalesced[update.dn] = (update, now)
-
     def _degrade(self) -> None:
         self._degradations.inc()
         self._degraded = True

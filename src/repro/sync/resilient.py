@@ -51,18 +51,16 @@ next to the network's ``net.fault.*`` counters, so benches can report
 convergence cost against fault rates
 (``benchmarks/bench_fault_convergence.py``).
 
-**Health state machine** (opt-in via :class:`HealthPolicy`,
-docs/FAULTS.md §4): the legacy consumer retries forever — every cycle
-spends up to ``max_attempts`` transport attempts no matter how long the
-provider has been gone.  A consumer built with a ``health`` policy
-instead walks an explicit machine::
+**Health state machine** (:class:`HealthPolicy`, docs/FAULTS.md §4):
+retrying is bounded.  Every transport fault — in the poll loop, the
+persist subscription or the sketch tier — is charged to one lifetime
+budget, and the consumer walks an explicit machine::
 
     healthy → degraded → quarantined → recovering → gave_up
 
-* a **capped total retry budget** (attempts and virtual wall-clock)
-  replaces unbounded backoff: once either cap is spent the consumer
-  lands terminally in ``gave_up`` — zero further provider attempts,
-  zero busy-looping;
+* a **capped total retry budget** (attempts and virtual wall-clock):
+  once either cap is spent the consumer lands terminally in
+  ``gave_up`` — zero further provider attempts, zero busy-looping;
 * a **circuit breaker** trips open after ``breaker_threshold``
   consecutive transport faults; while open the consumer sleeps out the
   cooldown on the virtual clock, then probes **half-open** with a
@@ -225,10 +223,10 @@ class ResilientConsumer:
             tier (a restarted replica boots empty, the pre-snapshot
             behavior).
         snapshot_interval: successful cycles between snapshot saves.
-        health: opt-in :class:`HealthPolicy` enabling the health state
-            machine (budgeted retries, circuit breaker, quarantine);
-            None keeps the legacy unbounded-retry behavior
-            byte-identical.
+        health: the :class:`HealthPolicy` of the health state machine
+            (budgeted retries, circuit breaker, quarantine); a caller
+            whose schedule needs more retries than the default budget
+            passes one sized to it.
         name: fleet identity for per-consumer ``sync.health.*`` metric
             labels and status rollups (default: ``consumer-<seed>``).
     """
@@ -245,7 +243,7 @@ class ResilientConsumer:
         reconcile_config: Optional[ReconcileConfig] = ReconcileConfig(),
         snapshot_store: Optional[SnapshotStore] = None,
         snapshot_interval: int = 1,
-        health: Optional[HealthPolicy] = None,
+        health: HealthPolicy = HealthPolicy(),
         name: Optional[str] = None,
     ):
         if mode not in ("poll", "persist"):
@@ -291,8 +289,7 @@ class ResilientConsumer:
         self._rec_fetched = registry.counter("sync.reconcile.fetched_entries")
         self._rec_deleted = registry.counter("sync.reconcile.deleted_entries")
 
-        # Health state machine (opt-in; None keeps the legacy unbounded
-        # retry behavior byte-identical).
+        # Health state machine (docs/FAULTS.md §4).
         self.health = health
         self._health_state = "healthy"
         self._breaker = "closed"
@@ -303,24 +300,21 @@ class ResilientConsumer:
         self._breaker_open_until: Optional[float] = None
         self._quarantine_until: Optional[float] = None
         self._probe_origin: Optional[str] = None
-        if health is not None:
-            labels = {"consumer": self.name}
-            self._h_state = registry.gauge("sync.health.state").labels(**labels)
-            self._h_breaker = registry.gauge(
-                "sync.health.breaker_state"
-            ).labels(**labels)
-            self._h_transitions = registry.counter("sync.health.transitions")
-            self._h_trips = registry.counter("sync.health.breaker_trips")
-            self._h_probes = registry.counter("sync.health.probes")
-            self._h_quarantines = registry.counter("sync.health.quarantines")
-            self._h_parked = registry.counter("sync.health.parked")
-            self._h_gave_up = registry.counter("sync.health.gave_up")
-            self._h_attempts = registry.counter(
-                "sync.health.attempts_spent"
-            ).labels(**labels)
-            self._h_budget_ms = registry.gauge(
-                "sync.health.backoff_budget_ms"
-            ).labels(**labels)
+        labels = {"consumer": self.name}
+        self._h_state = registry.gauge("sync.health.state").labels(**labels)
+        self._h_breaker = registry.gauge("sync.health.breaker_state").labels(**labels)
+        self._h_transitions = registry.counter("sync.health.transitions")
+        self._h_trips = registry.counter("sync.health.breaker_trips")
+        self._h_probes = registry.counter("sync.health.probes")
+        self._h_quarantines = registry.counter("sync.health.quarantines")
+        self._h_parked = registry.counter("sync.health.parked")
+        self._h_gave_up = registry.counter("sync.health.gave_up")
+        self._h_attempts = registry.counter(
+            "sync.health.attempts_spent"
+        ).labels(**labels)
+        self._h_budget_ms = registry.gauge(
+            "sync.health.backoff_budget_ms"
+        ).labels(**labels)
 
         # Snapshot warm-start tier (docs/RECOVERY.md first rung): a
         # store means this consumer is a restart of a replica that may
@@ -360,10 +354,7 @@ class ResilientConsumer:
     @property
     def health_state(self) -> str:
         """The consumer's current health state (one of
-        :data:`HEALTH_STATES`).  Without a :class:`HealthPolicy` the
-        machine collapses to the legacy two states."""
-        if self.health is None:
-            return "degraded" if self._is_degraded else "healthy"
+        :data:`HEALTH_STATES`)."""
         return self._health_state
 
     @property
@@ -414,14 +405,14 @@ class ResilientConsumer:
         then counting toward (or in) degraded mode.  Local content
         survives any failure.
 
-        With a :class:`HealthPolicy`, the health state machine gates
-        the cycle first: ``gave_up`` is terminal (no provider contact,
-        no clock advance), an open breaker or a quarantine window is
-        slept out on the virtual clock before a single-attempt
-        ``recovering`` probe, and every transport fault is charged
+        The health state machine gates the cycle first: ``gave_up`` is
+        terminal (no provider contact, no clock advance), an open
+        breaker or a quarantine window is slept out on the virtual
+        clock before a single-attempt ``recovering`` probe, and every
+        transport fault — the sketch tier's included — is charged
         against the lifetime retry budget.
         """
-        if self.health is not None and not self._health_gate():
+        if not self._health_gate():
             return None
         self._cycles.inc()
         failures = 0
@@ -454,6 +445,8 @@ class ResilientConsumer:
                     if reconciled is not None:
                         self._cycle_succeeded()
                         return reconciled
+                    if self._retries_suspended():
+                        break  # the sketch tier spent the cycle, not a reload
                 self._reloads.inc()
                 self.content.cookie = None
                 if self.mode == "persist":
@@ -465,7 +458,7 @@ class ResilientConsumer:
                 # is honored as a floor under the computed backoff.
                 self._note_transport_fault(exc, failures)
                 failures += 1
-                if self.health is not None and self._retries_suspended():
+                if self._retries_suspended():
                     break  # breaker tripped / quarantined / gave up
                 continue
             self._cycle_succeeded()
@@ -541,8 +534,10 @@ class ResilientConsumer:
         None when the ladder failed and the caller should fall back to
         a paced full rebuild.  Transport faults are retried with the
         policy's backoff; protocol errors (the fetch session died under
-        us) abort the ladder.  Local content is only touched by a
-        successful, validated decode.
+        us) abort the ladder, and so does the health machine once a
+        charged fault suspends retries (breaker open, quarantined, out
+        of budget).  Local content is only touched by a successful,
+        validated decode.
         """
         cfg = self.reconcile_config
         if cfg is None:
@@ -570,6 +565,9 @@ class ResilientConsumer:
                     self._rec_fallbacks.inc()
                     return None
                 self._note_transport_fault(exc, transport_failures - 1)
+                if self._retries_suspended():
+                    self._rec_fallbacks.inc()
+                    return None
                 continue
             self._rec_rounds.inc()
             self._rec_sketch_bytes.inc(response.pdu_bytes)
@@ -649,6 +647,8 @@ class ResilientConsumer:
                 if transport_failures >= self.policy.max_attempts:
                     return None
                 self._note_transport_fault(exc, transport_failures - 1)
+                if self._retries_suspended():
+                    return None
         self._rec_success.inc()
         self._rec_delta.inc(len(fetch_keys) + len(delete_dns))
         fetched = 0
@@ -672,15 +672,12 @@ class ResilientConsumer:
         return [Delivery(self.provider.reconcile_fetch(self.request, fetch))]
 
     def _note_transport_fault(self, exc: TransportError, failure: int) -> None:
-        """Count one transport fault and wait out its backoff (shared by
-        the poll loop and the reconcile ladder).  With a health policy
-        the fault is also charged against the lifetime budget and may
-        trip the circuit breaker."""
+        """Count one transport fault, wait out its backoff and charge it
+        against the lifetime budget, possibly tripping the circuit
+        breaker (shared by the poll loop and the reconcile ladder)."""
         self._retries.inc()
         self._retries.labels(kind=exc.fault).inc()
         delay = self._backoff(failure, minimum=getattr(exc, "retry_after_ms", 0.0))
-        if self.health is None:
-            return
         self._attempts_spent += 1
         self._h_attempts.inc()
         self._backoff_budget_spent += delay
@@ -727,12 +724,11 @@ class ResilientConsumer:
         refreshes on the policy's interval so divergence from dropped
         notifications is bounded by ``persist_refresh_interval`` cycles.
         """
-        # On a pipelined transport, flush in-flight delivery batches
-        # first: a refresh tears the subscription (and its queue) down,
-        # and liveness decisions should see the delivered state.
-        settle = getattr(self.network, "settle", None)
-        if settle is not None:
-            settle()
+        # Flush in-flight delivery batches first: a refresh tears the
+        # subscription (and its queue) down, and liveness decisions
+        # should see the delivered state.
+        if self.network is not None:
+            self.network.settle()
         dead = (
             self._handle is None
             or not self._handle.active
@@ -794,12 +790,11 @@ class ResilientConsumer:
             return
         handle, self._handle = self._handle, None
         self._subscribed_epoch = -1
-        queue = getattr(handle, "delivery_queue", None)
-        if queue is not None:
+        if handle.delivery_queue is not None:
             # The subscription died with the server incarnation: close
             # the stale batching queue so nothing queued before the
             # crash is delivered into the re-subscribed content.
-            queue.close()
+            handle.delivery_queue.close()
         if self.network is not None:
             self.network.connection_closed(self)
 
@@ -847,17 +842,16 @@ class ResilientConsumer:
             self._degraded_gauge.set(0)
             if self.replica_server is not None:
                 self.replica_server.exit_degraded()
-        if self.health is not None:
-            self._consecutive_faults = 0
-            if self._probe_origin == "quarantine":
-                # A successful re-probe out of quarantine is a fresh
-                # start: the trip history that parked us is spent.
-                self._breaker_trips = 0
-            self._probe_origin = None
-            self._breaker_set("closed")
-            self._breaker_open_until = None
-            self._quarantine_until = None
-            self._transition("healthy")
+        self._consecutive_faults = 0
+        if self._probe_origin == "quarantine":
+            # A successful re-probe out of quarantine is a fresh
+            # start: the trip history that parked us is spent.
+            self._breaker_trips = 0
+        self._probe_origin = None
+        self._breaker_set("closed")
+        self._breaker_open_until = None
+        self._quarantine_until = None
+        self._transition("healthy")
         if self._recoverer is not None:
             if self._snapshot_restored:
                 self._snapshot_restored = False
@@ -875,8 +869,6 @@ class ResilientConsumer:
             and self._consecutive_failed_cycles >= self.policy.degraded_after
         ):
             self._enter_degraded()
-        if self.health is None:
-            return
         if self._health_state == "recovering":
             origin, self._probe_origin = self._probe_origin, None
             if origin == "quarantine":
@@ -904,7 +896,7 @@ class ResilientConsumer:
             self.replica_server.enter_degraded()
 
     # ------------------------------------------------------------------
-    # health state machine (opt-in, docs/FAULTS.md §4)
+    # health state machine (docs/FAULTS.md §4)
     # ------------------------------------------------------------------
     def _health_gate(self) -> bool:
         """Decide whether this cycle may contact the provider.
@@ -944,8 +936,6 @@ class ResilientConsumer:
         """Transport attempts this cycle may spend: one for a probe,
         the policy's cap otherwise, never more than the remaining
         lifetime budget."""
-        if self.health is None:
-            return self.policy.max_attempts
         cap = 1 if self._health_state == "recovering" else self.policy.max_attempts
         remaining = self.health.max_total_attempts - self._attempts_spent
         return max(0, min(cap, remaining))

@@ -24,7 +24,7 @@ Both speak the same request/response types, so the consumer
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from ..ldap.controls import ReSyncControl, SyncMode
 from ..ldap.dn import DN
@@ -71,8 +71,9 @@ class PersistHandle:
         self._provider = provider
         self._session = session
         self.active = True
-        #: Set by a pipelined network: the per-session batching queue
-        #: the notifications flow through (closed with the handle).
+        #: Set by the network that opened the session: the per-session
+        #: batching queue the notifications flow through (closed with
+        #: the handle).
         self.delivery_queue = None
 
     @property
@@ -161,10 +162,6 @@ class ResyncProvider:
         # Per-entry last-change CSNs (eq.-3 degraded resumes); only
         # maintained when a durability config is present.
         self._last_change: Dict[DN, int] = {}
-        # Recovered sessions not yet re-registered into the router; they
-        # take the linear fan-out path until their first poll registers
-        # them (lazy re-registration).
-        self._lazy_router: Set[str] = set()
         self._appends_since_snapshot = 0
         self._replaying = False
         self.admission: Optional[AdmissionController] = None
@@ -251,14 +248,10 @@ class ResyncProvider:
                     enters = SyncUpdate.add(record.after)
                 session.enqueue(enters)
             flush(session)
-        # Recovered-but-not-yet-registered sessions are evaluated one by
-        # one until their first poll re-registers them.
-        for sid in list(self._lazy_router):
-            self._apply_to_session(self.sessions.get(sid), record)
 
     def _apply_to_session(self, session: Session, record: UpdateRecord) -> None:
         """Evaluate *record* against one session with both images — the
-        journal-replay fan-out and the lazy post-recovery path."""
+        journal-replay fan-out."""
         request = session.request
         in_before = record.before is not None and request.selects(record.before)
         in_after = record.after is not None and request.selects(record.after)
@@ -286,10 +279,9 @@ class ResyncProvider:
             # it up after the in-flight batch, preserving order.
             return
         session.draining = True
-        # A batching DeliveryQueue (pipelined transport) takes whole
-        # queued runs at once — one offer per flush instead of one call
-        # per update; a plain callback gets the historical per-update
-        # loop, byte-identically.
+        # A network's batching DeliveryQueue takes whole queued runs at
+        # once — one offer per flush instead of one call per update; an
+        # in-process callback gets the per-update loop.
         offer_many = getattr(deliver, "offer_many", None)
         try:
             while session.persist_queue:
@@ -412,12 +404,6 @@ class ResyncProvider:
                     # replay must advance it identically.
                     self._journal_event({"t": "touch", "sid": session.session_id})
                     raise
-            if session.session_id in self._lazy_router:
-                # Lazy re-registration: the recovered session's first
-                # poll re-enters the router, seeded from its (possibly
-                # just resumed) content mirror.
-                self.router.register(session, session.content_dns)
-                self._lazy_router.discard(session.session_id)
 
         if control.mode is SyncMode.PERSIST:
             if deliver is None:
@@ -564,7 +550,6 @@ class ResyncProvider:
         self.sessions = self._new_store(self.sessions.idle_limit)
         self._persist_callbacks.clear()
         self.router.reset()
-        self._lazy_router.clear()
         self._last_change.clear()
         self._watermark = self.server.current_csn
         self._appends_since_snapshot = 0
@@ -637,7 +622,6 @@ class ResyncProvider:
         """Drop everything kept per session outside the store — for an
         ended session and (``SessionStore.on_expire``) an expired one."""
         self.router.unregister(sid)
-        self._lazy_router.discard(sid)
         self._persist_callbacks.pop(sid, None)
 
     def _new_store(self, idle_limit: int) -> SessionStore:
@@ -823,7 +807,8 @@ class ResyncProvider:
         would silently miss them — all are dropped (counted
         ``sync.durability.sessions_lost``) so consumers take the honest
         reload path instead of diverging.  Surviving sessions re-enter
-        the :class:`SessionRouter` lazily on their first poll.
+        the :class:`SessionRouter` here, from their content mirrors, so
+        the first post-recovery update already fans out through it.
 
         Returns the number of journal records replayed.
         """
@@ -835,7 +820,6 @@ class ResyncProvider:
         self.sessions = self._new_store(self.sessions.idle_limit)
         self._persist_callbacks.clear()
         self.router.reset()
-        self._lazy_router.clear()
         self._last_change.clear()
         self._watermark = 0
         self._appends_since_snapshot = 0
@@ -872,7 +856,10 @@ class ResyncProvider:
             # which now covers it.
             self._watermark = self.server.current_csn
             self._last_change.clear()
-        self._lazy_router = {s.session_id for s in self.sessions.active_sessions()}
+        # The store keeps creation (= session-id) order, which is the
+        # order the router must visit sessions in.
+        for session in self.sessions.active_sessions():
+            self.router.register(session, session.content_dns)
         self._write_snapshot()
         if self.admission is not None:
             self.admission.reset()

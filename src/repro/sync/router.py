@@ -205,9 +205,9 @@ class SessionRouter:
     def register(self, session: Session, dns=()) -> RoutedSession:
         """Enter *session* with *dns* as its held content — the initial
         content the provider just delivered, or a recovered session's
-        content mirror on its first post-crash poll (lazy
-        re-registration, docs/PROTOCOL.md §10).  Any stale registration
-        (and its holder state) is replaced wholesale."""
+        content mirror (``ResyncProvider.recover``, docs/PROTOCOL.md
+        §10).  Any stale registration (and its holder state) is
+        replaced wholesale."""
         self.unregister(session.session_id)
         atoms = self.anchor_atoms(session.request.filter)
         rs = RoutedSession(session, next(self._serials), atoms)

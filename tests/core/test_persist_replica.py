@@ -4,8 +4,9 @@ import pytest
 
 from repro.core import FilterReplica
 from repro.ldap import Entry, Scope, SearchRequest
+from repro.ldap.ber import encoded_sync_batch_size
 from repro.server import DirectoryServer, Modification, SimulatedNetwork
-from repro.sync import ResyncProvider
+from repro.sync import ResyncProvider, SyncedContent
 
 
 @pytest.fixture()
@@ -131,3 +132,62 @@ class TestSubscribePersist:
         replica.sync(provider)  # still converges by polling
         for stored in replica.stored_filters():
             assert stored.content.matches_master(master)
+
+
+class TestWhoDeliversCharges:
+    """One network carrying an in-process replica subscription and a
+    queued session: every delivery is charged exactly once, by whoever
+    delivers it.  Regression: the charging rule was a property of the
+    network object, so on a network with queued sessions the replica's
+    notifications were delivered but charged nowhere."""
+
+    @staticmethod
+    def build(master, on_first_delivery=None):
+        provider = ResyncProvider(master)
+        net = SimulatedNetwork()
+        replica = FilterReplica("r", network=net)
+        replica.add_filter(DEPT0, provider)
+        replica.subscribe_persist(provider)
+        content = SyncedContent(DEPT0, network=net)
+        framed = []
+
+        def deliver(update):
+            content.apply_notification(update)
+            framed.append(update)
+            if on_first_delivery is not None and len(framed) == 1:
+                on_first_delivery()
+
+        deliveries, _handle = net.persist_exchange(provider, DEPT0, deliver)
+        content.apply(deliveries[-1].response)
+        net.stats.reset()
+        return net, replica, content, framed
+
+    def test_each_delivery_charged_once(self, master):
+        net, replica, content, framed = self.build(master)
+        master.modify("cn=P0,o=xyz", [Modification.replace("title", "live")])
+        assert net.settle() >= 1
+        assert net.stats.sync_entry_pdus == 2
+        (update,) = framed
+        assert net.stats.bytes_sent == update.pdu_bytes + encoded_sync_batch_size(
+            [update]
+        )
+        assert content.matches_master(master)
+        assert replica.stored_filters()[0].content.matches_master(master)
+
+    def test_charged_once_when_the_deliver_callback_reenters_the_master(self, master):
+        def reenter():
+            master.modify("cn=P2,o=xyz", [Modification.replace("title", "nested")])
+
+        net, replica, content, framed = self.build(master, on_first_delivery=reenter)
+        master.modify("cn=P0,o=xyz", [Modification.replace("title", "live")])
+        net.settle()
+        # The nested update reached the replica in-process while the
+        # network was mid-delivery of the first one, and the queued
+        # session in a later frame of its own.
+        assert len(framed) == 2
+        assert net.stats.sync_entry_pdus == 4
+        assert net.stats.bytes_sent == sum(
+            u.pdu_bytes + encoded_sync_batch_size([u]) for u in framed
+        )
+        assert content.matches_master(master)
+        assert replica.stored_filters()[0].content.matches_master(master)

@@ -1,6 +1,6 @@
 """BER round-tripping of batched sync PDUs (docs/TRANSPORT.md §4).
 
-The pipelined transport frames every coalesced persist batch as one
+The persist transport frames every coalesced persist batch as one
 real wire PDU through the existing BER encoder, so ``bytes_sent``
 becomes encoded-length-accurate.  Property: encode→decode of *any*
 batch is identity, and the charged byte delta is exactly the frame
@@ -107,13 +107,13 @@ class TestBytesCharged:
     @given(st.lists(sync_updates(), min_size=1, max_size=10))
     @settings(max_examples=60)
     def test_deliver_batch_charges_exact_frame_length(self, updates):
-        net = SimulatedNetwork(pipelined=True)
+        net = SimulatedNetwork()
         before = net.stats.bytes_sent
         delivered = net.deliver_batch(lambda u: None, updates)
         assert delivered == len(updates)
         assert net.stats.bytes_sent - before == len(encode_sync_batch(updates))
 
     def test_empty_batch_charges_nothing(self):
-        net = SimulatedNetwork(pipelined=True)
+        net = SimulatedNetwork()
         assert net.deliver_batch(lambda u: None, []) == 0
         assert net.stats.bytes_sent == 0

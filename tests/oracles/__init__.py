@@ -1,4 +1,4 @@
-"""Linear reference implementations of the routed production paths.
+"""Reference implementations of the production paths.
 
 ``repro.core`` answers through one path: candidate routing
 (:class:`~repro.core.routing.ContainmentIndex`), indexed evaluation and
@@ -19,6 +19,12 @@ scaling/ablation benches measure:
 
 Each subclasses the production class so filter management, sync, stats,
 window and session bookkeeping are shared; only the scans differ.
+
+The network's persist transport batches notifications into encoded
+frames (docs/TRANSPORT.md); :func:`per_pdu_persist` is the transport it
+replaced — every notification delivered inline and encoded as its own
+wire PDU — kept as the control arm ``bench_persist_fanout`` measures
+the batched one against.
 """
 
 from __future__ import annotations
@@ -27,10 +33,16 @@ from typing import List, Optional, Tuple
 
 from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_contained_in
 from repro.ldap import Entry, SearchRequest
+from repro.ldap.ber import encode_sync_update
 from repro.ldap.filters import attributes_of
 from repro.sync import ResyncProvider
 
-__all__ = ["LinearFilterReplica", "LinearRecentQueryCache", "LinearResyncProvider"]
+__all__ = [
+    "LinearFilterReplica",
+    "LinearRecentQueryCache",
+    "LinearResyncProvider",
+    "per_pdu_persist",
+]
 
 
 class LinearRecentQueryCache(RecentQueryCache):
@@ -88,3 +100,25 @@ class LinearResyncProvider(ResyncProvider):
     def _fan_out(self, record) -> None:
         for session in self.sessions.active_sessions():
             self._apply_to_session(session, record)
+
+
+def per_pdu_persist(provider, request, deliver, network, cookie=None):
+    """Open a persist session whose notifications travel synchronously,
+    one BER-encoded PDU each: *deliver* runs inline with the master
+    update and *network* is charged the exact frame length
+    (:func:`repro.ldap.ber.encode_sync_update`) per notification — what
+    a per-entry wire transport pays.  *deliver* must not charge on its
+    own (apply into a :class:`~repro.sync.SyncedContent` built without
+    a network).  Returns ``(initial response, handle)``.
+    """
+
+    def wired(update):
+        frame_len = len(encode_sync_update(update))
+        if update.entry is not None:
+            network.charge_sync_entry(frame_len)
+        else:
+            network.charge_sync_dn(frame_len)
+        deliver(update)
+
+    network.charge_round_trip()
+    return provider.persist(request, wired, cookie=cookie)

@@ -269,8 +269,11 @@ class TestHealAndCounts:
 
 
 class TestNotificationFaults:
-    def test_dropped_and_duplicated_notifications(self):
-        master = build_master(n=2)
+    """Per-PDU faults inside a delivered batch (the ``:n`` stream at the
+    ``deliver_batch`` seam)."""
+
+    @staticmethod
+    def subscribed(master):
         provider = ResyncProvider(master)
         net = FaultyNetwork()  # subscribe cleanly
         content = SyncedContent(REQUEST, network=net)
@@ -279,19 +282,86 @@ class TestNotificationFaults:
         )
         content.apply(deliveries[-1].response)
         assert content.matches_master(master)
+        return net, content, handle
+
+    def test_dropped_and_duplicated_notifications(self):
+        master = build_master(n=2)
+        net, content, handle = self.subscribed(master)
 
         # Every notification dropped: the replica silently diverges —
         # exactly why persist consumers need periodic refreshes.
         net.plan = FaultPlan(FaultSpec(notification_drop=1.0), seed=0)
+        before = net.stats.as_dict()
         master.add(person("E9"))
+        net.settle()
         assert not content.matches_master(master)
         assert net.fault_counts() == {"notification_drop": 1}
+        # Dropped provider-side, before encoding: nothing on the wire.
+        assert net.stats.as_dict() == before
 
-        # Every notification duplicated: harmless (idempotent apply).
+        # Every notification duplicated: harmless (idempotent apply),
+        # and both copies travel in — and are charged with — the frame.
         net.plan = FaultPlan(FaultSpec(notification_duplicate=1.0), seed=0)
         master.add(person("E10"))
+        net.settle()
         assert "cn=E10,o=xyz" in {str(dn) for dn in content.dns()}
         assert net.fault_counts()["notification_duplicate"] == 1
+        assert net.stats.sync_entry_pdus - before["sync_entry_pdus"] == 2
+        handle.abandon()
+
+    def test_one_pdu_dropped_inside_a_batch(self):
+        """A drop takes one PDU out of the frame; its batch-mates arrive."""
+
+        class DropSecond(FaultPlan):
+            def next_notification(self):
+                super().next_notification()  # advances the :n index
+                return (self._notification_index == 2, False)
+
+        master = build_master(n=2)
+        net, content, handle = self.subscribed(master)
+        net.plan = DropSecond(FaultSpec(notification_drop=0.5), seed=0)
+        for name in ("E7", "E8", "E9"):
+            master.add(person(name))
+        assert net.settle() >= 1  # one age-timer flush carries all three
+        added = {str(dn) for dn in content.dns()} & {f"cn=E{i},o=xyz" for i in (7, 8, 9)}
+        assert added == {"cn=E7,o=xyz", "cn=E9,o=xyz"}
+        assert net.fault_counts() == {"notification_drop": 1}
+        assert net.registry.counter("sync.batch.delivered").value == 2
+        handle.abandon()
+
+    def test_one_pdu_duplicated_inside_a_batch(self):
+        """A duplicate rides the same frame: three PDUs for two updates."""
+
+        class DuplicateFirst(FaultPlan):
+            def next_notification(self):
+                super().next_notification()  # advances the :n index
+                return (False, self._notification_index == 1)
+
+        master = build_master(n=2)
+        net, content, handle = self.subscribed(master)
+        net.plan = DuplicateFirst(FaultSpec(notification_duplicate=0.5), seed=0)
+        applied = content.updates_applied
+        pdus = net.stats.sync_entry_pdus
+        master.add(person("E8"))
+        master.add(person("E9"))
+        net.settle()
+        assert content.matches_master(master)
+        assert content.updates_applied - applied == 3
+        assert net.stats.sync_entry_pdus - pdus == 3
+        assert net.fault_counts() == {"notification_duplicate": 1}
+        handle.abandon()
+
+    def test_notification_stream_is_gated_by_the_spec(self):
+        """Like ``:p``: a spec without notification faults never draws
+        from ``:n``, so enabling them later starts at decision 0."""
+        master = build_master(n=2)
+        net, content, handle = self.subscribed(master)
+        net.plan = FaultPlan(FaultSpec(drop_request=0.3), seed=0)
+        master.add(person("E9"))
+        net.settle()
+        assert net.plan._notification_index == 0
+        assert net.plan._batch_index == 1
+        assert content.matches_master(master)
         handle.abandon()
 
 

@@ -16,7 +16,7 @@ REQUEST = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
 
 
 def build_network(**kwargs):
-    net = SimulatedNetwork(pipelined=True, **kwargs)
+    net = SimulatedNetwork(**kwargs)
     server = DirectoryServer("M")
     server.add_naming_context("o=xyz")
     server.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))

@@ -1,4 +1,4 @@
-"""The deterministic scheduler under the pipelined transport.
+"""The deterministic scheduler under the network transport.
 
 docs/TRANSPORT.md §2's determinism contract: same seed + same schedule
 of calls → identical execution order, clock trajectory and instrument

@@ -21,7 +21,7 @@ def person(name, sn="T"):
 
 
 def make_queue(config=None, **net_kwargs):
-    net = SimulatedNetwork(pipelined=True, **net_kwargs)
+    net = SimulatedNetwork(**net_kwargs)
     applied = []
     queue = DeliveryQueue(
         applied.append, network=net, scheduler=net.scheduler, config=config
@@ -156,7 +156,7 @@ class TestClose:
         assert queue.pending_count == 0
 
     def test_reentrant_offer_during_flush_stays_queued(self):
-        net = SimulatedNetwork(pipelined=True)
+        net = SimulatedNetwork()
         applied = []
         queue = DeliveryQueue(
             lambda u: None,  # replaced below to close over queue

@@ -346,13 +346,14 @@ class TestRecovery:
         provider.restart()
         provider.recover()
         sid = next(iter(provider.sessions.active_sessions())).session_id
-        assert sid in provider._lazy_router
-        # Updates before the first poll still reach the session (linear
-        # fallback)...
+        # Recovery registers the surviving session from its content
+        # mirror, so the very next update fans out through the router.
+        assert provider.router._sessions.get(sid) is not None
+        notified = master.metrics.counter("sync.route.notified")
+        before = notified.value
         master.add(person("P9"))
-        # ...and the first poll re-enters the router.
+        assert notified.value == before + 1
         content.poll(provider)
-        assert sid not in provider._lazy_router
         assert provider.router._sessions.get(sid) is not None
         master.add(person("P10"))
         content.poll(provider)

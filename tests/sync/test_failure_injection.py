@@ -12,8 +12,8 @@ replica actually sees:
   harmless (all actions are idempotent);
 * a **crashed replica** — all local state gone; restart with a null
   cookie (full reload);
-* an **expired session** — the master forgot the cookie; the consumer's
-  resilient poll falls back to a reload.
+* an **expired session** — the master forgot the cookie; a
+  :class:`ResilientConsumer` cycle falls back to a reload.
 """
 
 
@@ -22,7 +22,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ldap import DN, Entry, ReSyncControl, Scope, SearchRequest, SyncMode
 from repro.server import DirectoryServer, Modification
-from repro.sync import ResyncProvider, SyncProtocolError, SyncedContent
+from repro.sync import (
+    ResilientConsumer,
+    ResyncProvider,
+    SyncProtocolError,
+    SyncedContent,
+)
 
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
@@ -137,7 +142,8 @@ class TestLostResponse:
         answers with a protocol error and the consumer reloads."""
         master = build_master()
         provider = ResyncProvider(master)
-        content = SyncedContent(REQUEST)
+        consumer = ResilientConsumer(REQUEST, provider)
+        content = consumer.content
         content.poll(provider)
         stale_cookie = content.cookie
 
@@ -149,7 +155,7 @@ class TestLostResponse:
         content.cookie = stale_cookie
         with pytest.raises(SyncProtocolError):
             content.poll(provider)
-        content.resilient_poll(provider)
+        consumer.sync_once()
         assert content.matches_master(master)
 
 
@@ -180,7 +186,8 @@ class TestSessionExpiry:
     def test_expired_session_recovered_by_resilient_poll(self):
         master = build_master()
         provider = ResyncProvider(master, idle_limit=1)
-        content = SyncedContent(REQUEST)
+        consumer = ResilientConsumer(REQUEST, provider)
+        content = consumer.content
         content.poll(provider)
         # Another chatty session pushes the tick forward past the limit.
         other = SyncedContent(SearchRequest("o=xyz", Scope.SUB, "(cn=E1)"))
@@ -188,7 +195,7 @@ class TestSessionExpiry:
         for _ in range(4):
             other.poll(provider)
         master.delete("cn=E0,o=xyz")
-        content.resilient_poll(provider)
+        consumer.sync_once()
         assert content.matches_master(master)
 
 
@@ -209,7 +216,8 @@ _steps = st.lists(
 def test_convergence_under_random_failures(steps):
     master = build_master(6)
     provider = ResyncProvider(master)
-    content = SyncedContent(REQUEST)
+    consumer = ResilientConsumer(REQUEST, provider)
+    content = consumer.content
     content.poll(provider)
     counter = 0
     last_cookie = content.cookie
@@ -231,7 +239,7 @@ def test_convergence_under_random_failures(steps):
                 pass  # target already gone this run
         elif step == "poll":
             last_cookie = content.cookie
-            content.resilient_poll(provider)
+            consumer.sync_once()
         elif step == "lost_poll":
             try:
                 lossy_poll(content, provider)
@@ -244,9 +252,10 @@ def test_convergence_under_random_failures(steps):
             if last_cookie is not None:
                 content.cookie = last_cookie
         elif step == "crash":
-            content = SyncedContent(REQUEST)
+            consumer = ResilientConsumer(REQUEST, provider)
+            content = consumer.content
             last_cookie = None
         elif step == "retry":
-            content.resilient_poll(provider)
-    content.resilient_poll(provider)
+            consumer.sync_once()
+    consumer.sync_once()
     assert content.matches_master(master)

@@ -10,14 +10,13 @@ Two layers:
 
 * **CI fault matrix** — fixed seeds and modes, selectable through the
   ``FAULT_SEEDS`` / ``FAULT_MODES`` environment variables (defaults
-  ``101,202,303`` × ``poll,persist,persist-batched``), so the
-  workflow's ``faults`` job can shard one (seed, mode) cell per matrix
-  entry and any cell can be replayed locally verbatim:
-  ``FAULT_SEEDS=202 FAULT_MODES=persist pytest
-  tests/sync/test_fault_resilience_property.py``.  The
-  ``persist-batched`` cells run the same persist consumer over the
-  *pipelined* transport (docs/TRANSPORT.md), adding batch-boundary
-  drops/truncations from the ``:b`` decision stream.
+  ``101,202,303`` × ``poll,persist``), so the workflow's ``faults``
+  job can shard one (seed, mode) cell per matrix entry and any cell can
+  be replayed locally verbatim: ``FAULT_SEEDS=202 FAULT_MODES=persist
+  pytest tests/sync/test_fault_resilience_property.py``.  The network
+  runs a small batch window, so the ``persist`` cells cross many batch
+  boundaries: whole-batch drops/truncations from the ``:b`` stream and
+  per-PDU drops/duplicates from ``:n`` (docs/TRANSPORT.md §5).
 * **Hypothesis** — randomized seeds, fault rates and update schedules
   on top of the fixed matrix, shrinking towards small counterexamples.
 """
@@ -41,28 +40,17 @@ REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 NAMES = [f"P{i}" for i in range(8)]
 
 SEEDS = [int(s) for s in os.environ.get("FAULT_SEEDS", "101,202,303").split(",")]
-MODES = [
-    m.strip()
-    for m in os.environ.get("FAULT_MODES", "poll,persist,persist-batched").split(",")
-]
+MODES = [m.strip() for m in os.environ.get("FAULT_MODES", "poll,persist").split(",")]
 
 
-def make_network(seed: int, rate: float, mode: str) -> FaultyNetwork:
-    """The matrix network for one cell: ``persist-batched`` runs the
-    pipelined transport (batched fan-out + ``:b`` batch faults), the
-    other modes the historical synchronous one."""
-    kwargs = {}
-    if mode == "persist-batched":
-        kwargs = dict(
-            pipelined=True,
-            batch=BatchConfig(max_batch=4, max_age_ms=2.0, high_water=8),
-            seed=seed,
-        )
-    return FaultyNetwork(FaultPlan(FaultSpec.uniform(rate), seed=seed), **kwargs)
-
-
-def consumer_mode(mode: str) -> str:
-    return "persist" if mode.startswith("persist") else mode
+def make_network(seed: int, rate: float) -> FaultyNetwork:
+    """The matrix network for one cell, with a batch window small enough
+    that a dozen updates flush several batches."""
+    return FaultyNetwork(
+        FaultPlan(FaultSpec.uniform(rate), seed=seed),
+        batch=BatchConfig(max_batch=4, max_age_ms=2.0, high_water=8),
+        seed=seed,
+    )
 
 
 def person(name: str, dept: str = "42") -> Entry:
@@ -103,13 +91,13 @@ def run_scenario(seed: int, mode: str, rate: float = 0.3, steps: int = 12) -> No
     """Faulty phase (mutations + sync attempts), heal, converge, check."""
     master = build_master()
     provider = ResyncProvider(master)
-    net = make_network(seed, rate, mode)
+    net = make_network(seed, rate)
     consumer = ResilientConsumer(
         REQUEST,
         provider,
         network=net,
         seed=seed,
-        mode=consumer_mode(mode),
+        mode=mode,
         policy=RetryPolicy(max_attempts=4, jitter=0.25, persist_refresh_interval=3),
     )
     for step in range(steps):
@@ -141,13 +129,13 @@ class TestFaultMatrix:
         def counts():
             master = build_master()
             provider = ResyncProvider(master)
-            net = make_network(seed, 0.4, mode)
+            net = make_network(seed, 0.4)
             consumer = ResilientConsumer(
                 REQUEST,
                 provider,
                 network=net,
                 seed=seed,
-                mode=consumer_mode(mode),
+                mode=mode,
                 policy=RetryPolicy(max_attempts=4, persist_refresh_interval=3),
             )
             for step in range(8):

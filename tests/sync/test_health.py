@@ -1,7 +1,7 @@
 """The consumer health state machine: terminal states, quarantine
 re-probes, breaker half-open behavior (docs/FAULTS.md §4).
 
-Every test drives a :class:`ResilientConsumer` built with a
+Every test drives a :class:`ResilientConsumer` with a small
 :class:`HealthPolicy` against an explicitly partitioned provider — the
 cleanest sustained-fault source: every attempt raises
 ``NetworkPartitioned``, costs one round trip and nothing else.  The
@@ -17,12 +17,13 @@ load-bearing properties:
 """
 
 from repro.ldap import Entry, Scope, SearchRequest
-from repro.server import DirectoryServer, FaultyNetwork
+from repro.server import DirectoryServer, FaultyNetwork, NetworkPartitioned
 from repro.sync import (
     HEALTH_STATES,
     DurabilityConfig,
     HealthPolicy,
     MemoryJournal,
+    MemorySnapshotStore,
     ResilientConsumer,
     ResyncProvider,
     RetryPolicy,
@@ -267,3 +268,52 @@ class TestPersistModeHealth:
         for _ in range(20):
             assert consumer.sync_once() is None
         assert net.stats.round_trips == trips
+
+
+class SketchCutNetwork(FaultyNetwork):
+    """Polls get through; every sketch solicitation is partitioned."""
+
+    def reconcile_exchange(self, provider, request, rreq):
+        self.charge_round_trip()
+        raise NetworkPartitioned("no route for the sketch exchange")
+
+
+class TestSketchTierHonoursTheMachine:
+    def test_gave_up_inside_the_sketch_tier_ends_the_cycle(self):
+        """Regression: the reconcile ladder kept retrying after the
+        budget ran out, fired ``gave_up`` once per extra fault, and
+        ``sync_once`` then reloaded in the same cycle and ended
+        ``healthy``."""
+        master = build_master()
+        provider = ResyncProvider(master)
+        store = MemorySnapshotStore()
+        first = ResilientConsumer(
+            REQUEST, provider, network=FaultyNetwork(), snapshot_store=store
+        )
+        assert first.sync_once() is not None  # dumps content + cookie
+        provider.invalidate_cookie(first.content.cookie)
+
+        net = SketchCutNetwork()
+        consumer = ResilientConsumer(
+            REQUEST,
+            provider,
+            network=net,
+            policy=RetryPolicy(max_attempts=8, base_backoff_ms=10.0),
+            snapshot_store=store,
+            health=HealthPolicy(max_total_attempts=2),
+            name="sketch-cut",
+        )
+        assert consumer.warm_started
+        reloads = net.registry.counter("sync.resilient.reloads")
+
+        assert consumer.sync_once() is None  # refused cookie -> sketch tier
+        assert consumer.health_snapshot()["attempts_spent"] == 2
+        assert net.registry.counter("sync.health.gave_up").value == 1
+        assert consumer.health_state == "gave_up"
+        assert reloads.value == 0
+        assert len(consumer.content) == 4  # the restored content stands
+
+        trips = net.stats.round_trips
+        assert consumer.sync_once() is None
+        assert net.stats.round_trips == trips
+        assert reloads.value == 0

@@ -61,76 +61,67 @@ class ScriptedPlan(FaultPlan):
             return self._script.pop(0)
         return ExchangeFaults()
 
-    def next_notification(self):
-        return (False, False)
-
 
 class TestDroppedResponseRegression:
     """A transient transport fault must never wipe the replica.
 
-    Regression for the old ``resilient_poll``, whose only recovery path
-    was a reload that cleared all local entries before re-fetching: a
-    single dropped response emptied the replica until the next
-    successful poll.
+    Regression for the seed's retry helper, whose only recovery path was
+    a reload that cleared all local entries before re-fetching: a single
+    dropped response emptied the replica until the next successful poll.
     """
 
-    def test_single_drop_does_not_empty_replica(self):
+    @staticmethod
+    def synced(net, **policy):
         master = build_master()
         provider = ResyncProvider(master)
+        consumer = ResilientConsumer(
+            REQUEST, provider, network=net, policy=RetryPolicy(jitter=0.0, **policy)
+        )
+        assert consumer.sync_once() is not None
+        assert len(consumer.content) == 4
+        return master, provider, consumer
+
+    def test_single_drop_does_not_empty_replica(self):
         net = FaultyNetwork(ScriptedPlan())
-        content = SyncedContent(REQUEST, network=net)
-        content.resilient_poll(provider)
-        assert len(content) == 4
+        master, provider, consumer = self.synced(net)
 
         master.delete("cn=E0,o=xyz")
         net.plan = ScriptedPlan(ExchangeFaults(drop_response=True))
-        content.resilient_poll(provider)  # drop, then clean retry
-        assert content.matches_master(master)
+        consumer.sync_once()  # drop, then clean retry
+        assert consumer.content.matches_master(master)
         # The retry reused the session (no reload): exactly one session,
         # and the replica was never empty in between.
         assert provider.active_session_count == 1
+        assert net.registry.counter("sync.resilient.reloads").value == 0
 
     def test_drop_leaves_content_untouched_until_retry(self):
-        master = build_master()
-        provider = ResyncProvider(master)
         net = FaultyNetwork(ScriptedPlan())
-        content = SyncedContent(REQUEST, network=net)
-        content.resilient_poll(provider)
+        master, provider, consumer = self.synced(net, max_attempts=4)
 
-        net.plan = ScriptedPlan(
-            ExchangeFaults(drop_response=True),
-            ExchangeFaults(drop_response=True),
-            ExchangeFaults(drop_response=True),
-            ExchangeFaults(drop_response=True),
-        )
-        with pytest.raises(ResponseDropped):
-            content.resilient_poll(provider, max_attempts=4)
+        net.plan = ScriptedPlan(*[ExchangeFaults(drop_response=True)] * 4)
+        assert consumer.sync_once() is None
+        assert net.registry.counter("sync.resilient.exhausted").value == 1
         # Even after exhausting every attempt the stale content stands.
-        assert len(content) == 4
+        assert len(consumer.content) == 4
 
     def test_failed_reload_keeps_stale_content(self):
-        master = build_master()
-        provider = ResyncProvider(master)
         net = FaultyNetwork(ScriptedPlan())
-        content = SyncedContent(REQUEST, network=net)
-        content.resilient_poll(provider)
+        master, provider, consumer = self.synced(net)
 
         net.plan = ScriptedPlan(ExchangeFaults(drop_response=True))
         with pytest.raises(ResponseDropped):
-            content.reload(provider)
-        assert len(content) == 4  # stale but serviceable
+            consumer.content.reload(provider)
+        assert len(consumer.content) == 4  # stale but serviceable
 
     def test_protocol_error_still_reloads(self):
-        master = build_master()
-        provider = ResyncProvider(master)
         net = FaultyNetwork(ScriptedPlan())
-        content = SyncedContent(REQUEST, network=net)
-        content.resilient_poll(provider)
+        master, provider, consumer = self.synced(net)
 
-        provider.invalidate_cookie(content.cookie)
+        provider.invalidate_cookie(consumer.content.cookie)
         master.add(person("E9"))
-        content.resilient_poll(provider)
-        assert content.matches_master(master)
+        consumer.sync_once()
+        assert consumer.content.matches_master(master)
+        assert net.registry.counter("sync.resilient.reloads").value == 1
 
 
 class TestRetryPolicy:

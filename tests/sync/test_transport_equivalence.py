@@ -1,18 +1,22 @@
-"""Pipelined/batched transport vs the synchronous oracle.
+"""The network's batched persist transport vs the in-process stream.
 
-The PR 4/PR 8 playbook, applied to the transport (docs/TRANSPORT.md
-§6): the pipelined network is an *optimization*, so its observable
-behaviour must be provably tied to the historical synchronous path.
+``provider.persist(request, callback)`` *is* the protocol: the callback
+receives every notification inline with the master update, in order.
+The network's transport (docs/TRANSPORT.md §6) puts a
+:class:`~repro.sync.delivery.DeliveryQueue` in between, so its
+observable behaviour must be provably tied to that direct stream:
 
 * **Byte identity** (no overflow): for any update schedule, the
   concatenated encoded notification stream a persist session receives
-  over the pipelined transport is byte-for-byte the stream the
-  synchronous oracle delivers, and the applied contents match.
+  through the network is byte-for-byte the stream a direct
+  ``provider.persist`` callback receives, and the applied contents
+  match.
 * **Content equivalence** (with overflow): past the high-water mark
   the queue coalesces per DN — the stream shrinks, but the applied
-  content still converges to the oracle's.
-* **Fault equivalence**: same seeded fault schedule in both modes →
-  after heal, both converge to the same master content.
+  content still converges to the reference's.
+* **Fault equivalence**: under a seeded fault schedule the resilient
+  consumer, after heal, converges to the content the fault-free direct
+  stream holds.
 * **Determinism**: same seed → identical scheduler event order, clock,
   metrics and delivered bytes across two in-process runs.
 """
@@ -81,7 +85,7 @@ def mutate(master: DirectoryServer, step: int) -> None:
 
 def run_persist(steps, net, settle_each=False):
     """Drive one persist session over *net* through the update schedule;
-    returns (content, delivered-notification byte stream)."""
+    returns (master, content, delivered-notification byte stream, handle)."""
     master = build_master()
     provider = ResyncProvider(master)
     net.register(master)
@@ -102,6 +106,25 @@ def run_persist(steps, net, settle_each=False):
     return master, content, bytes(stream), handle
 
 
+def run_direct(steps):
+    """The reference: the same schedule into an in-process
+    ``provider.persist`` callback; returns (master, content, stream)."""
+    master = build_master()
+    provider = ResyncProvider(master)
+    content = SyncedContent(REQUEST)
+    stream = bytearray()
+
+    def deliver(update):
+        stream.extend(encode_sync_update(update))
+        content.apply_notification(update)
+
+    response, _handle = provider.persist(REQUEST, deliver)
+    content.apply(response)
+    for step in steps:
+        mutate(master, step)
+    return master, content, bytes(stream)
+
+
 def assert_same_content(a: SyncedContent, b: SyncedContent) -> None:
     assert {str(dn) for dn in a.entries} == {str(dn) for dn in b.entries}
     for dn in a.entries:
@@ -113,31 +136,28 @@ class TestByteIdentity:
     @settings(max_examples=60, deadline=None)
     def test_delivered_stream_is_byte_identical(self, steps):
         """Below the high-water mark (settled every step so batches stay
-        small), the pipelined session receives the oracle's exact
+        small), the queued session receives the direct stream's exact
         notification sequence — same payload bytes, same content."""
-        _, oracle, oracle_stream, _ = run_persist(steps, SimulatedNetwork())
-        _, piped, piped_stream, _ = run_persist(
+        _, direct, direct_stream = run_direct(steps)
+        _, queued, queued_stream, _ = run_persist(
             steps,
             SimulatedNetwork(
-                pipelined=True,
                 batch=BatchConfig(max_batch=64, max_age_ms=2.0, high_water=4096),
                 seed=1,
             ),
             settle_each=True,
         )
-        assert piped_stream == oracle_stream
-        assert_same_content(oracle, piped)
+        assert queued_stream == direct_stream
+        assert_same_content(direct, queued)
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_byte_identity_is_seed_independent(self, seed):
         steps = list(range(20))
-        _, _, oracle_stream, _ = run_persist(steps, SimulatedNetwork())
-        _, _, piped_stream, _ = run_persist(
-            steps,
-            SimulatedNetwork(pipelined=True, seed=seed),
-            settle_each=True,
+        _, _, direct_stream = run_direct(steps)
+        _, _, queued_stream, _ = run_persist(
+            steps, SimulatedNetwork(seed=seed), settle_each=True
         )
-        assert piped_stream == oracle_stream
+        assert queued_stream == direct_stream
 
 
 class TestContentEquivalenceUnderCoalescing:
@@ -147,22 +167,20 @@ class TestContentEquivalenceUnderCoalescing:
         """Never settled mid-run and squeezed through a tiny high-water
         mark, the queue degrades to per-DN coalescing: fewer bytes, the
         same final content."""
-        _, oracle, oracle_stream, _ = run_persist(steps, SimulatedNetwork())
-        _, piped, piped_stream, handle = run_persist(
+        _, direct, direct_stream = run_direct(steps)
+        _, queued, queued_stream, handle = run_persist(
             steps,
             SimulatedNetwork(
-                pipelined=True,
                 batch=BatchConfig(max_batch=4, max_age_ms=5.0, high_water=4),
                 seed=2,
             ),
             settle_each=False,
         )
-        assert_same_content(oracle, piped)
-        assert len(piped_stream) <= len(oracle_stream)
+        assert_same_content(direct, queued)
+        assert len(queued_stream) <= len(direct_stream)
 
     def test_backpressured_consumer_still_converges(self):
         net = SimulatedNetwork(
-            pipelined=True,
             batch=BatchConfig(max_batch=4, max_age_ms=2.0, high_water=4),
             seed=3,
         )
@@ -193,54 +211,43 @@ class TestFaultEquivalence:
     )
     @settings(max_examples=30, deadline=None)
     def test_same_fault_schedule_same_converged_content(self, seed, rate, steps):
-        """One seeded fault schedule, both transports: after heal both
-        resilient consumers converge to the identical master content."""
+        """One seeded fault schedule over the network, the fault-free
+        direct stream beside it: after heal the resilient consumer holds
+        exactly what the direct callback was told."""
+        master = build_master()
+        provider = ResyncProvider(master)
+        net = FaultyNetwork(
+            FaultPlan(FaultSpec.uniform(rate), seed=seed),
+            batch=BatchConfig(max_batch=4, max_age_ms=2.0, high_water=8),
+            seed=seed,
+        )
+        net.register(master)
+        consumer = ResilientConsumer(
+            REQUEST,
+            provider,
+            network=net,
+            seed=seed,
+            mode="persist",
+            policy=RetryPolicy(max_attempts=4, jitter=0.25, persist_refresh_interval=3),
+        )
+        for step in range(steps):
+            mutate(master, step)
+            consumer.sync_once()
+        net.heal()
+        assert consumer.converge(master, max_cycles=16) is not None
 
-        def run(pipelined):
-            master = build_master()
-            provider = ResyncProvider(master)
-            kwargs = (
-                dict(
-                    pipelined=True,
-                    batch=BatchConfig(max_batch=4, max_age_ms=2.0, high_water=8),
-                    seed=seed,
-                )
-                if pipelined
-                else {}
-            )
-            net = FaultyNetwork(FaultPlan(FaultSpec.uniform(rate), seed=seed), **kwargs)
-            net.register(master)
-            consumer = ResilientConsumer(
-                REQUEST,
-                provider,
-                network=net,
-                seed=seed,
-                mode="persist",
-                policy=RetryPolicy(
-                    max_attempts=4, jitter=0.25, persist_refresh_interval=3
-                ),
-            )
-            for step in range(steps):
-                mutate(master, step)
-                consumer.sync_once()
-            net.heal()
-            assert consumer.converge(master, max_cycles=16) is not None
-            return master, consumer.content
-
-        master_s, content_s = run(pipelined=False)
-        master_p, content_p = run(pipelined=True)
+        master_d, direct, _ = run_direct(range(steps))
         # Identical mutation schedule → identical masters; both replicas
-        # converged to them → identical replica content.
-        assert content_s.matches_master(master_s)
-        assert content_p.matches_master(master_p)
-        assert_same_content(content_s, content_p)
+        # track them → identical replica content.
+        assert direct.matches_master(master_d)
+        assert consumer.content.matches_master(master)
+        assert_same_content(direct, consumer.content)
 
 
 class TestDeterminism:
     def test_two_runs_identical_events_clock_and_bytes(self):
         def run():
             net = SimulatedNetwork(
-                pipelined=True,
                 batch=BatchConfig(max_batch=4, max_age_ms=2.0, high_water=8),
                 seed=11,
             )
@@ -260,7 +267,6 @@ class TestDeterminism:
         def run():
             net = FaultyNetwork(
                 FaultPlan(FaultSpec.uniform(0.3), seed=5),
-                pipelined=True,
                 batch=BatchConfig(max_batch=4, max_age_ms=2.0, high_water=8),
                 seed=5,
             )
@@ -288,9 +294,8 @@ class TestCrashMidFlush:
     incarnation and delivers nothing into the new one)."""
 
     @staticmethod
-    def _pipelined_faulty(seed: int) -> FaultyNetwork:
+    def _small_batch_faulty(seed: int) -> FaultyNetwork:
         return FaultyNetwork(
-            pipelined=True,
             batch=BatchConfig(max_batch=4, max_age_ms=2.0, high_water=8),
             seed=seed,
         )
@@ -298,7 +303,7 @@ class TestCrashMidFlush:
     def test_backpressured_batches_survive_crash_resubscribe(self):
         master = build_master()
         provider = ResyncProvider(master)
-        net = self._pipelined_faulty(seed=13)
+        net = self._small_batch_faulty(seed=13)
         net.register(master)
         consumer = ResilientConsumer(
             REQUEST,
@@ -338,7 +343,7 @@ class TestCrashMidFlush:
     def test_stale_queue_never_delivers_after_crash(self):
         master = build_master()
         provider = ResyncProvider(master)
-        net = self._pipelined_faulty(seed=17)
+        net = self._small_batch_faulty(seed=17)
         net.register(master)
         content = SyncedContent(REQUEST, network=net)
         applied = []
