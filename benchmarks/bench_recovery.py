@@ -48,10 +48,10 @@ from repro.server import DirectoryServer, Modification, SimulatedNetwork
 from repro.sync import (
     DurabilityConfig,
     MemoryJournal,
-    ReconcileConfig,
     ResilientConsumer,
     ResyncProvider,
     SyncedContent,
+    SyncProtocolError,
     build_sketch,
 )
 
@@ -293,7 +293,8 @@ def diverge(master: DirectoryServer, amount: int) -> None:
 
 def run_reconcile_cell(amount: int, tier_enabled: bool) -> dict:
     """One recovery after *amount* entries of divergence: the full
-    ladder when *tier_enabled*, the rebuild fallback otherwise.
+    ladder when *tier_enabled*; otherwise its bottom rung driven by
+    hand — the refused poll, then the null-cookie rebuild.
 
     The schedule mints an ``:h`` cookie (overflowing a 2-entry session
     history), diverges the master while the session is dead, and
@@ -306,12 +307,7 @@ def run_reconcile_cell(amount: int, tier_enabled: bool) -> dict:
         journal=MemoryJournal(),
     )
     net = SimulatedNetwork()
-    consumer = ResilientConsumer(
-        RECONCILE_REQUEST,
-        provider,
-        network=net,
-        reconcile_config=ReconcileConfig() if tier_enabled else None,
-    )
+    consumer = ResilientConsumer(RECONCILE_REQUEST, provider, network=net)
     consumer.sync_once()
     for i in range(4):  # overflow the history: the cookie gains :h
         master.modify(
@@ -323,7 +319,15 @@ def run_reconcile_cell(amount: int, tier_enabled: bool) -> dict:
     provider.invalidate_cookie(consumer.content.cookie)
 
     before = net.stats.snapshot()
-    assert consumer.sync_once() is not None
+    if tier_enabled:
+        assert consumer.sync_once() is not None
+    else:
+        try:
+            consumer.content.poll(provider)
+        except SyncProtocolError:
+            consumer.content.reload(provider)
+        else:
+            raise AssertionError("the invalidated cookie was honoured")
     recovery = net.stats - before
     assert consumer.content.matches_master(master)
     registry = net.registry.to_dict()

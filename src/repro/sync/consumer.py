@@ -200,21 +200,27 @@ class SyncedContent:
         """
         with span("sync.resync.cookie_round_trip") as sp:
             control = ReSyncControl(mode=SyncMode.POLL, cookie=self.cookie)
-            deliveries = self._exchange(provider, control)
-            if timeout_ms is not None:
-                timely = [d for d in deliveries if d.delay_ms <= timeout_ms]
-                if not timely:
-                    raise OperationTimeout(
-                        f"no response within {timeout_ms:g}ms "
-                        f"(slowest delivery {deliveries[-1].delay_ms:.0f}ms)"
-                    )
-                deliveries = timely
+            deliveries = self.timely(self._exchange(provider, control), timeout_ms)
             applied = 0
             for delivery in deliveries:
                 self.apply(delivery.response)
                 applied += len(delivery.response.updates)
             sp.add("updates_applied", applied)
         return deliveries[-1].response
+
+    @staticmethod
+    def timely(deliveries: List[Delivery], timeout_ms: Optional[float]) -> List[Delivery]:
+        """The *deliveries* that arrived within *timeout_ms* (None: all
+        of them); :class:`OperationTimeout` when none did."""
+        if timeout_ms is None:
+            return deliveries
+        timely = [d for d in deliveries if d.delay_ms <= timeout_ms]
+        if not timely:
+            raise OperationTimeout(
+                f"no response within {timeout_ms:g}ms "
+                f"(slowest delivery {deliveries[-1].delay_ms:.0f}ms)"
+            )
+        return timely
 
     def _exchange(self, provider, control: ReSyncControl) -> List[Delivery]:
         """Route one request/response exchange, through the network's

@@ -11,14 +11,15 @@ the content.
 
 Three pieces:
 
-* **Write-ahead journal + snapshots** — every state-changing provider
-  event (committed master update, session create, poll, degraded
-  resume, session end) is appended to a :class:`JournalBackend` as one
-  JSON record; every ``snapshot_interval`` appends the full provider
-  state is serialized and the journal truncated (compaction).
-  ``ResyncProvider.recover()`` replays snapshot + tail to rebuild the
-  exact pre-crash session state, so consumers resume from their
-  existing cookies with an incremental delta.  Two backends:
+* **Write-ahead journal + snapshots** — every fold of the provider
+  (``ResyncProvider.FOLDS``: committed master update, session create,
+  poll, touch, degraded resume, park, end) appends one JSON record to
+  a :class:`JournalBackend`; every ``snapshot_interval`` appends the
+  full provider state is serialized and the journal truncated
+  (compaction).  ``ResyncProvider.recover()`` restores the snapshot
+  and calls the same folds on the tail, rebuilding the exact
+  pre-crash session state, so consumers resume from their existing
+  cookies with an incremental delta.  Two backends:
   :class:`MemoryJournal` (replayable in-memory log for tests/benches —
   records are *serialized strings*, so torn tails and corruption are
   honest) and :class:`FileJournal` (``journal.jsonl`` +

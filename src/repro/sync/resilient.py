@@ -214,8 +214,7 @@ class ResilientConsumer:
         mode: ``"poll"`` (cookie sessions) or ``"persist"`` (an open
             connection carrying change notifications).
         reconcile_config: sizing policy for the sketch-reconciliation
-            recovery tier (docs/RECOVERY.md); None disables the tier
-            (every dead cookie reloads, the pre-reconcile behavior).
+            recovery tier (docs/RECOVERY.md).
         snapshot_store: optional :class:`SnapshotStore` — when given,
             the consumer warm-starts from it on construction (the
             ladder's first rung) and re-dumps its content every
@@ -240,7 +239,7 @@ class ResilientConsumer:
         seed: int = 0,
         replica_server: Optional[DirectoryServer] = None,
         mode: str = "poll",
-        reconcile_config: Optional[ReconcileConfig] = ReconcileConfig(),
+        reconcile_config: ReconcileConfig = ReconcileConfig(),
         snapshot_store: Optional[SnapshotStore] = None,
         snapshot_interval: int = 1,
         health: HealthPolicy = HealthPolicy(),
@@ -415,16 +414,28 @@ class ResilientConsumer:
         if not self._health_gate():
             return None
         self._cycles.inc()
-        failures = 0
-        attempt_cap = self._cycle_attempt_cap()
-        while failures < attempt_cap:
+        response, _ = self._attempt(self._cycle_exchange, self._cycle_attempt_cap())
+        if response is None:
+            self._cycle_failed()
+        else:
+            self._cycle_succeeded()
+        return response
+
+    def _cycle_exchange(self) -> Optional[SyncResponse]:
+        """One poll (or one look at the persist subscription), climbing
+        the recovery ladder when the provider refuses the cookie.
+        Returns the applied response; None when the sketch tier spent
+        the cycle."""
+        while True:
             try:
-                if self.mode == "poll":
-                    response = self.content.poll(
-                        self.provider, timeout_ms=self.policy.timeout_ms
-                    )
-                else:
-                    response = self._persist_cycle()
+                if self.mode == "persist":
+                    return self._persist_cycle()
+                return self.content.poll(
+                    self.provider, timeout_ms=self.policy.timeout_ms
+                )
+            except TransportError as exc:
+                self._apply_safe_prefix(exc)
+                raise
             except SyncProtocolError:
                 # The session is gone — but *why* matters.  A provider
                 # restart with an intact journal never lands here (the
@@ -442,29 +453,36 @@ class ResilientConsumer:
                     raise  # a fresh session was refused — not recoverable
                 if self.mode == "poll" and self._should_reconcile():
                     reconciled = self.reconcile()
-                    if reconciled is not None:
-                        self._cycle_succeeded()
-                        return reconciled
-                    if self._retries_suspended():
-                        break  # the sketch tier spent the cycle, not a reload
+                    if reconciled is not None or self._retries_suspended():
+                        return reconciled  # None: no reload on a spent cycle
                 self._reloads.inc()
                 self.content.cookie = None
                 if self.mode == "persist":
                     self._teardown_subscription()
-                continue
+
+    def _attempt(self, exchange, cap: int, charge_last: bool = True, failures: int = 0):
+        """The one transport-attempt loop, of the poll/persist cycle and
+        of both sketch-tier exchanges: run *exchange* until it returns
+        or *cap* failures are reached (*failures* of them already spent).
+
+        Each :class:`TransportError` is one failure and is charged
+        (:meth:`_note_transport_fault`: backoff, lifetime budget,
+        breaker), after which the health machine may suspend retries.
+        The sketch tier leaves its cap-th failure uncharged: it falls
+        back to the rebuild at once, with no retry to back off for.
+        Returns ``(result, failures)``, the result None when the loop
+        gave out; protocol errors propagate.
+        """
+        while failures < cap:
+            try:
+                return exchange(), failures
             except TransportError as exc:
-                self._apply_safe_prefix(exc)
-                # A busy server's retry-after hint (admission control)
-                # is honored as a floor under the computed backoff.
-                self._note_transport_fault(exc, failures)
                 failures += 1
-                if self._retries_suspended():
-                    break  # breaker tripped / quarantined / gave up
-                continue
-            self._cycle_succeeded()
-            return response
-        self._cycle_failed()
-        return None
+                if failures < cap or charge_last:
+                    self._note_transport_fault(exc, failures - 1)
+                    if self._retries_suspended():
+                        break
+        return None, failures
 
     def converge(
         self, master: DirectoryServer, max_cycles: int = 64
@@ -507,8 +525,7 @@ class ResilientConsumer:
         what it always meant.
         """
         return (
-            self.reconcile_config is not None
-            and (self._cookie_overflowed() or self._snapshot_restored)
+            (self._cookie_overflowed() or self._snapshot_restored)
             and len(self.content) > 0
             and callable(getattr(self.provider, "reconcile", None))
         )
@@ -540,13 +557,11 @@ class ResilientConsumer:
         validated decode.
         """
         cfg = self.reconcile_config
-        if cfg is None:
-            return None
         self._rec_attempts.inc()
         cells: Optional[int] = None
         salt = self._salt_rng.getrandbits(32)
         prev_cookie: Optional[str] = None
-        transport_failures = 0
+        failures = 0
         while True:
             rreq = ReconcileRequest(
                 divergence_hint=cfg.initial_divergence,
@@ -555,20 +570,17 @@ class ResilientConsumer:
                 cookie=prev_cookie,
             )
             try:
-                response = self._reconcile_exchange(rreq)
+                response, failures = self._attempt(
+                    lambda: self._reconcile_exchange(rreq),
+                    self.policy.max_attempts,
+                    charge_last=False,
+                    failures=failures,
+                )
             except SyncProtocolError:
+                response = None
+            if response is None:
                 self._rec_fallbacks.inc()
                 return None
-            except TransportError as exc:
-                transport_failures += 1
-                if transport_failures >= self.policy.max_attempts:
-                    self._rec_fallbacks.inc()
-                    return None
-                self._note_transport_fault(exc, transport_failures - 1)
-                if self._retries_suspended():
-                    self._rec_fallbacks.inc()
-                    return None
-                continue
             self._rec_rounds.inc()
             self._rec_sketch_bytes.inc(response.pdu_bytes)
             prev_cookie = response.cookie
@@ -635,20 +647,16 @@ class ResilientConsumer:
         """
         fetch_keys, delete_dns = plan
         fetch = ReconcileFetch(keys=tuple(fetch_keys), cookie=cookie)
-        transport_failures = 0
-        while True:
-            try:
-                deliveries = self._reconcile_fetch_exchange(fetch)
-                break
-            except SyncProtocolError:
-                return None
-            except TransportError as exc:
-                transport_failures += 1
-                if transport_failures >= self.policy.max_attempts:
-                    return None
-                self._note_transport_fault(exc, transport_failures - 1)
-                if self._retries_suspended():
-                    return None
+        try:
+            deliveries, _ = self._attempt(
+                lambda: self._reconcile_fetch_exchange(fetch),
+                self.policy.max_attempts,
+                charge_last=False,
+            )
+        except SyncProtocolError:
+            return None
+        if deliveries is None:
+            return None
         self._rec_success.inc()
         self._rec_delta.inc(len(fetch_keys) + len(delete_dns))
         fetched = 0
@@ -665,11 +673,14 @@ class ResilientConsumer:
         return self.provider.reconcile(self.request, rreq)
 
     def _reconcile_fetch_exchange(self, fetch: ReconcileFetch):
+        """The fetch deliveries that beat the per-operation timeout."""
         if self.network is not None:
-            return self.network.reconcile_fetch_exchange(
+            deliveries = self.network.reconcile_fetch_exchange(
                 self.provider, self.request, fetch
             )
-        return [Delivery(self.provider.reconcile_fetch(self.request, fetch))]
+        else:
+            deliveries = [Delivery(self.provider.reconcile_fetch(self.request, fetch))]
+        return SyncedContent.timely(deliveries, self.policy.timeout_ms)
 
     def _note_transport_fault(self, exc: TransportError, failure: int) -> None:
         """Count one transport fault, wait out its backoff and charge it

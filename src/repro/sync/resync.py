@@ -60,6 +60,31 @@ __all__ = ["ResyncProvider", "RetainResyncProvider", "PersistHandle"]
 DeliverFn = Callable[[SyncUpdate], None]
 
 
+class LastChangeMap(Dict[DN, int]):
+    """Eq. 3's master-side state: the CSN at which each live entry last
+    changed, maintained from the update stream.  The one implementation
+    behind :class:`RetainResyncProvider` and the durable
+    :class:`ResyncProvider`'s degraded resumes."""
+
+    def note(self, record: UpdateRecord) -> None:
+        """Fold one committed update into the map."""
+        if record.op in (UpdateOp.DELETE, UpdateOp.MODIFY_DN):
+            self.pop(record.dn, None)
+        if record.op is not UpdateOp.DELETE:
+            self[record.effective_dn] = record.csn
+
+    def classify(self, content, since: int) -> List[SyncUpdate]:
+        """Eq. 3 over *content*: the full entry for everything changed
+        after CSN *since*, a DN-only ``retain`` for the unchanged rest."""
+        changed_at = self.get
+        return [
+            SyncUpdate.add(entry)
+            if changed_at(entry.dn, 0) > since
+            else SyncUpdate.retain(entry.dn)
+            for entry in content
+        ]
+
+
 class PersistHandle:
     """Client-side handle to an open persist-mode connection.
 
@@ -83,7 +108,7 @@ class PersistHandle:
     def abandon(self) -> None:
         """Tear down the persistent connection without a sync_end."""
         if self.active:
-            self._provider._end_session(self._session.session_id)
+            self._provider._fold_end(self._session.session_id)
             self.active = False
             if self.delivery_queue is not None:
                 self.delivery_queue.close()
@@ -104,15 +129,20 @@ class ResyncProvider:
     order with the same compiled-vs-interpreted-equivalent predicate,
     so the per-session notification streams are byte-identical.
 
-    With a *journal* the provider becomes **durable** (docs/PROTOCOL.md
-    §10): every state-changing event is journaled write-ahead, state is
-    snapshotted periodically, and :meth:`recover` rebuilds the exact
-    pre-crash session state so consumers resume from their existing
-    cookies with an incremental delta instead of a full resync.  A
-    :class:`~repro.sync.durability.DurabilityConfig` additionally caps
-    per-session histories (overflow degrades that one session to an
-    incomplete-history resume, eq. 3) and rate-limits full-content
-    rebuilds (resync-storm admission control).
+    Provider state changes only through **the fold**: seven transition
+    kinds (:attr:`FOLDS` — ``update``, ``create``, ``poll``, ``touch``,
+    ``resume``, ``park``, ``end``), each applied by exactly one
+    ``_fold_*`` method.  The live handlers validate a request, call the
+    fold and build the response; with a *journal* the fold also appends
+    its own record, which makes the provider **durable**
+    (docs/PROTOCOL.md §10): state is snapshotted periodically, and
+    :meth:`recover` resets, restores the snapshot and calls the same
+    folds on every journaled record, so consumers resume from their
+    existing cookies with an incremental delta instead of a full
+    resync.  A :class:`~repro.sync.durability.DurabilityConfig`
+    additionally caps per-session histories (overflow degrades that one
+    session to an incomplete-history resume, eq. 3) and rate-limits
+    full-content rebuilds (resync-storm admission control).
 
     Args:
         server: the master directory server.
@@ -161,8 +191,10 @@ class ResyncProvider:
         self._watermark = server.current_csn
         # Per-entry last-change CSNs (eq.-3 degraded resumes); only
         # maintained when a durability config is present.
-        self._last_change: Dict[DN, int] = {}
+        self._last_change = LastChangeMap()
         self._appends_since_snapshot = 0
+        # True while recover() folds the journal: the folds then append
+        # nothing and count nothing (the registry survived the crash).
         self._replaying = False
         self.admission: Optional[AdmissionController] = None
         if durability is not None and durability.admission_burst is not None:
@@ -179,11 +211,7 @@ class ResyncProvider:
     # ------------------------------------------------------------------
     def on_update(self, record: UpdateRecord) -> None:
         """Fold one committed master update into every affected session."""
-        self._journal_event({"t": "update", **record_to_wire(record)})
-        self._watermark = record.csn
-        if self.durability is not None:
-            self._note_last_change(record)
-        self._fan_out(record)
+        self._fold_update(record)
         self._maybe_snapshot()
 
     def _fan_out(self, record: UpdateRecord) -> None:
@@ -199,7 +227,6 @@ class ResyncProvider:
         # visit happens between this record's deliveries exactly where
         # the linear scan would put it.
         routed = self.router.route_verdicts(record)
-        self._route_candidates.inc(len(routed))
         visits = []
         same_dn = record.dn == record.effective_dn
         for rs, verdict in routed:
@@ -218,7 +245,9 @@ class ResyncProvider:
                     rs, in_before, in_after, record.dn, record.effective_dn
                 )
             visits.append((rs.session, in_before, in_after))
-        self._route_notified.inc(len(visits))
+        if not self._replaying:
+            self._route_candidates.inc(len(routed))
+            self._route_notified.inc(len(visits))
         # Phase 2: notify, in session-creation order (== linear order).
         # One shared frozen SyncUpdate per outcome kind serves every
         # visited session (consumers copy entries on apply), so each PDU
@@ -248,23 +277,6 @@ class ResyncProvider:
                     enters = SyncUpdate.add(record.after)
                 session.enqueue(enters)
             flush(session)
-
-    def _apply_to_session(self, session: Session, record: UpdateRecord) -> None:
-        """Evaluate *record* against one session with both images — the
-        journal-replay fan-out."""
-        request = session.request
-        in_before = record.before is not None and request.selects(record.before)
-        in_after = record.after is not None and request.selects(record.after)
-        if not in_before and not in_after:
-            return
-        session.observe(
-            in_before=in_before,
-            in_after=in_after,
-            old_dn=record.dn,
-            new_dn=record.effective_dn,
-            after_entry=record.after,
-        )
-        self._flush_persist(session)
 
     def _flush_persist(self, session: Session) -> None:
         if session.persist_queue is None:
@@ -331,33 +343,26 @@ class ResyncProvider:
     ) -> tuple[SyncResponse, Optional[Session]]:
         if control.mode is SyncMode.SYNC_END:
             if control.cookie is not None:
-                self._end_session(control.cookie)
+                self._fold_end(control.cookie)
             return SyncResponse(updates=[], cookie=None), None
+        persist = control.mode is SyncMode.PERSIST
+        if persist and deliver is None:
+            raise SyncProtocolError("persist mode requires a deliver callback")
 
-        event: Optional[dict] = None
         if control.cookie is None:
             # Initial request: the whole current content travels — the
             # expensive full-content rebuild admission control meters.
             if self.admission is not None:
                 self.admission.admit()  # may raise ServerBusy
             with span("sync.resync.initial_content") as sp:
-                session = self.sessions.create(request)
-                self._configure_session(session)
                 content = self._search_content(request)
-                session.seed_content(content)
-                session.drain_csn = self._watermark
-                session.prev_drain_csn = self._watermark
-                self.router.register(session, (e.dn for e in content))
-                updates = [SyncUpdate.add(e) for e in content]
-                sp.add("entries_sent", len(updates))
-            response = SyncResponse(updates=updates, initial=True)
-            event = {
-                "t": "create",
-                "sid": session.session_id,
-                "req": request_to_wire(request),
-                "content": sorted(str(e.dn) for e in content),
-                "csn": self._watermark,
-            }
+                session = self._fold_create(
+                    request, [e.dn for e in content], self._watermark, persist
+                )
+                response = SyncResponse(
+                    updates=[SyncUpdate.add(e) for e in content], initial=True
+                )
+                sp.add("entries_sent", len(content))
         else:
             # Resumed session: scan the per-session history and emit the
             # coalesced net actions (eq. 2) — or, when the history was
@@ -365,61 +370,38 @@ class ResyncProvider:
             if self.admission is not None:
                 self.admission.replenish()
             with span("sync.resync.history_scan") as sp:
-                session = self.sessions.lookup(control.cookie)
+                session = self._session_of(control.cookie, request)
                 try:
-                    if session.request != request:
-                        raise SyncProtocolError(
-                            "cookie presented with a different search request"
-                        )
                     generation = SessionStore.generation_of(control.cookie)
-                    if self._needs_degraded_resume(session, generation):
-                        if control.mode is SyncMode.PERSIST:
-                            raise SyncProtocolError(
-                                "incomplete-history resume requires poll mode"
-                            )
-                        response, event = self._serve_degraded(session, generation)
-                        sp.add("actions_emitted", len(response.updates))
-                    else:
-                        if generation == session.generation:
-                            # The latest cookie acknowledges any pending
-                            # degraded resume along with the last batch.
-                            session.degraded_since_csn = None
-                        gen_before = session.generation
-                        updates = self.sessions.service_poll(session, control.cookie)
-                        # Both drain and retransmit rebuild the batch at
-                        # the current watermark; only a drain retires
-                        # the previous one.
-                        if session.generation != gen_before:
-                            session.prev_drain_csn = session.drain_csn
-                        session.drain_csn = self._watermark
-                        response = SyncResponse(updates=updates)
-                        event = {
-                            "t": "poll",
-                            "sid": session.session_id,
-                            "gen": generation,
-                        }
-                        sp.add("actions_emitted", len(updates))
+                    if not 0 <= session.generation - generation <= 1:
+                        raise SyncProtocolError(
+                            f"cookie {control.cookie!r} is too old for session "
+                            f"{session.session_id} (at generation "
+                            f"{session.generation}); full reload required"
+                        )
+                    degraded = self._needs_degraded_resume(session, generation)
+                    if degraded and persist:
+                        raise SyncProtocolError(
+                            "incomplete-history resume requires poll mode"
+                        )
                 except SyncProtocolError:
-                    # The lookup already advanced the activity clock;
-                    # replay must advance it identically.
-                    self._journal_event({"t": "touch", "sid": session.session_id})
+                    # A refused cookie is session activity all the same.
+                    self._fold_touch(session.session_id)
                     raise
+                if degraded:
+                    response = self._serve_degraded(session, generation)
+                else:
+                    updates = self._fold_poll(session.session_id, generation, persist)
+                    response = SyncResponse(updates=updates)
+                sp.add("actions_emitted", len(response.updates))
 
-        if control.mode is SyncMode.PERSIST:
-            if deliver is None:
-                raise SyncProtocolError("persist mode requires a deliver callback")
-            session.persist_queue = []
+        if persist:
             self._persist_callbacks[session.session_id] = deliver
-            response.cookie = None
         else:
-            session.persist_queue = None
             self._persist_callbacks.pop(session.session_id, None)
             if not response.uses_retain:
                 # A degraded resume already stamped its own ":h" cookie.
                 response.cookie = self.sessions.cookie_for(session)
-        if event is not None:
-            event["persist"] = control.mode is SyncMode.PERSIST
-            self._journal_event(event)
         self._maybe_snapshot()
         return response, session
 
@@ -450,15 +432,15 @@ class ResyncProvider:
         path that keeps a recovery storm off the rebuild budget.
 
         A fresh session is minted *at sketch time*, seeded with the
-        sketched content, and journaled like any initial poll — so the
-        cookie in the response survives a provider crash, and every
-        master update between the sketch and the consumer's next poll
-        lands in the session's pending history rather than in a
-        divergence window.  ``rreq.cookie`` (a previous attempt's
-        session, on a doubling retry) is ended first.
+        sketched content, and journaled like any initial poll (the same
+        ``create`` fold) — so the cookie in the response survives a
+        provider crash, and every master update between the sketch and
+        the consumer's next poll lands in the session's pending history
+        rather than in a divergence window.  ``rreq.cookie`` (a previous
+        attempt's session, on a doubling retry) is ended first.
         """
         if rreq.cookie is not None:
-            self._end_session(rreq.cookie)
+            self._fold_end(rreq.cookie)
         if self.admission is not None:
             self.admission.replenish()
         with span("sync.resync.reconcile_scan") as sp:
@@ -468,25 +450,12 @@ class ResyncProvider:
                 else cells_for_divergence(rreq.divergence_hint)
             )
             content = self._search_content(request)
-            session = self.sessions.create(request)
-            self._configure_session(session)
-            session.seed_content(content)
-            session.drain_csn = self._watermark
-            session.prev_drain_csn = self._watermark
-            self.router.register(session, (e.dn for e in content))
+            session = self._fold_create(
+                request, [e.dn for e in content], self._watermark, False
+            )
             sketch = build_sketch(content, cells, salt=rreq.salt)
             sp.add("entries_sketched", len(content))
         self._reconcile_served.inc()
-        self._journal_event(
-            {
-                "t": "create",
-                "sid": session.session_id,
-                "req": request_to_wire(request),
-                "content": sorted(str(e.dn) for e in content),
-                "csn": self._watermark,
-                "persist": False,
-            }
-        )
         self._maybe_snapshot()
         return ReconcileResponse(
             sketch=sketch,
@@ -507,25 +476,15 @@ class ResyncProvider:
         here on is an ordinary §4 poll session.
         """
         with span("sync.resync.reconcile_fetch") as sp:
-            session = self.sessions.lookup(fetch.cookie)
-            try:
-                if session.request != request:
-                    raise SyncProtocolError(
-                        "cookie presented with a different search request"
-                    )
-                content = self._search_content(request)
-                by_key = {entry_key(e.dn): e for e in content}
-                wanted = set(fetch.keys)
-                updates = [
-                    SyncUpdate.add(e)
-                    for key, e in by_key.items()
-                    if key in wanted
-                ]
-                sp.add("entries_sent", len(updates))
-            finally:
-                # The lookup advanced the activity clock; replay must
-                # advance it identically (mirrors the poll error path).
-                self._journal_event({"t": "touch", "sid": session.session_id})
+            session = self._session_of(fetch.cookie, request)
+            content = self._search_content(request)
+            by_key = {entry_key(e.dn): e for e in content}
+            wanted = set(fetch.keys)
+            updates = [
+                SyncUpdate.add(e) for key, e in by_key.items() if key in wanted
+            ]
+            sp.add("entries_sent", len(updates))
+            self._fold_touch(session.session_id)
         self._reconcile_fetches.inc()
         self._maybe_snapshot()
         return SyncResponse(
@@ -547,80 +506,31 @@ class ResyncProvider:
         streams simply stop; consumers detect the dead connection and
         re-subscribe.
         """
-        self.sessions = self._new_store(self.sessions.idle_limit)
-        self._persist_callbacks.clear()
-        self.router.reset()
-        self._last_change.clear()
-        self._watermark = self.server.current_csn
-        self._appends_since_snapshot = 0
+        self._reset(self.server.current_csn)
         if self.admission is not None:
             self.admission.reset()
         # The journal is the durable store: it survives the crash
         # untouched (modulo injected damage) for recover() to replay.
 
+    def _reset(self, watermark: int) -> None:
+        """Forget every piece of in-memory protocol state."""
+        self.sessions = self._new_store(self.sessions.idle_limit)
+        self._persist_callbacks.clear()
+        self.router.reset()
+        self._last_change.clear()
+        self._watermark = watermark
+        self._appends_since_snapshot = 0
+
     def invalidate_cookie(self, cookie: str) -> None:
         """Expire the session named by *cookie* (the admin time limit
         firing early); its next presentation raises
         :class:`SyncProtocolError`."""
-        self._end_session(cookie)
-
-    def park_session(self, cookie: str) -> bool:
-        """Park the session named by *cookie* at the eq.-3 retain tier
-        (quarantine relief, docs/RECOVERY.md §5).
-
-        The per-session history is abandoned *now* — the provider stops
-        accumulating update state for a flapping consumer — and the next
-        poll is served as an incomplete-history resume
-        (:meth:`_serve_degraded`): full entries for what changed since
-        the consumer's last drain, DN-only ``retain`` actions for the
-        unchanged rest, cookie stamped ``:h``.  Journaled and replayed
-        like any other session transition, so a recovered provider
-        holds identically-parked state.
-
-        Returns True when the session existed and was parked.  Unknown
-        cookies are a counted no-op (``sync.session.unknown_cookie``),
-        like :meth:`_end_session` — quarantine is best-effort relief,
-        never a new failure mode.  Providers without durability have no
-        eq.-3 resume path and refuse (False).
-        """
-        if self.durability is None:
-            return False
-        session = self.sessions.get(cookie.split(":", 1)[0])
-        if session is None:
-            self._unknown_cookie.inc()
-            return False
-        self._park(session)
-        self._journal_event({"t": "park", "sid": session.session_id})
-        if not self._replaying:
-            self._parked.inc()
-        return True
-
-    @staticmethod
-    def _park(session: Session) -> None:
-        """Fold a park into session state — shared by the live path and
-        journal replay."""
-        session.history_overflowed = True
-        session._pending.clear()
-        session.pending_bytes = 0
-
-    def _end_session(self, cookie: str) -> None:
-        """Terminate a session and drop its routing registration.
-
-        An unknown or already-ended cookie is a counted no-op
-        (``sync.session.unknown_cookie``), not an error: sync_end is
-        how consumers *stop caring*, and double delivery of it (a retry
-        after a lost ack, an admin expiry racing a voluntary end) must
-        not fail the caller."""
-        sid = cookie.split(":", 1)[0]
-        if not self.sessions.end(cookie):
-            self._unknown_cookie.inc()
-            return
-        self._journal_event({"t": "end", "sid": sid})
-        self._forget_session(sid)
+        self._fold_end(cookie)
 
     def _forget_session(self, sid: str) -> None:
         """Drop everything kept per session outside the store — for an
-        ended session and (``SessionStore.on_expire``) an expired one."""
+        ended session, an expired one (``SessionStore.on_expire``) and
+        one :meth:`recover` sheds."""
         self.router.unregister(sid)
         self._persist_callbacks.pop(sid, None)
 
@@ -628,6 +538,22 @@ class ResyncProvider:
         store = SessionStore(idle_limit=idle_limit)
         store.on_expire = self._forget_session
         return store
+
+    def _session_of(self, cookie: str, request: SearchRequest) -> Session:
+        """The live session *cookie* resumes for *request*, its activity
+        clock untouched (the fold the handler ends in advances it).  An
+        unknown or expired cookie raises :class:`SyncProtocolError` —
+        the consumer must restart with a full reload — and so does one
+        minted for another request, which still counts as activity."""
+        session = self.sessions.get(cookie.split(":", 1)[0])
+        if session is None:
+            raise SyncProtocolError(f"unknown or expired cookie {cookie!r}")
+        if session.request != request:
+            self._fold_touch(session.session_id)
+            raise SyncProtocolError(
+                "cookie presented with a different search request"
+            )
+        return session
 
     def _search_content(self, request: SearchRequest):
         """Current master content of *request*, in deterministic DN
@@ -645,10 +571,199 @@ class ResyncProvider:
         self.server.remove_update_listener(self)
 
     # ------------------------------------------------------------------
+    # the fold: one function per journal record kind (docs/PROTOCOL.md
+    # §10.1).  Each is called by its live handler and by recover(), and
+    # appends its own record when a journal is attached and live.
+    # ------------------------------------------------------------------
+    def _fold_update(self, record: UpdateRecord) -> None:
+        """``update`` — one committed master update.  Appended *before*
+        it is folded: a persist deliver callback may re-enter the
+        provider mid-fan-out, and whatever that journals must follow
+        this record."""
+        if self._journaling:
+            self._journal_event({"t": "update", **record_to_wire(record)})
+        self._watermark = record.csn
+        if self.durability is not None:
+            self._last_change.note(record)
+        self._fan_out(record)
+
+    def _fold_create(
+        self,
+        request: SearchRequest,
+        dns: List[DN],
+        csn: int,
+        persist: bool,
+        sid: Optional[str] = None,
+    ) -> Session:
+        """``create`` — a session opened over content *dns* at directory
+        CSN *csn*, by an initial request, a persist subscription or a
+        reconcile sketch.  *sid* is the journaled id; live, the store
+        mints the next one."""
+        session = self.sessions.create(request, sid)
+        self._configure_session(session)
+        session.seed_content(dns)
+        # A creation (like a resume) attests the directory CSN it was
+        # served at — without it a journal holding only session events
+        # would look torn-tailed and recovery would shed the sessions.
+        self._watermark = max(self._watermark, csn)
+        session.drain_csn = session.prev_drain_csn = csn
+        session.persist_queue = [] if persist else None
+        self.router.register(session, dns)
+        if self._journaling:
+            self._journal_event(
+                {
+                    "t": "create",
+                    "sid": session.session_id,
+                    "req": request_to_wire(request),
+                    "content": sorted(str(dn) for dn in dns),
+                    "csn": csn,
+                    "persist": persist,
+                }
+            )
+        return session
+
+    def _fold_poll(self, sid: str, gen: int, persist: bool) -> List[SyncUpdate]:
+        """``poll`` — a resumed session served at cookie generation
+        *gen*: the session's current one (acknowledge the last batch and
+        drain the next) or the one before (the response was lost:
+        retransmit).  Returns the batch."""
+        session = self.sessions.lookup(sid)
+        if gen == session.generation:
+            # The latest cookie also acknowledges any pending degraded
+            # resume, and the drain retires the previous batch's CSN.
+            session.degraded_since_csn = None
+            session.acknowledge()
+            updates = session.drain()
+            session.prev_drain_csn = session.drain_csn
+        else:
+            updates = session.retransmit()
+        # Either way the batch was rebuilt at the current watermark.
+        session.drain_csn = self._watermark
+        session.persist_queue = [] if persist else None
+        self._journal_event({"t": "poll", "sid": sid, "gen": gen, "persist": persist})
+        return updates
+
+    def _fold_touch(self, sid: str) -> None:
+        """``touch`` — session activity that changed nothing else: a
+        refused cookie, a reconcile fetch."""
+        self.sessions.lookup(sid)
+        self._journal_event({"t": "touch", "sid": sid})
+
+    def _fold_resume(
+        self, sid: str, first: bool, since: int, dns: List[str], csn: int
+    ) -> None:
+        """``resume`` — an incomplete-history (eq. 3) resume served at
+        directory CSN *csn* over content *dns*: the history restarts
+        empty at the resume point, the consumer holds exactly *dns*."""
+        session = self.sessions.lookup(sid)
+        self._watermark = max(self._watermark, csn)
+        session.polls += 1
+        session._pending.clear()
+        session.pending_bytes = 0
+        session._unacked = {}
+        session.seed_content([DN.parse(d) for d in dns])
+        session.prev_drain_csn = since
+        session.drain_csn = csn
+        if first:
+            session.generation += 1
+            session.history_overflowed = False
+        session.degraded_since_csn = since
+        session.persist_queue = None
+        self._journal_event(
+            {
+                "t": "resume",
+                "sid": sid,
+                "first": first,
+                "since": since,
+                "csn": csn,
+                "content": dns,
+                "persist": False,
+            }
+        )
+        if not self._replaying:
+            self._degraded_resumes.inc()
+
+    def park_session(self, cookie: str) -> bool:
+        """``park`` — park the session named by *cookie* at the eq.-3
+        retain tier (quarantine relief, docs/RECOVERY.md §5).
+
+        The per-session history is abandoned *now* — the provider stops
+        accumulating update state for a flapping consumer — and the next
+        poll is served as an incomplete-history resume
+        (:meth:`_serve_degraded`): full entries for what changed since
+        the consumer's last drain, DN-only ``retain`` actions for the
+        unchanged rest, cookie stamped ``:h``.
+
+        Returns True when the session existed and was parked.  Unknown
+        cookies are a counted no-op (``sync.session.unknown_cookie``),
+        like :meth:`_fold_end` — quarantine is best-effort relief,
+        never a new failure mode.  Providers without durability have no
+        eq.-3 resume path and refuse (False).
+        """
+        if self.durability is None:
+            return False
+        sid = cookie.split(":", 1)[0]
+        session = self.sessions.get(sid)
+        if session is None:
+            if not self._replaying:
+                self._unknown_cookie.inc()
+            return False
+        session.history_overflowed = True
+        session._pending.clear()
+        session.pending_bytes = 0
+        self._journal_event({"t": "park", "sid": sid})
+        if not self._replaying:
+            self._parked.inc()
+        return True
+
+    def _fold_end(self, cookie: str) -> None:
+        """``end`` — terminate the session named by *cookie* and forget
+        what is kept for it outside the store.
+
+        An unknown or already-ended cookie is a counted no-op
+        (``sync.session.unknown_cookie``), not an error: sync_end is
+        how consumers *stop caring*, and double delivery of it (a retry
+        after a lost ack, an admin expiry racing a voluntary end) must
+        not fail the caller."""
+        sid = cookie.split(":", 1)[0]
+        if self.sessions.end(sid):
+            self._forget_session(sid)
+            self._journal_event({"t": "end", "sid": sid})
+        elif not self._replaying:
+            self._unknown_cookie.inc()
+
+    #: Journal record kind → how :meth:`recover` folds one such record:
+    #: decode its fields, call the kind's fold.  The keys are the record
+    #: table of docs/PROTOCOL.md §10.1 (checked by tools/check_docs.py).
+    FOLDS: Dict[str, Callable[["ResyncProvider", dict], object]] = {
+        "update": lambda self, rec: self._fold_update(record_from_wire(rec)),
+        "create": lambda self, rec: self._fold_create(
+            request_from_wire(rec["req"]),
+            [DN.parse(d) for d in rec["content"]],
+            rec["csn"],
+            rec["persist"],
+            rec["sid"],
+        ),
+        "poll": lambda self, rec: self._fold_poll(
+            rec["sid"], rec["gen"], rec["persist"]
+        ),
+        "touch": lambda self, rec: self._fold_touch(rec["sid"]),
+        "resume": lambda self, rec: self._fold_resume(
+            rec["sid"], rec["first"], rec["since"], rec["content"], rec["csn"]
+        ),
+        "park": lambda self, rec: self.park_session(rec["sid"]),
+        "end": lambda self, rec: self._fold_end(rec["sid"]),
+    }
+
+    # ------------------------------------------------------------------
     # durability: journal plumbing (docs/PROTOCOL.md §10)
     # ------------------------------------------------------------------
+    @property
+    def _journaling(self) -> bool:
+        return self.journal is not None and not self._replaying
+
     def _journal_event(self, event: dict) -> None:
-        if self.journal is None or self._replaying:
+        if not self._journaling:
             return
         self.journal.append(event)
         self._journal_appends.inc()
@@ -661,7 +776,7 @@ class ResyncProvider:
         event into provider state — snapshotting mid-fold would truncate
         the journal while the state still excludes the in-flight record,
         losing it."""
-        if self.journal is None or self._replaying:
+        if not self._journaling:
             return
         if self._appends_since_snapshot < self.durability.snapshot_interval:
             return
@@ -682,16 +797,20 @@ class ResyncProvider:
         self._snapshots.inc()
         self._journal_bytes.set(self.journal.size_bytes)
 
-    def _note_last_change(self, record: UpdateRecord) -> None:
-        """Maintain the per-entry last-change CSN map that backs
-        degraded (eq. 3) resumes — same bookkeeping as
-        :meth:`RetainResyncProvider.on_update`."""
-        if record.op is UpdateOp.DELETE:
-            self._last_change.pop(record.dn, None)
-            return
-        if record.op is UpdateOp.MODIFY_DN:
-            self._last_change.pop(record.dn, None)
-        self._last_change[record.effective_dn] = record.csn
+    def _restore_snapshot(self, snapshot: dict) -> None:
+        """The inverse of :meth:`_write_snapshot`; every adopted session
+        image enters the router from its content mirror, in the store's
+        creation (= session-id) order — the order the router must visit
+        sessions in."""
+        self._watermark = snapshot["csn"]
+        self.sessions.restore_clock(snapshot["tick"], snapshot["next_id"])
+        for dn, csn in snapshot["last_change"].items():
+            self._last_change[DN.parse(dn)] = csn
+        for wire in snapshot["sessions"]:
+            session = session_from_wire(wire)
+            self._configure_session(session)
+            self.sessions.adopt(session)
+            self.router.register(session, session.content_dns)
 
     def _configure_session(self, session: Session) -> None:
         if self.durability is None:
@@ -723,92 +842,51 @@ class ResyncProvider:
             and generation == session.generation - 1
         )
 
-    def _serve_degraded(
-        self, session: Session, generation: int
-    ) -> tuple[SyncResponse, dict]:
+    def _serve_degraded(self, session: Session, generation: int) -> SyncResponse:
         """Serve one incomplete-history resume (eq. 3): full entries for
         everything changed since the consumer's last-known state, a
         DN-only ``retain`` for the unchanged rest; the consumer discards
         whatever is neither.  The cookie is stamped ``:h`` so the
         consumer can tell (and count) the degraded path."""
-        if session.history_overflowed:
-            first = True
-            if generation == session.generation:
-                since = session.drain_csn
-            elif generation == session.generation - 1:
-                since = session.prev_drain_csn
-            else:
-                raise SyncProtocolError(
-                    f"cookie generation {generation} is too old for session "
-                    f"{session.session_id}; full reload required"
-                )
-        else:
-            first = False
+        first = session.history_overflowed
+        if not first:
             since = session.degraded_since_csn
+        elif generation == session.generation:
+            since = session.drain_csn
+        else:
+            since = session.prev_drain_csn
         content = self._search_content(session.request)
-        now = self._watermark
-        updates: List[SyncUpdate] = []
-        for entry in content:
-            if self._last_change.get(entry.dn, 0) > since:
-                updates.append(SyncUpdate.add(entry))
-            else:
-                updates.append(SyncUpdate.retain(entry.dn))
-        dns = [str(e.dn) for e in content]
-        self._apply_resume(session, first, since, dns, now)
-        if not self._replaying:
-            self._degraded_resumes.inc()
-        response = SyncResponse(
+        updates = self._last_change.classify(content, since)
+        self._fold_resume(
+            session.session_id,
+            first,
+            since,
+            [str(e.dn) for e in content],
+            self._watermark,
+        )
+        return SyncResponse(
             updates=updates,
             cookie=f"{session.session_id}:{session.generation}:h",
             uses_retain=True,
         )
-        event = {
-            "t": "resume",
-            "sid": session.session_id,
-            "first": first,
-            "since": since,
-            "csn": now,
-            "content": dns,
-        }
-        return response, event
-
-    def _apply_resume(
-        self, session: Session, first: bool, since: int, dns: List[str], csn: int
-    ) -> None:
-        """Fold a degraded resume into session state — shared verbatim
-        by the live path and journal replay, so both land on identical
-        state."""
-        session.polls += 1
-        session._pending.clear()
-        session.pending_bytes = 0
-        session._unacked = {}
-        session.content_dns = {DN.parse(d) for d in dns}
-        session._delivered = set(session.content_dns)
-        session.prev_drain_csn = since
-        session.drain_csn = csn
-        if first:
-            session.generation += 1
-            session.history_overflowed = False
-        session.degraded_since_csn = since
 
     # ------------------------------------------------------------------
     # durability: crash recovery
     # ------------------------------------------------------------------
     def recover(self) -> int:
-        """Rebuild session state from the journal after :meth:`restart`.
+        """Rebuild session state from the journal after :meth:`restart`:
+        reset, restore the snapshot, fold every record of the journal
+        tail through :attr:`FOLDS` — the functions the live handlers
+        called when they wrote it, the router fan-out included.
 
-        Loads the snapshot, replays the journal tail through the same
-        fold functions the live path uses, then applies two safety
-        rules: (i) persist sessions are dropped — their delivery
-        callback died with the process and no cookie was ever issued for
-        them, so they are unreachable; (ii) if the replayed watermark
-        trails ``server.current_csn``, the journal lost committed
-        updates (torn tail / corruption) and *every* recovered session
-        would silently miss them — all are dropped (counted
+        Two safety rules follow: (i) persist sessions are shed — their
+        delivery callback died with the process and no cookie was ever
+        issued for them, so they are unreachable; (ii) if the replayed
+        watermark trails ``server.current_csn``, the journal lost
+        committed updates (torn tail / corruption) and *every* recovered
+        session would silently miss them — all are shed (counted
         ``sync.durability.sessions_lost``) so consumers take the honest
-        reload path instead of diverging.  Surviving sessions re-enter
-        the :class:`SessionRouter` here, from their content mirrors, so
-        the first post-recovery update already fans out through it.
+        reload path instead of diverging.
 
         Returns the number of journal records replayed.
         """
@@ -817,111 +895,42 @@ class ResyncProvider:
         snapshot, records, dropped = self.journal.load()
         if dropped:
             self._dropped.inc(dropped)
-        self.sessions = self._new_store(self.sessions.idle_limit)
-        self._persist_callbacks.clear()
-        self.router.reset()
-        self._last_change.clear()
-        self._watermark = 0
-        self._appends_since_snapshot = 0
-        replayed = 0
+        self._reset(0)
         self._replaying = True
         try:
             if snapshot is not None:
-                self._watermark = snapshot["csn"]
-                self.sessions.restore_clock(snapshot["tick"], snapshot["next_id"])
-                self._last_change = {
-                    DN.parse(d): csn for d, csn in snapshot["last_change"].items()
-                }
-                for wire in snapshot["sessions"]:
-                    session = session_from_wire(wire)
-                    self._configure_session(session)
-                    self.sessions.adopt(session)
-            for record in records:
-                self._replay_record(record)
-                replayed += 1
+                self._restore_snapshot(snapshot)
+            for rec in records:
+                # Unknown kinds (a newer writer) are skipped, not fatal.
+                fold = self.FOLDS.get(rec.get("t"))
+                if fold is not None:
+                    try:
+                        fold(self, rec)
+                    except SyncProtocolError:
+                        pass  # names a session this journal no longer holds
         finally:
             self._replaying = False
-        self._replayed.inc(replayed)
+        self._replayed.inc(len(records))
+        torn = self._watermark < self.server.current_csn
         for session in self.sessions.active_sessions():
-            if session.persist_queue is not None:
-                self.sessions.drop(session.session_id)
-        if self._watermark < self.server.current_csn:
-            lost = len(self.sessions)
-            if lost:
-                self._sessions_lost.inc(lost)
-                for session in self.sessions.active_sessions():
-                    self.sessions.drop(session.session_id)
+            persist = session.persist_queue is not None
+            if torn or persist:
+                # Not an ``end`` fold: the snapshot below records it.
+                self.sessions.end(session.session_id)
+                self._forget_session(session.session_id)
+                if not persist:
+                    self._sessions_lost.inc()
+        if torn:
             # The lost window cannot poison future sessions: a new
             # session's resume point is at least its creation watermark,
             # which now covers it.
             self._watermark = self.server.current_csn
             self._last_change.clear()
-        # The store keeps creation (= session-id) order, which is the
-        # order the router must visit sessions in.
-        for session in self.sessions.active_sessions():
-            self.router.register(session, session.content_dns)
         self._write_snapshot()
         if self.admission is not None:
             self.admission.reset()
         self._recoveries.inc()
-        return replayed
-
-    def _replay_record(self, rec: dict) -> None:
-        """Fold one journal record into provider state, mirroring the
-        live handler that wrote it tick-for-tick."""
-        kind = rec.get("t")
-        if kind == "update":
-            record = record_from_wire(rec)
-            self._watermark = record.csn
-            self._note_last_change(record)
-            for session in self.sessions.active_sessions():
-                self._apply_to_session(session, record)
-        elif kind == "create":
-            session = Session(rec["sid"], request_from_wire(rec["req"]))
-            self._configure_session(session)
-            session.content_dns = {DN.parse(d) for d in rec["content"]}
-            session._delivered = set(session.content_dns)
-            # A creation (like a resume) attests the directory CSN it was
-            # served at — without it a journal holding only session events
-            # would look torn-tailed and recovery would shed the sessions.
-            self._watermark = max(self._watermark, rec["csn"])
-            session.drain_csn = rec["csn"]
-            session.prev_drain_csn = rec["csn"]
-            session.last_active_tick = self.sessions.tick
-            session.persist_queue = [] if rec["persist"] else None
-            self.sessions.adopt(session)
-        elif kind == "poll":
-            session = self.sessions.touch_by_id(rec["sid"])
-            if session is None:
-                return
-            if rec["gen"] == session.generation:
-                session.degraded_since_csn = None
-            gen_before = session.generation
-            try:
-                self.sessions.service_poll(session, f"{rec['sid']}:{rec['gen']}")
-            except SyncProtocolError:
-                return  # state diverged less than the live path did
-            if session.generation != gen_before:
-                session.prev_drain_csn = session.drain_csn
-            session.drain_csn = self._watermark
-            session.persist_queue = [] if rec["persist"] else None
-        elif kind == "touch":
-            self.sessions.touch_by_id(rec["sid"])
-        elif kind == "resume":
-            session = self.sessions.touch_by_id(rec["sid"])
-            if session is None:
-                return
-            self._watermark = max(self._watermark, rec["csn"])
-            self._apply_resume(
-                session, rec["first"], rec["since"], rec["content"], rec["csn"]
-            )
-        elif kind == "park":
-            session = self.sessions.get(rec["sid"])
-            if session is not None:
-                self._park(session)
-        elif kind == "end":
-            self.sessions.drop(rec["sid"])
-        # Unknown kinds (a newer writer) are skipped, not fatal.
+        return len(records)
 
 
 class RetainResyncProvider:
@@ -936,17 +945,12 @@ class RetainResyncProvider:
 
     def __init__(self, server: DirectoryServer):
         self.server = server
-        self._last_change: Dict[DN, int] = {}
+        self._last_change = LastChangeMap()
         self._unknown_cookie = server.metrics.counter("sync.session.unknown_cookie")
         server.add_update_listener(self)
 
     def on_update(self, record: UpdateRecord) -> None:
-        if record.op is UpdateOp.DELETE:
-            self._last_change.pop(record.dn, None)
-            return
-        if record.op is UpdateOp.MODIFY_DN:
-            self._last_change.pop(record.dn, None)
-        self._last_change[record.effective_dn] = record.csn
+        self._last_change.note(record)
 
     def handle(self, request: SearchRequest, control: ReSyncControl) -> SyncResponse:
         """Service a poll following eq. (3).
@@ -957,7 +961,7 @@ class RetainResyncProvider:
         if control.mode is SyncMode.SYNC_END:
             # Stateless provider: sync_end drops nothing, but a cookie
             # this provider never minted is still a counted no-op
-            # (mirrors ResyncProvider._end_session).
+            # (mirrors ResyncProvider._fold_end).
             if control.cookie is not None:
                 try:
                     self._parse_cookie(control.cookie)
@@ -974,18 +978,11 @@ class RetainResyncProvider:
             since = self._parse_cookie(control.cookie)
             now = self.server.current_csn
             content = self.server.search(request).entries
-            updates: List[SyncUpdate] = []
-            if control.cookie is None:
-                updates.extend(SyncUpdate.add(e) for e in content)
-                initial = True
+            initial = control.cookie is None
+            if initial:
+                updates = [SyncUpdate.add(e) for e in content]
             else:
-                for entry in content:
-                    changed_at = self._last_change.get(entry.dn, 0)
-                    if changed_at > since:
-                        updates.append(SyncUpdate.add(entry))
-                    else:
-                        updates.append(SyncUpdate.retain(entry.dn))
-                initial = False
+                updates = self._last_change.classify(content, since)
             sp.add("actions_emitted", len(updates))
         return SyncResponse(
             updates=updates,

@@ -203,11 +203,11 @@ class SessionRouter:
     # registration
     # ------------------------------------------------------------------
     def register(self, session: Session, dns=()) -> RoutedSession:
-        """Enter *session* with *dns* as its held content — the initial
-        content the provider just delivered, or a recovered session's
-        content mirror (``ResyncProvider.recover``, docs/PROTOCOL.md
-        §10).  Any stale registration (and its holder state) is
-        replaced wholesale."""
+        """Enter *session* with *dns* as its held content — the content
+        its ``create`` fold just delivered (live or replayed), or a
+        snapshot image's content mirror (docs/PROTOCOL.md §10.1).  Any
+        stale registration (and its holder state) is replaced
+        wholesale."""
         self.unregister(session.session_id)
         atoms = self.anchor_atoms(session.request.filter)
         rs = RoutedSession(session, next(self._serials), atoms)

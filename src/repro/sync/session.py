@@ -35,7 +35,7 @@ reports each expiry to its owner (``SessionStore.on_expire``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 from ..ldap.controls import SyncAction
 from ..ldap.dn import DN
@@ -288,10 +288,11 @@ class Session:
         updates.sort(key=lambda u: (u.action is not SyncAction.DELETE, str(u.dn)))
         return updates
 
-    def seed_content(self, entries: List[Entry]) -> None:
-        """Record the initial content sent on the session's first poll."""
-        self.content_dns = {e.dn for e in entries}
-        self._delivered = {e.dn for e in entries}
+    def seed_content(self, dns: Iterable[DN]) -> None:
+        """Record the whole content just sent — on the session's first
+        poll, or by an incomplete-history resume."""
+        self.content_dns = set(dns)
+        self._delivered = set(self.content_dns)
 
     @property
     def pending_count(self) -> int:
@@ -304,7 +305,11 @@ class Session:
 
 
 class SessionStore:
-    """Cookie-keyed session registry with logical-time expiry."""
+    """Cookie-keyed session registry with logical-time expiry.
+
+    One entry point per transition — :meth:`create`, :meth:`lookup`
+    (the only one that ticks the clock), :meth:`end` — serves the
+    provider's live handlers and its journal replay alike."""
 
     def __init__(self, idle_limit: int = 1000):
         self._sessions: Dict[str, Session] = {}
@@ -337,25 +342,28 @@ class SessionStore:
         self._tick = tick
         self._next_id = next_id
 
-    def create(self, request: SearchRequest) -> Session:
-        """Open a new session for *request* and return it."""
-        session_id = f"s{self._next_id}"
-        self._next_id += 1
+    def create(self, request: SearchRequest, session_id: Optional[str] = None) -> Session:
+        """Open a new session for *request* and return it — under the
+        next free id, or under *session_id* when folding a journaled
+        ``create``."""
+        if session_id is None:
+            session_id = f"s{self._next_id}"
         session = Session(session_id, request)
         session.last_active_tick = self._tick
-        self._sessions[session_id] = session
+        self.adopt(session)
         return session
 
     def adopt(self, session: Session) -> None:
-        """Re-insert a recovered *session* under its original id
-        (journal replay); keeps the id counter ahead of it."""
+        """Insert *session* — a new one, or a snapshot image under its
+        original id — keeping the id counter ahead of it."""
         self._sessions[session.session_id] = session
         numeric = session.session_id.lstrip("s")
         if numeric.isdigit():
             self._next_id = max(self._next_id, int(numeric) + 1)
 
     def lookup(self, cookie: str) -> Session:
-        """Resolve a cookie to its session.
+        """Resolve a cookie (or a bare session id) to its session,
+        advancing the activity clock.
 
         Raises :class:`SyncProtocolError` for unknown/expired cookies —
         the consumer must restart with a full reload (cookie=None).
@@ -368,7 +376,8 @@ class SessionStore:
         return session
 
     def end(self, cookie: str) -> bool:
-        """Terminate the session named by *cookie* (mode ``sync_end``).
+        """Terminate the session named by *cookie* or bare session id
+        (mode ``sync_end``, expiry, recovery shedding).
 
         Returns whether a live session was actually ended — False for
         an unknown or already-ended cookie, which callers count as a
@@ -376,20 +385,6 @@ class SessionStore:
         """
         session_id = cookie.split(":", 1)[0]
         return self._sessions.pop(session_id, None) is not None
-
-    def drop(self, session_id: str) -> bool:
-        """Remove a session by id without cookie parsing or touching
-        the activity clock (recovery/replay bookkeeping)."""
-        return self._sessions.pop(session_id, None) is not None
-
-    def touch_by_id(self, session_id: str) -> Optional[Session]:
-        """Advance the activity clock for *session_id* exactly as a
-        successful :meth:`lookup` would (journal replay); returns the
-        session, or None when it no longer exists."""
-        session = self._sessions.get(session_id)
-        if session is not None:
-            self._touch(session)
-        return session
 
     def get(self, session_id: str) -> Optional[Session]:
         """The live session with *session_id*, or None.
@@ -422,19 +417,6 @@ class SessionStore:
         if not gen.isdigit():
             raise SyncProtocolError(f"malformed cookie {cookie!r}")
         return int(gen)
-
-    def service_poll(self, session: Session, cookie: str) -> List[SyncUpdate]:
-        """Ack/advance or retransmit, per the cookie's generation."""
-        generation = self.generation_of(cookie)
-        if generation == session.generation:
-            session.acknowledge()
-            return session.drain()
-        if generation == session.generation - 1:
-            return session.retransmit()
-        raise SyncProtocolError(
-            f"cookie {cookie!r} is too old for session {session.session_id} "
-            f"(at generation {session.generation}); full reload required"
-        )
 
     def _touch(self, session: Session) -> None:
         self._tick += 1

@@ -15,7 +15,9 @@ scaling/ablation benches measure:
 * :class:`LinearRecentQueryCache` — the whole window scanned
   newest-first, hits evaluated the same interpreted way;
 * :class:`LinearResyncProvider` — every active session's filter
-  evaluated, interpreted, against both images of every update.
+  evaluated, interpreted, against both images of every update
+  (``_apply_to_session``, which left ``src/`` when journal replay
+  started fanning out through the router like a live commit).
 
 Each subclasses the production class so filter management, sync, stats,
 window and session bookkeeping are shared; only the scans differ.
@@ -100,6 +102,23 @@ class LinearResyncProvider(ResyncProvider):
     def _fan_out(self, record) -> None:
         for session in self.sessions.active_sessions():
             self._apply_to_session(session, record)
+
+    def _apply_to_session(self, session, record) -> None:
+        """Evaluate *record* against one session with both images,
+        interpreted — the seed's whole fan-out."""
+        request = session.request
+        in_before = record.before is not None and request.selects(record.before)
+        in_after = record.after is not None and request.selects(record.after)
+        if not in_before and not in_after:
+            return
+        session.observe(
+            in_before=in_before,
+            in_after=in_after,
+            old_dn=record.dn,
+            new_dn=record.effective_dn,
+            after_entry=record.after,
+        )
+        self._flush_persist(session)
 
 
 def per_pdu_persist(provider, request, deliver, network, cookie=None):

@@ -107,7 +107,7 @@ class TestWireFormat:
 
     def test_session_round_trip(self):
         session = Session("s9", REQUEST)
-        session.seed_content([person("A"), person("B")])
+        session.seed_content([person("A").dn, person("B").dn])
         session.observe(
             in_before=True,
             in_after=True,
@@ -133,6 +133,36 @@ class TestWireFormat:
 # ----------------------------------------------------------------------
 # journal backends
 # ----------------------------------------------------------------------
+class TestJournalLessProviderSerialisesNothing:
+    def test_update_is_not_serialised_without_a_journal(self, monkeypatch):
+        """Regression: ``on_update`` built the ``update`` record — both
+        entry images through ``record_to_wire`` — before checking that a
+        journal was attached, then threw it away."""
+        import repro.sync.resync as resync
+
+        calls = []
+        real = resync.record_to_wire
+
+        def counting(record):
+            calls.append(record.csn)
+            return real(record)
+
+        monkeypatch.setattr(resync, "record_to_wire", counting)
+        master = build_master()
+        provider = ResyncProvider(master)
+        content = SyncedContent(REQUEST)
+        content.poll(provider)
+        master.modify("cn=P0,o=xyz", [Modification.replace("sn", "S")])
+        master.add(person("P9"))
+        assert calls == []
+        content.poll(provider)
+        assert content.matches_master(master)
+
+        journaled = durable_provider(build_master())
+        journaled.server.add(person("P9"))
+        assert len(calls) == 1  # exactly once per update when durable
+
+
 class TestJournalBackends:
     @pytest.fixture(params=["memory", "file"])
     def journal(self, request, tmp_path):

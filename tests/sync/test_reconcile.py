@@ -292,19 +292,6 @@ class TestReconcileTier:
         assert net.registry.counter("sync.resilient.reloads").value == 0
         assert net.registry.counter("sync.reconcile.attempts").value == 0
 
-    def test_disabled_tier_falls_back_to_reload(self):
-        master = build_master(20)
-        provider = overflowing_provider(master)
-        net = SimulatedNetwork()
-        consumer = ResilientConsumer(
-            REQUEST, provider, network=net, reconcile_config=None
-        )
-        overflow_then_kill(master, provider, consumer)
-        consumer.sync_once()
-        assert consumer.content.matches_master(master)
-        assert net.registry.counter("sync.resilient.reloads").value == 1
-        assert net.registry.counter("sync.reconcile.attempts").value == 0
-
     def test_sketch_doubles_until_divergence_fits(self):
         master = build_master(120)
         provider = overflowing_provider(master)
@@ -378,16 +365,17 @@ class TestReconcileTier:
         reconcile_bytes = (net.stats - before).bytes_sent
         assert consumer.content.matches_master(master)
 
-        # Same divergence, tier disabled: the paced full rebuild.
+        # Same divergence through the bottom rung by hand: the refused
+        # poll, then the null-cookie full rebuild.
         master2 = build_master(300)
         provider2 = overflowing_provider(master2)
         net2 = SimulatedNetwork()
-        consumer2 = ResilientConsumer(
-            REQUEST, provider2, network=net2, reconcile_config=None
-        )
+        consumer2 = ResilientConsumer(REQUEST, provider2, network=net2)
         overflow_then_kill(master2, provider2, consumer2, touched=3)
         before2 = net2.stats.snapshot()
-        consumer2.sync_once()
+        with pytest.raises(SyncProtocolError):
+            consumer2.content.poll(provider2)
+        consumer2.content.reload(provider2)
         rebuild_bytes = (net2.stats - before2).bytes_sent
         assert consumer2.content.matches_master(master2)
         assert reconcile_bytes * 10 <= rebuild_bytes

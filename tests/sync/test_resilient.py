@@ -18,10 +18,13 @@ from repro.server import (
     FaultPlan,
     FaultSpec,
     FaultyNetwork,
+    Modification,
     OperationTimeout,
     ResponseDropped,
 )
 from repro.sync import (
+    DurabilityConfig,
+    MemoryJournal,
     ResilientConsumer,
     ResyncProvider,
     RetainResyncProvider,
@@ -193,6 +196,39 @@ class TestResilientPoll:
         content = SyncedContent(REQUEST, network=net)
         with pytest.raises(OperationTimeout):
             content.poll(provider, timeout_ms=100.0)
+
+    def test_timeout_applies_to_the_sketch_tier_fetch(self):
+        """Regression: the reconcile fetch applied deliveries however
+        late, ignoring ``RetryPolicy.timeout_ms``."""
+        master = build_master(20)
+        provider = ResyncProvider(
+            master,
+            durability=DurabilityConfig(history_max_entries=2),
+            journal=MemoryJournal(),
+        )
+        net = FaultyNetwork(ScriptedPlan())
+        consumer = ResilientConsumer(
+            REQUEST,
+            provider,
+            network=net,
+            policy=RetryPolicy(timeout_ms=100.0, jitter=0.0),
+        )
+        consumer.sync_once()
+        for i in range(4):  # overflow the history: the cookie gains :h
+            master.modify(f"cn=E{i},o=xyz", [Modification.replace("sn", "ovf")])
+        consumer.sync_once()
+        master.modify("cn=E9,o=xyz", [Modification.replace("sn", "late")])
+        provider.invalidate_cookie(consumer.content.cookie)
+        # refused poll, sketch, then a fetch response 5 s late
+        net.plan = ScriptedPlan(
+            ExchangeFaults(), ExchangeFaults(), ExchangeFaults(delay_ms=5000.0)
+        )
+        assert consumer.sync_once() is not None
+        assert consumer.content.matches_master(master)
+        registry = net.registry
+        assert registry.counter("sync.resilient.retries").labels(kind="timeout").value == 1
+        assert registry.counter("sync.reconcile.decode_success").value == 1
+        assert registry.counter("sync.resilient.reloads").value == 0
 
     def test_cookie_invalidation_falls_back_to_reload(self):
         master = build_master()

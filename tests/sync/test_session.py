@@ -72,7 +72,7 @@ class TestCoalescing:
         and leaves again must still emit a DELETE, or the replica keeps
         a stale copy forever.
         """
-        session.seed_content([entry("a")])
+        session.seed_content([dn("a")])
         session.observe(True, False, dn("a"), dn("a"), None)  # leaves
         session.observe(False, True, dn("a"), dn("a"), entry("a"))  # re-enters
         session.observe(True, False, dn("a"), dn("a"), None)  # leaves again
@@ -81,7 +81,7 @@ class TestCoalescing:
     def test_undelivered_entry_entering_and_leaving_still_vanishes(self, session):
         """The counterpart: an entry the consumer never received that
         enters and leaves between polls generates no traffic at all."""
-        session.seed_content([entry("b")])
+        session.seed_content([dn("b")])
         session.observe(False, True, dn("a"), dn("a"), entry("a"))
         session.observe(True, False, dn("a"), dn("a"), None)
         assert session.drain() == []
@@ -121,7 +121,7 @@ class TestCoalescing:
 
 class TestContentTracking:
     def test_seed_and_track(self, session):
-        session.seed_content([entry("a"), entry("b")])
+        session.seed_content([dn("a"), dn("b")])
         assert session.content_dns == {dn("a"), dn("b")}
         session.observe(True, False, dn("a"), dn("a"), None)
         assert session.content_dns == {dn("b")}

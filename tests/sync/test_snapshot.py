@@ -21,6 +21,7 @@ from repro.sync import (
     MemorySnapshotStore,
     ResilientConsumer,
     ResyncProvider,
+    RetainResyncProvider,
     SnapshotError,
     SnapshotRecoverer,
     SyncedContent,
@@ -298,20 +299,23 @@ class TestConsumerWarmStart:
         assert net.registry.counter("sync.resilient.reloads").value == 0
 
     def test_stale_cookie_without_reconcile_reloads(self):
+        """A provider with no ``reconcile`` operation cannot serve the
+        sketch tier: the refused snapshot cookie takes the reload."""
         master = build_master(10)
-        provider = ResyncProvider(master)
+        provider = RetainResyncProvider(master)
         store = MemorySnapshotStore()
         run_session(provider, store, master)
         store.damage_stale_cookie()
 
         net = FaultyNetwork()
         restarted = ResilientConsumer(
-            REQUEST, provider, network=net, snapshot_store=store,
-            reconcile_config=None,
+            REQUEST, provider, network=net, snapshot_store=store
         )
+        assert restarted.warm_started
         restarted.sync_once()
         assert restarted.content.matches_master(master)
         assert net.registry.counter("sync.resilient.reloads").value == 1
+        assert net.registry.counter("sync.reconcile.attempts").value == 0
 
     def test_snapshot_exemption_ends_after_first_success(self):
         master = build_master(10)

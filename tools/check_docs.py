@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency checks (CI `lint` job, alongside ruff).
 
-Two classes of drift this catches (both have bitten this repo's docs
+Three classes of drift this catches (the first two have bitten this repo's docs
 before they were checked):
 
 1. **Dead intra-repo links** — every relative markdown link in every
@@ -16,6 +16,11 @@ before they were checked):
    when both its family prefix (``net.traffic.``) and its leaf
    (``round_trips``) occur in the sources.  Templated rows
    (``server.op.<op>``) are checked by family alone.
+
+3. **Journal record kinds** — the record table of docs/PROTOCOL.md
+   §10.1 must name exactly the kinds ``ResyncProvider.FOLDS`` folds
+   (the one place ``src/`` decodes the journal): a kind added to one
+   and not the other is a record nobody replays, or documents.
 
 Run from the repository root::
 
@@ -33,6 +38,7 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src")
 OBSERVABILITY = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
+PROTOCOL = os.path.join(REPO_ROOT, "docs", "PROTOCOL.md")
 
 SKIP_DIRS = {
     ".git",
@@ -135,10 +141,38 @@ def check_instruments(sources: list) -> list:
     return problems
 
 
+def documented_record_kinds() -> set:
+    """First-column names of the docs/PROTOCOL.md §10.1 record table."""
+    with open(PROTOCOL, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.find("### 10.1")
+    end = text.find("### 10.2")
+    if start < 0 or end < start:
+        return set()
+    return set(re.findall(r"^\|\s*`([a-z_]+)`\s*\|", text[start:end], flags=re.MULTILINE))
+
+
+def check_journal_kinds() -> list:
+    sys.path.insert(0, SRC_ROOT)
+    from repro.sync.resync import ResyncProvider
+
+    documented = documented_record_kinds()
+    folded = set(ResyncProvider.FOLDS)
+    if documented == folded:
+        return []
+    return [
+        "docs/PROTOCOL.md §10.1: record table and ResyncProvider.FOLDS differ — "
+        f"documented only: {sorted(documented - folded)}, "
+        f"folded only: {sorted(folded - documented)}"
+    ]
+
+
 def main() -> int:
     md_files = markdown_files()
     sources = source_texts()
-    problems = check_links(md_files) + check_instruments(sources)
+    problems = (
+        check_links(md_files) + check_instruments(sources) + check_journal_kinds()
+    )
     if problems:
         for problem in problems:
             print(f"FAIL {problem}")
@@ -147,7 +181,8 @@ def main() -> int:
     names = len(documented_names())
     print(
         f"ok: {len(md_files)} markdown files link-clean, "
-        f"{names} documented instruments present in src/"
+        f"{names} documented instruments present in src/, "
+        f"{len(documented_record_kinds())} journal record kinds match the fold"
     )
     return 0
 
