@@ -249,23 +249,19 @@ MIN_RECONCILE_RATIO = 10.0  # rebuild must cost >=10x at <=1% divergence
 RECONCILE_REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=D00)")
 
 
+def reconcile_person(name: str) -> Entry:
+    return Entry(
+        f"cn={name},o=xyz",
+        {"objectClass": ["person"], "cn": name, "sn": "T", "departmentNumber": "D00"},
+    )
+
+
 def build_reconcile_master() -> DirectoryServer:
     master = DirectoryServer("M")
     master.add_naming_context("o=xyz")
     master.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
     for i in range(RECONCILE_CONTENT):
-        name = f"R{i:04d}"
-        master.add(
-            Entry(
-                f"cn={name},o=xyz",
-                {
-                    "objectClass": ["person"],
-                    "cn": name,
-                    "sn": "T",
-                    "departmentNumber": "D00",
-                },
-            )
-        )
+        master.add(reconcile_person(f"R{i:04d}"))
     return master
 
 
@@ -276,47 +272,46 @@ def diverge(master: DirectoryServer, amount: int) -> None:
     if amount >= 3:
         mods = amount - 2
         master.delete(f"cn=R{RECONCILE_CONTENT - 1:04d},o=xyz")
-        master.add(
-            Entry(
-                f"cn=N{amount:04d},o=xyz",
-                {
-                    "objectClass": ["person"],
-                    "cn": f"N{amount:04d}",
-                    "sn": "T",
-                    "departmentNumber": "D00",
-                },
-            )
-        )
+        master.add(reconcile_person(f"N{amount:04d}"))
     for i in range(mods):
         master.modify(f"cn=R{i:04d},o=xyz", [Modification.replace("sn", f"Z{i}")])
 
 
-def run_reconcile_cell(amount: int, tier_enabled: bool) -> dict:
+def run_reconcile_cell(amount: int, tier_enabled: bool, plain: bool = False) -> dict:
     """One recovery after *amount* entries of divergence: the full
     ladder when *tier_enabled*; otherwise its bottom rung driven by
     hand — the refused poll, then the null-cookie rebuild.
 
-    The schedule mints an ``:h`` cookie (overflowing a 2-entry session
-    history), diverges the master while the session is dead, and
-    measures only the recovery cycle's bytes on the wire.
+    The default schedule mints an ``:h`` cookie (overflowing a 2-entry
+    session history) and expires it; the *plain* one has a journal-less
+    provider restart forget a never-overflowed session over the same
+    warm content.  Either way the master diverges while the session is
+    dead, and only the recovery cycle's bytes on the wire are measured.
     """
     master = build_reconcile_master()
-    provider = ResyncProvider(
-        master,
-        durability=DurabilityConfig(history_max_entries=2),
-        journal=MemoryJournal(),
-    )
+    if plain:
+        provider = ResyncProvider(master)  # no journal: a restart forgets all
+    else:
+        provider = ResyncProvider(
+            master,
+            durability=DurabilityConfig(history_max_entries=2),
+            journal=MemoryJournal(),
+        )
     net = SimulatedNetwork()
     consumer = ResilientConsumer(RECONCILE_REQUEST, provider, network=net)
     consumer.sync_once()
-    for i in range(4):  # overflow the history: the cookie gains :h
-        master.modify(
-            f"cn=R{900 + i:04d},o=xyz", [Modification.replace("sn", "ovf")]
-        )
-    consumer.sync_once()
-    assert consumer._cookie_overflowed()
+    if not plain:
+        for i in range(4):  # overflow the history: the cookie gains :h
+            master.modify(
+                f"cn=R{900 + i:04d},o=xyz", [Modification.replace("sn", "ovf")]
+            )
+        consumer.sync_once()
+    assert consumer.content.cookie.endswith(":h") != plain
     diverge(master, amount)
-    provider.invalidate_cookie(consumer.content.cookie)
+    if plain:
+        provider.restart()
+    else:
+        provider.invalidate_cookie(consumer.content.cookie)
 
     before = net.stats.snapshot()
     if tier_enabled:
@@ -327,7 +322,7 @@ def run_reconcile_cell(amount: int, tier_enabled: bool) -> dict:
         except SyncProtocolError:
             consumer.content.reload(provider)
         else:
-            raise AssertionError("the invalidated cookie was honoured")
+            raise AssertionError("the dead cookie was honoured")
     recovery = net.stats - before
     assert consumer.content.matches_master(master)
     registry = net.registry.to_dict()
@@ -342,17 +337,50 @@ def run_reconcile_cell(amount: int, tier_enabled: bool) -> dict:
     }
 
 
+def run_cap_fallback_cell() -> dict:
+    """The price of entering the sketch tier on *every* refused cookie,
+    at its worst: a plain dead cookie over content the master has since
+    replaced wholesale (every entry modified, 60% more added), so the
+    doubling ladder runs to ``ReconcileConfig.max_cells``, fails —
+    detectably — and the rebuild is paid on top."""
+    master = build_reconcile_master()
+    provider = ResyncProvider(master)
+    net = SimulatedNetwork()
+    consumer = ResilientConsumer(RECONCILE_REQUEST, provider, network=net)
+    consumer.sync_once()
+    for i in range(RECONCILE_CONTENT):
+        master.modify(f"cn=R{i:04d},o=xyz", [Modification.replace("sn", f"W{i}")])
+    for i in range(RECONCILE_CONTENT * 6 // 10):
+        master.add(reconcile_person(f"W{i:04d}"))
+    provider.restart()
+    before = net.stats.snapshot()
+    assert consumer.sync_once() is not None
+    recovery = net.stats - before
+    assert consumer.content.matches_master(master)
+    registry = net.registry.to_dict()
+    assert registry.get("sync.reconcile.fallbacks", 0) == 1
+    assert registry.get("sync.resilient.reloads", 0) == 1
+    assert provider.active_session_count == 1
+    return {
+        "bytes": recovery.bytes_sent,
+        "rounds": registry.get("sync.reconcile.rounds", 0),
+        "sketch_bytes": registry.get("sync.reconcile.sketch_bytes", 0),
+    }
+
+
 def test_reconcile_divergence(benchmark):
     rows = []
     metrics = {}
     for amount in DIVERGENCES:
         reconcile = run_reconcile_cell(amount, tier_enabled=True)
+        plain = run_reconcile_cell(amount, tier_enabled=True, plain=True)
         rebuild = run_reconcile_cell(amount, tier_enabled=False)
         ratio = rebuild["bytes"] / max(reconcile["bytes"], 1)
         rows.append(
             [
                 f"{100.0 * amount / RECONCILE_CONTENT:.1f}%",
                 reconcile["bytes"],
+                plain["bytes"],
                 rebuild["bytes"],
                 round(ratio, 1),
                 reconcile["rounds"],
@@ -360,24 +388,45 @@ def test_reconcile_divergence(benchmark):
             ]
         )
         metrics[f"d{amount}_reconcile_bytes_sent"] = reconcile["bytes"]
+        metrics[f"d{amount}_plain_reconcile_bytes_sent"] = plain["bytes"]
         metrics[f"d{amount}_rebuild_bytes_sent"] = rebuild["bytes"]
         metrics[f"d{amount}_sketch_rounds"] = reconcile["rounds"]
 
     # The headline claim of the tier: at realistic (<=1%) divergence the
-    # rebuild costs an order of magnitude more than reconciliation.
+    # rebuild costs an order of magnitude more than reconciliation —
+    # whether the dead cookie carried the overflow stamp or not.
     for amount in DIVERGENCES:
         if amount <= RECONCILE_CONTENT // 100:
-            assert (
-                metrics[f"d{amount}_rebuild_bytes_sent"]
-                >= MIN_RECONCILE_RATIO * metrics[f"d{amount}_reconcile_bytes_sent"]
-            ), f"reconcile tier lost its edge at divergence {amount}"
+            for arm in ("reconcile", "plain_reconcile"):
+                assert (
+                    metrics[f"d{amount}_rebuild_bytes_sent"]
+                    >= MIN_RECONCILE_RATIO * metrics[f"d{amount}_{arm}_bytes_sent"]
+                ), f"{arm} lost its edge at divergence {amount}"
+
+    # …and what that costs when the sketch cannot help at all.
+    worst = run_cap_fallback_cell()
+    metrics["capfallback_total_bytes_sent"] = worst["bytes"]
+    metrics["capfallback_wasted_sketch_bytes_sent"] = worst["sketch_bytes"]
+    metrics["capfallback_sketch_rounds"] = worst["rounds"]
+    rows.append(
+        [
+            "replaced",
+            "-",
+            worst["bytes"],
+            worst["bytes"] - worst["sketch_bytes"],
+            "-",
+            worst["rounds"],
+            worst["sketch_bytes"],
+        ]
+    )
 
     report(
         "reconcile",
         "Recovery traffic: sketch reconciliation vs full rebuild",
         [
             "divergence",
-            "reconcile bytes",
+            ":h cookie bytes",
+            "plain cookie bytes",
             "rebuild bytes",
             "ratio",
             "rounds",

@@ -67,8 +67,14 @@ def main() -> None:
     master.modify("cn=E2,o=xyz", [Modification.replace("title", "newer")])
     reborn.poll(provider)
     reborn.cookie = stale
-    response = consumer.sync_once()  # falls back to a reload
-    print(f"resilient cycle recovered via reload ({len(response.updates)} entries)")
+    # The refusal finds the replica still holding content, so the
+    # recovery ladder (docs/RECOVERY.md) reconciles by sketch: only the
+    # difference travels, not a reload of everything.
+    response = consumer.sync_once()
+    print(
+        f"resilient cycle recovered by sketch reconciliation "
+        f"({len(response.updates)} of {len(reborn.entries)} entries fetched)"
+    )
     print(f"converged: {reborn.matches_master(master)}")
 
 

@@ -53,7 +53,7 @@ journal_corrupt     the crash corrupts one journal record (or the
 cookie_invalidate   the presented session cookie is expired server-side
                     (or corrupted in flight) — the provider answers with
                     :class:`~repro.sync.SyncProtocolError`, exercising
-                    §5's reload recovery path
+                    the recovery ladder (docs/RECOVERY.md)
 sketch_corrupt      one cell of a served reconcile sketch is damaged in
                     flight (:func:`repro.sync.reconcile.corrupt_cell`);
                     the consumer's verified decode detects it and
@@ -820,7 +820,7 @@ class FaultyNetwork(SimulatedNetwork):
         """Expire the presented cookie: server-side when the provider
         supports it (the admin time limit firing), else by corrupting
         the cookie in flight.  Either way the provider answers with
-        ``SyncProtocolError`` — §5's reload recovery path."""
+        ``SyncProtocolError`` — the recovery ladder's entry."""
         self._record("cookie_invalidate")
         invalidate = getattr(provider, "invalidate_cookie", None)
         if invalidate is not None:

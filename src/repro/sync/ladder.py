@@ -1,0 +1,248 @@
+"""The recovery ladder's decision table and its sketch tier
+(docs/RECOVERY.md).
+
+A provider that answers :class:`~repro.sync.protocol.SyncProtocolError`
+refused the request's cookie: the session is gone (expired, forgotten by
+a journal-less restart, broken off an overflowed history chain).  What
+the consumer does next is one lookup in :data:`LADDER`, on three facts:
+
+* **the request carried a cookie** — a refused *null* cookie is a
+  refused initial load, which nothing below can repair: ``raise`` (a
+  persist subscription always opens with a null cookie);
+* **local content is non-empty** — the sketch exploits what the replica
+  already holds; an empty replica has no delta to exploit;
+* **the provider offers** ``reconcile`` — the retain and baseline
+  providers do not.
+
+A refused cookie over warm content at a reconciling provider takes the
+``sketch`` tier first, *whatever the cookie looks like*: a sketch that
+turns out too small is a detected failure costing a fraction of the
+rebuild it usually saves (``benchmarks/baselines/reconcile.json``).
+Any other refused cookie takes the paper's §5 answer, ``rebuild``:
+forget the cookie (and any subscription), so that the next request is
+the null-cookie initial load.  Only a refusal enters the ladder.
+
+:class:`SketchTier` is set reconciliation after *Directory
+Reconciliation* (Mitzenmacher & Morgan, PAPERS.md) over the invertible
+sketches of :mod:`repro.sync.reconcile`: O(delta) bytes on the wire
+instead of the rebuild's O(content).
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Optional
+
+from ..obs.registry import MetricsRegistry
+from ..server.network import Delivery
+from .consumer import SyncedContent
+from .health import HealthMachine
+from .protocol import ReconcileFetch, ReconcileRequest, SyncProtocolError, SyncResponse
+from .reconcile import ReconcileConfig, build_sketch, entry_fingerprint, entry_key
+
+__all__ = ["LADDER", "SketchTier"]
+
+#: ``(request carried a cookie, local content non-empty, provider
+#: offers reconcile) → tiers``, tried in order until one recovers
+#: (docs/RECOVERY.md renders it, ``tools/check_docs.py`` compares).
+LADDER = {
+    (False, False, False): ("raise",),
+    (False, False, True): ("raise",),
+    (False, True, False): ("raise",),
+    (False, True, True): ("raise",),
+    (True, False, False): ("rebuild",),
+    (True, False, True): ("rebuild",),
+    (True, True, False): ("rebuild",),
+    (True, True, True): ("sketch", "rebuild"),
+}
+
+
+class SketchTier:
+    """Sketch reconciliation of one content against one provider.
+
+    Both exchanges run through the attempt loop of the *machine* handed
+    to :meth:`run` — handed, not held: a reference back to the consumer
+    that owns the tier would keep a replaced consumer's content alive
+    until the cyclic collector runs — so they are retried with the
+    policy's backoff and charged to the one lifetime budget.  The salt
+    draws from its own stream (sharing the jitter RNG would make fault
+    traces depend on whether the ladder ran).
+    """
+
+    def __init__(
+        self,
+        content: SyncedContent,
+        provider,
+        config: ReconcileConfig,
+        seed: int,
+        registry: MetricsRegistry,
+    ):
+        self.content = content
+        self.provider = provider
+        self.config = config
+        self._salt_rng = random.Random(f"resilient-salt:{seed}")
+        self._minted: Optional[str] = None
+        self._attempts = registry.counter("sync.reconcile.attempts")
+        self._rounds = registry.counter("sync.reconcile.rounds")
+        self._success = registry.counter("sync.reconcile.decode_success")
+        self._failures = registry.counter("sync.reconcile.decode_failure")
+        self._fallbacks = registry.counter("sync.reconcile.fallbacks")
+        self._sketch_bytes = registry.counter("sync.reconcile.sketch_bytes")
+        self._delta = registry.counter("sync.reconcile.delta_entries")
+        self._fetched = registry.counter("sync.reconcile.fetched_entries")
+        self._deleted = registry.counter("sync.reconcile.deleted_entries")
+
+    def run(self, machine: HealthMachine) -> Optional[SyncResponse]:
+        """One sketch-reconciliation ladder against the provider.
+
+        Solicits an invertible sketch of the master's content, subtracts
+        the local one, decodes the symmetric difference, and converts it
+        into targeted per-entry fetches plus local deletes.  On a decode
+        failure (undersized or corrupted sketch — always *detected*, see
+        :meth:`EntrySketch.decode <repro.sync.reconcile.EntrySketch>`)
+        the cell count doubles with a fresh salt, up to the config cap.
+
+        Returns the applied fetch response — the replica then holds the
+        master's sketch-time content and a live session cookie — or
+        None when the ladder should move on: the cap was reached, a
+        protocol error ended the sketch session under us, an exchange
+        gave out, or the health machine suspended retries.  Local
+        content is only touched by a successful, validated decode.
+        """
+        self._attempts.inc()
+        self._minted = None
+        try:
+            applied = self._reconcile(machine)
+        except SyncProtocolError:
+            applied = None
+        if applied is None:
+            self._forget_session()
+        return applied
+
+    def _reconcile(self, machine: HealthMachine) -> Optional[SyncResponse]:
+        cfg = self.config
+        cap = machine.policy.max_attempts
+        cells: Optional[int] = None
+        salt = self._salt_rng.getrandbits(32)
+        failures = 0
+        while True:
+            rreq = ReconcileRequest(
+                divergence_hint=cfg.initial_divergence,
+                cells=cells,
+                salt=salt,
+                cookie=self._minted,
+            )
+            response, failures = machine.attempt(
+                lambda: self._sketch_exchange(rreq),
+                cap,
+                charge_last=False,
+                failures=failures,
+            )
+            if response is None:
+                return None
+            self._rounds.inc()
+            self._sketch_bytes.inc(response.pdu_bytes)
+            self._minted = response.cookie
+            sketch = response.sketch
+            local = build_sketch(
+                self.content.entries.values(),
+                sketch.size,
+                salt=sketch.salt,
+                hash_count=sketch.hash_count,
+            )
+            decoded = sketch.subtract(local).decode()
+            plan = self._plan(decoded) if decoded is not None else None
+            if plan is not None:
+                return self._fetch_and_apply(machine, plan)
+            # Undersized or corrupted sketch — a *detected* failure:
+            # double the cells, re-salt, bounded by the config cap.
+            self._failures.inc()
+            cells = sketch.size * 2
+            salt += 1
+            if cells > cfg.max_cells:
+                return None
+
+    def _plan(self, decoded):
+        """Validate a decoded difference against local content.
+
+        Every negative (replica-only) item must name an entry the
+        replica actually holds, fingerprint and all; a positive item
+        exactly matching a local digest is equally impossible (it would
+        have cancelled in the subtraction).  Either contradiction means
+        the peel produced garbage that slipped past the checksums —
+        treated as a decode failure, never applied.  Returns
+        ``(fetch_keys, delete_dns)`` or None.
+        """
+        master_only, replica_only = decoded
+        entries = self.content.entries
+        local_by_key = {entry_key(dn): dn for dn in entries}
+        master_keys = {key for key, _ in master_only}
+        delete_dns = []
+        for key, fp in replica_only:
+            dn = local_by_key.get(key)
+            if dn is None or entry_fingerprint(entries[dn]) != fp:
+                return None
+            if key not in master_keys:
+                delete_dns.append(dn)
+        for key, fp in master_only:
+            dn = local_by_key.get(key)
+            if dn is not None and entry_fingerprint(entries[dn]) == fp:
+                return None
+        return sorted(master_keys), delete_dns
+
+    def _fetch_and_apply(self, machine, plan) -> Optional[SyncResponse]:
+        """Pull the master-only entries and fold the difference in.
+
+        The fetch travels even when there is nothing to pull: its
+        response carries the session cookie that makes the reconciled
+        replica resumable.  Duplicated deliveries re-apply idempotently,
+        like every ReSync action.
+        """
+        fetch_keys, delete_dns = plan
+        fetch = ReconcileFetch(keys=tuple(fetch_keys), cookie=self._minted)
+        policy = machine.policy
+        deliveries, _ = machine.attempt(
+            lambda: self._fetch_exchange(fetch, policy.timeout_ms),
+            policy.max_attempts,
+            charge_last=False,
+        )
+        if deliveries is None:
+            return None
+        self._success.inc()
+        self._delta.inc(len(fetch_keys) + len(delete_dns))
+        fetched = 0
+        for delivery in deliveries:
+            self.content.apply_reconcile(delivery.response, delete_dns)
+            fetched += len(delivery.response.updates)
+        self._fetched.inc(fetched)
+        self._deleted.inc(len(delete_dns))
+        return deliveries[-1].response
+
+    def _sketch_exchange(self, rreq: ReconcileRequest):
+        network, request = self.content.network, self.content.request
+        if network is not None:
+            return network.reconcile_exchange(self.provider, request, rreq)
+        return self.provider.reconcile(request, rreq)
+
+    def _fetch_exchange(self, fetch: ReconcileFetch, timeout_ms: Optional[float]):
+        """The fetch deliveries that beat the per-operation timeout."""
+        network, request = self.content.network, self.content.request
+        if network is not None:
+            deliveries = network.reconcile_fetch_exchange(self.provider, request, fetch)
+        else:
+            deliveries = [Delivery(self.provider.reconcile_fetch(request, fetch))]
+        return SyncedContent.timely(deliveries, timeout_ms)
+
+    def _forget_session(self) -> None:
+        """The tier's one fallback exit.  The refused cookie is dead —
+        kept, it could come to name a session a restarted provider mints
+        later — so the content trades it for the session the tier minted
+        and ends that (``sync_end``): no orphan is left accumulating
+        history for nobody, and the next request is the initial load."""
+        self._fallbacks.inc()
+        self.content.cookie = self._minted
+        if self._minted is not None:
+            try:
+                self.content.end(self.provider)
+            except SyncProtocolError:
+                self.content.cookie = None  # it died with its provider

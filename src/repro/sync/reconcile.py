@@ -1,13 +1,13 @@
 """Sketch-based anti-entropy reconciliation (recovery tier 2).
 
-When a consumer's cookie is gone *and* its session went through a
-history overflow (a ``:h`` cookie, docs/PROTOCOL.md §10.4), the honest
-options used to be a full content rebuild — O(content) traffic for what
-is usually an O(delta) divergence.  Following the set-reconciliation
-construction of *Directory Reconciliation* (Mitzenmacher & Morgan,
-PAPERS.md), this module recovers the symmetric difference between the
-master's content and the replica's from an **invertible sketch** whose
-wire size tracks the divergence, not the directory:
+When a provider refuses the cookie of a consumer that still holds
+content, the paper's answer is a full content rebuild — O(content)
+traffic for what is usually an O(delta) divergence.  Following the
+set-reconciliation construction of *Directory Reconciliation*
+(Mitzenmacher & Morgan, PAPERS.md), this module recovers the symmetric
+difference between the master's content and the replica's from an
+**invertible sketch** whose wire size tracks the divergence, not the
+directory:
 
 * every entry is reduced to a 64-bit DN key (:func:`entry_key`) plus a
   64-bit content fingerprint (:func:`entry_fingerprint`) over its
@@ -30,8 +30,8 @@ wire size tracks the divergence, not the directory:
   :class:`ReconcileConfig`), never applies garbage.
 
 The orchestration (who asks for a sketch when, how failures ladder into
-a paced full rebuild) lives in :class:`~repro.sync.resilient
-.ResilientConsumer`; the provider-side scan in
+a paced full rebuild) lives in :mod:`repro.sync.ladder` (``LADDER``,
+:class:`~repro.sync.ladder.SketchTier`); the provider-side scan in
 :meth:`~repro.sync.resync.ResyncProvider.reconcile`.  Wire framing is
 specified in docs/PROTOCOL.md §11 and docs/RECOVERY.md tier 2.
 """

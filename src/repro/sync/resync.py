@@ -426,7 +426,8 @@ class ResyncProvider:
         """Serve one anti-entropy sketch over the current content.
 
         The cheap alternative to a full-content rebuild for a consumer
-        whose ``:h`` cookie died (docs/RECOVERY.md tier 2): the sketch
+        whose cookie was refused over warm content — stamped ``:h`` or
+        not (docs/RECOVERY.md tier 2): the sketch
         costs O(cells) bytes instead of O(content), and admission
         control does **not** meter it — reconciliation is precisely the
         path that keeps a recovery storm off the rebuild budget.
@@ -502,7 +503,8 @@ class ResyncProvider:
         session histories, unacked batches and persist callbacks.  Every
         outstanding cookie now names an unknown session, so the next
         poll from any consumer raises :class:`SyncProtocolError` and the
-        consumer must take §5's reload path (``cookie=None``).  Persist
+        consumer must recover without the session (docs/RECOVERY.md:
+        sketch reconciliation, or §5's reload).  Persist
         streams simply stop; consumers detect the dead connection and
         re-subscribe.
         """

@@ -518,7 +518,7 @@ class TestStreamIndependence:
         a = ResilientConsumer(REQUEST, provider, seed=3, name="a")
         b = ResilientConsumer(REQUEST, provider, seed=3, name="b")
         for _ in range(5):
-            a._salt_rng.getrandbits(32)
+            a._sketch._salt_rng.getrandbits(32)
         assert [a._rng.random() for _ in range(10)] == [
             b._rng.random() for _ in range(10)
         ]

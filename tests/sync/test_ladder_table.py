@@ -1,0 +1,194 @@
+"""Every cell of the ``LADDER`` table, against real providers.
+
+The parametrised test's ids are the table's own keys — ``(request
+carried a cookie, local content non-empty, provider offers reconcile)``
+— and each cell is *built* from its key (which provider, how much
+content, which cookie), so a row added to ``LADDER`` is run, and what
+the consumer is seen to do is compared with the tiers the row names
+(docs/RECOVERY.md renders the same table).
+"""
+
+import pytest
+
+from repro.ldap import Entry, Scope, SearchRequest
+from repro.server import (
+    DirectoryServer,
+    FaultPlan,
+    FaultSpec,
+    FaultyNetwork,
+    Modification,
+)
+from repro.sync import (
+    ReconcileConfig,
+    ResilientConsumer,
+    ResyncProvider,
+    RetainResyncProvider,
+    RetryPolicy,
+    SyncProtocolError,
+    entry_fingerprint,
+)
+from repro.sync.ladder import LADDER
+
+REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
+
+
+def person(name: str, dept: str = "42") -> Entry:
+    return Entry(
+        f"cn={name},o=xyz",
+        {"objectClass": ["person"], "cn": name, "sn": "T", "departmentNumber": dept},
+    )
+
+
+def build_master(matching: int) -> DirectoryServer:
+    master = DirectoryServer("M")
+    master.add_naming_context("o=xyz")
+    master.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
+    master.add(person("other", dept="99"))
+    for i in range(matching):
+        master.add(person(f"E{i:03d}"))
+    return master
+
+
+def refusing(provider_cls):
+    """*provider_cls*, able to refuse initial loads on demand — the one
+    thing no real provider does by itself."""
+
+    class Refusing(provider_cls):
+        refuse_null = False
+
+        def handle(self, request, control, *args, **kwargs):
+            if self.refuse_null and control.cookie is None:
+                raise SyncProtocolError("initial load refused")
+            return super().handle(request, control, *args, **kwargs)
+
+    return Refusing
+
+
+def build_cell(key, **consumer_kwargs):
+    """(master, provider, consumer, counters) in the state *key* names,
+    one refusal away from the ladder."""
+    carried, warm, offers = key
+    master = build_master(40 if warm else 0)
+    provider = refusing(ResyncProvider if offers else RetainResyncProvider)(master)
+    net = FaultyNetwork()
+    consumer = ResilientConsumer(REQUEST, provider, network=net, **consumer_kwargs)
+    assert consumer.sync_once() is not None
+    assert (len(consumer.content) > 0) == warm
+    assert callable(getattr(provider, "reconcile", None)) == offers
+    if carried and offers:
+        provider.invalidate_cookie(consumer.content.cookie)
+    elif carried:
+        consumer.content.cookie = "<expired>"  # the stateless provider's refusal
+    else:
+        # Where a consumer stands after the ladder chose ``rebuild``.
+        consumer.content.cookie = None
+        provider.refuse_null = True
+    master.add(person("NEW"))
+    if warm:
+        master.modify("cn=E001,o=xyz", [Modification.replace("sn", "changed")])
+        master.delete("cn=E002,o=xyz")
+    return master, provider, consumer, net.registry.counter
+
+
+@pytest.mark.parametrize("key", list(LADDER), ids=str)
+def test_every_cell_takes_the_tiers_the_table_names(key):
+    master, provider, consumer, counter = build_cell(key)
+    tiers = LADDER[key]
+    held = dict(consumer.content.entries)
+    if tiers == ("raise",):
+        with pytest.raises(SyncProtocolError):
+            consumer.sync_once()
+        assert dict(consumer.content.entries) == held  # nothing was touched
+    else:
+        assert consumer.sync_once() is not None
+        assert consumer.content.matches_master(master)
+    # The first tier recovers here, so only it may have run.
+    assert counter("sync.reconcile.attempts").value == (tiers[0] == "sketch")
+    assert counter("sync.resilient.reloads").value == (tiers[0] == "rebuild")
+    assert counter("sync.reconcile.fallbacks").value == 0
+
+
+def test_failed_sketch_moves_on_to_the_next_tier_of_its_row():
+    key = (True, True, True)
+    assert LADDER[key] == ("sketch", "rebuild")
+    master, provider, consumer, counter = build_cell(
+        key, reconcile_config=ReconcileConfig(initial_divergence=1, max_cells=6)
+    )
+    for i in range(10, 30):
+        master.modify(f"cn=E{i:03d},o=xyz", [Modification.replace("sn", "far")])
+    assert consumer.sync_once() is not None
+    assert consumer.content.matches_master(master)
+    assert counter("sync.reconcile.fallbacks").value == 1
+    assert counter("sync.resilient.reloads").value == 1
+    assert provider.active_session_count == 1
+
+
+@pytest.mark.parametrize("death", ["restart", "invalidate_cookie"])
+def test_plain_dead_cookie_over_warm_content_reconciles(death):
+    """Journal-less provider restart and admin expiry both leave a plain
+    (never ``:h``-stamped) cookie: O(delta) through the sketch."""
+    master = build_master(40)
+    provider = ResyncProvider(master)
+    net = FaultyNetwork()
+    consumer = ResilientConsumer(REQUEST, provider, network=net)
+    consumer.sync_once()
+    cookie = consumer.content.cookie
+    assert not cookie.endswith(":h")
+    if death == "restart":
+        provider.restart()
+    else:
+        provider.invalidate_cookie(cookie)
+    master.add(person("NEW"))
+    before = net.stats.snapshot()
+    assert consumer.sync_once() is not None
+    assert consumer.content.matches_master(master)
+    assert net.registry.counter("sync.resilient.reloads").value == 0
+    assert net.registry.counter("sync.reconcile.decode_success").value == 1
+    assert provider.active_session_count == 1
+    # one fetched entry, not forty
+    assert (net.stats - before).sync_entry_pdus == 1
+
+
+@pytest.mark.parametrize("seed", [101, 202, 303])
+@pytest.mark.parametrize("rate", [0.5, 1.0])
+def test_sketch_damage_on_the_plain_cookie_path_never_installs_a_wrong_entry(
+    seed, rate
+):
+    """``FaultSpec.sketch_corrupt`` on the journal-less-restart path:
+    each damaged sketch is a *detected* decode failure — the tier
+    doubles or falls back to the rebuild, and the replica never holds
+    an entry version the master never had."""
+    master = build_master(40)
+    provider = ResyncProvider(master)
+    net = FaultyNetwork(FaultPlan(FaultSpec(sketch_corrupt=rate), seed=seed))
+    consumer = ResilientConsumer(
+        REQUEST,
+        provider,
+        network=net,
+        policy=RetryPolicy(jitter=0.0),
+        reconcile_config=ReconcileConfig(max_cells=192),
+    )
+    consumer.sync_once()
+    ever_valid = {entry_fingerprint(e) for e in master.search(REQUEST).entries}
+    provider.restart()
+    for i in range(5):
+        master.modify(f"cn=E{i:03d},o=xyz", [Modification.replace("sn", f"Z{i}")])
+    master.delete("cn=E039,o=xyz")
+    ever_valid |= {entry_fingerprint(e) for e in master.search(REQUEST).entries}
+
+    assert consumer.sync_once() is not None
+    assert consumer.content.matches_master(master)
+    held = {entry_fingerprint(e) for e in consumer.content.entries.values()}
+    assert held <= ever_valid
+    counter = net.registry.counter
+    injected = counter("net.fault.injected").labels(kind="sketch_corrupt").value
+    assert injected >= (1 if rate == 1.0 else 0)
+    # detected, every time
+    assert counter("sync.reconcile.decode_failure").value >= injected
+    # …and recovered one way or the other: doubled, or fell back.
+    assert (
+        counter("sync.reconcile.decode_success").value
+        + counter("sync.resilient.reloads").value
+        == 1
+    )
+    assert provider.active_session_count == 1

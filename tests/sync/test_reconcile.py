@@ -7,10 +7,11 @@ Three layers under test (docs/PROTOCOL.md §11, docs/RECOVERY.md):
 * the provider operations — ``reconcile`` serves a sketch plus a live
   session cookie, ``reconcile_fetch`` resolves decoded keys against
   current content, both journaled so the session survives a crash;
-* the consumer ladder — ``:h`` cookies (and only those) enter the
-  reconcile tier, decode failures double the sketch up to the cap,
-  the cap falls back to the paced full rebuild, and a corrupted
-  sketch can never install a wrong entry.
+* the consumer ladder — any refused cookie over warm content enters
+  the reconcile tier, decode failures double the sketch up to the cap,
+  every fallback ends the session the tier minted and takes the paced
+  full rebuild, and a corrupted sketch can never install a wrong entry
+  (the table itself is driven cell by cell in ``test_ladder_table.py``).
 """
 
 import pytest
@@ -23,7 +24,7 @@ from repro.server import (
     FaultyNetwork,
     Modification,
 )
-from repro.server.network import SimulatedNetwork
+from repro.server.network import RequestDropped, SimulatedNetwork
 from repro.sync import (
     DurabilityConfig,
     EntrySketch,
@@ -230,7 +231,7 @@ def overflow_then_kill(master, provider, consumer, touched=4):
     for i in range(touched):
         master.modify(f"cn=E{i:03d},o=xyz", [Modification.replace("sn", f"S{i}")])
     consumer.sync_once()  # incomplete-history resume: cookie now carries :h
-    assert consumer._cookie_overflowed()
+    assert consumer.content.cookie.endswith(":h")
     for i in range(touched):
         master.modify(f"cn=E{i:03d},o=xyz", [Modification.replace("sn", f"Z{i}")])
     provider.invalidate_cookie(consumer.content.cookie)
@@ -257,26 +258,27 @@ class TestReconcileTier:
         consumer.sync_once()
         assert consumer.content.matches_master(master)
 
-    def test_plain_cookie_restart_reloads_without_reconcile(self):
-        """Regression: a provider restart (journal intact or not) leaves
-        a *plain* cookie — the replica is a faithful prefix, so the
-        ladder must take the honest reload, not burn a sketch round."""
+    def test_plain_cookie_restart_reconciles_without_reload(self):
+        """A journal-less provider restart leaves a *plain* dead cookie
+        over warm content: the refusal enters the sketch tier like any
+        other — O(delta), no reload (docs/RECOVERY.md decision table)."""
         master = build_master(10)
         provider = ResyncProvider(master)  # no journal: restart forgets all
         net = SimulatedNetwork()
         consumer = ResilientConsumer(REQUEST, provider, network=net)
         consumer.sync_once()
-        assert not consumer._cookie_overflowed()
+        assert not consumer.content.cookie.endswith(":h")
         provider.restart()
         master.add(person("NEW"))
         consumer.sync_once()
         assert consumer.content.matches_master(master)
-        assert net.registry.counter("sync.resilient.reloads").value == 1
-        assert net.registry.counter("sync.reconcile.attempts").value == 0
+        assert net.registry.counter("sync.resilient.reloads").value == 0
+        assert net.registry.counter("sync.reconcile.decode_success").value == 1
+        assert provider.active_session_count == 1
 
     def test_restart_with_intact_journal_needs_neither(self):
-        """The other half of the distinction: restart + recover resolves
-        the cookie — no protocol error, no reconcile, no reload."""
+        """Restart + recover resolves the cookie — no protocol error,
+        so the ladder is never entered: no reconcile, no reload."""
         master = build_master(10)
         provider = ResyncProvider(
             master, durability=DurabilityConfig(), journal=MemoryJournal()
@@ -328,6 +330,49 @@ class TestReconcileTier:
         assert reg.counter("sync.reconcile.fallbacks").value == 1
         assert reg.counter("sync.resilient.reloads").value == 1
         assert provider.active_session_count == 1  # abandoned ladder session ended
+
+    @pytest.mark.parametrize("lost", ["fetch", "doubling_request"])
+    def test_every_fallback_ends_the_session_the_tier_minted(self, lost):
+        """Regression: only the cap exit ended the sketch-time session.
+        When the fetch gave out, or a doubling round's request was lost
+        after an earlier round had minted a session, the ladder rebuilt
+        and left the provider holding an orphan beside the new session,
+        accumulating history for nobody."""
+
+        class Lossy(SimulatedNetwork):
+            sketches = 0
+
+            def reconcile_fetch_exchange(self, provider, request, fetch):
+                self.charge_round_trip()
+                raise RequestDropped("fetch request lost in flight")
+
+            def reconcile_exchange(self, provider, request, rreq):
+                self.sketches += 1
+                if lost == "doubling_request" and self.sketches > 1:
+                    self.charge_round_trip()
+                    raise RequestDropped("sketch request lost in flight")
+                return super().reconcile_exchange(provider, request, rreq)
+
+        master = build_master(60)
+        provider = overflowing_provider(master)
+        net = Lossy()
+        # an undersized first sketch forces the doubling round
+        cells = dict(initial_divergence=1) if lost == "doubling_request" else {}
+        consumer = ResilientConsumer(
+            REQUEST,
+            provider,
+            network=net,
+            policy=RetryPolicy(max_attempts=3, jitter=0.0),
+            reconcile_config=ReconcileConfig(**cells),
+        )
+        overflow_then_kill(master, provider, consumer, touched=30 if cells else 4)
+        assert consumer.sync_once() is not None
+        assert consumer.content.matches_master(master)
+        reg = net.registry
+        assert reg.counter("sync.reconcile.rounds").value == 1
+        assert reg.counter("sync.reconcile.fallbacks").value == 1
+        assert reg.counter("sync.resilient.reloads").value == 1
+        assert provider.active_session_count == 1  # no orphan beside the rebuild's
 
     def test_corrupted_sketches_never_install_wrong_entries(self):
         """Every served sketch corrupted: the ladder must detect each

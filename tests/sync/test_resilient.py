@@ -24,12 +24,14 @@ from repro.server import (
 )
 from repro.sync import (
     DurabilityConfig,
+    HealthPolicy,
     MemoryJournal,
     ResilientConsumer,
     ResyncProvider,
     RetainResyncProvider,
     RetryPolicy,
     SyncedContent,
+    SyncProtocolError,
 )
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
@@ -74,9 +76,9 @@ class TestDroppedResponseRegression:
     """
 
     @staticmethod
-    def synced(net, **policy):
+    def synced(net, provider_cls=ResyncProvider, **policy):
         master = build_master()
-        provider = ResyncProvider(master)
+        provider = provider_cls(master)
         consumer = ResilientConsumer(
             REQUEST, provider, network=net, policy=RetryPolicy(jitter=0.0, **policy)
         )
@@ -117,10 +119,12 @@ class TestDroppedResponseRegression:
         assert len(consumer.content) == 4  # stale but serviceable
 
     def test_protocol_error_still_reloads(self):
+        # Against a provider with no ``reconcile`` operation the refused
+        # cookie takes the paper's one answer (docs/RECOVERY.md).
         net = FaultyNetwork(ScriptedPlan())
-        master, provider, consumer = self.synced(net)
+        master, provider, consumer = self.synced(net, RetainResyncProvider)
 
-        provider.invalidate_cookie(consumer.content.cookie)
+        consumer.content.cookie = "<expired>"
         master.add(person("E9"))
         consumer.sync_once()
         assert consumer.content.matches_master(master)
@@ -230,9 +234,65 @@ class TestResilientPoll:
         assert registry.counter("sync.reconcile.decode_success").value == 1
         assert registry.counter("sync.resilient.reloads").value == 0
 
-    def test_cookie_invalidation_falls_back_to_reload(self):
+    def test_timeout_applies_to_the_persist_subscription(self):
+        """Regression: the subscribe path took the initial response
+        however late, so ``RetryPolicy.timeout_ms`` bound poll consumers
+        and not persist ones."""
         master = build_master()
         provider = ResyncProvider(master)
+        net = FaultyNetwork()
+        consumer = ResilientConsumer(
+            REQUEST,
+            provider,
+            network=net,
+            mode="persist",
+            policy=RetryPolicy(max_attempts=3, timeout_ms=100.0, jitter=0.0),
+        )
+        net.set_slow(provider, 500.0)
+        assert consumer.sync_once() is None  # every initial response late
+        assert len(consumer.content) == 0  # …and none of them applied
+        retries = net.registry.counter("sync.resilient.retries")
+        assert retries.labels(kind="timeout").value == 3
+        # Each late response abandoned its half-open session.
+        assert provider.active_session_count == 0
+        assert net.open_connections == 0
+        net.clear_slow(provider)
+        assert consumer.sync_once() is not None
+        assert consumer.content.matches_master(master)
+        assert provider.active_session_count == 1
+
+    def test_dead_cookie_never_outlives_its_cycle(self):
+        """After a journal-less restart the provider numbers sessions
+        from s1 again, so a refused cookie that survived a failed sketch
+        tier would come to name the very session that tier minted and
+        lost — whose history assumes content the replica never got."""
+        master = build_master()
+        provider = ResyncProvider(master)
+        net = FaultyNetwork(ScriptedPlan())
+        consumer = ResilientConsumer(
+            REQUEST,
+            provider,
+            network=net,
+            policy=RetryPolicy(jitter=0.0),
+            health=HealthPolicy(breaker_threshold=1, breaker_cooldown_ms=50.0),
+        )
+        consumer.sync_once()
+        dead = consumer.content.cookie
+        provider.restart()
+        master.add(person("E9"))
+        # refused poll, then the sketch response is lost: the provider
+        # minted a session named like the dead cookie, the breaker trips
+        net.plan = ScriptedPlan(ExchangeFaults(), ExchangeFaults(drop_response=True))
+        assert consumer.sync_once() is None
+        assert provider.active_session_count == 1
+        assert provider.sessions.get(dead.split(":")[0]) is not None
+        assert consumer.content.cookie is None
+        assert consumer.sync_once() is not None  # half-open probe: initial load
+        assert consumer.content.matches_master(master)
+
+    def test_cookie_invalidation_falls_back_to_reload(self):
+        master = build_master()
+        provider = RetainResyncProvider(master)  # offers no sketch tier
         net = FaultyNetwork(
             ScriptedPlan(ExchangeFaults(), ExchangeFaults(cookie_invalidate=True))
         )
@@ -392,6 +452,27 @@ class TestPersistResilience:
         cycles = consumer.converge(master, max_cycles=4)
         assert cycles is not None  # the refresh re-fetched full content
         assert net.registry.counter("sync.resilient.refreshes").value >= 1
+
+    def test_refused_subscription_raises_instead_of_looping(self):
+        """Regression: a refused *null-cookie* request was re-raised in
+        poll mode but torn down and re-subscribed forever in persist
+        mode — one ``sync_once()`` never returned."""
+
+        class RefusesEverySubscription:
+            server = None
+            calls = 0
+
+            def persist(self, request, deliver, cookie=None):
+                self.calls += 1
+                if self.calls > 50:
+                    raise AssertionError("sync_once() is looping on the refusal")
+                raise SyncProtocolError("persist mode not offered")
+
+        provider = RefusesEverySubscription()
+        consumer = ResilientConsumer(REQUEST, provider, mode="persist")
+        with pytest.raises(SyncProtocolError):
+            consumer.sync_once()
+        assert provider.calls == 1
 
     def test_subscribe_failure_does_not_leak_half_open_session(self):
         master = build_master()

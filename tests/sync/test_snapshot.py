@@ -317,7 +317,10 @@ class TestConsumerWarmStart:
         assert net.registry.counter("sync.resilient.reloads").value == 1
         assert net.registry.counter("sync.reconcile.attempts").value == 0
 
-    def test_snapshot_exemption_ends_after_first_success(self):
+    def test_refusal_after_first_success_takes_the_same_tier(self):
+        """There is no snapshot exemption to end: a cookie refused after
+        the restored session went live enters the sketch tier exactly
+        like the just-restored one (docs/RECOVERY.md decision table)."""
         master = build_master(10)
         provider = ResyncProvider(master)
         store = MemorySnapshotStore()
@@ -327,13 +330,14 @@ class TestConsumerWarmStart:
         restarted = ResilientConsumer(
             REQUEST, provider, network=net, snapshot_store=store
         )
-        restarted.sync_once()  # live again
-        # A later dead cookie is a plain-cookie case: reload, no sketch.
+        restarted.sync_once()
+        assert restarted.snapshot_recoverer.stage == "live"
         provider.invalidate_cookie(restarted.content.cookie)
+        master.add(person("Z1"))
         restarted.sync_once()
         assert restarted.content.matches_master(master)
-        assert net.registry.counter("sync.reconcile.attempts").value == 0
-        assert net.registry.counter("sync.resilient.reloads").value == 1
+        assert net.registry.counter("sync.reconcile.attempts").value == 1
+        assert net.registry.counter("sync.resilient.reloads").value == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency checks (CI `lint` job, alongside ruff).
 
-Three classes of drift this catches (the first two have bitten this repo's docs
+Four classes of drift this catches (the first two have bitten this repo's docs
 before they were checked):
 
 1. **Dead intra-repo links** — every relative markdown link in every
@@ -22,6 +22,12 @@ before they were checked):
    (the one place ``src/`` decodes the journal): a kind added to one
    and not the other is a record nobody replays, or documents.
 
+4. **Decision tables** — docs/RECOVERY.md's decision table must be the
+   ``LADDER`` dict of ``repro.sync.ladder`` and docs/FAULTS.md §4's
+   position × event table the ``HEALTH`` dict of ``repro.sync.health``,
+   key for key and outcome for outcome: "which rung, and why" and
+   "which state, and why" are data, and the docs render it.
+
 Run from the repository root::
 
     python tools/check_docs.py
@@ -39,6 +45,8 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src")
 OBSERVABILITY = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
 PROTOCOL = os.path.join(REPO_ROOT, "docs", "PROTOCOL.md")
+RECOVERY = os.path.join(REPO_ROOT, "docs", "RECOVERY.md")
+FAULTS = os.path.join(REPO_ROOT, "docs", "FAULTS.md")
 
 SKIP_DIRS = {
     ".git",
@@ -167,11 +175,76 @@ def check_journal_kinds() -> list:
     ]
 
 
+def table_rows(path: str, first_header: str) -> list:
+    """Cell lists, header row first, of the markdown table in *path*
+    whose header row starts with *first_header*."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    for at, line in enumerate(lines):
+        if line.startswith(f"| {first_header} |") and lines[at + 1].startswith("|---"):
+            block = [line]
+            for row in lines[at + 2:]:
+                if not row.startswith("|"):
+                    break
+                block.append(row)
+            return [[cell.strip() for cell in row.strip("|").split("|")] for row in block]
+    return []
+
+
+def documented_ladder() -> dict:
+    """docs/RECOVERY.md's decision table as ``{(bool, bool, bool): tiers}``."""
+    rows = table_rows(RECOVERY, "request carried a cookie")
+    return {
+        tuple(cell == "yes" for cell in row[:3]): tuple(re.findall(r"`(\w+)`", row[3]))
+        for row in rows[1:]
+    }
+
+
+def documented_health() -> dict:
+    """docs/FAULTS.md §4's position × event table as ``{(position,
+    event): next position}``; a ``·`` cell is no move."""
+    rows = table_rows(FAULTS, "position | `gate`")
+    if not rows:
+        return {}
+    events = [cell.strip("`") for cell in rows[0][1:]]
+    return {
+        (row[0].strip("`"), event): cell.strip("`")
+        for row in rows[1:]
+        for event, cell in zip(events, row[1:])
+        if cell != "·"
+    }
+
+
+def check_decision_tables() -> list:
+    sys.path.insert(0, SRC_ROOT)
+    from repro.sync.health import HEALTH
+    from repro.sync.ladder import LADDER
+
+    problems = []
+    for where, documented, table in (
+        ("docs/RECOVERY.md decision table and repro.sync.ladder.LADDER",
+         documented_ladder(), LADDER),
+        ("docs/FAULTS.md §4 position × event table and repro.sync.health.HEALTH",
+         documented_health(), HEALTH),
+    ):
+        differing = sorted(
+            str(key)
+            for key in set(documented) | set(table)
+            if documented.get(key) != table.get(key)
+        )
+        if differing:
+            problems.append(f"{where} differ at {', '.join(differing)}")
+    return problems
+
+
 def main() -> int:
     md_files = markdown_files()
     sources = source_texts()
     problems = (
-        check_links(md_files) + check_instruments(sources) + check_journal_kinds()
+        check_links(md_files)
+        + check_instruments(sources)
+        + check_journal_kinds()
+        + check_decision_tables()
     )
     if problems:
         for problem in problems:
@@ -182,7 +255,9 @@ def main() -> int:
     print(
         f"ok: {len(md_files)} markdown files link-clean, "
         f"{names} documented instruments present in src/, "
-        f"{len(documented_record_kinds())} journal record kinds match the fold"
+        f"{len(documented_record_kinds())} journal record kinds match the fold, "
+        f"{len(documented_ladder())} ladder cells and "
+        f"{len(documented_health())} health moves match their tables"
     )
     return 0
 
