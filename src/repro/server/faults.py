@@ -20,88 +20,14 @@ module makes the network hostile, reproducibly.
   fault kind) in the network's metrics registry, so benches can report
   fault counts next to round trips.
 
-Fault semantics (docs/PROTOCOL.md §9):
-
-==================  ====================================================
-fault               effect on one synchronization exchange
-==================  ====================================================
-drop_request        request lost before the server saw it
-                    (:class:`RequestDropped`; no server-side effect)
-drop_response       server processed the poll — the session's batch was
-                    drained — but the response was lost
-                    (:class:`ResponseDropped`)
-duplicate           the response arrives twice (two
-                    :class:`~repro.server.network.Delivery` copies);
-                    consumers must re-apply idempotently
-delay               the response arrives late; consumers with a
-                    per-operation timeout treat it as lost
-truncate            the update stream is cut mid-delivery; the prefix
-                    travels in :class:`ResponseTruncated`, the cookie
-                    (which travels last) does not
-crash               the server crashes: in-memory session state is lost
-                    (``provider.restart()``), open connections drop, and
-                    the server stays unreachable for ``crash_length``
-                    further exchanges (:class:`ServerUnavailable`).  A
-                    *durable* provider (one with a journal) additionally
-                    recovers from its journal (``provider.recover()``)
-                    before the restart window ends
-journal_truncate    the crash tears the journal tail: a fraction of the
-                    trailing records is lost before recovery replays it
-journal_corrupt     the crash corrupts one journal record (or the
-                    snapshot); everything from that point on is
-                    unreadable and dropped by recovery
-cookie_invalidate   the presented session cookie is expired server-side
-                    (or corrupted in flight) — the provider answers with
-                    :class:`~repro.sync.SyncProtocolError`, exercising
-                    the recovery ladder (docs/RECOVERY.md)
-sketch_corrupt      one cell of a served reconcile sketch is damaged in
-                    flight (:func:`repro.sync.reconcile.corrupt_cell`);
-                    the consumer's verified decode detects it and
-                    doubles or falls back to a rebuild — never applies
-                    garbage (docs/PROTOCOL.md §11)
-snapshot_truncate   the replica's crash tears the tail off its content
-                    snapshot (:mod:`repro.sync.snapshot`); the restart's
-                    checksum verification detects it and the snapshot is
-                    discarded, never applied — a cold start
-snapshot_corrupt    the replica's snapshot is bit-flipped at rest; same
-                    detect-and-discard outcome as a torn one
-snapshot_stale      the snapshot is intact but its cookie has aged out
-                    of the provider's session table: content restores,
-                    the first poll is refused, and the consumer climbs
-                    the ladder (sketch reconcile, then rebuild)
-partition           provider↔consumer reachability is cut: exchanges
-                    raise :class:`NetworkPartitioned` until the window
-                    ends (``partition_length`` exchanges, or an explicit
-                    :meth:`FaultyNetwork.heal_partition`); the server is
-                    healthy throughout — session state survives and
-                    persist cookies resume after the heal
-slow                slow-node injection: the exchange succeeds but
-                    carries up to ``slow_latency_ms`` added latency,
-                    charged to the virtual clock and to the delivery's
-                    ``delay_ms`` (so per-operation timeouts fire)
-==================  ====================================================
-
-Partition and slow decisions ride their own ``:p`` stream, drawn only
-when the spec enables them — plans without reachability faults keep
-byte-identical schedules on every other stream for the same seed.
+What each fault kind does, which seed stream draws it and which
+exchange it reaches is :data:`FAULTS` below, rendered as docs/FAULTS.md
+§2–§3 (``tools/check_docs.py`` holds the two together).  The
+consumer→provider exchanges all run :meth:`FaultyNetwork._exchange`;
+persist-mode notifications pass :meth:`FaultyNetwork.deliver_batch`;
+journal and snapshot damage land at crash and replica-restart time.
 Explicit :meth:`FaultyNetwork.partition` / ``set_slow`` windows (the
 chaos schedule's tool) need no plan at all.
-
-Snapshot damage is applied at replica-restart time — the moment the
-restarting consumer is about to read its snapshot — via
-:meth:`FaultyNetwork.damage_snapshot`, on its own ``:s`` decision
-stream so existing exchange/notification/journal schedules for a seed
-stay byte-identical.
-
-Persist-mode notification streams have one fault seam,
-:meth:`FaultyNetwork.deliver_batch`, fed by two independent streams.
-``:b`` decides per flushed batch: drop it whole (``batch_drop``) or
-truncate it at a batch boundary (``batch_truncate`` — the delivered
-prefix surfaces exactly like :class:`ResponseTruncated.partial` does
-for a cut poll response).  ``:n`` decides per PDU inside a batch that
-got through: ``notification_drop`` removes it from the frame,
-``notification_duplicate`` carries it twice.  Like ``:p``, the ``:n``
-stream is drawn only when the spec enables one of its faults.
 """
 
 from __future__ import annotations
@@ -112,6 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.registry import MetricsRegistry
 from .network import (
+    EXCHANGES,
     Delivery,
     NetworkPartitioned,
     RequestDropped,
@@ -121,7 +48,45 @@ from .network import (
     SimulatedNetwork,
 )
 
-__all__ = ["FaultSpec", "FaultPlan", "ExchangeFaults", "FaultyNetwork"]
+__all__ = ["FAULTS", "FaultSpec", "FaultPlan", "ExchangeFaults", "FaultyNetwork"]
+
+_EVERY = tuple(EXCHANGES)
+
+#: Fault kind → (the seed stream that draws it, where it applies): the
+#: exchange kinds of :data:`~repro.server.network.EXCHANGES` it reaches,
+#: or — off the exchange path — ``batch`` (a flushed persist batch),
+#: ``journal`` (a journaled provider's crash) or ``snapshot`` (a replica
+#: restart).  The one list of kinds: a :class:`FaultSpec` probability
+#: each, the cells :meth:`FaultyNetwork._exchange` consults, the streams
+#: a :class:`FaultPlan` counts.  An empty cell is a decision drawn and
+#: not applied; filling one shifts no stream but moves every seeded
+#: baseline that reaches it.
+FAULTS = {
+    "crash": ("x", _EVERY),
+    "cookie_invalidate": ("x", ("poll", "subscribe")),
+    "drop_request": ("x", _EVERY),
+    "drop_response": ("x", _EVERY),
+    "truncate": ("x", ("poll", "subscribe", "fetch")),
+    "delay": ("x", ("poll", "sketch", "fetch")),
+    "duplicate": ("x", ("poll", "fetch")),
+    "partition": ("p", _EVERY),
+    "slow": ("p", _EVERY),
+    "sketch_corrupt": ("r", ("sketch",)),
+    "batch_drop": ("b", ("batch",)),
+    "batch_truncate": ("b", ("batch",)),
+    "notification_drop": ("n", ("batch",)),
+    "notification_duplicate": ("n", ("batch",)),
+    "journal_truncate": ("j", ("journal",)),
+    "journal_corrupt": ("j", ("journal",)),
+    "snapshot_truncate": ("s", ("snapshot",)),
+    "snapshot_corrupt": ("s", ("snapshot",)),
+    "snapshot_stale": ("s", ("snapshot",)),
+}
+
+#: Seed stream → the kinds it draws (:data:`FAULTS`, regrouped).
+STREAMS: Dict[str, Tuple[str, ...]] = {}
+for _kind, (_stream, _) in FAULTS.items():
+    STREAMS[_stream] = STREAMS.get(_stream, ()) + (_kind,)
 
 
 @dataclass(frozen=True)
@@ -157,27 +122,7 @@ class FaultSpec:
     slow_latency_ms: float = 50.0
 
     def __post_init__(self):
-        for name in (
-            "drop_request",
-            "drop_response",
-            "duplicate",
-            "delay",
-            "truncate",
-            "cookie_invalidate",
-            "crash",
-            "notification_drop",
-            "notification_duplicate",
-            "batch_drop",
-            "batch_truncate",
-            "journal_truncate",
-            "journal_corrupt",
-            "sketch_corrupt",
-            "snapshot_truncate",
-            "snapshot_corrupt",
-            "snapshot_stale",
-            "partition",
-            "slow",
-        ):
+        for name in FAULTS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability, got {value!r}")
@@ -240,43 +185,38 @@ class ExchangeFaults:
     duplicate: bool = False
     delay_ms: float = 0.0
 
-    @property
-    def any(self) -> bool:
-        return (
-            self.crash
-            or self.cookie_invalidate
-            or self.drop_request
-            or self.drop_response
-            or self.truncate
-            or self.duplicate
-            or self.delay_ms > 0
-        )
-
 
 class FaultPlan:
     """A seeded, replayable schedule of fault decisions.
 
-    Exchange *i*'s decisions are drawn from ``Random(f"{seed}:x{i}")``
-    and notification *j*'s from ``Random(f"{seed}:n{j}")`` — fully
-    deterministic, independent of how many prior decisions were made by
-    other code paths, and independent between the two streams.
+    Decision *i* of stream *s* is drawn from ``Random(f"{seed}:{s}{i}")``
+    — fully deterministic, independent of how many prior decisions were
+    made by other code paths, and independent between streams: a run
+    that never reaches a stream's draw site leaves every other stream's
+    schedule byte-identical.  :attr:`drawn` counts the decisions made
+    per stream.
     """
 
     def __init__(self, spec: FaultSpec, seed: int = 0):
         self.spec = spec
         self.seed = seed
-        self._exchange_index = 0
-        self._notification_index = 0
-        self._batch_index = 0
-        self._journal_index = 0
-        self._reconcile_index = 0
-        self._snapshot_index = 0
-        self._partition_index = 0
+        self.drawn: Dict[str, int] = dict.fromkeys(STREAMS, 0)
+
+    def _rng(self, stream: str) -> random.Random:
+        """The generator of *stream*'s next decision."""
+        index = self.drawn[stream]
+        self.drawn[stream] = index + 1
+        return random.Random(f"{self.seed}:{stream}{index}")
+
+    def enables(self, stream: str) -> bool:
+        """True when the spec turns on any fault *stream* draws.  The
+        ``:p`` and ``:n`` streams are drawn only then, so a plan without
+        them stays at decision 0 there."""
+        return any(getattr(self.spec, kind) > 0.0 for kind in STREAMS[stream])
 
     def next_exchange(self) -> ExchangeFaults:
-        """Fault decisions for the next poll/subscribe exchange."""
-        rng = random.Random(f"{self.seed}:x{self._exchange_index}")
-        self._exchange_index += 1
+        """Fault decisions for the next consumer→provider exchange."""
+        rng = self._rng("x")
         spec = self.spec
         delay_hit = rng.random() < spec.delay
         return ExchangeFaults(
@@ -292,9 +232,8 @@ class FaultPlan:
 
     def next_notification(self) -> Tuple[bool, bool]:
         """(drop, duplicate) decisions for the next notification PDU
-        inside a delivered persist batch — its own ``:n`` stream."""
-        rng = random.Random(f"{self.seed}:n{self._notification_index}")
-        self._notification_index += 1
+        inside a delivered persist batch."""
+        rng = self._rng("n")
         return (
             rng.random() < self.spec.notification_drop,
             rng.random() < self.spec.notification_duplicate,
@@ -302,11 +241,8 @@ class FaultPlan:
 
     def next_batch(self) -> Tuple[bool, bool, float]:
         """(drop, truncate, keep position) decisions for the next
-        flushed persist batch — its own ``:b`` stream, so poll-only
-        runs (which never flush batches) keep byte-identical exchange
-        schedules for the same seed."""
-        rng = random.Random(f"{self.seed}:b{self._batch_index}")
-        self._batch_index += 1
+        flushed persist batch."""
+        rng = self._rng("b")
         return (
             rng.random() < self.spec.batch_drop,
             rng.random() < self.spec.batch_truncate,
@@ -315,11 +251,8 @@ class FaultPlan:
 
     def next_journal(self) -> Tuple[bool, bool, float]:
         """(truncate, corrupt, position) decisions for the next crash of
-        a journaled provider — its own ``:j`` stream, so providers with
-        and without journals see identical exchange/notification
-        schedules for the same seed."""
-        rng = random.Random(f"{self.seed}:j{self._journal_index}")
-        self._journal_index += 1
+        a journaled provider."""
+        rng = self._rng("j")
         return (
             rng.random() < self.spec.journal_truncate,
             rng.random() < self.spec.journal_corrupt,
@@ -328,21 +261,14 @@ class FaultPlan:
 
     def next_reconcile(self) -> Tuple[bool, float]:
         """(corrupt, cell position) decisions for the next served
-        sketch — its own ``:r`` stream, so runs that never reconcile
-        see identical exchange/notification/journal schedules for the
-        same seed."""
-        rng = random.Random(f"{self.seed}:r{self._reconcile_index}")
-        self._reconcile_index += 1
+        sketch."""
+        rng = self._rng("r")
         return (rng.random() < self.spec.sketch_corrupt, rng.random())
 
     def next_partition(self) -> Tuple[bool, bool, float]:
         """(partition, slow, added latency ms) decisions for the next
-        exchange's reachability — its own ``:p`` stream, drawn only
-        when the spec enables partition or slow faults, so plans
-        without reachability faults keep byte-identical schedules on
-        every other stream for the same seed."""
-        rng = random.Random(f"{self.seed}:p{self._partition_index}")
-        self._partition_index += 1
+        exchange's reachability."""
+        rng = self._rng("p")
         return (
             rng.random() < self.spec.partition,
             rng.random() < self.spec.slow,
@@ -351,12 +277,8 @@ class FaultPlan:
 
     def next_snapshot(self) -> Tuple[bool, bool, bool, float]:
         """(truncate, corrupt, stale, position) decisions for the next
-        replica restart that reads a content snapshot — its own ``:s``
-        stream, so consumers with and without snapshot stores see
-        identical exchange/notification/journal/reconcile schedules for
-        the same seed."""
-        rng = random.Random(f"{self.seed}:s{self._snapshot_index}")
-        self._snapshot_index += 1
+        replica restart that reads a content snapshot."""
+        rng = self._rng("s")
         return (
             rng.random() < self.spec.snapshot_truncate,
             rng.random() < self.spec.snapshot_corrupt,
@@ -433,15 +355,12 @@ class FaultyNetwork(SimulatedNetwork):
         return url if url is not None else f"provider:{id(provider)}"
 
     def crash(self, provider) -> None:
-        """Crash the provider's server now, regardless of the plan —
-        for tests and benches that place crashes explicitly.  Persist
-        consumers see it through :attr:`crash_epoch` and their dropped
-        connections; pollers hit the restart window."""
-        self._crash(provider)
-
-    def _crash(self, provider) -> None:
         """Crash the provider's server: lose in-memory session state,
-        drop its connections, open a restart window."""
+        drop its connections, open a restart window.  The plan's
+        ``crash`` decision lands here; tests and benches call it to
+        place a crash explicitly.  Persist consumers see it through
+        :attr:`crash_epoch` and their dropped connections; pollers hit
+        the restart window."""
         key = self._server_key(provider)
         self.crash_epoch += 1
         self._record("crash")
@@ -466,23 +385,22 @@ class FaultyNetwork(SimulatedNetwork):
                 recover()
         self.disconnect_server(key)
 
-    def _check_unavailable(self, provider) -> None:
-        """Raise while the provider's server is inside a restart window.
-
-        The attempt still costs a round trip (the client sent a request
-        and waited out its timeout).
-        """
-        key = self._server_key(provider)
-        remaining = self._down_for.get(key, 0)
-        if remaining <= 0:
+    def _refuse_while(self, windows: Dict[str, int], key: str, kind: str, error) -> None:
+        """Refuse one attempt with *error* while *key* has a window
+        open in *windows*, spending one attempt of it (a negative
+        window stays open until removed).  The attempt still costs a
+        round trip: the client sent a request and waited out its
+        timeout."""
+        remaining = windows.get(key, 0)
+        if remaining == 0:
             return
-        if remaining <= 1:
-            self._down_for.pop(key, None)  # restarted after this attempt
-        else:
-            self._down_for[key] = remaining - 1
+        if remaining == 1:
+            del windows[key]  # over after this attempt
+        elif remaining > 1:
+            windows[key] = remaining - 1
         self.charge_round_trip()
-        self._record("unavailable")
-        raise ServerUnavailable(f"server {key} is restarting")
+        self._record(kind)
+        raise error(f"server {key}: {kind}")
 
     # ------------------------------------------------------------------
     # partitions and slow nodes
@@ -532,37 +450,27 @@ class FaultyNetwork(SimulatedNetwork):
             self._slow.pop(self._server_key(provider), None)
 
     def _check_reachable(self, provider) -> float:
-        """Partition and slow-node handling for one exchange attempt.
+        """Restart window, partition and slow-node handling for one
+        exchange attempt.
 
-        Draws the plan's ``:p`` decisions (only when the spec enables
-        them — the stream is independent, so other streams never
-        shift), raises :class:`NetworkPartitioned` while a partition is
-        cut (the attempt still costs a round trip: the client sent a
-        request and waited out its timeout), and returns the added
-        latency this exchange must carry.
+        Refuses the attempt inside the server's restart window
+        (:class:`ServerUnavailable`); draws the plan's ``:p`` decisions
+        (only when the spec enables them, so a plan without them stays
+        at decision 0 there) and refuses it while a partition is cut
+        (:class:`NetworkPartitioned`); returns the added latency the
+        exchange must carry.
         """
         key = self._server_key(provider)
-        transient_ms = 0.0
-        if self.plan is not None:
-            spec = self.plan.spec
-            if spec.partition > 0.0 or spec.slow > 0.0:
-                cut, slow, added_ms = self.plan.next_partition()
-                if cut and key not in self._partitioned:
-                    self._partitioned[key] = spec.partition_length
-                    self.disconnect_server(key)
-                if slow:
-                    transient_ms = added_ms
-        remaining = self._partitioned.get(key)
-        if remaining is not None:
-            if remaining > 0:
-                if remaining <= 1:
-                    self._partitioned.pop(key, None)
-                else:
-                    self._partitioned[key] = remaining - 1
-            self.charge_round_trip()
-            self._record("partition")
-            raise NetworkPartitioned(f"no route to server {key}")
-        extra_ms = transient_ms + self._slow.get(key, 0.0)
+        self._refuse_while(self._down_for, key, "unavailable", ServerUnavailable)
+        extra_ms = self._slow.get(key, 0.0)
+        if self.plan is not None and self.plan.enables("p"):
+            cut, slow, added_ms = self.plan.next_partition()
+            if cut and key not in self._partitioned:
+                self._partitioned[key] = self.plan.spec.partition_length
+                self.disconnect_server(key)
+            if slow:
+                extra_ms += added_ms
+        self._refuse_while(self._partitioned, key, "partition", NetworkPartitioned)
         if extra_ms > 0:
             self._record("slow")
             self._fault_delay_ms.inc(extra_ms)
@@ -570,179 +478,78 @@ class FaultyNetwork(SimulatedNetwork):
         return extra_ms
 
     # ------------------------------------------------------------------
-    # exchange hooks
+    # the exchange pipeline
     # ------------------------------------------------------------------
-    def sync_exchange(self, provider, request, control) -> List[Delivery]:
-        if self.plan is None:
-            self._check_unavailable(provider)
-            extra_ms = self._check_reachable(provider)
-            deliveries = super().sync_exchange(provider, request, control)
-            for delivery in deliveries:
-                delivery.delay_ms += extra_ms
-            return deliveries
-        faults = self.plan.next_exchange()
-        if faults.crash:
-            self._crash(provider)
-        self._check_unavailable(provider)
+    def _exchange(self, kind: str, provider, request, payload, deliver=None):
+        """One consumer→provider exchange of *kind* under the plan.
+
+        The base network's charge-and-serve step between a *before*
+        stage — crash, restart window, reachability, cookie
+        invalidation, lost request — and an *after* stage — lost or cut
+        response, damaged sketch, delay, duplication.  Every ``:x``
+        decision is drawn whatever *kind* is (so the stream never
+        shifts) and applied only where :data:`FAULTS` fills the cell.
+        """
+        faults = self.plan.next_exchange() if self.plan is not None else ExchangeFaults()
+
+        def struck(fault: str) -> bool:
+            """*fault* was drawn and reaches this exchange — counted."""
+            if not getattr(faults, fault) or kind not in FAULTS[fault][1]:
+                return False
+            self._record(fault)
+            return True
+
+        if faults.crash and kind in FAULTS["crash"][1]:
+            self.crash(provider)  # counts itself, as when placed by hand
         extra_ms = self._check_reachable(provider)
-
-        if faults.cookie_invalidate and control.cookie is not None:
-            control = self._invalidate_cookie(provider, control)
-
-        if faults.drop_request:
+        if payload.cookie is not None and struck("cookie_invalidate"):
+            payload = replace(payload, cookie=self._invalidate_cookie(provider, payload.cookie))
+        if struck("drop_request"):
             self.charge_round_trip()
-            self._record("drop_request")
-            raise RequestDropped("request lost in flight")
+            raise RequestDropped(f"{kind} request lost in flight")
 
-        self.charge_round_trip()
-        response = provider.handle(request, control)
+        deliveries, handle = super()._exchange(kind, provider, request, payload, deliver)
+        response = deliveries[0].response
 
-        if faults.drop_response:
-            self._record("drop_response")
-            raise ResponseDropped("response lost in flight")
-        if faults.truncate and response.updates:
-            self._record("truncate")
-            raise ResponseTruncated(
-                "response stream cut mid-delivery",
-                partial=self._truncated(response, faults.truncate_keep),
-            )
-
-        if faults.delay_ms > 0:
-            self._record("delay")
-            self._fault_delay_ms.inc(faults.delay_ms)
-        delay_ms = faults.delay_ms + extra_ms
-        deliveries = [Delivery(response, delay_ms=delay_ms)]
-        if faults.duplicate:
-            self._record("duplicate")
-            deliveries.append(
-                Delivery(response, delay_ms=delay_ms, duplicate=True)
-            )
-        return deliveries
-
-    def persist_exchange(self, provider, request, deliver, cookie=None):
-        faults = self.plan.next_exchange() if self.plan is not None else None
-        if faults is not None and faults.crash:
-            self._crash(provider)
-        self._check_unavailable(provider)
-        extra_ms = self._check_reachable(provider)
-
-        if (
-            faults is not None
-            and faults.cookie_invalidate
-            and cookie is not None
-        ):
-            # Corrupt the resumption cookie in flight; the provider
-            # answers SyncProtocolError and the consumer re-subscribes
-            # from scratch.
-            self._record("cookie_invalidate")
-            cookie = "<invalidated>"
-
-        if faults is not None and faults.drop_request:
-            self.charge_round_trip()
-            self._record("drop_request")
-            raise RequestDropped("subscribe request lost in flight")
-
-        self.charge_round_trip()
-        response, handle = self._open_persist(provider, request, deliver, cookie)
-
-        if faults is not None and (faults.drop_response or faults.truncate):
+        dropped = struck("drop_response")
+        # A cut needs a stream to cut; an opening subscription's initial
+        # content counts as one even when empty.
+        cuttable = handle is not None or getattr(response, "updates", None)
+        cut = not dropped and cuttable and struck("truncate")
+        if (dropped or cut) and handle is not None:
             # The subscription opened server-side but the client never
-            # saw the initial content: the client resets the connection,
-            # ending the half-open session (no leak), and retries.
+            # saw the initial content: it resets the connection, ending
+            # the half-open session (no leak).
             handle.abandon()
-            if faults.drop_response:
-                self._record("drop_response")
-                raise ResponseDropped("initial content lost in flight")
-            self._record("truncate")
+        if dropped:
+            raise ResponseDropped(f"{kind} response lost in flight")
+        if cut:
             raise ResponseTruncated(
-                "initial content cut mid-delivery",
-                partial=self._truncated(response, faults.truncate_keep),
-            )
-        return [Delivery(response, delay_ms=extra_ms)], handle
-
-    def reconcile_exchange(self, provider, request, rreq):
-        if self.plan is None:
-            self._check_unavailable(provider)
-            self._check_reachable(provider)
-            return super().reconcile_exchange(provider, request, rreq)
-        faults = self.plan.next_exchange()
-        if faults.crash:
-            self._crash(provider)
-        self._check_unavailable(provider)
-        self._check_reachable(provider)
-
-        if faults.drop_request:
-            self.charge_round_trip()
-            self._record("drop_request")
-            raise RequestDropped("reconcile request lost in flight")
-
-        self.charge_round_trip()
-        response = provider.reconcile(request, rreq)
-        self.stats.bytes_sent += response.pdu_bytes
-
-        if faults.drop_response:
-            self._record("drop_response")
-            raise ResponseDropped("sketch lost in flight")
-
-        corrupt, position = self.plan.next_reconcile()
-        if corrupt:
-            # In-flight sketch damage: the consumer's verified decode
-            # detects it (checksummed peel + zero-residue rule) and
-            # doubles or falls back — never applies garbage.
-            from ..sync.reconcile import corrupt_cell
-
-            self._record("sketch_corrupt")
-            corrupt_cell(response.sketch, position)
-
-        if faults.delay_ms > 0:
-            self._record("delay")
-            self._fault_delay_ms.inc(faults.delay_ms)
-        return response
-
-    def reconcile_fetch_exchange(self, provider, request, fetch):
-        if self.plan is None:
-            self._check_unavailable(provider)
-            extra_ms = self._check_reachable(provider)
-            deliveries = super().reconcile_fetch_exchange(provider, request, fetch)
-            for delivery in deliveries:
-                delivery.delay_ms += extra_ms
-            return deliveries
-        faults = self.plan.next_exchange()
-        if faults.crash:
-            self._crash(provider)
-        self._check_unavailable(provider)
-        extra_ms = self._check_reachable(provider)
-
-        if faults.drop_request:
-            self.charge_round_trip()
-            self._record("drop_request")
-            raise RequestDropped("fetch request lost in flight")
-
-        self.charge_round_trip()
-        self.stats.bytes_sent += fetch.pdu_bytes
-        response = provider.reconcile_fetch(request, fetch)
-
-        if faults.drop_response:
-            self._record("drop_response")
-            raise ResponseDropped("fetch response lost in flight")
-        if faults.truncate and response.updates:
-            self._record("truncate")
-            raise ResponseTruncated(
-                "fetch stream cut mid-delivery",
+                f"{kind} response cut mid-delivery",
                 partial=self._truncated(response, faults.truncate_keep),
             )
 
-        if faults.delay_ms > 0:
+        if self.plan is not None and kind in FAULTS["sketch_corrupt"][1]:
+            corrupt, position = self.plan.next_reconcile()
+            if corrupt:
+                # In-flight sketch damage: the consumer's verified
+                # decode detects it (checksummed peel + zero-residue
+                # rule) and doubles or falls back — never applies
+                # garbage.
+                from ..sync.reconcile import corrupt_cell
+
+                self._record("sketch_corrupt")
+                corrupt_cell(response.sketch, position)
+
+        delay_ms = extra_ms
+        if faults.delay_ms > 0 and kind in FAULTS["delay"][1]:
             self._record("delay")
             self._fault_delay_ms.inc(faults.delay_ms)
-        delay_ms = faults.delay_ms + extra_ms
-        deliveries = [Delivery(response, delay_ms=delay_ms)]
-        if faults.duplicate:
-            self._record("duplicate")
-            deliveries.append(
-                Delivery(response, delay_ms=delay_ms, duplicate=True)
-            )
-        return deliveries
+            delay_ms += faults.delay_ms
+        deliveries[0].delay_ms = delay_ms
+        if struck("duplicate"):
+            deliveries.append(Delivery(response, delay_ms=delay_ms, duplicate=True))
+        return deliveries, handle
 
     def damage_snapshot(self, store) -> None:
         """Apply the plan's snapshot-damage decisions to *store*.
@@ -750,7 +557,7 @@ class FaultyNetwork(SimulatedNetwork):
         Called by tests and benches at the moment a replica restarts —
         just before the restarting consumer reads its
         :class:`~repro.sync.snapshot.SnapshotStore` — mirroring how
-        :meth:`_crash` damages a provider's journal at crash time.
+        :meth:`crash` damages a provider's journal at crash time.
         Truncation and corruption are *detectable* damage (the
         restart's checksum verification discards the snapshot); a
         stale cookie is intact-but-aged damage the provider refuses,
@@ -798,8 +605,7 @@ class FaultyNetwork(SimulatedNetwork):
             keep = min(int(keep_position * len(updates)), len(updates) - 1)
             self._record("batch_truncate")
             updates = updates[:keep]
-        spec = self.plan.spec
-        if spec.notification_drop > 0.0 or spec.notification_duplicate > 0.0:
+        if self.plan.enables("n"):
             carried = []
             for update in updates:
                 lost, duplicate = self.plan.next_notification()
@@ -816,17 +622,16 @@ class FaultyNetwork(SimulatedNetwork):
     # ------------------------------------------------------------------
     # fault construction helpers
     # ------------------------------------------------------------------
-    def _invalidate_cookie(self, provider, control):
-        """Expire the presented cookie: server-side when the provider
-        supports it (the admin time limit firing), else by corrupting
-        the cookie in flight.  Either way the provider answers with
-        ``SyncProtocolError`` — the recovery ladder's entry."""
-        self._record("cookie_invalidate")
+    def _invalidate_cookie(self, provider, cookie: str) -> str:
+        """Expire *cookie*: server-side when the provider supports it
+        (the admin time limit firing), else by corrupting it in flight.
+        Returns the cookie to present; either way the provider answers
+        it with ``SyncProtocolError`` — the recovery ladder's entry."""
         invalidate = getattr(provider, "invalidate_cookie", None)
-        if invalidate is not None:
-            invalidate(control.cookie)
-            return control
-        return replace(control, cookie="<invalidated>")
+        if invalidate is None:
+            return "<invalidated>"
+        invalidate(cookie)
+        return cookie
 
     @staticmethod
     def _truncated(response, keep_fraction: float):

@@ -25,15 +25,17 @@ the same numbers through ``network.registry.to_dict()`` or
 metric — one open connection per persist-mode filter) is likewise
 mirrored to ``net.connections.open`` / ``net.connections.total``.
 
-Since ISSUE 3 the network is also the **fault-injection seam**: every
-synchronization exchange between a consumer and a provider is routed
-through :meth:`SimulatedNetwork.sync_exchange` /
-:meth:`SimulatedNetwork.persist_exchange`, and every persist-mode
-notification through :meth:`SimulatedNetwork.deliver_batch`.
-On this perfect base network those hooks only do the traffic
-accounting; :class:`repro.server.faults.FaultyNetwork`
-overrides them to drop, duplicate, delay, truncate and crash
-deterministically (``net.fault.*`` metrics, docs/PROTOCOL.md §9).
+The network is also the **fault-injection seam**.  A consumer reaches
+a provider through one of four exchanges — :data:`EXCHANGES`: poll,
+subscribe, sketch, fetch — and :func:`exchange` routes each through the
+entry point of that name, so tests can override one and the e2e tracer
+can wrap it.  All four entry points run one charge-and-serve step,
+:meth:`SimulatedNetwork._exchange`; persist-mode notifications pass
+:meth:`SimulatedNetwork.deliver_batch`.  On this perfect base network
+that is all they do; :class:`repro.server.faults.FaultyNetwork`
+overrides those two methods — and nothing else — to drop, duplicate,
+delay, truncate and crash deterministically around them
+(``net.fault.*`` metrics, docs/FAULTS.md §3).
 
 A persist session opened through the network is always batched
 (docs/TRANSPORT.md): a per-session
@@ -47,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from ..ldap.controls import ReSyncControl, SyncMode
 from ..obs.registry import Counter, MetricsRegistry
 from .directory import DirectoryServer
 from .scheduler import DeterministicScheduler
@@ -56,6 +59,8 @@ __all__ = [
     "SimulatedNetwork",
     "TRAFFIC_FIELDS",
     "Delivery",
+    "EXCHANGES",
+    "exchange",
     "TransportError",
     "RequestDropped",
     "ResponseDropped",
@@ -166,6 +171,33 @@ class Delivery:
     response: object
     delay_ms: float = 0.0
     duplicate: bool = False
+
+
+#: The consumer→provider exchanges: kind → (the network entry point it
+#: enters by, the provider method that serves it).
+EXCHANGES = {
+    "poll": ("sync_exchange", "handle"),
+    "subscribe": ("persist_exchange", "persist"),
+    "sketch": ("reconcile_exchange", "reconcile"),
+    "fetch": ("reconcile_fetch_exchange", "reconcile_fetch"),
+}
+
+
+def exchange(network: Optional["SimulatedNetwork"], kind: str, provider, request, *args):
+    """One exchange of *kind* as a consumer makes it: through
+    *network*'s entry point, or — a consumer built without a network —
+    straight to the provider method, in-process and uncharged.  Either
+    way the response comes back as a :class:`Delivery` list (a
+    subscribe: ``(deliveries, handle)``)."""
+    entry, method = EXCHANGES[kind]
+    if network is not None:
+        return getattr(network, entry)(provider, request, *args)
+    served = getattr(provider, method)(request, *args)
+    if kind == "subscribe":
+        response, handle = served
+        return [Delivery(response)], handle
+    return [Delivery(served)]
+
 
 #: The seven protocol-level counters, in declaration order.  Each is
 #: backed by the registry counter ``net.traffic.<field>``.
@@ -423,19 +455,18 @@ class SimulatedNetwork:
         return len(victims)
 
     # ------------------------------------------------------------------
-    # synchronization exchange hooks (the fault-injection seam)
+    # synchronization exchanges (the fault-injection seam)
     # ------------------------------------------------------------------
     def sync_exchange(self, provider, request, control) -> List[Delivery]:
         """One poll-mode request/response exchange with *provider*.
 
         The perfect network charges one round trip and returns exactly
-        one :class:`Delivery`.  Fault-injecting subclasses may raise
+        one :class:`Delivery`.  A fault-injecting network may raise
         :class:`TransportError` (before or after the provider ran) or
         return a duplicated/delayed delivery — see
         :class:`repro.server.faults.FaultyNetwork`.
         """
-        self.charge_round_trip()
-        return [Delivery(provider.handle(request, control))]
+        return self._exchange("poll", provider, request, control)[0]
 
     def persist_exchange(self, provider, request, deliver, cookie=None):
         """Open a persist-mode session on *provider*.
@@ -448,15 +479,60 @@ class SimulatedNetwork:
         queue rides on the returned handle (``handle.delivery_queue``)
         and is closed with it.
         """
+        control = ReSyncControl(mode=SyncMode.PERSIST, cookie=cookie)
+        return self._exchange("subscribe", provider, request, control, deliver)
+
+    def reconcile_exchange(self, provider, request, rreq) -> List[Delivery]:
+        """One sketch solicitation/response exchange (anti-entropy
+        reconciliation, docs/PROTOCOL.md §11).
+
+        Charges a round trip plus the sketch's measured wire bytes and
+        delivers the provider's
+        :class:`~repro.sync.protocol.ReconcileResponse`.  A
+        fault-injecting network may raise :class:`TransportError`, delay
+        the delivery, or corrupt the sketch in flight (a *detected*
+        decode failure at the consumer).
+        """
+        return self._exchange("sketch", provider, request, rreq)[0]
+
+    def reconcile_fetch_exchange(self, provider, request, fetch) -> List[Delivery]:
+        """The follow-up targeted fetch of decoded master-only keys.
+
+        The request's key list is charged here; the returned entry PDUs
+        are charged by the consumer as it applies them (the normal
+        ``charge_sync_entry`` path).
+        """
+        return self._exchange("fetch", provider, request, fetch)[0]
+
+    def _exchange(self, kind: str, provider, request, payload, deliver=None):
+        """The charge-and-serve step every entry point above runs:
+        ``(deliveries, handle)`` for one exchange of *kind* carrying
+        *payload* (the control, sketch request or fetch — each names its
+        ``cookie``); *handle* is None unless a subscription opened.
+
+        What a kind puts on the wire beside its update PDUs (which the
+        applying consumer charges) is charged here: a fetch's key list
+        travels in the request, a sketch in the response.  The perfect
+        network delivers the response once, undelayed;
+        :class:`repro.server.faults.FaultyNetwork` wraps this step in
+        its fault stages.
+        """
         self.charge_round_trip()
-        response, handle = self._open_persist(provider, request, deliver, cookie)
-        return [Delivery(response)], handle
+        if kind == "poll":  # the hot one: a charge and a call
+            return [Delivery(provider.handle(request, payload))], None
+        if kind == "subscribe":
+            response, handle = self._open_persist(provider, request, deliver, payload.cookie)
+            return [Delivery(response)], handle
+        if kind == "fetch":
+            self.stats.bytes_sent += payload.pdu_bytes
+        response = getattr(provider, EXCHANGES[kind][1])(request, payload)
+        if kind == "sketch":
+            self.stats.bytes_sent += response.pdu_bytes
+        return [Delivery(response)], None
 
     def _open_persist(self, provider, request, deliver, cookie):
         """Open the server-side persist session behind a fresh
-        :class:`~repro.sync.delivery.DeliveryQueue` (shared with
-        fault-injecting subclasses, which add their own exchange faults
-        around it)."""
+        :class:`~repro.sync.delivery.DeliveryQueue`."""
         from ..sync.delivery import DeliveryQueue
 
         queue = DeliveryQueue(
@@ -517,32 +593,6 @@ class SimulatedNetwork:
         flush, ack and pipelined completion executes.  Returns events
         run (0 when nothing was pending)."""
         return self.scheduler.run_until_idle(max_events=max_events)
-
-    def reconcile_exchange(self, provider, request, rreq):
-        """One sketch solicitation/response exchange (anti-entropy
-        reconciliation, docs/PROTOCOL.md §11).
-
-        Charges a round trip plus the sketch's measured wire bytes and
-        returns the provider's
-        :class:`~repro.sync.protocol.ReconcileResponse`.  Fault-injecting
-        subclasses may raise :class:`TransportError` or corrupt the
-        sketch in flight (a *detected* decode failure at the consumer).
-        """
-        self.charge_round_trip()
-        response = provider.reconcile(request, rreq)
-        self.stats.bytes_sent += response.pdu_bytes
-        return response
-
-    def reconcile_fetch_exchange(self, provider, request, fetch) -> List[Delivery]:
-        """The follow-up targeted fetch of decoded master-only keys.
-
-        The request's key list is charged here; the returned entry PDUs
-        are charged by the consumer as it applies them (the normal
-        ``charge_sync_entry`` path).
-        """
-        self.charge_round_trip()
-        self.stats.bytes_sent += fetch.pdu_bytes
-        return [Delivery(provider.reconcile_fetch(request, fetch))]
 
     @property
     def elapsed_ms(self) -> float:

@@ -26,7 +26,7 @@ from ..ldap.matching import compile_filter_cached
 from ..ldap.query import SearchRequest
 from ..obs.tracing import span
 from ..server.indexes import ContentIndex
-from ..server.network import Delivery, OperationTimeout, SimulatedNetwork
+from ..server.network import Delivery, OperationTimeout, SimulatedNetwork, exchange
 from .protocol import SyncResponse, SyncUpdate
 
 __all__ = ["SyncedContent"]
@@ -200,7 +200,13 @@ class SyncedContent:
         """
         with span("sync.resync.cookie_round_trip") as sp:
             control = ReSyncControl(mode=SyncMode.POLL, cookie=self.cookie)
-            deliveries = self.timely(self._exchange(provider, control), timeout_ms)
+            if self.network is not None:
+                # The hot exchange: the entry point by name, sparing
+                # exchange()'s lookup on every poll of every session.
+                deliveries = self.network.sync_exchange(provider, self.request, control)
+            else:
+                deliveries = exchange(None, "poll", provider, self.request, control)
+            deliveries = self.timely(deliveries, timeout_ms)
             applied = 0
             for delivery in deliveries:
                 self.apply(delivery.response)
@@ -221,13 +227,6 @@ class SyncedContent:
                 f"(slowest delivery {deliveries[-1].delay_ms:.0f}ms)"
             )
         return timely
-
-    def _exchange(self, provider, control: ReSyncControl) -> List[Delivery]:
-        """Route one request/response exchange, through the network's
-        fault-injection seam when a network is attached."""
-        if self.network is not None:
-            return self.network.sync_exchange(provider, self.request, control)
-        return [Delivery(provider.handle(self.request, control))]
 
     def reload(self, provider, timeout_ms: Optional[float] = None) -> SyncResponse:
         """Full recovery: restart the session with a null cookie.

@@ -34,7 +34,7 @@ import random
 from typing import Optional
 
 from ..obs.registry import MetricsRegistry
-from ..server.network import Delivery
+from ..server.network import exchange
 from .consumer import SyncedContent
 from .health import HealthMachine
 from .protocol import ReconcileFetch, ReconcileRequest, SyncProtocolError, SyncResponse
@@ -132,14 +132,15 @@ class SketchTier:
                 salt=salt,
                 cookie=self._minted,
             )
-            response, failures = machine.attempt(
-                lambda: self._sketch_exchange(rreq),
+            deliveries, failures = machine.attempt(
+                lambda: self._exchange("sketch", rreq, machine.policy.timeout_ms),
                 cap,
                 charge_last=False,
                 failures=failures,
             )
-            if response is None:
+            if deliveries is None:
                 return None
+            response = deliveries[-1].response
             self._rounds.inc()
             self._sketch_bytes.inc(response.pdu_bytes)
             self._minted = response.cookie
@@ -202,7 +203,7 @@ class SketchTier:
         fetch = ReconcileFetch(keys=tuple(fetch_keys), cookie=self._minted)
         policy = machine.policy
         deliveries, _ = machine.attempt(
-            lambda: self._fetch_exchange(fetch, policy.timeout_ms),
+            lambda: self._exchange("fetch", fetch, policy.timeout_ms),
             policy.max_attempts,
             charge_last=False,
         )
@@ -218,19 +219,13 @@ class SketchTier:
         self._deleted.inc(len(delete_dns))
         return deliveries[-1].response
 
-    def _sketch_exchange(self, rreq: ReconcileRequest):
-        network, request = self.content.network, self.content.request
-        if network is not None:
-            return network.reconcile_exchange(self.provider, request, rreq)
-        return self.provider.reconcile(request, rreq)
-
-    def _fetch_exchange(self, fetch: ReconcileFetch, timeout_ms: Optional[float]):
-        """The fetch deliveries that beat the per-operation timeout."""
-        network, request = self.content.network, self.content.request
-        if network is not None:
-            deliveries = network.reconcile_fetch_exchange(self.provider, request, fetch)
-        else:
-            deliveries = [Delivery(self.provider.reconcile_fetch(request, fetch))]
+    def _exchange(self, kind: str, payload, timeout_ms: Optional[float]):
+        """The deliveries of one sketch or fetch exchange that beat the
+        per-operation timeout."""
+        content = self.content
+        deliveries = exchange(
+            content.network, kind, self.provider, content.request, payload
+        )
         return SyncedContent.timely(deliveries, timeout_ms)
 
     def _forget_session(self) -> None:

@@ -47,6 +47,7 @@ from ..server.network import (
     ResponseTruncated,
     SimulatedNetwork,
     TransportError,
+    exchange,
 )
 from .consumer import SyncedContent
 from .health import HEALTH_STATES, HealthMachine, HealthPolicy, RetryPolicy
@@ -330,25 +331,21 @@ class ResilientConsumer(HealthMachine):
         """Open a fresh persist subscription (null cookie: the initial
         response replaces the whole local content on arrival)."""
         epoch = self._current_epoch()
-        if self.network is not None:
-            deliveries, handle = self.network.persist_exchange(
-                self.provider,
-                self.request,
-                self.content.apply_notification,
-                cookie=None,
-            )
-            try:
-                timely = SyncedContent.timely(deliveries, self.policy.timeout_ms)
-            except OperationTimeout:
-                # Late initial content is lost content: reset the
-                # half-open session, as a dropped response does.
-                handle.abandon()
-                raise
-            response = timely[-1].response
-        else:
-            response, handle = self.provider.persist(
-                self.request, self.content.apply_notification, cookie=None
-            )
+        deliveries, handle = exchange(
+            self.network,
+            "subscribe",
+            self.provider,
+            self.request,
+            self.content.apply_notification,
+        )
+        try:
+            timely = SyncedContent.timely(deliveries, self.policy.timeout_ms)
+        except OperationTimeout:
+            # Late initial content is lost content: reset the half-open
+            # session, as a dropped response does.
+            handle.abandon()
+            raise
+        response = timely[-1].response
         self.content.apply(response)
         self._handle = handle
         self._subscribed_epoch = epoch

@@ -182,6 +182,25 @@ class TestFaultKinds:
         content.reload(provider)
         assert content.matches_master(master)
 
+    def test_cookie_invalidate_ends_a_resumed_subscription_server_side(self):
+        """Regression: ``persist_exchange`` garbled a resumption cookie
+        in flight with its own copy of the invalidator and never asked
+        the provider, so the refused session stayed alive server-side
+        where the poll path's invalidator ends it."""
+        net = faulty(FaultSpec())
+        provider = ResyncProvider(build_master())
+        content = SyncedContent(REQUEST, network=net)
+        content.poll(provider)
+        assert provider.active_session_count == 1
+        net.plan = FaultPlan(FaultSpec(cookie_invalidate=1.0), seed=0)
+        with pytest.raises(SyncProtocolError):
+            net.persist_exchange(
+                provider, REQUEST, content.apply_notification, cookie=content.cookie
+            )
+        assert net.fault_counts() == {"cookie_invalidate": 1}
+        assert provider.active_session_count == 0
+        assert net.persist_queues == {}
+
 
 class TestCrashWindows:
     def test_crash_loses_sessions_and_opens_window(self):
@@ -315,7 +334,7 @@ class TestNotificationFaults:
         class DropSecond(FaultPlan):
             def next_notification(self):
                 super().next_notification()  # advances the :n index
-                return (self._notification_index == 2, False)
+                return (self.drawn["n"] == 2, False)
 
         master = build_master(n=2)
         net, content, handle = self.subscribed(master)
@@ -335,7 +354,7 @@ class TestNotificationFaults:
         class DuplicateFirst(FaultPlan):
             def next_notification(self):
                 super().next_notification()  # advances the :n index
-                return (False, self._notification_index == 1)
+                return (False, self.drawn["n"] == 1)
 
         master = build_master(n=2)
         net, content, handle = self.subscribed(master)
@@ -359,8 +378,8 @@ class TestNotificationFaults:
         net.plan = FaultPlan(FaultSpec(drop_request=0.3), seed=0)
         master.add(person("E9"))
         net.settle()
-        assert net.plan._notification_index == 0
-        assert net.plan._batch_index == 1
+        assert net.plan.drawn["n"] == 0
+        assert net.plan.drawn["b"] == 1
         assert content.matches_master(master)
         handle.abandon()
 
@@ -448,6 +467,10 @@ class TestStreamIndependence:
             noisy.next_partition()
             got.append(noisy.next_exchange())
         assert got == expected
+        # One counter per stream of the table, each advanced only by
+        # its own draws.
+        assert plain.drawn == {"x": 10, "p": 0, "r": 0, "b": 0, "n": 0, "j": 0, "s": 0}
+        assert noisy.drawn == {"x": 10, "p": 10, "r": 10, "b": 10, "n": 0, "j": 10, "s": 10}
 
     @staticmethod
     def _drive(spec: FaultSpec, cycles: int = 12):
@@ -464,6 +487,7 @@ class TestStreamIndependence:
                 pass
         return {
             "faults": net.fault_counts(),
+            "drawn": {s: n for s, n in net.plan.drawn.items() if s != "p"},
             "round_trips": net.stats.round_trips,
             "elapsed_ms": net.elapsed_ms,
             "dns": sorted(str(dn) for dn in content.dns()),
@@ -509,6 +533,8 @@ class TestStreamIndependence:
         )
         gated = replace(base, slow=1.0, slow_latency_ms=0.0)
         assert self._drive(base) == self._drive(gated)
+        assert faulty(base).plan.enables("p") is False
+        assert faulty(gated).plan.enables("p") is True
 
     def test_salt_rng_does_not_perturb_backoff_jitter(self):
         # Regression: the reconcile salt draws from its own RNG; one

@@ -234,6 +234,34 @@ class TestResilientPoll:
         assert registry.counter("sync.reconcile.decode_success").value == 1
         assert registry.counter("sync.resilient.reloads").value == 0
 
+    def test_timeout_applies_to_the_sketch_solicitation(self):
+        """Regression: the sketch came back as a bare response, so its
+        ``delay`` was counted but rode on nothing
+        ``RetryPolicy.timeout_ms`` could see — the last exchange that
+        ignored it."""
+        master = build_master(20)
+        provider = ResyncProvider(master)
+        net = FaultyNetwork(ScriptedPlan())
+        consumer = ResilientConsumer(
+            REQUEST,
+            provider,
+            network=net,
+            policy=RetryPolicy(timeout_ms=100.0, jitter=0.0),
+        )
+        consumer.sync_once()
+        master.modify("cn=E9,o=xyz", [Modification.replace("sn", "late")])
+        provider.invalidate_cookie(consumer.content.cookie)
+        # refused poll, then a sketch 5 s late
+        net.plan = ScriptedPlan(ExchangeFaults(), ExchangeFaults(delay_ms=5000.0))
+        assert consumer.sync_once() is not None
+        assert consumer.content.matches_master(master)
+        registry = net.registry
+        assert registry.counter("sync.resilient.retries").labels(kind="timeout").value == 1
+        # The late sketch was discarded unread; its retry is round one.
+        assert registry.counter("sync.reconcile.rounds").value == 1
+        assert registry.counter("sync.reconcile.decode_success").value == 1
+        assert registry.counter("sync.resilient.reloads").value == 0
+
     def test_timeout_applies_to_the_persist_subscription(self):
         """Regression: the subscribe path took the initial response
         however late, so ``RetryPolicy.timeout_ms`` bound poll consumers

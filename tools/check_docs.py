@@ -23,10 +23,12 @@ before they were checked):
    and not the other is a record nobody replays, or documents.
 
 4. **Decision tables** — docs/RECOVERY.md's decision table must be the
-   ``LADDER`` dict of ``repro.sync.ladder`` and docs/FAULTS.md §4's
+   ``LADDER`` dict of ``repro.sync.ladder``, docs/FAULTS.md §4's
    position × event table the ``HEALTH`` dict of ``repro.sync.health``,
-   key for key and outcome for outcome: "which rung, and why" and
-   "which state, and why" are data, and the docs render it.
+   and docs/FAULTS.md §2 (stream → kinds) and §3 (kind → stream, cells)
+   the ``FAULTS`` dict of ``repro.server.faults``, key for key and
+   outcome for outcome: "which rung", "which state" and "which fault
+   reaches which exchange" are data, and the docs render it.
 
 Run from the repository root::
 
@@ -61,6 +63,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: A naming-table row: ``| `some.metric.name` | ...``
 NAME_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_.<>]+)`\s*\|")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+#: A backticked name in a table cell, a stream suffix's colon dropped.
+TICKED_RE = re.compile(r"`:?(\w+)`")
 
 
 def markdown_files() -> list:
@@ -215,8 +219,27 @@ def documented_health() -> dict:
     }
 
 
+def documented_faults() -> dict:
+    """docs/FAULTS.md §3's kind table as ``{kind: (stream, cells)}``; a
+    row naming several kinds gives each of them its stream and cells."""
+    return {
+        kind: (TICKED_RE.findall(row[1])[0], tuple(TICKED_RE.findall(row[2])))
+        for row in table_rows(FAULTS, "kind | stream")[1:]
+        for kind in TICKED_RE.findall(row[0])
+    }
+
+
+def documented_streams() -> dict:
+    """docs/FAULTS.md §2's stream table as ``{stream: kinds it draws}``."""
+    return {
+        TICKED_RE.findall(row[1])[0]: tuple(TICKED_RE.findall(row[2]))
+        for row in table_rows(FAULTS, "stream | suffix")[1:]
+    }
+
+
 def check_decision_tables() -> list:
     sys.path.insert(0, SRC_ROOT)
+    from repro.server.faults import FAULTS as fault_table, STREAMS
     from repro.sync.health import HEALTH
     from repro.sync.ladder import LADDER
 
@@ -226,6 +249,10 @@ def check_decision_tables() -> list:
          documented_ladder(), LADDER),
         ("docs/FAULTS.md §4 position × event table and repro.sync.health.HEALTH",
          documented_health(), HEALTH),
+        ("docs/FAULTS.md §3 kind table and repro.server.faults.FAULTS",
+         documented_faults(), fault_table),
+        ("docs/FAULTS.md §2 stream table and the streams of repro.server.faults.FAULTS",
+         documented_streams(), STREAMS),
     ):
         differing = sorted(
             str(key)
@@ -256,8 +283,10 @@ def main() -> int:
         f"ok: {len(md_files)} markdown files link-clean, "
         f"{names} documented instruments present in src/, "
         f"{len(documented_record_kinds())} journal record kinds match the fold, "
-        f"{len(documented_ladder())} ladder cells and "
-        f"{len(documented_health())} health moves match their tables"
+        f"{len(documented_ladder())} ladder cells, "
+        f"{len(documented_health())} health moves, "
+        f"{len(documented_faults())} fault kinds and "
+        f"{len(documented_streams())} seed streams match their tables"
     )
     return 0
 
