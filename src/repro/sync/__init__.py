@@ -50,7 +50,7 @@ from .snapshot import (
     SnapshotRecoverer,
     SnapshotStore,
 )
-from .router import RoutedSession, SessionRouter
+from .router import SessionRouter
 from .session import Session, SessionStore
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "RetainResyncProvider",
     "PersistHandle",
     "SessionRouter",
-    "RoutedSession",
     "SyncedContent",
     "BatchConfig",
     "DeliveryQueue",

@@ -39,7 +39,7 @@ from ..ldap.filters import attributes_of
 from ..ldap.query import SearchRequest
 from ..server.directory import DirectoryServer
 from ..server.operations import Modification, UpdateOp, UpdateRecord
-from .protocol import SyncProtocolError, SyncResponse, SyncUpdate
+from .protocol import CsnCookieMixin, SyncProtocolError, SyncResponse, SyncUpdate
 
 __all__ = [
     "ChangelogRecord",
@@ -98,24 +98,7 @@ class Changelog:
         return len(self.records)
 
 
-class _CsnCookieMixin:
-    """Shared cookie handling: cookies encode the last-poll CSN."""
-
-    COOKIE_PREFIX: str = "csn"
-
-    def _parse_cookie(self, cookie: Optional[str]) -> int:
-        if cookie is None:
-            return 0
-        prefix, _, csn = cookie.partition(":")
-        if prefix != self.COOKIE_PREFIX or not csn.isdigit():
-            raise SyncProtocolError(f"malformed cookie {cookie!r}")
-        return int(csn)
-
-    def _make_cookie(self, csn: int) -> str:
-        return f"{self.COOKIE_PREFIX}:{csn}"
-
-
-class ChangelogProvider(_CsnCookieMixin):
+class ChangelogProvider(CsnCookieMixin):
     """Synchronization by changelog replay.
 
     Replays records since the cookie's CSN against the live DIT:
@@ -231,7 +214,7 @@ class TombstoneStore:
         return len(self.tombstones)
 
 
-class TombstoneProvider(_CsnCookieMixin):
+class TombstoneProvider(CsnCookieMixin):
     """Synchronization from tombstones + per-entry change timestamps.
 
     Each poll: (i) every tombstone DN since the cookie is sent as a
@@ -280,7 +263,7 @@ class TombstoneProvider(_CsnCookieMixin):
 # ----------------------------------------------------------------------
 # full reload
 # ----------------------------------------------------------------------
-class FullReloadProvider(_CsnCookieMixin):
+class FullReloadProvider(CsnCookieMixin):
     """The trivial mechanism: retransmit the whole content every poll."""
 
     def __init__(self, server: DirectoryServer):

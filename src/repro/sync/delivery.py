@@ -77,8 +77,8 @@ class DeliveryQueue:
     """Batches one persist session's notifications (docs/TRANSPORT.md §4).
 
     Passed to ``provider.persist`` in place of a per-update deliver
-    callback; the provider's ``_flush_persist`` detects
-    :meth:`offer_many` and hands whole queued runs over in one call.
+    callback; ``Session.flush`` detects :meth:`offer_many` and hands
+    whole queued runs over in one call.
     """
 
     def __init__(

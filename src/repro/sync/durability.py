@@ -208,7 +208,7 @@ def session_from_wire(wire: dict) -> Session:
     for uw in wire["unacked"]:
         update = update_from_wire(uw)
         session._unacked[update.dn] = update
-    session.content_dns = {DN.parse(d) for d in wire["content"]}
+    session.seed_content(DN.parse(d) for d in wire["content"])
     session._delivered = {DN.parse(d) for d in wire["delivered"]}
     session.generation = wire["generation"]
     session.polls = wire["polls"]
@@ -235,14 +235,36 @@ class JournalBackend:
     silently misparsed.  The two ``damage_*`` hooks emulate the crash
     leaving the journal torn/corrupted (driven by
     :class:`~repro.server.faults.FaultyNetwork`).
+
+    Subclasses store text — the record lines and one snapshot document
+    (:meth:`append` plus the four ``_read_*`` / ``_write_*``
+    primitives); decoding, accounting and damage live here.
     """
 
     def append(self, record: dict) -> None:
         raise NotImplementedError
 
-    def write_snapshot(self, snapshot: dict) -> None:
-        """Atomically replace the snapshot and truncate the journal."""
+    def _read_lines(self) -> List[str]:
+        """The stored record lines, oldest first."""
         raise NotImplementedError
+
+    def _write_lines(self, lines: List[str]) -> None:
+        """Replace the stored record lines."""
+        raise NotImplementedError
+
+    def _read_snapshot(self) -> Optional[str]:
+        """The stored snapshot document, or None when absent."""
+        raise NotImplementedError
+
+    def _write_snapshot(self, text: str) -> None:
+        """Atomically replace the stored snapshot document."""
+        raise NotImplementedError
+
+    def write_snapshot(self, snapshot: dict) -> None:
+        """Replace the snapshot, then truncate the journal — in that
+        order, so a crash between the two leaves a readable state."""
+        self._write_snapshot(json.dumps(snapshot, sort_keys=True))
+        self._write_lines([])
 
     def load(self) -> Tuple[Optional[dict], List[dict], int]:
         """``(snapshot | None, readable records, dropped record count)``.
@@ -250,24 +272,51 @@ class JournalBackend:
         A corrupt snapshot voids everything (records after it reference
         state the snapshot held): returns ``(None, [], all dropped)``.
         """
-        raise NotImplementedError
+        lines = self._read_lines()
+        text = self._read_snapshot()
+        snapshot: Optional[dict] = None
+        if text is not None:
+            try:
+                snapshot = json.loads(text)
+            except ValueError:
+                return None, [], 1 + len(lines)
+        records: List[dict] = []
+        for i, line in enumerate(lines):
+            try:
+                records.append(json.loads(line))
+            except ValueError:
+                return snapshot, records, len(lines) - i
+        return snapshot, records, 0
 
     @property
     def size_bytes(self) -> int:
-        raise NotImplementedError
+        """Stored size: the snapshot plus one newline-ended line per
+        record (the text is JSON-escaped ASCII, so characters are
+        bytes)."""
+        text = self._read_snapshot()
+        size = len(text) if text is not None else 0
+        return size + sum(len(line) + 1 for line in self._read_lines())
 
     @property
     def record_count(self) -> int:
-        raise NotImplementedError
+        return len(self._read_lines())
 
     def damage_truncate(self, keep_fraction: float) -> None:
         """Tear the journal tail: keep roughly *keep_fraction* of it."""
-        raise NotImplementedError
+        lines = self._read_lines()
+        self._write_lines(lines[: int(len(lines) * keep_fraction)])
 
     def damage_corrupt(self, position_fraction: float) -> None:
         """Corrupt one record (or the snapshot when the journal is
         empty) at roughly *position_fraction* through the log."""
-        raise NotImplementedError
+        lines = self._read_lines()
+        text = self._read_snapshot()
+        if lines:
+            i = min(int(len(lines) * position_fraction), len(lines) - 1)
+            lines[i] = lines[i][: len(lines[i]) // 2] + "\x00"
+            self._write_lines(lines)
+        elif text is not None:
+            self._write_snapshot(text[: len(text) // 2] + "\x00")
 
 
 class MemoryJournal(JournalBackend):
@@ -285,46 +334,17 @@ class MemoryJournal(JournalBackend):
     def append(self, record: dict) -> None:
         self._records.append(json.dumps(record, sort_keys=True))
 
-    def write_snapshot(self, snapshot: dict) -> None:
-        self._snapshot = json.dumps(snapshot, sort_keys=True)
-        self._records = []
+    def _read_lines(self) -> List[str]:
+        return self._records
 
-    def load(self) -> Tuple[Optional[dict], List[dict], int]:
-        snapshot: Optional[dict] = None
-        if self._snapshot is not None:
-            try:
-                snapshot = json.loads(self._snapshot)
-            except ValueError:
-                return None, [], 1 + len(self._records)
-        records: List[dict] = []
-        dropped = 0
-        for i, line in enumerate(self._records):
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                dropped = len(self._records) - i
-                break
-        return snapshot, records, dropped
+    def _write_lines(self, lines: List[str]) -> None:
+        self._records = list(lines)
 
-    @property
-    def size_bytes(self) -> int:
-        size = len(self._snapshot) if self._snapshot is not None else 0
-        return size + sum(len(line) + 1 for line in self._records)
+    def _read_snapshot(self) -> Optional[str]:
+        return self._snapshot
 
-    @property
-    def record_count(self) -> int:
-        return len(self._records)
-
-    def damage_truncate(self, keep_fraction: float) -> None:
-        keep = int(len(self._records) * keep_fraction)
-        del self._records[keep:]
-
-    def damage_corrupt(self, position_fraction: float) -> None:
-        if self._records:
-            i = min(int(len(self._records) * position_fraction), len(self._records) - 1)
-            self._records[i] = self._records[i][: len(self._records[i]) // 2] + "\x00"
-        elif self._snapshot is not None:
-            self._snapshot = self._snapshot[: len(self._snapshot) // 2] + "\x00"
+    def _write_snapshot(self, text: str) -> None:
+        self._snapshot = text
 
 
 class FileJournal(JournalBackend):
@@ -356,14 +376,6 @@ class FileJournal(JournalBackend):
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
 
-    def write_snapshot(self, snapshot: dict) -> None:
-        tmp = self.snapshot_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(snapshot, fh, sort_keys=True)
-        os.replace(tmp, self.snapshot_path)
-        self.close()
-        open(self.journal_path, "w", encoding="utf-8").close()
-
     def _read_lines(self) -> List[str]:
         self.close()
         if not os.path.exists(self.journal_path):
@@ -371,55 +383,29 @@ class FileJournal(JournalBackend):
         with open(self.journal_path, "r", encoding="utf-8") as fh:
             return [line for line in fh.read().splitlines() if line]
 
-    def load(self) -> Tuple[Optional[dict], List[dict], int]:
-        lines = self._read_lines()
-        snapshot: Optional[dict] = None
-        if os.path.exists(self.snapshot_path):
-            try:
-                with open(self.snapshot_path, "r", encoding="utf-8") as fh:
-                    snapshot = json.load(fh)
-            except ValueError:
-                return None, [], 1 + len(lines)
-        records: List[dict] = []
-        dropped = 0
-        for i, line in enumerate(lines):
-            try:
-                records.append(json.loads(line))
-            except ValueError:
-                dropped = len(lines) - i
-                break
-        return snapshot, records, dropped
+    def _write_lines(self, lines: List[str]) -> None:
+        self.close()
+        with open(self.journal_path, "w", encoding="utf-8") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+
+    def _read_snapshot(self) -> Optional[str]:
+        if not os.path.exists(self.snapshot_path):
+            return None
+        with open(self.snapshot_path, "r", encoding="utf-8") as fh:
+            return fh.read()
 
     @property
     def size_bytes(self) -> int:
-        size = 0
-        for path in (self.journal_path, self.snapshot_path):
-            if os.path.exists(path):
-                size += os.path.getsize(path)
-        return size
+        # The same number from two stats: the provider reads it after
+        # every append, and re-reading the journal there is O(records).
+        paths = (self.journal_path, self.snapshot_path)
+        return sum(os.path.getsize(p) for p in paths if os.path.exists(p))
 
-    @property
-    def record_count(self) -> int:
-        return len(self._read_lines())
-
-    def damage_truncate(self, keep_fraction: float) -> None:
-        lines = self._read_lines()
-        keep = int(len(lines) * keep_fraction)
-        with open(self.journal_path, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines[:keep]))
-
-    def damage_corrupt(self, position_fraction: float) -> None:
-        lines = self._read_lines()
-        if lines:
-            i = min(int(len(lines) * position_fraction), len(lines) - 1)
-            lines[i] = lines[i][: len(lines[i]) // 2] + "\x00"
-            with open(self.journal_path, "w", encoding="utf-8") as fh:
-                fh.write("".join(line + "\n" for line in lines))
-        elif os.path.exists(self.snapshot_path):
-            with open(self.snapshot_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            with open(self.snapshot_path, "w", encoding="utf-8") as fh:
-                fh.write(text[: len(text) // 2] + "\x00")
+    def _write_snapshot(self, text: str) -> None:
+        tmp = self.snapshot_path + ".tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, self.snapshot_path)
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,7 @@ __all__ = [
     "SyncUpdate",
     "SyncResponse",
     "SyncProtocolError",
+    "CsnCookieMixin",
     "ReconcileRequest",
     "ReconcileResponse",
     "ReconcileFetch",
@@ -41,6 +42,24 @@ __all__ = [
 
 class SyncProtocolError(Exception):
     """Protocol violation: unknown cookie, bad mode transition, etc."""
+
+
+class CsnCookieMixin:
+    """Cookie handling of the stateless providers (eq. 3's retain
+    variant and the §5.2 baselines): cookies encode the last-poll CSN."""
+
+    COOKIE_PREFIX: str = "csn"
+
+    def _parse_cookie(self, cookie: Optional[str]) -> int:
+        if cookie is None:
+            return 0
+        prefix, _, csn = cookie.partition(":")
+        if prefix != self.COOKIE_PREFIX or not csn.isdigit():
+            raise SyncProtocolError(f"malformed cookie {cookie!r}")
+        return int(csn)
+
+    def _make_cookie(self, csn: int) -> str:
+        return f"{self.COOKIE_PREFIX}:{csn}"
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,13 @@
 Two providers implement the two synchronization equations of §5.1:
 
 * :class:`ResyncProvider` — **complete history** (eq. 2).  The master
-  keeps a per-session history of entries leaving the content (via the
-  update-listener hook of :class:`~repro.server.directory.DirectoryServer`)
-  and each poll sends exactly the net adds, modifies and deletes since
-  the last poll.  Supports both modes of update: ``poll`` (cookie-based
-  resumption) and ``persist`` (an open connection carrying change
-  notifications, extending the persistent-search idea of [15]).
+  keeps one record per session (:class:`~repro.sync.session.Session`:
+  the history of entries leaving the content, fed by the update-listener
+  hook of :class:`~repro.server.directory.DirectoryServer`) and each poll
+  sends exactly the net adds, modifies and deletes since the last poll.
+  Supports both modes of update: ``poll`` (cookie-based resumption) and
+  ``persist`` (an open connection carrying change notifications,
+  extending the persistent-search idea of [15]).
 
 * :class:`RetainResyncProvider` — **incomplete history** (eq. 3).  The
   master keeps no per-session state, only a per-entry last-change CSN.
@@ -44,6 +45,7 @@ from .durability import (
     session_to_wire,
 )
 from .protocol import (
+    CsnCookieMixin,
     ReconcileFetch,
     ReconcileRequest,
     ReconcileResponse,
@@ -53,7 +55,7 @@ from .protocol import (
 )
 from .reconcile import build_sketch, cells_for_divergence, entry_key
 from .router import SessionRouter
-from .session import Session, SessionStore
+from .session import OUTCOMES, PDUS, Session, SessionStore
 
 __all__ = ["ResyncProvider", "RetainResyncProvider", "PersistHandle"]
 
@@ -95,23 +97,24 @@ class PersistHandle:
     def __init__(self, provider: "ResyncProvider", session: Session):
         self._provider = provider
         self._session = session
-        self.active = True
+        self.session_id = session.session_id
         #: Set by the network that opened the session: the per-session
         #: batching queue the notifications flow through (closed with
-        #: the handle).
+        #: the session).
         self.delivery_queue = None
 
     @property
-    def session_id(self) -> str:
-        return self._session.session_id
+    def active(self) -> bool:
+        """False once the session ended, here or server-side."""
+        return not self._session.ended
 
     def abandon(self) -> None:
-        """Tear down the persistent connection without a sync_end."""
-        if self.active:
-            self._provider._fold_end(self._session.session_id)
-            self.active = False
-            if self.delivery_queue is not None:
-                self.delivery_queue.close()
+        """Tear down the persistent connection without a sync_end —
+        server-side only while the store still holds *this record*: after
+        a journal-less restart the id may name a stranger's session."""
+        if self._provider.sessions.get(self.session_id) is self._session:
+            self._provider._fold_end(self.session_id)
+        self._session.close()
 
 
 class ResyncProvider:
@@ -161,9 +164,7 @@ class ResyncProvider:
         journal: Optional[JournalBackend] = None,
     ):
         self.server = server
-        self.router = SessionRouter()
-        self.sessions = self._new_store(idle_limit)
-        self._persist_callbacks: Dict[str, DeliverFn] = {}
+        self.sessions = SessionStore(idle_limit=idle_limit)
         self._route_candidates = server.metrics.counter("sync.route.candidates")
         self._route_notified = server.metrics.counter("sync.route.notified")
         if durability is None and journal is not None:
@@ -220,91 +221,40 @@ class ResyncProvider:
         # Phase 1: route, resolve the exact membership predicate per
         # candidate (pre-resolved by the holder index where it already
         # knows the answer — SessionRouter.route_verdicts), and advance
-        # *all* holder state before any delivery.  A persist deliver
-        # callback may update the master and re-enter on_update
-        # mid-flush; with holders already advanced for every affected
-        # session, the nested routing pass is complete, and the nested
-        # visit happens between this record's deliveries exactly where
-        # the linear scan would put it.
+        # *every* affected session's membership before any delivery.  A
+        # persist deliver callback may update the master and re-enter
+        # on_update mid-flush; with the holder index already advanced
+        # for every affected session, the nested routing pass is
+        # complete, and the nested visit happens between this record's
+        # deliveries exactly where the linear scan would put it.
         routed = self.router.route_verdicts(record)
+        old_dn, new_dn, after = record.dn, record.effective_dn, record.after
+        renamed = old_dn != new_dn
         visits = []
-        same_dn = record.dn == record.effective_dn
-        for rs, verdict in routed:
-            if verdict is not None:
-                in_before, in_after = verdict
-            else:
-                # The holder index is exact, so only the after image
+        for session, verdict in routed:
+            if verdict is None:
+                # The membership is exact, so only the after image
                 # (never None on an unresolved verdict) needs evaluating.
-                in_before = record.dn in rs.held
-                in_after = rs.selects(record.after)
-                if not in_before and not in_after:
-                    continue
-            if not (in_before and in_after and same_dn):
-                # A stayed-in-place modify transitions no holder state.
-                self.router.note_delivery(
-                    rs, in_before, in_after, record.dn, record.effective_dn
-                )
-            visits.append((rs.session, in_before, in_after))
+                verdict = (old_dn in session.content_dns, session.selects(after))
+            pdus = OUTCOMES[verdict[0], verdict[1], renamed]
+            if pdus:
+                session.advance(pdus, old_dn, new_dn)
+                visits.append((session, pdus))
         if not self._replaying:
             self._route_candidates.inc(len(routed))
             self._route_notified.inc(len(visits))
         # Phase 2: notify, in session-creation order (== linear order).
-        # One shared frozen SyncUpdate per outcome kind serves every
-        # visited session (consumers copy entries on apply), so each PDU
-        # is built once per record instead of once per session.  The
-        # outcome split is exactly Session.observe's.
-        stays = gone = enters = None
-        flush = self._flush_persist
-        for session, in_before, in_after in visits:
-            if in_before and in_after:
-                if same_dn:
-                    if stays is None:
-                        stays = SyncUpdate.modify(record.after)
-                    session.enqueue(stays)
-                else:  # rename kept in content: delete old DN + add new
-                    if gone is None:
-                        gone = SyncUpdate.delete(record.dn)
-                    if enters is None:
-                        enters = SyncUpdate.add(record.after)
-                    session.enqueue(gone)
-                    session.enqueue(enters)
-            elif in_before:
-                if gone is None:
-                    gone = SyncUpdate.delete(record.dn)
-                session.enqueue(gone)
-            else:
-                if enters is None:
-                    enters = SyncUpdate.add(record.after)
-                session.enqueue(enters)
-            flush(session)
-
-    def _flush_persist(self, session: Session) -> None:
-        if session.persist_queue is None:
-            return
-        deliver = self._persist_callbacks.get(session.session_id)
-        if deliver is None:
-            return
-        if session.draining:
-            # Reentrant call: a deliver callback triggered a master
-            # update, which re-entered on_update mid-delivery.  The new
-            # notification is already queued; the outer drain loop picks
-            # it up after the in-flight batch, preserving order.
-            return
-        session.draining = True
-        # A network's batching DeliveryQueue takes whole queued runs at
-        # once — one offer per flush instead of one call per update; an
-        # in-process callback gets the per-update loop.
-        offer_many = getattr(deliver, "offer_many", None)
-        try:
-            while session.persist_queue:
-                queued, session.persist_queue = session.persist_queue, []
-                if offer_many is not None:
-                    offer_many(queued)
-                else:
-                    for update in queued:
-                        deliver(update)
-        finally:
-            session.draining = False
+        # One shared frozen SyncUpdate per PDU kind serves every visited
+        # session (consumers copy entries on apply), so each PDU is
+        # built once per record instead of once per session.
+        built: Dict[str, SyncUpdate] = {}
+        for session, pdus in visits:
+            for pdu in pdus:
+                update = built.get(pdu)
+                if update is None:
+                    update = built[pdu] = PDUS[pdu](old_dn, after)
+                session.enqueue(update)
+            session.flush()
 
     # ------------------------------------------------------------------
     # request handling
@@ -395,13 +345,10 @@ class ResyncProvider:
                     response = SyncResponse(updates=updates)
                 sp.add("actions_emitted", len(response.updates))
 
-        if persist:
-            self._persist_callbacks[session.session_id] = deliver
-        else:
-            self._persist_callbacks.pop(session.session_id, None)
-            if not response.uses_retain:
-                # A degraded resume already stamped its own ":h" cookie.
-                response.cookie = self.sessions.cookie_for(session)
+        session.deliver = deliver if persist else None
+        if not persist and not response.uses_retain:
+            # A degraded resume already stamped its own ":h" cookie.
+            response.cookie = self.sessions.cookie_for(session)
         self._maybe_snapshot()
         return response, session
 
@@ -500,7 +447,7 @@ class ResyncProvider:
 
         The DIT survives (it is the server's, not the provider's), but
         every piece of in-memory protocol state dies with the process:
-        session histories, unacked batches and persist callbacks.  Every
+        the session records — histories, unacked batches, endpoints.  Every
         outstanding cookie now names an unknown session, so the next
         poll from any consumer raises :class:`SyncProtocolError` and the
         consumer must recover without the session (docs/RECOVERY.md:
@@ -515,10 +462,8 @@ class ResyncProvider:
         # untouched (modulo injected damage) for recover() to replay.
 
     def _reset(self, watermark: int) -> None:
-        """Forget every piece of in-memory protocol state."""
-        self.sessions = self._new_store(self.sessions.idle_limit)
-        self._persist_callbacks.clear()
-        self.router.reset()
+        """Forget all in-memory protocol state; the records die unended."""
+        self.sessions = SessionStore(idle_limit=self.sessions.idle_limit)
         self._last_change.clear()
         self._watermark = watermark
         self._appends_since_snapshot = 0
@@ -529,17 +474,10 @@ class ResyncProvider:
         :class:`SyncProtocolError`."""
         self._fold_end(cookie)
 
-    def _forget_session(self, sid: str) -> None:
-        """Drop everything kept per session outside the store — for an
-        ended session, an expired one (``SessionStore.on_expire``) and
-        one :meth:`recover` sheds."""
-        self.router.unregister(sid)
-        self._persist_callbacks.pop(sid, None)
-
-    def _new_store(self, idle_limit: int) -> SessionStore:
-        store = SessionStore(idle_limit=idle_limit)
-        store.on_expire = self._forget_session
-        return store
+    @property
+    def router(self) -> SessionRouter:
+        """The index the fan-out routes through: the session store's."""
+        return self.sessions.router
 
     def _session_of(self, cookie: str, request: SearchRequest) -> Session:
         """The live session *cookie* resumes for *request*, its activity
@@ -547,7 +485,7 @@ class ResyncProvider:
         unknown or expired cookie raises :class:`SyncProtocolError` —
         the consumer must restart with a full reload — and so does one
         minted for another request, which still counts as activity."""
-        session = self.sessions.get(cookie.split(":", 1)[0])
+        session = self.sessions.get(cookie)
         if session is None:
             raise SyncProtocolError(f"unknown or expired cookie {cookie!r}")
         if session.request != request:
@@ -610,7 +548,6 @@ class ResyncProvider:
         self._watermark = max(self._watermark, csn)
         session.drain_csn = session.prev_drain_csn = csn
         session.persist_queue = [] if persist else None
-        self.router.register(session, dns)
         if self._journaling:
             self._journal_event(
                 {
@@ -634,7 +571,6 @@ class ResyncProvider:
             # The latest cookie also acknowledges any pending degraded
             # resume, and the drain retires the previous batch's CSN.
             session.degraded_since_csn = None
-            session.acknowledge()
             updates = session.drain()
             session.prev_drain_csn = session.drain_csn
         else:
@@ -660,15 +596,14 @@ class ResyncProvider:
         session = self.sessions.lookup(sid)
         self._watermark = max(self._watermark, csn)
         session.polls += 1
-        session._pending.clear()
-        session.pending_bytes = 0
-        session._unacked = {}
+        session.abandon_history()
+        session.acknowledge()
         session.seed_content([DN.parse(d) for d in dns])
         session.prev_drain_csn = since
         session.drain_csn = csn
+        session.history_overflowed = False  # complete again from here
         if first:
             session.generation += 1
-            session.history_overflowed = False
         session.degraded_since_csn = since
         session.persist_queue = None
         self._journal_event(
@@ -704,23 +639,20 @@ class ResyncProvider:
         """
         if self.durability is None:
             return False
-        sid = cookie.split(":", 1)[0]
-        session = self.sessions.get(sid)
+        session = self.sessions.get(cookie)
         if session is None:
             if not self._replaying:
                 self._unknown_cookie.inc()
             return False
-        session.history_overflowed = True
-        session._pending.clear()
-        session.pending_bytes = 0
-        self._journal_event({"t": "park", "sid": sid})
+        session.abandon_history()
+        self._journal_event({"t": "park", "sid": session.session_id})
         if not self._replaying:
             self._parked.inc()
         return True
 
     def _fold_end(self, cookie: str) -> None:
-        """``end`` — terminate the session named by *cookie* and forget
-        what is kept for it outside the store.
+        """``end`` — terminate the session named by *cookie*
+        (:meth:`SessionStore.end`: unrouted, endpoint closed).
 
         An unknown or already-ended cookie is a counted no-op
         (``sync.session.unknown_cookie``), not an error: sync_end is
@@ -729,7 +661,6 @@ class ResyncProvider:
         not fail the caller."""
         sid = cookie.split(":", 1)[0]
         if self.sessions.end(sid):
-            self._forget_session(sid)
             self._journal_event({"t": "end", "sid": sid})
         elif not self._replaying:
             self._unknown_cookie.inc()
@@ -801,9 +732,9 @@ class ResyncProvider:
 
     def _restore_snapshot(self, snapshot: dict) -> None:
         """The inverse of :meth:`_write_snapshot`; every adopted session
-        image enters the router from its content mirror, in the store's
-        creation (= session-id) order — the order the router must visit
-        sessions in."""
+        image enters the router with the content it carries, in the
+        store's creation (= session-id) order — the order the router
+        must visit sessions in."""
         self._watermark = snapshot["csn"]
         self.sessions.restore_clock(snapshot["tick"], snapshot["next_id"])
         for dn, csn in snapshot["last_change"].items():
@@ -812,7 +743,6 @@ class ResyncProvider:
             session = session_from_wire(wire)
             self._configure_session(session)
             self.sessions.adopt(session)
-            self.router.register(session, session.content_dns)
 
     def _configure_session(self, session: Session) -> None:
         if self.durability is None:
@@ -919,7 +849,6 @@ class ResyncProvider:
             if torn or persist:
                 # Not an ``end`` fold: the snapshot below records it.
                 self.sessions.end(session.session_id)
-                self._forget_session(session.session_id)
                 if not persist:
                     self._sessions_lost.inc()
         if torn:
@@ -935,15 +864,13 @@ class ResyncProvider:
         return len(records)
 
 
-class RetainResyncProvider:
+class RetainResyncProvider(CsnCookieMixin):
     """Incomplete-history ReSync master (eq. 3, ``retain`` actions).
 
     Keeps no per-session state: the cookie encodes the CSN of the last
     poll, and a per-entry last-change CSN map (maintained from the
     update stream) decides changed vs unchanged.
     """
-
-    COOKIE_PREFIX = "csn"
 
     def __init__(self, server: DirectoryServer):
         self.server = server
@@ -988,15 +915,7 @@ class RetainResyncProvider:
             sp.add("actions_emitted", len(updates))
         return SyncResponse(
             updates=updates,
-            cookie=f"{self.COOKIE_PREFIX}:{now}",
+            cookie=self._make_cookie(now),
             initial=initial,
             uses_retain=not initial,
         )
-
-    def _parse_cookie(self, cookie: Optional[str]) -> int:
-        if cookie is None:
-            return 0
-        prefix, _, csn = cookie.partition(":")
-        if prefix != self.COOKIE_PREFIX or not csn.isdigit():
-            raise SyncProtocolError(f"malformed cookie {cookie!r}")
-        return int(csn)

@@ -5,14 +5,15 @@ update, which active sessions to notify.  The seed implementation
 evaluates every session's filter against the update's before/after
 entries — linear in the session count, twice per update, interpreted
 (kept as ``tests/oracles.LinearResyncProvider``).  The
-:class:`SessionRouter` keeps per-session routing summaries so only
-sessions the update's *values* can reach are visited:
+:class:`SessionRouter` indexes the sessions themselves — each
+:class:`~repro.sync.session.Session` carries its own routing summary —
+so only sessions the update's *values* can reach are visited:
 
-* **holders** — a ``DN → sessions`` map mirroring each session's
-  master-side content (``Session.content_dns``), seeded from the
-  initial content and advanced by :meth:`note_delivery` after every
-  notification.  It is exact, so it answers ``in_before`` outright: an
-  update can only leave (or change inside) the sessions holding its DN.
+* **holders** — a ``DN → sessions`` map, the reverse index of every
+  registered session's master-side content (``Session.content_dns``),
+  which the session keeps current as its membership moves.  It is
+  exact, so it answers ``in_before`` outright: an update can only leave
+  (or change inside) the sessions holding its DN.
 * **value atoms** — a necessary condition for an entry to *match* the
   filter, in the vocabulary of the replica-side
   :class:`~repro.core.routing.ContainmentIndex`: ``("eq", attr, value)``,
@@ -39,8 +40,9 @@ notification streams are byte-identical to the linear scan's.
 from __future__ import annotations
 
 import itertools
+import weakref
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ldap.attributes import DEFAULT_REGISTRY
 from ..ldap.dn import DN
@@ -52,21 +54,21 @@ from ..ldap.filters import (
     Or,
     Predicate,
     Substring,
-    attributes_of,
     simplify,
 )
-from ..ldap.matching import compile_filter_cached
 from ..server.operations import UpdateRecord
-from .session import Session
 
-__all__ = ["SessionRouter", "RoutedSession"]
+if TYPE_CHECKING:  # session.py imports this module: the store owns a router
+    from .session import Session
+
+__all__ = ["SessionRouter"]
 
 #: ``(kind, attr[, value])``; kinds ``eq``, ``pfx``, ``attr`` as in
 #: :mod:`repro.core.routing`, ranked by how few entries they admit.
 Atom = Tuple
 _STRENGTH = {"attr": 0, "pfx": 1, "eq": 2}
 
-_EMPTY: FrozenSet["RoutedSession"] = frozenset()
+_EMPTY: FrozenSet["Session"] = frozenset()
 _serial = attrgetter("serial")  # creation order == the linear scan's order
 
 # Pre-resolved membership verdicts (see SessionRouter.route_verdicts).
@@ -93,40 +95,11 @@ def _leaf_atom(pred: Predicate) -> Atom:
     return ("attr", key)
 
 
-class RoutedSession:
-    """One registered session plus its routing summary."""
-
-    __slots__ = (
-        "session",
-        "session_id",
-        "serial",
-        "request",
-        "compiled",
-        "fingerprint",
-        "atoms",
-        "region",
-        "held",
-    )
-
-    def __init__(
-        self, session: Session, serial: int, atoms: Optional[FrozenSet[Atom]]
-    ):
-        self.session = session
-        self.session_id = session.session_id
-        self.serial = serial
-        self.request = session.request
-        self.compiled = compile_filter_cached(session.request.filter)
-        self.fingerprint = attributes_of(session.request.filter)
-        self.atoms = atoms  # None: unanchored, sees every add in region
-        self.region = session.request.base.reversed_key()
-        self.held: Set[DN] = set()
-
-    def selects(self, entry: Entry) -> bool:
-        """Exactly ``request.selects`` with the compiled filter."""
-        return self.request.in_scope(entry.dn) and self.compiled(entry)
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"RoutedSession({self.session_id})"
+class HolderIndex(dict):
+    """``DN → sessions holding it``: exactly the inverse of ``{s:
+    s.content_dns}`` over the registered sessions, which post themselves
+    here through a *weak* proxy — a strong link back makes a cycle only
+    the cyclic collector frees (+12 % peak RSS on ``restart_recovery``)."""
 
 
 class SessionRouter:
@@ -134,21 +107,14 @@ class SessionRouter:
 
     def __init__(self):
         self._serials = itertools.count(1)
-        self._sessions: Dict[str, RoutedSession] = {}
         # attr -> atom -> sessions anchored on it; attribute first, so an
         # entry's unposted attributes cost one lookup, not a normalization.
-        self._postings: Dict[str, Dict[Atom, Set[RoutedSession]]] = {}
+        self._postings: Dict[str, Dict[Atom, Set[Session]]] = {}
         # attr -> {prefix length -> distinct ``pfx`` atoms of that length}:
         # a value is probed once per registered length, never per character.
         self._pfx_lens: Dict[str, Dict[int, int]] = {}
-        self._unanchored: Set[RoutedSession] = set()
-        self._holders: Dict[DN, Set[RoutedSession]] = {}
-
-    def __len__(self) -> int:
-        return len(self._sessions)
-
-    def __contains__(self, session_id: str) -> bool:
-        return session_id in self._sessions
+        self._unanchored: Set[Session] = set()
+        self._holders: Dict[DN, Set[Session]] = HolderIndex()
 
     # ------------------------------------------------------------------
     # anchor atoms
@@ -202,18 +168,13 @@ class SessionRouter:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def register(self, session: Session, dns=()) -> RoutedSession:
-        """Enter *session* with *dns* as its held content — the content
-        its ``create`` fold just delivered (live or replayed), or a
-        snapshot image's content mirror (docs/PROTOCOL.md §10.1).  Any
-        stale registration (and its holder state) is replaced
-        wholesale."""
-        self.unregister(session.session_id)
-        atoms = self.anchor_atoms(session.request.filter)
-        rs = RoutedSession(session, next(self._serials), atoms)
-        self._sessions[rs.session_id] = rs
+    def register(self, session: Session) -> None:
+        """Index *session*: the next serial, a posting per anchor atom, and
+        its membership (a snapshot image arrives with one) in the holders."""
+        atoms = session.atoms = self.anchor_atoms(session.request.filter)
+        session.serial = next(self._serials)
         if atoms is None:
-            self._unanchored.add(rs)
+            self._unanchored.add(session)
         for atom in atoms or ():
             posted = self._postings.setdefault(atom[1], {})
             bucket = posted.get(atom)
@@ -222,19 +183,15 @@ class SessionRouter:
                 if atom[0] == "pfx":
                     lens = self._pfx_lens.setdefault(atom[1], {})
                     lens[len(atom[2])] = lens.get(len(atom[2]), 0) + 1
-            bucket.add(rs)
-        for dn in dns:
-            self._hold(rs, dn)
-        return rs
+            bucket.add(session)
+        session.index_under(weakref.proxy(self._holders))
 
-    def unregister(self, session_id: str) -> None:
-        rs = self._sessions.pop(session_id, None)
-        if rs is None:
-            return
-        self._unanchored.discard(rs)
-        for atom in rs.atoms or ():
+    def unregister(self, session: Session) -> None:
+        """Drop *session*'s atom and holder postings."""
+        self._unanchored.discard(session)
+        for atom in session.atoms or ():
             posted = self._postings[atom[1]]
-            posted[atom].discard(rs)
+            posted[atom].discard(session)
             if not posted[atom]:
                 del posted[atom]
                 if not posted:
@@ -246,55 +203,12 @@ class SessionRouter:
                         del lens[len(atom[2])]
                         if not lens:
                             del self._pfx_lens[atom[1]]
-        for dn in list(rs.held):
-            self._unhold(rs, dn)
-
-    def reset(self) -> None:
-        """Forget every session (provider restart)."""
-        self._sessions.clear()
-        self._postings.clear()
-        self._pfx_lens.clear()
-        self._unanchored.clear()
-        self._holders.clear()
-
-    # ------------------------------------------------------------------
-    # holder tracking (mirrors Session._track_content)
-    # ------------------------------------------------------------------
-    def _hold(self, rs: RoutedSession, dn: DN) -> None:
-        rs.held.add(dn)
-        self._holders.setdefault(dn, set()).add(rs)
-
-    def _unhold(self, rs: RoutedSession, dn: DN) -> None:
-        rs.held.discard(dn)
-        bucket = self._holders.get(dn)
-        if bucket is not None:
-            bucket.discard(rs)
-            if not bucket:
-                del self._holders[dn]
-
-    def note_delivery(
-        self,
-        rs: RoutedSession,
-        in_before: bool,
-        in_after: bool,
-        old_dn: DN,
-        new_dn: DN,
-    ) -> None:
-        """Advance *rs*'s holder state after one notification — the same
-        transitions ``Session.observe`` applies to ``content_dns``."""
-        if in_before and not in_after:
-            self._unhold(rs, old_dn)
-        elif in_after and not in_before:
-            self._hold(rs, new_dn)
-        elif in_before and in_after:
-            if old_dn != new_dn:
-                self._unhold(rs, old_dn)
-            self._hold(rs, new_dn)
+        session.index_under(None)
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _reachable(self, entry: Entry) -> Set[RoutedSession]:
+    def _reachable(self, entry: Entry) -> Set[Session]:
         """Sessions whose anchor atoms *entry*'s own values probe, plus
         the unanchored ones — every session *entry* could match."""
         found = set(self._unanchored)
@@ -330,14 +244,14 @@ class SessionRouter:
 
     def route_verdicts(
         self, record: UpdateRecord
-    ) -> List[Tuple[RoutedSession, Optional[Tuple[bool, bool]]]]:
+    ) -> List[Tuple[Session, Optional[Tuple[bool, bool]]]]:
         """Sessions *record* may affect, in creation order — a superset
         of ``{s : in_before(s) or in_after(s)}`` — with ``(in_before,
         in_after)`` pre-resolved where the holder index already knows it.
 
-        Holder state mirrors each session's content exactly — seeded
+        The holder index inverts each session's content exactly — seeded
         from the initial search, advanced with the exact verdict on
-        every delivery — so ``in_before`` is "holds the old DN" and only
+        every update — so ``in_before`` is "holds the old DN" and only
         holders can leave.  Only the *after* image decides who enters:
         the sessions its values reach (:meth:`_reachable`) whose region
         covers the new DN.  Two cases need no filter evaluation at all:
@@ -352,8 +266,8 @@ class SessionRouter:
           changed attributes miss cannot enter and is not a candidate.
 
         Every other candidate carries ``None``: the caller reads
-        ``in_before`` off ``held`` and evaluates ``selects`` on the
-        after image only.
+        ``in_before`` off ``content_dns`` and evaluates ``selects`` on
+        the after image only.
         """
         old_dn = record.dn
         after = record.after
@@ -361,7 +275,7 @@ class SessionRouter:
             self._holders.get(old_dn, _EMPTY) if record.before is not None else _EMPTY
         )
         if after is None:
-            return [(rs, _VERDICT_GONE) for rs in sorted(holders, key=_serial)]
+            return [(s, _VERDICT_GONE) for s in sorted(holders, key=_serial)]
         new_dn = record.effective_dn
         changed: Optional[Set[str]] = None
         if record.before is not None and old_dn == new_dn:
@@ -369,21 +283,21 @@ class SessionRouter:
         rk = new_dn.reversed_key()
         regions = {rk[:i] for i in range(len(rk) + 1)}
         candidates = {
-            rs
-            for rs in self._reachable(after)
-            if rs.region in regions
-            and (changed is None or not changed.isdisjoint(rs.fingerprint))
+            s
+            for s in self._reachable(after)
+            if s.region in regions
+            and (changed is None or not changed.isdisjoint(s.fingerprint))
         }
         candidates |= holders
         ordered = sorted(candidates, key=_serial)
         if changed is None:
-            return [(rs, None) for rs in ordered]
+            return [(s, None) for s in ordered]
         return [
             (
-                rs,
+                s,
                 _VERDICT_STAYS
-                if rs in holders and changed.isdisjoint(rs.fingerprint)
+                if s in holders and changed.isdisjoint(s.fingerprint)
                 else None,
             )
-            for rs in ordered
+            for s in ordered
         ]

@@ -27,23 +27,54 @@ last poll), the net action is a DELETE — dropping it would strand the
 entry at the replica.  The session tracks the delivered state to tell
 the two cases apart.
 
+A :class:`Session` is the one record the provider keeps per session:
+history, content membership (posted in the router's reverse index),
+routing summary (:mod:`repro.sync.router`) and persist-mode delivery
+endpoint.  What one update means for one session is :data:`OUTCOMES`.
+
 Sessions are identified by opaque cookies and expire after
 ``idle_limit`` polls of global session-store activity without being
-polled (the paper's "admin time limit", in logical time); the store
-reports each expiry to its owner (``SessionStore.on_expire``).
+polled (the paper's "admin time limit", in logical time).  However a
+session ends, it ends through :meth:`SessionStore.end`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..ldap.controls import SyncAction
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
+from ..ldap.filters import attributes_of
+from ..ldap.matching import compile_filter_cached
 from ..ldap.query import SearchRequest
 from .protocol import SyncProtocolError, SyncUpdate
+from .router import SessionRouter
 
-__all__ = ["Session", "SessionStore"]
+__all__ = ["Session", "SessionStore", "OUTCOMES", "PDUS"]
+
+#: What one master update sends one session: ``(in content before, in
+#: content after, DN changed)`` → the PDUs, in order (Figure 3: a rename
+#: that keeps an entry in content is a delete for the old DN plus an add
+#: for the new one).  The same row moves the session's membership
+#: (:meth:`Session.advance`).  docs/PROTOCOL.md §3 renders the table.
+OUTCOMES: Dict[Tuple[bool, bool, bool], Tuple[str, ...]] = {
+    (False, False, False): (),
+    (False, False, True): (),
+    (False, True, False): ("add-new",),
+    (False, True, True): ("add-new",),
+    (True, False, False): ("delete-old",),
+    (True, False, True): ("delete-old",),
+    (True, True, False): ("modify",),
+    (True, True, True): ("delete-old", "add-new"),
+}
+
+#: PDU kind → its :class:`SyncUpdate`, from the old DN and after image.
+PDUS: Dict[str, Callable[[DN, Optional[Entry]], SyncUpdate]] = {
+    "delete-old": lambda old_dn, after: SyncUpdate.delete(old_dn),
+    "add-new": lambda old_dn, after: SyncUpdate.add(after),
+    "modify": lambda old_dn, after: SyncUpdate.modify(after),
+}
 
 
 class Session:
@@ -58,7 +89,19 @@ class Session:
         # it (at-least-once delivery across lost responses).
         self._unacked: Dict[DN, SyncUpdate] = {}
         # DNs the consumer holds, assuming it applied everything sent.
+        # Written by advance() and seed_content() only, which keep its
+        # reverse index — ``DN → sessions``, the router's ``_holders``;
+        # None on a stand-alone session — in step.
         self.content_dns: Set[DN] = set()
+        self.holder_index: Optional[Dict[DN, Set["Session"]]] = None
+        # --- routing summary (repro.sync.router) -----------------------
+        self.compiled = compile_filter_cached(request.filter)
+        self.fingerprint = attributes_of(request.filter)
+        self.region = request.base.reversed_key()
+        # Set by SessionRouter.register: creation order, and the anchor
+        # atoms posted under (None: unanchored, sees every add in region).
+        self.serial: Optional[int] = None
+        self.atoms: Optional[FrozenSet[tuple]] = None
         # DNs actually *delivered* to the consumer (initial content plus
         # served batches).  Unlike content_dns — which tracks the
         # master-side content eagerly, pending updates included — this
@@ -67,11 +110,10 @@ class Session:
         # re-entered content since the last poll".
         self._delivered: Set[DN] = set()
         self.persist_queue: Optional[List[SyncUpdate]] = None
-        # True while the provider is delivering this session's persist
-        # queue — a deliver callback that triggers another master update
-        # must enqueue, not re-enter the delivery loop (see
-        # ResyncProvider._flush_persist).
-        self.draining = False
+        # Persist mode: the endpoint flush() delivers the queue above to.
+        self.deliver: Optional[Callable[[SyncUpdate], None]] = None
+        self.ended = False  # raised by close(); a handle's liveness
+        self.draining = False  # True while flush() is delivering the queue
         self.polls = 0
         self.generation = 0
         self.last_active_tick = 0
@@ -110,49 +152,33 @@ class Session:
         new_dn: DN,
         after_entry: Optional[Entry],
     ) -> None:
-        """Fold one master update into the session's pending actions.
+        """Fold one master update into the session: its row of
+        :data:`OUTCOMES`, applied to the membership and to the history.
 
         ``in_before``/``in_after`` say whether the entry was inside the
         session's content before/after the update; ``old_dn``/``new_dn``
-        differ only for modifyDN.  Figure 3's semantics: a rename that
-        keeps an entry in content is a delete for the old DN plus an add
-        for the new DN.
+        differ only for modifyDN.
         """
-        if not in_before and not in_after:
-            return
-        if in_before and not in_after:
-            self._record(SyncUpdate.delete(old_dn))
-        elif not in_before and in_after:
-            self._record(SyncUpdate.add(after_entry))
-        else:  # stayed in content
-            if old_dn != new_dn:
-                self._record(SyncUpdate.delete(old_dn))
-                self._record(SyncUpdate.add(after_entry))
-            else:
-                self._record(SyncUpdate.modify(after_entry))
+        pdus = OUTCOMES[in_before, in_after, old_dn != new_dn]
+        self.advance(pdus, old_dn, new_dn)
+        for pdu in pdus:
+            self.enqueue(PDUS[pdu](old_dn, after_entry))
 
     def enqueue(self, update: SyncUpdate) -> None:
         """Fold one pre-built update into the pending actions.
 
-        Same semantics as :meth:`observe` once the outcome is known; the
-        routed fan-out builds a single shared (frozen) ``SyncUpdate``
-        per record outcome and enqueues it into every visited session
-        instead of constructing one copy per session.
+        The PDU half of :meth:`observe`: the routed fan-out advances
+        every visited session's membership first, then enqueues one
+        shared (frozen) ``SyncUpdate`` per PDU kind per record into each.
         """
-        self._record(update)
-
-    def _record(self, update: SyncUpdate) -> None:
         if self.persist_queue is not None:
             # Persist mode: notifications flow immediately, no coalescing.
             self.persist_queue.append(update)
-            self._track_content(update)
             self._track_delivered(update)
             return
         if self.history_overflowed:
-            # The history was abandoned at the cap: only the content
-            # mirror advances; the next poll is served as an
+            # The history was abandoned at the cap: the next poll is an
             # incomplete-history resume, which re-derives everything.
-            self._track_content(update)
             return
         pending = self._pending.get(update.dn)
         merged = self._coalesce(pending, update)
@@ -163,8 +189,34 @@ class Session:
         self.pending_bytes += (merged.pdu_bytes if merged is not None else 0) - (
             pending.pdu_bytes if pending is not None else 0
         )
-        self._track_content(update)
         self._check_history_cap()
+
+    def flush(self) -> None:
+        """Deliver the persist queue to the endpoint, in order."""
+        deliver = self.deliver
+        if self.persist_queue is None or deliver is None:
+            return
+        if self.draining:
+            # Reentrant call: a deliver callback triggered a master
+            # update, which re-entered on_update mid-delivery.  The new
+            # notification is already queued; the outer drain loop picks
+            # it up after the in-flight batch, preserving order.
+            return
+        self.draining = True
+        # A network's batching DeliveryQueue takes whole queued runs at
+        # once — one offer per flush instead of one call per update; an
+        # in-process callback gets the per-update loop.
+        offer_many = getattr(deliver, "offer_many", None)
+        try:
+            while self.persist_queue:
+                queued, self.persist_queue = self.persist_queue, []
+                if offer_many is not None:
+                    offer_many(queued)
+                else:
+                    for update in queued:
+                        deliver(update)
+        finally:
+            self.draining = False
 
     def _check_history_cap(self) -> None:
         over = (
@@ -176,17 +228,69 @@ class Session:
         )
         if not over:
             return
-        self._pending.clear()
-        self.pending_bytes = 0
-        self.history_overflowed = True
+        self.abandon_history()
         if self.overflow_callback is not None:
             self.overflow_callback(self)
 
-    def _track_content(self, update: SyncUpdate) -> None:
-        if update.action is SyncAction.DELETE:
-            self.content_dns.discard(update.dn)
-        elif update.action in (SyncAction.ADD, SyncAction.MODIFY):
-            self.content_dns.add(update.dn)
+    def abandon_history(self) -> None:
+        """Forget the pending actions and say so — at the cap, when
+        parked: only an incomplete-history resume (eq. 3) can serve the
+        session now, and that resume restarts the history empty."""
+        self._pending.clear()
+        self.pending_bytes = 0
+        self.history_overflowed = True
+
+    def advance(self, pdus: Tuple[str, ...], old_dn: DN, new_dn: DN) -> None:
+        """The membership half of one :data:`OUTCOMES` row:
+        ``delete-old`` leaves *old_dn*, ``add-new`` enters *new_dn*."""
+        for pdu in pdus:
+            if pdu == "delete-old":
+                self.content_dns.discard(old_dn)
+                self._unpost(old_dn)
+            elif pdu == "add-new":
+                self.content_dns.add(new_dn)
+                self._post(new_dn)
+
+    def _post(self, dn: DN) -> None:
+        if self.holder_index is not None:
+            self.holder_index.setdefault(dn, set()).add(self)
+
+    def _unpost(self, dn: DN) -> None:
+        bucket = self.holder_index.get(dn) if self.holder_index is not None else None
+        if bucket is not None:
+            bucket.discard(self)
+            if not bucket:
+                del self.holder_index[dn]
+
+    def index_under(self, holders: Optional[Dict[DN, Set["Session"]]]) -> None:
+        """Post the membership in *holders* (None: nowhere) only."""
+        for dn in self.content_dns:
+            self._unpost(dn)
+        self.holder_index = holders
+        for dn in self.content_dns:
+            self._post(dn)
+
+    def seed_content(self, dns: Iterable[DN]) -> None:
+        """Record the whole content just sent — on the session's first
+        poll, or by an incomplete-history resume."""
+        holders = self.holder_index
+        self.index_under(None)
+        self.content_dns = set(dns)
+        self._delivered = set(self.content_dns)
+        self.index_under(holders)
+
+    def selects(self, entry: Entry) -> bool:
+        """Exactly ``request.selects`` with the compiled filter."""
+        return self.request.in_scope(entry.dn) and self.compiled(entry)
+
+    def close(self) -> None:
+        """The record's half of :meth:`SessionStore.end`: a handle reads
+        dead and a ``DeliveryQueue`` endpoint drops what it holds."""
+        self.ended = True
+        endpoint, self.deliver = self.deliver, None
+        close = getattr(endpoint, "close", None)
+        if close is not None:
+            close()
 
     def _track_delivered(self, update: SyncUpdate) -> None:
         if update.action is SyncAction.DELETE:
@@ -209,12 +313,10 @@ class Session:
                     return new
                 return None  # consumer never saw this entry
             return new
-        # new carries an entry (add/modify)
-        if pending.action is SyncAction.DELETE:
-            return SyncUpdate.add(new.entry)
-        if pending.action is SyncAction.ADD:
-            return SyncUpdate.add(new.entry)
-        return SyncUpdate.modify(new.entry)
+        # new carries an entry: a MODIFY only over a pending MODIFY
+        if pending.action is SyncAction.MODIFY:
+            return SyncUpdate.modify(new.entry)
+        return SyncUpdate.add(new.entry)
 
     # ------------------------------------------------------------------
     # poll servicing (with at-least-once delivery)
@@ -231,14 +333,10 @@ class Session:
         Deletes are emitted before adds so that a rename whose old and
         new DNs both appear applies cleanly at the consumer.
         """
-        self._unacked = dict(self._pending)
-        self._pending.clear()
-        self.pending_bytes = 0
-        updates = self._sorted(self._unacked)
-        for update in updates:
-            self._track_delivered(update)
+        # A retransmission over an empty retained set, under a new cookie.
+        self.acknowledge()
+        updates = self.retransmit()
         self.generation += 1
-        self.polls += 1
         return updates
 
     def acknowledge(self) -> None:
@@ -262,18 +360,9 @@ class Session:
         under-sending is not.
         """
         for dn, update in self._pending.items():
-            sent = self._unacked.get(dn)
-            if sent is None:
-                merged: Optional[SyncUpdate] = update
-            elif update.action is SyncAction.DELETE:
-                merged = update  # never drop a delete against a sent add
-            elif sent.action is SyncAction.DELETE:
-                merged = SyncUpdate.add(update.entry)
-            elif sent.action is SyncAction.ADD:
-                merged = SyncUpdate.add(update.entry)
-            else:
-                merged = SyncUpdate.modify(update.entry)
-            self._unacked[dn] = merged
+            if update.action is not SyncAction.DELETE:
+                update = self._coalesce(self._unacked.get(dn), update)
+            self._unacked[dn] = update  # never drop a delete against a sent add
         self._pending.clear()
         self.pending_bytes = 0
         self.polls += 1
@@ -287,12 +376,6 @@ class Session:
         updates = list(batch.values())
         updates.sort(key=lambda u: (u.action is not SyncAction.DELETE, str(u.dn)))
         return updates
-
-    def seed_content(self, dns: Iterable[DN]) -> None:
-        """Record the whole content just sent — on the session's first
-        poll, or by an incomplete-history resume."""
-        self.content_dns = set(dns)
-        self._delivered = set(self.content_dns)
 
     @property
     def pending_count(self) -> int:
@@ -309,18 +392,16 @@ class SessionStore:
 
     One entry point per transition — :meth:`create`, :meth:`lookup`
     (the only one that ticks the clock), :meth:`end` — serves the
-    provider's live handlers and its journal replay alike."""
+    provider's live handlers and its journal replay alike.  A session
+    is indexed in the store's ``router`` exactly while the store holds it."""
 
     def __init__(self, idle_limit: int = 1000):
         self._sessions: Dict[str, Session] = {}
+        self.router = SessionRouter()
         self._next_id = 1
         self.idle_limit = idle_limit
         self._tick = 0
         self._expiring = False
-        # Called with the id of every session :meth:`_expire` drops, so
-        # the owner can forget what it keeps per session (routing
-        # registration, persist callback) at expiry rather than never.
-        self.on_expire: Optional[Callable[[str], None]] = None
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -355,8 +436,11 @@ class SessionStore:
 
     def adopt(self, session: Session) -> None:
         """Insert *session* — a new one, or a snapshot image under its
-        original id — keeping the id counter ahead of it."""
+        original id — and route it, keeping the id counter ahead of it.
+        A record already held under the id is ended, not orphaned."""
+        self.end(session.session_id)
         self._sessions[session.session_id] = session
+        self.router.register(session)
         numeric = session.session_id.lstrip("s")
         if numeric.isdigit():
             self._next_id = max(self._next_id, int(numeric) + 1)
@@ -368,31 +452,36 @@ class SessionStore:
         Raises :class:`SyncProtocolError` for unknown/expired cookies —
         the consumer must restart with a full reload (cookie=None).
         """
-        session_id = cookie.split(":", 1)[0]
-        session = self._sessions.get(session_id)
+        session = self.get(cookie)
         if session is None:
             raise SyncProtocolError(f"unknown or expired cookie {cookie!r}")
         self._touch(session)
         return session
 
     def end(self, cookie: str) -> bool:
-        """Terminate the session named by *cookie* or bare session id
-        (mode ``sync_end``, expiry, recovery shedding).
+        """Terminate the session named by *cookie* or bare session id —
+        the one way a session ends (mode ``sync_end``, abandon, expiry,
+        recovery shedding): out of the store and the router's postings,
+        delivery endpoint closed, record marked ended.
 
         Returns whether a live session was actually ended — False for
         an unknown or already-ended cookie, which callers count as a
         no-op (``sync.session.unknown_cookie``) rather than erroring.
         """
-        session_id = cookie.split(":", 1)[0]
-        return self._sessions.pop(session_id, None) is not None
+        session = self._sessions.pop(cookie.split(":", 1)[0], None)
+        if session is None:
+            return False
+        self.router.unregister(session)
+        session.close()
+        return True
 
-    def get(self, session_id: str) -> Optional[Session]:
-        """The live session with *session_id*, or None.
+    def get(self, cookie: str) -> Optional[Session]:
+        """The live session named by *cookie* or bare session id, or None.
 
         Unlike :meth:`lookup` this neither touches the activity clock
         nor raises — it is the provider's liveness probe (an expired
         session simply reads as gone)."""
-        return self._sessions.get(session_id)
+        return self._sessions.get(cookie.split(":", 1)[0])
 
     def cookie_for(self, session: Session) -> str:
         """Cookie handed to the consumer to resume *session*.
@@ -428,7 +517,7 @@ class SessionStore:
 
         Two-phase (collect over a frozen item list, then drop), and
         reentrancy-guarded: a persist deliver callback can re-enter the
-        store mid-delivery (``ResyncProvider._flush_persist`` → consumer
+        store mid-delivery (:meth:`Session.flush` → consumer
         polls → :meth:`lookup` → here), so expiry must neither mutate
         the map while an outer pass iterates it nor expire a session
         whose queue is being drained right now (``draining`` — it is
@@ -445,9 +534,7 @@ class SessionStore:
                 if session.last_active_tick < cutoff and not session.draining
             ]
             for sid in stale:
-                self._sessions.pop(sid, None)
-                if self.on_expire is not None:
-                    self.on_expire(sid)
+                self.end(sid)
         finally:
             self._expiring = False
 

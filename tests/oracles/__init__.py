@@ -21,6 +21,8 @@ scaling/ablation benches measure:
 
 Each subclasses the production class so filter management, sync, stats,
 window and session bookkeeping are shared; only the scans differ.
+:func:`holders_of` recomputes the router's one derived table, the
+``DN → sessions`` holder index, from the session records it inverts.
 
 The network's persist transport batches notifications into encoded
 frames (docs/TRANSPORT.md); :func:`per_pdu_persist` is the transport it
@@ -43,6 +45,7 @@ __all__ = [
     "LinearFilterReplica",
     "LinearRecentQueryCache",
     "LinearResyncProvider",
+    "holders_of",
     "per_pdu_persist",
 ]
 
@@ -118,7 +121,18 @@ class LinearResyncProvider(ResyncProvider):
             new_dn=record.effective_dn,
             after_entry=record.after,
         )
-        self._flush_persist(session)
+        session.flush()
+
+
+def holders_of(provider) -> dict:
+    """What ``provider.router._holders`` must equal at every quiescent
+    point: exactly the inverse of ``{s: s.content_dns}`` over the live
+    sessions — no posting of an ended session, none missing."""
+    inverse = {}
+    for session in provider.sessions.active_sessions():
+        for dn in session.content_dns:
+            inverse.setdefault(dn, set()).add(session)
+    return inverse
 
 
 def per_pdu_persist(provider, request, deliver, network, cookie=None):

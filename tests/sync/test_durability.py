@@ -23,6 +23,7 @@ from repro.sync import (
     AdmissionController,
     DurabilityConfig,
     FileJournal,
+    JournalBackend,
     MemoryJournal,
     ResilientConsumer,
     ResyncProvider,
@@ -210,6 +211,23 @@ class TestJournalBackends:
         snapshot, records, dropped = journal.load()
         assert snapshot is None and records == [] and dropped == 2
 
+    def test_backends_account_the_same_bytes(self, tmp_path):
+        """``FileJournal`` answers ``size_bytes`` from ``stat``; it must
+        be the number the shared definition computes from the text."""
+        memory, on_disk = MemoryJournal(), FileJournal(str(tmp_path / "j"))
+        for journal in (memory, on_disk):
+            sizes = []
+            for i in range(3):
+                journal.append({"t": "update", "csn": i, "dn": "cn=é,o=xyz"})
+                sizes.append(journal.size_bytes)
+            journal.write_snapshot({"csn": 2, "sessions": []})
+            journal.append({"t": "update", "csn": 3})
+            journal.damage_corrupt(0.0)
+            sizes.append(journal.size_bytes)
+            journal.sizes = sizes
+        assert memory.sizes == on_disk.sizes
+        assert on_disk.sizes[-1] == JournalBackend.size_bytes.fget(on_disk)
+
     def test_file_journal_survives_reopen(self, tmp_path):
         path = str(tmp_path / "j")
         journal = FileJournal(path)
@@ -376,15 +394,15 @@ class TestRecovery:
         provider.restart()
         provider.recover()
         sid = next(iter(provider.sessions.active_sessions())).session_id
-        # Recovery registers the surviving session from its content
-        # mirror, so the very next update fans out through the router.
-        assert provider.router._sessions.get(sid) is not None
+        # Recovery registers the surviving session with the content its
+        # image carries, so the very next update fans out through the router.
+        assert provider.sessions.get(sid).serial is not None
         notified = master.metrics.counter("sync.route.notified")
         before = notified.value
         master.add(person("P9"))
         assert notified.value == before + 1
         content.poll(provider)
-        assert provider.router._sessions.get(sid) is not None
+        assert provider.sessions.get(sid).serial is not None
         master.add(person("P10"))
         content.poll(provider)
         assert content.matches_master(master)

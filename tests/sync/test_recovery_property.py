@@ -57,6 +57,7 @@ from repro.sync import (
     SyncProtocolError,
 )
 from repro.sync.durability import session_to_wire, update_to_wire
+from tests.oracles import holders_of
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 BY_SN = SearchRequest("o=xyz", Scope.SUB, "(sn=T)")
@@ -173,11 +174,13 @@ def assert_replay_equals_live(live: ResyncProvider) -> None:
     )
 
     def holdings(provider):
-        """(session id, held DNs) in the router's visiting order."""
+        """(session id, held DNs) in the router's visiting order, under
+        the one invariant left to hold them by."""
+        assert provider.router._holders == holders_of(provider)
         return [
-            (sid, set(routed.held))
-            for sid, routed in provider.router._sessions.items()
-            if provider.sessions.get(sid).persist_queue is None
+            (s.session_id, set(s.content_dns))
+            for s in sorted(provider.sessions.active_sessions(), key=lambda s: s.serial)
+            if s.persist_queue is None
         ]
 
     assert holdings(replayed) == holdings(live)
@@ -316,6 +319,8 @@ def run_oracle(seed: int, steps: int, snapshot_interval: int, history_cap=3) -> 
             mirror.reconcile(salt=step)
         elif draw < 0.86 and mirror.streams is None:
             mirror.persist()
+        for provider in mirror.providers:
+            assert provider.router._holders == holders_of(provider)
 
     for provider in mirror.providers:
         assert_replay_equals_live(provider)

@@ -519,3 +519,38 @@ class TestPersistResilience:
         assert consumer.content.matches_master(master)
         assert net.open_connections == 1
         assert provider.active_session_count == 1  # half-open one was reset
+
+    @pytest.mark.parametrize("ending", ["expiry", "invalidate_cookie"])
+    def test_subscription_ended_server_side_is_seen_and_reopened(self, ending):
+        """Regression: a handle outlived its session.  The provider
+        ended the subscription (idle expiry, admin invalidation) and the
+        consumer kept reading ``handle.active`` — healthy, not degraded,
+        stale — until ``persist_refresh_interval`` happened to fire."""
+        master = build_master()
+        provider = ResyncProvider(master, idle_limit=2)
+        net = FaultyNetwork()
+        consumer = ResilientConsumer(
+            REQUEST,
+            provider,
+            network=net,
+            mode="persist",
+            policy=RetryPolicy(persist_refresh_interval=10_000),
+        )
+        consumer.sync_once()
+        handle = consumer._handle
+        assert handle.active and list(net.persist_queues) == [handle.session_id]
+        if ending == "expiry":  # another session's polls run the idle clock out
+            other = SyncedContent(SearchRequest("o=xyz", Scope.SUB, "(sn=*)"))
+            for _ in range(5):
+                other.poll(provider)
+            assert provider.active_session_count == 1
+        else:
+            provider.invalidate_cookie(handle.session_id)
+            assert provider.active_session_count == 0
+        assert not handle.active
+        assert net.persist_queues == {}  # the endpoint closed with the session
+        master.add(person("E9"))
+        consumer.sync_once()  # dead handle seen: re-subscribed
+        assert consumer._handle is not handle and consumer._handle.active
+        assert consumer.content.matches_master(master)
+        assert (net.open_connections, net.total_connections) == (1, 2)

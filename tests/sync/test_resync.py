@@ -175,6 +175,24 @@ class TestPersistMode:
         assert notes == []
         assert provider.active_session_count == 0
 
+    def test_stale_handle_does_not_end_a_strangers_session(self, tiny_master, dept42):
+        """Regression: ``abandon()`` ended whatever session carried the
+        handle's *id*.  A journal-less restart starts ids over at ``s1``,
+        so a handle from before it named — and ended — the first session
+        opened after it."""
+        provider = ResyncProvider(tiny_master)
+        _response, handle = provider.persist(dept42, lambda update: None)
+        provider.restart()
+        stranger = SyncedContent(dept42)
+        stranger.poll(provider)
+        assert stranger.cookie.split(":")[0] == handle.session_id  # same name
+        handle.abandon()
+        assert not handle.active
+        assert provider.active_session_count == 1
+        tiny_master.add(person("E4"))
+        stranger.poll(provider)  # the stranger's cookie is still honoured
+        assert stranger.matches_master(tiny_master)
+
     def test_poll_then_switch_to_persist(self, tiny_master, dept42):
         """Figure 3's third request: persist presented with cookie1."""
         provider = ResyncProvider(tiny_master)

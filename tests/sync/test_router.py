@@ -20,6 +20,7 @@ notified set, not the number of sessions naming an attribute.
 from hypothesis import given, settings, strategies as st
 
 from repro.ldap import (
+    DN,
     And,
     Entry,
     Equality,
@@ -35,10 +36,10 @@ from repro.ldap import (
     SyncMode,
     parse_filter,
 )
-from repro.server import DirectoryServer, LdapError, Modification
-from repro.sync import ResyncProvider, SessionRouter
+from repro.server import DirectoryServer, LdapError, Modification, SimulatedNetwork
+from repro.sync import ResyncProvider, SessionRouter, SyncUpdate
 from repro.sync.session import Session
-from tests.oracles import LinearResyncProvider
+from tests.oracles import LinearResyncProvider, holders_of
 
 # ----------------------------------------------------------------------
 # anchor-atom derivation
@@ -50,7 +51,9 @@ def _atoms(text: str, router: SessionRouter = None):
 
 
 def _register(router: SessionRouter, sid: str, text: str, base: str = "o=xyz"):
-    return router.register(Session(sid, SearchRequest(base, Scope.SUB, text)))
+    session = Session(sid, SearchRequest(base, Scope.SUB, text))
+    router.register(session)
+    return session
 
 
 def test_predicate_anchors_on_its_attribute():
@@ -84,13 +87,13 @@ def test_and_ties_break_by_current_posting_size():
     both = "(&(objectClass=person)(departmentNumber=42))"
     # Nothing posted yet: the first of equally strong conjuncts.
     assert _atoms(both, router) == {("eq", "objectclass", "person")}
-    _register(router, "s1", "(objectClass=person)", base="c=us,o=xyz")
+    s1 = _register(router, "s1", "(objectClass=person)", base="c=us,o=xyz")
     # ``person`` now has a posting, the department none.
     assert _atoms(both, router) == {("eq", "departmentnumber", "42")}
-    rs = _register(router, "s2", both)
-    assert rs.atoms == {("eq", "departmentnumber", "42")}
-    router.unregister("s1")
-    router.unregister("s2")
+    s2 = _register(router, "s2", both)
+    assert s2.atoms == {("eq", "departmentnumber", "42")}
+    router.unregister(s1)
+    router.unregister(s2)
     assert not router._postings
 
 
@@ -106,16 +109,16 @@ def test_not_has_no_anchor():
 
 def test_prefix_lengths_are_tracked_per_attribute():
     router = SessionRouter()
-    _register(router, "s1", "(sn=ab*)")
-    _register(router, "s2", "(sn=cd*)")
-    _register(router, "s3", "(sn=abcd*)")
-    _register(router, "s4", "(uid=x*)")
+    s1 = _register(router, "s1", "(sn=ab*)")
+    s2 = _register(router, "s2", "(sn=cd*)")
+    s3 = _register(router, "s3", "(sn=abcd*)")
+    s4 = _register(router, "s4", "(uid=x*)")
     assert router._pfx_lens == {"sn": {2: 2, 4: 1}, "uid": {1: 1}}
-    router.unregister("s1")
-    router.unregister("s3")
+    router.unregister(s1)
+    router.unregister(s3)
     assert router._pfx_lens == {"sn": {2: 1}, "uid": {1: 1}}
-    router.unregister("s2")
-    router.unregister("s4")
+    router.unregister(s2)
+    router.unregister(s4)
     assert not router._pfx_lens and not router._postings
 
 
@@ -195,9 +198,10 @@ def _update_fp(update):
 
 class _RouteAudit:
     """Wraps ``router.route_verdicts`` to assert, on every update, that
-    any session the linear verdict would notify is routed and that every
-    pre-resolved verdict (and the holder-derived ``in_before`` of the
-    rest) is the linear one."""
+    any session the linear verdict would notify is routed, that every
+    pre-resolved verdict (and the membership-derived ``in_before`` of
+    the rest) is the linear one, and that the holder index is exactly
+    the inverse of the sessions' ``content_dns``."""
 
     def __init__(self, provider: ResyncProvider):
         self.provider = provider
@@ -206,6 +210,8 @@ class _RouteAudit:
         provider.router.route_verdicts = self._route  # type: ignore[method-assign]
 
     def _route(self, record):
+        if self.provider.router._holders != holders_of(self.provider):
+            self.violations.append(("inverse", str(record.dn)))
         routed = self._inner(record)
         verdicts = {rs.session_id: (rs, verdict) for rs, verdict in routed}
         for session in self.provider.sessions.active_sessions():
@@ -223,7 +229,7 @@ class _RouteAudit:
             rs, verdict = found
             if verdict is not None and verdict != (in_before, in_after):
                 self.violations.append(("verdict", str(record.dn), session.session_id))
-            if (record.dn in rs.held) != in_before:
+            if (record.dn in rs.content_dns) != in_before:
                 self.violations.append(("holder", str(record.dn), session.session_id))
         return routed
 
@@ -355,9 +361,11 @@ def test_every_matching_entry_reaches_its_session():
             filters += [And((left, right)), Or((left, right)), And((left, Not(right)))]
     router = SessionRouter()
     sessions = [
-        router.register(Session(f"s{i}", SearchRequest("o=xyz", Scope.SUB, flt)))
+        Session(f"s{i}", SearchRequest("o=xyz", Scope.SUB, flt))
         for i, flt in enumerate(filters)
     ]
+    for session in sessions:
+        router.register(session)
     value_lists = [[v] for v in _VALUES]
     value_lists += [[v, w] for i, v in enumerate(_VALUES) for w in _VALUES[i + 1 :]]
     entries = [Entry("cn=e,o=xyz", {attr: values}) for attr in _ATTRS for values in value_lists]
@@ -442,17 +450,30 @@ def test_reentrant_persist_delivery_matches_linear():
     assert run(ResyncProvider) == run(LinearResyncProvider)
 
 
+def _routed(provider) -> set:
+    """Every session any of the router's tables still mentions."""
+    router = provider.router
+    found = set(router._unanchored)
+    for posted in router._postings.values():
+        for bucket in posted.values():
+            found |= bucket
+    for bucket in router._holders.values():
+        found |= bucket
+    return found
+
+
 def test_ended_session_is_unrouted():
     master = _build_master("m-end")
     _apply(master, ("upsert", "cn=e0,o=xyz", "sn", ("a",)))
     provider = ResyncProvider(master)
     request = SearchRequest("o=xyz", Scope.SUB, "(sn=*)")
     response = provider.handle(request, ReSyncControl(mode=SyncMode.POLL))
-    assert len(provider.router) == 1
+    assert _routed(provider) == set(provider.sessions.active_sessions())
+    assert len(_routed(provider)) == 1
     provider.handle(
         request, ReSyncControl(mode=SyncMode.SYNC_END, cookie=response.cookie)
     )
-    assert len(provider.router) == 0
+    assert not _routed(provider)
     # Updates after the end must not reach the dead session.
     master.modify("cn=e0,o=xyz", [Modification.replace("sn", "b")])
 
@@ -464,9 +485,9 @@ def test_restart_resets_router():
         SearchRequest("o=xyz", Scope.SUB, "(sn=*)"),
         ReSyncControl(mode=SyncMode.POLL),
     )
-    assert len(provider.router) == 1
+    assert len(_routed(provider)) == 1
     provider.restart()
-    assert len(provider.router) == 0
+    assert not _routed(provider)
 
 
 def test_expired_session_forgotten_at_expiry():
@@ -479,7 +500,8 @@ def test_expired_session_forgotten_at_expiry():
     stale_req = SearchRequest("o=xyz", Scope.SUB, "(sn=a)")
     delivered = []
     _response, stale = provider.persist(stale_req, delivered.append)
-    assert stale.session_id in provider._persist_callbacks
+    record = provider.sessions.get(stale.session_id)
+    assert record.deliver is not None and stale.active
     busy_req = SearchRequest("o=xyz", Scope.SUB, "(sn=*)")
     response = provider.handle(busy_req, ReSyncControl(mode=SyncMode.POLL))
     for _ in range(4):  # run the store's activity clock past the limit
@@ -487,18 +509,40 @@ def test_expired_session_forgotten_at_expiry():
             busy_req, ReSyncControl(mode=SyncMode.POLL, cookie=response.cookie)
         )
     # Gone at expiry, before any update: registration, holder postings
-    # and the persist callback (with whatever delivery queue it closes over).
+    # and the delivery endpoint (with whatever delivery queue it is) —
+    # and the handle reads it.
     assert provider.active_session_count == 1
-    assert len(provider.router) == 1
-    assert stale.session_id not in provider.router
-    assert stale.session_id not in provider._persist_callbacks
-    assert all(
-        rs.session_id != stale.session_id
-        for bucket in provider.router._holders.values()
-        for rs in bucket
-    )
+    assert _routed(provider) == set(provider.sessions.active_sessions())
+    assert record not in _routed(provider)
+    assert record.deliver is None and record.ended
+    assert not stale.active
     master.modify("cn=e0,o=xyz", [Modification.replace("sn", "ab")])
     assert delivered == []
+
+
+def test_expiry_closes_the_sessions_delivery_queue():
+    """Regression: expiry forgot the provider-side callback but told
+    neither the handle nor the network — the ``DeliveryQueue`` stayed in
+    ``persist_queues`` and ``handle.active`` stayed True for good."""
+    master = _build_master("m-expire-net")
+    provider = ResyncProvider(master, idle_limit=2)
+    net = SimulatedNetwork()
+    _deliveries, stale = net.persist_exchange(
+        provider, SearchRequest("o=xyz", Scope.SUB, "(sn=a)"), lambda update: None
+    )
+    queue = stale.delivery_queue
+    assert net.persist_queues == {stale.session_id: queue} and stale.active
+    busy_req = SearchRequest("o=xyz", Scope.SUB, "(sn=*)")
+    response = provider.handle(busy_req, ReSyncControl(mode=SyncMode.POLL))
+    for _ in range(4):
+        response = provider.handle(
+            busy_req, ReSyncControl(mode=SyncMode.POLL, cookie=response.cookie)
+        )
+    assert provider.active_session_count == 1
+    assert not stale.active
+    assert net.persist_queues == {}
+    queue.offer(SyncUpdate.delete(DN.parse("cn=e0,o=xyz")))  # closed: dropped
+    assert queue.pending_count == 0
 
 
 # ----------------------------------------------------------------------

@@ -25,10 +25,12 @@ before they were checked):
 4. **Decision tables** — docs/RECOVERY.md's decision table must be the
    ``LADDER`` dict of ``repro.sync.ladder``, docs/FAULTS.md §4's
    position × event table the ``HEALTH`` dict of ``repro.sync.health``,
-   and docs/FAULTS.md §2 (stream → kinds) and §3 (kind → stream, cells)
-   the ``FAULTS`` dict of ``repro.server.faults``, key for key and
-   outcome for outcome: "which rung", "which state" and "which fault
-   reaches which exchange" are data, and the docs render it.
+   docs/FAULTS.md §2 (stream → kinds) and §3 (kind → stream, cells)
+   the ``FAULTS`` dict of ``repro.server.faults``, and docs/PROTOCOL.md
+   §3's outcome table the ``OUTCOMES`` dict of ``repro.sync.session``,
+   key for key and outcome for outcome: "which rung", "which state",
+   "which fault reaches which exchange" and "which PDUs an update sends
+   a session" are data, and the docs render it.
 
 Run from the repository root::
 
@@ -237,11 +239,22 @@ def documented_streams() -> dict:
     }
 
 
+def documented_outcomes() -> dict:
+    """docs/PROTOCOL.md §3's outcome table as ``{(bool, bool, bool):
+    PDU kinds}``; a ``—`` cell is nothing sent."""
+    rows = table_rows(PROTOCOL, "in content before")
+    return {
+        tuple(cell == "yes" for cell in row[:3]): tuple(re.findall(r"`([\w-]+)`", row[3]))
+        for row in rows[1:]
+    }
+
+
 def check_decision_tables() -> list:
     sys.path.insert(0, SRC_ROOT)
     from repro.server.faults import FAULTS as fault_table, STREAMS
     from repro.sync.health import HEALTH
     from repro.sync.ladder import LADDER
+    from repro.sync.session import OUTCOMES
 
     problems = []
     for where, documented, table in (
@@ -253,6 +266,8 @@ def check_decision_tables() -> list:
          documented_faults(), fault_table),
         ("docs/FAULTS.md §2 stream table and the streams of repro.server.faults.FAULTS",
          documented_streams(), STREAMS),
+        ("docs/PROTOCOL.md §3 outcome table and repro.sync.session.OUTCOMES",
+         documented_outcomes(), OUTCOMES),
     ):
         differing = sorted(
             str(key)
@@ -285,8 +300,9 @@ def main() -> int:
         f"{len(documented_record_kinds())} journal record kinds match the fold, "
         f"{len(documented_ladder())} ladder cells, "
         f"{len(documented_health())} health moves, "
-        f"{len(documented_faults())} fault kinds and "
-        f"{len(documented_streams())} seed streams match their tables"
+        f"{len(documented_faults())} fault kinds, "
+        f"{len(documented_streams())} seed streams and "
+        f"{len(documented_outcomes())} update outcomes match their tables"
     )
     return 0
 
