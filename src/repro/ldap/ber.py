@@ -102,6 +102,12 @@ def encode_tlv(tag: int, value: bytes) -> bytes:
     return bytes([tag]) + _encode_length(len(value)) + value
 
 
+def _tlv_size(length: int) -> int:
+    """``len(encode_tlv(tag, value))`` for a value of *length* bytes:
+    the tag, the length field, the value."""
+    return 1 + len(_encode_length(length)) + length
+
+
 def decode_tlv(data: bytes, offset: int = 0) -> Tuple[int, bytes, int]:
     """Decode one TLV; returns (tag, value bytes, next offset)."""
     if offset >= len(data):
@@ -481,8 +487,13 @@ def decode_sync_batch(data: bytes):
 
 
 def encoded_sync_batch_size(updates, message_id: int = 1) -> int:
-    """Wire size of *updates* framed as one sync batch PDU."""
-    return len(encode_sync_batch(updates, message_id))
+    """Wire size of *updates* framed as one sync batch PDU: exactly
+    ``len(encode_sync_batch(updates, message_id))``, by frame arithmetic
+    over the lengths each update computed once
+    (:attr:`repro.sync.protocol.SyncUpdate.encoded_size`) — a PDU shared
+    by many sessions' frames is not encoded again for each."""
+    operation = _tlv_size(sum(update.encoded_size for update in updates))
+    return _tlv_size(len(encode_integer(message_id)) + operation)
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,14 @@ values per attribute (LDAP attributes are multi-valued by default) and
 keeps both the original value spelling (for serialization and for
 returning search results) and the normalized form (for matching).
 
-Entries are mutable — the directory server applies modify operations in
-place — but expose :meth:`Entry.copy` for replicas, which must hold
-independent copies of master entries.
+An entry is mutable until :meth:`Entry.freeze` is called on it.  A
+*committed* entry image is frozen: the directory server never edits an
+entry in place — a modify copies the stored image, edits the copy and
+commits it, and the store freezes what it is handed — so the store, the
+update record, every session history, the update PDU and every replica
+content share that one object (DESIGN.md, "Entry images: who owns, who
+copies").  :meth:`Entry.copy`, :meth:`Entry.project` and
+:meth:`Entry.with_dn` return fresh mutable entries.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ class Entry:
         })
     """
 
-    __slots__ = ("_dn", "_attrs", "_registry")
+    __slots__ = ("_dn", "_attrs", "_registry", "_frozen")
 
     def __init__(
         self,
@@ -64,6 +69,7 @@ class Entry:
     ):
         self._dn = dn if isinstance(dn, DN) else DN.parse(dn)
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
+        self._frozen = False
         # attribute key (lowercase) -> (canonical name, [values])
         self._attrs: Dict[str, Tuple[str, List[str]]] = {}
         if attributes:
@@ -90,10 +96,36 @@ class Entry:
         return clone
 
     # ------------------------------------------------------------------
+    # freezing
+    # ------------------------------------------------------------------
+    @property
+    def frozen(self) -> bool:
+        """True once :meth:`freeze` was called: every mutator raises."""
+        return self._frozen
+
+    def freeze(self) -> "Entry":
+        """Make this entry immutable, for good, and return it.
+
+        Whoever shares an entry image with others freezes it first (the
+        store on commit, an update PDU over what it carries);
+        idempotent.  There is no thaw: edit a :meth:`copy`.
+        """
+        self._frozen = True
+        return self
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise TypeError(
+                f"entry {str(self._dn)!r} is frozen (a committed image is "
+                "shared, not edited): modify a copy()"
+            )
+
+    # ------------------------------------------------------------------
     # attribute access
     # ------------------------------------------------------------------
     def put(self, name: str, values: AttrValues) -> None:
         """Replace all values of attribute *name*."""
+        self._check_mutable()
         vals = _as_value_list(values)
         canonical = self._registry.canonical(name)
         if vals:
@@ -103,6 +135,7 @@ class Entry:
 
     def add_values(self, name: str, values: AttrValues) -> None:
         """Append values to attribute *name*, skipping duplicates."""
+        self._check_mutable()
         new_vals = _as_value_list(values)
         key = name.lower()
         atype = self._registry.get(name)
@@ -120,6 +153,7 @@ class Entry:
 
     def remove_values(self, name: str, values: Optional[AttrValues] = None) -> None:
         """Delete listed values of *name*, or the whole attribute if None."""
+        self._check_mutable()
         key = name.lower()
         if key not in self._attrs:
             return
@@ -164,6 +198,19 @@ class Entry:
         (which fold aliases).  The lists are the entry's own: read-only."""
         for key, (_canonical, values) in self._attrs.items():
             yield key, values
+
+    def indexed_values(self) -> Dict[str, List[str]]:
+        """Values grouped by lower-cased *canonical* name — the key an
+        attribute index is held under.  Two spellings of one attribute
+        (``cn`` / ``commonName``) are two keys of the entry but post
+        into one index, so a group concatenates them.  The lists may be
+        the entry's own: read-only."""
+        groups: Dict[str, List[str]] = {}
+        for canonical, values in self._attrs.values():
+            key = canonical.lower()
+            held = groups.get(key)
+            groups[key] = values if held is None else held + values
+        return groups
 
     @property
     def object_classes(self) -> Set[str]:

@@ -122,24 +122,33 @@ class EntryStore:
         return dn.parent in self._entries
 
     def put(self, entry: Entry) -> None:
-        """Insert or replace the entry at ``entry.dn``, updating indexes."""
-        existing = self._entries.get(entry.dn)
-        if existing is not None:
-            self._unindex(existing)
-        else:
-            if not entry.dn.is_root:
-                self._children[entry.dn.parent].add(entry.dn)
-            key = entry.dn.reversed_key()
+        """Insert or replace the entry at ``entry.dn``, updating indexes.
+
+        The store adopts *entry* itself — no copy — and freezes it: the
+        caller hands over an image nobody edits again (DESIGN.md, "Entry
+        images: who owns, who copies").  Replacing an entry costs what
+        changed: only the attributes whose value list differs from the
+        replaced image's are un-indexed and re-indexed.
+        """
+        dn = entry.dn
+        existing = self._entries.get(dn)
+        if existing is None:
+            if not dn.is_root:
+                self._children[dn.parent].add(dn)
+            key = dn.reversed_key()
             pos = bisect.bisect_left(self._order_keys, key)
             self._order_keys.insert(pos, key)
-            self._order_dns.insert(pos, entry.dn)
-        stored = entry.copy()
-        self._entries[entry.dn] = stored
-        self._index(stored)
-        if "referral" in stored.object_classes:
-            self._referral_dns.add(entry.dn)
+            self._order_dns.insert(pos, dn)
+        self._reindex(
+            dn,
+            existing.indexed_values() if existing is not None else {},
+            entry.indexed_values(),
+        )
+        self._entries[dn] = entry.freeze()
+        if "referral" in entry.object_classes:
+            self._referral_dns.add(dn)
         else:
-            self._referral_dns.discard(entry.dn)
+            self._referral_dns.discard(dn)
 
     def delete(self, dn: DN) -> Optional[Entry]:
         """Remove the entry at *dn*; returns it (or None if absent).
@@ -150,7 +159,7 @@ class EntryStore:
         entry = self._entries.pop(dn, None)
         if entry is None:
             return None
-        self._unindex(entry)
+        self._reindex(dn, entry.indexed_values(), {})
         self._referral_dns.discard(dn)
         key = dn.reversed_key()
         pos = bisect.bisect_left(self._order_keys, key)
@@ -260,17 +269,27 @@ class EntryStore:
             self._indexes[key] = index
         return index
 
-    def _index(self, entry: Entry) -> None:
-        for name, values in entry:
-            key = name.lower()
-            index = self._indexes.get(key)
-            if index is None and self._index_all:
-                index = self._ensure_index(name)
-            if index is not None:
-                index.insert(entry.dn, values)
+    def _reindex(
+        self, dn: DN, was: Dict[str, List[str]], now: Dict[str, List[str]]
+    ) -> None:
+        """Move the postings of *dn* from the values *was* to the values
+        *now*, touching only the attributes whose values differ.
 
-    def _unindex(self, entry: Entry) -> None:
-        for name, values in entry:
-            index = self._indexes.get(name.lower())
-            if index is not None:
-                index.remove(entry.dn, values)
+        Both are :meth:`Entry.indexed_values` maps (``{}`` for "no
+        image": a new DN indexes everything, a delete un-indexes
+        everything) — one group per attribute *index*, so two spellings
+        of one attribute (``cn`` and ``commonName``) are diffed and
+        posted as the one group they share.
+        """
+        for attr, values in was.items():
+            if now.get(attr) != values:
+                index = self._indexes.get(attr)
+                if index is not None:
+                    index.remove(dn, values)
+        for attr, values in now.items():
+            if was.get(attr) != values:
+                index = self._indexes.get(attr)
+                if index is None and self._index_all:
+                    index = self._ensure_index(attr)
+                if index is not None:
+                    index.insert(dn, values)

@@ -480,27 +480,23 @@ class DirectoryServer:
                     ResultCode.OBJECT_CLASS_VIOLATION, violations[0].problem
                 )
         csn = self._next_csn()
-        stored = entry.copy()
+        stored = entry.copy()  # the caller keeps its own
         self._stamp(stored, csn, created=True)
         self.store.put(stored)
         return self._commit(
-            UpdateRecord(
-                csn=csn,
-                op=UpdateOp.ADD,
-                dn=entry.dn,
-                after=self.store.get(entry.dn).copy(),
-            )
+            UpdateRecord(csn=csn, op=UpdateOp.ADD, dn=stored.dn, after=stored)
         )
 
     @timed_operation("modify")
     def modify(self, dn: Union[DN, str], modifications: Sequence[Modification]) -> UpdateRecord:
         """Apply LDAP modify semantics to the entry at *dn*."""
         target = dn if isinstance(dn, DN) else DN.parse(dn)
-        entry = self.store.get(target)
-        if entry is None:
+        before = self.store.get(target)
+        if before is None:
             raise LdapError(ResultCode.NO_SUCH_OBJECT, str(target))
-        before = entry.copy()
-        updated = entry.copy()
+        # The one copy of a modify: the image it edits.  The store then
+        # adopts and freezes it, and the record shares both images.
+        updated = before.copy()
         for mod in modifications:
             if mod.mod_type is ModType.ADD:
                 updated.add_values(mod.attr, list(mod.values))
@@ -523,7 +519,7 @@ class DirectoryServer:
                 op=UpdateOp.MODIFY,
                 dn=target,
                 before=before,
-                after=updated.copy(),
+                after=updated,
                 modifications=tuple(modifications),
             )
         )
@@ -611,7 +607,7 @@ class DirectoryServer:
                         op=UpdateOp.MODIFY_DN,
                         dn=source,
                         before=source_entry,
-                        after=self.store.get(target_dn).copy(),
+                        after=renamed,
                         new_dn=target_dn,
                     )
                 )
@@ -637,7 +633,7 @@ class DirectoryServer:
                 raise LdapError(
                     ResultCode.NO_SUCH_OBJECT, f"parent of {entry.dn} not found"
                 )
-            self.store.put(entry)
+            self.store.put(entry.copy())  # the caller keeps its own
             count += 1
         return count
 

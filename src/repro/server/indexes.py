@@ -219,6 +219,13 @@ def _typed_key(normalized) -> Tuple[int, object]:
     return (_STR_TAG, str(normalized))
 
 
+def _successor(tag: int, norm) -> Tuple[int, object]:
+    """The least ``(tag, value)`` prefix sorting after every key that
+    carries ``(tag, norm)`` — the value's immediate successor in its
+    segment, so range ends are plain tuple bisects like range starts."""
+    return (tag, norm + 1) if tag == _INT_TAG else (tag, norm + "\0")
+
+
 class OrderingIndex:
     """Sorted-value index answering ordering (range) assertions.
 
@@ -230,37 +237,38 @@ class OrderingIndex:
     :func:`repro.ldap.matching.compare_values` falls back to string
     comparison for mixed types and either side of the range could match.
     With clean data the other segment is empty and lookups are exact.
+
+    A key is ``(type tag, value, DN order key)``: the DN breaks ties
+    between the thousands of entries that can share one value, so a
+    (value, DN) pair has exactly one position and :meth:`remove` is one
+    bisect to it, however many entries hold the value.
     """
 
     def __init__(self, atype: AttributeType):
         self._atype = atype
-        # Parallel sorted structures keyed (type tag, value, tiebreak).
-        self._keys: List[Tuple[int, object, int]] = []
+        # Parallel sorted lists: keys[i] names the pair, dns[i] is its DN.
+        self._keys: List[Tuple[int, object, Tuple]] = []
         self._dns: List[DN] = []
-        self._counter = 0
 
     def _key(self, value: str) -> Tuple[int, object]:
         return _typed_key(self._atype.normalize(value))
 
     def insert(self, dn: DN, values: Iterable[str]) -> None:
+        dn_key = (dn.order_key(),)
         for value in values:
-            tag, norm = self._key(value)
-            key = (tag, norm, self._counter)
-            self._counter += 1
+            key = self._key(value) + dn_key
             pos = bisect.bisect_left(self._keys, key)
             self._keys.insert(pos, key)
             self._dns.insert(pos, dn)
 
     def remove(self, dn: DN, values: Iterable[str]) -> None:
+        dn_key = (dn.order_key(),)
         for value in values:
-            tag, norm = self._key(value)
-            pos = bisect.bisect_left(self._keys, (tag, norm, -1))
-            while pos < len(self._keys) and self._keys[pos][:2] == (tag, norm):
-                if self._dns[pos] == dn:
-                    del self._keys[pos]
-                    del self._dns[pos]
-                    break
-                pos += 1
+            key = self._key(value) + dn_key
+            pos = bisect.bisect_left(self._keys, key)
+            if pos < len(self._keys) and self._keys[pos] == key:
+                del self._keys[pos]
+                del self._dns[pos]
 
     def _segment(self, tag: int) -> Tuple[int, int]:
         """[start, end) positions of the keys sharing *tag*."""
@@ -268,30 +276,34 @@ class OrderingIndex:
         end = bisect.bisect_left(self._keys, (tag + 1,))
         return start, end
 
-    def greater_or_equal(self, value: str) -> Set[DN]:
+    # A range is its in-segment run plus every differently-typed key
+    # (mixed-type comparisons degrade to strings and may match either
+    # way): ``>= value`` is [0, start) + [pos, len), ``<= value`` is
+    # [0, pos) + [end, len).
+    def _from(self, value: str) -> Tuple[int, int]:
         tag, norm = self._key(value)
         start, _end = self._segment(tag)
-        pos = bisect.bisect_left(self._keys, (tag, norm, -1))
-        # In-segment range plus every differently-typed key (mixed-type
-        # comparisons degrade to strings and may match either way).
+        return start, bisect.bisect_left(self._keys, (tag, norm))
+
+    def _through(self, value: str) -> Tuple[int, int]:
+        tag, norm = self._key(value)
+        _start, end = self._segment(tag)
+        return bisect.bisect_left(self._keys, _successor(tag, norm)), end
+
+    def greater_or_equal(self, value: str) -> Set[DN]:
+        start, pos = self._from(value)
         return set(self._dns[:start]) | set(self._dns[pos:])
 
     def less_or_equal(self, value: str) -> Set[DN]:
-        tag, norm = self._key(value)
-        _start, end = self._segment(tag)
-        pos = bisect.bisect_right(self._keys, (tag, norm, self._counter))
+        pos, end = self._through(value)
         return set(self._dns[:pos]) | set(self._dns[end:])
 
     def estimate_greater_or_equal(self, value: str) -> int:
-        tag, norm = self._key(value)
-        start, _end = self._segment(tag)
-        pos = bisect.bisect_left(self._keys, (tag, norm, -1))
+        start, pos = self._from(value)
         return start + (len(self._keys) - pos)
 
     def estimate_less_or_equal(self, value: str) -> int:
-        tag, norm = self._key(value)
-        _start, end = self._segment(tag)
-        pos = bisect.bisect_right(self._keys, (tag, norm, self._counter))
+        pos, end = self._through(value)
         return pos + (len(self._keys) - end)
 
 

@@ -107,8 +107,9 @@ class UpdateRecord:
     Carries enough state for every synchronization mechanism in
     :mod:`repro.sync`:
 
-    * ``before`` — the entry as it was before the update (None for ADD),
-    * ``after`` — the entry after the update (None for DELETE),
+    * ``before`` — the image the store held before the update (None for
+      ADD), ``after`` — the one it holds now (None for DELETE): the
+      store's own frozen objects, shared, never copies,
     * ``new_dn`` — for MODIFY_DN, the DN after the rename,
     * ``csn`` — change sequence number, strictly increasing per master.
 

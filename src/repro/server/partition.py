@@ -111,7 +111,7 @@ class DistributedDirectory:
                 raise ValueError(f"no server holds a context for {entry.dn}")
             if entry.dn in best_server.store:
                 continue  # referral glue already placed there
-            best_server.store.put(entry)
+            best_server.store.put(entry.copy())
             counts[best_server.name] += 1
         return counts
 

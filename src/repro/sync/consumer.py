@@ -3,7 +3,9 @@
 A :class:`SyncedContent` holds the replicated content of one search
 request (the paper's replication unit) and applies update PDUs:
 
-* ``add`` / ``modify`` — upsert the carried entry,
+* ``add`` / ``modify`` — upsert the carried entry: the PDU's own frozen
+  image, adopted without a copy (DESIGN.md, "Entry images: who owns,
+  who copies"),
 * ``delete`` — drop the DN,
 * ``retain`` — incomplete-history mode: after applying a retain-style
   response, everything neither retained nor upserted is discarded
@@ -124,7 +126,7 @@ class SyncedContent:
             self._charge(update)
             self.updates_applied += 1
             if update.action in (SyncAction.ADD, SyncAction.MODIFY):
-                self._upsert(update.dn, update.entry.copy())
+                self._upsert(update.dn, update.entry)
                 upserted.add(update.dn)
             elif update.action is SyncAction.DELETE:
                 self._discard(update.dn)
@@ -164,7 +166,7 @@ class SyncedContent:
             self._charge(update)
         self.updates_applied += 1
         if update.action in (SyncAction.ADD, SyncAction.MODIFY):
-            self._upsert(update.dn, update.entry.copy())
+            self._upsert(update.dn, update.entry)
         elif update.action is SyncAction.DELETE:
             self._discard(update.dn)
 

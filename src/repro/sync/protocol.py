@@ -23,6 +23,7 @@ plain :class:`SyncResponse`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from ..ldap.controls import SyncAction
@@ -68,6 +69,12 @@ class SyncUpdate:
 
     ``entry`` is present exactly when the action carries a full entry
     (add / modify); delete and retain carry only the DN.
+
+    A PDU freezes the entry it carries and never copies it on the way
+    out: one PDU is queued to many sessions, retained for
+    retransmission and adopted as-is by every consumer that applies it
+    (DESIGN.md, "Entry images: who owns, who copies").  That is also
+    what lets :attr:`encoded_size` be computed once.
     """
 
     action: SyncAction
@@ -80,6 +87,8 @@ class SyncUpdate:
             raise SyncProtocolError(f"{self.action.value} PDU requires an entry")
         if not carries_entry and self.entry is not None:
             raise SyncProtocolError(f"{self.action.value} PDU must not carry an entry")
+        if carries_entry:
+            self.entry.freeze()
 
     @property
     def pdu_bytes(self) -> int:
@@ -102,12 +111,23 @@ class SyncUpdate:
             return ber.encoded_entry_size(self.entry)
         return ber.encoded_dn_size(self.dn)
 
+    @cached_property
+    def encoded_size(self) -> int:
+        """Length of this PDU inside a sync batch frame —
+        ``len(ber.encode_sync_update(self))``, encoded at most once per
+        PDU however many sessions' frames carry it."""
+        from ..ldap import ber
+
+        return len(ber.encode_sync_update(self))
+
     @classmethod
     def add(cls, entry: Entry) -> "SyncUpdate":
+        """An ``add`` PDU over a private copy of the caller's *entry*."""
         return cls(SyncAction.ADD, entry.dn, entry.copy())
 
     @classmethod
     def modify(cls, entry: Entry) -> "SyncUpdate":
+        """A ``modify`` PDU over a private copy of the caller's *entry*."""
         return cls(SyncAction.MODIFY, entry.dn, entry.copy())
 
     @classmethod

@@ -194,6 +194,9 @@ class ResyncProvider:
         # maintained when a durability config is present.
         self._last_change = LastChangeMap()
         self._appends_since_snapshot = 0
+        # Depth of on_update calls in flight (a deliver callback that
+        # updates the master nests one): no compaction while non-zero.
+        self._fanning_out = 0
         # True while recover() folds the journal: the folds then append
         # nothing and count nothing (the registry survived the crash).
         self._replaying = False
@@ -211,8 +214,17 @@ class ResyncProvider:
     # update listener
     # ------------------------------------------------------------------
     def on_update(self, record: UpdateRecord) -> None:
-        """Fold one committed master update into every affected session."""
-        self._fold_update(record)
+        """Fold one committed master update into every affected session.
+
+        A persist deliver callback may update the master and re-enter
+        here mid-fan-out; whatever snapshot falls due in there is
+        deferred (:meth:`_maybe_snapshot`) until the outermost call has
+        handed its record to every session."""
+        self._fanning_out += 1
+        try:
+            self._fold_update(record)
+        finally:
+            self._fanning_out -= 1
         self._maybe_snapshot()
 
     def _fan_out(self, record: UpdateRecord) -> None:
@@ -244,9 +256,10 @@ class ResyncProvider:
             self._route_candidates.inc(len(routed))
             self._route_notified.inc(len(visits))
         # Phase 2: notify, in session-creation order (== linear order).
-        # One shared frozen SyncUpdate per PDU kind serves every visited
-        # session (consumers copy entries on apply), so each PDU is
-        # built once per record instead of once per session.
+        # One shared SyncUpdate per PDU kind serves every visited
+        # session, wrapping the record's own frozen after image
+        # (consumers adopt it as it is): each PDU is built, and its
+        # length encoded, once per record instead of once per session.
         built: Dict[str, SyncUpdate] = {}
         for session, pdus in visits:
             for pdu in pdus:
@@ -708,8 +721,11 @@ class ResyncProvider:
         snapshot.  Called only *after* a handler finished folding its
         event into provider state — snapshotting mid-fold would truncate
         the journal while the state still excludes the in-flight record,
-        losing it."""
-        if not self._journaling:
+        losing it.  A handler running *inside* a fan-out (a deliver
+        callback that updated the master, or polled) is mid-fold for the
+        outer record, so it compacts nothing: the outermost
+        :meth:`on_update` does, once every session has the record."""
+        if not self._journaling or self._fanning_out:
             return
         if self._appends_since_snapshot < self.durability.snapshot_interval:
             return

@@ -70,10 +70,13 @@ OUTCOMES: Dict[Tuple[bool, bool, bool], Tuple[str, ...]] = {
 }
 
 #: PDU kind → its :class:`SyncUpdate`, from the old DN and after image.
+#: The image is the committed one (``UpdateRecord.after``, frozen by the
+#: store) and the PDU wraps it as it is: no copy per record, let alone
+#: per session.
 PDUS: Dict[str, Callable[[DN, Optional[Entry]], SyncUpdate]] = {
     "delete-old": lambda old_dn, after: SyncUpdate.delete(old_dn),
-    "add-new": lambda old_dn, after: SyncUpdate.add(after),
-    "modify": lambda old_dn, after: SyncUpdate.modify(after),
+    "add-new": lambda old_dn, after: SyncUpdate(SyncAction.ADD, after.dn, after),
+    "modify": lambda old_dn, after: SyncUpdate(SyncAction.MODIFY, after.dn, after),
 }
 
 
@@ -314,9 +317,10 @@ class Session:
                 return None  # consumer never saw this entry
             return new
         # new carries an entry: a MODIFY only over a pending MODIFY
-        if pending.action is SyncAction.MODIFY:
-            return SyncUpdate.modify(new.entry)
-        return SyncUpdate.add(new.entry)
+        action = (
+            SyncAction.MODIFY if pending.action is SyncAction.MODIFY else SyncAction.ADD
+        )
+        return new if new.action is action else SyncUpdate(action, new.dn, new.entry)
 
     # ------------------------------------------------------------------
     # poll servicing (with at-least-once delivery)

@@ -93,10 +93,51 @@ class TestBatchFraming:
         for a, b in zip(updates, decoded):
             assert_update_equal(a, b)
 
-    @given(st.lists(sync_updates(), max_size=12))
+    @given(st.lists(sync_updates(), max_size=12), st.integers(1, 2**31 - 1))
     @settings(max_examples=100)
-    def test_size_helper_matches_encoding(self, updates):
+    def test_size_helper_matches_encoding(self, updates, message_id):
         assert encoded_sync_batch_size(updates) == len(encode_sync_batch(updates))
+        assert encoded_sync_batch_size(updates, message_id) == len(
+            encode_sync_batch(updates, message_id)
+        )
+
+    @pytest.mark.parametrize("step", [0x80, 0x100, 0x10000])
+    def test_size_helper_across_length_of_length_steps(self, step):
+        """The size is frame arithmetic over per-PDU lengths, so sweep a
+        batch's body across each BER length-of-length step (127/128,
+        255/256, 65 535/65 536 bytes) a byte at a time: the operation's
+        and the message's length fields both cross it inside the sweep
+        (the message body is the longer by the message id)."""
+        bodies = set()
+        for name in ("p", "pp", "ppp"):  # shifts where the inner fields step
+            dn = DN.parse(f"cn={name},o=xyz")
+            for pad in range(max(0, step - 120), step):
+                entry = Entry(dn, {"objectClass": ["person"], "description": ["x" * pad]})
+                updates = [SyncUpdate.delete(dn), SyncUpdate.add(entry)]
+                body = sum(len(encode_sync_update(update)) for update in updates)
+                if not step - 12 <= body <= step + 2:
+                    continue
+                bodies.add(body)
+                for message_id in (1, 127, 128, 2**20):
+                    assert encoded_sync_batch_size(updates, message_id) == len(
+                        encode_sync_batch(updates, message_id)
+                    ), (body, message_id)
+        assert set(range(step - 12, step + 3)) <= bodies
+
+    def test_size_helper_encodes_a_shared_pdu_once(self, monkeypatch):
+        from repro.ldap import ber
+
+        encoded = []
+        encode = ber.encode_sync_update
+        monkeypatch.setattr(
+            ber, "encode_sync_update", lambda update: encoded.append(update) or encode(update)
+        )
+        shared = SyncUpdate.add(Entry("cn=p,o=xyz", {"objectClass": ["person"], "cn": "p"}))
+        other = SyncUpdate.delete(shared.dn)
+        sizes = [encoded_sync_batch_size([shared, other][:n]) for n in (1, 2, 2, 1)]
+        assert encoded == [shared, other]
+        monkeypatch.undo()
+        assert sizes == [len(encode_sync_batch([shared, other][:n])) for n in (1, 2, 2, 1)]
 
     def test_garbage_rejected(self):
         with pytest.raises(BerError):

@@ -1,0 +1,126 @@
+"""A commit costs what it changed — counts, not clocks.
+
+The machine-independent guard of the write path: on a 12-attribute
+entry among 1 000 that share its ``sn`` and ``entrySizeBytes``, a
+``modify`` replacing one attribute, fanned out to 8 persist sessions
+over a :class:`SimulatedNetwork`, re-indexes one attribute, copies the
+entry once (the image it edits), finds the ordering-index pair without
+comparing a single DN, and BER-encodes its one shared PDU once however
+many frames carry it.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.ldap import DN, Entry, Scope, SearchRequest, ber
+from repro.server import DirectoryServer, Modification, SimulatedNetwork
+from repro.server.indexes import AttributeIndexSet, OrderingIndex
+from repro.sync import ResyncProvider, SyncedContent, SyncUpdate
+
+POPULATION = 1000
+SESSIONS = 8
+TARGET = DN.parse("cn=e500,o=xyz")
+
+
+def employee(i: int) -> Entry:
+    return Entry(
+        f"cn=e{i},o=xyz",
+        {
+            "objectClass": ["inetOrgPerson"],
+            "cn": f"e{i}",
+            "sn": "Smith",
+            "givenName": f"g{i % 40}",
+            "uid": f"u{i}",
+            "mail": f"u{i}@xyz.com",
+            "telephoneNumber": f"555-{i:04d}",
+            "serialNumber": f"{i:06d}",
+            "employeeNumber": str(i),
+            "departmentNumber": str(i % 20),
+            "divisionNumber": str(i % 4),
+            "entrySizeBytes": "6000",
+        },
+    )
+
+
+@pytest.fixture
+def fleet():
+    master = DirectoryServer("M")
+    master.add_naming_context("o=xyz")
+    master.load(
+        [Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"})]
+        + [employee(i) for i in range(POPULATION)]
+    )
+    assert len(list(master.store.get(TARGET))) == 12
+    provider = ResyncProvider(master)
+    net = SimulatedNetwork()
+    request = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=0)")
+    contents = []
+    for _ in range(SESSIONS):
+        content = SyncedContent(request, network=net)
+        deliveries, _handle = net.persist_exchange(
+            provider, request, content.apply_notification
+        )
+        content.apply(deliveries[-1].response)
+        contents.append(content)
+    net.settle()
+    return master, net, contents
+
+
+def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
+    master, net, contents = fleet
+    calls = Counter()
+
+    def counted(owner, name, key):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(AttributeIndexSet, "insert", "index.insert")
+    counted(AttributeIndexSet, "remove", "index.remove")
+    counted(Entry, "copy", "entry.copy")
+    counted(ber, "encode_sync_update", "ber.encode_sync_update")
+
+    # DN comparisons made while OrderingIndex.remove runs.
+    removing = []
+    ordering_remove, dn_eq = OrderingIndex.remove, DN.__eq__
+
+    def remove(self, dn, values):
+        removing.append(True)
+        try:
+            return ordering_remove(self, dn, values)
+        finally:
+            removing.pop()
+
+    def eq(self, other):
+        if removing:
+            calls["dn.__eq__ in ordering.remove"] += 1
+        return dn_eq(self, other)
+
+    monkeypatch.setattr(OrderingIndex, "remove", remove)
+    monkeypatch.setattr(DN, "__eq__", eq)
+
+    sent = net.stats.bytes_sent
+    master.modify(TARGET, [Modification.replace("telephoneNumber", "555-9999")])
+    net.settle()
+    monkeypatch.undo()
+
+    assert dict(calls) == {
+        "index.remove": 1,
+        "index.insert": 1,
+        "entry.copy": 1,
+        "ber.encode_sync_update": 1,
+    }
+    # ...and it all happened: every replica holds the store's new image,
+    # each session's frame was charged.
+    stored = master.store.get(TARGET)
+    assert stored.first("telephoneNumber") == "555-9999"
+    assert all(content.entries[TARGET] is stored for content in contents)
+    assert master.store.index_for("telephoneNumber").equality.lookup("555-9999") == {TARGET}
+    assert master.store.index_for("telephoneNumber").equality.lookup("555-0500") == set()
+    frame = len(ber.encode_sync_batch([SyncUpdate.modify(stored)]))
+    assert net.stats.bytes_sent - sent == SESSIONS * frame

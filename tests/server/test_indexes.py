@@ -1,5 +1,9 @@
 """Tests for the attribute indexes."""
 
+import random
+
+import pytest
+
 from repro.ldap import DN
 from repro.ldap.attributes import AttributeType, Syntax
 from repro.server.indexes import (
@@ -117,6 +121,64 @@ class TestOrderingIndex:
         idx.insert(dn(2), ["a"])
         idx.remove(dn(1), ["a"])
         assert idx.greater_or_equal("a") == {dn(2)}
+
+    @pytest.mark.parametrize("holders, rebuild_every", [(200, 1), (2000, 25)])
+    def test_removal_under_one_widely_shared_value(self, holders, rebuild_every):
+        """Many DNs hold one value (beside a few neighbours, one of them
+        a schema violator in the string segment) and are removed in
+        random order.  The estimates are held to plain counts of the
+        survivors at every step; pairs, range answers and estimates are
+        held to an index rebuilt from the survivors at every step of
+        the small population and, because a rebuild is a few
+        milliseconds at 2 000, at every 25th and each of the last 25
+        steps of the large one (a removal of the wrong pair stays wrong
+        until both pairs are gone, so a later rebuild still sees it)."""
+        atype = AttributeType("age", syntax=Syntax.INTEGER)
+        pairs = [(dn(i), "41") for i in range(holders)]
+        pairs += [(dn(-1), "40"), (dn(-2), "42"), (dn(-3), "oops"), (dn(-4), "9")]
+        idx = OrderingIndex(atype)
+        for holder, value in pairs:
+            idx.insert(holder, [value])
+        random.Random(41).shuffle(pairs)
+        probes = [9, 40, 41, 42, 100]
+        while pairs:
+            holder, value = pairs.pop()
+            idx.remove(holder, [value])
+            numbers = [int(v) for _dn, v in pairs if v != "oops"]
+            violators = len(pairs) - len(numbers)
+            for probe in probes:
+                assert idx.estimate_greater_or_equal(str(probe)) == violators + sum(
+                    n >= probe for n in numbers
+                )
+                assert idx.estimate_less_or_equal(str(probe)) == violators + sum(
+                    n <= probe for n in numbers
+                )
+            if len(pairs) % rebuild_every and len(pairs) > 25:
+                continue
+            rebuilt = OrderingIndex(atype)
+            for survivor, kept in pairs:
+                rebuilt.insert(survivor, [kept])
+            assert list(zip(idx._keys, idx._dns)) == list(zip(rebuilt._keys, rebuilt._dns))
+            for probe in ["9", "40", "41", "42", "100", "oops"]:
+                assert idx.greater_or_equal(probe) == rebuilt.greater_or_equal(probe)
+                assert idx.less_or_equal(probe) == rebuilt.less_or_equal(probe)
+                assert idx.estimate_greater_or_equal(probe) == (
+                    rebuilt.estimate_greater_or_equal(probe)
+                )
+                assert idx.estimate_less_or_equal(probe) == (
+                    rebuilt.estimate_less_or_equal(probe)
+                )
+        assert idx.greater_or_equal("0") == set()
+
+    def test_one_dn_holding_a_value_twice(self):
+        # Two spellings of one normalized value post the pair twice;
+        # each remove takes one of them.
+        idx = OrderingIndex(AttributeType("sn"))
+        idx.insert(dn(1), ["Doe", "DOE"])
+        idx.remove(dn(1), ["doe"])
+        assert idx.less_or_equal("doe") == {dn(1)}
+        idx.remove(dn(1), ["Doe"])
+        assert idx.less_or_equal("doe") == set()
 
 
 class TestAttributeIndexSet:

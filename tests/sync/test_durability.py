@@ -337,6 +337,38 @@ class TestRecovery:
         # be resumed and must not linger.
         assert provider.active_session_count == 0
 
+    @pytest.mark.parametrize("interval", [1, 2, 3, 4, 5, 8])
+    def test_no_compaction_while_a_fan_out_is_in_flight(self, interval):
+        """A persist deliver callback that updates the master re-enters
+        ``on_update``; a snapshot falling due in there would compact the
+        journal while the outer record has not reached the later
+        sessions — they would silently miss it after a crash.  The
+        snapshot waits for the outermost ``on_update``."""
+        master = build_master()
+        provider = durable_provider(master, snapshot_interval=interval)
+        nested = []
+
+        def deliver(update):
+            if not nested:
+                nested.append(update)
+                master.modify("cn=P2,o=xyz", [Modification.replace("sn", "inner")])
+
+        provider.persist(REQUEST, deliver)  # session 1: reached first
+        poller = SyncedContent(REQUEST)  # session 2: reached after it
+        poller.poll(provider)
+        snapshots = master.metrics.counter("sync.durability.snapshots")
+        taken = snapshots.value
+
+        master.modify("cn=P1,o=xyz", [Modification.replace("sn", "outer")])
+        assert nested
+        if interval <= 2:  # both updates' appends alone reach the cadence
+            assert snapshots.value == taken + 1  # once, by the outer call
+
+        provider.restart()
+        provider.recover()
+        poller.poll(provider)
+        assert poller.matches_master(master)
+
     def test_torn_tail_drops_sessions_instead_of_diverging(self):
         master = build_master()
         journal = MemoryJournal()

@@ -19,12 +19,15 @@ cap, one parked, one ended by ``sync_end``, one abandoned, one never
 polled again (expired by ``idle_limit``) — on a journaled provider
 crashed and recovered twice (odd seed) and on a journal-less one whose
 widest persist callback updates the master from inside a delivery (even
-seed).  The two are kept apart on purpose: a nested ``on_update`` can
-write a snapshot while the outer record is half fanned out, and what
-such a mid-fold image holds for the sessions not yet reached is not
-something either commit promises.
+seed).  The golden file keeps the two apart: the commit that wrote it
+could write a snapshot from a nested ``on_update`` while the outer
+record was half fanned out.  Snapshots now wait for the outermost
+``on_update``, so a third arm — not in the golden file — runs both at
+once and holds the journal to the live provider after every step
+(:func:`test_reentrant_journaled_arm_recovers_the_live_state`).
 """
 
+import copy
 import json
 import os
 import random
@@ -196,15 +199,18 @@ class _Drive:
     sessions remember: a cookie per poll session, a handle and a
     notification log per persist session."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, journaled=None, reenters=None, snapshot_interval=48):
         self.rng = random.Random(seed)
         self.master = build_master(self.rng)
-        self.journal = MemoryJournal() if seed % 2 else None
+        # The golden arms: journaled on an odd seed, re-entrant on an even.
+        journaled = bool(seed % 2) if journaled is None else journaled
+        self.reenters = not journaled if reenters is None else reenters
+        self.journal = MemoryJournal() if journaled else None
         self.provider = ResyncProvider(
             self.master,
             idle_limit=IDLE_LIMIT,
             durability=DurabilityConfig(
-                snapshot_interval=48, history_max_entries=HISTORY_CAP
+                snapshot_interval=snapshot_interval, history_max_entries=HISTORY_CAP
             ),
             journal=self.journal,
         )
@@ -252,7 +258,7 @@ class _Drive:
 
         def deliver(update, label=label):
             self.note(label, _fingerprint(update))
-            reenters = label == "p-wide" and self.journal is None
+            reenters = label == "p-wide" and self.reenters
             if reenters and update.entry is not None and self.nested < 40:
                 # A delivery that updates the master: on_update re-enters
                 # between this record's deliveries.
@@ -390,6 +396,47 @@ def test_golden_fanout_trace_replays(seed):
     for got, want in zip(replayed["rows"], golden["rows"]):
         assert got == want, f"seed {seed}: step {want[0]} ({want[1][0]}) diverged"
     assert replayed["final"] == golden["final"]
+
+
+def _poll_session_images(provider: ResyncProvider) -> list:
+    return [
+        session_to_wire(s)
+        for s in provider.sessions.active_sessions()
+        if s.persist_queue is None
+    ]
+
+
+def test_reentrant_journaled_arm_recovers_the_live_state():
+    """Re-entrancy and journaling on one arm: seed 12's schedule (the
+    widest persist callback updates the master 40 times from inside a
+    delivery) on a journaled provider snapshotting every 5 appends, so
+    snapshots fall due inside nested ``on_update`` calls.  After every
+    step, what a crash right now would recover — a second provider
+    folding a copy of the journal — is the live provider's poll
+    sessions, image for image (persist sessions are shed by recovery)."""
+    drive = _Drive(12, journaled=True, reenters=True, snapshot_interval=5)
+    # A poll session younger than the re-entering one: the fan-out
+    # reaches it after the nested update has run.
+    drive.poll("sketch")
+    snapshots = drive.master.metrics.counter("sync.durability.snapshots")
+    for i in range(TRACE_STEPS):
+        taken = snapshots.value
+        drive.step(i)
+        shadow = ResyncProvider(
+            drive.master,
+            idle_limit=IDLE_LIMIT,
+            durability=drive.provider.durability,
+            journal=copy.deepcopy(drive.journal),
+        )
+        try:
+            shadow.recover()
+        finally:
+            shadow.detach()
+        assert _poll_session_images(shadow) == _poll_session_images(drive.provider), (
+            f"step {i}: the journal no longer recovers the live sessions "
+            f"({snapshots.value - taken} snapshots this step)"
+        )
+    assert drive.nested == 40
 
 
 def test_golden_trace_reaches_what_it_pins():
