@@ -87,8 +87,8 @@ def predicate_contained_in(
     implies "the entry has a value satisfying p2".
     """
     reg = registry if registry is not None else DEFAULT_REGISTRY
-    if p1.attr_key != p2.attr_key:
-        return False
+    if reg.key(p1.attr) != reg.key(p2.attr):
+        return False  # different attributes, however either is spelled
     atype = reg.get(p1.attr)
 
     if isinstance(p2, Present):
@@ -307,7 +307,7 @@ def _conjunct_inconsistent(literals: Sequence[Filter], reg: AttributeRegistry) -
             positives.append(literal)
     for p in positives:
         for q in negatives:
-            if p.attr_key != q.attr_key:
+            if reg.key(p.attr) != reg.key(q.attr):
                 continue
             if isinstance(q, Present):
                 # ¬(attr=*) says the attribute is absent; any positive

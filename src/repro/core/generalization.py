@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Protocol, Tuple
 
+from ..ldap.attributes import DEFAULT_REGISTRY
 from ..ldap.filters import (
     And,
     Equality,
@@ -58,7 +59,7 @@ class GeneralizationRule(Protocol):
 
 def _single_equality(flt: Filter, attr: str) -> Optional[Equality]:
     """The filter itself, when it is an equality on *attr*."""
-    if isinstance(flt, Equality) and flt.attr_key == attr.lower():
+    if isinstance(flt, Equality) and flt.attr_key == DEFAULT_REGISTRY.key(attr):
         return flt
     return None
 
@@ -185,8 +186,8 @@ class HierarchyGeneralization:
         flt = request.filter
         if not isinstance(flt, And):
             return None
-        keep = self.keep_attr.lower()
-        wild = self.wildcard_attr.lower()
+        keep = DEFAULT_REGISTRY.key(self.keep_attr)
+        wild = DEFAULT_REGISTRY.key(self.wildcard_attr)
         has_keep = False
         children: List[Filter] = []
         changed = False

@@ -78,7 +78,7 @@ def _predicate_guard(pred: Predicate, registry: AttributeRegistry) -> Atom:
       only requires a query predicate on the same attribute →
       ``("attr", attr)``.
     """
-    key = pred.attr_key
+    key = registry.key(pred.attr)
     if isinstance(pred, Equality):
         value = _norm(registry, pred.attr, pred.value)
         if value:
@@ -159,7 +159,7 @@ def probe_atoms(flt: Filter, registry: Optional[AttributeRegistry] = None) -> Se
     reg = registry if registry is not None else DEFAULT_REGISTRY
     atoms: Set[Atom] = {_ANY}
     for pred in iter_predicates(flt):
-        key = pred.attr_key
+        key = reg.key(pred.attr)
         atoms.add(("attr", key))
         if isinstance(pred, Equality):
             value = _norm(reg, pred.attr, pred.value)

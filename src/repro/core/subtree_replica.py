@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
 from ..ldap.filters import MATCH_ALL
-from ..ldap.matching import matches
 from ..ldap.query import Scope, SearchRequest
 from ..server.network import SimulatedNetwork
 from ..server.operations import Referral
@@ -167,13 +166,8 @@ class SubtreeReplica:
             self.stats.record(answer)
             return answer
 
-        entries: List[Entry] = []
+        entries = content.evaluate(request)
         referrals: List[Referral] = []
-        for dn, entry in content.entries.items():
-            if not request.in_scope(dn):
-                continue
-            if matches(request.filter, entry):
-                entries.append(request.project(entry))
         for referral_dn, url in context.referrals:
             if request.in_scope(referral_dn):
                 referrals.append(Referral(url, referral_dn))

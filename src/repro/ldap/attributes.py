@@ -25,6 +25,7 @@ works out of the box on schemaless data.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -111,6 +112,7 @@ class AttributeRegistry:
 
     def __init__(self, types: Iterable[AttributeType] = ()):
         self._by_name: Dict[str, AttributeType] = {}
+        self._keys: Dict[str, str] = {}  # spelling -> key() memo
         for at in types:
             self.register(at)
 
@@ -119,6 +121,20 @@ class AttributeRegistry:
         self._by_name[attribute_type.key] = attribute_type
         for alias in attribute_type.aliases:
             self._by_name[alias.lower()] = attribute_type
+        self._keys.clear()  # a spelling may resolve differently now
+
+    def key(self, name: str) -> str:
+        """The identity of the attribute *name* spells: the lower-cased
+        canonical name of the type it resolves to (any case, any alias),
+        the lower-cased spelling itself when unregistered.  The only
+        place that decides whether two spellings name one attribute:
+        entries, filters, indexes, routers and serializers key by it
+        (DESIGN.md §7).  Memoised per spelling; interned, so every holder
+        of an attribute shares one key string."""
+        key = self._keys.get(name)
+        if key is None:
+            key = self._keys[name] = sys.intern(self.get(name).key)
+        return key
 
     def get(self, name: str) -> AttributeType:
         """Resolve *name*, synthesizing a directory-string type if unknown."""

@@ -4,10 +4,12 @@ An LDAP entry is a set of attribute/value pairs named by a DN.  The
 mandatory ``objectClass`` attribute ties the entry to its schema classes
 (Figure 1 of the paper shows an ``inetOrgPerson`` example).
 
-:class:`Entry` stores attributes case-insensitively, supports multiple
-values per attribute (LDAP attributes are multi-valued by default) and
-keeps both the original value spelling (for serialization and for
-returning search results) and the normalized form (for matching).
+:class:`Entry` holds **one value list per attribute** (LDAP attributes
+are multi-valued by default): every accessor resolves names through
+:meth:`~repro.ldap.attributes.AttributeRegistry.key`, so ``put(s, v);
+get(t)`` round-trips for any two spellings — any case, any alias — of
+one type.  It keeps the original value spelling (for serialization and
+returning search results) and normalizes on demand (for matching).
 
 An entry is mutable until :meth:`Entry.freeze` is called on it.  A
 *committed* entry image is frozen: the directory server never edits an
@@ -70,11 +72,16 @@ class Entry:
         self._dn = dn if isinstance(dn, DN) else DN.parse(dn)
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._frozen = False
-        # attribute key (lowercase) -> (canonical name, [values])
+        # AttributeRegistry.key(name) -> (canonical name, [values])
         self._attrs: Dict[str, Tuple[str, List[str]]] = {}
         if attributes:
             for name, values in attributes.items():
-                self.put(name, values)
+                # Spellings of one attribute fill one list, verbatim, in order.
+                held = self._attrs.get(self._registry.key(name))
+                if held is None:
+                    self.put(name, values)
+                else:
+                    held[1].extend(_as_value_list(values))
 
     # ------------------------------------------------------------------
     # identity
@@ -127,17 +134,17 @@ class Entry:
         """Replace all values of attribute *name*."""
         self._check_mutable()
         vals = _as_value_list(values)
-        canonical = self._registry.canonical(name)
+        key = self._registry.key(name)
         if vals:
-            self._attrs[name.lower()] = (canonical, vals)
+            self._attrs[key] = (self._registry.canonical(name), vals)
         else:
-            self._attrs.pop(name.lower(), None)
+            self._attrs.pop(key, None)
 
     def add_values(self, name: str, values: AttrValues) -> None:
         """Append values to attribute *name*, skipping duplicates."""
         self._check_mutable()
         new_vals = _as_value_list(values)
-        key = name.lower()
+        key = self._registry.key(name)
         atype = self._registry.get(name)
         if key in self._attrs:
             canonical, existing = self._attrs[key]
@@ -154,7 +161,7 @@ class Entry:
     def remove_values(self, name: str, values: Optional[AttrValues] = None) -> None:
         """Delete listed values of *name*, or the whole attribute if None."""
         self._check_mutable()
-        key = name.lower()
+        key = self._registry.key(name)
         if key not in self._attrs:
             return
         if values is None:
@@ -171,17 +178,17 @@ class Entry:
 
     def get(self, name: str) -> List[str]:
         """Values of attribute *name* (empty list when absent)."""
-        found = self._attrs.get(name.lower())
+        found = self._attrs.get(self._registry.key(name))
         return list(found[1]) if found is not None else []
 
     def first(self, name: str) -> Optional[str]:
         """First value of *name*, or None when absent."""
-        found = self._attrs.get(name.lower())
+        found = self._attrs.get(self._registry.key(name))
         return found[1][0] if found is not None and found[1] else None
 
     def has_attribute(self, name: str) -> bool:
         """True when the entry carries at least one value for *name*."""
-        return name.lower() in self._attrs
+        return self._registry.key(name) in self._attrs
 
     def normalized_values(self, name: str) -> Set:
         """Normalized value set of *name* under its syntax."""
@@ -192,25 +199,12 @@ class Entry:
         """Canonical names of all attributes present."""
         return [canonical for canonical, _values in self._attrs.values()]
 
-    def keyed_values(self) -> Iterator[Tuple[str, List[str]]]:
-        """``(lower-cased literal name, values)`` pairs — the keys
-        :meth:`get` resolves, where ``__iter__`` yields canonical names
-        (which fold aliases).  The lists are the entry's own: read-only."""
-        for key, (_canonical, values) in self._attrs.items():
-            yield key, values
-
-    def indexed_values(self) -> Dict[str, List[str]]:
-        """Values grouped by lower-cased *canonical* name — the key an
-        attribute index is held under.  Two spellings of one attribute
-        (``cn`` / ``commonName``) are two keys of the entry but post
-        into one index, so a group concatenates them.  The lists may be
-        the entry's own: read-only."""
-        groups: Dict[str, List[str]] = {}
-        for canonical, values in self._attrs.values():
-            key = canonical.lower()
-            held = groups.get(key)
-            groups[key] = values if held is None else held + values
-        return groups
+    def values_by_key(self) -> Dict[str, List[str]]:
+        """``key → values`` for every attribute held, under the key
+        accessors, indexes and routers resolve names to
+        (:meth:`AttributeRegistry.key`; ``__iter__`` yields the canonical
+        spelling).  The lists are the entry's own: read-only."""
+        return {key: values for key, (_canonical, values) in self._attrs.items()}
 
     @property
     def object_classes(self) -> Set[str]:
@@ -241,7 +235,7 @@ class Entry:
         """
         if attributes is None:
             return self.copy()
-        wanted = {a.lower() for a in attributes}
+        wanted = {self._registry.key(a) for a in attributes}
         if "*" in wanted:
             return self.copy()
         clone = Entry(self._dn, registry=self._registry)

@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Tuple
 
+from .attributes import DEFAULT_REGISTRY
+
 __all__ = [
     "Filter",
     "Predicate",
@@ -88,8 +90,9 @@ class Predicate(Filter):
 
     @property
     def attr_key(self) -> str:
-        """Case-folded attribute name for comparisons."""
-        return self.attr.lower()
+        """The attribute's :meth:`AttributeRegistry.key` under the default
+        registry (a caller handed a registry asks that one instead)."""
+        return DEFAULT_REGISTRY.key(self.attr)
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,7 @@ def iter_predicates(node: Filter) -> Iterator[Predicate]:
 
 
 def attributes_of(node: Filter) -> FrozenSet[str]:
-    """Case-folded attribute names mentioned anywhere in *node*."""
+    """Keys (``attr_key``) of the attributes mentioned anywhere in *node*."""
     return frozenset(p.attr_key for p in iter_predicates(node))
 
 
@@ -391,23 +394,24 @@ def template_of(node: Filter) -> str:
     has template ``(serialNumber=_*_)`` and ``(sn=smith*)`` has template
     ``(sn=_*)`` — because containment behaviour differs per shape.
     AND/OR children are sorted so that semantically identical filters
-    written in different orders share a template.
+    written in different orders share a template, and attributes are
+    named by key, so ``(surname=_)`` and ``(sn=_)`` are one template.
     """
     if isinstance(node, Present):
-        return f"({node.attr.lower()}=*)"
+        return f"({node.attr_key}=*)"
     if isinstance(node, Equality):
-        return f"({node.attr.lower()}=_)"
+        return f"({node.attr_key}=_)"
     if isinstance(node, GreaterOrEqual):
-        return f"({node.attr.lower()}>=_)"
+        return f"({node.attr_key}>=_)"
     if isinstance(node, LessOrEqual):
-        return f"({node.attr.lower()}<=_)"
+        return f"({node.attr_key}<=_)"
     if isinstance(node, Approx):
-        return f"({node.attr.lower()}~=_)"
+        return f"({node.attr_key}~=_)"
     if isinstance(node, Substring):
         shape = "*".join(
             "_" if component else "" for component in node.components
         )
-        return f"({node.attr.lower()}={shape})"
+        return f"({node.attr_key}={shape})"
     if isinstance(node, Not):
         return f"(!{template_of(node.child)})"
     if isinstance(node, And):

@@ -7,6 +7,9 @@ against and the one its algorithms assume.
 
 Matching respects attribute syntaxes from the entry's registry:
 directory strings compare case-insensitively, integers numerically.
+Which attribute a predicate names is the registry's ``key`` to decide,
+here as everywhere: ``(surname=x)`` and ``(sn=x)`` are one assertion,
+over an entry that spells the attribute either way.
 Ordering assertions on attributes whose values mix syntaxes degrade to
 string comparison rather than failing, mirroring real servers.
 """
@@ -173,9 +176,7 @@ def _ordering_test(
 
 def _compile_predicate(pred: Predicate, registry: AttributeRegistry) -> CompiledFilter:
     atype = registry.get(pred.attr)
-    # Look up by the predicate's own attribute spelling — Entry.get is
-    # case-insensitive but not alias-aware, exactly like matches().
-    attr = pred.attr
+    attr = registry.key(pred.attr)
     normalize = atype.normalize
     if isinstance(pred, Present):
         return lambda entry: entry.has_attribute(attr)

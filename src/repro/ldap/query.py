@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Optional, Union
 
+from .attributes import DEFAULT_REGISTRY
 from .dn import DN
 from .entry import Entry
 from .filter_parser import parse_filter
@@ -40,7 +41,7 @@ ALL_ATTRIBUTES: FrozenSet[str] = frozenset({"*"})
 def _freeze_attrs(attributes: Optional[Iterable[str]]) -> FrozenSet[str]:
     if attributes is None:
         return ALL_ATTRIBUTES
-    frozen = frozenset(a.lower() for a in attributes)
+    frozen = frozenset(DEFAULT_REGISTRY.key(a) for a in attributes)
     return frozen if frozen else ALL_ATTRIBUTES
 
 

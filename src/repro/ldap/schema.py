@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from .attributes import DEFAULT_REGISTRY
 from .entry import Entry
 
 __all__ = [
@@ -36,7 +37,8 @@ class ObjectClass:
     Attributes:
         name: class name (matched case-insensitively).
         superior: name of the parent class, or None for ``top``.
-        must: attributes every entry of this class must carry.
+        must: attributes (by key, so under any spelling) every entry
+            of this class must carry.
         may: attributes entries of this class may carry.
         structural: whether the class is structural (vs abstract/aux).
     """
@@ -62,8 +64,8 @@ def _oc(
     return ObjectClass(
         name=name,
         superior=superior,
-        must=frozenset(a.lower() for a in must),
-        may=frozenset(a.lower() for a in may),
+        must=frozenset(DEFAULT_REGISTRY.key(a) for a in must),
+        may=frozenset(DEFAULT_REGISTRY.key(a) for a in may),
         structural=structural,
     )
 

@@ -2,7 +2,10 @@
 
 One :class:`EntryStore` holds the entries of one server, keyed by DN,
 with a parent→children tree index for scope traversal and per-attribute
-value indexes (:mod:`repro.server.indexes`) for filter evaluation.
+value indexes (:mod:`repro.server.indexes`) for filter evaluation: one
+index set per attribute any stored entry holds, under the key entries
+hold it by (:meth:`~repro.ldap.attributes.AttributeRegistry.key`), so a
+filter finds it under any spelling and none means it occurs nowhere.
 
 The store is deliberately dumb about LDAP semantics — naming contexts,
 referrals and schema live in :class:`repro.server.directory.DirectoryServer`.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..ldap.attributes import AttributeRegistry, DEFAULT_REGISTRY
 from ..ldap.dn import DN
@@ -55,26 +58,18 @@ _MAX_KEY = _MaxKey()
 class EntryStore:
     """DN-keyed entry storage with tree and attribute indexes."""
 
-    def __init__(
-        self,
-        registry: Optional[AttributeRegistry] = None,
-        indexed_attributes: Iterable[str] = (),
-        index_all: bool = True,
-    ):
+    def __init__(self, registry: Optional[AttributeRegistry] = None):
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._entries: Dict[DN, Entry] = {}
         self._children: Dict[DN, Set[DN]] = defaultdict(set)
         self._roots: Set[DN] = set()
         self._indexes: Dict[str, AttributeIndexSet] = {}
-        self._index_all = index_all
         self._referral_dns: Set[DN] = set()
         # Subtree range index: DNs sorted by reversed-DN key, so every
         # subtree is one contiguous [lo, hi) slice (parents first).
         self._order_keys: List[Tuple] = []
         self._order_dns: List[DN] = []
         self._planner = SearchPlanner(self)
-        for attr in indexed_attributes:
-            self._ensure_index(attr)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -141,8 +136,8 @@ class EntryStore:
             self._order_dns.insert(pos, dn)
         self._reindex(
             dn,
-            existing.indexed_values() if existing is not None else {},
-            entry.indexed_values(),
+            existing.values_by_key() if existing is not None else {},
+            entry.values_by_key(),
         )
         self._entries[dn] = entry.freeze()
         if "referral" in entry.object_classes:
@@ -159,7 +154,7 @@ class EntryStore:
         entry = self._entries.pop(dn, None)
         if entry is None:
             return None
-        self._reindex(dn, entry.indexed_values(), {})
+        self._reindex(dn, entry.values_by_key(), {})
         self._referral_dns.discard(dn)
         key = dn.reversed_key()
         pos = bisect.bisect_left(self._order_keys, key)
@@ -246,23 +241,16 @@ class EntryStore:
         return self.plan_for(flt).candidates
 
     def index_for(self, attr: str) -> Optional[AttributeIndexSet]:
-        """The index set for *attr* (case-insensitive), or None."""
-        return self._indexes.get(attr.lower())
-
-    @property
-    def indexes_all_attributes(self) -> bool:
-        """True when every stored attribute is indexed (``index_all``).
-
-        The planner then treats a missing index as proof the attribute
-        occurs on no entry.
-        """
-        return self._index_all
+        """The index set for *attr* (any case, any alias).  Every
+        attribute ever stored has one, under the key its entries hold it
+        by, so None proves the attribute occurs on no entry."""
+        return self._indexes.get(self._registry.key(attr))
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _ensure_index(self, attr: str) -> AttributeIndexSet:
-        key = attr.lower()
+        key = self._registry.key(attr)
         index = self._indexes.get(key)
         if index is None:
             index = AttributeIndexSet(self._registry.get(attr))
@@ -275,21 +263,14 @@ class EntryStore:
         """Move the postings of *dn* from the values *was* to the values
         *now*, touching only the attributes whose values differ.
 
-        Both are :meth:`Entry.indexed_values` maps (``{}`` for "no
+        Both are :meth:`Entry.values_by_key` maps (``{}`` for "no
         image": a new DN indexes everything, a delete un-indexes
-        everything) — one group per attribute *index*, so two spellings
-        of one attribute (``cn`` and ``commonName``) are diffed and
-        posted as the one group they share.
+        everything).  An entry holds one list per attribute under the
+        key its index is held by, so they are diffed as they are.
         """
         for attr, values in was.items():
             if now.get(attr) != values:
-                index = self._indexes.get(attr)
-                if index is not None:
-                    index.remove(dn, values)
+                self.index_for(attr).remove(dn, values)
         for attr, values in now.items():
             if was.get(attr) != values:
-                index = self._indexes.get(attr)
-                if index is None and self._index_all:
-                    index = self._ensure_index(attr)
-                if index is not None:
-                    index.insert(dn, values)
+                self._ensure_index(attr).insert(dn, values)

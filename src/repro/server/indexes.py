@@ -414,7 +414,7 @@ class ContentIndex:
     # candidate generation
     # ------------------------------------------------------------------
     def _ensure_eq(self, attr: str) -> EqualityIndex:
-        key = attr.lower()
+        key = self._registry.key(attr)
         index = self._eq.get(key)
         if index is None:
             index = EqualityIndex(self._registry.get(attr))

@@ -203,14 +203,12 @@ class SearchPlanner:
         return _NodePlan("union", estimate, materialize)
 
     def _plan_predicate(self, pred: Predicate) -> Optional[_NodePlan]:
-        index = self._store.index_for(pred.attr_key)
+        index = self._store.index_for(pred.attr)
         if index is None:
-            if self._store.indexes_all_attributes:
-                # Every attribute ever stored has an index set, so this
-                # attribute appears on no entry: a positive assertion on
-                # it matches nothing.
-                return _NodePlan("absent", 0, set)
-            return None
+            # Every attribute ever stored has an index set and index_for
+            # resolves any spelling to it, so this attribute appears on
+            # no entry: a positive assertion on it matches nothing.
+            return _NodePlan("absent", 0, set)
         if isinstance(pred, Present):
             presence = index.presence
             return _NodePlan("presence", len(presence), presence.dns)

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..ldap.attributes import DEFAULT_REGISTRY
 from ..ldap.controls import ReSyncControl, SyncMode
 from ..ldap.dn import DN
 from ..ldap.filters import attributes_of
@@ -167,9 +168,9 @@ class ChangelogProvider(CsnCookieMixin):
             updates.append(make(request.project(live)))
             return updates
         if record.op is UpdateOp.MODIFY and request.in_scope(record.dn):
-            touched = {m.attr.lower() for m in record.modifications}
+            touched = {DEFAULT_REGISTRY.key(m.attr) for m in record.modifications}
             if touched & filter_attrs:
-                # Changed attributes overlap the filter: the entry may
+                # Changed attributes overlap the filter's (by key): the entry may
                 # have been modified out of the content — conservative
                 # delete.
                 updates.append(SyncUpdate.delete(record.dn))

@@ -116,7 +116,7 @@ def entry_to_wire(entry: Optional[Entry]) -> Optional[dict]:
         return None
     return {
         "dn": str(entry.dn),
-        "attrs": {name: list(entry.get(name)) for name in entry.attribute_names()},
+        "attrs": dict(entry),
     }
 
 

@@ -73,14 +73,15 @@ def entry_fingerprint(entry: Entry) -> int:
     """64-bit digest of an entry's DN plus normalized attributes.
 
     Two entries that are :meth:`~repro.ldap.entry.Entry.semantically_equal`
-    fingerprint identically (names case-folded, values normalized and
-    order-independent), so a replica holding a semantically equal copy
-    contributes the same sketch item as the master and cancels out.
+    fingerprint identically, and only those do (every attribute held,
+    under its key; values normalized and order-independent), so a
+    replica's copy cancels the master's sketch item exactly when it is a
+    semantically equal one.
     """
     parts: List[str] = ["fp", str(entry.dn)]
-    for name in sorted(n.lower() for n in entry.attribute_names()):
-        parts.append(name)
-        parts.extend(sorted(str(v) for v in entry.normalized_values(name)))
+    for key in sorted(entry.values_by_key()):
+        parts.append(key)
+        parts.extend(sorted(str(v) for v in entry.normalized_values(key)))
     return _h64(*parts)
 
 

@@ -17,7 +17,9 @@ so only sessions the update's *values* can reach are visited:
 * **value atoms** — a necessary condition for an entry to *match* the
   filter, in the vocabulary of the replica-side
   :class:`~repro.core.routing.ContainmentIndex`: ``("eq", attr, value)``,
-  ``("pfx", attr, initial)`` and ``("attr", attr)``.  Sessions are
+  ``("pfx", attr, initial)`` and ``("attr", attr)``, ``attr`` being the
+  attribute's key (``AttributeRegistry.key``: the key entries hold its
+  values by, so no spelling routes differently).  Sessions are
   posted under their atoms; an entry can only *enter* the sessions its
   own normalized values probe (:meth:`SessionRouter.anchor_atoms`).
   Filters without derivable atoms (NOT shapes) see every add in region.
@@ -79,10 +81,11 @@ _VERDICT_GONE: Tuple[bool, bool] = (True, False)
 def _leaf_atom(pred: Predicate) -> Atom:
     """The atom every entry matching *pred* probes.
 
-    Normalization is literally the compiled predicate's
-    (``compile_filter_cached``: default registry, the predicate's own
-    attribute spelling, ``str()`` for substring parts), so "the entry
-    matches" implies "the entry's values hit this atom" by construction.
+    Attribute identity and normalization are literally the compiled
+    predicate's (``compile_filter_cached``: the default registry's
+    ``key`` and syntax, ``str()`` for substring parts) and the key is
+    the one the entry holds its values under, so "the entry matches"
+    implies "the entry's values hit this atom" by construction.
     """
     key = pred.attr_key
     normalize = DEFAULT_REGISTRY.get(pred.attr).normalize
@@ -212,7 +215,7 @@ class SessionRouter:
         """Sessions whose anchor atoms *entry*'s own values probe, plus
         the unanchored ones — every session *entry* could match."""
         found = set(self._unanchored)
-        for key, values in entry.keyed_values():
+        for key, values in entry.values_by_key().items():
             posted = self._postings.get(key)
             if posted is None:
                 continue
@@ -231,10 +234,11 @@ class SessionRouter:
 
     @staticmethod
     def _changed_attrs(before: Entry, after: Entry) -> Set[str]:
-        """Attributes whose raw value lists differ (a superset of the
-        semantically changed set, which is all soundness needs), under
-        the literal lower-cased names filters look values up by."""
-        old, new = dict(before.keyed_values()), dict(after.keyed_values())
+        """Keys of the attributes whose raw value lists differ (a
+        superset of the semantically changed set, which is all soundness
+        needs) — the keys fingerprints name filter attributes by, so a
+        change made under one spelling reaches filters on any other."""
+        old, new = before.values_by_key(), after.values_by_key()
         return {
             key
             for key in old.keys() | new.keys()

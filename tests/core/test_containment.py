@@ -5,8 +5,9 @@ from repro.core import (
     attributes_contained_in,
     query_contained_in,
     region_contained_in,
+    template_key,
 )
-from repro.ldap import Scope, SearchRequest
+from repro.ldap import Scope, SearchRequest, parse_filter
 
 
 def region(b, s, bs, ss) -> bool:
@@ -84,6 +85,13 @@ class TestAttributeContainment:
         qs = SearchRequest("o=xyz", attributes=["mail"])
         assert attributes_contained_in(q, qs)
 
+    def test_alias_insensitive(self):
+        # Condition (ii), A ⊆ As, is over attribute types, not spellings.
+        q = SearchRequest("o=xyz", attributes=["surname", "commonName"])
+        qs = SearchRequest("o=xyz", attributes=["cn", "sn", "mail"])
+        assert attributes_contained_in(q, qs)
+        assert q.attributes == SearchRequest("o=xyz", attributes=["SN", "cn"]).attributes
+
 
 class TestFullQc:
     def test_all_three_conditions(self):
@@ -119,6 +127,18 @@ class TestFullQc:
         qs = SearchRequest("o=xyz", Scope.SUB, "(sn=*)")
         assert query_contained_in(q, qs)
         assert query_contained_in(q, qs)  # cached second call
+
+    def test_containment_does_not_depend_on_spelling(self):
+        q = SearchRequest("o=xyz", Scope.SUB, "(surname=aa)")
+        qs = SearchRequest("o=xyz", Scope.SUB, "(sn=a*)")
+        assert query_contained_in(q, qs)
+        assert query_contained_in(q, SearchRequest("o=xyz", Scope.SUB, "(SurName=*)"))
+        assert not query_contained_in(q, SearchRequest("o=xyz", Scope.SUB, "(cn=a*)"))
+        # ...and neither does the template a filter groups under.
+        assert template_key(q.filter) == template_key(parse_filter("(sn=zz)"))
+        assert template_key(parse_filter("(&(commonName=a)(surname=b*))")) == template_key(
+            parse_filter("(&(sn=c*)(cn=d))")
+        )
 
     def test_custom_registry_path(self):
         from repro.ldap import AttributeRegistry, AttributeType, Syntax

@@ -87,6 +87,26 @@ class TestAnswer:
         assert answer.status is AnswerStatus.HIT
         assert [e.first("cn") for e in answer.entries] == ["P0"]
 
+    def test_hit_across_spellings_of_one_attribute(self, master, provider):
+        """A stored ``(sn=a*)`` answers ``(surname=aa)`` — the same
+        attribute — with exactly the master's entries, whichever spelling
+        stored the values."""
+        master.add(person("cn=A0,c=in,o=xyz", sn="aa"))
+        aliased = Entry(
+            "cn=A1,c=in,o=xyz",
+            {"objectClass": ["person", "top"], "commonName": "A1", "surname": "AA"},
+        )
+        master.add(aliased)
+        master.add(person("cn=A2,c=in,o=xyz", sn="ab"))
+        replica = FilterReplica("branch")
+        replica.add_filter(SearchRequest("", Scope.SUB, "(sn=a*)"), provider)
+        q = SearchRequest("", Scope.SUB, "(surname=aa)")
+        answer = replica.answer(q)
+        assert answer.status is AnswerStatus.HIT
+        truth = {str(e.dn): e for e in master.search(q.with_base("o=xyz")).entries}
+        assert sorted(truth) == ["cn=A0,c=in,o=xyz", "cn=A1,c=in,o=xyz"]
+        assert {str(e.dn): e for e in answer.entries} == truth
+
     def test_hit_scoped_query_under_null_base(self, master, provider):
         """Filter replicas answer both null-based and scoped queries."""
         replica = FilterReplica("branch")

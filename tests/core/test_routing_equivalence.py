@@ -37,9 +37,16 @@ from repro.sync import SyncUpdate
 
 from tests.oracles import LinearFilterReplica
 
-_ATTRS = ["sn", "uid", "l"]
+# Three attributes, each under several spellings (canonical, alias,
+# another case) drawn independently for filters and for entries, in both
+# arms: which spelling names an attribute may change no answer.
+_SPELLINGS = {
+    "sn": ["sn", "surname", "SN"],
+    "uid": ["uid", "userid"],
+    "l": ["l", "localityName", "location"],
+}
 _VALUES = ["a", "ab", "abc", "b", "ba", "c"]
-_attr = st.sampled_from(_ATTRS)
+_attr = st.sampled_from([s for group in _SPELLINGS.values() for s in group])
 _value = st.sampled_from(_VALUES)
 
 _leaves = st.one_of(
@@ -80,20 +87,19 @@ _DN_POOL = [
 
 _entry_values = st.lists(_value, max_size=2)
 _entries = st.builds(
-    lambda dn, svals, uvals, lvals: Entry(
+    lambda dn, *spelled: Entry(
         DN.parse(dn),
         {
             "objectClass": ["person"],
             "cn": "x",
-            **({"sn": svals} if svals else {}),
-            **({"uid": uvals} if uvals else {}),
-            **({"l": lvals} if lvals else {}),
+            **{name: values for name, values in spelled if values},
         },
     ),
     st.sampled_from(_DN_POOL),
-    _entry_values,
-    _entry_values,
-    _entry_values,
+    *(
+        st.tuples(st.sampled_from(group), _entry_values)
+        for group in _SPELLINGS.values()
+    ),
 )
 
 

@@ -50,6 +50,24 @@ class TestRegistry:
         assert DEFAULT_REGISTRY.canonical("OBJECTCLASS") == "objectClass"
         assert DEFAULT_REGISTRY.canonical("never-seen") == "never-seen"
 
+    def test_key_is_one_per_type(self):
+        # Any case, any alias: the lower-cased canonical name.
+        for spelling in ("sn", "SN", "surname", "SurName"):
+            assert DEFAULT_REGISTRY.key(spelling) == "sn"
+        assert DEFAULT_REGISTRY.key("localityName") == DEFAULT_REGISTRY.key("location") == "l"
+        assert DEFAULT_REGISTRY.key("telephoneNumber") == "telephonenumber"
+        # Unregistered: the lower-cased spelling; "*" stays itself.
+        assert DEFAULT_REGISTRY.key("X-Custom") == "x-custom"
+        assert DEFAULT_REGISTRY.key("*") == "*"
+        # A key is its own key, and one shared string per attribute.
+        assert DEFAULT_REGISTRY.key("sn") is DEFAULT_REGISTRY.key("SURNAME")
+
+    def test_register_clears_the_key_memo(self):
+        reg = AttributeRegistry()
+        assert reg.key("Bar") == "bar"
+        reg.register(AttributeType("foo", aliases=("bar",)))
+        assert reg.key("Bar") == reg.key("FOO") == "foo"
+
     def test_custom_registry_registration(self):
         reg = AttributeRegistry()
         reg.register(AttributeType("foo", aliases=("bar",)))

@@ -130,6 +130,12 @@ class TestSearchResultEntry:
         assert message_id == 3
         assert decoded == entry
 
+    def test_roundtrip_of_an_entry_spelled_with_aliases(self):
+        entry = Entry("cn=a,o=xyz", {"commonName": "a", "surname": ["aa", "bb"]})
+        _mid, decoded = decode_search_result_entry(encode_search_result_entry(entry))
+        assert decoded.semantically_equal(entry)
+        assert decoded.get("surname") == ["aa", "bb"]
+
     def test_unicode_values(self):
         entry = Entry("cn=café,o=xyz", {"cn": "café", "description": "naïve"})
         _mid, decoded = decode_search_result_entry(encode_search_result_entry(entry))
@@ -161,7 +167,10 @@ _values = st.lists(
 
 @given(
     st.dictionaries(
-        st.sampled_from(["cn", "sn", "mail", "description"]), _values, min_size=1, max_size=4
+        st.sampled_from(["cn", "sn", "mail", "description", "commonName", "surname", "SN"]),
+        _values,
+        min_size=1,
+        max_size=4,
     )
 )
 def test_entry_roundtrip_property(attrs):

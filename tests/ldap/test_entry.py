@@ -98,6 +98,49 @@ class TestAccess:
         assert pairs["serialNumber"] == ["0456"]
 
 
+# every registered spelling of two types, plus an unregistered name
+_SPELLINGS = [
+    ("sn", "SN", "surname", "SurName"),
+    ("l", "localityName", "location", "LOCATION"),
+    ("x-extra", "X-Extra"),
+]
+
+
+class TestOneValueListPerAttribute:
+    @pytest.mark.parametrize("spellings", _SPELLINGS)
+    def test_every_accessor_resolves_every_spelling_to_one_slot(self, spellings):
+        for stored in spellings:
+            for read in spellings:
+                entry = Entry("cn=a,o=xyz", {"cn": "a"})
+                entry.put(stored, ["v", "w"])
+                assert entry.get(read) == ["v", "w"]
+                assert entry.first(read) == "v"
+                assert entry.has_attribute(read) and read in entry
+                assert entry.normalized_values(read) == {"v", "w"}
+                assert dict(entry.project([read]))[entry.registry.canonical(stored)] == ["v", "w"]
+                entry.add_values(read, ["W", "x"])
+                assert entry.get(stored) == ["v", "w", "x"]
+                entry.remove_values(read, ["V"])
+                assert entry.get(stored) == ["w", "x"]
+                entry.put(read, "y")  # replace, as SN over sn always did
+                assert entry.get(stored) == ["y"]
+                assert len(entry.attribute_names()) == 2
+                entry.remove_values(read)
+                assert not entry.has_attribute(stored)
+
+    def test_two_spellings_in_one_mapping_fill_one_list_in_order(self):
+        entry = Entry("cn=a,o=xyz", {"sn": ["a", "b"], "surname": "a", "SN": ["c"]})
+        assert entry.get("sn") == ["a", "b", "a", "c"]  # verbatim, none dropped
+        assert entry.attribute_names() == ["sn"]
+        assert entry.values_by_key() == {"sn": ["a", "b", "a", "c"]}
+
+    def test_spelling_is_not_semantic(self):
+        a = Entry("cn=a,o=xyz", {"surname": "x", "commonName": "a"})
+        b = Entry("cn=a,o=xyz", {"SN": "X", "cn": "A"})
+        assert a.semantically_equal(b)
+        assert not a.semantically_equal(Entry("cn=a,o=xyz", {"sn": "y", "cn": "a"}))
+
+
 class TestCopyProject:
     def test_copy_is_independent(self):
         entry = make_entry()

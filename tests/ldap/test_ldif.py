@@ -52,6 +52,17 @@ class TestParse:
         entry = Entry("cn=x,o=xyz", {"objectClass": ["person"], "cn": "x", "sn": " café"})
         assert list(parse_ldif(entry_to_ldif(entry)))[0] == entry
 
+    def test_roundtrip_of_an_entry_spelled_with_aliases(self):
+        entry = Entry("cn=a,o=xyz", {"commonName": "a", "surname": ["aa", "AA "]})
+        (parsed,) = parse_ldif(entry_to_ldif(entry))
+        assert parsed.semantically_equal(entry)
+        assert parsed.get("surname") == entry.get("sn") == ["aa", "AA "]
+
+    def test_spellings_of_one_attribute_fill_one_list_in_record_order(self):
+        (entry,) = parse_ldif("dn: cn=a,o=xyz\nsn: a\nsurname: b\nSN: a\ncn: a\n")
+        assert entry.get("sn") == ["a", "b", "a"]
+        assert entry.attribute_names() == ["sn", "cn"]
+
     def test_multiple_records(self):
         entries = [
             Entry("cn=a,o=xyz", {"cn": "a"}),
@@ -176,6 +187,7 @@ _VALUES = st.text(
 )
 _NAMES = st.sampled_from(
     ["cn", "sn", "description", "title", "ou", "telephoneNumber"]
+    + ["commonName", "surname", "SN", "organizationalUnitName"]  # other spellings
 )
 _DN_TOKEN = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=12

@@ -45,6 +45,15 @@ class TestValidation:
         )
         assert validate_entry(entry) == []
 
+    def test_valid_person_spelled_with_aliases(self):
+        # MUST attributes are held by key: `surname`/`commonName` carry
+        # the person class's `sn`/`cn`.
+        entry = Entry(
+            "cn=a,o=xyz",
+            {"objectClass": ["person", "top"], "commonName": "a", "surname": "b"},
+        )
+        assert validate_entry(entry) == []
+
     def test_missing_must(self):
         entry = Entry("cn=a,o=xyz", {"objectClass": ["person", "top"], "cn": "a"})
         problems = validate_entry(entry)

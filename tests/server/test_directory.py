@@ -185,6 +185,15 @@ class TestModify:
         entry = server.store.get(DN.parse("cn=Ginger,c=us,o=xyz"))
         assert not entry.has_attribute("departmentNumber")
 
+    def test_replace_under_an_alias_leaves_one_list(self, server):
+        server.modify("cn=Fred,c=us,o=xyz", [Modification.replace("surname", "new")])
+        entry = server.store.get(DN.parse("cn=Fred,c=us,o=xyz"))
+        assert entry.get("sn") == entry.get("surname") == ["new"]
+        assert [name for name in entry.attribute_names() if name == "sn"] == ["sn"]
+        server.modify("cn=Fred,c=us,o=xyz", [Modification.add("SurName", "too")])
+        server.modify("cn=Fred,c=us,o=xyz", [Modification.delete("sn", "new")])
+        assert server.store.get(DN.parse("cn=Fred,c=us,o=xyz")).get("sn") == ["too"]
+
     def test_modify_missing_rejected(self, server):
         with pytest.raises(LdapError):
             server.modify("cn=Ghost,c=us,o=xyz", [Modification.replace("sn", "x")])
@@ -224,6 +233,12 @@ class TestModifyDn:
         assert str(records[0].new_dn) == "cn=Frederick,c=us,o=xyz"
         moved = server.store.get(DN.parse("cn=Frederick,c=us,o=xyz"))
         assert moved.get("cn") == ["Frederick"]
+
+    def test_rename_under_an_alias_leaves_one_naming_attribute(self, server):
+        server.modify_dn("cn=Fred,c=us,o=xyz", new_rdn="commonName=b")
+        moved = server.store.get(DN.parse("commonName=b,c=us,o=xyz"))
+        assert moved.get("cn") == moved.get("commonName") == ["b"]
+        assert sorted(moved.attribute_names()) == ["cn", "objectClass", "sn"]
 
     def test_move_subtree(self, server):
         server.add(Entry("c=ca,o=xyz", {"objectClass": ["country"], "c": "ca"}))

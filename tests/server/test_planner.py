@@ -103,17 +103,31 @@ class TestStrategies:
         assert p.candidates is not None
         assert brute(store, "(cn=*p1*)") <= p.candidates
 
-    def test_missing_index_without_index_all_scans(self):
-        store = EntryStore(indexed_attributes=("sn",), index_all=False)
-        root = DN.parse("o=xyz")
-        store.register_root(root)
-        store.put(Entry(root, {"objectClass": ["organization"], "o": "xyz"}))
-        store.put(
-            Entry("cn=a,o=xyz", {"objectClass": ["person"], "cn": "a", "sn": "x"})
+    @pytest.mark.parametrize(
+        "text", ["(surname=aa)", "(sn=aa)", "(commonName=a)", "(cn=a)"]
+    )
+    def test_absent_is_sound_for_every_spelling(self, text):
+        # An attribute stored under an alias has an index under its key;
+        # a filter spelling it either way finds that index, never
+        # "absent", and search answers what matches() says.
+        master = DirectoryServer("master")
+        master.add_naming_context("o=x")
+        master.add(Entry("o=x", {"objectClass": ["organization"], "o": "x"}))
+        master.add(
+            Entry(
+                "cn=a,o=x",
+                {"objectClass": ["person"], "commonName": "a", "surname": "aa"},
+            )
         )
-        # cn is unindexed and the store cannot prove absence — scan.
-        assert store.plan_for(parse_filter("(cn=a)")).is_scan
-        assert store.plan_for(parse_filter("(sn=x)")).strategy == "equality"
+        flt = parse_filter(text)
+        assert master.store.plan_for(flt).strategy == "equality"
+        found = master.search(SearchRequest("o=x", Scope.SUB, flt)).entries
+        assert found == [e for e in master.store.all_entries() if matches(flt, e)]
+        assert [str(e.dn) for e in found] == ["cn=a,o=x"]
+        projected = master.search(
+            SearchRequest("o=x", Scope.SUB, flt, attributes=["sn"])
+        ).entries
+        assert [list(e) for e in projected] == [[("sn", ["aa"])]]
 
 
 class TestCostModel:

@@ -81,9 +81,10 @@ def test_index_scan_agreement(ops, probe):
 _TEXT = st.lists(st.sampled_from(["aa", "AA", "ab", "Ab", "ba", "ccc"]), min_size=1, max_size=3)
 _NUMBERS = st.lists(st.sampled_from(["7", "9", "10", "010", "oops"]), min_size=1, max_size=2)
 #: Literal attribute spelling -> its values.  ``commonName``/``surname``
-#: are aliases: a second key of the entry posting into the ``cn``/``sn``
-#: index.  Every key is optional, so replaces add and drop whole
-#: attributes and change several at once.
+#: are aliases and ``SN`` another case: further spellings of ``cn``/``sn``
+#: filling the one list the entry holds (and the one index the store
+#: posts) per attribute.  Every key is optional, so replaces add and drop
+#: whole attributes and change several at once.
 _IMAGES = st.fixed_dictionaries(
     {},
     optional={
@@ -91,7 +92,7 @@ _IMAGES = st.fixed_dictionaries(
         "commonName": _TEXT,
         "sn": _TEXT,
         "surname": _TEXT,
-        "SN": _TEXT,  # the same key as "sn": the later spelling wins
+        "SN": _TEXT,
         "mail": _TEXT,  # case-exact: "aa" and "AA" are two values
         "description": _TEXT,
         "age": _NUMBERS,
@@ -146,7 +147,10 @@ def test_index_state_equals_a_fresh_load(ops):
     assert _index_state(store) == _index_state(fresh)
 
     # The weaker soundness condition, over the richer images too.
-    for flt_text in ("(sn=aa)", "(cn=a*)", "(age>=9)", "(age<=9)", "(mail=AA)", "(sn=*)"):
+    for flt_text in (
+        "(sn=aa)", "(cn=a*)", "(age>=9)", "(age<=9)", "(mail=AA)", "(sn=*)",
+        "(surname=aa)", "(commonName=a*)", "(SurName=*)",
+    ):
         flt = parse_filter(flt_text)
         truth = {e.dn for e in store.all_entries() if matches(flt, e)}
         candidates = store.candidates_for(flt)

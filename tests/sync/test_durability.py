@@ -282,6 +282,27 @@ class TestRecovery:
         assert content.matches_master(master)
         assert master.metrics.counter("sync.durability.recoveries").value == 1
 
+    def test_update_records_carry_values_stored_under_an_alias(self):
+        # The journal writes every value of both images, whatever
+        # spelling stored it: a replayed modify delivers the whole entry.
+        master = build_master(0)
+        master.add(
+            Entry(
+                "cn=a,o=xyz",
+                {"objectClass": ["person"], "commonName": "a", "surname": "aa"},
+            )
+        )
+        provider = durable_provider(master)
+        content = SyncedContent(REQUEST)
+        content.poll(provider)
+        master.modify("cn=a,o=xyz", [Modification.replace("telephoneNumber", "1")])
+        provider.restart()
+        provider.recover()
+        content.poll(provider)
+        (held,) = content.entries.values()
+        assert held.get("surname") == ["aa"] and held.get("commonName") == ["a"]
+        assert content.matches_master(master)
+
     def test_unchanged_master_resumes_with_empty_delta(self):
         master = build_master()
         provider = durable_provider(master)

@@ -276,6 +276,36 @@ class TestReconcileTier:
         assert net.registry.counter("sync.reconcile.decode_success").value == 1
         assert provider.active_session_count == 1
 
+    def test_sketch_sees_a_change_to_a_value_stored_under_an_alias(self):
+        """The fingerprint covers every attribute an entry holds, so the
+        sketch tier cannot end healthy on a replica that differs from the
+        master in a value spelled ``surname:``."""
+        master = build_master(0)
+        for i in range(10):
+            master.add(
+                Entry(
+                    f"cn=A{i},o=xyz",
+                    {
+                        "objectClass": ["person"],
+                        "commonName": f"A{i}",
+                        "surname": "aa",
+                        "departmentNumber": "42",
+                    },
+                )
+            )
+        provider = ResyncProvider(master)  # no journal: restart forgets all
+        net = SimulatedNetwork()
+        consumer = ResilientConsumer(REQUEST, provider, network=net)
+        consumer.sync_once()
+        provider.restart()
+        master.modify("cn=A3,o=xyz", [Modification.replace("surname", "bb")])
+        for _ in range(3):
+            consumer.sync_once()
+        assert consumer.content.matches_master(master)
+        assert consumer.health_state == "healthy"
+        assert net.registry.counter("sync.reconcile.decode_success").value == 1
+        assert net.registry.counter("sync.resilient.reloads").value == 0
+
     def test_restart_with_intact_journal_needs_neither(self):
         """Restart + recover resolves the cookie — no protocol error,
         so the ladder is never entered: no reconcile, no reload."""

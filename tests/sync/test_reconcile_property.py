@@ -99,6 +99,51 @@ def test_corruption_never_yields_a_wrong_difference(extra, cells, salt, position
 
 
 # ----------------------------------------------------------------------
+# the fingerprint is the entry: equal exactly when semantically equal
+# ----------------------------------------------------------------------
+# Every attribute under several spellings (case, alias, canonical; one
+# unregistered name), every value under several that normalize alike —
+# a universe small enough that equal pairs are common.
+_SPELLINGS = [
+    ["sn", "SN", "surname"],
+    ["cn", "commonName", "COMMONNAME"],
+    ["l", "localityName", "location"],
+    ["age", "Age"],
+    ["x-extra", "X-Extra"],
+]
+_VALUE_SPELLINGS = [["aa", "AA", " aa "], ["bb", "Bb"], ["7", "007"], ["8"]]
+
+_spelled_values = st.lists(
+    st.sampled_from(_VALUE_SPELLINGS).flatmap(st.sampled_from),
+    min_size=1,
+    max_size=3,
+)
+_spelled_entries = st.builds(
+    lambda name, attrs: Entry(f"cn={name},o=xyz", dict(attrs)),
+    st.sampled_from(["e", "f"]),
+    st.lists(
+        st.tuples(st.sampled_from(_SPELLINGS).flatmap(st.sampled_from), _spelled_values),
+        max_size=5,
+    ),
+)
+
+
+@given(_spelled_entries, _spelled_entries)
+@settings(max_examples=400, deadline=None)
+def test_fingerprints_agree_exactly_when_entries_are_semantically_equal(e1, e2):
+    assert (entry_fingerprint(e1) == entry_fingerprint(e2)) == e1.semantically_equal(e2)
+
+
+def test_the_fingerprint_universe_holds_both_outcomes_across_spellings():
+    spelled = Entry("cn=e,o=xyz", {"surname": [" aa ", "Bb"], "Age": "007"})
+    plain = Entry("cn=e,o=xyz", {"sn": ["bb", "AA"], "age": "7"})
+    assert entry_fingerprint(spelled) == entry_fingerprint(plain)
+    moved = Entry("cn=e,o=xyz", {"surname": ["bb"], "Age": "007"})
+    assert entry_fingerprint(spelled) != entry_fingerprint(moved)
+    assert not spelled.semantically_equal(moved)
+
+
+# ----------------------------------------------------------------------
 # ladder convergence under divergence + corruption
 # ----------------------------------------------------------------------
 def mutate(master: DirectoryServer, live: set, rng_value: int, step: int) -> None:

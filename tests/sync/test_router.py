@@ -17,6 +17,7 @@ plus **precision** — routing is by value, so the visited set tracks the
 notified set, not the number of sessions naming an attribute.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ldap import (
@@ -64,8 +65,9 @@ def test_predicate_anchors_on_its_attribute():
     assert _atoms("(age=x7)") == {("eq", "age", "x7")}  # schema-violating
     assert _atoms("(SN=ab*)") == {("pfx", "sn", "ab")}
     assert _atoms("(sn=Ab*c*d)") == {("pfx", "sn", "ab")}
-    # No alias folding: Entry.get("surname") never reads "sn" either.
-    assert _atoms("(surname=a)") == {("eq", "surname", "a")}
+    # Atoms name the attribute by its key, as Entry and the compiled
+    # predicate do: an alias anchors where the canonical name does.
+    assert _atoms("(surname=a)") == {("eq", "sn", "a")}
     for text in ("(sn=*)", "(sn>=a)", "(sn<=a)", "(sn~=a)", "(sn=*a)", "(sn=*a*)"):
         assert _atoms(text) == {("attr", "sn")}, text
     # An initial that normalizes to empty constrains nothing.
@@ -140,8 +142,9 @@ _POOL = [
 # predicate's: case/whitespace variants of one directory string ("ab",
 # " Ab "), an integer-syntax attribute ("007" == "7"; "x7" violates the
 # schema and degrades to a string), and ``surname`` — an alias of ``sn``
-# that neither Entry.get nor the router folds, so filters and entries
-# spelled differently must keep missing each other on both sides.
+# that Entry.get, the compiled predicate and the router all resolve to
+# the one key, so filters and entries spelled differently must keep
+# meeting each other on both sides.
 _ATTRS = ["sn", "age", "surname"]
 _VALUES = ["a", "A ", "ab", " Ab ", "abc", "b", "007", "7", "x7"]
 
@@ -384,20 +387,27 @@ def test_every_matching_entry_reaches_its_session():
                 matched += 1
                 assert rs in reached, (str(rs.request.filter), dict(entry))
     assert matched > len(entries)  # the universe does collide
+    # ...across spellings too: the (sn=a) session over a `surname:` entry.
+    by_filter = {rs.request.filter: rs for rs in sessions}
+    aliased = Entry("cn=e,o=xyz", {"surname": ["a"]})
+    assert by_filter[Equality("sn", "a")].compiled(aliased)
+    assert by_filter[Equality("sn", "a")] in router._reachable(aliased)
 
 
-def test_changed_attributes_use_literal_names():
-    """An attribute stored under an alias spelling changes under that
-    spelling: a holder filtering on it must be re-evaluated, not resolved
-    as untouched because the canonical name's values did not move."""
+@pytest.mark.parametrize("filter_text", ["(surname=a)", "(sn=a)", "(SN=a)"])
+@pytest.mark.parametrize("modified_as", ["surname", "sn"])
+def test_a_change_under_one_spelling_reaches_filters_on_either(filter_text, modified_as):
+    """An attribute changed under one spelling re-evaluates the sessions
+    filtering on it under any other: the changed set and the filter
+    fingerprint both name it by its key."""
     master = _build_master("m-alias")
     master.add(Entry("cn=e0,o=xyz", {"objectClass": ["person"], "cn": "e0", "surname": "b"}))
     provider = ResyncProvider(master)
-    request = SearchRequest("o=xyz", Scope.SUB, "(surname=a)")
+    request = SearchRequest("o=xyz", Scope.SUB, filter_text)
     cookie = provider.handle(request, ReSyncControl(mode=SyncMode.POLL)).cookie
     seen = []
     for value in ("a", "b"):  # enters, then leaves again
-        master.modify("cn=e0,o=xyz", [Modification.replace("surname", value)])
+        master.modify("cn=e0,o=xyz", [Modification.replace(modified_as, value)])
         response = provider.handle(request, ReSyncControl(mode=SyncMode.POLL, cookie=cookie))
         cookie = response.cookie
         seen += [(u.action.name, str(u.dn)) for u in response.updates]

@@ -247,6 +247,35 @@ class TestConsumerWarmStart:
         stage = warm_net.registry.gauge("sync.snapshot.stage")
         assert stage.value == 4  # live
 
+    def test_restart_keeps_values_stored_under_an_alias(self):
+        # The snapshot is LDIF, which names attributes canonically: the
+        # restored `sn:` is the `surname:` the master holds.
+        master = build_master(0)
+        for i in range(40):
+            master.add(
+                Entry(
+                    f"cn=A{i},o=xyz",
+                    {
+                        "objectClass": ["person"],
+                        "commonName": f"A{i}",
+                        "surname": "aa",
+                        "departmentNumber": "42",
+                    },
+                )
+            )
+        provider = ResyncProvider(master)
+        store = MemorySnapshotStore()
+        by_alias = SearchRequest("o=xyz", Scope.SUB, "(surname=aa)")
+        first, _net = run_session(provider, store, master)
+        assert len(first.content.evaluate(by_alias)) == 40
+
+        restarted = ResilientConsumer(
+            REQUEST, provider, network=FaultyNetwork(), snapshot_store=store
+        )
+        assert restarted.warm_started
+        assert restarted.content.matches_master(master)
+        assert len(restarted.content.evaluate(by_alias)) == 40
+
     def test_snapshot_saved_every_interval(self):
         master = build_master(10)
         provider = ResyncProvider(master)

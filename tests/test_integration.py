@@ -7,12 +7,35 @@ driver — and checks the paper's qualitative claims all at once.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import FilterReplica, SubtreeReplica
-from repro.ldap import Scope, SearchRequest
+from repro.ldap import (
+    And,
+    Entry,
+    Equality,
+    GreaterOrEqual,
+    Not,
+    Or,
+    Present,
+    Scope,
+    SearchRequest,
+    Substring,
+)
 from repro.metrics import ReplicaDriver
-from repro.server import DirectoryServer, SimulatedNetwork
-from repro.sync import ResyncProvider
+from repro.server import (
+    DirectoryServer,
+    LdapError,
+    Modification,
+    ModType,
+    SimulatedNetwork,
+)
+from repro.sync import (
+    MemoryJournal,
+    MemorySnapshotStore,
+    ResilientConsumer,
+    ResyncProvider,
+)
 from repro.workload import (
     QueryType,
     WorkloadConfig,
@@ -133,3 +156,130 @@ class TestCaseStudy:
             }
             checked += 1
         assert checked > 20, "the scenario must produce real hits to compare"
+
+
+# ----------------------------------------------------------------------
+# attribute identity, whole stack: spelling changes no answer anywhere
+# ----------------------------------------------------------------------
+# Five attributes, each under every kind of spelling (canonical, alias,
+# another case; one unregistered name), drawn independently wherever a
+# name is written: stored entries, modifications, filters, requested
+# attributes, the new RDN of a rename.
+_SPELLINGS = [
+    ["sn", "SN", "surname", "SurName"],
+    ["cn", "commonName", "CN"],
+    ["l", "localityName", "location"],
+    ["age", "Age"],
+    ["x-extra", "X-Extra"],
+]
+_spelled = st.sampled_from(_SPELLINGS).flatmap(st.sampled_from)
+_value = st.sampled_from(["aa", "AA ", "ab", "b", "7", "007", "x7"])
+_values = st.lists(_value, min_size=1, max_size=2)
+_name = st.sampled_from(["e0", "e1", "e2", "e3"])
+_rdn = st.tuples(st.sampled_from(["cn", "commonName"]), _name).map("=".join)
+
+_alias_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _rdn, st.dictionaries(_spelled, _values, max_size=4)),
+        st.tuples(
+            st.just("modify"),
+            _rdn,
+            st.builds(
+                Modification,
+                st.sampled_from(ModType),
+                _spelled,
+                _values.map(tuple),
+            ),
+        ),
+        st.tuples(st.just("modify_dn"), _rdn, _rdn),
+    ),
+    max_size=6,
+)
+_alias_leaves = st.one_of(
+    st.builds(Equality, _spelled, _value),
+    st.builds(GreaterOrEqual, _spelled, _value),
+    st.builds(Present, _spelled),
+    st.builds(lambda a, v: Substring(a, initial=v), _spelled, _value),
+)
+_alias_filters = st.one_of(
+    _alias_leaves,
+    st.lists(_alias_leaves, min_size=2, max_size=3).map(lambda cs: And(tuple(cs))),
+    st.lists(_alias_leaves, min_size=2, max_size=3).map(lambda cs: Or(tuple(cs))),
+    st.tuples(_alias_leaves, _alias_leaves).map(lambda lr: And((lr[0], Not(lr[1])))),
+)
+_alias_queries = st.builds(
+    SearchRequest,
+    st.just("o=xyz"),
+    st.just(Scope.SUB),
+    _alias_filters,
+    st.one_of(st.none(), st.lists(_spelled, min_size=1, max_size=2)),
+)
+
+
+def _apply_alias_op(master: DirectoryServer, op) -> None:
+    kind, rdn, arg = op
+    try:
+        if kind == "add":
+            master.add(Entry(f"{rdn},o=xyz", {"objectClass": ["person"], **arg}))
+        elif kind == "modify":
+            master.modify(f"{rdn},o=xyz", [arg])
+        else:
+            master.modify_dn(f"{rdn},o=xyz", new_rdn=arg)
+    except LdapError:
+        pass  # no such entry / already there: the draw is a no-op
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(_alias_ops, min_size=4, max_size=4),
+    st.lists(_alias_queries, min_size=1, max_size=5),
+)
+def test_spelling_changes_no_answer_through_every_recovery_path(phases, queries):
+    """After every step — live updates, a poll, a provider restart
+    recovered from its journal, a consumer restarted from its snapshot,
+    a dead cookie reconciled by sketch — the replica's evaluation, the
+    master's search and the interpreted ``matches`` scan agree on every
+    query, however entries, modifications and filters spell attributes."""
+    master = DirectoryServer("master")
+    master.add_naming_context("o=xyz")
+    master.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
+    provider = ResyncProvider(master, journal=MemoryJournal())
+    everything = SearchRequest("o=xyz", Scope.SUB, "(objectClass=*)")
+    net, snapshots = SimulatedNetwork(), MemorySnapshotStore()
+
+    def by_dn(entries):
+        return {str(e.dn): e for e in entries}  # Entry == is semantic
+
+    def check(consumer):
+        assert consumer.content.matches_master(master)
+        for q in queries:
+            scan = [q.project(e) for e in master.store.all_entries() if q.selects(e)]
+            searched = master.search(q).entries
+            assert by_dn(searched) == by_dn(scan), str(q)
+            assert by_dn(consumer.content.evaluate(q)) == by_dn(scan), str(q)
+
+    def drive(consumer, ops):
+        for op in ops:
+            _apply_alias_op(master, op)
+        consumer.sync_once()
+        check(consumer)
+
+    live, journaled, snapshotted, sketched = phases
+    consumer = ResilientConsumer(everything, provider, network=net, snapshot_store=snapshots)
+    drive(consumer, live)
+
+    for op in journaled:  # committed, journaled, not yet polled
+        _apply_alias_op(master, op)
+    provider.restart()
+    provider.recover()
+    drive(consumer, [])
+
+    consumer = ResilientConsumer(everything, provider, network=net, snapshot_store=snapshots)
+    assert consumer.warm_started
+    check(consumer)  # the restored content, before any exchange
+    drive(consumer, snapshotted)
+
+    provider.invalidate_cookie(consumer.content.cookie)
+    drive(consumer, sketched)
+    assert net.registry.counter("sync.reconcile.attempts").value >= 1
+    assert net.registry.counter("sync.resilient.reloads").value == 0
