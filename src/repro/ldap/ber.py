@@ -365,7 +365,9 @@ def _decode_attributes(attrs_bytes: bytes, entry: Entry) -> None:
         attr_pieces = list(iter_tlvs(attr_seq))
         name = attr_pieces[0][1].decode("utf-8")
         values = [v.decode("utf-8") for _vt, v in iter_tlvs(attr_pieces[1][1])]
-        entry.put(name, values)
+        # Appended, not put: a PDU may spell one attribute in several
+        # sequences (our encoder never does), and they are one list.
+        entry.append_values(name, values)
 
 
 def encode_search_result_entry(entry: Entry, message_id: int = 1) -> bytes:

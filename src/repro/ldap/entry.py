@@ -76,12 +76,7 @@ class Entry:
         self._attrs: Dict[str, Tuple[str, List[str]]] = {}
         if attributes:
             for name, values in attributes.items():
-                # Spellings of one attribute fill one list, verbatim, in order.
-                held = self._attrs.get(self._registry.key(name))
-                if held is None:
-                    self.put(name, values)
-                else:
-                    held[1].extend(_as_value_list(values))
+                self.append_values(name, values)
 
     # ------------------------------------------------------------------
     # identity
@@ -139,6 +134,19 @@ class Entry:
             self._attrs[key] = (self._registry.canonical(name), vals)
         else:
             self._attrs.pop(key, None)
+
+    def append_values(self, name: str, values: AttrValues) -> None:
+        """Append *values* to attribute *name* verbatim, in order — how
+        an entry is read from a mapping, an LDIF record or a PDU:
+        spellings of one attribute fill one list, under the first one's
+        name, and nothing is dropped for matching an earlier value (the
+        modify operation's rule is :meth:`add_values`)."""
+        held = self._attrs.get(self._registry.key(name))
+        if held is None:
+            self.put(name, values)
+        else:
+            self._check_mutable()
+            held[1].extend(_as_value_list(values))
 
     def add_values(self, name: str, values: AttrValues) -> None:
         """Append values to attribute *name*, skipping duplicates."""
@@ -269,6 +277,8 @@ class Entry:
     # ------------------------------------------------------------------
     def semantically_equal(self, other: "Entry") -> bool:
         """True when DNs match and every attribute's value set matches."""
+        if other is self:
+            return True  # a shared image (DESIGN.md §8): nothing to normalize
         if self._dn != other._dn:
             return False
         if set(self._attrs) != set(other._attrs):

@@ -157,15 +157,11 @@ def _record_to_entry(lines: List[str]) -> Entry:
     if dn_value is None:
         raise ValueError(f"LDIF record without dn line: {lines!r}")
     entry = Entry(dn_value)
-    # Group values per attribute — every spelling of one attribute into
-    # one list, in record order — and install them with put(), which
-    # stores raw values verbatim.  add_values() would drop values that
-    # are *matching-equivalent* to an earlier one (DIRECTORY_STRING
+    # Every spelling of one attribute into one list, in record order,
+    # verbatim.  add_values() would drop values that are
+    # *matching-equivalent* to an earlier one (DIRECTORY_STRING
     # collapses whitespace, so "a b" and "a  b" normalize alike) and
     # break the byte-exact round trip the snapshot tier depends on.
-    grouped: dict = {}
     for name, value in attrs:
-        grouped.setdefault(entry.registry.key(name), (name, []))[1].append(value)
-    for canonical, values in grouped.values():
-        entry.put(canonical, values)
+        entry.append_values(name, value)
     return entry

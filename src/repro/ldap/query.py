@@ -107,9 +107,18 @@ class SearchRequest:
         return self.in_scope(entry.dn) and matches(self.filter, entry)
 
     def project(self, entry: Entry) -> Entry:
-        """Project *entry* onto the requested attribute set."""
+        """Project *entry* onto the requested attribute set: always a
+        new entry, the caller's own."""
         if self.wants_all_attributes:
             return entry.copy()
+        return entry.project(self.attributes)
+
+    def image_of(self, entry: Entry) -> Entry:
+        """What a replica of this request holds of the frozen image
+        *entry*: the image itself when every attribute is requested —
+        shared, not copied — else its projection, a new image."""
+        if self.wants_all_attributes:
+            return entry
         return entry.project(self.attributes)
 
     def __hash__(self) -> int:

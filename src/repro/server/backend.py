@@ -33,7 +33,11 @@ from ..ldap.query import Scope
 from .indexes import AttributeIndexSet
 from .planner import SearchPlan, SearchPlanner
 
-__all__ = ["EntryStore"]
+__all__ = ["EntryStore", "REFERRAL_CLASS"]
+
+#: The object class that makes an entry a referral object (§2.3): read
+#: once per image, at :meth:`EntryStore.put`.
+REFERRAL_CLASS = "referral"
 
 
 class _MaxKey:
@@ -140,7 +144,7 @@ class EntryStore:
             entry.values_by_key(),
         )
         self._entries[dn] = entry.freeze()
-        if "referral" in entry.object_classes:
+        if REFERRAL_CLASS in entry.object_classes:
             self._referral_dns.add(dn)
         else:
             self._referral_dns.discard(dn)
@@ -176,6 +180,18 @@ class EntryStore:
     def referral_dns(self) -> Set[DN]:
         """DNs of held referral objects (maintained on put/delete)."""
         return set(self._referral_dns)
+
+    def is_referral(self, dn: DN) -> bool:
+        """True when the entry at *dn* is a referral object."""
+        return dn in self._referral_dns
+
+    def has_referrals(self) -> bool:
+        """True when any held entry is a referral object."""
+        return bool(self._referral_dns)
+
+    def referrals_under(self, base: DN) -> List[DN]:
+        """DNs of the held referral objects at or below *base*."""
+        return [dn for dn in self._referral_dns if base.is_ancestor_or_self(dn)]
 
     # ------------------------------------------------------------------
     # traversal

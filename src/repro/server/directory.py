@@ -50,8 +50,6 @@ from .operations import (
 
 __all__ = ["NamingContext", "DirectoryServer", "UpdateListener"]
 
-REFERRAL_CLASS = "referral"
-
 
 @dataclass(frozen=True)
 class NamingContext:
@@ -201,10 +199,6 @@ class DirectoryServer:
             key=str,
         )
 
-    @staticmethod
-    def _is_referral(entry: Entry) -> bool:
-        return REFERRAL_CLASS in entry.object_classes
-
     # ------------------------------------------------------------------
     # update listeners
     # ------------------------------------------------------------------
@@ -251,11 +245,32 @@ class DirectoryServer:
     ) -> SearchResult:
         """Evaluate a search operation against this server.
 
+        :meth:`evaluate`, plus the copy a result pays on its way out of
+        the server: every entry returned is the caller's own, projected
+        onto the requested attributes (DESIGN.md, "Entry images: who
+        owns, who copies").
+        """
+        result = self.evaluate(request, controls)
+        result.entries = [request.project(entry) for entry in result.entries]
+        return result
+
+    def evaluate(
+        self, request: SearchRequest, controls: Sequence["object"] = ()
+    ) -> SearchResult:
+        """The whole of a search but its out-boundary copy: the entries
+        of the result are the store's own frozen images, unprojected.
+
+        For readers inside the trust boundary that share images instead
+        of owning copies — a sync provider reading the content it is
+        about to send (:mod:`repro.sync.resync`) — and the one
+        evaluation :meth:`search` projects.
+
         Performs the name-resolution and continuation-reference logic of
         §2.3: a base outside every held context yields the default
         (superior) referral; referral objects inside the search region
         yield one continuation reference each and their subtrees are not
-        descended into.
+        descended into.  Which entries are referral objects is the
+        store's knowledge, settled when they were put.
 
         Null-based searches (base = root DN, §3.1.1's minimally
         directory enabled applications) are answered across all held
@@ -269,7 +284,7 @@ class DirectoryServer:
                     code=ResultCode.REFERRAL,
                 )
             if self._contexts:
-                return self._search_all_contexts(request, controls)
+                return self._evaluate_all_contexts(request, controls)
             return SearchResult(code=ResultCode.NO_SUCH_OBJECT)
 
         context = self.context_for(request.base)
@@ -290,7 +305,8 @@ class DirectoryServer:
                 return SearchResult(referrals=[referral], code=ResultCode.REFERRAL)
             return SearchResult(code=ResultCode.NO_SUCH_OBJECT)
 
-        if self._is_referral(base_entry) and request.scope is not Scope.BASE:
+        is_referral = self.store.is_referral
+        if is_referral(request.base) and request.scope is not Scope.BASE:
             target = self._referral_of(base_entry, request.base)
             return SearchResult(referrals=[target], code=ResultCode.REFERRAL)
 
@@ -299,14 +315,14 @@ class DirectoryServer:
         predicate = compile_filter(request.filter, self._registry)
         examined = matched = 0
         for entry in self._iter_region(request, plan.candidates):
-            if self._is_referral(entry):
+            if is_referral(entry.dn):
                 if entry.dn != request.base:
                     result.referrals.append(self._referral_of(entry, entry.dn))
                 continue
             examined += 1
             if predicate(entry):
                 matched += 1
-                result.entries.append(request.project(entry))
+                result.entries.append(entry)
         self._record_plan(plan, examined, matched)
         self._apply_controls(result, controls)
         if self._degraded.value:
@@ -344,7 +360,7 @@ class DirectoryServer:
 
                 result.entries.sort(key=sort_key, reverse=control.reverse)
 
-    def _search_all_contexts(
+    def _evaluate_all_contexts(
         self, request: SearchRequest, controls: Sequence["object"] = ()
     ) -> SearchResult:
         """Answer a null-based subtree search across every held context.
@@ -357,7 +373,7 @@ class DirectoryServer:
             return merged
         seen = set()
         for context in self._contexts:
-            partial = self.search(request.with_base(context.suffix))
+            partial = self.evaluate(request.with_base(context.suffix))
             if partial.code is not ResultCode.SUCCESS:
                 continue
             for entry in partial.entries:
@@ -406,13 +422,11 @@ class DirectoryServer:
                         yield entry
         # Referral objects in the region must surface even when the
         # index skipped them; the store keeps them indexed separately.
-        for dn in self.store.referral_dns():
+        for dn in self.store.referrals_under(request.base):
             if dn in candidates or dn == request.base:
                 continue
             if request.in_scope(dn) and not self._under_referral(dn, request.base):
-                entry = self.store.get(dn)
-                if entry is not None:
-                    yield entry
+                yield self.store.get(dn)
 
     def _walk_region(self, base: DN, scope: Scope) -> Iterable[Entry]:
         if scope is Scope.BASE:
@@ -430,7 +444,7 @@ class DirectoryServer:
             entry = self.store.get(dn)
             if entry is not None:
                 yield entry
-                if self._is_referral(entry) and dn != base:
+                if dn != base and self.store.is_referral(dn):
                     continue  # do not descend below a referral object
             stack.extend(self.store.children_of(dn))
 
@@ -442,18 +456,21 @@ class DirectoryServer:
         for ancestor in dn.ancestors():
             if not context.contains(ancestor):
                 break
-            entry = self.store.get(ancestor)
-            if entry is not None and self._is_referral(entry):
-                return self._referral_of(entry, dn)
+            if self.store.is_referral(ancestor):
+                return self._referral_of(self.store.get(ancestor), dn)
         return None
 
     def _under_referral(self, dn: DN, base: DN) -> bool:
-        """True when *dn* sits strictly below a referral object (not held)."""
+        """True when *dn* sits strictly below a referral object (not
+        held) — by membership in the store's referral set, and without
+        a look at any ancestor when that set is empty."""
+        if not self.store.has_referrals():
+            return False
+        is_referral = self.store.is_referral
         for ancestor in dn.ancestors():
             if ancestor == base:
                 break
-            entry = self.store.get(ancestor)
-            if entry is not None and self._is_referral(entry):
+            if is_referral(ancestor):
                 return True
         return False
 

@@ -111,12 +111,26 @@ def _ngrams(text: str, n: int) -> Set[str]:
 
 
 class SubstringIndex:
-    """N-gram index giving candidate DNs for substring assertions."""
+    """N-gram index giving candidate DNs for substring assertions.
+
+    A component at least one gram long is looked up: its grams' posting
+    lists intersect.  A shorter one has no gram of its own; the grams
+    that *contain* it stand in (:meth:`_grams_containing`), found by one
+    scan of the gram vocabulary that is then remembered for as long as
+    the vocabulary holds the same gram keys.  A lookup costs what it
+    returns: long components intersect first, smallest list first, and a
+    short component only filters what they left
+    (``tests/oracles.linear_substring_candidates`` is the vocabulary
+    scan and in-order union it replaced; sets and estimates are equal).
+    """
 
     def __init__(self, atype: AttributeType, ngram: int = 3):
         self._atype = atype
         self._ngram = ngram
-        self._postings: Dict[str, Set[DN]] = defaultdict(set)
+        self._postings: Dict[str, Set[DN]] = {}
+        # short component -> the vocabulary grams containing it; emptied
+        # whenever a gram key appears or disappears.
+        self._containing: Dict[str, List[str]] = {}
 
     def _grams_of_value(self, value: str) -> Set[str]:
         return _ngrams(str(self._atype.normalize(value)), self._ngram)
@@ -124,7 +138,11 @@ class SubstringIndex:
     def insert(self, dn: DN, values: Iterable[str]) -> None:
         for value in values:
             for gram in self._grams_of_value(value):
-                self._postings[gram].add(dn)
+                postings = self._postings.get(gram)
+                if postings is None:
+                    postings = self._postings[gram] = set()
+                    self._containing.clear()
+                postings.add(dn)
 
     def remove(self, dn: DN, values: Iterable[str]) -> None:
         for value in values:
@@ -134,77 +152,89 @@ class SubstringIndex:
                     postings.discard(dn)
                     if not postings:
                         del self._postings[gram]
+                        self._containing.clear()
 
-    def _short_candidates(self, component: str) -> Set[DN]:
-        """Candidate DNs for a component shorter than the n-gram size.
+    def _grams_containing(self, component: str) -> List[str]:
+        """The vocabulary grams containing *component*, itself shorter
+        than a gram.
 
         Any value containing the component has some n-gram — or, for
         values shorter than the gram size, its full indexed text —
-        containing it, so a scan over the (bounded) gram vocabulary
-        unioning matching postings is a sound superset.
+        containing it, so the union of these grams' postings is a sound
+        candidate superset.  Only non-empty lists are remembered, which
+        bounds the memo by the vocabulary (a gram has five proper
+        substrings) whatever components clients send.
         """
-        found: Set[DN] = set()
-        for gram, postings in self._postings.items():
-            if component in gram:
-                found |= postings
-        return found
+        grams = self._containing.get(component)
+        if grams is None:
+            grams = [gram for gram in self._postings if component in gram]
+            if grams:
+                self._containing[component] = grams
+        return grams
 
-    def candidates(self, components: Iterable[str]) -> Optional[Set[DN]]:
-        """Candidate DNs for a substring assertion with *components*.
-
-        Long components intersect their n-gram posting lists; short
-        components fall back to a gram-vocabulary scan, so even a
-        two-letter assertion prunes instead of forcing "scan all".
-        Returns None only when every component normalizes to the empty
-        string.
-        """
-        result: Optional[Set[DN]] = None
-        usable = False
+    def _split(self, components: Iterable[str]) -> Tuple[List[str], List[str]]:
+        """The normalized non-empty *components*: (long, short)."""
+        long: List[str] = []
+        short: List[str] = []
         for component in components:
             normalized = str(self._atype.normalize(component))
-            if not normalized:
-                continue
-            usable = True
-            if len(normalized) < self._ngram:
-                postings = self._short_candidates(normalized)
-                result = postings if result is None else (result & postings)
-                if not result:
-                    return set()
-                continue
-            for gram in _ngrams(normalized, self._ngram):
-                postings = self._postings.get(gram, set())
-                result = set(postings) if result is None else (result & postings)
-                if not result:
-                    return set()
-        return result if usable else None
+            if len(normalized) >= self._ngram:
+                long.append(normalized)
+            elif normalized:
+                short.append(normalized)
+        return long, short
+
+    def candidates(self, components: Iterable[str]) -> Optional[Set[DN]]:
+        """Candidate DNs for a substring assertion with *components*:
+        the intersection, over the components, of each one's candidates
+        — for a long component the intersection of its grams' postings,
+        for a short one the union of the postings of the grams
+        containing it (so even a two-letter assertion prunes instead of
+        forcing "scan all").
+
+        Evaluated cheapest first: the long components' posting lists,
+        smallest first; then each short component as a filter over the
+        running set — one small intersection per containing gram, each
+        walking the smaller side — and as the union itself only when no
+        long component left a running set.  Returns None only when
+        every component normalizes to the empty string.
+        """
+        long, short = self._split(components)
+        if not long and not short:
+            return None
+        result: Optional[Set[DN]] = None
+        grams = {gram for component in long for gram in _ngrams(component, self._ngram)}
+        for postings in sorted((self._postings.get(g, ()) for g in grams), key=len):
+            result = set(postings) if result is None else result & postings
+            if not result:
+                return set()
+        for component in short:
+            lists = [self._postings[g] for g in self._grams_containing(component)]
+            if result is None:
+                result = set().union(*lists)
+            else:
+                result = set().union(*(result & postings for postings in lists))
+            if not result:
+                return set()
+        return result
 
     def estimate(self, components: Iterable[str]) -> Optional[int]:
         """Upper bound on the candidate-set size, or None when unknown.
 
         Long components use their smallest n-gram posting list; short
-        components bound their fallback scan by the summed sizes of the
+        components bound their union by the summed sizes of the
         postings of every vocabulary gram containing them.  Returns None
         only when every component normalizes to the empty string.
         """
-        best: Optional[int] = None
-        for component in components:
-            normalized = str(self._atype.normalize(component))
-            if not normalized:
-                continue
-            if len(normalized) < self._ngram:
-                size = sum(
-                    len(postings)
-                    for gram, postings in self._postings.items()
-                    if normalized in gram
-                )
-            else:
-                size = min(
-                    len(self._postings.get(gram, ()))
-                    for gram in _ngrams(normalized, self._ngram)
-                )
-            if best is None or size < best:
-                best = size
-        return best
+        long, short = self._split(components)
+        sizes = [
+            min(len(self._postings.get(g, ())) for g in _ngrams(component, self._ngram))
+            for component in long
+        ] + [
+            sum(len(self._postings[g]) for g in self._grams_containing(component))
+            for component in short
+        ]
+        return min(sizes) if sizes else None
 
 
 # Typed sort-key tags: integers order before strings so each segment of

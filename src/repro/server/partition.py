@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
+from .backend import REFERRAL_CLASS
 from .directory import DirectoryServer
 from .network import SimulatedNetwork
 
@@ -31,7 +32,7 @@ __all__ = ["DistributedDirectory", "make_referral_entry"]
 
 def make_referral_entry(dn: Union[DN, str], target_url: str) -> Entry:
     """Build a referral object (objectClass ``referral`` + ``ref`` URL)."""
-    return Entry(dn, {"objectClass": ["referral", "top"], "ref": target_url})
+    return Entry(dn, {"objectClass": [REFERRAL_CLASS, "top"], "ref": target_url})
 
 
 class DistributedDirectory:

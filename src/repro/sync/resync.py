@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from ..ldap.controls import ReSyncControl, SyncMode
+from ..ldap.controls import ReSyncControl, SyncAction, SyncMode
 from ..ldap.dn import DN
+from ..ldap.entry import Entry
 from ..ldap.query import SearchRequest
 from ..obs.tracing import span
 from ..server.directory import DirectoryServer
@@ -62,6 +63,21 @@ __all__ = ["ResyncProvider", "RetainResyncProvider", "PersistHandle"]
 DeliverFn = Callable[[SyncUpdate], None]
 
 
+def master_content(server: DirectoryServer, request: SearchRequest) -> List[Entry]:
+    """Current content of *request* at *server*, as the images a replica
+    of it holds: the store's own frozen ones, read through the
+    evaluation ``search`` projects (no copy), each projected — a new
+    image — only when the request restricts attributes."""
+    return [request.image_of(e) for e in server.evaluate(request).entries]
+
+
+def _add(image: Entry) -> SyncUpdate:
+    """An ``add`` PDU over *image* itself (the PDU freezes a projection;
+    a store image already is): what :func:`master_content` read is what
+    travels and what the consumer adopts, uncopied."""
+    return SyncUpdate(SyncAction.ADD, image.dn, image)
+
+
 class LastChangeMap(Dict[DN, int]):
     """Eq. 3's master-side state: the CSN at which each live entry last
     changed, maintained from the update stream.  The one implementation
@@ -80,7 +96,7 @@ class LastChangeMap(Dict[DN, int]):
         after CSN *since*, a DN-only ``retain`` for the unchanged rest."""
         changed_at = self.get
         return [
-            SyncUpdate.add(entry)
+            _add(entry)
             if changed_at(entry.dn, 0) > since
             else SyncUpdate.retain(entry.dn)
             for entry in content
@@ -323,7 +339,7 @@ class ResyncProvider:
                     request, [e.dn for e in content], self._watermark, persist
                 )
                 response = SyncResponse(
-                    updates=[SyncUpdate.add(e) for e in content], initial=True
+                    updates=[_add(e) for e in content], initial=True
                 )
                 sp.add("entries_sent", len(content))
         else:
@@ -441,9 +457,7 @@ class ResyncProvider:
             content = self._search_content(request)
             by_key = {entry_key(e.dn): e for e in content}
             wanted = set(fetch.keys)
-            updates = [
-                SyncUpdate.add(e) for key, e in by_key.items() if key in wanted
-            ]
+            updates = [_add(e) for key, e in by_key.items() if key in wanted]
             sp.add("entries_sent", len(updates))
             self._fold_touch(session.session_id)
         self._reconcile_fetches.inc()
@@ -508,11 +522,13 @@ class ResyncProvider:
             )
         return session
 
-    def _search_content(self, request: SearchRequest):
-        """Current master content of *request*, in deterministic DN
-        order (so truncated initial deliveries are reproducible)."""
-        result = self.server.search(request)
-        return sorted(result.entries, key=lambda e: str(e.dn))
+    def _search_content(self, request: SearchRequest) -> List[Entry]:
+        """Current master content of *request* (:func:`master_content`:
+        store images, no copy), in deterministic DN order (so truncated
+        initial deliveries are reproducible).  Every provider-side
+        content read — initial load, reconcile sketch, reconcile fetch,
+        degraded resume — is this one."""
+        return sorted(master_content(self.server, request), key=lambda e: str(e.dn))
 
     @property
     def active_session_count(self) -> int:
@@ -922,10 +938,10 @@ class RetainResyncProvider(CsnCookieMixin):
         with span("sync.resync.retain_scan") as sp:
             since = self._parse_cookie(control.cookie)
             now = self.server.current_csn
-            content = self.server.search(request).entries
+            content = master_content(self.server, request)
             initial = control.cookie is None
             if initial:
-                updates = [SyncUpdate.add(e) for e in content]
+                updates = [_add(e) for e in content]
             else:
                 updates = self._last_change.classify(content, since)
             sp.add("actions_emitted", len(updates))

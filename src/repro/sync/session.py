@@ -40,6 +40,7 @@ session ends, it ends through :meth:`SessionStore.end`.
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..ldap.controls import SyncAction
@@ -391,16 +392,38 @@ class Session:
         return len(self._unacked)
 
 
+_serial = attrgetter("serial")  # assigned at adopt(): the store's insertion order
+_placed_tick = itemgetter(1)
+
+
 class SessionStore:
     """Cookie-keyed session registry with logical-time expiry.
 
     One entry point per transition — :meth:`create`, :meth:`lookup`
     (the only one that ticks the clock), :meth:`end` — serves the
     provider's live handlers and its journal replay alike.  A session
-    is indexed in the store's ``router`` exactly while the store holds it."""
+    is indexed in the store's ``router`` exactly while the store holds it.
+
+    The store keeps two orders over the same sessions: insertion order
+    (``_sessions`` — the order :meth:`active_sessions`, snapshots and
+    expiry *endings* follow) and activity order (``_activity`` — least
+    recently active first, each id with the ``last_active_tick`` it was
+    placed at).  A touch moves its session to the back of the second, so
+    expiry (:meth:`_expire`) reads from the front and stops at the first
+    session inside the limit: a poll costs what it expires, not one
+    look at every live session (``tests/oracles.LinearSessionStore`` is
+    the scan it replaced, and ends exactly the same sessions in the
+    same order)."""
 
     def __init__(self, idle_limit: int = 1000):
         self._sessions: Dict[str, Session] = {}
+        # session id -> the last_active_tick it was placed at, in
+        # non-decreasing tick order whenever _activity_sorted says so: a
+        # tick earlier than the one at the back (a snapshot image's
+        # restored tick, a touch on a clock restore_clock() set back) is
+        # out of place until the next expiry sorts.
+        self._activity: Dict[str, int] = {}
+        self._activity_sorted = True
         self.router = SessionRouter()
         self._next_id = 1
         self.idle_limit = idle_limit
@@ -444,6 +467,7 @@ class SessionStore:
         A record already held under the id is ended, not orphaned."""
         self.end(session.session_id)
         self._sessions[session.session_id] = session
+        self._place(session)
         self.router.register(session)
         numeric = session.session_id.lstrip("s")
         if numeric.isdigit():
@@ -475,6 +499,7 @@ class SessionStore:
         session = self._sessions.pop(cookie.split(":", 1)[0], None)
         if session is None:
             return False
+        del self._activity[session.session_id]
         self.router.unregister(session)
         session.close()
         return True
@@ -514,31 +539,51 @@ class SessionStore:
     def _touch(self, session: Session) -> None:
         self._tick += 1
         session.last_active_tick = self._tick
+        self._place(session)
         self._expire()
+
+    def _place(self, session: Session) -> None:
+        """Put *session* at the back of the activity order, under its
+        ``last_active_tick`` — where it belongs unless the tick is a
+        restored one, which only unsets ``_activity_sorted``."""
+        order, tick = self._activity, session.last_active_tick
+        order.pop(session.session_id, None)
+        if order and tick < next(reversed(order.values())):
+            self._activity_sorted = False
+        order[session.session_id] = tick
 
     def _expire(self) -> None:
         """Drop sessions idle for more than ``idle_limit`` ticks.
 
-        Two-phase (collect over a frozen item list, then drop), and
+        Read off the front of the activity order, up to the first
+        session inside the limit — none, on an ordinary poll.  Two-phase
+        (collect, then drop, in insertion order), and
         reentrancy-guarded: a persist deliver callback can re-enter the
         store mid-delivery (:meth:`Session.flush` → consumer
-        polls → :meth:`lookup` → here), so expiry must neither mutate
-        the map while an outer pass iterates it nor expire a session
+        polls → :meth:`lookup` → here), so expiry must neither drop a
+        session an outer pass has yet to look at nor expire a session
         whose queue is being drained right now (``draining`` — it is
-        demonstrably live; it will be collected on a later tick if it
-        truly goes idle)."""
+        demonstrably live; it is passed over, shielding nobody behind
+        it, and collected on a later tick if it truly goes idle)."""
         if self._expiring:
             return
         self._expiring = True
         try:
+            if not self._activity_sorted:
+                # Stable: sessions placed at one tick keep their order.
+                self._activity = dict(sorted(self._activity.items(), key=_placed_tick))
+                self._activity_sorted = True
             cutoff = self._tick - self.idle_limit
-            stale = [
-                sid
-                for sid, session in list(self._sessions.items())
-                if session.last_active_tick < cutoff and not session.draining
-            ]
-            for sid in stale:
-                self.end(sid)
+            stale = []
+            for sid, tick in self._activity.items():
+                if tick >= cutoff:
+                    break
+                session = self._sessions[sid]
+                if not session.draining:
+                    stale.append(session)
+            stale.sort(key=_serial)  # the store's insertion order
+            for session in stale:
+                self.end(session.session_id)
         finally:
             self._expiring = False
 

@@ -5,17 +5,24 @@ from hypothesis import given, strategies as st
 
 from repro.ldap import Entry, Scope, SearchRequest, parse_filter
 from repro.ldap.ber import (
+    APP_SEARCH_RESULT_ENTRY,
+    APP_SYNC_BATCH,
+    TAG_ENUMERATED,
+    TAG_SET,
     BerError,
     decode_filter,
     decode_integer,
     decode_search_request,
     decode_search_result_entry,
+    decode_sync_batch,
     decode_tlv,
     encode_filter,
     encode_integer,
     encode_octet_string,
     encode_search_request,
     encode_search_result_entry,
+    encode_sequence,
+    encode_tlv,
     encoded_dn_size,
     encoded_entry_size,
     iter_tlvs,
@@ -140,6 +147,58 @@ class TestSearchResultEntry:
         entry = Entry("cn=café,o=xyz", {"cn": "café", "description": "naïve"})
         _mid, decoded = decode_search_result_entry(encode_search_result_entry(entry))
         assert decoded == entry
+
+
+def _attribute_sequences(*pairs) -> bytes:
+    """A PartialAttributeList written by hand, one sequence per pair —
+    our own encoder writes one per attribute and never repeats one."""
+    return b"".join(
+        encode_sequence(
+            encode_octet_string(name)
+            + encode_tlv(TAG_SET, b"".join(encode_octet_string(v) for v in values))
+        )
+        for name, values in pairs
+    )
+
+
+#: One attribute in three sequences: two spellings, one of them twice.
+SPLIT = (("cn", ["a"]), ("sn", ["s"]), ("commonName", ["b", "a "]), ("cn", ["c"]))
+
+
+class TestOneAttributeInSeveralSequences:
+    """A PDU that spells one attribute in several sequences decodes as
+    the Entry constructor and the LDIF reader read it: one list, the
+    values verbatim and in wire order."""
+
+    def test_search_result_entry_merges(self):
+        body = encode_octet_string("cn=a,o=xyz") + encode_sequence(
+            _attribute_sequences(*SPLIT)
+        )
+        wire = encode_sequence(encode_integer(7) + encode_tlv(APP_SEARCH_RESULT_ENTRY, body))
+        message_id, decoded = decode_search_result_entry(wire)
+        assert message_id == 7
+        assert decoded.get("cn") == ["a", "b", "a ", "c"]
+        assert decoded.get("commonName") == decoded.get("cn")
+        assert decoded.get("sn") == ["s"]
+        assert decoded == Entry("cn=a,o=xyz", {"cn": ["a", "b", "a ", "c"], "sn": "s"})
+        # ...which is what the constructor makes of two spellings
+        assert Entry("cn=a,o=xyz", {"cn": "a", "commonName": "b"}).get("cn") == ["a", "b"]
+
+    def test_sync_batch_merges(self):
+        add = encode_sequence(
+            encode_integer(0, tag=TAG_ENUMERATED)
+            + encode_octet_string("cn=a,o=xyz")
+            + encode_sequence(_attribute_sequences(*SPLIT))
+        )
+        delete = encode_sequence(
+            encode_integer(2, tag=TAG_ENUMERATED) + encode_octet_string("cn=b,o=xyz")
+        )
+        wire = encode_sequence(encode_integer(1) + encode_tlv(APP_SYNC_BATCH, add + delete))
+        _mid, (added, deleted) = decode_sync_batch(wire)
+        assert added.entry.get("cn") == ["a", "b", "a ", "c"]
+        assert added.entry.get("sn") == ["s"]
+        assert added.entry.frozen
+        assert deleted.entry is None and str(deleted.dn) == "cn=b,o=xyz"
 
 
 class TestSizes:

@@ -24,6 +24,19 @@ window and session bookkeeping are shared; only the scans differ.
 :func:`holders_of` recomputes the router's one derived table, the
 ``DN → sessions`` holder index, from the session records it inverts.
 
+Two scans a request used to pay for are kept the same way:
+
+* :class:`LinearSessionStore` — expiry by a look at every live session
+  on every poll, where ``SessionStore`` reads the front of its activity
+  order (``tests/sync/test_session.py`` holds the two to the same
+  sessions ended in the same order);
+* :func:`linear_substring_candidates` / :func:`linear_substring_estimate`
+  — a short substring component answered by a scan of the whole gram
+  vocabulary and a union of the postings found, components intersected
+  in the order written, where ``SubstringIndex`` remembers the gram
+  list and filters the running set (``tests/server/test_indexes.py``:
+  equal sets, equal estimates).
+
 The network's persist transport batches notifications into encoded
 frames (docs/TRANSPORT.md); :func:`per_pdu_persist` is the transport it
 replaced — every notification delivered inline and encoded as its own
@@ -39,13 +52,17 @@ from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_cont
 from repro.ldap import Entry, SearchRequest
 from repro.ldap.ber import encode_sync_update
 from repro.ldap.filters import attributes_of
-from repro.sync import ResyncProvider
+from repro.server.indexes import _ngrams
+from repro.sync import ResyncProvider, SessionStore
 
 __all__ = [
     "LinearFilterReplica",
     "LinearRecentQueryCache",
     "LinearResyncProvider",
+    "LinearSessionStore",
     "holders_of",
+    "linear_substring_candidates",
+    "linear_substring_estimate",
     "per_pdu_persist",
 ]
 
@@ -122,6 +139,75 @@ class LinearResyncProvider(ResyncProvider):
             after_entry=record.after,
         )
         session.flush()
+
+
+class LinearSessionStore(SessionStore):
+    """Session store expiring by a scan over every live session."""
+
+    def _expire(self) -> None:
+        if self._expiring:
+            return
+        self._expiring = True
+        try:
+            cutoff = self._tick - self.idle_limit
+            stale = [
+                sid
+                for sid, session in list(self._sessions.items())
+                if session.last_active_tick < cutoff and not session.draining
+            ]
+            for sid in stale:
+                self.end(sid)
+        finally:
+            self._expiring = False
+
+
+def _linear_short_postings(index, component: str):
+    """The postings of every vocabulary gram containing *component*."""
+    return [p for gram, p in index._postings.items() if component in gram]
+
+
+def linear_substring_candidates(index, components) -> Optional[set]:
+    """``SubstringIndex.candidates`` as it was: the components in the
+    order written, a short one by vocabulary scan and union."""
+    result: Optional[set] = None
+    usable = False
+    for component in components:
+        normalized = str(index._atype.normalize(component))
+        if not normalized:
+            continue
+        usable = True
+        if len(normalized) < index._ngram:
+            found = set().union(*_linear_short_postings(index, normalized))
+            result = found if result is None else result & found
+            if not result:
+                return set()
+            continue
+        for gram in _ngrams(normalized, index._ngram):
+            postings = index._postings.get(gram, set())
+            result = set(postings) if result is None else result & postings
+            if not result:
+                return set()
+    return result if usable else None
+
+
+def linear_substring_estimate(index, components) -> Optional[int]:
+    """``SubstringIndex.estimate`` as it was: a vocabulary scan per
+    short component."""
+    best: Optional[int] = None
+    for component in components:
+        normalized = str(index._atype.normalize(component))
+        if not normalized:
+            continue
+        if len(normalized) < index._ngram:
+            size = sum(len(p) for p in _linear_short_postings(index, normalized))
+        else:
+            size = min(
+                len(index._postings.get(gram, ()))
+                for gram in _ngrams(normalized, index._ngram)
+            )
+        if best is None or size < best:
+            best = size
+    return best
 
 
 def holders_of(provider) -> dict:

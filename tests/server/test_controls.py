@@ -72,3 +72,14 @@ class TestSortControl:
             controls=[SortControl(keys=("cn",))],
         )
         assert [e.first("cn") for e in result.entries] == ["Alice", "Bob", "Carol"]
+
+    def test_sort_key_need_not_be_a_requested_attribute(self, server):
+        # The server sorts what it evaluated — the stored entries — and
+        # projects on the way out; a key left out of the attribute list
+        # still orders the result (RFC 2891 sorts entries, not PDUs).
+        result = server.search(
+            SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)", ["cn"]),
+            controls=[SortControl(keys=("age",))],
+        )
+        assert [e.first("cn") for e in result.entries] == ["Bob", "Carol", "Alice"]
+        assert not any(e.has_attribute("age") for e in result.entries)

@@ -2,10 +2,12 @@
 
 A committed entry image is one frozen object shared by the store, the
 update record, every session history, the update PDU and every replica
-content.  Caller-owned entries cross that boundary by copy — once on
-the way in (``add``/``load``/``SyncUpdate.add``), once on the way out
-(``search``) — so nothing a caller holds can edit what is shared, and
-what is shared raises when edited.
+content — whether the replica got it in an update, in its initial
+load, in a reconcile fetch or in a degraded resume.  Caller-owned
+entries cross that boundary by copy — once on the way in
+(``add``/``load``/``SyncUpdate.add``), once on the way out (``search``)
+— so nothing a caller holds can edit what is shared, and what is shared
+raises when edited.
 """
 
 import pytest
@@ -13,7 +15,16 @@ import pytest
 from repro.ldap import DN, Entry, Scope, SearchRequest, SyncAction
 from repro.server import DirectoryServer, Modification, SimulatedNetwork
 from repro.server.operations import UpdateOp
-from repro.sync import ResyncProvider, SyncedContent, SyncUpdate
+from repro.sync import (
+    DurabilityConfig,
+    MemoryJournal,
+    ReconcileFetch,
+    ReconcileRequest,
+    ResyncProvider,
+    SyncedContent,
+    SyncUpdate,
+)
+from repro.sync.reconcile import entry_key
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
 P1 = DN.parse("cn=P1,o=xyz")
@@ -124,16 +135,17 @@ class TestCallerOwnedEntriesAreCopied:
         assert_frozen(mine)
 
     def test_initial_content_is_cut_loose_from_the_store(self, master):
-        # An initial-content PDU is built from a search result (a
-        # projection), not from the store's image; the replica adopts
-        # and shares the PDU's copy, frozen.
+        # Only under an attribute list: a projection is a new image, the
+        # replica's own, frozen by the PDU that carries it.
         provider = ResyncProvider(master)
-        content = SyncedContent(REQUEST)
+        content = SyncedContent(SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)", ["sn"]))
         response = content.poll(provider)
         by_dn = {u.dn: u.entry for u in response.updates}
         assert content.entries[P1] is by_dn[P1]
         assert content.entries[P1] is not master.store.get(P1)
+        assert [name for name, _values in content.entries[P1]] == ["sn"]
         assert_frozen(content.entries[P1])
+        assert master.store.get(P1).first("cn") == "P1"
 
 
 # ----------------------------------------------------------------------
@@ -200,6 +212,70 @@ class TestOneImagePerCommit:
             assert content.entries[P1] is stored
             assert content.matches_master(master)
         assert_frozen(stored)
+
+    def test_initial_content_shares_the_stored_images(self, master):
+        # An all-attribute initial load reads the store's own images:
+        # the PDU wraps them, the replica adopts them.
+        provider = ResyncProvider(master)
+        content = SyncedContent(REQUEST)
+        response = content.poll(provider)
+        assert len(response.updates) == 3
+        for update in response.updates:
+            stored = master.store.get(update.dn)
+            assert update.entry is stored and content.entries[update.dn] is stored
+            assert_frozen(stored)
+        # A later commit replaces the store's image, not the replica's:
+        # it holds the old one until it polls.
+        was = master.store.get(P1)
+        master.modify(P1, [Modification.replace("sn", "S")])
+        assert content.entries[P1] is was and was.first("sn") == "T"
+        content.poll(provider)
+        assert content.entries[P1] is master.store.get(P1)
+        assert content.entries[P1].first("sn") == "S"
+
+    def test_persist_initial_response_shares_the_stored_images(self, master):
+        provider = ResyncProvider(master)
+        net = SimulatedNetwork()
+        content = SyncedContent(REQUEST, network=net)
+        deliveries, _handle = net.persist_exchange(
+            provider, REQUEST, content.apply_notification
+        )
+        content.apply(deliveries[-1].response)
+        assert len(content.entries) == 3
+        for dn, held in content.entries.items():
+            assert held is master.store.get(dn)
+
+    def test_reconcile_fetch_shares_the_stored_images(self, master):
+        provider = ResyncProvider(master)
+        sketch = provider.reconcile(REQUEST, ReconcileRequest())
+        wanted = (entry_key(P1), entry_key(DN.parse("cn=P2,o=xyz")))
+        response = provider.reconcile_fetch(
+            REQUEST, ReconcileFetch(keys=wanted, cookie=sketch.cookie)
+        )
+        assert sorted(str(u.dn) for u in response.updates) == ["cn=P1,o=xyz", "cn=P2,o=xyz"]
+        content = SyncedContent(REQUEST)
+        content.apply(response)
+        for update in response.updates:
+            assert update.entry is master.store.get(update.dn)
+            assert content.entries[update.dn] is update.entry
+
+    def test_degraded_resume_shares_the_stored_images(self, master):
+        provider = ResyncProvider(
+            master,
+            durability=DurabilityConfig(history_max_entries=1),
+            journal=MemoryJournal(),
+        )
+        content = SyncedContent(REQUEST)
+        content.poll(provider)
+        for name in ("P0", "P1"):  # two pending actions overflow the cap of one
+            master.modify(f"cn={name},o=xyz", [Modification.replace("sn", "S")])
+        response = content.poll(provider)
+        assert response.uses_retain and response.cookie.endswith(":h")
+        sent = {u.dn: u.entry for u in response.updates if u.entry is not None}
+        assert sorted(map(str, sent)) == ["cn=P0,o=xyz", "cn=P1,o=xyz"]
+        for dn, entry in sent.items():
+            assert entry is master.store.get(dn) and content.entries[dn] is entry
+        assert content.matches_master(master)
 
     def test_poll_history_shares_the_stored_image(self, master):
         provider = ResyncProvider(master)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ldap import DN
 from repro.ldap.attributes import AttributeType, Syntax
@@ -12,6 +13,7 @@ from repro.server.indexes import (
     OrderingIndex,
     SubstringIndex,
 )
+from tests.oracles import linear_substring_candidates, linear_substring_estimate
 
 
 def dn(i: int) -> DN:
@@ -82,6 +84,51 @@ class TestSubstringIndex:
         idx = SubstringIndex(AttributeType("x"))
         idx.insert(dn(1), ["abc"])
         assert idx.candidates(["zzz"]) == set()
+
+
+# A small alphabet and short values, so values share grams, a removal
+# can take the last posting of one (the gram key goes) and an insert
+# brings new keys: the vocabulary changes between lookups.
+_TEXT = st.text(alphabet="abAB1 ", max_size=5)
+_ASSERTION = st.tuples(_TEXT, st.lists(_TEXT, max_size=2), _TEXT).map(
+    lambda parts: (parts[0], *parts[1], parts[2])  # initial, any..., final
+)
+_INDEX_STEPS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 7), st.lists(_TEXT, min_size=1, max_size=2)),
+    st.tuples(st.just("remove"), st.integers(0, 7)),
+    st.tuples(st.just("ask"), _ASSERTION),
+    st.tuples(st.just("ask"), _ASSERTION),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_INDEX_STEPS, max_size=40), st.lists(_ASSERTION, min_size=1, max_size=6))
+def test_substring_lookups_equal_the_vocabulary_scan(steps, final_asks):
+    """Whatever was inserted and removed between lookups, and wherever
+    the short components sit (length 0-5, initial / any / final),
+    ``candidates`` and ``estimate`` are the linear oracle's exactly — the
+    same set, not a superset of it, and the same number."""
+    idx = SubstringIndex(AttributeType("sn"))
+    held = {}
+
+    def ask(components):
+        assert idx.candidates(components) == linear_substring_candidates(idx, components)
+        assert idx.estimate(components) == linear_substring_estimate(idx, components)
+        # asked again: the remembered gram lists answer the same
+        assert idx.candidates(components) == linear_substring_candidates(idx, components)
+
+    for step in steps:
+        if step[0] == "insert":
+            if step[1] in held:
+                idx.remove(dn(step[1]), held.pop(step[1]))
+            held[step[1]] = step[2]
+            idx.insert(dn(step[1]), step[2])
+        elif step[0] == "remove" and step[1] in held:
+            idx.remove(dn(step[1]), held.pop(step[1]))
+        elif step[0] == "ask":
+            ask(step[1])
+    for components in final_asks:
+        ask(components)
 
 
 class TestOrderingIndex:

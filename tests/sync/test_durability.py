@@ -762,6 +762,50 @@ class TestExpiryMidDelivery:
         master.add(person("P8"))
         assert len(delivered) > before
 
+    @pytest.mark.parametrize("snapshot_interval", [1000, 5])
+    def test_sessions_expired_mid_journal_stay_expired_after_recovery(
+        self, snapshot_interval
+    ):
+        """Expiry is not journaled — it is a function of the activity
+        clock — so replaying the journal (from its start, or from a
+        snapshot whose sessions are adopted with restored ticks) must
+        expire exactly the sessions the live provider expired."""
+        master = build_master()
+        provider = ResyncProvider(
+            master,
+            idle_limit=3,
+            durability=DurabilityConfig(snapshot_interval=snapshot_interval),
+            journal=MemoryJournal(),
+        )
+        contents = [
+            SyncedContent(SearchRequest("o=xyz", Scope.SUB, f"(cn=P{i})"))
+            for i in range(6)
+        ]
+        for content in contents:
+            content.poll(provider)
+        # 0 and 1 keep polling; 2 polls once more, late; 3, 4 and 5 go idle.
+        for step, who in enumerate([0, 1, 0, 2, 1, 0, 1, 0, 1, 0]):
+            master.modify(f"cn=P{who},o=xyz", [Modification.replace("sn", f"S{step}")])
+            contents[who].poll(provider)
+        live = [session_to_wire(s) for s in provider.sessions.active_sessions()]
+        assert [wire["sid"] for wire in live] == ["s1", "s2"]  # the rest expired
+        clock = (provider.sessions.tick, provider.sessions.next_id)
+        if snapshot_interval == 5:
+            assert master.metrics.counter("sync.durability.snapshots").value >= 2
+
+        provider.restart()
+        assert provider.active_session_count == 0
+        provider.recover()
+
+        assert [session_to_wire(s) for s in provider.sessions.active_sessions()] == live
+        assert (provider.sessions.tick, provider.sessions.next_id) == clock
+        for content in contents[:2]:
+            content.poll(provider)
+            assert content.matches_master(master)
+        for content in contents[2:]:
+            with pytest.raises(SyncProtocolError):
+                content.poll(provider)
+
     def test_idle_sessions_still_expire(self):
         master = build_master()
         provider = ResyncProvider(master, idle_limit=2)

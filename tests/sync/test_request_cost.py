@@ -1,0 +1,268 @@
+"""A request costs what it serves — counts, not clocks.
+
+The machine-independent guard of the master's read side, beside
+``tests/server/test_commit_cost.py`` for its write side.  What one
+request makes the master do must not grow with what the master merely
+*holds*:
+
+* an idle cookie poll on a provider with 1 000 live sessions looks at
+  the activity tick of no session but its own;
+* an initial load, a reconcile sketch, a reconcile fetch read the
+  store's frozen images: no ``Entry.copy`` at all, one projection per
+  entry only under an attribute list;
+* a search on a master holding no referral object asks the store about
+  no ancestor and derives no object-class set — and prunes below a
+  referral object, when one is held, exactly as before;
+* a substring search with a component shorter than a gram scans the
+  gram vocabulary once per vocabulary, not twice per search.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.ldap import DN, Entry, Scope, SearchRequest
+from repro.server import DirectoryServer, EntryStore, make_referral_entry
+from repro.sync import ReconcileRequest, ResyncProvider, Session, SyncedContent
+
+SESSIONS = 1000
+PEOPLE = 25
+PERSONS = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
+
+
+def person(i: int, under: str = "ou=people,o=xyz") -> Entry:
+    return Entry(
+        f"cn=P{i},{under}",
+        {
+            "objectClass": ["person"],
+            "cn": f"P{i}",
+            "sn": "T",
+            "mail": f"p{i}@xyz.com",
+            "serialNumber": f"{i:04d}{'IN' if i % 2 else 'US'}",
+        },
+    )
+
+
+def build_master(people: int = PEOPLE) -> DirectoryServer:
+    master = DirectoryServer("M")
+    master.add_naming_context("o=xyz")
+    master.load(
+        [
+            Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}),
+            Entry("ou=people,o=xyz", {"objectClass": ["organizationalUnit"], "ou": "people"}),
+        ]
+        + [person(i) for i in range(people)]
+    )
+    return master
+
+
+# ----------------------------------------------------------------------
+# (1) expiry in activity order
+# ----------------------------------------------------------------------
+def test_idle_poll_inspects_no_other_session(monkeypatch):
+    reads = Counter()
+
+    def get(session):
+        reads[session.session_id] += 1
+        return session.__dict__["last_active_tick"]
+
+    def put(session, tick):
+        session.__dict__["last_active_tick"] = tick
+
+    monkeypatch.setattr(Session, "last_active_tick", property(get, put), raising=False)
+    master = build_master()
+    provider = ResyncProvider(master)
+    contents = [
+        SyncedContent(SearchRequest("o=xyz", Scope.SUB, f"(cn=P{i % PEOPLE})"))
+        for i in range(SESSIONS)
+    ]
+    for content in contents:
+        content.poll(provider)
+    assert provider.active_session_count == SESSIONS
+
+    poller = contents[SESSIONS // 2]
+    own = poller.cookie.split(":")[0]
+    reads.clear()
+    response = poller.poll(provider)
+    assert response.updates == [] and provider.active_session_count == SESSIONS
+    assert {sid: n for sid, n in reads.items() if sid != own} == {}
+
+    # The clock still expires what it should: the poll that carries it
+    # past the limit ends every session that went stale, and only those.
+    provider.sessions.idle_limit = 2
+    poller.poll(provider)
+    assert provider.active_session_count == SESSIONS  # 2 ticks idle: inside
+    poller.poll(provider)
+    assert provider.active_session_count == 1
+    assert provider.sessions.get(own) is not None
+
+
+# ----------------------------------------------------------------------
+# (2) content reads over store images
+# ----------------------------------------------------------------------
+@pytest.fixture
+def images_made(monkeypatch):
+    """Counts every new entry image made from an existing one."""
+    made = Counter()
+    for name in ("copy", "project"):
+        original = getattr(Entry, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            made[_name] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Entry, name, counted)
+    return made
+
+
+def test_all_attribute_initial_load_copies_nothing(images_made):
+    master = build_master()
+    provider = ResyncProvider(master)
+    content = SyncedContent(PERSONS)
+    images_made.clear()
+    response = content.poll(provider)
+    assert len(response.updates) == PEOPLE
+    assert dict(images_made) == {}
+    assert all(content.entries[u.dn] is master.store.get(u.dn) for u in response.updates)
+
+
+def test_attribute_list_initial_load_projects_once_per_entry(images_made):
+    master = build_master()
+    provider = ResyncProvider(master)
+    content = SyncedContent(
+        SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)", ["cn", "mail"])
+    )
+    images_made.clear()
+    response = content.poll(provider)
+    assert len(response.updates) == PEOPLE
+    assert dict(images_made) == {"project": PEOPLE}
+    assert all(sorted(name for name, _ in u.entry) == ["cn", "mail"] for u in response.updates)
+
+
+def test_reconcile_sketch_copies_nothing(images_made):
+    master = build_master()
+    provider = ResyncProvider(master)
+    images_made.clear()
+    response = provider.reconcile(PERSONS, ReconcileRequest())
+    assert response.content_count == PEOPLE
+    assert dict(images_made) == {}
+
+
+# ----------------------------------------------------------------------
+# (3) the store knows its referrals
+# ----------------------------------------------------------------------
+@pytest.fixture
+def referral_work(monkeypatch):
+    """Counts ``store.get`` calls made from inside ``_under_referral``
+    and every object-class set derived from an entry."""
+    work = Counter()
+    inside = []
+    under_referral, store_get = DirectoryServer._under_referral, EntryStore.get
+    object_classes = Entry.object_classes
+
+    def under(self, dn, base):
+        inside.append(True)
+        try:
+            return under_referral(self, dn, base)
+        finally:
+            inside.pop()
+
+    def get(self, dn):
+        if inside:
+            work["store.get in _under_referral"] += 1
+        return store_get(self, dn)
+
+    def classes(self):
+        work["object_classes"] += 1
+        return object_classes.fget(self)
+
+    monkeypatch.setattr(DirectoryServer, "_under_referral", under)
+    monkeypatch.setattr(EntryStore, "get", get)
+    monkeypatch.setattr(Entry, "object_classes", property(classes))
+    return work
+
+
+#: 200 of 400 people, by index: two levels below the base, so every
+#: candidate has an ancestor that is not the base.
+MANY = SearchRequest("o=xyz", Scope.SUB, "(serialNumber=*IN)")
+
+
+def test_search_without_referrals_asks_about_no_ancestor(referral_work):
+    master = build_master(400)
+    assert master.store.referral_dns() == set()
+    plan = master.store.plan_for(MANY.filter)
+    assert plan.strategy == "substring" and len(plan.candidates) == 200
+    referral_work.clear()
+    result = master.search(MANY)
+    assert len(result.entries) == 200 and result.referrals == []
+    assert dict(referral_work) == {}
+
+
+def test_region_is_pruned_below_a_held_referral(referral_work):
+    master = build_master(400)
+    master.add(make_referral_entry("ou=branch,o=xyz", "ldap://hostB"))
+    # Glue beneath the referral object: held, but not this server's to answer.
+    for i in range(400, 420):
+        master.store.put(person(i, under="ou=branch,o=xyz"))
+    assert len(master.store.plan_for(MANY.filter).candidates) == 210
+    referral_work.clear()
+    result = master.search(MANY)
+    assert len(result.entries) == 200
+    assert all("ou=branch" not in str(e.dn) for e in result.entries)
+    assert [(r.url, str(r.target)) for r in result.referrals] == [
+        ("ldap://hostB", "ou=branch,o=xyz")
+    ]
+    assert dict(referral_work) == {}
+    # ...and by a region walk, when the planner declines to help.
+    walked = master.search(SearchRequest("o=xyz", Scope.SUB, "(!(sn=nobody))"))
+    assert len(walked.entries) == 402 and len(walked.referrals) == 1
+    assert referral_work["object_classes"] == 0
+
+
+# ----------------------------------------------------------------------
+# (4) short substring components
+# ----------------------------------------------------------------------
+class _Vocabulary(dict):
+    """A gram → postings map that counts the passes made over it."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+def test_short_component_scans_the_vocabulary_once_per_vocabulary():
+    master = build_master(400)
+    substring = master.store.index_for("serialNumber").substring
+    vocabulary = substring._postings = _Vocabulary(substring._postings)
+    request = SearchRequest("o=xyz", Scope.SUB, "(serialNumber=0123*IN)")
+    expected = DN.parse("cn=P123,ou=people,o=xyz")
+
+    for _ in range(3):
+        assert [e.dn for e in master.search(request).entries] == [expected]
+    assert vocabulary.scans <= 1
+
+    # A new gram key is a new vocabulary: one more pass, then none.
+    master.add(person(9876))  # "9876IN": grams nobody held
+    vocabulary.scans = 0
+    for _ in range(3):
+        assert [e.dn for e in master.search(request).entries] == [expected]
+    assert vocabulary.scans <= 1
+    # ...and a vocabulary that kept its keys is not scanned again.
+    master.add(person(1235))  # "1235IN": 123, 235, 35I, 5IN — all held already
+    vocabulary.scans = 0
+    assert [e.dn for e in master.search(request).entries] == [expected]
+    assert vocabulary.scans == 0
