@@ -45,9 +45,11 @@ from ..obs.tracing import span
 from ..server.network import SimulatedNetwork
 from ..server.operations import Referral
 from ..sync.consumer import SyncedContent
+from ..sync.protocol import SyncResponse
+from ..sync.resilient import SyncLink
 from .containment import query_contained_in
 from .query_cache import NegativeResultCache, RecentQueryCache
-from .replica import AnswerStatus, HitStats, ReplicaAnswer
+from .replica import AnswerStatus, HitStats, ReplicaAnswer, link_for
 from .routing import ContainmentIndex
 from .templates import TemplateRegistry, template_key
 
@@ -62,7 +64,8 @@ class StoredFilter:
     levels: a filter with interval *n* is only polled every *n*-th sync
     round (1 = every round).  A subtree replica must apply the most
     stringent requirement to a whole subtree; a filter replica tunes it
-    per replicated query.
+    per replicated query.  ``link`` is the link the content was last
+    synced over (None: installed without a provider).
     """
 
     request: SearchRequest
@@ -70,6 +73,12 @@ class StoredFilter:
     key: str
     hits: int = 0
     sync_interval: int = 1
+    link: Optional[SyncLink] = None
+
+    @property
+    def degraded(self) -> bool:
+        """The link is degraded: the content may be stale, a HIT says so."""
+        return self.link is not None and self.link.degraded
 
     def entry_count(self) -> int:
         return len(self.content)
@@ -122,6 +131,9 @@ class FilterReplica:
             NegativeResultCache() if templates is None else None
         )
         self._persist_handles: Dict[SearchRequest, object] = {}
+        self._links: Dict[int, SyncLink] = {}  # provider identity → default link
+        #: held, but outside the index: no response applied yet
+        self._pending: Dict[SearchRequest, StoredFilter] = {}
         self.stats = HitStats()
         self.containment_checks = 0
         self._sync_round = 0
@@ -144,12 +156,18 @@ class FilterReplica:
         provider=None,
         sync_interval: int = 1,
     ) -> StoredFilter:
-        """Replicate *request*; polls *provider* for the initial content.
+        """Replicate *request*; one round over *provider*'s link
+        (:func:`~repro.core.replica.link_for`) loads the initial content.
 
-        Without a provider the filter starts empty (tests/benches may
-        install content via :meth:`load_directly`).  *sync_interval*
-        sets this filter's consistency level (§3.2): poll every n-th
-        sync round.
+        The round never raises a transport error (a refused *fresh*
+        session still propagates — the ladder's ``raise`` row).  When it
+        applied no response the filter is **pending**: held
+        (:meth:`holds`, its slot in the budget kept) but outside the
+        containment index, answering nothing until a :meth:`sync` round
+        applies one.  Without a provider the filter starts empty and
+        admitted (tests/benches may install content via
+        :meth:`load_directly`).  *sync_interval* sets this filter's
+        consistency level (§3.2): poll every n-th sync round.
         """
         if sync_interval < 1:
             raise ValueError("sync_interval must be >= 1")
@@ -162,18 +180,27 @@ class FilterReplica:
             sync_interval=sync_interval,
         )
         if provider is not None:
-            stored.content.poll(provider)
+            stored.link = link_for(self, provider)
+            stored.link.sync((stored.content,))
         self._stored[request] = stored
-        self._index.add(request, stored)
+        self._size_memo = None
+        if provider is None or stored.content.polls:
+            self._admit(stored)
+        else:
+            self._pending[request] = stored
+        return stored
+
+    def _admit(self, stored: StoredFilter) -> None:
+        """*stored* holds an applied response: it may answer."""
+        self._index.add(stored.request, stored)
         if self._negative is not None:
             # The new filter may contain a previously-missed request.
             self._negative.invalidate()
-        self._size_memo = None
-        return stored
 
     def remove_filter(self, request: SearchRequest, provider=None) -> None:
         """Discard a replicated query (ending its sync session)."""
         stored = self._stored.pop(request, None)
+        self._pending.pop(request, None)
         self._index.remove(request)
         self._size_memo = None
         handle = self._persist_handles.pop(request, None)
@@ -181,8 +208,11 @@ class FilterReplica:
             handle.abandon()
             if self.network is not None:
                 self.network.connection_closed()
-        if stored is not None and provider is not None and stored.content.cookie:
-            stored.content.end(provider)
+        if stored is not None and provider is not None:
+            link = link_for(self, provider)
+            link.forget(stored.content)
+            if stored.content.cookie:
+                stored.content.end(link.provider)
 
     def load_directly(self, request: SearchRequest, entries: Sequence[Entry]) -> StoredFilter:
         """Install a stored filter's content without a provider."""
@@ -229,6 +259,8 @@ class FilterReplica:
                 stored.content.apply_notification(update)
             stored.content.cookie = None  # session is now connection-bound
             self._persist_handles[stored.request] = handle
+            if self._pending.pop(stored.request, None) is not None:
+                self._admit(stored)  # the subscription's response was its first
             if self.network is not None:
                 self.network.connection_opened()
             opened += 1
@@ -247,21 +279,37 @@ class FilterReplica:
         """Open persist-mode connections (one per subscribed filter)."""
         return len(self._persist_handles)
 
-    def sync(self, provider) -> None:
-        """One sync round: poll every stored filter that is due.
+    def sync(self, provider) -> Optional[SyncResponse]:
+        """One sync round: one :meth:`SyncLink.sync
+        <repro.sync.resilient.SyncLink.sync>` round — one gate, one
+        retry budget, one verdict, never a transport error — through
+        *provider*'s link over every stored filter that is due, in
+        insertion order; a round that gave out leaves the later filters
+        as fresh as they were.  Returns its last applied response, or
+        None (failed, gate shut, nothing due).
 
         A filter with ``sync_interval`` n is polled on every n-th round
         (per-object-type consistency levels, §3.2).  Persist-subscribed
         filters are skipped: their session is connection-bound (no
         cookie), so a poll would be a full initial load on a second
-        provider session.
+        provider session.  A pending filter whose first response this
+        round applied is admitted.
         """
         self._sync_round += 1
+        sync_round = self._sync_round
+        link = link_for(self, provider)
+        subscribed = self._persist_handles
+        due = []
         for stored in self._stored.values():
-            if stored.request in self._persist_handles:
+            if stored.request in subscribed:
                 continue
-            if self._sync_round % stored.sync_interval == 0:
-                stored.content.poll(provider)
+            if sync_round % stored.sync_interval == 0:
+                stored.link = link
+                due.append(stored.content)
+        response = link.sync(due)
+        for request in [r for r, s in self._pending.items() if s.content.polls]:
+            self._admit(self._pending.pop(request))
+        return response
 
     # ------------------------------------------------------------------
     # answering
@@ -338,6 +386,7 @@ class FilterReplica:
                     AnswerStatus.HIT,
                     entries=self._evaluate(request, stored),
                     answered_by=str(stored.request),
+                    degraded=stored.degraded,
                 )
                 self.stats.record(answer)
                 return answer
@@ -383,7 +432,7 @@ class FilterReplica:
         if not isinstance(flt, Or):
             return None
         merged: Dict[DN, Entry] = {}
-        sources: List[str] = []
+        holders: List[StoredFilter] = []
         for disjunct in flt.children:
             sub_request = request.with_filter(disjunct)
             holder = self._find_stored(sub_request, template_key(disjunct))
@@ -392,11 +441,12 @@ class FilterReplica:
             holder.hits += 1
             for entry in self._evaluate(sub_request, holder):
                 merged.setdefault(entry.dn, entry)
-            sources.append(str(holder.request))
+            holders.append(holder)
         return ReplicaAnswer(
             AnswerStatus.HIT,
             entries=list(merged.values()),
-            answered_by="union:" + " + ".join(sources),
+            answered_by="union:" + " + ".join(str(h.request) for h in holders),
+            degraded=any(h.degraded for h in holders),
         )
 
     def _admitted(self, request: SearchRequest, qkey: str) -> bool:

@@ -54,6 +54,7 @@ class ReplicaFrontend:
             entries=list(answer.entries),
             referrals=list(answer.referrals),
             code=ResultCode.SUCCESS,
+            degraded=answer.degraded,
         )
 
     def __repr__(self) -> str:

@@ -16,8 +16,9 @@ from typing import List, Optional
 
 from ..ldap.entry import Entry
 from ..server.operations import Referral
+from ..sync.resilient import SyncLink
 
-__all__ = ["AnswerStatus", "ReplicaAnswer", "HitStats"]
+__all__ = ["AnswerStatus", "ReplicaAnswer", "HitStats", "link_for"]
 
 
 class AnswerStatus(enum.Enum):
@@ -36,6 +37,9 @@ class ReplicaAnswer:
     entries: List[Entry] = field(default_factory=list)
     referrals: List[Referral] = field(default_factory=list)
     answered_by: Optional[str] = None  # which stored unit answered (diagnostics)
+    #: ``SearchResult.degraded``'s meaning: the answering content's link
+    #: to the master is degraded — it may have gone stale
+    degraded: bool = False
 
     @property
     def is_hit(self) -> bool:
@@ -67,3 +71,21 @@ class HitStats:
 
     def reset(self) -> None:
         self.queries = self.hits = self.partials = self.misses = 0
+
+
+def link_for(replica, provider) -> SyncLink:
+    """The :class:`~repro.sync.resilient.SyncLink` *replica* reaches
+    *provider* through: the caller's own link when one is passed where a
+    provider goes (how a soak or a test sizes ``policy``/``health``),
+    else the replica's default link for that provider — created on first
+    use, keyed by provider identity, seeded from the replica's name."""
+    if isinstance(provider, SyncLink):
+        return provider
+    links = replica._links
+    link = links.get(id(provider))
+    if link is None:
+        ident = f"{replica.name}/{len(links)}"
+        link = links[id(provider)] = SyncLink(
+            provider, network=replica.network, seed=ident, name=ident
+        )
+    return link

@@ -69,8 +69,10 @@ class FilterSelector:
             master-side count; the paper uses estimates).
         budget_entries: replica size budget, in entries.
         revolution_interval: the paper's R — queries between revolutions.
-        provider: sync provider used to fetch newly installed filters
-            (None = install empty; useful in unit tests).
+        provider: sync provider (or the caller's own ``SyncLink``) newly
+            installed filters load through — an install whose round gave
+            out leaves the filter pending, never raises (None = install
+            empty; useful in unit tests).
         min_benefit: candidates below this hit count are ignored (noise
             floor).
     """

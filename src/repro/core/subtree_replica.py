@@ -30,7 +30,8 @@ from ..ldap.query import Scope, SearchRequest
 from ..server.network import SimulatedNetwork
 from ..server.operations import Referral
 from ..sync.consumer import SyncedContent
-from .replica import AnswerStatus, HitStats, ReplicaAnswer
+from ..sync.resilient import SyncLink
+from .replica import AnswerStatus, HitStats, ReplicaAnswer, link_for
 
 __all__ = ["ReplicationContext", "SubtreeReplica"]
 
@@ -67,6 +68,9 @@ class SubtreeReplica:
         self.network = network
         self._contexts: List[ReplicationContext] = []
         self._contents: Dict[DN, SyncedContent] = {}
+        self._links: Dict[int, SyncLink] = {}  # provider identity → default link
+        #: the link of the last sync round (every round polls every context)
+        self._link: Optional[SyncLink] = None
         self.stats = HitStats()
 
     # ------------------------------------------------------------------
@@ -101,9 +105,11 @@ class SubtreeReplica:
     # synchronization
     # ------------------------------------------------------------------
     def sync(self, provider) -> None:
-        """Poll *provider* once per context (initial poll loads content)."""
-        for content in self._contents.values():
-            content.poll(provider)
+        """One :meth:`SyncLink.sync <repro.sync.resilient.SyncLink.sync>`
+        round over every context through *provider*'s link (the initial
+        poll loads content); never raises a transport error."""
+        self._link = link_for(self, provider)
+        self._link.sync(list(self._contents.values()))
 
     def load_directly(self, suffix: Union[DN, str], entries: Sequence[Entry]) -> None:
         """Install content without a provider (for tests/benches that
@@ -178,6 +184,7 @@ class SubtreeReplica:
             entries=entries,
             referrals=referrals,
             answered_by=str(context.suffix),
+            degraded=self._link is not None and self._link.degraded,
         )
         self.stats.record(answer)
         return answer

@@ -74,7 +74,7 @@ TAG_SET = 0x31
 APP_SEARCH_REQUEST = 0x63
 APP_SEARCH_RESULT_ENTRY = 0x64
 # Private-range application tag for a coalesced ReSync notification
-# batch (docs/TRANSPORT.md §4) — RFC 2251 stops at 0x79, so 0x7A is
+# batch (docs/TRANSPORT.md §3) — RFC 2251 stops at 0x79, so 0x7A is
 # free for the experiment's persist-mode framing.
 APP_SYNC_BATCH = 0x7A
 
@@ -398,7 +398,7 @@ def decode_search_result_entry(data: bytes) -> Tuple[int, Entry]:
 
 
 # ----------------------------------------------------------------------
-# coalesced ReSync notification batches (docs/TRANSPORT.md §4)
+# coalesced ReSync notification batches (docs/TRANSPORT.md §3)
 # ----------------------------------------------------------------------
 #: ENUMERATED codes of the per-update SyncAction, wire order fixed.
 _SYNC_ACTION_CODES = {"add": 0, "modify": 1, "delete": 2, "retain": 3}

@@ -11,8 +11,6 @@ from .connection import (
     BindState,
     Connection,
     ConnectionError_,
-    PendingOp,
-    RequestPipeline,
     connect,
 )
 from .directory import DirectoryServer, NamingContext, UpdateListener
@@ -51,8 +49,6 @@ __all__ = [
     "Connection",
     "BindState",
     "ConnectionError_",
-    "PendingOp",
-    "RequestPipeline",
     "connect",
     "DeterministicScheduler",
     "ScheduledEvent",

@@ -96,10 +96,6 @@ class EntryStore:
         """Registered root DNs (naming-context suffixes)."""
         return sorted(self._roots, key=str)
 
-    def all_dns(self) -> Iterator[DN]:
-        """Every DN in the store (arbitrary order)."""
-        return iter(list(self._entries.keys()))
-
     def all_entries(self) -> Iterator[Entry]:
         """Every entry in the store (arbitrary order)."""
         return iter(list(self._entries.values()))

@@ -20,8 +20,7 @@ updates.
 from __future__ import annotations
 
 import enum
-from collections import deque
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
@@ -33,8 +32,6 @@ __all__ = [
     "BindState",
     "Connection",
     "ConnectionError_",
-    "PendingOp",
-    "RequestPipeline",
     "connect",
 ]
 
@@ -47,114 +44,6 @@ class BindState(enum.Enum):
 
 class ConnectionError_(Exception):
     """Operation attempted on a closed connection."""
-
-
-class PendingOp:
-    """One in-flight pipelined operation (a future, resolved in FIFO
-    submission order by :class:`RequestPipeline`)."""
-
-    __slots__ = ("submitted_at", "ready_at", "done", "value", "error", "_pipeline")
-
-    def __init__(self, pipeline: "RequestPipeline", submitted_at: float, ready_at: float):
-        self._pipeline = pipeline
-        self.submitted_at = submitted_at
-        self.ready_at = ready_at
-        self.done = False
-        self.value = None
-        self.error: Optional[BaseException] = None
-
-    def result(self):
-        """Block (drive the scheduler) until this op completes; returns
-        the operation's result or re-raises its error."""
-        scheduler = self._pipeline.scheduler
-        while not self.done:
-            if not scheduler.run_next():
-                raise RuntimeError("pipeline op never completed (scheduler idle)")
-        if self.error is not None:
-            raise self.error
-        return self.value
-
-
-class RequestPipeline:
-    """Multiple in-flight operations on one connection, ordered responses.
-
-    Real LDAP lets a client stream requests without waiting for each
-    response; responses still come back in submission order per
-    connection.  This models exactly that on the network's deterministic
-    scheduler (docs/TRANSPORT.md §3): submitting op *i* costs no wait,
-    and its response becomes ready at
-
-    ``max(submit_time + round_trip_latency, ready(i-1) + service_ms)``
-
-    — one latency for the whole pipehead plus per-op service time,
-    instead of the synchronous path's ``n × round_trip_latency``.
-
-    Responses complete strictly FIFO: each completion event pumps the
-    head of the in-flight queue, so seeded tie-breaking of same-due
-    events can never reorder responses within a connection.
-
-    Instruments (on the network registry): ``net.pipeline.submitted``,
-    ``net.pipeline.completed``, ``net.pipeline.depth`` (current),
-    ``net.pipeline.depth_max`` and the virtual-clock
-    ``net.pipeline.latency_ms`` histogram.
-    """
-
-    def __init__(self, connection: "Connection", service_ms: float = 0.0):
-        if connection.network is None:
-            raise ValueError("pipelining needs a network-attached connection")
-        self.connection = connection
-        self.network = connection.network
-        self.scheduler = self.network.scheduler
-        self.service_ms = service_ms
-        self._inflight: deque = deque()
-        self._last_ready = self.scheduler.now
-        registry = self.network.registry
-        self._submitted = registry.counter("net.pipeline.submitted")
-        self._completed = registry.counter("net.pipeline.completed")
-        self._depth = registry.gauge("net.pipeline.depth")
-        self._depth_max = registry.gauge("net.pipeline.depth_max")
-        self._latency = registry.histogram("net.pipeline.latency_ms")
-
-    @property
-    def depth(self) -> int:
-        return len(self._inflight)
-
-    def submit(self, fn: Callable, *args, **kwargs) -> PendingOp:
-        """Queue *fn(*args, **kwargs)* as the next request on the wire;
-        returns a :class:`PendingOp` resolving to its result."""
-        now = self.scheduler.now
-        rtt = self.network.round_trip_latency_ms
-        ready_at = max(now + rtt, self._last_ready + self.service_ms)
-        self._last_ready = ready_at
-        op = PendingOp(self, now, ready_at)
-        self._inflight.append((op, fn, args, kwargs))
-        self._submitted.inc()
-        self._depth.set(len(self._inflight))
-        if len(self._inflight) > self._depth_max.value:
-            self._depth_max.set(len(self._inflight))
-        self.scheduler.call_later(max(0.0, ready_at - now), self._pump)
-        return op
-
-    def _pump(self) -> None:
-        # FIFO: each completion event finishes the *head* op, whichever
-        # event fires — submission order survives tie-break shuffles.
-        if not self._inflight:
-            return
-        op, fn, args, kwargs = self._inflight.popleft()
-        self._depth.set(len(self._inflight))
-        try:
-            op.value = fn(*args, **kwargs)
-        except Exception as exc:  # delivered through PendingOp.result()
-            op.error = exc
-        op.done = True
-        self._completed.inc()
-        self._latency.observe(self.scheduler.now - op.submitted_at)
-
-    def drain(self) -> None:
-        """Complete every in-flight op on this pipeline."""
-        while self._inflight:
-            if not self.scheduler.run_next():
-                raise RuntimeError("pipeline never drained (scheduler idle)")
 
 
 class Connection:
@@ -246,13 +135,6 @@ class Connection:
     @property
     def outstanding_persists(self) -> int:
         return len(self._persist_handles)
-
-    def pipeline(self, service_ms: float = 0.0) -> RequestPipeline:
-        """A pipelined view of this connection (docs/TRANSPORT.md §3):
-        submit several operations without waiting, collect ordered
-        responses via :meth:`PendingOp.result`."""
-        self._check_open()
-        return RequestPipeline(self, service_ms=service_ms)
 
     # ------------------------------------------------------------------
     # operations over the connection

@@ -590,11 +590,13 @@ class DirectoryServer:
             if new_superior is None
             else (new_superior if isinstance(new_superior, DN) else DN.parse(new_superior))
         )
-        if new_superior is not None and superior not in self.store:
-            if self.context_for(superior) is None or not self.store.has_parent(superior):
-                raise LdapError(ResultCode.NO_SUCH_OBJECT, f"new superior {superior}")
         rdn_text = new_rdn if new_rdn is not None else str(old_dn.rdn)
         new_dn = superior.child(rdn_text)
+        if new_superior is not None and (
+            self.context_for(new_dn) is None or not self.store.has_parent(new_dn)
+        ):
+            # add's rule, applied to the target: no entry goes parentless
+            raise LdapError(ResultCode.NO_SUCH_OBJECT, f"new superior {superior}")
         if new_dn == old_dn:
             raise LdapError(ResultCode.UNWILLING_TO_PERFORM, "no-op modifyDN")
         if new_dn in self.store:

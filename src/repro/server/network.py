@@ -554,7 +554,7 @@ class SimulatedNetwork:
         Fault-injecting subclasses override this — the one persist
         fault seam — to drop or truncate whole batches (``:b`` stream)
         and drop or duplicate single PDUs inside one (``:n`` stream;
-        docs/PROTOCOL.md §9, docs/TRANSPORT.md §5).
+        docs/PROTOCOL.md §9, docs/TRANSPORT.md §4).
         """
         if not updates:
             return 0

@@ -40,7 +40,7 @@ from .reconcile import (
     entry_fingerprint,
     entry_key,
 )
-from .resilient import HEALTH_STATES, HealthPolicy, ResilientConsumer, RetryPolicy
+from .resilient import HEALTH_STATES, HealthPolicy, ResilientConsumer, RetryPolicy, SyncLink
 from .resync import PersistHandle, ResyncProvider, RetainResyncProvider
 from .snapshot import (
     FileSnapshotStore,
@@ -66,6 +66,7 @@ __all__ = [
     "SyncedContent",
     "BatchConfig",
     "DeliveryQueue",
+    "SyncLink",
     "ResilientConsumer",
     "RetryPolicy",
     "HealthPolicy",

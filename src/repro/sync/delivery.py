@@ -74,7 +74,7 @@ class BatchConfig:
 
 
 class DeliveryQueue:
-    """Batches one persist session's notifications (docs/TRANSPORT.md §4).
+    """Batches one persist session's notifications (docs/TRANSPORT.md §3).
 
     Passed to ``provider.persist`` in place of a per-update deliver
     callback; ``Session.flush`` detects :meth:`offer_many` and hands

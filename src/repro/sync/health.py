@@ -1,16 +1,16 @@
-"""The consumer's attempt loop and health state machine (docs/FAULTS.md §4).
+"""The link's attempt loop and health state machine (docs/FAULTS.md §4).
 
-:class:`HealthMachine` decides *whether and how hard* a consumer keeps
-asking.  It runs the one transport-attempt loop (:meth:`~HealthMachine
-.attempt`: the poll/persist cycle and both sketch-tier exchanges),
+:class:`HealthMachine` decides *whether and how hard* one (replica,
+provider) link (:class:`~repro.sync.resilient.SyncLink`) keeps asking:
+it runs the one transport-attempt loop (:meth:`~HealthMachine.attempt`:
+a round's polls, the persist subscription, both sketch-tier exchanges),
 charges every :class:`~repro.server.network.TransportError` to one
-lifetime budget, and walks an explicit machine — needing no network,
-only a clock ledger.
+lifetime budget, and walks an explicit machine on a bare clock ledger.
 
 Where it stands is one variable (:attr:`HealthMachine.position`, a key
 of :data:`POSITIONS`) plus the degraded-reads flag and one wake-up
 deadline; every move is a row of ``HEALTH[(position, event)]``.  The
-events are the four a cycle has — its **gate**, a **charged transport fault**,
+events are the four a round has — its **gate**, a **charged transport fault**,
 **succeeded**, **failed** — the fault named by what its charge crossed:
 
 * ``fault`` — nothing: back off and retry;
@@ -158,11 +158,12 @@ class HealthPolicy:
 
 
 class HealthMachine:
-    """The attempt loop and the ``HEALTH`` table of one consumer.
+    """The attempt loop and the ``HEALTH`` table of one (replica,
+    provider) link, however many contents are synced over it.
 
     *clock* is the virtual-time ledger: anything with a writable
-    ``elapsed_ms`` (and maybe a ``scheduler.now``) — the consumer's
-    network, or a private one.  *name* labels the per-consumer
+    ``elapsed_ms`` (and maybe a ``scheduler.now``) — the link's
+    network, or a private one.  *name* labels the per-link
     ``sync.health.*`` metrics; *replica_server* is flipped into degraded
     stale-read mode with the flag.
     """
@@ -351,10 +352,13 @@ class HealthMachine:
         """Apply *event*: look the next position up, sleep out the
         deadline on the way into a probe or set one on the way into a
         wait, flip the degraded flag when told to, publish the rest."""
-        shown = (self.health_state, self.breaker_state)
         origin = self.position
-        self.position = HEALTH.get((origin, event), origin)
-        if self.position != origin:
+        target = HEALTH.get((origin, event), origin)
+        if target == origin and degraded in (None, self.degraded):
+            return  # the healthy round's gate and verdict: nothing to publish
+        shown = (self.health_state, self.breaker_state)
+        self.position = target
+        if target != origin:
             _, _, wait, probe = POSITIONS[self.position]
             if probe is not None:
                 self.clock.elapsed_ms += max(0.0, self._deadline - self._now_ms())

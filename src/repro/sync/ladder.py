@@ -58,10 +58,13 @@ LADDER = {
 
 
 class SketchTier:
-    """Sketch reconciliation of one content against one provider.
+    """Sketch reconciliation against one provider of whichever content
+    :meth:`run` is handed — a facility of two parties that hold mostly
+    the same set, i.e. of the link: its stored filters share one tier,
+    one salt stream and one set of counters.
 
     Both exchanges run through the attempt loop of the *machine* handed
-    to :meth:`run` — handed, not held: a reference back to the consumer
+    to :meth:`run` — handed, not held: a reference back to the link
     that owns the tier would keep a replaced consumer's content alive
     until the cyclic collector runs — so they are retried with the
     policy's backoff and charged to the one lifetime budget.  The salt
@@ -71,13 +74,11 @@ class SketchTier:
 
     def __init__(
         self,
-        content: SyncedContent,
         provider,
         config: ReconcileConfig,
-        seed: int,
+        seed,
         registry: MetricsRegistry,
     ):
-        self.content = content
         self.provider = provider
         self.config = config
         self._salt_rng = random.Random(f"resilient-salt:{seed}")
@@ -92,8 +93,9 @@ class SketchTier:
         self._fetched = registry.counter("sync.reconcile.fetched_entries")
         self._deleted = registry.counter("sync.reconcile.deleted_entries")
 
-    def run(self, machine: HealthMachine) -> Optional[SyncResponse]:
-        """One sketch-reconciliation ladder against the provider.
+    def run(self, machine: HealthMachine, content: SyncedContent) -> Optional[SyncResponse]:
+        """One sketch-reconciliation ladder of *content* against the
+        provider.
 
         Solicits an invertible sketch of the master's content, subtracts
         the local one, decodes the symmetric difference, and converts it
@@ -112,14 +114,14 @@ class SketchTier:
         self._attempts.inc()
         self._minted = None
         try:
-            applied = self._reconcile(machine)
+            applied = self._reconcile(machine, content)
         except SyncProtocolError:
             applied = None
         if applied is None:
-            self._forget_session()
+            self._forget_session(content)
         return applied
 
-    def _reconcile(self, machine: HealthMachine) -> Optional[SyncResponse]:
+    def _reconcile(self, machine: HealthMachine, content: SyncedContent) -> Optional[SyncResponse]:
         cfg = self.config
         cap = machine.policy.max_attempts
         cells: Optional[int] = None
@@ -133,7 +135,7 @@ class SketchTier:
                 cookie=self._minted,
             )
             deliveries, failures = machine.attempt(
-                lambda: self._exchange("sketch", rreq, machine.policy.timeout_ms),
+                lambda: self._exchange(content, "sketch", rreq, machine.policy.timeout_ms),
                 cap,
                 charge_last=False,
                 failures=failures,
@@ -146,15 +148,15 @@ class SketchTier:
             self._minted = response.cookie
             sketch = response.sketch
             local = build_sketch(
-                self.content.entries.values(),
+                content.entries.values(),
                 sketch.size,
                 salt=sketch.salt,
                 hash_count=sketch.hash_count,
             )
             decoded = sketch.subtract(local).decode()
-            plan = self._plan(decoded) if decoded is not None else None
+            plan = self._plan(content, decoded) if decoded is not None else None
             if plan is not None:
-                return self._fetch_and_apply(machine, plan)
+                return self._fetch_and_apply(machine, content, plan)
             # Undersized or corrupted sketch — a *detected* failure:
             # double the cells, re-salt, bounded by the config cap.
             self._failures.inc()
@@ -163,7 +165,7 @@ class SketchTier:
             if cells > cfg.max_cells:
                 return None
 
-    def _plan(self, decoded):
+    def _plan(self, content: SyncedContent, decoded):
         """Validate a decoded difference against local content.
 
         Every negative (replica-only) item must name an entry the
@@ -175,7 +177,7 @@ class SketchTier:
         ``(fetch_keys, delete_dns)`` or None.
         """
         master_only, replica_only = decoded
-        entries = self.content.entries
+        entries = content.entries
         local_by_key = {entry_key(dn): dn for dn in entries}
         master_keys = {key for key, _ in master_only}
         delete_dns = []
@@ -191,7 +193,7 @@ class SketchTier:
                 return None
         return sorted(master_keys), delete_dns
 
-    def _fetch_and_apply(self, machine, plan) -> Optional[SyncResponse]:
+    def _fetch_and_apply(self, machine, content, plan) -> Optional[SyncResponse]:
         """Pull the master-only entries and fold the difference in.
 
         The fetch travels even when there is nothing to pull: its
@@ -203,7 +205,7 @@ class SketchTier:
         fetch = ReconcileFetch(keys=tuple(fetch_keys), cookie=self._minted)
         policy = machine.policy
         deliveries, _ = machine.attempt(
-            lambda: self._exchange("fetch", fetch, policy.timeout_ms),
+            lambda: self._exchange(content, "fetch", fetch, policy.timeout_ms),
             policy.max_attempts,
             charge_last=False,
         )
@@ -213,31 +215,30 @@ class SketchTier:
         self._delta.inc(len(fetch_keys) + len(delete_dns))
         fetched = 0
         for delivery in deliveries:
-            self.content.apply_reconcile(delivery.response, delete_dns)
+            content.apply_reconcile(delivery.response, delete_dns)
             fetched += len(delivery.response.updates)
         self._fetched.inc(fetched)
         self._deleted.inc(len(delete_dns))
         return deliveries[-1].response
 
-    def _exchange(self, kind: str, payload, timeout_ms: Optional[float]):
+    def _exchange(self, content, kind: str, payload, timeout_ms: Optional[float]):
         """The deliveries of one sketch or fetch exchange that beat the
         per-operation timeout."""
-        content = self.content
         deliveries = exchange(
             content.network, kind, self.provider, content.request, payload
         )
         return SyncedContent.timely(deliveries, timeout_ms)
 
-    def _forget_session(self) -> None:
+    def _forget_session(self, content: SyncedContent) -> None:
         """The tier's one fallback exit.  The refused cookie is dead —
         kept, it could come to name a session a restarted provider mints
         later — so the content trades it for the session the tier minted
         and ends that (``sync_end``): no orphan is left accumulating
         history for nobody, and the next request is the initial load."""
         self._fallbacks.inc()
-        self.content.cookie = self._minted
+        content.cookie = self._minted
         if self._minted is not None:
             try:
-                self.content.end(self.provider)
+                content.end(self.provider)
             except SyncProtocolError:
-                self.content.cookie = None  # it died with its provider
+                content.cookie = None  # it died with its provider

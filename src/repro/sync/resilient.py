@@ -1,25 +1,26 @@
 """Fault-tolerant ReSync consumption: retries, recovery, degraded reads.
 
-:class:`SyncedContent` applies responses; :class:`ResilientConsumer`
-decides *when and how to keep asking* on a network that drops,
-duplicates, delays and truncates messages and whose servers crash
-(:mod:`repro.server.faults`).  Three parts:
+:class:`SyncedContent` applies responses; a :class:`SyncLink` — one per
+(replica, provider), :class:`ResilientConsumer` being the link with one
+content of its own — decides *when and how to keep asking* on a network
+that drops, duplicates, delays and truncates messages and whose servers
+crash (:mod:`repro.server.faults`).  Three parts:
 
 * :mod:`repro.sync.health` — transport faults
   (:class:`~repro.server.network.TransportError`) are transient: one
   attempt loop retries them with capped, jittered exponential backoff,
   never touching local content, and charges each to the health machine
   (budget, breaker, quarantine).  After ``degraded_after`` failed
-  cycles in a row the consumer (and optionally the
+  rounds in a row the link (and optionally the
   :class:`~repro.server.directory.DirectoryServer` serving its clients)
   is **degraded**: reads keep answering from the last synchronized
-  content, stamped ``SearchResult.degraded=True``;
+  content, stamped ``degraded=True``;
 * :mod:`repro.sync.ladder` — a protocol error
-  (:class:`~repro.sync.protocol.SyncProtocolError`: expired, unknown or
-  too-old cookie) means the session is gone, and the tier taken is one
-  lookup in ``LADDER`` (docs/RECOVERY.md): sketch reconciliation over
-  warm content, else the paper's §5 reload with a null cookie;
-* this module — the cycle, the persist subscription, and the snapshot
+  (:class:`~repro.sync.protocol.SyncProtocolError`) means the session
+  is gone, and the tier taken is one lookup in ``LADDER``
+  (docs/RECOVERY.md): sketch reconciliation over warm content, else the
+  paper's §5 reload with a null cookie;
+* this module — the round, the persist subscription, and the snapshot
   warm start: built with a :class:`~repro.sync.snapshot.SnapshotStore`,
   a consumer restores the last verified dump (content + cookie) on
   construction, so the first poll after a replica restart costs
@@ -28,16 +29,15 @@ duplicates, delays and truncates messages and whose servers crash
 Duplicated deliveries are re-applied (every ReSync action is an
 idempotent state-setter).  Persist mode bounds divergence from
 undetectable notification loss: the subscription is refreshed — torn
-down and re-opened with a null cookie, replacing the whole content —
-every ``persist_refresh_interval`` cycles, and at once when the
-connection died with a crashed server incarnation
-(``network.crash_epoch``).  Retry traffic lands on ``sync.resilient.*``
-metrics (docs/OBSERVABILITY.md §2).
+down and re-opened with a null cookie — every
+``persist_refresh_interval`` cycles, and at once when the connection
+died with a crashed server incarnation (``network.crash_epoch``).
+Retry traffic lands on ``sync.resilient.*`` metrics.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
 from ..ldap.query import SearchRequest
 from ..obs.registry import MetricsRegistry
@@ -56,30 +56,172 @@ from .protocol import SyncProtocolError, SyncResponse
 from .reconcile import ReconcileConfig
 from .snapshot import SnapshotRecoverer, SnapshotStore
 
-__all__ = ["RetryPolicy", "HealthPolicy", "ResilientConsumer", "HEALTH_STATES"]
+__all__ = ["RetryPolicy", "HealthPolicy", "SyncLink", "ResilientConsumer", "HEALTH_STATES"]
 
 
-class ResilientConsumer(HealthMachine):
-    """A replica-side sync driver that survives an unreliable network
-    (``health_state``, ``breaker_state`` and ``degraded`` — True while
-    the master is considered unreachable and local reads are stale —
-    are the :class:`~repro.sync.health.HealthMachine`'s).
+class SyncLink(HealthMachine):
+    """One (replica, provider) link: the resilient round for whichever
+    contents it is handed.
+
+    A breaker, a quarantine and a retry budget are facts about the
+    link, not about one stored filter, so the link *is* the
+    :class:`~repro.sync.health.HealthMachine` (``health_state``,
+    ``breaker_state`` and ``degraded`` are the machine's) and its
+    contents share it, the ``LADDER`` lookup, the safe-prefix rule and
+    one :class:`~repro.sync.ladder.SketchTier`.  A replica
+    (:mod:`repro.core`) keeps one link per provider.
 
     Args:
-        request: the replicated search request (the unit of replication).
-        provider: the master-side provider (any ``handle``-speaking
-            provider; persist mode additionally needs ``persist``).
-        network: network joining consumer and master; faults are
+        provider: the master-side provider (any ``handle``-speaking one).
+        network: network joining replica and master; faults are
             injected here (:class:`repro.server.faults.FaultyNetwork`).
         policy: retry/backoff/timeout policy.
         seed: seeds the deterministic backoff jitter.
         replica_server: optional :class:`DirectoryServer` serving this
             replica's clients; flipped into degraded stale-read mode
             while the master is unreachable.
+        reconcile_config: sizing policy for the sketch tier
+            (docs/RECOVERY.md).
+        health: the :class:`HealthPolicy` (budgeted retries, circuit
+            breaker, quarantine); a caller whose schedule needs more
+            retries than the default budget passes one sized to it.
+        name: fleet identity for the ``sync.health.*`` metric labels
+            and status rollups (default: ``consumer-<seed>``).
+    """
+
+    def __init__(
+        self,
+        provider,
+        network: Optional[SimulatedNetwork] = None,
+        policy: Optional[RetryPolicy] = None,
+        seed=0,
+        replica_server: Optional[DirectoryServer] = None,
+        reconcile_config: ReconcileConfig = ReconcileConfig(),
+        health: HealthPolicy = HealthPolicy(),
+        name: Optional[str] = None,
+    ):
+        self.provider = provider
+        self.network = network
+        self.name = name if name is not None else f"consumer-{seed}"
+        self.registry = registry = network.registry if network is not None else MetricsRegistry()
+        policy = policy if policy is not None else RetryPolicy()
+        super().__init__(policy, health, network, registry, self.name, seed, replica_server)
+        self._sketch = SketchTier(provider, reconcile_config, seed, registry)
+        self._reloads = registry.counter("sync.resilient.reloads")
+        self._cycles = registry.counter("sync.resilient.cycles")
+        self._h_parked = registry.counter("sync.health.parked")
+        #: every content polled over this link: what a quarantine parks
+        self._polled: Dict[int, SyncedContent] = {}
+
+    @property
+    def server(self):
+        """The master behind :attr:`provider` (crash bookkeeping), or None."""
+        return getattr(self.provider, "server", None)
+
+    def sync(self, contents: Sequence[SyncedContent]) -> Optional[SyncResponse]:
+        """One resilient round over *contents*: one gate, one retry
+        budget, one verdict.
+
+        Each content is polled in turn — transport failures retried
+        with backoff, the recovery ladder (docs/RECOVERY.md) climbed on
+        a refused cookie — and the failure count is carried from content
+        to content: N contents behind a dead link spend ``max_attempts``
+        failures and one backoff schedule, a probe round one request.
+        The first content whose attempts give out fails the round and
+        ends it; it succeeded only when every content applied a
+        response.  Returns the last applied response; None when the
+        round failed, the gate stayed shut, or *contents* is empty (a
+        no-op that does not ask the gate).  Never raises a
+        :class:`~repro.server.network.TransportError`; local content
+        survives any failure.
+        """
+        if not contents or not self.gate():
+            return None
+        self._cycles.inc()
+        cap = self.attempt_cap()
+        failures = 0
+        for content in contents:
+            self._polled[content.serial] = content
+            response, failures = self.attempt(lambda: self._exchange(content), cap, failures=failures)
+            if response is None:
+                self.failed()
+                return None
+        self.succeeded()
+        return response
+
+    def forget(self, content: SyncedContent) -> None:
+        """*content* left the link: a quarantine parks nothing of its."""
+        self._polled.pop(content.serial, None)
+
+    def _exchange(self, content: SyncedContent) -> Optional[SyncResponse]:
+        """One poll of *content*, climbing the recovery ladder when the
+        provider refuses the cookie.  Returns the applied response; None
+        when the sketch tier spent the round."""
+        while True:
+            cookie = content.cookie
+            try:
+                return content.poll(self.provider, timeout_ms=self.policy.timeout_ms)
+            except TransportError as exc:
+                self._apply_safe_prefix(content, exc)
+                raise
+            except SyncProtocolError:
+                offers = callable(getattr(self.provider, "reconcile", None))
+                for tier in LADDER[cookie is not None, len(content) > 0, offers]:
+                    if tier == "raise":
+                        raise  # a fresh session was refused — not recoverable
+                    if tier == "sketch":
+                        reconciled = self.reconcile(content)
+                        if reconciled is not None or self.suspended:
+                            return reconciled  # None: no reload on a spent round
+                    else:  # rebuild: the next request is the initial load
+                        self._reloads.inc()
+                        content.cookie = None
+
+    def reconcile(self, content: SyncedContent) -> Optional[SyncResponse]:
+        """The sketch tier over *content*: the applied fetch response,
+        or None to fall back to a rebuild."""
+        return self._sketch.run(self, content)
+
+    def _stand_down(self) -> None:
+        """Quarantined: every polled session is parked at the provider's
+        eq.-3 retain tier, so it stops accumulating history for us."""
+        park = getattr(self.provider, "park_session", None)
+        if self.position != "quarantined" or not callable(park):
+            return
+        for content in self._polled.values():
+            if content.cookie is not None and park(content.cookie):
+                self._h_parked.inc()
+
+    @staticmethod
+    def _apply_safe_prefix(content: SyncedContent, exc: TransportError) -> None:
+        """Apply the delivered prefix of a truncated response when that
+        is safe (docs/PROTOCOL.md §9).
+
+        Update batches order deletes before adds and every action is an
+        idempotent state-setter, so a *plain update* prefix only moves
+        the replica closer to the master, and the cookie travels last,
+        so the retry retransmits the full batch.  An ``initial`` prefix
+        (a fragment replacing the whole content) and a ``retain``
+        response (only meaningful complete) are retried wholesale.
+        """
+        if not isinstance(exc, ResponseTruncated) or exc.partial is None:
+            return
+        partial = exc.partial
+        if partial.initial or partial.uses_retain:
+            return
+        content.apply(partial)
+
+
+class ResilientConsumer(SyncLink):
+    """The N = 1 link: a :class:`SyncLink` with one content of its own,
+    plus what is still per-consumer — the persist subscription and the
+    snapshot warm start.
+
+    Args (beyond :class:`SyncLink`'s):
+        request: the replicated search request (the unit of replication).
+        provider: persist mode additionally needs ``persist``.
         mode: ``"poll"`` (cookie sessions) or ``"persist"`` (an open
             connection carrying change notifications).
-        reconcile_config: sizing policy for the sketch-reconciliation
-            recovery tier (docs/RECOVERY.md).
         snapshot_store: optional :class:`SnapshotStore` — when given,
             the consumer warm-starts from it on construction (the
             ladder's first rung) and re-dumps its content every
@@ -87,12 +229,6 @@ class ResilientConsumer(HealthMachine):
             tier (a restarted replica boots empty, the pre-snapshot
             behavior).
         snapshot_interval: successful cycles between snapshot saves.
-        health: the :class:`HealthPolicy` of the health state machine
-            (budgeted retries, circuit breaker, quarantine); a caller
-            whose schedule needs more retries than the default budget
-            passes one sized to it.
-        name: fleet identity for per-consumer ``sync.health.*`` metric
-            labels and status rollups (default: ``consumer-<seed>``).
     """
 
     def __init__(
@@ -114,28 +250,11 @@ class ResilientConsumer(HealthMachine):
             raise ValueError(f"mode must be 'poll' or 'persist', got {mode!r}")
         if snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        self.provider = provider
-        self.network = network
+        super().__init__(provider, network, policy, seed, replica_server, reconcile_config, health, name)
         self.mode = mode
-        self.name = name if name is not None else f"consumer-{seed}"
         self.content = SyncedContent(request, network=network)
-        registry = network.registry if network is not None else MetricsRegistry()
-        super().__init__(
-            policy if policy is not None else RetryPolicy(),
-            health,
-            clock=network,
-            registry=registry,
-            name=self.name,
-            seed=seed,
-            replica_server=replica_server,
-        )
-        self._sketch = SketchTier(
-            self.content, provider, reconcile_config, seed, registry
-        )
-        self._reloads = registry.counter("sync.resilient.reloads")
-        self._refreshes = registry.counter("sync.resilient.refreshes")
-        self._cycles = registry.counter("sync.resilient.cycles")
-        self._h_parked = registry.counter("sync.health.parked")
+        self._round = (self.content,)
+        self._refreshes = self.registry.counter("sync.resilient.refreshes")
         # persist-mode subscription state
         self._handle = None
         self._subscribed_epoch = -1
@@ -150,9 +269,7 @@ class ResilientConsumer(HealthMachine):
         self._recoverer: Optional[SnapshotRecoverer] = None
         self._cycles_since_snapshot = 0
         if snapshot_store is not None:
-            self._recoverer = SnapshotRecoverer(
-                snapshot_store, self.content, registry=registry
-            )
+            self._recoverer = SnapshotRecoverer(snapshot_store, self.content, registry=self.registry)
             self._recoverer.warm_start()
 
     # ------------------------------------------------------------------
@@ -161,12 +278,6 @@ class ResilientConsumer(HealthMachine):
     @property
     def request(self) -> SearchRequest:
         return self.content.request
-
-    @property
-    def server(self):
-        """The master server behind :attr:`provider` (for the network's
-        per-server crash bookkeeping), or None."""
-        return getattr(self.provider, "server", None)
 
     def health_snapshot(self) -> dict:
         """One fleet-status row: the machine's externally visible state
@@ -200,25 +311,12 @@ class ResilientConsumer(HealthMachine):
         )
 
     def sync_once(self) -> Optional[SyncResponse]:
-        """One resilient synchronization cycle.
-
-        Polls (or, in persist mode, verifies/refreshes the
-        subscription), retrying transport failures per the policy with
-        backoff, and climbing the recovery ladder (docs/RECOVERY.md)
-        when the provider refuses the cookie.  Returns the last applied
-        response, or None when every attempt failed — the consumer is
-        then counting toward (or in) degraded mode — or the health
-        machine's gate stayed shut.  Local content survives any failure.
-        """
-        if not self.gate():
-            return None
-        self._cycles.inc()
-        response, _ = self.attempt(self._cycle_exchange, self.attempt_cap())
-        if response is None:
-            self.failed()
-            return None
-        self.succeeded()
-        if self._recoverer is not None:
+        """One resilient synchronization cycle: the link's round
+        (:meth:`SyncLink.sync`) over this consumer's one content — a
+        poll or, in persist mode, a look at the subscription — then the
+        snapshot dump when one is due."""
+        response = self.sync(self._round)
+        if response is not None and self._recoverer is not None:
             self._recoverer.mark_live()
             self._cycles_since_snapshot += 1
             if self._cycles_since_snapshot >= self.snapshot_interval:
@@ -226,45 +324,16 @@ class ResilientConsumer(HealthMachine):
                 self._recoverer.save()
         return response
 
-    def _cycle_exchange(self) -> Optional[SyncResponse]:
-        """One poll (or one look at the persist subscription), climbing
-        the recovery ladder when the provider refuses the cookie.
-        Returns the applied response; None when the sketch tier spent
-        the cycle."""
-        while True:
-            # A persist subscription always opens with a null cookie.
-            cookie = self.content.cookie if self.mode == "poll" else None
-            try:
-                if self.mode == "persist":
-                    return self._persist_cycle()
-                return self.content.poll(
-                    self.provider, timeout_ms=self.policy.timeout_ms
-                )
-            except TransportError as exc:
-                self._apply_safe_prefix(exc)
-                raise
-            except SyncProtocolError:
-                tiers = LADDER[
-                    cookie is not None,
-                    len(self.content) > 0,
-                    callable(getattr(self.provider, "reconcile", None)),
-                ]
-                for tier in tiers:
-                    if tier == "raise":
-                        raise  # a fresh session was refused — not recoverable
-                    if tier == "sketch":
-                        reconciled = self.reconcile()
-                        if reconciled is not None or self.suspended:
-                            return reconciled  # None: no reload on a spent cycle
-                    else:  # rebuild: the next request is the initial load
-                        self._reloads.inc()
-                        self.content.cookie = None
-                        self._teardown_subscription()
+    def _exchange(self, content: SyncedContent) -> Optional[SyncResponse]:
+        if self.mode == "poll":
+            return super()._exchange(content)
+        # A persist subscription always opens with a null cookie, and a
+        # refused null cookie is the ladder's ``raise`` row.
+        return self._persist_cycle()
 
-    def reconcile(self) -> Optional[SyncResponse]:
-        """The sketch tier (:meth:`~repro.sync.ladder.SketchTier.run`):
-        the applied fetch response, or None to fall back to a rebuild."""
-        return self._sketch.run(self)
+    def reconcile(self, content: Optional[SyncedContent] = None) -> Optional[SyncResponse]:
+        """The sketch tier over this consumer's one content (callable bare)."""
+        return super().reconcile(self.content)
 
     def converge(
         self, master: DirectoryServer, max_cycles: int = 64
@@ -283,16 +352,11 @@ class ResilientConsumer(HealthMachine):
         self._teardown_subscription()
 
     def _stand_down(self) -> None:
-        """Quarantined or retired: a persist subscription is torn down;
-        a quarantined poll session is parked at the provider's eq.-3
-        retain tier, so it stops accumulating history for us."""
+        """A persist subscription is torn down, a poll session parked."""
         if self.mode == "persist":
             self._teardown_subscription()
-        elif self.position == "quarantined":
-            cookie = self.content.cookie
-            park = getattr(self.provider, "park_session", None)
-            if cookie is not None and callable(park) and park(cookie):
-                self._h_parked.inc()
+        else:
+            super()._stand_down()
 
     # ------------------------------------------------------------------
     # persist-mode subscription management
@@ -384,23 +448,3 @@ class ResilientConsumer(HealthMachine):
 
     def _current_epoch(self) -> int:
         return getattr(self.network, "crash_epoch", 0) if self.network else 0
-
-    def _apply_safe_prefix(self, exc: TransportError) -> None:
-        """Apply the delivered prefix of a truncated response when that
-        is safe (docs/PROTOCOL.md §9).
-
-        Update batches order deletes before adds and every action is an
-        idempotent state-setter, so a *plain update* prefix only moves
-        the replica closer to the master; the cookie travels last, so
-        the retry at the old generation retransmits the full batch.  An
-        ``initial`` prefix is NOT safe (applying it would replace the
-        whole content with a fragment), nor is a ``retain`` response
-        (the retain set is only meaningful complete) — those are
-        retried wholesale.
-        """
-        if not isinstance(exc, ResponseTruncated) or exc.partial is None:
-            return
-        partial = exc.partial
-        if partial.initial or partial.uses_retain:
-            return
-        self.content.apply(partial)

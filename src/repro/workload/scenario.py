@@ -160,14 +160,6 @@ class SoakScenario:
 
     # ------------------------------------------------------------------
     @property
-    def total_updates(self) -> int:
-        return sum(t.updates for t in self.ticks)
-
-    @property
-    def total_queries(self) -> int:
-        return sum(t.queries for t in self.ticks)
-
-    @property
     def horizon_ms(self) -> float:
         return self.config.ticks * self.config.tick_ms
 

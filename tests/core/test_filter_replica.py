@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.core import AnswerStatus, FilterReplica, TemplateRegistry
+from repro.core import AnswerStatus, FilterReplica, ReplicaFrontend, TemplateRegistry
 from repro.ldap import Entry, Scope, SearchRequest
-from repro.server import DirectoryServer, Modification, SimulatedNetwork
-from repro.sync import ResyncProvider
+from repro.server import (
+    DirectoryServer,
+    ExchangeFaults,
+    FaultPlan,
+    FaultSpec,
+    FaultyNetwork,
+    Modification,
+    SimulatedNetwork,
+)
+from repro.sync import HealthPolicy, ResyncProvider, RetryPolicy
 
 
 def person(dn: str, **attrs) -> Entry:
@@ -276,3 +284,77 @@ class TestSyncAndSizing:
         replica = FilterReplica("branch")
         replica.add_filter(STORED, provider)
         assert "branch" in repr(replica)
+
+
+class DropResponses(FaultPlan):
+    """Exchanges ``first`` … ``first + count - 1`` (zero-based, counted
+    from construction) lose their response; every other one is clean."""
+
+    def __init__(self, first: int, count: int):
+        super().__init__(FaultSpec(), seed=0)
+        self._lost = range(first, first + count)
+        self._seen = 0
+
+    def next_exchange(self) -> ExchangeFaults:
+        lost = self._seen in self._lost
+        self._seen += 1
+        return ExchangeFaults(drop_response=lost)
+
+
+class TestSyncOnAFaultyNetwork:
+    FILTERS = [
+        SearchRequest("", Scope.SUB, "(serialNumber=0002*IN)"),
+        SearchRequest("", Scope.SUB, "(departmentNumber=2406)"),
+        SearchRequest("", Scope.SUB, "(divisionNumber=24)"),
+    ]
+
+    def build(self, master, provider):
+        net = FaultyNetwork()
+        replica = FilterReplica("branch", network=net)
+        for request in self.FILTERS:
+            replica.add_filter(request, provider)
+        return net, replica
+
+    def test_a_round_that_gives_out_mid_way_returns_and_corrupts_nothing(
+        self, master, provider
+    ):
+        """Regression: ``sync`` threw the transport error mid-round."""
+        net, replica = self.build(master, provider)
+        first, second, third = (s.content for s in replica.stored_filters())
+        master.modify("cn=P0,c=in,o=xyz", [Modification.replace("sn", "changed")])
+        master.delete("cn=P2,c=in,o=xyz")
+        held = dict(third.entries)
+
+        # The second filter's poll and its retries lose the response
+        # until the link's breaker opens and ends the round.
+        net.plan = DropResponses(first=1, count=HealthPolicy().breaker_threshold)
+        replica.sync(provider)
+        assert first.matches_master(master)  # polled before the round gave out
+        assert not second.matches_master(master) and len(second) == 3
+        assert dict(third.entries) == held  # never reached: as fresh as it was
+        answer = replica.answer(self.FILTERS[2])
+        assert answer.is_hit and not answer.degraded  # one failed round: not yet
+
+        replica.sync(provider)  # the script is spent: a clean (probe) round
+        assert all(s.content.matches_master(master) for s in replica.stored_filters())
+        assert provider.active_session_count == 3  # every retry reused its session
+
+    def test_a_hit_over_a_degraded_link_says_so_until_a_round_succeeds(
+        self, master, provider
+    ):
+        net, replica = self.build(master, provider)
+        frontend = ReplicaFrontend("branch", replica)
+        net.partition(provider)
+        for _ in range(RetryPolicy().degraded_after):
+            replica.sync(provider)
+        master.delete("cn=P0,c=in,o=xyz")  # what the stamp warns about
+
+        answer = replica.answer(STORED)
+        assert answer.is_hit and answer.degraded and len(answer.entries) == 3
+        assert frontend.search(STORED).degraded
+
+        net.heal_partition(provider)
+        replica.sync(provider)
+        answer = replica.answer(STORED)
+        assert answer.is_hit and not answer.degraded and len(answer.entries) == 2
+        assert not frontend.search(STORED).degraded

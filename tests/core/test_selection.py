@@ -9,7 +9,7 @@ from repro.core import (
     PrefixSuffixGeneralization,
 )
 from repro.ldap import Entry, Scope, SearchRequest
-from repro.server import DirectoryServer, SimulatedNetwork
+from repro.server import DirectoryServer, FaultyNetwork, SimulatedNetwork
 from repro.sync import ResyncProvider
 
 
@@ -186,3 +186,50 @@ class TestEndToEndAdaptation:
                 hits += 1
             selector.observe(q)
         assert hits == 10
+
+
+class TestRevolutionOnAFaultyNetwork:
+    def test_partitioned_install_finishes_the_revolution_with_a_pending_filter(self, master):
+        """Regression: a partition during the revolution's install threw
+        ``NetworkPartitioned`` out of ``selector.observe()`` — the
+        client's query path — after the dropped filters were gone and
+        before the counters reset, so the next query ran it again."""
+        net = FaultyNetwork()
+        provider = ResyncProvider(master)
+        replica, selector = make_selector(
+            master,
+            interval=8,
+            provider=provider,
+            replica=FilterReplica("branch", network=net),
+        )
+        kept = SearchRequest("", Scope.SUB, "(serialNumber=0001*IN)")
+        new = SearchRequest("", Scope.SUB, "(serialNumber=0002*IN)")
+        replica.add_filter(kept, provider)
+        for i in range(4):
+            assert replica.answer(serial_query("0001", i)).is_hit
+            selector.observe(serial_query("0001", i))
+
+        net.partition(provider)
+        for i in range(4):
+            selector.observe(serial_query("0002", i))  # the last one is due
+
+        assert selector.revolutions == 1
+        assert selector._since_revolution == 0
+        assert selector.last_report.kept == [kept]
+        assert selector.last_report.installed == [new]
+        assert replica.answer(serial_query("0001", 0)).is_hit  # kept still answers
+        assert replica.holds(new)  # pending: held ...
+        assert not replica.answer(serial_query("0002", 0)).is_hit  # ... answering nothing
+        assert not replica.answer(new).is_hit
+
+        net.heal_partition(provider)
+        replica.sync(provider)
+        for request in (new, serial_query("0002", 0)):
+            answer = replica.answer(request)
+            assert answer.is_hit and not answer.degraded
+            assert {e.dn for e in answer.entries} == {
+                e.dn for e in master.search(request).entries
+            }
+            assert all(
+                e.semantically_equal(master.store.get(e.dn)) for e in answer.entries
+            )

@@ -1,4 +1,4 @@
-"""BER round-tripping of batched sync PDUs (docs/TRANSPORT.md §4).
+"""BER round-tripping of batched sync PDUs (docs/TRANSPORT.md §3).
 
 The persist transport frames every coalesced persist batch as one
 real wire PDU through the existing BER encoder, so ``bytes_sent``

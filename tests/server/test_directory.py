@@ -252,6 +252,19 @@ class TestModifyDn:
         with pytest.raises(LdapError):
             server.modify_dn("cn=Fred,c=us,o=xyz", new_superior="cn=kid,cn=Fred,c=us,o=xyz")
 
+    def test_move_under_an_absent_superior_is_refused_like_the_add(self, server):
+        """Regression: a superior that does not exist but whose own
+        parent does was accepted, leaving the moved entry parentless."""
+        with pytest.raises(LdapError) as moved:
+            server.modify_dn("cn=Fred,c=us,o=xyz", new_superior="ou=ghost,o=xyz")
+        with pytest.raises(LdapError) as added:
+            server.add(person("cn=Fred,ou=ghost,o=xyz"))
+        assert moved.value.code is added.value.code is ResultCode.NO_SUCH_OBJECT
+        assert server.store.get(DN.parse("cn=Fred,c=us,o=xyz")) is not None
+        assert server.store.get(DN.parse("cn=Fred,ou=ghost,o=xyz")) is None
+        under_us = server.search(SearchRequest("c=us,o=xyz", Scope.ONE, "(cn=Fred)"))
+        assert [str(e.dn) for e in under_us.entries] == ["cn=Fred,c=us,o=xyz"]
+
     def test_rename_to_existing_rejected(self, server):
         with pytest.raises(LdapError):
             server.modify_dn("cn=Fred,c=us,o=xyz", new_rdn="cn=Ginger")

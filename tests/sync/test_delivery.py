@@ -1,6 +1,6 @@
 """The per-session DeliveryQueue: batching, backpressure, degradation.
 
-docs/TRANSPORT.md §4: size/age-bounded batches on the virtual clock, a
+docs/TRANSPORT.md §3: size/age-bounded batches on the virtual clock, a
 busy consumer defers flushes, and a queue past its high-water mark
 degrades to per-DN coalesced-retain so slow consumers bound memory by
 content size rather than update rate.

@@ -16,9 +16,15 @@ Two layers:
   pytest tests/sync/test_fault_resilience_property.py``.  The network
   runs a small batch window, so the ``persist`` cells cross many batch
   boundaries: whole-batch drops/truncations from the ``:b`` stream and
-  per-PDU drops/duplicates from ``:n`` (docs/TRANSPORT.md §5).
+  per-PDU drops/duplicates from ``:n`` (docs/TRANSPORT.md §4).
 * **Hypothesis** — randomized seeds, fault rates and update schedules
   on top of the fixed matrix, shrinking towards small counterexamples.
+
+The **replica arm** (:class:`TestReplicaFaultMatrix`) runs the same
+seeds, networks and mutations under a QC-answering
+:class:`FilterReplica` — three overlapping stored filters behind one
+:class:`SyncLink` — so "QC is sound" and "a degraded replica never lies
+about staleness" are asserted about the same object as convergence.
 """
 
 import os
@@ -26,6 +32,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import FilterReplica
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
     DirectoryServer,
@@ -34,7 +41,14 @@ from repro.server import (
     FaultyNetwork,
     Modification,
 )
-from repro.sync import BatchConfig, ResilientConsumer, ResyncProvider, RetryPolicy
+from repro.sync import (
+    BatchConfig,
+    HealthPolicy,
+    ResilientConsumer,
+    ResyncProvider,
+    RetryPolicy,
+    SyncLink,
+)
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 NAMES = [f"P{i}" for i in range(8)]
@@ -150,6 +164,88 @@ class TestFaultMatrix:
             )
 
         assert counts() == counts()
+
+
+def sub(filter_text: str) -> SearchRequest:
+    return SearchRequest("o=xyz", Scope.SUB, filter_text)
+
+
+#: Overlapping stored filters: every department-42 entry is held three
+#: times, every person at least once.
+STORED = [
+    sub("(departmentNumber=42)"),
+    sub("(objectClass=person)"),
+    sub("(|(departmentNumber=42)(departmentNumber=99))"),
+]
+#: Queries QC proves contained in at least one of them.
+CONTAINED = STORED + [
+    sub("(&(departmentNumber=42)(cn=P0))"),
+    sub("(departmentNumber=99)"),
+    sub("(&(objectClass=person)(sn=T))"),
+]
+
+
+def unsound_hits(replica: FilterReplica, master: DirectoryServer) -> list:
+    """``(query, degraded)`` for every HIT on a contained query that
+    differs from the master's answer, entry for entry."""
+    wrong = []
+    for query in CONTAINED:
+        answer = replica.answer(query)
+        if not answer.is_hit:
+            continue  # a pending filter answers nothing
+        truth = {e.dn: e for e in master.search(query).entries}
+        held = {e.dn: e for e in answer.entries}
+        if held.keys() != truth.keys() or not all(
+            held[dn].semantically_equal(truth[dn]) for dn in truth
+        ):
+            wrong.append((str(query), answer.degraded))
+    return wrong
+
+
+def run_replica_scenario(seed: int, rate: float, steps: int = 12) -> None:
+    """The scenario of :func:`run_scenario` under a QC-answering replica."""
+    master = build_master()
+    provider = ResyncProvider(master)
+    net = make_network(seed, rate)
+    link = SyncLink(
+        provider,
+        network=net,
+        seed=seed,
+        policy=RetryPolicy(max_attempts=4, jitter=0.25),
+        health=HealthPolicy(max_total_attempts=1_000),  # sized to the drive
+    )
+    replica = FilterReplica("branch", network=net)
+    for request in STORED:
+        replica.add_filter(request, link)  # may leave it pending; never raises
+    where = f"(seed={seed}, rate={rate}, faults={net.fault_counts()})"
+    for step in range(steps):
+        mutate(master, step)
+        applied = replica.sync(link) is not None
+        stale = unsound_hits(replica, master)
+        if applied:
+            # Every content applied a response since the last update: a
+            # HIT that is not stamped degraded is the master's answer.
+            assert [q for q, degraded in stale if not degraded] == [], where
+    net.heal()
+    for _ in range(20):
+        replica.sync(link)
+        if all(s.content.matches_master(master) for s in replica.stored_filters()):
+            break
+    else:
+        pytest.fail(f"no convergence within 20 clean rounds {where}")
+    assert all(replica.answer(query).is_hit for query in CONTAINED)
+    assert not link.degraded and unsound_hits(replica, master) == [], where
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+class TestReplicaFaultMatrix:
+    """The matrix seeds under a :class:`FilterReplica` over one link.
+    At 0.1 most rounds apply, faults and all — the fresh-HIT check's
+    share; at 0.3 and 0.5 the link is quarantined before the heal."""
+
+    def test_sound_hits_and_convergence_after_heal(self, seed, rate):
+        run_replica_scenario(seed, rate)
 
 
 @given(

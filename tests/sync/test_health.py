@@ -27,6 +27,8 @@ from repro.sync import (
     ResilientConsumer,
     ResyncProvider,
     RetryPolicy,
+    SyncedContent,
+    SyncLink,
 )
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
@@ -317,3 +319,107 @@ class TestSketchTierHonoursTheMachine:
         assert consumer.sync_once() is None
         assert net.stats.round_trips == trips
         assert reloads.value == 0
+
+
+class CountingLink(SyncLink):
+    """Counts the round verdicts the machine is told."""
+
+    verdicts = ()
+
+    def succeeded(self) -> None:
+        self.verdicts += ("succeeded",)
+        super().succeeded()
+
+    def failed(self) -> None:
+        self.verdicts += ("failed",)
+        super().failed()
+
+
+class TestRoundSemantics:
+    """One round over N contents is one gate, one retry budget and one
+    verdict — counted in requests and calls, not on a clock."""
+
+    ATTEMPTS = 4
+
+    def build(self, contents: int = 12):
+        master = build_master(contents)
+        provider = ResyncProvider(master)
+        net = FaultyNetwork()
+        link = CountingLink(
+            provider,
+            network=net,
+            policy=RetryPolicy(max_attempts=self.ATTEMPTS, base_backoff_ms=1.0),
+            health=HealthPolicy(
+                breaker_threshold=self.ATTEMPTS, breaker_cooldown_ms=500.0, quarantine_after=9
+            ),
+            name="round",
+        )
+        held = [
+            SyncedContent(SearchRequest("o=xyz", Scope.SUB, f"(cn=E{i})"), network=net)
+            for i in range(contents)
+        ]
+        assert link.sync(held) is not None
+        assert all(len(content) == 1 for content in held)
+        assert link.verdicts == ("succeeded",)
+        return master, provider, net, link, held
+
+    def test_a_dead_link_costs_one_retry_budget_however_many_contents(self):
+        _, provider, net, link, held = self.build()
+        net.partition(provider)
+        trips = net.stats.round_trips
+        assert link.sync(held) is None
+        assert net.stats.round_trips - trips == self.ATTEMPTS
+        assert link.attempts_spent == self.ATTEMPTS
+        assert link.breaker_trips == 1 and link.position == "open"
+        assert link.verdicts == ("succeeded", "failed")
+
+    def test_a_half_open_round_sends_one_request(self):
+        _, provider, net, link, held = self.build()
+        net.partition(provider)
+        link.sync(held)  # trips the breaker
+        trips = net.stats.round_trips
+        assert link.sync(held) is None  # cooldown slept out, one probe
+        assert net.stats.round_trips - trips == 1
+        assert net.registry.counter("sync.health.probes").value == 1
+        assert link.position == "open"  # the failed probe re-tripped it
+
+    def test_an_empty_round_leaves_the_machine_where_it_was(self):
+        _, provider, net, link, held = self.build()
+        net.partition(provider)
+        link.sync(held)
+        clock, trips = net.elapsed_ms, net.stats.round_trips
+        assert link.sync([]) is None
+        assert link.position == "open"  # the gate was not asked
+        assert (net.elapsed_ms, net.stats.round_trips) == (clock, trips)
+        assert link.verdicts == ("succeeded", "failed")
+
+    def test_a_round_succeeded_only_when_every_content_applied(self):
+        master, provider, net, link, held = self.build()
+        net.partition(provider)
+        link.sync(held)
+        net.heal_partition(provider)
+        master.delete("cn=E0,o=xyz")
+        master.delete("cn=E11,o=xyz")
+
+        polls = []
+        serve = net.sync_exchange
+
+        def cut_the_twelfth(prov, request, control):
+            polls.append(request)
+            if len(polls) == len(held):
+                net.charge_round_trip()
+                raise NetworkPartitioned("the last content's poll is lost")
+            return serve(prov, request, control)
+
+        net.sync_exchange = cut_the_twelfth
+        assert link.sync(held) is None  # a probe round: one attempt each
+        assert len(polls) == len(held)
+        assert len(held[0]) == 0 and len(held[11]) == 1  # eleven applied, one did not
+        assert link.verdicts == ("succeeded", "failed", "failed")
+        assert link.failed_cycles == 2
+
+        del net.sync_exchange
+        assert link.sync(held) is not None
+        assert len(held[11]) == 0
+        assert link.verdicts == ("succeeded", "failed", "failed", "succeeded")
+        assert link.failed_cycles == 0 and link.position == "closed"

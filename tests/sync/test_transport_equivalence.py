@@ -2,7 +2,7 @@
 
 ``provider.persist(request, callback)`` *is* the protocol: the callback
 receives every notification inline with the master update, in order.
-The network's transport (docs/TRANSPORT.md §6) puts a
+The network's transport (docs/TRANSPORT.md §5) puts a
 :class:`~repro.sync.delivery.DeliveryQueue` in between, so its
 observable behaviour must be provably tied to that direct stream:
 
