@@ -8,7 +8,8 @@ mode of update for information typically stored in directories."
 The bench quantifies the trade-off on one replica with N stored
 filters under a master update stream:
 
-* **persist** — zero staleness, but N standing connections;
+* **persist** — zero staleness once the transport delivers, but N
+  standing connections;
 * **poll every k queries** — zero standing connections, staleness
   bounded by the poll interval (measured as the fraction of hits served
   from content the master had already changed).
@@ -45,6 +46,8 @@ def _stale_fraction(env, mode: str, poll_interval: int) -> tuple:
     eval_trace = env.day(2).of_type(QueryType.SERIAL)[:N_QUERIES]
     for index, record in enumerate(eval_trace):
         updates.apply(1)
+        if mode == "persist":
+            network.settle()  # the notifications ride the DeliveryQueue
         answer = replica.answer(record.request)
         if answer.is_hit:
             hits += 1
@@ -106,13 +109,14 @@ def test_sync_mode_tradeoff(benchmark, env: BenchEnv, mode_rows):
         assert by_label[label][1] == 0
     assert by_label["poll/50"][4] <= by_label["poll/1000"][4]
 
-    # Timed unit: a persist-mode notification delivery.
+    # Timed unit: a persist-mode notification delivery, commit to apply.
     master = env.fresh_master()
     provider = ResyncProvider(master)
-    replica = FilterReplica("bench", network=SimulatedNetwork())
+    network = SimulatedNetwork()
+    replica = FilterReplica("bench", network=network)
     block, cc, _h = hot_blocks(env)[0]
     replica.add_filter(block_filter(block, cc), provider)
     replica.subscribe_persist(provider)
     updates = UpdateGenerator(env.directory, master)
-    benchmark(lambda: updates.apply(1))
+    benchmark(lambda: (updates.apply(1), network.settle()))
     replica.unsubscribe_persist()

@@ -130,7 +130,6 @@ class FilterReplica:
         self._negative: Optional[NegativeResultCache] = (
             NegativeResultCache() if templates is None else None
         )
-        self._persist_handles: Dict[SearchRequest, object] = {}
         self._links: Dict[int, SyncLink] = {}  # provider identity → default link
         #: held, but outside the index: no response applied yet
         self._pending: Dict[SearchRequest, StoredFilter] = {}
@@ -198,21 +197,17 @@ class FilterReplica:
             self._negative.invalidate()
 
     def remove_filter(self, request: SearchRequest, provider=None) -> None:
-        """Discard a replicated query (ending its sync session)."""
+        """Discard a replicated query, tearing down its subscription and,
+        with *provider* given, ending its poll session."""
         stored = self._stored.pop(request, None)
         self._pending.pop(request, None)
         self._index.remove(request)
         self._size_memo = None
-        handle = self._persist_handles.pop(request, None)
-        if handle is not None:
-            handle.abandon()
-            if self.network is not None:
-                self.network.connection_closed()
-        if stored is not None and provider is not None:
-            link = link_for(self, provider)
-            link.forget(stored.content)
-            if stored.content.cookie:
-                stored.content.end(link.provider)
+        if stored is None or stored.link is None:
+            return
+        stored.link.forget(stored.content)
+        if provider is not None and stored.content.cookie:
+            stored.content.end(stored.link.provider)
 
     def load_directly(self, request: SearchRequest, entries: Sequence[Entry]) -> StoredFilter:
         """Install a stored filter's content without a provider."""
@@ -235,49 +230,39 @@ class FilterReplica:
     # synchronization
     # ------------------------------------------------------------------
     def subscribe_persist(self, provider) -> int:
-        """Switch every stored filter to persist-mode ReSync (§5.2).
+        """Hold every stored filter by a persist subscription (§5.2):
+        strong consistency, at one open connection *per replicated
+        filter* — the scaling concern the paper raises.
 
-        Persistent search gives strong consistency — every master change
-        is applied to the replica the moment it commits — but costs one
-        open connection *per replicated filter*, the scaling concern the
-        paper raises.  Connections are accounted on the replica's
-        network; returns the number opened.
-
-        Filters already holding a poll cookie resume their session, so
-        no content is retransmitted.
+        One round of *provider*'s link opens the unsubscribed filters
+        through the network's ``subscribe`` exchange, resuming each poll
+        session (nothing retransmitted).  Returns the number opened;
+        never raises a transport error — a later :meth:`sync` opens the
+        rest.  Notifications ride the network's ``DeliveryQueue`` (fresh
+        after ``network.settle()``); without a network, apply at commit.
         """
-        opened = 0
+        link = link_for(self, provider)
+        joining = []
         for stored in self._stored.values():
-            if stored.request in self._persist_handles:
-                continue
-            response, handle = provider.persist(
-                stored.request,
-                stored.content.apply_notification,
-                cookie=stored.content.cookie,
-            )
-            for update in response.updates:
-                stored.content.apply_notification(update)
-            stored.content.cookie = None  # session is now connection-bound
-            self._persist_handles[stored.request] = handle
-            if self._pending.pop(stored.request, None) is not None:
-                self._admit(stored)  # the subscription's response was its first
-            if self.network is not None:
-                self.network.connection_opened()
-            opened += 1
-        return opened
+            stored.link = link.adopt(stored.content, stored.link)
+            if link.subscription(stored.content) is None:
+                link.subscribe(stored.content)
+                joining.append(stored.content)
+        link.sync(joining)
+        self._admit_answered()
+        return sum(link.subscription(content).handle is not None for content in joining)
 
     def unsubscribe_persist(self) -> None:
-        """Abandon all persist sessions (back to polling mode)."""
-        for handle in self._persist_handles.values():
-            handle.abandon()
-            if self.network is not None:
-                self.network.connection_closed()
-        self._persist_handles.clear()
+        """Tear every persist subscription down (back to polling mode)."""
+        for stored in self._stored.values():
+            if stored.link is not None:
+                stored.link.unsubscribe(stored.content)
 
     @property
     def persist_connections(self) -> int:
         """Open persist-mode connections (one per subscribed filter)."""
-        return len(self._persist_handles)
+        subs = [s.link.subscription(s.content) for s in self._stored.values() if s.link is not None]
+        return sum(1 for sub in subs if sub is not None and sub.handle is not None)
 
     def sync(self, provider) -> Optional[SyncResponse]:
         """One sync round: one :meth:`SyncLink.sync
@@ -288,28 +273,30 @@ class FilterReplica:
         as fresh as they were.  Returns its last applied response, or
         None (failed, gate shut, nothing due).
 
-        A filter with ``sync_interval`` n is polled on every n-th round
-        (per-object-type consistency levels, §3.2).  Persist-subscribed
-        filters are skipped: their session is connection-bound (no
-        cookie), so a poll would be a full initial load on a second
-        provider session.  A pending filter whose first response this
-        round applied is admitted.
+        A filter with ``sync_interval`` n is due on every n-th round
+        (per-object-type consistency levels, §3.2).  A polled filter
+        polls; a subscribed one runs its persist cycle — free while it
+        lives, re-opened when it died, a full load every
+        ``persist_refresh_interval`` rounds — on this link, where it
+        moves with its subscription (:meth:`SyncLink.adopt`).  Pending
+        filters this round answered are admitted.
         """
         self._sync_round += 1
         sync_round = self._sync_round
         link = link_for(self, provider)
-        subscribed = self._persist_handles
         due = []
         for stored in self._stored.values():
-            if stored.request in subscribed:
-                continue
             if sync_round % stored.sync_interval == 0:
-                stored.link = link
+                stored.link = link.adopt(stored.content, stored.link)
                 due.append(stored.content)
         response = link.sync(due)
+        self._admit_answered()
+        return response
+
+    def _admit_answered(self) -> None:
+        """Admit every pending filter a round has applied a response to."""
         for request in [r for r, s in self._pending.items() if s.content.polls]:
             self._admit(self._pending.pop(request))
-        return response
 
     # ------------------------------------------------------------------
     # answering

@@ -414,24 +414,18 @@ class SimulatedNetwork:
         self.stats.sync_dn_pdus += 1
         self.stats.bytes_sent += dn_bytes
 
-    def connection_opened(self, connection: Optional[object] = None) -> None:
+    def connection_opened(self, connection: object) -> None:
         """Account one opened client connection (§5.2's scaling metric,
-        reported as ``net.connections.open``/``.total``).
-
-        When the caller passes the connection object it is registered
-        for forced disconnection on a crash window
-        (:meth:`disconnect_server`); counter-only callers may pass
-        nothing, keeping the historical bare-accounting API.
-        """
+        reported as ``net.connections.open``/``.total``) and register it
+        for forced disconnection on a crash window: *connection* has a
+        ``server`` and a ``drop()`` (:meth:`disconnect_server`)."""
         self._open.inc()
         self._total.inc()
-        if connection is not None:
-            self._live_connections[id(connection)] = connection
+        self._live_connections[id(connection)] = connection
 
-    def connection_closed(self, connection: Optional[object] = None) -> None:
+    def connection_closed(self, connection: object) -> None:
         self._open.set(max(0.0, self._open.value - 1))
-        if connection is not None:
-            self._live_connections.pop(id(connection), None)
+        self._live_connections.pop(id(connection), None)
 
     def disconnect_server(self, url: str) -> int:
         """Forcibly drop every registered connection to the server at
@@ -439,19 +433,14 @@ class SimulatedNetwork:
 
         Each dropped connection's ``drop()`` method runs (closing it and
         decrementing ``net.connections.open`` exactly once); returns the
-        number of connections dropped.  Persist-mode consumers detect
-        the loss through :attr:`crash_epoch` and must re-subscribe —
-        re-counting the connection, not leaking it.
+        number of connections dropped.  A link's persist cycle sees a
+        dropped subscription (or the moved :attr:`crash_epoch`) and
+        re-opens it — re-counting the connection, not leaking it.
         """
-        victims = [
-            conn
-            for conn in list(self._live_connections.values())
-            if getattr(getattr(conn, "server", None), "url", None) == url
-        ]
+        live = list(self._live_connections.values())
+        victims = [conn for conn in live if getattr(conn.server, "url", None) == url]
         for conn in victims:
-            drop = getattr(conn, "drop", None)
-            if drop is not None:
-                drop()
+            conn.drop()
         return len(victims)
 
     # ------------------------------------------------------------------

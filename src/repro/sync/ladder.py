@@ -8,7 +8,8 @@ the consumer does next is one lookup in :data:`LADDER`, on three facts:
 
 * **the request carried a cookie** — a refused *null* cookie is a
   refused initial load, which nothing below can repair: ``raise`` (a
-  persist subscription always opens with a null cookie);
+  persist subscription re-opens with a null cookie, and is offered no
+  sketch: a refused resume rebuilds);
 * **local content is non-empty** — the sketch exploits what the replica
   already holds; an empty replica has no delta to exploit;
 * **the provider offers** ``reconcile`` — the retain and baseline

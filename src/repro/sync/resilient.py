@@ -20,19 +20,17 @@ crash (:mod:`repro.server.faults`).  Three parts:
   is gone, and the tier taken is one lookup in ``LADDER``
   (docs/RECOVERY.md): sketch reconciliation over warm content, else the
   paper's §5 reload with a null cookie;
-* this module — the round, the persist subscription, and the snapshot
+* this module — the round, the persist subscriptions, and the snapshot
   warm start: built with a :class:`~repro.sync.snapshot.SnapshotStore`,
   a consumer restores the last verified dump (content + cookie) on
   construction, so the first poll after a replica restart costs
   O(delta); a corrupt or torn snapshot is discarded, never applied.
 
 Duplicated deliveries are re-applied (every ReSync action is an
-idempotent state-setter).  Persist mode bounds divergence from
-undetectable notification loss: the subscription is refreshed — torn
-down and re-opened with a null cookie — every
-``persist_refresh_interval`` cycles, and at once when the connection
-died with a crashed server incarnation (``network.crash_epoch``).
-Retry traffic lands on ``sync.resilient.*`` metrics.
+idempotent state-setter).  A subscribed content's turn in a round is
+its persist cycle (:meth:`SyncLink._persist`), which re-opens a dead
+subscription and refreshes a live one, bounding undetectable
+notification loss.  Retry traffic lands on ``sync.resilient.*``.
 """
 
 from __future__ import annotations
@@ -59,6 +57,38 @@ from .snapshot import SnapshotRecoverer, SnapshotStore
 __all__ = ["RetryPolicy", "HealthPolicy", "SyncLink", "ResilientConsumer", "HEALTH_STATES"]
 
 
+class Subscription:
+    """One persist subscription of a :class:`SyncLink`: the connection a
+    crash drops (``server``, :meth:`drop`) and what the persist cycle
+    reads — handle (None while closed), opening epoch, cycles since,
+    opening response.  No reference back to the link (a cycle delays
+    freeing a replaced consumer's content to the cyclic collector)."""
+
+    __slots__ = ("network", "server", "handle", "epoch", "cycles", "response")
+
+    def __init__(self, network: Optional[SimulatedNetwork], server):
+        self.network = network
+        self.server = server
+        self.handle = None
+        self.epoch = self.cycles = 0
+        self.response: Optional[SyncResponse] = None
+
+    def close(self) -> None:
+        """End the subscription client-side (a no-op when closed)."""
+        if self.handle is not None:
+            self.handle.abandon()
+            self.drop()
+
+    def drop(self) -> None:
+        """Forced disconnect: the connection died with its server.  No
+        message reaches the provider; the batching queue is closed, so
+        nothing queued before is delivered into a re-opened content."""
+        handle, self.handle = self.handle, None
+        if handle is not None and self.network is not None:
+            handle.delivery_queue.close()
+            self.network.connection_closed(self)
+
+
 class SyncLink(HealthMachine):
     """One (replica, provider) link: the resilient round for whichever
     contents it is handed.
@@ -68,8 +98,9 @@ class SyncLink(HealthMachine):
     :class:`~repro.sync.health.HealthMachine` (``health_state``,
     ``breaker_state`` and ``degraded`` are the machine's) and its
     contents share it, the ``LADDER`` lookup, the safe-prefix rule and
-    one :class:`~repro.sync.ladder.SketchTier`.  A replica
-    (:mod:`repro.core`) keeps one link per provider.
+    one :class:`~repro.sync.ladder.SketchTier`.  A content is polled or,
+    from :meth:`subscribe` to :meth:`unsubscribe`, held by a persist
+    :class:`Subscription`.  A replica keeps one link per provider.
 
     Args:
         provider: the master-side provider (any ``handle``-speaking one).
@@ -109,9 +140,12 @@ class SyncLink(HealthMachine):
         self._sketch = SketchTier(provider, reconcile_config, seed, registry)
         self._reloads = registry.counter("sync.resilient.reloads")
         self._cycles = registry.counter("sync.resilient.cycles")
+        self._refreshes = registry.counter("sync.resilient.refreshes")
         self._h_parked = registry.counter("sync.health.parked")
         #: every content polled over this link: what a quarantine parks
         self._polled: Dict[int, SyncedContent] = {}
+        #: content serial → its persist subscription
+        self._subscriptions: Dict[int, Subscription] = {}
 
     @property
     def server(self):
@@ -122,9 +156,10 @@ class SyncLink(HealthMachine):
         """One resilient round over *contents*: one gate, one retry
         budget, one verdict.
 
-        Each content is polled in turn — transport failures retried
-        with backoff, the recovery ladder (docs/RECOVERY.md) climbed on
-        a refused cookie — and the failure count is carried from content
+        Each content is polled in turn — a subscribed one runs its
+        persist cycle instead — transport failures retried with backoff,
+        the recovery ladder (docs/RECOVERY.md) climbed on a refused
+        cookie, and the failure count is carried from content
         to content: N contents behind a dead link spend ``max_attempts``
         failures and one backoff schedule, a probe round one request.
         The first content whose attempts give out fails the round and
@@ -150,13 +185,48 @@ class SyncLink(HealthMachine):
         return response
 
     def forget(self, content: SyncedContent) -> None:
-        """*content* left the link: a quarantine parks nothing of its."""
+        """*content* left the link: its subscription is torn down and a
+        quarantine parks nothing of its."""
         self._polled.pop(content.serial, None)
+        self.unsubscribe(content)
+
+    def adopt(self, content: SyncedContent, other: Optional["SyncLink"]) -> "SyncLink":
+        """*content* moves here from *other* with its subscription: kept
+        open when both links reach one provider over one network, else
+        re-opened by this link's next round.  Returns this link."""
+        if other is not None and other is not self:
+            subscription = other._subscriptions.pop(content.serial, None)
+            other.forget(content)
+            if subscription is not None:
+                if other.provider is not self.provider or other.network is not self.network:
+                    subscription.close()
+                    subscription = Subscription(self.network, self.server)
+                self._subscriptions[content.serial] = subscription
+        return self
+
+    def subscribe(self, content: SyncedContent) -> None:
+        """Hold *content* by a persist subscription: the next round that
+        reaches it opens one (a no-op when already subscribed)."""
+        if content.serial not in self._subscriptions:
+            self._subscriptions[content.serial] = Subscription(self.network, self.server)
+
+    def unsubscribe(self, content: SyncedContent) -> None:
+        """Tear *content*'s subscription down; rounds poll it again."""
+        subscription = self._subscriptions.pop(content.serial, None)
+        if subscription is not None:
+            subscription.close()
+
+    def subscription(self, content: SyncedContent) -> Optional[Subscription]:
+        """*content*'s persist subscription, open or not; None if polled."""
+        return self._subscriptions.get(content.serial)
 
     def _exchange(self, content: SyncedContent) -> Optional[SyncResponse]:
-        """One poll of *content*, climbing the recovery ladder when the
-        provider refuses the cookie.  Returns the applied response; None
-        when the sketch tier spent the round."""
+        """One poll of *content* — a subscribed content's persist cycle
+        instead — climbing the recovery ladder when the provider refuses
+        the cookie.  Returns the applied response; None when the sketch
+        tier spent the round."""
+        if self._subscriptions and content.serial in self._subscriptions:
+            return self._persist(content)
         while True:
             cookie = content.cookie
             try:
@@ -177,14 +247,70 @@ class SyncLink(HealthMachine):
                         self._reloads.inc()
                         content.cookie = None
 
+    def _persist(self, content: SyncedContent) -> Optional[SyncResponse]:
+        """The persist cycle of a subscribed *content*; returns the
+        response its subscription opened with.
+
+        Liveness is judged after in-flight batches are delivered.  A
+        subscription that is closed, ended (here, server-side or by a
+        provider restart) or from an older crash epoch is re-opened, a
+        live one refreshed — re-opened with a null cookie, a full load —
+        every ``persist_refresh_interval`` cycles.  Opening presents the
+        content's cookie (a polled content resumes its session) and
+        clears it.  No sketch is offered: a refused resume rebuilds, a
+        refused null cookie raises; a late opening response is a lost
+        one and resets the half-open session.
+        """
+        subscription = self._subscriptions[content.serial]
+        network = self.network
+        if network is not None:
+            network.settle()
+        handle = subscription.handle
+        epoch = network.crash_epoch if network is not None else 0
+        if handle is not None and handle.active and subscription.epoch == epoch:
+            subscription.cycles += 1
+            if subscription.cycles < self.policy.persist_refresh_interval:
+                return subscription.response
+            self._refreshes.inc()
+        subscription.close()
+        while True:
+            cookie = content.cookie
+            try:
+                deliveries, handle = exchange(
+                    network, "subscribe", self.provider, content.request,
+                    content.apply_notification, cookie,
+                )
+                break
+            except SyncProtocolError:
+                (tier,) = LADDER[cookie is not None, len(content) > 0, False]
+                if tier == "raise":
+                    raise
+                self._reloads.inc()
+                content.cookie = None
+        try:
+            timely = SyncedContent.timely(deliveries, self.policy.timeout_ms)
+        except OperationTimeout:
+            handle.abandon()
+            raise
+        response = subscription.response = timely[-1].response
+        content.apply(response)
+        content.cookie = None
+        subscription.handle, subscription.epoch, subscription.cycles = handle, epoch, 0
+        if network is not None:
+            network.connection_opened(subscription)  # §5.2's scaling metric
+        return response
+
     def reconcile(self, content: SyncedContent) -> Optional[SyncResponse]:
         """The sketch tier over *content*: the applied fetch response,
         or None to fall back to a rebuild."""
         return self._sketch.run(self, content)
 
     def _stand_down(self) -> None:
-        """Quarantined: every polled session is parked at the provider's
-        eq.-3 retain tier, so it stops accumulating history for us."""
+        """Quarantined or given up: every subscription is torn down and,
+        quarantined, every polled session parked at the provider's eq.-3
+        retain tier, so it stops accumulating history for us."""
+        for subscription in self._subscriptions.values():
+            subscription.close()
         park = getattr(self.provider, "park_session", None)
         if self.position != "quarantined" or not callable(park):
             return
@@ -214,14 +340,15 @@ class SyncLink(HealthMachine):
 
 class ResilientConsumer(SyncLink):
     """The N = 1 link: a :class:`SyncLink` with one content of its own,
-    plus what is still per-consumer — the persist subscription and the
-    snapshot warm start.
+    plus what is still per-consumer — the mode and the snapshot warm
+    start.
 
     Args (beyond :class:`SyncLink`'s):
         request: the replicated search request (the unit of replication).
         provider: persist mode additionally needs ``persist``.
-        mode: ``"poll"`` (cookie sessions) or ``"persist"`` (an open
-            connection carrying change notifications).
+        mode: ``"poll"`` (cookie sessions) or ``"persist"`` (the content
+            is subscribed on construction: an open connection carrying
+            change notifications).
         snapshot_store: optional :class:`SnapshotStore` — when given,
             the consumer warm-starts from it on construction (the
             ladder's first rung) and re-dumps its content every
@@ -254,12 +381,8 @@ class ResilientConsumer(SyncLink):
         self.mode = mode
         self.content = SyncedContent(request, network=network)
         self._round = (self.content,)
-        self._refreshes = self.registry.counter("sync.resilient.refreshes")
-        # persist-mode subscription state
-        self._handle = None
-        self._subscribed_epoch = -1
-        self._cycles_since_refresh = 0
-        self._last_response: Optional[SyncResponse] = None
+        if mode == "persist":
+            self.subscribe(self.content)
 
         # Snapshot warm-start tier (docs/RECOVERY.md first rung): a
         # store means this consumer is a restart of a replica that may
@@ -313,8 +436,8 @@ class ResilientConsumer(SyncLink):
     def sync_once(self) -> Optional[SyncResponse]:
         """One resilient synchronization cycle: the link's round
         (:meth:`SyncLink.sync`) over this consumer's one content — a
-        poll or, in persist mode, a look at the subscription — then the
-        snapshot dump when one is due."""
+        poll or, in persist mode, the subscription's persist cycle —
+        then the snapshot dump when one is due."""
         response = self.sync(self._round)
         if response is not None and self._recoverer is not None:
             self._recoverer.mark_live()
@@ -323,13 +446,6 @@ class ResilientConsumer(SyncLink):
                 self._cycles_since_snapshot = 0
                 self._recoverer.save()
         return response
-
-    def _exchange(self, content: SyncedContent) -> Optional[SyncResponse]:
-        if self.mode == "poll":
-            return super()._exchange(content)
-        # A persist subscription always opens with a null cookie, and a
-        # refused null cookie is the ladder's ``raise`` row.
-        return self._persist_cycle()
 
     def reconcile(self, content: Optional[SyncedContent] = None) -> Optional[SyncResponse]:
         """The sketch tier over this consumer's one content (callable bare)."""
@@ -348,103 +464,7 @@ class ResilientConsumer(SyncLink):
         return None
 
     def close(self) -> None:
-        """Tear down any persist subscription (client-side abandon)."""
-        self._teardown_subscription()
-
-    def _stand_down(self) -> None:
-        """A persist subscription is torn down, a poll session parked."""
-        if self.mode == "persist":
-            self._teardown_subscription()
-        else:
-            super()._stand_down()
-
-    # ------------------------------------------------------------------
-    # persist-mode subscription management
-    # ------------------------------------------------------------------
-    def _persist_cycle(self) -> Optional[SyncResponse]:
-        """Keep the persist subscription alive and fresh.
-
-        Re-subscribes when the connection died with a crashed server
-        incarnation (epoch mismatch) or the handle was torn down; also
-        refreshes on the policy's interval so divergence from dropped
-        notifications is bounded by ``persist_refresh_interval`` cycles.
-        """
-        # Flush in-flight delivery batches first: a refresh tears the
-        # subscription (and its queue) down, and liveness decisions
-        # should see the delivered state.
-        if self.network is not None:
-            self.network.settle()
-        dead = (
-            self._handle is None
-            or not self._handle.active
-            or self._current_epoch() != self._subscribed_epoch
-        )
-        refresh_due = (
-            self._cycles_since_refresh + 1 >= self.policy.persist_refresh_interval
-        )
-        if dead or refresh_due:
-            if not dead:
-                self._refreshes.inc()
-            self._teardown_subscription()
-            self._subscribe()
-        else:
-            self._cycles_since_refresh += 1
-        return self._last_response
-
-    def _subscribe(self) -> None:
-        """Open a fresh persist subscription (null cookie: the initial
-        response replaces the whole local content on arrival)."""
-        epoch = self._current_epoch()
-        deliveries, handle = exchange(
-            self.network,
-            "subscribe",
-            self.provider,
-            self.request,
-            self.content.apply_notification,
-        )
-        try:
-            timely = SyncedContent.timely(deliveries, self.policy.timeout_ms)
-        except OperationTimeout:
-            # Late initial content is lost content: reset the half-open
-            # session, as a dropped response does.
-            handle.abandon()
-            raise
-        response = timely[-1].response
-        self.content.apply(response)
-        self._handle = handle
-        self._subscribed_epoch = epoch
-        self._cycles_since_refresh = 0
-        self._last_response = response
-        if self.network is not None:
-            # One open connection per persist-mode subscription — §5.2's
-            # scaling metric; re-counted (not leaked) across crashes.
-            self.network.connection_opened(self)
-
-    def _teardown_subscription(self) -> None:
-        """Voluntarily end the subscription (sync_end semantics)."""
-        if self._handle is None:
-            return
-        handle, self._handle = self._handle, None
-        self._subscribed_epoch = -1
-        handle.abandon()
-        if self.network is not None:
-            self.network.connection_closed(self)
-
-    def drop(self) -> None:
-        """Forced disconnect: our persist connection died with a crashed
-        server (called by the network's crash handling).  The server
-        side is already gone; only account the close locally."""
-        if self._handle is None:
-            return
-        handle, self._handle = self._handle, None
-        self._subscribed_epoch = -1
-        if handle.delivery_queue is not None:
-            # The subscription died with the server incarnation: close
-            # the stale batching queue so nothing queued before the
-            # crash is delivered into the re-subscribed content.
-            handle.delivery_queue.close()
-        if self.network is not None:
-            self.network.connection_closed(self)
-
-    def _current_epoch(self) -> int:
-        return getattr(self.network, "crash_epoch", 0) if self.network else 0
+        """Tear down any persist subscription (client-side abandon); it
+        stays held, so a later cycle re-opens it."""
+        for subscription in self._subscriptions.values():
+            subscription.close()

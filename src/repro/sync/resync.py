@@ -121,8 +121,10 @@ class PersistHandle:
 
     @property
     def active(self) -> bool:
-        """False once the session ended, here or server-side."""
-        return not self._session.ended
+        """False once the session ended, here or server-side, or once
+        the provider no longer holds *this record* — a restart forgets
+        its records without ending them."""
+        return not self._session.ended and self._provider.sessions.get(self.session_id) is self._session
 
     def abandon(self) -> None:
         """Tear down the persistent connection without a sync_end —

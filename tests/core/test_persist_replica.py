@@ -5,8 +5,8 @@ import pytest
 from repro.core import FilterReplica
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.ldap.ber import encoded_sync_batch_size
-from repro.server import DirectoryServer, Modification, SimulatedNetwork
-from repro.sync import ResyncProvider, SyncedContent
+from repro.server import DirectoryServer, FaultyNetwork, Modification, SimulatedNetwork
+from repro.sync import ResyncProvider, RetryPolicy, SyncedContent, SyncLink
 
 
 @pytest.fixture()
@@ -47,11 +47,27 @@ class TestSubscribePersist:
 
     def test_changes_apply_immediately_without_polling(self, master):
         provider = ResyncProvider(master)
-        replica = FilterReplica("r", network=SimulatedNetwork())
+        net = SimulatedNetwork()
+        replica = FilterReplica("r", network=net)
         replica.add_filter(DEPT0, provider)
         replica.subscribe_persist(provider)
         master.modify("cn=P0,o=xyz", [Modification.replace("title", "live")])
-        # no replica.sync() call — strong consistency via notifications
+        # no replica.sync() call — strong consistency via notifications,
+        # fresh once the transport has delivered them
+        net.settle()
+        stored = replica.stored_filters()[0]
+        assert stored.content.matches_master(master)
+        answer = replica.answer(DEPT0)
+        titles = {e.first("title") for e in answer.entries}
+        assert "live" in titles
+
+    def test_changes_apply_at_commit_without_a_network(self, master):
+        provider = ResyncProvider(master)
+        replica = FilterReplica("r")
+        replica.add_filter(DEPT0, provider)
+        assert replica.subscribe_persist(provider) == 1
+        master.modify("cn=P0,o=xyz", [Modification.replace("title", "live")])
+        # in-process: the notification applied inside the commit
         stored = replica.stored_filters()[0]
         assert stored.content.matches_master(master)
         answer = replica.answer(DEPT0)
@@ -86,9 +102,10 @@ class TestSubscribePersist:
         assert net.open_connections == 0
         assert provider.active_session_count == 0
 
-    def test_sync_skips_persist_subscribed_filters(self, master):
+    def test_sync_rides_subscribed_filters_without_polling(self, master):
         """A subscribed filter has no cookie; polling it would be a full
-        initial load on a second, orphaned provider session."""
+        initial load on a second, orphaned provider session.  Its turn in
+        the round is a look at the live subscription."""
         provider = ResyncProvider(master)
         net = SimulatedNetwork()
         replica = FilterReplica("r", network=net)
@@ -135,19 +152,20 @@ class TestSubscribePersist:
 
 
 class TestWhoDeliversCharges:
-    """One network carrying an in-process replica subscription and a
-    queued session: every delivery is charged exactly once, by whoever
-    delivers it.  Regression: the charging rule was a property of the
-    network object, so on a network with queued sessions the replica's
-    notifications were delivered but charged nowhere."""
+    """One network carrying an in-process subscription (the reference
+    consumer: a bare ``provider.persist``) and a queued session: every
+    delivery is charged exactly once, by whoever delivers it.
+    Regression: the charging rule was a property of the network object,
+    so on a network with queued sessions the in-process notifications
+    were delivered but charged nowhere."""
 
     @staticmethod
     def build(master, on_first_delivery=None):
         provider = ResyncProvider(master)
         net = SimulatedNetwork()
-        replica = FilterReplica("r", network=net)
-        replica.add_filter(DEPT0, provider)
-        replica.subscribe_persist(provider)
+        direct = SyncedContent(DEPT0, network=net)
+        response, _handle = provider.persist(DEPT0, direct.apply_notification)
+        direct.apply(response)
         content = SyncedContent(DEPT0, network=net)
         framed = []
 
@@ -160,10 +178,10 @@ class TestWhoDeliversCharges:
         deliveries, _handle = net.persist_exchange(provider, DEPT0, deliver)
         content.apply(deliveries[-1].response)
         net.stats.reset()
-        return net, replica, content, framed
+        return net, direct, content, framed
 
     def test_each_delivery_charged_once(self, master):
-        net, replica, content, framed = self.build(master)
+        net, direct, content, framed = self.build(master)
         master.modify("cn=P0,o=xyz", [Modification.replace("title", "live")])
         assert net.settle() >= 1
         assert net.stats.sync_entry_pdus == 2
@@ -172,17 +190,17 @@ class TestWhoDeliversCharges:
             [update]
         )
         assert content.matches_master(master)
-        assert replica.stored_filters()[0].content.matches_master(master)
+        assert direct.matches_master(master)
 
     def test_charged_once_when_the_deliver_callback_reenters_the_master(self, master):
         def reenter():
             master.modify("cn=P2,o=xyz", [Modification.replace("title", "nested")])
 
-        net, replica, content, framed = self.build(master, on_first_delivery=reenter)
+        net, direct, content, framed = self.build(master, on_first_delivery=reenter)
         master.modify("cn=P0,o=xyz", [Modification.replace("title", "live")])
         net.settle()
-        # The nested update reached the replica in-process while the
-        # network was mid-delivery of the first one, and the queued
+        # The nested update reached the direct consumer in-process while
+        # the network was mid-delivery of the first one, and the queued
         # session in a later frame of its own.
         assert len(framed) == 2
         assert net.stats.sync_entry_pdus == 4
@@ -190,4 +208,120 @@ class TestWhoDeliversCharges:
             u.pdu_bytes + encoded_sync_batch_size([u]) for u in framed
         )
         assert content.matches_master(master)
-        assert replica.stored_filters()[0].content.matches_master(master)
+        assert direct.matches_master(master)
+
+
+class TestSubscriptionsRideTheLink:
+    """A replica's subscriptions open, die and re-open through its link
+    and the network's ``subscribe`` exchange, so the faults that reach a
+    poll reach them.  Regressions: ``subscribe_persist`` called
+    ``provider.persist`` in-process — a partition did not stop it, a
+    crash dropped nothing, and ``sync`` skipped subscribed filters, so a
+    provider restart left them serving stale HITs, never degraded."""
+
+    @staticmethod
+    def build(master, net, policy=None):
+        provider = ResyncProvider(master)
+        link = SyncLink(provider, network=net, policy=policy, name="r")
+        replica = FilterReplica("r", network=net)
+        replica.add_filter(DEPT0, link)
+        replica.add_filter(DEPT1, link)
+        return provider, link, replica
+
+    @staticmethod
+    def matches(replica, master):
+        return all(s.content.matches_master(master) for s in replica.stored_filters())
+
+    def test_a_partition_reaches_the_subscription(self, master):
+        net = FaultyNetwork()
+        provider, link, replica = self.build(master, net)
+        net.partition(provider)
+        assert replica.subscribe_persist(link) == 0
+        assert (replica.persist_connections, net.open_connections) == (0, 0)
+        master.modify("cn=P0,o=xyz", [Modification.replace("title", "healed")])
+        net.heal_partition(provider)
+        replica.sync(link)
+        assert (replica.persist_connections, net.open_connections) == (2, 2)
+        master.modify("cn=P1,o=xyz", [Modification.replace("title", "live")])
+        net.settle()
+        assert self.matches(replica, master)
+
+    def test_a_crash_drops_both_and_the_next_round_reopens_them(self, master):
+        net = FaultyNetwork()
+        provider, link, replica = self.build(master, net)
+        assert replica.subscribe_persist(link) == 2
+        assert net.open_connections == 2
+        net.crash(provider)
+        assert (replica.persist_connections, net.open_connections) == (0, 0)
+        master.modify("cn=P0,o=xyz", [Modification.replace("title", "after")])
+        assert replica.sync(link) is not None
+        assert (net.open_connections, net.total_connections) == (2, 4)
+        net.settle()
+        assert self.matches(replica, master)
+
+    def test_a_provider_restart_is_seen_by_the_next_round(self, master):
+        net = FaultyNetwork()
+        policy = RetryPolicy(max_attempts=2, degraded_after=2, jitter=0.0)
+        provider, link, replica = self.build(master, net, policy)
+        replica.subscribe_persist(link)
+        provider.restart()  # journal-less: every session forgotten
+        master.modify("cn=P0,o=xyz", [Modification.replace("title", "after")])
+        assert replica.sync(link) is not None  # the dead handle is seen
+        net.settle()
+        assert self.matches(replica, master)
+        assert provider.active_session_count == 2
+        answer = replica.answer(DEPT0)
+        assert answer.is_hit and not answer.degraded
+        net.partition(provider)
+        for _ in range(policy.degraded_after):
+            assert replica.sync(link) is None
+        answer = replica.answer(DEPT0)
+        assert answer.is_hit and answer.degraded
+
+    @pytest.mark.parametrize("call", ["sync", "subscribe_persist"])
+    def test_a_bare_provider_keeps_the_subscriptions_open(self, master, call):
+        """Filters subscribed on a caller's link, then synced or
+        subscribed through the bare provider, move to its default link
+        with their subscriptions open: no second session, nothing
+        reloaded, and nothing left where the replica cannot close it."""
+        net = SimulatedNetwork()
+        provider, link, replica = self.build(master, net)
+        replica.subscribe_persist(link)
+        pdus, sessions = net.stats.sync_entry_pdus, provider.active_session_count
+        getattr(replica, call)(provider)
+        assert net.stats.sync_entry_pdus == pdus
+        assert (net.open_connections, provider.active_session_count) == (2, sessions)
+        assert replica.persist_connections == 2
+        master.modify("cn=P0,o=xyz", [Modification.replace("title", "moved")])
+        net.settle()
+        assert self.matches(replica, master)
+        replica.unsubscribe_persist()
+        assert (net.open_connections, provider.active_session_count) == (0, 0)
+
+    def test_a_filter_synced_through_another_provider_reopens_there(self, master):
+        net = SimulatedNetwork()
+        provider, link, replica = self.build(master, net)
+        replica.subscribe_persist(link)
+        other = ResyncProvider(master)
+        replica.sync(other)
+        assert (provider.active_session_count, other.active_session_count) == (0, 2)
+        assert (net.open_connections, replica.persist_connections) == (2, 2)
+
+    def test_a_subscribed_filter_reloads_once_per_refresh_interval(self, master):
+        """The persist cycle's refresh re-opens a live subscription with a
+        null cookie every ``persist_refresh_interval`` rounds — a full
+        load of the filter, its bound on undetected notification loss —
+        so a subscribed filter's rounds are free in between."""
+        net = SimulatedNetwork()
+        policy = RetryPolicy(persist_refresh_interval=4)
+        provider, link, replica = self.build(master, net, policy)
+        replica.subscribe_persist(link)
+        loaded = sum(len(s.content) for s in replica.stored_filters())
+        pdus = net.stats.sync_entry_pdus
+        for _ in range(policy.persist_refresh_interval - 1):
+            replica.sync(link)
+        assert net.stats.sync_entry_pdus == pdus
+        replica.sync(link)
+        assert net.stats.sync_entry_pdus == pdus + loaded
+        assert net.registry.counter("sync.resilient.refreshes").value == 2
+        assert (net.open_connections, provider.active_session_count) == (2, 2)

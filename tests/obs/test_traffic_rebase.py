@@ -147,9 +147,10 @@ class TestNetworkIntegration:
 
     def test_connection_accounting(self):
         network = SimulatedNetwork()
-        network.connection_opened()
-        network.connection_opened()
-        network.connection_closed()
+        first, second = object(), object()
+        network.connection_opened(first)
+        network.connection_opened(second)
+        network.connection_closed(first)
         assert network.open_connections == 1
         assert network.total_connections == 2
         d = network.registry.to_dict()
@@ -158,7 +159,7 @@ class TestNetworkIntegration:
 
     def test_connection_close_never_goes_negative(self):
         network = SimulatedNetwork()
-        network.connection_closed()
+        network.connection_closed(object())
         assert network.open_connections == 0
 
     def test_shared_registry_across_network_and_server(self):

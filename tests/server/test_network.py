@@ -78,11 +78,12 @@ class TestCharging:
         assert net.elapsed_ms == 50.0
 
     def test_connection_counters(self, network):
-        network.connection_opened()
-        network.connection_opened()
-        network.connection_closed()
+        first, second = object(), object()
+        network.connection_opened(first)
+        network.connection_opened(second)
+        network.connection_closed(first)
         assert network.open_connections == 1
         assert network.total_connections == 2
-        network.connection_closed()
-        network.connection_closed()  # floor at zero
+        network.connection_closed(second)
+        network.connection_closed(second)  # floor at zero
         assert network.open_connections == 0

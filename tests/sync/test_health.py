@@ -265,7 +265,7 @@ class TestPersistModeHealth:
         while consumer.health_state != "gave_up":
             consumer.sync_once()
         # No orphaned subscription keeps charging the provider.
-        assert consumer._handle is None
+        assert consumer.subscription(consumer.content).handle is None
         trips = net.stats.round_trips
         for _ in range(20):
             assert consumer.sync_once() is None

@@ -440,6 +440,22 @@ class TestPersistResilience:
         consumer.close()
         assert net.open_connections == 0
 
+    def test_a_cycle_after_close_resubscribes(self):
+        master = build_master()
+        provider = ResyncProvider(master)
+        net = FaultyNetwork()
+        consumer = ResilientConsumer(REQUEST, provider, network=net, mode="persist")
+        consumer.sync_once()
+        consumer.close()
+        assert provider.active_session_count == 0
+        master.add(person("E9"))
+        consumer.sync_once()
+        assert consumer.subscription(consumer.content).handle.active
+        assert consumer.content.cookie is None  # no poll session opened
+        assert (net.open_connections, provider.active_session_count) == (1, 1)
+        net.settle()
+        assert consumer.content.matches_master(master)
+
     def test_crash_recounts_connection_without_leak(self):
         master = build_master()
         provider = ResyncProvider(master)
@@ -537,7 +553,7 @@ class TestPersistResilience:
             policy=RetryPolicy(persist_refresh_interval=10_000),
         )
         consumer.sync_once()
-        handle = consumer._handle
+        handle = consumer.subscription(consumer.content).handle
         assert handle.active and list(net.persist_queues) == [handle.session_id]
         if ending == "expiry":  # another session's polls run the idle clock out
             other = SyncedContent(SearchRequest("o=xyz", Scope.SUB, "(sn=*)"))
@@ -551,6 +567,7 @@ class TestPersistResilience:
         assert net.persist_queues == {}  # the endpoint closed with the session
         master.add(person("E9"))
         consumer.sync_once()  # dead handle seen: re-subscribed
-        assert consumer._handle is not handle and consumer._handle.active
+        reopened = consumer.subscription(consumer.content).handle
+        assert reopened is not handle and reopened.active
         assert consumer.content.matches_master(master)
         assert (net.open_connections, net.total_connections) == (1, 2)

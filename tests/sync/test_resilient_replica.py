@@ -6,16 +6,20 @@ through one caller-built :class:`SyncLink` on a
 :class:`FaultyNetwork`.  Rules: master add / modify / delete / modifyDN
 (renames, moves, and a move under an absent superior, which the master
 must refuse), ``replica.sync``, ``add_filter`` / ``remove_filter`` /
-``selector.revolution``, ``partition`` / ``heal_partition``, and a
-provider ``restart()`` — recovered from its journal when the provider
-is durable, forgetting every session when it is not.
+``selector.revolution``, ``subscribe_persist`` / ``unsubscribe_persist``
+and ``network.settle()`` (persist delivery), ``partition`` /
+``heal_partition``, and a provider ``restart()`` — recovered from its
+journal when the provider is durable, forgetting every session when it
+is not.
 
 The model is a dict of master entries, kept by the rules themselves:
 ``content(F)`` is the entries F selects, and ``answer(Q)`` is
 ``content(Q)`` whenever QC says Q is contained in a stored filter whose
-last poll applied with no master update since — otherwise the replica
-may serve what it holds (stale, and stamped once the link is degraded)
-or refer.  After every rule:
+last poll applied with no master update since, or whose subscription
+has been open since before the last ``settle()`` with no partition or
+restart since it opened — otherwise the replica may serve what it holds
+(stale, and stamped once the link is degraded) or refer.  After every
+rule:
 
 * a pending filter answers nothing, and an admitted filter answers
   every probe QC says it contains;
@@ -23,8 +27,8 @@ or refer.  After every rule:
   entry for entry, and carries the link's degraded stamp;
 * no rule raised a transport error (any exception fails the run);
 
-and once healed the replica converges: no filter pending, every content
-equal to the master's, every probe exact.
+and once healed the replica converges — subscribed filters included: no
+filter pending, every content equal to the master's, every probe exact.
 """
 
 from hypothesis import settings, strategies as st
@@ -121,6 +125,9 @@ class ReplicaStack(RuleBasedStateMachine):
         )
         #: stored filters whose last poll applied, no master update since
         self.fresh = set()
+        #: subscribed filters opened with no partition or restart since:
+        #: fresh once the transport has delivered
+        self.live = set()
         for name, unit, dept in (("N0", "a", "41"), ("N1", "a", "42"), ("N2", "b", "42")):
             self._commit(self.master.add, person(name, unit, dept, "S0"))
             self.model[dn_of(name, unit)] = person(name, unit, dept, "S0")
@@ -203,10 +210,42 @@ class ReplicaStack(RuleBasedStateMachine):
         else:
             self.fresh.add(request)
 
+    def _subscribed(self):
+        return {
+            s.request
+            for s in self.replica.stored_filters()
+            if self.link.subscription(s.content) is not None
+        }
+
     @rule()
     def sync(self):
         if self.replica.sync(self.link) is not None:
             self.fresh = {s.request for s in self.replica.stored_filters()}
+            self.live = self._subscribed()
+
+    @rule()
+    def subscribe_persist(self):
+        joining = {s.request for s in self.replica.stored_filters()} - self._subscribed()
+        opened = self.replica.subscribe_persist(self.link)
+        live = {
+            s.request
+            for s in self.replica.stored_filters()
+            if s.request in joining and self.link.subscription(s.content).handle is not None
+        }
+        assert opened == len(live)
+        self.live |= live
+        self.fresh |= live  # the opening response is the master's content
+
+    @rule()
+    def unsubscribe_persist(self):
+        self.replica.unsubscribe_persist()
+        assert self.replica.persist_connections == 0 and not self._subscribed()
+        self.live.clear()
+
+    @rule()
+    def settle(self):
+        self.net.settle()
+        self.fresh |= self.live
 
     @rule(request=st.sampled_from(FILTERS))
     def add_filter(self, request):
@@ -218,6 +257,7 @@ class ReplicaStack(RuleBasedStateMachine):
     def remove_filter(self, request):
         self.replica.remove_filter(request, self.link)
         self.fresh.discard(request)
+        self.live.discard(request)
         assert not self.replica.holds(request)
 
     @rule(dept=st.sampled_from(DEPARTMENTS))
@@ -230,6 +270,7 @@ class ReplicaStack(RuleBasedStateMachine):
     def revolution(self):
         report = self.selector.revolution()
         self.fresh -= set(report.removed)
+        self.live -= set(report.removed)
         for request in report.installed:
             self._note_installed(request)
         assert self.selector._since_revolution == 0
@@ -240,6 +281,7 @@ class ReplicaStack(RuleBasedStateMachine):
     @rule()
     def partition(self):
         self.net.partition(self.provider)
+        self.live.clear()
 
     @rule()
     def heal_partition(self):
@@ -248,6 +290,7 @@ class ReplicaStack(RuleBasedStateMachine):
     @rule()
     def restart_provider(self):
         self.provider.restart()
+        self.live.clear()
         if self.durable:
             self.provider.recover()
 
@@ -265,6 +308,7 @@ class ReplicaStack(RuleBasedStateMachine):
         assert not self.replica._pending and not self.link.degraded
         assert all(s.content.matches_master(self.master) for s in stored)
         self.fresh = {s.request for s in stored}
+        self.live = self._subscribed()
 
     # ------------------------------------------------------------------
     # the model's claims

@@ -193,6 +193,19 @@ class TestPersistMode:
         stranger.poll(provider)  # the stranger's cookie is still honoured
         assert stranger.matches_master(tiny_master)
 
+    def test_handle_reads_dead_after_a_journal_less_restart(self, tiny_master, dept42):
+        """Regression: the restart forgets the session record without
+        ending it, so ``active`` kept reading True and a subscriber's
+        liveness check could not see the death until its refresh."""
+        provider = ResyncProvider(tiny_master)
+        _response, handle = provider.persist(dept42, lambda update: None)
+        assert handle.active
+        provider.restart()
+        assert not handle.active
+        SyncedContent(dept42).poll(provider)  # a stranger now holds the id
+        assert provider.sessions.get(handle.session_id) is not None
+        assert not handle.active
+
     def test_poll_then_switch_to_persist(self, tiny_master, dept42):
         """Figure 3's third request: persist presented with cookie1."""
         provider = ResyncProvider(tiny_master)

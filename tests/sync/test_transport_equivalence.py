@@ -314,7 +314,7 @@ class TestCrashMidFlush:
             policy=RetryPolicy(max_attempts=6, persist_refresh_interval=10_000),
         )
         assert consumer.sync_once() is not None
-        stale_handle = consumer._handle
+        stale_handle = consumer.subscription(consumer.content).handle
         queue = stale_handle.delivery_queue
         queue.consumer_delay_ms = 50.0  # backpressure: defer flushes
         for step in range(12):
@@ -326,15 +326,15 @@ class TestCrashMidFlush:
         # consumer was forcibly disconnected and the stale queue closed
         # with its pending batches discarded (they were never acked).
         assert net.crash_epoch == epoch + 1
-        assert consumer._handle is None
+        assert consumer.subscription(consumer.content).handle is None
         assert queue.pending_count == 0
         assert queue.flush() == 0
         # Re-subscribing replaces the content wholesale, so nothing the
         # stale queue held is lost; the live tail then flows through
         # the *new* incarnation's queue only.
         assert consumer.sync_once() is not None
-        assert consumer._handle is not None
-        assert consumer._handle is not stale_handle
+        assert consumer.subscription(consumer.content).handle is not None
+        assert consumer.subscription(consumer.content).handle is not stale_handle
         for step in range(6):
             mutate(master, step + 100)
         net.settle()
