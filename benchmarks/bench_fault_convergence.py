@@ -15,6 +15,7 @@ CI ``faults`` matrix job can assert bounded convergence at fixed seeds.
 
 from __future__ import annotations
 
+from repro.chaos import ReferenceModel
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
     DirectoryServer,
@@ -102,9 +103,9 @@ def run_cell(mode: str, rate: float, seed: int = SEED) -> dict:
         consumer.sync_once()
     faults = sum(net.fault_counts().values())
     net.heal()
-    cycles = consumer.converge(master, max_cycles=MAX_CLEAN_CYCLES)
+    model = ReferenceModel.of(master)
+    cycles = model.converge(consumer.sync_once, [consumer.content], MAX_CLEAN_CYCLES)
     assert cycles is not None, f"no convergence (mode={mode}, rate={rate})"
-    assert consumer.content.matches_master(master)
     registry = net.registry
     return {
         "faults": faults,
@@ -145,9 +146,9 @@ def run_crash_cell(mode: str, rate: float, seed: int = SEED) -> dict:
         consumer.sync_once()
     faults = sum(net.fault_counts().values())
     net.heal()
-    cycles = consumer.converge(master, max_cycles=MAX_CLEAN_CYCLES)
+    model = ReferenceModel.of(master)
+    cycles = model.converge(consumer.sync_once, [consumer.content], MAX_CLEAN_CYCLES)
     assert cycles is not None, f"no convergence (crash, mode={mode}, rate={rate})"
-    assert consumer.content.matches_master(master)
     registry = net.registry
     durability = master.metrics
     return {

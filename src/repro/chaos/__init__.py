@@ -15,15 +15,19 @@ checking (docs/FAULTS.md §5):
   honesty, journal-replay determinism or post-heal convergence breaks;
 * :class:`SoakReport` — the run's observable outcome, fingerprintable
   for replay comparison and printable as the ``repro-ldap soak``
-  fleet-status table.
+  fleet-status table;
+* :class:`ReferenceModel` — content, answer, convergence and staleness
+  honesty, stated once; the soak and the test suite check against it.
 """
 
+from .model import ReferenceModel
 from .schedule import FaultSchedule, FaultWindow, combine_specs
 from .soak import InvariantViolation, SoakConfig, SoakReport, SoakRunner
 
 __all__ = [
     "FaultSchedule",
     "FaultWindow",
+    "ReferenceModel",
     "combine_specs",
     "SoakConfig",
     "SoakReport",

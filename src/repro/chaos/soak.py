@@ -17,19 +17,16 @@ Between ticks the runner checks the soak **invariants**, failing fast
 with an :class:`InvariantViolation` that names the seed and the
 virtual-clock timestamp — everything needed to replay the failure:
 
-I1 — **staleness honesty**: a replica that has fallen behind past its
-    degraded threshold, or that the machine quarantined or retired,
-    must be serving degraded-stamped reads; fresh-looking stale data is
-    the one thing the paper's availability argument (§5) forbids.
-I2 — **journal-replay determinism**: recovering the provider's journal
-    twice (from identical copies) must reconstruct byte-identical
-    session state; a divergent replay would mean crash recovery
-    depends on something outside the journal.
-I3 — **post-heal convergence**: after the last fault window heals,
-    every replica must converge to content byte-identical to the
-    master within the configured cycle budget (consumers that spent
-    their entire retry budget and retired to ``gave_up`` fail this
-    too, unless the config opts out).
+I1 — **staleness honesty** (``ReferenceModel.honest``): no replica
+    behind past its degraded threshold, quarantined or retired serves
+    fresh-looking reads — what the paper's availability argument (§5)
+    forbids.
+I2 — **journal-replay determinism**, the runner's own: two recoveries
+    from identical journal copies reconstruct byte-identical sessions.
+I3 — **post-heal convergence** (``ReferenceModel.converge``): after the
+    last window heals, the model holds every replica's content within
+    the cycle budget (a consumer retired to ``gave_up`` fails too,
+    unless the config opts out).
 
 The whole run is a pure function of ``(SoakConfig, FaultSchedule)``:
 :meth:`SoakReport.fingerprint` hashes every observable outcome, and two
@@ -61,6 +58,7 @@ from ..sync.durability import session_to_wire
 from ..workload import DirectoryConfig, generate_directory
 from ..workload.scenario import RegionRenamer, ScenarioConfig, SoakScenario
 from ..workload.updates import UpdateConfig, UpdateGenerator
+from .model import ReferenceModel
 from .schedule import FaultSchedule
 
 __all__ = ["SoakConfig", "SoakReport", "SoakRunner", "InvariantViolation"]
@@ -118,6 +116,10 @@ class SoakConfig:
     def __post_init__(self):
         if self.tenants < 1:
             raise ValueError("tenants must be >= 1")
+        if self.convergence_cycles < 1:
+            raise ValueError("convergence_cycles must be >= 1")
+        if self.check_interval_ticks < 1:
+            raise ValueError("check_interval_ticks must be >= 1")
         if self.mode not in ("poll", "persist"):
             raise ValueError(f"mode must be 'poll' or 'persist', got {self.mode!r}")
 
@@ -378,22 +380,9 @@ class SoakRunner:
         """I1: nobody serves fresh-looking stale data."""
         self._checks.inc()
         for consumer in self.consumers:
-            snap = consumer.health_snapshot()
-            if snap["state"] in ("quarantined", "gave_up") and not snap["degraded"]:
-                self._fail(
-                    "I1",
-                    f"{snap['name']} is {snap['state']} but serving "
-                    "non-degraded reads",
-                )
-            if (
-                snap["failed_cycles"] >= consumer.policy.degraded_after
-                and not snap["degraded"]
-            ):
-                self._fail(
-                    "I1",
-                    f"{snap['name']} failed {snap['failed_cycles']} consecutive "
-                    "cycles but is serving non-degraded reads",
-                )
+            reason = ReferenceModel.honest(consumer)
+            if reason is not None:
+                self._fail("I1", f"{consumer.name} {reason}")
 
     def _journal_fingerprint(self) -> str:
         """Recover a throwaway provider from a copy of the live journal
@@ -434,6 +423,7 @@ class SoakRunner:
         """I3: every replica converges to master content post-heal."""
         self._checks.inc()
         cfg = self.config
+        model = ReferenceModel.of(self.master)
         convergence: Dict[str, Optional[int]] = {}
         for consumer in self.consumers:
             if consumer.health_state == "gave_up":
@@ -445,7 +435,7 @@ class SoakRunner:
                         "(gave_up) before the faults healed",
                     )
                 continue
-            cycles = consumer.converge(self.master, max_cycles=cfg.convergence_cycles)
+            cycles = model.converge(consumer.sync_once, [consumer.content], cfg.convergence_cycles)
             convergence[consumer.name] = cycles
             if cycles is None and cfg.require_all_converge:
                 self._fail(

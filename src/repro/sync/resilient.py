@@ -451,18 +451,6 @@ class ResilientConsumer(SyncLink):
         """The sketch tier over this consumer's one content (callable bare)."""
         return super().reconcile(self.content)
 
-    def converge(
-        self, master: DirectoryServer, max_cycles: int = 64
-    ) -> Optional[int]:
-        """Drive :meth:`sync_once` until the replica content matches
-        *master*; returns the number of cycles taken (≥ 1), or None if
-        *max_cycles* was not enough."""
-        for cycle in range(1, max_cycles + 1):
-            self.sync_once()
-            if self.content.matches_master(master):
-                return cycle
-        return None
-
     def close(self) -> None:
         """Tear down any persist subscription (client-side abandon); it
         stays held, so a later cycle re-opens it."""

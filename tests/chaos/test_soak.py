@@ -81,10 +81,11 @@ class TestInvariantViolation:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SoakConfig(tenants=0)
-        with pytest.raises(ValueError):
-            SoakConfig(mode="push")
+        # A zero interval divided mid-run; zero cycles made I3 blame a healthy tenant.
+        for kwargs in ({"tenants": 0}, {"mode": "push"},
+                       {"check_interval_ticks": 0}, {"convergence_cycles": 0}):
+            with pytest.raises(ValueError):
+                SoakConfig(**kwargs)
 
     def test_scenario_derives_from_the_soak_seed(self):
         config = short_config(seed=77)

@@ -1,5 +1,9 @@
 """Reference implementations of the production paths.
 
+What the whole stack owes is one model, :class:`ReferenceModel`,
+re-exported from :mod:`repro.chaos.model` (the soak checks it too, and
+``src/`` cannot import ``tests/``); below are per-layer references.
+
 ``repro.core`` answers through one path: candidate routing
 (:class:`~repro.core.routing.ContainmentIndex`), indexed evaluation and
 an exact negative result cache; ``repro.sync`` fans updates out through
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.chaos import ReferenceModel
 from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_contained_in
 from repro.ldap import Entry, SearchRequest
 from repro.ldap.ber import encode_sync_update
@@ -60,6 +65,7 @@ __all__ = [
     "LinearRecentQueryCache",
     "LinearResyncProvider",
     "LinearSessionStore",
+    "ReferenceModel",
     "holders_of",
     "linear_substring_candidates",
     "linear_substring_estimate",

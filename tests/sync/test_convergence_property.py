@@ -8,6 +8,7 @@ guarantee (§5), for all four mechanisms.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import ReferenceModel
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import DirectoryServer, Modification
 from repro.sync import (
@@ -105,9 +106,7 @@ def _run(provider_factory, steps) -> None:
         if step[0] == "poll":
             content.poll(provider)
     content.poll(provider)
-    truth = {e.dn for e in master.search(REQUEST).entries}
-    assert content.dns() == truth
-    assert content.matches_master(master)
+    assert ReferenceModel.of(master).holds(content)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,5 +152,5 @@ def test_persist_mode_converges(steps):
     counter = [0]
     for step in steps:
         _apply(master, step, counter)
-    assert content.matches_master(master)
+    assert ReferenceModel.of(master).holds(content)
     handle.abandon()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chaos import ReferenceModel
 from repro.ldap.controls import ReSyncControl, SyncMode
 from repro.ldap.entry import Entry
 from repro.ldap.query import Scope, SearchRequest
@@ -488,7 +489,7 @@ class TestRecovery:
         master.modify("cn=P0,o=xyz", [Modification.replace("sn", "Q")])
         net.crash(provider)  # restart + journal recovery in one step
         assert provider.active_session_count == 1
-        assert consumer.converge(master) is not None
+        assert ReferenceModel.of(master).converge(consumer.sync_once, [consumer.content], 64)
 
 
 # ----------------------------------------------------------------------
@@ -681,7 +682,7 @@ class TestAdmission:
         provider.restart()
         provider.recover()
         for consumer in consumers:
-            assert consumer.converge(master) is not None
+            assert ReferenceModel.of(master).converge(consumer.sync_once, [consumer.content], 64)
         assert master.metrics.counter("sync.admission.rejected").value > 0
 
 

@@ -23,8 +23,9 @@ Two layers:
 The **replica arm** (:class:`TestReplicaFaultMatrix`) runs the same
 seeds, networks and mutations under a QC-answering
 :class:`FilterReplica` — three overlapping stored filters behind one
-:class:`SyncLink` — so "QC is sound" and "a degraded replica never lies
-about staleness" are asserted about the same object as convergence.
+:class:`SyncLink` — so the model's ``answer``, ``honest`` and
+``converge`` are asserted about the same object.  The crash matrix
+(``test_recovery_property.py``) runs this module's directory.
 """
 
 import os
@@ -32,6 +33,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import ReferenceModel
 from repro.core import FilterReplica
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
@@ -101,8 +103,9 @@ def mutate(master: DirectoryServer, step: int) -> None:
         master.add(person(f"X{step}"))
 
 
-def run_scenario(seed: int, mode: str, rate: float = 0.3, steps: int = 12) -> None:
-    """Faulty phase (mutations + sync attempts), heal, converge, check."""
+def run_scenario(seed: int, mode: str, rate: float = 0.3, steps: int = 12) -> tuple:
+    """Faulty phase (mutations + sync attempts), heal, converge, check;
+    returns what a replay of the same cell must reproduce."""
     master = build_master()
     provider = ResyncProvider(master)
     net = make_network(seed, rate)
@@ -118,12 +121,12 @@ def run_scenario(seed: int, mode: str, rate: float = 0.3, steps: int = 12) -> No
         mutate(master, step)
         consumer.sync_once()  # may fail wholesale; must never corrupt
     net.heal()
-    cycles = consumer.converge(master, max_cycles=16)
+    cycles = ReferenceModel.of(master).converge(consumer.sync_once, [consumer.content], 16)
     assert cycles is not None, (
         f"no convergence within 16 clean cycles (seed={seed}, mode={mode}, "
         f"rate={rate}, faults={net.fault_counts()})"
     )
-    assert consumer.content.matches_master(master)
+    return net.fault_counts(), net.stats.round_trips, net.scheduler.events_run, net.scheduler.now
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -139,31 +142,7 @@ class TestFaultMatrix:
 
     def test_replay_is_deterministic(self, seed, mode):
         """The same seed must inject the identical fault sequence."""
-
-        def counts():
-            master = build_master()
-            provider = ResyncProvider(master)
-            net = make_network(seed, 0.4)
-            consumer = ResilientConsumer(
-                REQUEST,
-                provider,
-                network=net,
-                seed=seed,
-                mode=mode,
-                policy=RetryPolicy(max_attempts=4, persist_refresh_interval=3),
-            )
-            for step in range(8):
-                mutate(master, step)
-                consumer.sync_once()
-            net.settle()
-            return (
-                net.fault_counts(),
-                net.stats.round_trips,
-                net.scheduler.events_run,
-                net.scheduler.now,
-            )
-
-        assert counts() == counts()
+        assert run_scenario(seed, mode, 0.4, 8) == run_scenario(seed, mode, 0.4, 8)
 
 
 def sub(filter_text: str) -> SearchRequest:
@@ -185,25 +164,22 @@ CONTAINED = STORED + [
 ]
 
 
-def unsound_hits(replica: FilterReplica, master: DirectoryServer) -> list:
-    """``(query, degraded)`` for every HIT on a contained query that
-    differs from the master's answer, entry for entry."""
-    wrong = []
+def check_answers(replica: FilterReplica, model: ReferenceModel, fresh: bool, where: str) -> None:
+    """Every contained query is a HIT exactly when the model admits it
+    (a filter answers once a response is applied); with *fresh* — every
+    content applied a response since the last update — a HIT that is not
+    stamped degraded is the model's answer, entry for entry."""
+    admitted = [s.request for s in replica.stored_filters() if s.content.polls]
     for query in CONTAINED:
-        answer = replica.answer(query)
-        if not answer.is_hit:
-            continue  # a pending filter answers nothing
-        truth = {e.dn: e for e in master.search(query).entries}
-        held = {e.dn: e for e in answer.entries}
-        if held.keys() != truth.keys() or not all(
-            held[dn].semantically_equal(truth[dn]) for dn in truth
-        ):
-            wrong.append((str(query), answer.degraded))
-    return wrong
+        answer, truth = replica.answer(query), model.answer(query, admitted)
+        assert answer.is_hit == (truth is not None), f"{query} {where}"
+        if fresh and answer.is_hit and not answer.degraded:
+            assert {str(e.dn): e for e in answer.entries} == truth, f"{query} {where}"
 
 
 def run_replica_scenario(seed: int, rate: float, steps: int = 12) -> None:
-    """The scenario of :func:`run_scenario` under a QC-answering replica."""
+    """The scenario of :func:`run_scenario` under a QC-answering replica;
+    the link never lies about staleness (I1) after any step."""
     master = build_master()
     provider = ResyncProvider(master)
     net = make_network(seed, rate)
@@ -221,20 +197,15 @@ def run_replica_scenario(seed: int, rate: float, steps: int = 12) -> None:
     for step in range(steps):
         mutate(master, step)
         applied = replica.sync(link) is not None
-        stale = unsound_hits(replica, master)
-        if applied:
-            # Every content applied a response since the last update: a
-            # HIT that is not stamped degraded is the master's answer.
-            assert [q for q, degraded in stale if not degraded] == [], where
+        assert ReferenceModel.honest(link) is None, where
+        check_answers(replica, ReferenceModel.of(master), applied, where)
     net.heal()
-    for _ in range(20):
-        replica.sync(link)
-        if all(s.content.matches_master(master) for s in replica.stored_filters()):
-            break
-    else:
-        pytest.fail(f"no convergence within 20 clean rounds {where}")
-    assert all(replica.answer(query).is_hit for query in CONTAINED)
-    assert not link.degraded and unsound_hits(replica, master) == [], where
+    model = ReferenceModel.of(master)
+    contents = [s.content for s in replica.stored_filters()]
+    rounds = model.converge(lambda: replica.sync(link), contents, 20)
+    assert rounds is not None, f"no convergence within 20 clean rounds {where}"
+    assert not link.degraded and all(replica.answer(q).is_hit for q in CONTAINED), where
+    check_answers(replica, model, True, where)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

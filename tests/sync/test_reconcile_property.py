@@ -14,6 +14,7 @@ Two claims (docs/RECOVERY.md tier 2):
 
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import ReferenceModel
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
     DirectoryServer,
@@ -207,7 +208,7 @@ def test_any_divergence_and_corruption_converges(seed, ops, corrupt_rate, max_ce
     ever_valid |= {digest(e) for e in master.search(REQUEST).entries}
     provider.invalidate_cookie(consumer.content.cookie)
 
-    cycles = consumer.converge(master, max_cycles=8)
+    cycles = ReferenceModel.of(master).converge(consumer.sync_once, [consumer.content], 8)
     assert cycles is not None, (
         f"no convergence (seed={seed}, corrupt={corrupt_rate}, "
         f"faults={net.fault_counts()})"

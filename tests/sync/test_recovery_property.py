@@ -37,6 +37,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import ReferenceModel
 from repro.ldap import Entry, ReSyncControl, Scope, SearchRequest, SyncMode
 from repro.server import (
     DirectoryServer,
@@ -58,29 +59,10 @@ from repro.sync import (
 )
 from repro.sync.durability import session_to_wire, update_to_wire
 from tests.oracles import holders_of
+from tests.sync.test_fault_resilience_property import MODES, NAMES, REQUEST, build_master, person
 
-REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 BY_SN = SearchRequest("o=xyz", Scope.SUB, "(sn=T)")
-NAMES = [f"P{i}" for i in range(8)]
-
 SEEDS = [int(s) for s in os.environ.get("RECOVERY_SEEDS", "101,202,303").split(",")]
-MODES = [m.strip() for m in os.environ.get("FAULT_MODES", "poll,persist").split(",")]
-
-
-def person(name: str, dept: str = "42") -> Entry:
-    return Entry(
-        f"cn={name},o=xyz",
-        {"objectClass": ["person"], "cn": name, "sn": "T", "departmentNumber": dept},
-    )
-
-
-def build_master() -> DirectoryServer:
-    master = DirectoryServer("M")
-    master.add_naming_context("o=xyz")
-    master.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
-    for i, name in enumerate(NAMES):
-        master.add(person(name, dept="42" if i % 2 == 0 else "99"))
-    return master
 
 
 def mutate(master: DirectoryServer, step: int) -> None:
@@ -265,9 +247,8 @@ class Mirror:
             fetch = provider.reconcile_fetch(
                 REQUEST, ReconcileFetch(keys=(), cookie=sketch.cookie)
             )
-            pair[side].entries = {
-                e.dn: e for e in self.masters[side].search(REQUEST).entries
-            }
+            held = ReferenceModel.of(self.masters[side]).content(REQUEST)
+            pair[side].entries = {e.dn: e for e in held.values()}
             pair[side].cookie = fetch.cookie
             return sketch.cookie, sketch.content_count, response_signature(fetch)
 
@@ -324,10 +305,10 @@ def run_oracle(seed: int, steps: int, snapshot_interval: int, history_cap=3) -> 
 
     for provider in mirror.providers:
         assert_replay_equals_live(provider)
+    models = [ReferenceModel.of(master) for master in mirror.masters]
     for i, pair in enumerate(mirror.pairs):
         mirror.poll(i)
-        for content, master in zip(pair, mirror.masters):
-            assert content.matches_master(master)
+        assert all(model.holds(content) for model, content in zip(models, pair))
     return mirror.providers[1].journal.kinds
 
 
@@ -476,20 +457,20 @@ def test_post_recovery_poll_is_delta_sized():
 # crash-recover-resume convergence under seeded faults
 # ----------------------------------------------------------------------
 def run_crash_scenario(
-    seed: int, mode: str, rate: float = 0.3, steps: int = 12
-) -> None:
+    seed: int,
+    mode: str,
+    rate: float = 0.3,
+    steps: int = 12,
+    policy: RetryPolicy = RetryPolicy(max_attempts=4, jitter=0.25, persist_refresh_interval=3),
+) -> tuple:
     """Faulty phase with mid-schedule crashes (journal damage seeded by
-    the plan), heal, converge, check."""
+    the plan), heal, converge, check; returns what a replay of the same
+    cell must reproduce."""
     master = build_master()
     provider = durable(master)
     net = FaultyNetwork(FaultPlan(FaultSpec.uniform(rate), seed=seed))
     consumer = ResilientConsumer(
-        REQUEST,
-        provider,
-        network=net,
-        seed=seed,
-        mode=mode,
-        policy=RetryPolicy(max_attempts=4, jitter=0.25, persist_refresh_interval=3),
+        REQUEST, provider, network=net, seed=seed, mode=mode, policy=policy
     )
     crash_rng = random.Random(f"{seed}:crashes")
     for step in range(steps):
@@ -498,12 +479,14 @@ def run_crash_scenario(
             net.crash(provider)  # restart + journal damage + recover
         consumer.sync_once()
     net.heal()
-    cycles = consumer.converge(master, max_cycles=16)
+    cycles = ReferenceModel.of(master).converge(consumer.sync_once, [consumer.content], 16)
     assert cycles is not None, (
         f"no convergence within 16 clean cycles (seed={seed}, mode={mode}, "
         f"rate={rate}, faults={net.fault_counts()})"
     )
-    assert consumer.content.matches_master(master)
+    recoveries = master.metrics.counter("sync.durability.recoveries").value
+    replayed = master.metrics.counter("sync.durability.replayed_records").value
+    return net.fault_counts(), net.stats.round_trips, recoveries, replayed
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -530,34 +513,13 @@ class TestCrashRecoveryMatrix:
                 net.crash(provider)
             consumer.sync_once()
         net.heal()
-        assert consumer.converge(master, max_cycles=16) is not None
-        assert consumer.content.matches_master(master)
+        assert ReferenceModel.of(master).converge(consumer.sync_once, [consumer.content], 16)
 
     def test_crash_replay_is_deterministic(self, seed, mode):
-        """The same seed injects the same crashes and journal damage."""
-
-        def run():
-            master = build_master()
-            provider = durable(master)
-            net = FaultyNetwork(FaultPlan(FaultSpec.uniform(0.4), seed=seed))
-            consumer = ResilientConsumer(
-                REQUEST, provider, network=net, seed=seed, mode=mode
-            )
-            crash_rng = random.Random(f"{seed}:crashes")
-            for step in range(8):
-                mutate(master, step)
-                if crash_rng.random() < 0.25:
-                    net.crash(provider)
-                consumer.sync_once()
-            registry = master.metrics
-            return (
-                net.fault_counts(),
-                net.stats.round_trips,
-                registry.counter("sync.durability.recoveries").value,
-                registry.counter("sync.durability.replayed_records").value,
-            )
-
-        assert run() == run()
+        """The same seed injects the same crashes and journal damage,
+        under the default retry policy."""
+        runs = [run_crash_scenario(seed, mode, 0.4, 8, RetryPolicy()) for _ in range(2)]
+        assert runs[0] == runs[1]
 
 
 @given(

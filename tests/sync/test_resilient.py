@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.chaos import ReferenceModel
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
     DirectoryServer,
@@ -492,9 +493,9 @@ class TestPersistResilience:
         )
         consumer.sync_once()
         master.add(person("E9"))  # notification dropped: silent divergence
-        assert not consumer.content.matches_master(master)
-        cycles = consumer.converge(master, max_cycles=4)
-        assert cycles is not None  # the refresh re-fetched full content
+        model = ReferenceModel.of(master)
+        assert not model.holds(consumer.content)
+        assert model.converge(consumer.sync_once, [consumer.content], 4)  # the refresh reloads
         assert net.registry.counter("sync.resilient.refreshes").value >= 1
 
     def test_refused_subscription_raises_instead_of_looping(self):

@@ -12,35 +12,29 @@ and ``network.settle()`` (persist delivery), ``partition`` /
 journal when the provider is durable, forgetting every session when it
 is not.
 
-The model is a dict of master entries, kept by the rules themselves:
-``content(F)`` is the entries F selects, and ``answer(Q)`` is
-``content(Q)`` whenever QC says Q is contained in a stored filter whose
-last poll applied with no master update since, or whose subscription
-has been open since before the last ``settle()`` with no partition or
-restart since it opened — otherwise the replica may serve what it holds
-(stale, and stamped once the link is degraded) or refer.  After every
-rule:
+The rules keep a :class:`~repro.chaos.ReferenceModel` — every master
+update is mirrored onto its ``entries`` — and track which filters are
+fresh: last poll applied with no master update since, or subscribed
+before the last ``settle()`` with no partition or restart since.  After
+every rule:
 
-* a pending filter answers nothing, and an admitted filter answers
-  every probe QC says it contains;
-* a HIT from a filter the model calls fresh is the model's answer,
-  entry for entry, and carries the link's degraded stamp;
+* every probe is a HIT exactly when the model's ``answer`` admits it (a
+  filter answers once a response is applied to it), and a pending filter
+  has applied nothing and answers nothing;
+* a HIT from a fresh filter is the model's answer, entry for entry, and
+  carries the link's degraded stamp; the link is ``honest``;
 * no rule raised a transport error (any exception fails the run);
 
-and once healed the replica converges — subscribed filters included: no
-filter pending, every content equal to the master's, every probe exact.
+and once healed, the first successful round converges the replica —
+subscribed filters included: no filter pending, the model holds every
+content, every probe exact.
 """
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.core import (
-    FilterReplica,
-    FilterSelector,
-    Generalizer,
-    IdentityGeneralization,
-    query_contained_in,
-)
+from repro.chaos import ReferenceModel
+from repro.core import FilterReplica, FilterSelector, Generalizer, IdentityGeneralization
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
     DirectoryServer,
@@ -95,13 +89,15 @@ class ReplicaStack(RuleBasedStateMachine):
     def build(self, durable):
         self.master = DirectoryServer("M")
         self.master.add_naming_context("o=xyz")
-        self.master.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
-        for unit in UNITS:
-            self.master.add(
-                Entry(f"ou={unit},o=xyz", {"objectClass": ["organizationalUnit"], "ou": unit})
-            )
-        #: the model: DN → the entry the master should hold there
-        self.model = {}
+        self.model = ReferenceModel()
+        self.entries = self.model.entries  # DN → what the master should hold there
+        top = [Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"})] + [
+            Entry(f"ou={unit},o=xyz", {"objectClass": ["organizationalUnit"], "ou": unit})
+            for unit in UNITS
+        ]
+        for entry in top:
+            self.master.add(entry)
+            self.entries[str(entry.dn)] = entry
         self.durable = durable
         self.provider = ResyncProvider(
             self.master, journal=MemoryJournal() if durable else None
@@ -130,7 +126,7 @@ class ReplicaStack(RuleBasedStateMachine):
         self.live = set()
         for name, unit, dept in (("N0", "a", "41"), ("N1", "a", "42"), ("N2", "b", "42")):
             self._commit(self.master.add, person(name, unit, dept, "S0"))
-            self.model[dn_of(name, unit)] = person(name, unit, dept, "S0")
+            self.entries[dn_of(name, unit)] = person(name, unit, dept, "S0")
 
     # ------------------------------------------------------------------
     # master updates, mirrored on the model
@@ -151,40 +147,40 @@ class ReplicaStack(RuleBasedStateMachine):
           dept=st.sampled_from(DEPARTMENTS))
     def add(self, name, unit, dept):
         dn = dn_of(name, unit)
-        refused = ResultCode.ENTRY_ALREADY_EXISTS if dn in self.model else None
+        refused = ResultCode.ENTRY_ALREADY_EXISTS if dn in self.entries else None
         if self._commit(self.master.add, person(name, unit, dept, "S0"), refused=refused):
-            self.model[dn] = person(name, unit, dept, "S0")
+            self.entries[dn] = person(name, unit, dept, "S0")
 
     @rule(name=st.sampled_from(NAMES), unit=st.sampled_from(UNITS),
           dept=st.sampled_from(DEPARTMENTS), sn=st.sampled_from(["S0", "S1"]))
     def modify(self, name, unit, dept, sn):
         dn = dn_of(name, unit)
-        refused = None if dn in self.model else ResultCode.NO_SUCH_OBJECT
+        refused = None if dn in self.entries else ResultCode.NO_SUCH_OBJECT
         changes = [
             Modification.replace("departmentNumber", dept),
             Modification.replace("sn", sn),
         ]
         if self._commit(self.master.modify, dn, changes, refused=refused):
-            self.model[dn] = person(name, unit, dept, sn)
+            self.entries[dn] = person(name, unit, dept, sn)
 
     @rule(name=st.sampled_from(NAMES), unit=st.sampled_from(UNITS))
     def delete(self, name, unit):
         dn = dn_of(name, unit)
-        refused = None if dn in self.model else ResultCode.NO_SUCH_OBJECT
+        refused = None if dn in self.entries else ResultCode.NO_SUCH_OBJECT
         if self._commit(self.master.delete, dn, refused=refused):
-            del self.model[dn]
+            del self.entries[dn]
 
     @rule(name=st.sampled_from(NAMES), unit=st.sampled_from(UNITS),
           new_name=st.sampled_from(NAMES), new_unit=st.sampled_from(UNITS + ["ghost"]))
     def modify_dn(self, name, unit, new_name, new_unit):
         dn, target = dn_of(name, unit), dn_of(new_name, new_unit)
-        if dn not in self.model:
+        if dn not in self.entries:
             refused = ResultCode.NO_SUCH_OBJECT
         elif new_unit == "ghost":
             refused = ResultCode.NO_SUCH_OBJECT  # no entry goes parentless
         elif target == dn:
             refused = ResultCode.UNWILLING_TO_PERFORM
-        elif target in self.model:
+        elif target in self.entries:
             refused = ResultCode.ENTRY_ALREADY_EXISTS
         else:
             refused = None
@@ -196,8 +192,8 @@ class ReplicaStack(RuleBasedStateMachine):
             refused=refused,
         )
         if moved:
-            old = self.model.pop(dn)
-            self.model[target] = person(
+            old = self.entries.pop(dn)
+            self.entries[target] = person(
                 new_name, new_unit, old.first("departmentNumber"), old.first("sn")
             )
 
@@ -306,44 +302,34 @@ class ReplicaStack(RuleBasedStateMachine):
         else:
             raise AssertionError(f"no successful round once healed ({self.link.position})")
         assert not self.replica._pending and not self.link.degraded
-        assert all(s.content.matches_master(self.master) for s in stored)
+        assert all(self.model.holds(s.content) for s in stored)  # after that one round
         self.fresh = {s.request for s in stored}
         self.live = self._subscribed()
 
     # ------------------------------------------------------------------
     # the model's claims
     # ------------------------------------------------------------------
-    def content(self, request):
-        return {
-            dn: request.project(entry)
-            for dn, entry in self.model.items()
-            if request.selects(entry)
-        }
-
     @invariant()
     def master_is_the_model(self):
-        held = {str(e.dn) for e in self.master.store.all_entries()}
-        assert held == set(self.model) | {"o=xyz", "ou=a,o=xyz", "ou=b,o=xyz"}
+        assert ReferenceModel.of(self.master).entries == self.entries
 
     @invariant()
     def answers_are_what_the_model_allows(self):
-        replica = self.replica
-        by_text = {str(s.request): s for s in replica.stored_filters()}
-        admitted = [s for s in by_text.values() if s.request not in replica._pending]
-        for pending in replica._pending.values():
-            assert replica.holds(pending.request) and pending.content.polls == 0
+        assert self.model.honest(self.link) is None
+        by_text = {str(s.request): s for s in self.replica.stored_filters()}
+        admitted = [s.request for s in by_text.values() if s.content.polls]
+        for pending in self.replica._pending.values():
+            assert self.replica.holds(pending.request) and pending.content.polls == 0
         for probe in PROBES:
-            answer = replica.answer(probe)
-            contained = any(query_contained_in(probe, s.request) for s in admitted)
-            assert answer.is_hit == contained, str(probe)
+            answer, truth = self.replica.answer(probe), self.model.answer(probe, admitted)
+            assert answer.is_hit == (truth is not None), str(probe)
             if not answer.is_hit:
                 continue
             source = by_text[answer.answered_by]
-            assert source.request not in replica._pending  # a pending filter never answers
+            assert source.request not in self.replica._pending  # a pending filter never answers
             assert answer.degraded == self.link.degraded
             if source.request in self.fresh:
-                got = {str(e.dn): e for e in answer.entries}  # Entry == is semantic
-                assert got == self.content(probe), str(probe)
+                assert {str(e.dn): e for e in answer.entries} == truth, str(probe)
 
     def teardown(self):
         if hasattr(self, "replica"):

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.chaos import ReferenceModel
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
     DirectoryServer,
@@ -427,7 +428,7 @@ def test_damaged_restart_converges(kind, seed):
     else:
         assert restarted.snapshot_recoverer.stage == "discarded"
         assert len(restarted.content) == 0  # never applied
-    assert restarted.converge(master) is not None
+    assert ReferenceModel.of(master).converge(restarted.sync_once, [restarted.content], 64)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -450,4 +451,4 @@ def test_probabilistic_restart_cycle_converges(seed):
             snapshot_store=store,
             seed=seed + generation,
         )
-        assert consumer.converge(master, max_cycles=64) is not None
+        assert ReferenceModel.of(master).converge(consumer.sync_once, [consumer.content], 64)

@@ -9,6 +9,7 @@ driver — and checks the paper's qualitative claims all at once.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chaos import ReferenceModel
 from repro.core import FilterReplica, SubtreeReplica
 from repro.ldap import (
     And,
@@ -238,7 +239,7 @@ def test_spelling_changes_no_answer_through_every_recovery_path(phases, queries)
     """After every step — live updates, a poll, a provider restart
     recovered from its journal, a consumer restarted from its snapshot,
     a dead cookie reconciled by sketch — the replica's evaluation, the
-    master's search and the interpreted ``matches`` scan agree on every
+    master's search and the reference model's content agree on every
     query, however entries, modifications and filters spell attributes."""
     master = DirectoryServer("master")
     master.add_naming_context("o=xyz")
@@ -251,12 +252,12 @@ def test_spelling_changes_no_answer_through_every_recovery_path(phases, queries)
         return {str(e.dn): e for e in entries}  # Entry == is semantic
 
     def check(consumer):
-        assert consumer.content.matches_master(master)
+        model = ReferenceModel.of(master)
+        assert model.holds(consumer.content)
         for q in queries:
-            scan = [q.project(e) for e in master.store.all_entries() if q.selects(e)]
-            searched = master.search(q).entries
-            assert by_dn(searched) == by_dn(scan), str(q)
-            assert by_dn(consumer.content.evaluate(q)) == by_dn(scan), str(q)
+            truth = model.content(q)
+            assert by_dn(master.search(q).entries) == truth, str(q)
+            assert by_dn(consumer.content.evaluate(q)) == truth, str(q)
 
     def drive(consumer, ops):
         for op in ops:
