@@ -89,6 +89,13 @@ class NegativeResultCache:
         return len(self._misses)
 
 
+def _image(entry: Entry) -> Entry:
+    """What the window holds of a result entry: a frozen image as it is
+    (shared with the store it came from), a frozen copy of a caller's
+    mutable one."""
+    return entry if entry.frozen else entry.copy().freeze()
+
+
 @dataclass
 class CachedQuery:
     """One cached user query and its (frozen) result entries."""
@@ -163,7 +170,7 @@ class RecentQueryCache:
             self._evict(request, previous)
         cached = CachedQuery(
             request=request,
-            entries={e.dn: e.copy() for e in entries},
+            entries={e.dn: _image(e) for e in entries},
             filter_attrs=attributes_of(request.filter),
         )
         self._window[request] = cached

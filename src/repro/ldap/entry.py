@@ -15,14 +15,20 @@ An entry is mutable until :meth:`Entry.freeze` is called on it.  A
 *committed* entry image is frozen: the directory server never edits an
 entry in place — a modify copies the stored image, edits the copy and
 commits it, and the store freezes what it is handed — so the store, the
-update record, every session history, the update PDU and every replica
-content share that one object (DESIGN.md, "Entry images: who owns, who
-copies").  :meth:`Entry.copy`, :meth:`Entry.project` and
-:meth:`Entry.with_dn` return fresh mutable entries.
+update record, every session history, the update PDU, every replica
+content and every all-attribute search result share that one object
+(DESIGN.md, "Entry images: who owns, who copies").  A caller that edits
+a result calls :meth:`Entry.copy`; :meth:`Entry.copy`,
+:meth:`Entry.project` and :meth:`Entry.with_dn` return fresh mutable
+entries.  Because a frozen image never changes, it remembers what is
+derived from it — its normalized values per attribute
+(:meth:`Entry.normalized`) and its :meth:`Entry.estimated_size` — the
+first time they are asked for; a mutable entry derives them afresh.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .attributes import AttributeRegistry, DEFAULT_REGISTRY
@@ -37,6 +43,14 @@ def _as_value_list(values: AttrValues) -> List[str]:
     if isinstance(values, (str, int)):
         return [str(values)]
     return [str(v) for v in values]
+
+
+def _shared(norm, raw: str):
+    """*norm*, held as an object others hold too: the raw value itself
+    when normalizing left it unchanged, an interned string otherwise."""
+    if norm == raw:
+        return raw
+    return sys.intern(norm) if isinstance(norm, str) else norm
 
 
 class Entry:
@@ -61,7 +75,7 @@ class Entry:
         })
     """
 
-    __slots__ = ("_dn", "_attrs", "_registry", "_frozen")
+    __slots__ = ("_dn", "_attrs", "_registry", "_frozen", "_size")
 
     def __init__(
         self,
@@ -72,8 +86,11 @@ class Entry:
         self._dn = dn if isinstance(dn, DN) else DN.parse(dn)
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._frozen = False
-        # AttributeRegistry.key(name) -> (canonical name, [values])
-        self._attrs: Dict[str, Tuple[str, List[str]]] = {}
+        self._size: Optional[int] = None  # a frozen image's, once measured
+        # AttributeRegistry.key(name) -> (canonical name, [values]), and on
+        # a frozen image whose normalized values were asked for,
+        # (canonical name, [values], normalized values).
+        self._attrs: Dict[str, Tuple] = {}
         if attributes:
             for name, values in attributes.items():
                 self.append_values(name, values)
@@ -198,33 +215,50 @@ class Entry:
         """True when the entry carries at least one value for *name*."""
         return self._registry.key(name) in self._attrs
 
+    def normalized(self, name: str) -> Tuple:
+        """Values of *name* normalized under its syntax, in value order
+        (``()`` when absent).  A frozen image computes the tuple once
+        and remembers it; a mutable entry computes it per call."""
+        key = self._registry.key(name)
+        held = self._attrs.get(key)
+        if held is None:
+            return ()
+        if len(held) == 3:
+            return held[2]
+        canonical, values = held
+        normalize = self._registry.get(key).normalize
+        norms = tuple(_shared(normalize(v), v) for v in values)
+        if self._frozen:
+            self._attrs[key] = (canonical, values, norms)
+        return norms
+
     def normalized_values(self, name: str) -> Set:
         """Normalized value set of *name* under its syntax."""
-        atype = self._registry.get(name)
-        return {atype.normalize(v) for v in self.get(name)}
+        return set(self.normalized(name))
 
     def attribute_names(self) -> List[str]:
         """Canonical names of all attributes present."""
-        return [canonical for canonical, _values in self._attrs.values()]
+        return [held[0] for held in self._attrs.values()]
 
     def values_by_key(self) -> Dict[str, List[str]]:
         """``key → values`` for every attribute held, under the key
         accessors, indexes and routers resolve names to
         (:meth:`AttributeRegistry.key`; ``__iter__`` yields the canonical
         spelling).  The lists are the entry's own: read-only."""
-        return {key: values for key, (_canonical, values) in self._attrs.items()}
+        return {key: held[1] for key, held in self._attrs.items()}
 
     @property
     def object_classes(self) -> Set[str]:
-        """Lower-cased object classes of the entry."""
-        return {v.lower() for v in self.get("objectClass")}
+        """Object classes of the entry, normalized under objectClass's
+        syntax (``"Referral "`` is ``referral``)."""
+        return set(self.normalized("objectClass"))
 
     def __contains__(self, name: str) -> bool:
         return self.has_attribute(name)
 
     def __iter__(self) -> Iterator[Tuple[str, List[str]]]:
-        for canonical, values in self._attrs.values():
-            yield canonical, list(values)
+        for held in self._attrs.values():
+            yield held[0], list(held[1])
 
     # ------------------------------------------------------------------
     # projection and copying
@@ -232,7 +266,7 @@ class Entry:
     def copy(self) -> "Entry":
         """Deep-enough copy (values are immutable strings)."""
         clone = Entry(self._dn, registry=self._registry)
-        clone._attrs = {k: (c, list(v)) for k, (c, v) in self._attrs.items()}
+        clone._attrs = {k: (held[0], list(held[1])) for k, held in self._attrs.items()}
         return clone
 
     def project(self, attributes: Optional[Iterable[str]] = None) -> "Entry":
@@ -248,7 +282,7 @@ class Entry:
             return self.copy()
         clone = Entry(self._dn, registry=self._registry)
         clone._attrs = {
-            k: (c, list(v)) for k, (c, v) in self._attrs.items() if k in wanted
+            k: (held[0], list(held[1])) for k, held in self._attrs.items() if k in wanted
         }
         return clone
 
@@ -258,8 +292,17 @@ class Entry:
         Used by the update-traffic experiments.  When the generator stamped
         an explicit ``entrySizeBytes`` (to model the paper's ~6KB employee
         entries without storing 6KB of filler), that wins; otherwise the
-        size of the textual representation is used.
+        size of the textual representation is used.  A frozen image
+        remembers it.
         """
+        if self._size is not None:
+            return self._size
+        size = self._measure()
+        if self._frozen:
+            self._size = size
+        return size
+
+    def _measure(self) -> int:
         stamped = self.first("entrySizeBytes")
         if stamped is not None:
             try:
@@ -267,9 +310,9 @@ class Entry:
             except ValueError:
                 pass
         total = len(str(self._dn))
-        for _canonical, values in self._attrs.values():
-            for v in values:
-                total += len(_canonical) + len(v) + 2
+        for held in self._attrs.values():
+            for v in held[1]:
+                total += len(held[0]) + len(v) + 2
         return total
 
     # ------------------------------------------------------------------
@@ -284,8 +327,8 @@ class Entry:
         if set(self._attrs) != set(other._attrs):
             return False
         return all(
-            self.normalized_values(name) == other.normalized_values(name)
-            for name in self._attrs
+            set(self.normalized(key)) == set(other.normalized(key))
+            for key in self._attrs
         )
 
     def __eq__(self, other: object) -> bool:

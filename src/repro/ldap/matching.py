@@ -17,7 +17,7 @@ string comparison rather than failing, mirroring real servers.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .attributes import AttributeRegistry, AttributeType, DEFAULT_REGISTRY
 from .entry import Entry
@@ -147,8 +147,25 @@ def matches(node: Filter, entry: Entry) -> bool:
 CompiledFilter = Callable[[Entry], bool]
 
 
+def _normalized(
+    entry: Entry, registry: AttributeRegistry, attr: str, normalize: Callable
+) -> Sequence:
+    """The values of *attr* as a filter compiled under *registry* reads
+    them: the entry's remembered ones (:meth:`Entry.normalized`) when it
+    is held under the same registry, else normalized in this call under
+    the compile-time syntax — what :func:`compile_filter` has always
+    evaluated for such an entry."""
+    if entry.registry is registry:
+        return entry.normalized(attr)
+    return list(map(normalize, entry.get(attr)))
+
+
 def _ordering_test(
-    atype: AttributeType, attr: str, assertion: str, want: int
+    registry: AttributeRegistry,
+    atype: AttributeType,
+    attr: str,
+    assertion: str,
+    want: int,
 ) -> CompiledFilter:
     """Closure for ``>=`` (want=+1) / ``<=`` (want=-1) under *atype*."""
     normalize = atype.normalize
@@ -157,11 +174,7 @@ def _ordering_test(
     rstr = str(rnorm)
 
     def test(entry: Entry) -> bool:
-        values = entry.get(attr)
-        if not values:
-            return False
-        for value in values:
-            lnorm = normalize(value)
+        for lnorm in _normalized(entry, registry, attr, normalize):
             if type(lnorm) is rtype:
                 cmp = -1 if lnorm < rnorm else (1 if lnorm > rnorm else 0)
             else:
@@ -182,33 +195,29 @@ def _compile_predicate(pred: Predicate, registry: AttributeRegistry) -> Compiled
         return lambda entry: entry.has_attribute(attr)
     if isinstance(pred, Equality):
         assertion = normalize(pred.value)
-        return lambda entry: any(
-            normalize(v) == assertion for v in entry.get(attr) or ()
-        )
+        return lambda entry: assertion in _normalized(entry, registry, attr, normalize)
     if isinstance(pred, Approx):
         assertion = str(normalize(pred.value)).lower()
         return lambda entry: any(
-            str(normalize(v)).lower() == assertion for v in entry.get(attr) or ()
+            str(norm).lower() == assertion
+            for norm in _normalized(entry, registry, attr, normalize)
         )
     if isinstance(pred, GreaterOrEqual):
         if not atype.ordered:
             return lambda entry: False
-        return _ordering_test(atype, attr, pred.value, +1)
+        return _ordering_test(registry, atype, attr, pred.value, +1)
     if isinstance(pred, LessOrEqual):
         if not atype.ordered:
             return lambda entry: False
-        return _ordering_test(atype, attr, pred.value, -1)
+        return _ordering_test(registry, atype, attr, pred.value, -1)
     if isinstance(pred, Substring):
         initial = str(normalize(pred.initial)) if pred.initial else ""
         needles = tuple(str(normalize(p)) for p in pred.any_parts)
         final = str(normalize(pred.final)) if pred.final else ""
 
         def substring_test(entry: Entry) -> bool:
-            values = entry.get(attr)
-            if not values:
-                return False
-            for value in values:
-                norm = str(normalize(value))
+            for value in _normalized(entry, registry, attr, normalize):
+                norm = str(value)
                 cursor = 0
                 if initial:
                     if not norm.startswith(initial):
@@ -241,9 +250,12 @@ def compile_filter(
     Attribute types are resolved and assertion values normalized **once
     per filter** instead of once per entry, and the per-entry
     ``isinstance`` dispatch of :func:`matches` disappears — the verify
-    path of a search evaluates a chain of plain closures.  Semantics
-    are identical to :func:`matches` evaluated under *registry* (the
-    server's registry; entries carry the same one in every store).
+    path of a search evaluates a chain of plain closures.  An entry's
+    side is read from :meth:`Entry.normalized`, which a frozen image
+    computes once per attribute, so a stored image is normalized once
+    however many queries verify it.  Semantics are identical to
+    :func:`matches` evaluated under *registry* (the server's registry;
+    entries carry the same one in every store).
     """
     reg = registry if registry is not None else DEFAULT_REGISTRY
     if isinstance(node, Predicate):

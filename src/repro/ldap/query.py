@@ -107,18 +107,13 @@ class SearchRequest:
         return self.in_scope(entry.dn) and matches(self.filter, entry)
 
     def project(self, entry: Entry) -> Entry:
-        """Project *entry* onto the requested attribute set: always a
-        new entry, the caller's own."""
+        """*entry* as this request returns or replicates it.  When every
+        attribute is requested, a frozen image is returned as it is —
+        shared, not copied; a caller that edits it calls ``copy()`` — and
+        a mutable entry is copied.  Under an attribute list, a new entry
+        holding only those attributes."""
         if self.wants_all_attributes:
-            return entry.copy()
-        return entry.project(self.attributes)
-
-    def image_of(self, entry: Entry) -> Entry:
-        """What a replica of this request holds of the frozen image
-        *entry*: the image itself when every attribute is requested —
-        shared, not copied — else its projection, a new image."""
-        if self.wants_all_attributes:
-            return entry
+            return entry if entry.frozen else entry.copy()
         return entry.project(self.attributes)
 
     def __hash__(self) -> int:
@@ -144,9 +139,15 @@ class SearchRequest:
         return SearchRequest(self.base, self.scope, flt, self.attributes)
 
     def __str__(self) -> str:
-        attrs = ",".join(sorted(self.attributes))
-        base = str(self.base) if not self.base.is_root else '""'
-        return (
-            f"search(base={base}, scope={self.scope.name}, "
-            f"filter={self.filter}, attrs={attrs})"
-        )
+        # Labels every replica and cache hit (answered_by); the request
+        # never changes, so neither does its text.  Memoized like the hash.
+        text = self.__dict__.get("_str")
+        if text is None:
+            attrs = ",".join(sorted(self.attributes))
+            base = str(self.base) if not self.base.is_root else '""'
+            text = (
+                f"search(base={base}, scope={self.scope.name}, "
+                f"filter={self.filter}, attrs={attrs})"
+            )
+            object.__setattr__(self, "_str", text)
+        return text

@@ -139,8 +139,12 @@ class EntryStore:
             existing.values_by_key() if existing is not None else {},
             entry.values_by_key(),
         )
+        # Object classes under their syntax's rule ("Referral " is one),
+        # read before the freeze so the image remembers only what
+        # queries ask of it.
+        referral = REFERRAL_CLASS in entry.normalized("objectClass")
         self._entries[dn] = entry.freeze()
-        if REFERRAL_CLASS in entry.object_classes:
+        if referral:
             self._referral_dns.add(dn)
         else:
             self._referral_dns.discard(dn)

@@ -76,12 +76,12 @@ class LdapClient:
         seen_entry_dns: Set = set()
         # Work list of (server url, request) pairs still to execute.
         pending: List[Tuple[str, SearchRequest]] = [(server_url, request)]
-        visited: Set[Tuple[str, str]] = set()
+        visited: Set[Tuple[str, SearchRequest]] = set()
         hops = 0
 
         while pending:
             url, current = pending.pop(0)
-            key = (url, str(current))
+            key = (url, current)
             if key in visited:
                 continue  # referral loop — already asked this exact question
             visited.add(key)

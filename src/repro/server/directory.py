@@ -245,10 +245,11 @@ class DirectoryServer:
     ) -> SearchResult:
         """Evaluate a search operation against this server.
 
-        :meth:`evaluate`, plus the copy a result pays on its way out of
-        the server: every entry returned is the caller's own, projected
-        onto the requested attributes (DESIGN.md, "Entry images: who
-        owns, who copies").
+        :meth:`evaluate`, with each entry projected onto the requested
+        attributes on its way out of the server: under an attribute
+        list a new entry, the caller's own; for all attributes the
+        store's frozen image itself, which a caller that edits copies
+        first (DESIGN.md, "Entry images: who owns, who copies").
         """
         result = self.evaluate(request, controls)
         result.entries = [request.project(entry) for entry in result.entries]
@@ -257,8 +258,9 @@ class DirectoryServer:
     def evaluate(
         self, request: SearchRequest, controls: Sequence["object"] = ()
     ) -> SearchResult:
-        """The whole of a search but its out-boundary copy: the entries
-        of the result are the store's own frozen images, unprojected.
+        """The whole of a search but its out-boundary projection: the
+        entries of the result are the store's own frozen images,
+        unprojected.
 
         For readers inside the trust boundary that share images instead
         of owning copies — a sync provider reading the content it is

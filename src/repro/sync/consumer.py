@@ -296,8 +296,8 @@ class SyncedContent:
 
     def matches_master(self, master) -> bool:
         """Ground-truth convergence check against *master*'s live content."""
-        image_of = self.request.image_of
-        truth = {e.dn: image_of(e) for e in master.evaluate(self.request).entries}
+        project = self.request.project
+        truth = {e.dn: project(e) for e in master.evaluate(self.request).entries}
         if set(truth) != set(self.entries):
             return False
         return all(self.entries[dn].semantically_equal(truth[dn]) for dn in truth)

@@ -68,7 +68,7 @@ def master_content(server: DirectoryServer, request: SearchRequest) -> List[Entr
     of it holds: the store's own frozen ones, read through the
     evaluation ``search`` projects (no copy), each projected — a new
     image — only when the request restricts attributes."""
-    return [request.image_of(e) for e in server.evaluate(request).entries]
+    return [request.project(e) for e in server.evaluate(request).entries]
 
 
 def _add(image: Entry) -> SyncUpdate:

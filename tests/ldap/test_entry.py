@@ -98,6 +98,44 @@ class TestAccess:
         assert pairs["serialNumber"] == ["0456"]
 
 
+class TestRemembered:
+    """A frozen image derives its normalized values and its size once;
+    a mutable entry derives them afresh, so an edit is never missed."""
+
+    def test_normalized_values_in_value_order_under_any_spelling(self):
+        entry = make_entry()
+        assert entry.normalized("cn") == ("john doe", "john m doe")
+        assert entry.normalized("commonName") == entry.normalized("CN")
+        assert entry.normalized("departmentNumber") == ("80",)
+        assert entry.normalized("nope") == ()
+
+    def test_mutable_entry_reads_its_edits(self):
+        entry = make_entry()
+        assert entry.normalized("mail") == ("john@us.xyz.com",)
+        size = entry.estimated_size()
+        entry.put("mail", " New@X.com ")
+        assert entry.normalized("mail") == ("New@X.com",)  # case-exact: strip only
+        assert entry.estimated_size() == size + len(" New@X.com ") - len("john@us.xyz.com")
+
+    def test_frozen_image_remembers_and_its_copy_does_not(self):
+        entry = make_entry().freeze()
+        first = entry.normalized("cn")
+        assert entry.normalized("cn") is first
+        assert entry.estimated_size() == make_entry().estimated_size()
+        thawed = entry.copy()
+        thawed.put("cn", "Jane")
+        assert thawed.normalized("cn") == ("jane",)
+        assert entry.normalized("cn") is first
+        assert sorted(entry) == sorted(make_entry()) and entry == make_entry()
+
+    def test_unchanged_values_are_shared_not_copied(self):
+        entry = Entry("cn=a,o=xyz", {"objectClass": ["person", "Top "], "mail": "a@x"}).freeze()
+        person, top = entry.normalized("objectClass")
+        assert person is entry.values_by_key()["objectclass"][0]
+        assert top == "top"
+        assert entry.normalized("mail")[0] is entry.values_by_key()["mail"][0]
+
+
 # every registered spelling of two types, plus an unregistered name
 _SPELLINGS = [
     ("sn", "SN", "surname", "SurName"),

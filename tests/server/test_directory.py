@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ldap import DN, Entry, Scope, SearchRequest
+from repro.ldap import DN, Entry, Scope, SearchRequest, matches, parse_filter
 from repro.server import (
     DirectoryServer,
     LdapError,
@@ -109,6 +109,21 @@ class TestSearch:
         server.store.put(person("cn=hidden,c=in,o=xyz"))
         res = server.search(SearchRequest("o=xyz", Scope.SUB, "(cn=hidden)"))
         assert res.entries == []
+
+    @pytest.mark.parametrize("spelling", ["referral ", "  Referral"])
+    def test_referral_class_is_read_under_its_syntax(self, server, spelling):
+        # An object is a referral object when (objectClass=referral)
+        # matches it: the store reads object classes under their syntax,
+        # so surrounding spaces do not hide one.
+        server.add(Entry("c=in,o=xyz", {"objectClass": [spelling, "top"], "ref": "ldap://hostC"}))
+        server.store.put(person("cn=hidden,c=in,o=xyz"))
+        held = server.store.get(DN.parse("c=in,o=xyz"))
+        assert matches(parse_filter("(objectClass=referral)"), held)
+        assert held.object_classes == {"referral", "top"}
+        assert server.store.is_referral(held.dn)
+        res = server.search(SearchRequest("o=xyz", Scope.SUB, "(cn=hidden)"))
+        assert res.entries == []
+        assert [(r.url, str(r.target)) for r in res.referrals] == [("ldap://hostC", "c=in,o=xyz")]
 
     def test_base_under_referral_refers(self, server):
         server.add(make_referral_entry("c=in,o=xyz", "ldap://hostC"))

@@ -3,11 +3,13 @@
 A committed entry image is one frozen object shared by the store, the
 update record, every session history, the update PDU and every replica
 content — whether the replica got it in an update, in its initial
-load, in a reconcile fetch or in a degraded resume.  Caller-owned
-entries cross that boundary by copy — once on the way in
-(``add``/``load``/``SyncUpdate.add``), once on the way out (``search``)
-— so nothing a caller holds can edit what is shared, and what is shared
-raises when edited.
+load, in a reconcile fetch or in a degraded resume — and every
+all-attribute search result.  Caller-owned entries cross that boundary
+by copy on the way in (``add``/``load``/``SyncUpdate.add``); on the way
+out only a projection under an attribute list is a new entry.  So
+nothing a caller holds can edit what is shared, what is shared raises
+when edited, and a caller that edits a shared result edits its
+``copy()``.
 """
 
 import pytest
@@ -104,16 +106,29 @@ class TestCallerOwnedEntriesAreCopied:
         assert server.store.get(P1) is not mine[1]
 
     def test_search_results_are_the_callers(self, master):
+        # An all-attribute result is the shared frozen image: editing it
+        # raises, and a caller that edits takes a copy().  A result under
+        # an attribute list is a projection, a new mutable entry.
         provider = ResyncProvider(master)
         content = SyncedContent(REQUEST)
         content.poll(provider)
 
         found = master.search(SearchRequest(str(P1), Scope.BASE, "(objectClass=*)"))
-        (mine,) = found.entries
-        assert not mine.frozen and mine is not master.store.get(P1)
+        (shared,) = found.entries
+        assert shared is master.store.get(P1) is content.entries[P1]
+        assert_frozen(shared)
+        mine = shared.copy()
+        assert not mine.frozen
         mine.put("sn", "edited")
         assert master.store.get(P1).first("sn") == "T"
         assert content.entries[P1].first("sn") == "T"
+
+        listed = master.search(SearchRequest(str(P1), Scope.BASE, "(objectClass=*)", ["sn"]))
+        (projected,) = listed.entries
+        assert not projected.frozen and projected is not master.store.get(P1)
+        assert [name for name, _values in projected] == ["sn"]
+        projected.put("sn", "edited")
+        assert master.store.get(P1).first("sn") == "T"
 
     def test_argument_of_sync_update_add_stays_the_callers(self):
         mine = person("P1")

@@ -14,8 +14,10 @@ from collections import Counter
 from hypothesis import given, settings, strategies as st
 
 from repro.ldap import DN, Entry, Scope, matches, parse_filter
+from repro.ldap.attributes import DEFAULT_REGISTRY, AttributeRegistry
 from repro.ldap.filters import (
     And,
+    Approx,
     Equality,
     GreaterOrEqual,
     LessOrEqual,
@@ -223,9 +225,96 @@ def test_planner_superset_property(ops, flt):
         missing = truth - plan.candidates
         assert not missing, f"plan {plan.strategy} dropped {missing} for {flt}"
 
+    assert_compiled_agrees(flt, store.all_entries())
+
+
+def assert_compiled_agrees(flt, entries) -> None:
+    """``compile_filter(flt)`` (default registry) decides every entry as
+    :func:`matches` does: over the frozen image and its mutable copy,
+    each twice — the first reading of a frozen image computes the
+    normalized values it remembers, the second reads them."""
     compiled = compile_filter(flt)
-    for entry in store.all_entries():
-        assert compiled(entry) == matches(flt, entry), f"compile mismatch for {flt}"
+    for entry in entries:
+        for image in (entry, entry.copy()):
+            want = matches(flt, image)
+            for reading in ("cold", "warm"):
+                assert compiled(image) == want, f"{reading} mismatch for {flt} on {sorted(image)}"
+
+
+# ----------------------------------------------------------------------
+# compiled filters read remembered normalized values exactly as matches()
+# normalizes afresh
+# ----------------------------------------------------------------------
+#: Multi-valued images: spellings that normalize alike ("aa"/" AA "), a
+#: value with inner spaces, numbers with a leading zero and surrounding
+#: spaces, and a non-numeric value in the INTEGER-syntax ``age`` — so
+#: ordering compares mixed types.
+_MULTI_TEXT = st.lists(st.sampled_from(["aa", " AA ", "ab", "b  a", "ccc"]), min_size=1, max_size=3)
+_MULTI_AGES = st.lists(st.sampled_from(["7", "9", "010", " 41 ", "oops"]), min_size=1, max_size=3)
+_MULTI_IMAGES = st.fixed_dictionaries(
+    {},
+    optional={
+        "sn": _MULTI_TEXT,
+        "commonName": _MULTI_TEXT,
+        "mail": _MULTI_TEXT,  # case-exact
+        "age": _MULTI_AGES,
+    },
+)
+
+
+def _rich_leaves():
+    preds = []
+    for attr, values in (
+        ("sn", ["aa", "AA", "b a", "ccc", "zz"]),
+        ("cn", ["aa", "ab"]),
+        ("mail", ["aa", "AA"]),
+        ("age", ["7", "9", "10", "41", "oops"]),
+        ("nosuchattr", ["zz"]),
+    ):
+        preds.append(Present(attr))
+        for value in values:
+            preds.append(Equality(attr, value))
+            preds.append(Approx(attr, value))
+            preds.append(GreaterOrEqual(attr, value))
+            preds.append(LessOrEqual(attr, value))
+        preds.append(Substring(attr, initial=values[0][:1]))
+        preds.append(Substring(attr, any_parts=(values[-1][-1:],), final=values[0][-1:]))
+        preds.append(Substring(attr, initial=" ", any_parts=(values[-1],)))
+    return preds
+
+
+_rich_trees = st.recursive(
+    st.sampled_from(_rich_leaves()),
+    lambda children: st.one_of(
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: And(tuple(cs))),
+        st.lists(children, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs))),
+        children.map(Not),
+    ),
+    max_leaves=5,
+)
+
+#: The default registry's types again, in a registry of their own: an
+#: entry under it is read afresh by a filter compiled under the default
+#: one, and must be decided alike.
+FOREIGN = AttributeRegistry(
+    DEFAULT_REGISTRY.get(name) for name in ("objectClass", "cn", "sn", "mail", "age")
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_MULTI_IMAGES, min_size=1, max_size=5), _rich_trees)
+def test_compiled_filter_reads_remembered_values_as_matches_normalizes(images, flt):
+    store = EntryStore()
+    root = DN.parse("o=xyz")
+    store.register_root(root)
+    foreign = []
+    for i, image in enumerate(images):
+        attrs = {"objectClass": ["person"], **image}
+        store.put(Entry(root.child(f"cn=e{i}"), attrs))
+        foreign.append(Entry(root.child(f"cn=f{i}"), attrs, registry=FOREIGN).freeze())
+    held = list(store.all_entries())
+    assert all(entry.frozen for entry in held)
+    assert_compiled_agrees(flt, held + foreign)
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,15 +14,28 @@ request makes the master do must not grow with what the master merely
   no ancestor and derives no object-class set — and prunes below a
   referral object, when one is held, exactly as before;
 * a substring search with a component shorter than a gram scans the
-  gram vocabulary once per vocabulary, not twice per search.
+  gram vocabulary once per vocabulary, not twice per search;
+* a query pays once for what never changes: a frozen image normalizes
+  its values once, however many queries verify it; an all-attribute
+  result — from the master, a content, a replica or the recent-query
+  cache — is the frozen image itself, not a copy; and a referral chase
+  keys its loop guard by the request, not by its text.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.ldap import DN, Entry, Scope, SearchRequest
-from repro.server import DirectoryServer, EntryStore, make_referral_entry
+from repro.core import FilterReplica, RecentQueryCache
+from repro.ldap import DN, AttributeType, Entry, Scope, SearchRequest
+from repro.ldap.matching import compile_filter_cached
+from repro.server import (
+    DirectoryServer,
+    DistributedDirectory,
+    EntryStore,
+    LdapClient,
+    make_referral_entry,
+)
 from repro.sync import ReconcileRequest, ResyncProvider, Session, SyncedContent
 
 SESSIONS = 1000
@@ -266,3 +279,96 @@ def test_short_component_scans_the_vocabulary_once_per_vocabulary():
     vocabulary.scans = 0
     assert [e.dn for e in master.search(request).entries] == [expected]
     assert vocabulary.scans == 0
+
+
+# ----------------------------------------------------------------------
+# (5) what a frozen image and a request remember
+# ----------------------------------------------------------------------
+@pytest.fixture
+def normalized(monkeypatch):
+    """Every value :meth:`AttributeType.normalize` is asked to normalize,
+    in call order; compiled filters are compiled afresh under the count."""
+    seen = []
+    original = AttributeType.normalize
+
+    def normalize(self, value):
+        seen.append(value)
+        return original(self, value)
+
+    monkeypatch.setattr(AttributeType, "normalize", normalize)
+    compile_filter_cached.cache_clear()
+    yield seen
+    compile_filter_cached.cache_clear()
+
+
+#: Not a candidate for any index (the store's nor a content's), so every
+#: entry in the region is verified against ``(sn=nobody)``.
+UNINDEXED = SearchRequest("o=xyz", Scope.SUB, "(!(sn=nobody))")
+
+
+def test_a_second_evaluation_normalizes_nothing(normalized):
+    master = build_master()
+    content = SyncedContent(PERSONS)
+    content.poll(ResyncProvider(master))
+    query = SearchRequest("o=xyz", Scope.SUB, "(&(cn=P1*)(!(sn=nobody)))")
+    assert [str(e.dn) for e in content.evaluate(query)][:1] == ["cn=P1,ou=people,o=xyz"]
+    assert normalized  # the first evaluation normalizes each image once
+    normalized.clear()
+    first = content.evaluate(query)
+    assert normalized == []
+    assert content.evaluate(query) == first
+
+    # The master's second search of one filter over its frozen images
+    # normalizes no stored value: only the assertion it compiles.
+    assert len(master.search(UNINDEXED).entries) == PEOPLE + 2
+    normalized.clear()
+    assert len(master.search(UNINDEXED).entries) == PEOPLE + 2
+    assert normalized == ["nobody"]
+
+
+def test_all_attribute_results_copy_nothing(images_made):
+    master = build_master()
+    provider = ResyncProvider(master)
+    content = SyncedContent(PERSONS)
+    content.poll(provider)
+    replica = FilterReplica("r", cache_capacity=4)
+    replica.add_filter(PERSONS, provider)
+    query = SearchRequest("o=xyz", Scope.SUB, "(&(objectClass=person)(cn=P1*))")
+    images_made.clear()
+
+    found = master.search(query).entries
+    assert len(found) == 11  # P1, P10 .. P19
+    evaluated = content.evaluate(query)
+    answered = replica.answer(query).entries
+    cache = RecentQueryCache(capacity=4)
+    cache.insert(query, found)
+    cached, _source = cache.lookup(query)
+    assert dict(images_made) == {}
+    for result in (found, evaluated, answered, cached):
+        assert sorted(e.dn for e in result) == sorted(e.dn for e in found)
+        assert all(e is master.store.get(e.dn) for e in result)
+
+
+def test_referral_chase_formats_no_request(monkeypatch):
+    dist = DistributedDirectory()
+    top = dist.add_server("hostA", "o=xyz")
+    branch = dist.add_server("hostB", "c=in,o=xyz", default_referral="ldap://hostA")
+    top.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
+    dist.add_referral("hostA", "c=in,o=xyz", "hostB")
+    branch.add(Entry("c=in,o=xyz", {"objectClass": ["country"], "c": "in"}))
+    branch.add(person(1, under="c=in,o=xyz"))
+
+    formatted = Counter()
+    text = SearchRequest.__str__
+
+    def counted(self):
+        formatted[self] += 1
+        return text(self)
+
+    monkeypatch.setattr(SearchRequest, "__str__", counted)
+    result = LdapClient(dist.network).search(
+        "ldap://hostB", SearchRequest("o=xyz", Scope.SUB, "(cn=P1)")
+    )
+    # hostB refers up, hostA answers and continues to hostB's context.
+    assert result.round_trips == 3 and [str(e.dn) for e in result.entries] == ["cn=P1,c=in,o=xyz"]
+    assert sum(formatted.values()) == 0
