@@ -7,7 +7,10 @@ fault rate, in both modes of update; once the network heals, the
 consumer must reconverge within a bounded number of clean cycles.
 
 Reported per (mode, rate): injected faults, retries, reloads, clean
-cycles to reconverge, and total protocol round trips — all
+cycles to reconverge, total protocol round trips and bytes on the wire
+(a persist re-open over warm content is a sketch, a fetch and a resume:
+more round trips than the null-cookie load it replaced, far fewer
+bytes) — all
 deterministic (seeded fault schedules, seeded backoff jitter), so the
 exported JSON is regression-diffable by ``validate_results.py`` and the
 CI ``faults`` matrix job can assert bounded convergence at fixed seeds.
@@ -180,12 +183,15 @@ def test_fault_convergence(benchmark, provider_crash):
                     cell["reloads"],
                     cell["clean_cycles"],
                     cell["round_trips"],
+                    cell["bytes_sent"],
                 ]
             )
             key = f"{mode}_r{int(rate * 100):02d}"
             metrics[f"{key}_retries"] = cell["retries"]
             metrics[f"{key}_clean_cycles"] = cell["clean_cycles"]
             metrics[f"{key}_round_trips"] = cell["round_trips"]
+            if mode == "persist":
+                metrics[f"{key}_bytes"] = cell["bytes_sent"]
 
     # Fault-free runs must not pay any resilience tax.
     assert metrics["poll_r00_retries"] == 0
@@ -205,12 +211,15 @@ def test_fault_convergence(benchmark, provider_crash):
                         cell["reloads"],
                         cell["clean_cycles"],
                         cell["round_trips"],
+                        cell["bytes_sent"],
                     ]
                 )
                 key = f"crash_{mode}_r{int(rate * 100):02d}"
                 metrics[f"{key}_retries"] = cell["retries"]
                 metrics[f"{key}_clean_cycles"] = cell["clean_cycles"]
                 metrics[f"{key}_round_trips"] = cell["round_trips"]
+                if mode == "persist":
+                    metrics[f"{key}_bytes"] = cell["bytes_sent"]
                 metrics[f"{key}_recoveries"] = cell["recoveries"]
                 metrics[f"{key}_replayed"] = cell["replayed"]
         # Both scheduled crashes must actually have exercised recovery,
@@ -221,7 +230,7 @@ def test_fault_convergence(benchmark, provider_crash):
     report(
         "fault_convergence",
         "Convergence cost vs fault rate (uniform faults, seed 101)",
-        ["mode", "rate", "faults", "retries", "reloads", "clean cyc", "round trips"],
+        ["mode", "rate", "faults", "retries", "reloads", "clean cyc", "round trips", "bytes"],
         rows,
         params={
             "seed": SEED,

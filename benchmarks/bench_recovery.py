@@ -17,6 +17,13 @@ of a full rebuild.  Sweeps the replica's divergence from 0.1% to 5% of
 a 1000-entry content and compares bytes on the wire against the
 rebuild path for the identical schedule.
 
+``test_persist_reopen`` — a persist subscription over a warm
+1000-entry content re-opens by sketch (docs/RECOVERY.md, "Opening a
+subscription"): an idle subscription's periodic refresh, and its
+re-subscription after ``network.crash(provider)`` with one entry
+changed meanwhile, each against the null-cookie open every re-open used
+to be.
+
 ``test_snapshot_warmstart`` — the recovery ladder's *first* rung
 (docs/RECOVERY.md): a replica that dumped its content + cookie to a
 :class:`~repro.sync.snapshot.SnapshotStore` restarts, warm-starts from
@@ -34,7 +41,8 @@ a cold start cannot land as the committed number, and is gated only by
 the validator's generous ``*_seconds`` sanity bound.  The in-bench floors — reload
 traffic at least 5x the durable resume at 100 sessions, rebuild
 traffic at least 10x the reconcile tier at <=1% divergence, cold
-rebuild at least 5x the warm start at <=5% divergence — fail on any
+rebuild at least 5x the warm start at <=5% divergence, the null-cookie
+open at least 50x a persist re-open by sketch — fail on any
 reversion to reload-after-restart independent of runner speed.
 """
 
@@ -43,13 +51,15 @@ from __future__ import annotations
 import time
 from statistics import median
 
+from repro.chaos import ReferenceModel
 from repro.ldap import Entry, Scope, SearchRequest
-from repro.server import DirectoryServer, Modification, SimulatedNetwork
+from repro.server import DirectoryServer, FaultyNetwork, Modification, SimulatedNetwork
 from repro.sync import (
     DurabilityConfig,
     MemoryJournal,
     ResilientConsumer,
     ResyncProvider,
+    RetryPolicy,
     SyncedContent,
     SyncProtocolError,
     build_sketch,
@@ -448,6 +458,116 @@ def test_reconcile_divergence(benchmark):
     provider = ResyncProvider(master)
     content = provider._search_content(RECONCILE_REQUEST)
     benchmark(lambda: build_sketch(content, 256))
+
+
+# ----------------------------------------------------------------------
+# persist re-open by sketch vs the null-cookie open
+# ----------------------------------------------------------------------
+REFRESH_INTERVAL = 4
+MIN_REOPEN_RATIO = 50.0  # the null-cookie open must cost >=50x a re-open
+
+
+def run_persist_reopen_cell(kind: str) -> dict:
+    """One re-open of a persist subscription over the warm 1000-entry
+    content, beside the null-cookie open that subscribed it (the cost
+    of every re-open before subscriptions sketched).
+
+    ``refresh``: an idle subscription's periodic refresh — nothing
+    changed, a sketch audit.  ``crash``: the re-subscription after
+    ``network.crash(provider)`` forgot every session, one entry
+    modified meanwhile.  Only the re-opening cycle's bytes are measured.
+    """
+    master = build_reconcile_master()
+    provider = ResyncProvider(master)
+    net = FaultyNetwork()
+    consumer = ResilientConsumer(
+        RECONCILE_REQUEST,
+        provider,
+        network=net,
+        mode="persist",
+        policy=RetryPolicy(persist_refresh_interval=REFRESH_INTERVAL, jitter=0.0),
+    )
+    assert consumer.sync_once() is not None
+    opened = net.stats.snapshot()
+    if kind == "refresh":
+        for _ in range(REFRESH_INTERVAL - 1):
+            consumer.sync_once()
+        assert net.stats.bytes_sent == opened.bytes_sent  # a live subscription is free
+    else:
+        net.crash(provider)
+        diverge(master, 1)
+    before = net.stats.snapshot()
+    assert consumer.sync_once() is not None
+    reopen = net.stats - before
+    assert ReferenceModel.of(master).holds(consumer.content)
+    registry = net.registry.to_dict()
+    assert registry.get("sync.resilient.reloads", 0) == 0
+    assert registry.get("sync.reconcile.decode_success", 0) == 1
+    return {
+        "open_bytes": opened.bytes_sent,
+        "bytes": reopen.bytes_sent,
+        "round_trips": reopen.round_trips,
+        "entry_pdus": reopen.sync_entry_pdus,
+        "sketch_bytes": registry.get("sync.reconcile.sketch_bytes", 0),
+    }
+
+
+def test_persist_reopen(benchmark):
+    rows = []
+    metrics = {}
+    for kind in ("refresh", "crash"):
+        cell = run_persist_reopen_cell(kind)
+        rows.append(
+            [
+                kind,
+                cell["bytes"],
+                cell["open_bytes"],
+                round(cell["open_bytes"] / max(cell["bytes"], 1), 1),
+                cell["round_trips"],
+                cell["entry_pdus"],
+                cell["sketch_bytes"],
+            ]
+        )
+        metrics[f"{kind}_reopen_bytes_sent"] = cell["bytes"]
+        metrics[f"{kind}_reload_bytes_sent"] = cell["open_bytes"]
+        metrics[f"{kind}_reopen_round_trips"] = cell["round_trips"]
+        metrics[f"{kind}_reopen_entry_pdus"] = cell["entry_pdus"]
+
+    # The headline claim: re-opening a warm subscription is O(delta), at
+    # least 50x below the null-cookie open it used to be.
+    for kind in ("refresh", "crash"):
+        assert (
+            metrics[f"{kind}_reload_bytes_sent"]
+            >= MIN_REOPEN_RATIO * metrics[f"{kind}_reopen_bytes_sent"]
+        ), f"the persist {kind} re-open lost its edge"
+    assert metrics["refresh_reopen_entry_pdus"] == 0  # an audit of unchanged content
+
+    report(
+        "recovery_persist",
+        "Persist re-open traffic: sketch open vs null-cookie open",
+        ["re-open", "bytes", "null-cookie open bytes", "ratio", "round trips", "entry PDUs", "sketch bytes"],
+        rows,
+        params={
+            "content_entries": RECONCILE_CONTENT,
+            "refresh_interval": REFRESH_INTERVAL,
+        },
+        metrics=metrics,
+        paper_expected=None,
+    )
+
+    # Timed unit: one idle refresh cycle — sketch both sides, empty
+    # fetch, resume — over the full content.
+    master = build_reconcile_master()
+    provider = ResyncProvider(master)
+    consumer = ResilientConsumer(
+        RECONCILE_REQUEST,
+        provider,
+        network=SimulatedNetwork(),
+        mode="persist",
+        policy=RetryPolicy(persist_refresh_interval=1),
+    )
+    consumer.sync_once()
+    benchmark(consumer.sync_once)
 
 
 # ----------------------------------------------------------------------

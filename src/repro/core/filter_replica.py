@@ -276,7 +276,7 @@ class FilterReplica:
         A filter with ``sync_interval`` n is due on every n-th round
         (per-object-type consistency levels, §3.2).  A polled filter
         polls; a subscribed one runs its persist cycle — free while it
-        lives, re-opened when it died, a full load every
+        lives, re-opened when it died, audited by sketch every
         ``persist_refresh_interval`` rounds — on this link, where it
         moves with its subscription (:meth:`SyncLink.adopt`).  Pending
         filters this round answered are admitted.

@@ -129,7 +129,9 @@ class DN:
     DIT root and is an ancestor of every DN.
     """
 
-    __slots__ = ("_rdns", "_normalized", "_hash")
+    # ``_str`` is filled by the first ``str()``: a DN never changes, so
+    # its text is built once, and construction pays nothing for it.
+    __slots__ = ("_rdns", "_normalized", "_hash", "_str")
 
     def __init__(self, rdns: Iterable[RDN] = ()):
         self._rdns: Tuple[RDN, ...] = tuple(rdns)
@@ -273,7 +275,11 @@ class DN:
     # dunder plumbing
     # ------------------------------------------------------------------
     def __str__(self) -> str:
-        return ",".join(str(r) for r in self._rdns)
+        try:
+            return self._str
+        except AttributeError:
+            text = self._str = ",".join(str(r) for r in self._rdns)
+            return text
 
     def __repr__(self) -> str:
         return f"DN({str(self)!r})"

@@ -22,14 +22,28 @@ a result calls :meth:`Entry.copy`; :meth:`Entry.copy`,
 :meth:`Entry.project` and :meth:`Entry.with_dn` return fresh mutable
 entries.  Because a frozen image never changes, it remembers what is
 derived from it — its normalized values per attribute
-(:meth:`Entry.normalized`) and its :meth:`Entry.estimated_size` — the
-first time they are asked for; a mutable entry derives them afresh.
+(:meth:`Entry.normalized`), its :meth:`Entry.estimated_size` and its
+reconcile digest (:meth:`Entry.derived`) — the first time they are
+asked for; a mutable entry derives them afresh.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from .attributes import AttributeRegistry, DEFAULT_REGISTRY
 from .dn import DN
@@ -37,6 +51,7 @@ from .dn import DN
 __all__ = ["Entry"]
 
 AttrValues = Union[str, int, Sequence[Union[str, int]]]
+T = TypeVar("T")
 
 
 def _as_value_list(values: AttrValues) -> List[str]:
@@ -75,7 +90,7 @@ class Entry:
         })
     """
 
-    __slots__ = ("_dn", "_attrs", "_registry", "_frozen", "_size")
+    __slots__ = ("_dn", "_attrs", "_registry", "_frozen", "_size", "_derived")
 
     def __init__(
         self,
@@ -87,6 +102,7 @@ class Entry:
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._frozen = False
         self._size: Optional[int] = None  # a frozen image's, once measured
+        self._derived: Optional[Tuple] = None  # a frozen image's (derive, value)
         # AttributeRegistry.key(name) -> (canonical name, [values]), and on
         # a frozen image whose normalized values were asked for,
         # (canonical name, [values], normalized values).
@@ -301,6 +317,21 @@ class Entry:
         if self._frozen:
             self._size = size
         return size
+
+    def derived(self, derive: Callable[["Entry"], T]) -> T:
+        """``derive(self)`` for a pure function of the entry's DN and
+        values.  A frozen image remembers the value for the last *derive*
+        asked — one slot, whose caller is the reconcile digest
+        (:func:`repro.sync.reconcile.entry_digest`): every party sharing
+        the image hashes it once, however many sketches read it.  A
+        mutable entry derives afresh."""
+        held = self._derived
+        if held is not None and held[0] is derive:
+            return held[1]
+        value = derive(self)
+        if self._frozen:
+            self._derived = (derive, value)
+        return value
 
     def _measure(self) -> int:
         stamped = self.first("entrySizeBytes")

@@ -93,9 +93,11 @@ class RetryPolicy:
             count as lost (None: wait forever).
         degraded_after: consecutive *failed cycles* (all attempts
             exhausted) before the consumer enters degraded mode.
-        persist_refresh_interval: persist-mode cycles between full
-            subscription refreshes (bounds divergence from dropped
-            notifications).
+        persist_refresh_interval: persist-mode cycles between
+            subscription refreshes — a sketch audit of warm content,
+            which bounds divergence from dropped notifications at
+            O(delta) bytes (docs/RECOVERY.md, "Opening a
+            subscription").
     """
 
     max_attempts: int = 8

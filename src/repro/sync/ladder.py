@@ -7,9 +7,7 @@ a journal-less restart, broken off an overflowed history chain).  What
 the consumer does next is one lookup in :data:`LADDER`, on three facts:
 
 * **the request carried a cookie** — a refused *null* cookie is a
-  refused initial load, which nothing below can repair: ``raise`` (a
-  persist subscription re-opens with a null cookie, and is offered no
-  sketch: a refused resume rebuilds);
+  refused initial load, which nothing below can repair: ``raise``;
 * **local content is non-empty** — the sketch exploits what the replica
   already holds; an empty replica has no delta to exploit;
 * **the provider offers** ``reconcile`` — the retain and baseline
@@ -21,7 +19,11 @@ turns out too small is a detected failure costing a fraction of the
 rebuild it usually saves (``benchmarks/baselines/reconcile.json``).
 Any other refused cookie takes the paper's §5 answer, ``rebuild``:
 forget the cookie (and any subscription), so that the next request is
-the null-cookie initial load.  Only a refusal enters the ladder.
+the null-cookie initial load.  Only a refusal enters the ladder; poll
+and persist read one table, with the provider's real ``reconcile``
+offer.  A persist subscription opening over warm content with no
+cookie to present enters the sketch tier by choice, outside the table
+(``SyncLink._persist``, docs/RECOVERY.md "Opening a subscription").
 
 :class:`SketchTier` is set reconciliation after *Directory
 Reconciliation* (Mitzenmacher & Morgan, PAPERS.md) over the invertible
@@ -39,7 +41,7 @@ from ..server.network import exchange
 from .consumer import SyncedContent
 from .health import HealthMachine
 from .protocol import ReconcileFetch, ReconcileRequest, SyncProtocolError, SyncResponse
-from .reconcile import ReconcileConfig, build_sketch, entry_fingerprint, entry_key
+from .reconcile import ReconcileConfig, build_sketch, entry_digest
 
 __all__ = ["LADDER", "SketchTier"]
 
@@ -178,19 +180,21 @@ class SketchTier:
         ``(fetch_keys, delete_dns)`` or None.
         """
         master_only, replica_only = decoded
-        entries = content.entries
-        local_by_key = {entry_key(dn): dn for dn in entries}
+        local = {}  # key → (dn, fingerprint)
+        for dn, entry in content.entries.items():
+            key, fp = entry_digest(entry)
+            local[key] = (dn, fp)
         master_keys = {key for key, _ in master_only}
         delete_dns = []
         for key, fp in replica_only:
-            dn = local_by_key.get(key)
-            if dn is None or entry_fingerprint(entries[dn]) != fp:
+            held = local.get(key)
+            if held is None or held[1] != fp:
                 return None
             if key not in master_keys:
-                delete_dns.append(dn)
+                delete_dns.append(held[0])
         for key, fp in master_only:
-            dn = local_by_key.get(key)
-            if dn is not None and entry_fingerprint(entries[dn]) == fp:
+            held = local.get(key)
+            if held is not None and held[1] == fp:
                 return None
         return sorted(master_keys), delete_dns
 

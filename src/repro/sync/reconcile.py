@@ -11,7 +11,8 @@ directory:
 
 * every entry is reduced to a 64-bit DN key (:func:`entry_key`) plus a
   64-bit content fingerprint (:func:`entry_fingerprint`) over its
-  normalized attributes;
+  normalized attributes — the pair is :func:`entry_digest`, which a
+  frozen entry image computes once;
 * an :class:`EntrySketch` is a fixed array of cells, each holding a
   signed count and the XORs of the keys, fingerprints and per-item
   checksums hashed into it (an IBLT); each item lands in one cell of
@@ -50,6 +51,7 @@ __all__ = [
     "EntrySketch",
     "entry_key",
     "entry_fingerprint",
+    "entry_digest",
     "build_sketch",
     "cells_for_divergence",
     "corrupt_cell",
@@ -83,6 +85,19 @@ def entry_fingerprint(entry: Entry) -> int:
         parts.append(key)
         parts.extend(sorted(str(v) for v in entry.normalized_values(key)))
     return _h64(*parts)
+
+
+def _digest(entry: Entry) -> Tuple[int, int]:
+    return entry_key(entry.dn), entry_fingerprint(entry)
+
+
+def entry_digest(entry: Entry) -> Tuple[int, int]:
+    """``(entry_key(entry.dn), entry_fingerprint(entry))`` — the item an
+    entry is in a sketch.  A frozen image remembers it
+    (:meth:`~repro.ldap.entry.Entry.derived`): master, provider and
+    every consumer share one image per version (DESIGN.md §8), so each
+    version is hashed once, not once per sketch per side."""
+    return entry.derived(_digest)
 
 
 def _check(key: int, fp: int) -> int:
@@ -262,7 +277,7 @@ def build_sketch(
     """Sketch the digest set of *entries* (every item inserted ``+1``)."""
     sketch = EntrySketch(size, salt=salt, hash_count=hash_count)
     for entry in entries:
-        sketch.insert(entry_key(entry.dn), entry_fingerprint(entry))
+        sketch.insert(*entry_digest(entry))
     return sketch
 
 

@@ -30,7 +30,8 @@ Duplicated deliveries are re-applied (every ReSync action is an
 idempotent state-setter).  A subscribed content's turn in a round is
 its persist cycle (:meth:`SyncLink._persist`), which re-opens a dead
 subscription and refreshes a live one, bounding undetectable
-notification loss.  Retry traffic lands on ``sync.resilient.*``.
+notification loss; over warm content either open is a sketch and a
+resume, O(delta).  Retry traffic lands on ``sync.resilient.*``.
 """
 
 from __future__ import annotations
@@ -249,17 +250,25 @@ class SyncLink(HealthMachine):
 
     def _persist(self, content: SyncedContent) -> Optional[SyncResponse]:
         """The persist cycle of a subscribed *content*; returns the
-        response its subscription opened with.
+        response its subscription opened with, or None when the sketch
+        tier spent the round.
 
         Liveness is judged after in-flight batches are delivered.  A
         subscription that is closed, ended (here, server-side or by a
         provider restart) or from an older crash epoch is re-opened, a
-        live one refreshed — re-opened with a null cookie, a full load —
-        every ``persist_refresh_interval`` cycles.  Opening presents the
-        content's cookie (a polled content resumes its session) and
-        clears it.  No sketch is offered: a refused resume rebuilds, a
-        refused null cookie raises; a late opening response is a lost
-        one and resets the half-open session.
+        live one refreshed — ended and re-opened — every
+        ``persist_refresh_interval`` cycles.  Opening over warm content
+        with no cookie to present enters the sketch tier by choice: the
+        sketch and targeted fetch bring the content to the master's
+        sketch-time state and leave it holding the session the sketch
+        minted, which the subscription then resumes — O(delta) bytes
+        where the paper's §5 re-subscription resends the whole content.
+        So a refresh is a sketch audit, still the bound on undetected
+        notification loss.  A tier that gives up falls back to the
+        null-cookie load.  A refused resume takes its ``LADDER`` row
+        (at most one sketch per open, then a rebuild), a refused null
+        cookie raises; a late opening response is a lost one and resets
+        the half-open session.  Opening clears the content's cookie.
         """
         subscription = self._subscriptions[content.serial]
         network = self.network
@@ -273,6 +282,10 @@ class SyncLink(HealthMachine):
                 return subscription.response
             self._refreshes.inc()
         subscription.close()
+        offers = callable(getattr(self.provider, "reconcile", None))
+        sketched = content.cookie is None and len(content) > 0 and offers
+        if sketched and self.reconcile(content) is None and self.suspended:
+            return None  # no reload on a spent round
         while True:
             cookie = content.cookie
             try:
@@ -282,11 +295,20 @@ class SyncLink(HealthMachine):
                 )
                 break
             except SyncProtocolError:
-                (tier,) = LADDER[cookie is not None, len(content) > 0, False]
-                if tier == "raise":
-                    raise
-                self._reloads.inc()
-                content.cookie = None
+                for tier in LADDER[cookie is not None, len(content) > 0, offers]:
+                    if tier == "raise":
+                        raise
+                    if tier == "sketch":
+                        if sketched:
+                            continue  # one sketch per open
+                        sketched = True
+                        if self.reconcile(content) is not None:
+                            break  # resume the minted session
+                        if self.suspended:
+                            return None
+                    else:  # rebuild
+                        self._reloads.inc()
+                        content.cookie = None
         try:
             timely = SyncedContent.timely(deliveries, self.policy.timeout_ms)
         except OperationTimeout:

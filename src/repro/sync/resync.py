@@ -54,7 +54,7 @@ from .protocol import (
     SyncResponse,
     SyncUpdate,
 )
-from .reconcile import build_sketch, cells_for_divergence, entry_key
+from .reconcile import build_sketch, cells_for_divergence, entry_digest
 from .router import SessionRouter
 from .session import OUTCOMES, PDUS, Session, SessionStore
 
@@ -457,7 +457,7 @@ class ResyncProvider:
         with span("sync.resync.reconcile_fetch") as sp:
             session = self._session_of(fetch.cookie, request)
             content = self._search_content(request)
-            by_key = {entry_key(e.dn): e for e in content}
+            by_key = {entry_digest(e)[0]: e for e in content}
             wanted = set(fetch.keys)
             updates = [_add(e) for key, e in by_key.items() if key in wanted]
             sp.add("entries_sent", len(updates))

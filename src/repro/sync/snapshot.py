@@ -131,7 +131,9 @@ def decode_snapshot(text: str) -> SnapshotDocument:
     except ValueError as exc:
         raise SnapshotError(f"snapshot body is not valid LDIF: {exc}") from None
     return SnapshotDocument(
-        entries={entry.dn: entry for entry in parsed},
+        # Restored entries are content images like any applied PDU's:
+        # frozen, so each remembers its reconcile digest (DESIGN.md §8).
+        entries={entry.dn: entry.freeze() for entry in parsed},
         cookie=cookie,
         size_bytes=len(text.encode("utf-8")),
     )

@@ -2,10 +2,18 @@
 
 import pytest
 
+from repro.chaos import ReferenceModel
 from repro.core import FilterReplica
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.ldap.ber import encoded_sync_batch_size
-from repro.server import DirectoryServer, FaultyNetwork, Modification, SimulatedNetwork
+from repro.server import (
+    DirectoryServer,
+    FaultPlan,
+    FaultSpec,
+    FaultyNetwork,
+    Modification,
+    SimulatedNetwork,
+)
 from repro.sync import ResyncProvider, RetryPolicy, SyncedContent, SyncLink
 
 
@@ -307,21 +315,41 @@ class TestSubscriptionsRideTheLink:
         assert (provider.active_session_count, other.active_session_count) == (0, 2)
         assert (net.open_connections, replica.persist_connections) == (2, 2)
 
-    def test_a_subscribed_filter_reloads_once_per_refresh_interval(self, master):
-        """The persist cycle's refresh re-opens a live subscription with a
-        null cookie every ``persist_refresh_interval`` rounds — a full
-        load of the filter, its bound on undetected notification loss —
-        so a subscribed filter's rounds are free in between."""
-        net = SimulatedNetwork()
-        policy = RetryPolicy(persist_refresh_interval=4)
+    def test_a_refresh_is_a_sketch_audit(self, master):
+        """Every ``persist_refresh_interval`` rounds the persist cycle
+        audits a live subscription by sketch and resumes the session the
+        sketch minted: over unchanged content one sketch per filter
+        travels and no entry PDU.  The audit is still the bound on
+        undetected notification loss — a notification dropped in flight
+        is repaired by the next refresh, by fetching that entry alone.
+        Regression: the refresh re-opened with a null cookie, a full
+        load of every subscribed filter."""
+        net = FaultyNetwork()
+        policy = RetryPolicy(persist_refresh_interval=4, jitter=0.0)
         provider, link, replica = self.build(master, net, policy)
         replica.subscribe_persist(link)
-        loaded = sum(len(s.content) for s in replica.stored_filters())
-        pdus = net.stats.sync_entry_pdus
+        stored = replica.stored_filters()
+        sketches = net.registry.counter("sync.reconcile.rounds")
+        pdus, audits = net.stats.sync_entry_pdus, sketches.value
         for _ in range(policy.persist_refresh_interval - 1):
             replica.sync(link)
-        assert net.stats.sync_entry_pdus == pdus
+        assert (net.stats.sync_entry_pdus, sketches.value) == (pdus, audits)
         replica.sync(link)
-        assert net.stats.sync_entry_pdus == pdus + loaded
         assert net.registry.counter("sync.resilient.refreshes").value == 2
+        assert net.stats.sync_entry_pdus == pdus
+        assert sketches.value == audits + len(stored)
+        assert (net.open_connections, provider.active_session_count) == (2, 2)
+
+        net.plan = FaultPlan(FaultSpec(notification_drop=1.0), seed=0)
+        master.modify("cn=P0,o=xyz", [Modification.replace("title", "lost")])
+        net.settle()
+        assert net.fault_counts() == {"notification_drop": 1}
+        assert not all(ReferenceModel.of(master).holds(s.content) for s in stored)
+        net.heal()
+        for _ in range(policy.persist_refresh_interval):
+            replica.sync(link)
+        model = ReferenceModel.of(master)
+        assert all(model.holds(s.content) for s in stored)
+        assert net.stats.sync_entry_pdus == pdus + 1  # the lost entry alone
+        assert net.registry.counter("sync.resilient.reloads").value == 0
         assert (net.open_connections, provider.active_session_count) == (2, 2)

@@ -59,6 +59,14 @@ class TestDnParse:
         text = "cn=John Doe,ou=research,c=us,o=xyz"
         assert str(DN.parse(text)) == text
 
+    def test_text_is_built_once(self):
+        """A DN never changes, so it remembers its text: every ``str()``
+        after the first is the same object (the sketch, the journal and
+        the snapshot all render DNs)."""
+        dn = DN.parse(r"cn=Doe\, John,o=xyz")
+        assert str(dn) is str(dn) == r"cn=Doe\, John,o=xyz"
+        assert repr(dn) == r"DN('cn=Doe\\, John,o=xyz')"
+
     def test_escaped_comma(self):
         dn = DN.parse(r"cn=Doe\, John,o=xyz")
         assert dn.rdn.value == "Doe, John"

@@ -25,6 +25,7 @@ from repro.server import (
     Modification,
 )
 from repro.server.network import RequestDropped, SimulatedNetwork
+from repro.sync import reconcile
 from repro.sync import (
     DurabilityConfig,
     EntrySketch,
@@ -134,6 +135,29 @@ class TestEntrySketch:
         x = Entry("cn=V,o=xyz", {"objectClass": ["person"], "cn": ["V"], "memberOf": ["a", "b"]})
         y = Entry("cn=V,o=xyz", {"objectClass": ["person"], "CN": ["V"], "memberof": ["b", "a"]})
         assert entry_fingerprint(x) == entry_fingerprint(y)
+
+    def test_a_frozen_image_is_digested_once(self, monkeypatch):
+        """A frozen image remembers its digest, so the sketches of every
+        party sharing it — a provider, each consumer, every refresh —
+        fingerprint it once; a mutable entry is fingerprinted per sketch.
+        Regression: every sketch of every side re-hashed every entry."""
+        real, fingerprinted = reconcile.entry_fingerprint, []
+
+        def counting(entry):
+            fingerprinted.append(entry)
+            return real(entry)
+
+        monkeypatch.setattr(reconcile, "entry_fingerprint", counting)
+        frozen = [person(f"F{i}").freeze() for i in range(5)]
+        master, replica = build_sketch(frozen, 24, salt=1), build_sketch(frozen, 24, salt=1)
+        assert master.subtract(replica).decode() == ([], [])
+        build_sketch(frozen, 48, salt=2)
+        assert len(fingerprinted) == 5
+        fingerprinted.clear()
+        mutable = [person(f"M{i}") for i in range(5)]
+        build_sketch(mutable, 24)
+        build_sketch(mutable, 24)
+        assert len(fingerprinted) == 10
 
     def test_cells_for_divergence_floor_and_rounding(self):
         assert cells_for_divergence(0) == 24

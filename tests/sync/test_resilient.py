@@ -480,6 +480,60 @@ class TestPersistResilience:
         assert net.open_connections == 1  # re-counted, not leaked
         assert net.total_connections == 2
 
+    def test_resubscription_after_a_crash_costs_less_than_a_load(self):
+        """After ``network.crash(provider)`` a persist consumer re-opens
+        over warm content by sketch: the sketch, the fetch of what
+        changed and the resume cost fewer bytes than the one full load
+        the subscription opened with.  Regression: the re-subscription
+        presented a null cookie and resent the whole content."""
+        master = build_master(40)
+        provider = ResyncProvider(master)
+        net = FaultyNetwork()
+        consumer = ResilientConsumer(
+            REQUEST, provider, network=net, mode="persist", policy=RetryPolicy(jitter=0.0)
+        )
+        consumer.sync_once()
+        load = net.stats.bytes_sent
+        net.crash(provider)
+        master.add(person("E99"))
+        before = net.stats.bytes_sent
+        assert consumer.sync_once() is not None
+        assert ReferenceModel.of(master).holds(consumer.content)
+        assert net.stats.bytes_sent - before < load
+        assert net.registry.counter("sync.reconcile.decode_success").value == 1
+        assert net.registry.counter("sync.resilient.reloads").value == 0
+        assert (net.open_connections, provider.active_session_count) == (1, 1)
+        master.add(person("E100"))  # the resumed session notifies
+        net.settle()
+        assert ReferenceModel.of(master).holds(consumer.content)
+
+    def test_a_refused_resume_sketches_once_then_rebuilds(self):
+        """A subscription presenting a dead cookie over warm content
+        takes its ``LADDER`` row — sketch, then rebuild — and sketches at
+        most once per open: when the minted session is refused too, the
+        open rebuilds instead of sketching again."""
+
+        class RefusesResumes(ResyncProvider):
+            def persist(self, request, deliver, cookie=None):
+                if cookie is not None:  # every session expires as it resumes
+                    self.invalidate_cookie(cookie)
+                    raise SyncProtocolError("session expired")
+                return super().persist(request, deliver, cookie)
+
+        master = build_master(10)
+        provider = RefusesResumes(master)
+        net = FaultyNetwork()
+        consumer = ResilientConsumer(REQUEST, provider, network=net, policy=RetryPolicy(jitter=0.0))
+        consumer.sync_once()  # polled: the content holds a cookie
+        consumer.subscribe(consumer.content)
+        assert consumer.sync_once() is not None
+        registry = net.registry
+        assert registry.counter("sync.reconcile.attempts").value == 1
+        assert registry.counter("sync.resilient.reloads").value == 1
+        assert consumer.subscription(consumer.content).handle.active
+        assert provider.active_session_count == 1  # no orphan
+        assert ReferenceModel.of(master).holds(consumer.content)
+
     def test_periodic_refresh_bounds_notification_loss(self):
         master = build_master()
         provider = ResyncProvider(master)
@@ -495,7 +549,7 @@ class TestPersistResilience:
         master.add(person("E9"))  # notification dropped: silent divergence
         model = ReferenceModel.of(master)
         assert not model.holds(consumer.content)
-        assert model.converge(consumer.sync_once, [consumer.content], 4)  # the refresh reloads
+        assert model.converge(consumer.sync_once, [consumer.content], 4)  # the refresh audit repairs it
         assert net.registry.counter("sync.resilient.refreshes").value >= 1
 
     def test_refused_subscription_raises_instead_of_looping(self):

@@ -7,16 +7,21 @@ through one caller-built :class:`SyncLink` on a
 (renames, moves, and a move under an absent superior, which the master
 must refuse), ``replica.sync``, ``add_filter`` / ``remove_filter`` /
 ``selector.revolution``, ``subscribe_persist`` / ``unsubscribe_persist``
-and ``network.settle()`` (persist delivery), ``partition`` /
+and ``network.settle()`` (persist delivery), a master modify whose
+notifications are all lost in flight, ``partition`` /
 ``heal_partition``, and a provider ``restart()`` — recovered from its
 journal when the provider is durable, forgetting every session when it
-is not.
+is not.  The link refreshes a live subscription every other round, so
+refreshes are due throughout a run.
 
 The rules keep a :class:`~repro.chaos.ReferenceModel` — every master
 update is mirrored onto its ``entries`` — and track which filters are
 fresh: last poll applied with no master update since, or subscribed
-before the last ``settle()`` with no partition or restart since.  After
-every rule:
+before the last ``settle()`` with no partition, restart or lost
+notification since.  A subscription that may have lost a notification
+is stale until a round re-opens it, which every refresh does; the
+content of every subscription a round opened, refreshes included, is
+the model's (divergence after any refresh is zero).  After every rule:
 
 * every probe is a HIT exactly when the model's ``answer`` admits it (a
   filter answers once a response is applied to it), and a pending filter
@@ -38,6 +43,8 @@ from repro.core import FilterReplica, FilterSelector, Generalizer, IdentityGener
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
     DirectoryServer,
+    FaultPlan,
+    FaultSpec,
     FaultyNetwork,
     LdapError,
     Modification,
@@ -106,7 +113,9 @@ class ReplicaStack(RuleBasedStateMachine):
         self.link = SyncLink(
             self.provider,
             network=self.net,
-            policy=RetryPolicy(max_attempts=2, base_backoff_ms=1.0, degraded_after=2),
+            policy=RetryPolicy(
+                max_attempts=2, base_backoff_ms=1.0, degraded_after=2, persist_refresh_interval=2
+            ),
             health=HealthPolicy(max_total_attempts=10**6, max_total_backoff_ms=1e12),
             name="stack",
         )
@@ -124,6 +133,9 @@ class ReplicaStack(RuleBasedStateMachine):
         #: subscribed filters opened with no partition or restart since:
         #: fresh once the transport has delivered
         self.live = set()
+        #: subscribed filters that may have lost a notification: stale
+        #: until a round re-opens their subscription
+        self.lossy = set()
         for name, unit, dept in (("N0", "a", "41"), ("N1", "a", "42"), ("N2", "b", "42")):
             self._commit(self.master.add, person(name, unit, dept, "S0"))
             self.entries[dn_of(name, unit)] = person(name, unit, dept, "S0")
@@ -213,11 +225,25 @@ class ReplicaStack(RuleBasedStateMachine):
             if self.link.subscription(s.content) is not None
         }
 
+    def _round_applied(self):
+        """A round succeeded: every polled filter applied a poll, every
+        subscription it opened — re-opened, refreshed — holds the
+        model's content, and only the subscriptions it left alone may
+        still miss a lost notification."""
+        subscribed, opened = self._subscribed(), set()
+        for stored in self.replica.stored_filters():
+            subscription = self.link.subscription(stored.content)
+            if subscription is not None and subscription.cycles == 0:
+                assert self.model.holds(stored.content), str(stored.request)
+                opened.add(stored.request)
+        self.lossy &= subscribed - opened
+        self.fresh = {s.request for s in self.replica.stored_filters()} - self.lossy
+        self.live = subscribed - self.lossy
+
     @rule()
     def sync(self):
         if self.replica.sync(self.link) is not None:
-            self.fresh = {s.request for s in self.replica.stored_filters()}
-            self.live = self._subscribed()
+            self._round_applied()
 
     @rule()
     def subscribe_persist(self):
@@ -229,6 +255,7 @@ class ReplicaStack(RuleBasedStateMachine):
             if s.request in joining and self.link.subscription(s.content).handle is not None
         }
         assert opened == len(live)
+        self.lossy -= live
         self.live |= live
         self.fresh |= live  # the opening response is the master's content
 
@@ -243,6 +270,21 @@ class ReplicaStack(RuleBasedStateMachine):
         self.net.settle()
         self.fresh |= self.live
 
+    @rule(name=st.sampled_from(NAMES), unit=st.sampled_from(UNITS),
+          dept=st.sampled_from(DEPARTMENTS), sn=st.sampled_from(["S0", "S1"]))
+    def lose_notification(self, name, unit, dept, sn):
+        """A modify whose notifications — and any others in flight — are
+        dropped on the wire: every subscription may diverge silently
+        until a round re-opens it."""
+        self.net.plan = FaultPlan(FaultSpec(notification_drop=1.0), seed=0)
+        try:
+            self.modify(name, unit, dept, sn)
+            self.net.settle()
+        finally:
+            self.net.plan = None
+        self.lossy |= self._subscribed()
+        self.live.clear()
+
     @rule(request=st.sampled_from(FILTERS))
     def add_filter(self, request):
         if not self.replica.holds(request):
@@ -254,6 +296,7 @@ class ReplicaStack(RuleBasedStateMachine):
         self.replica.remove_filter(request, self.link)
         self.fresh.discard(request)
         self.live.discard(request)
+        self.lossy.discard(request)
         assert not self.replica.holds(request)
 
     @rule(dept=st.sampled_from(DEPARTMENTS))
@@ -267,6 +310,7 @@ class ReplicaStack(RuleBasedStateMachine):
         report = self.selector.revolution()
         self.fresh -= set(report.removed)
         self.live -= set(report.removed)
+        self.lossy -= set(report.removed)
         for request in report.installed:
             self._note_installed(request)
         assert self.selector._since_revolution == 0
@@ -301,10 +345,17 @@ class ReplicaStack(RuleBasedStateMachine):
                 break
         else:
             raise AssertionError(f"no successful round once healed ({self.link.position})")
+        self._round_applied()
+        # A subscription that lost a notification is whole again at its
+        # refresh, at most an interval away.
+        for _ in range(self.link.policy.persist_refresh_interval):
+            if not self.lossy:
+                break
+            assert self.replica.sync(self.link) is not None
+            self._round_applied()
+        assert not self.lossy
         assert not self.replica._pending and not self.link.degraded
-        assert all(self.model.holds(s.content) for s in stored)  # after that one round
-        self.fresh = {s.request for s in stored}
-        self.live = self._subscribed()
+        assert all(self.model.holds(s.content) for s in stored)
 
     # ------------------------------------------------------------------
     # the model's claims

@@ -248,6 +248,35 @@ class TestConsumerWarmStart:
         stage = warm_net.registry.gauge("sync.snapshot.stage")
         assert stage.value == 4  # live
 
+    def test_a_restarted_persist_consumer_opens_by_sketch(self):
+        """A persist consumer's snapshot holds no cookie (a subscription
+        has none), so its warm restart opens with nothing to resume: it
+        opens by sketch over the restored content and fetches the delta.
+        Regression: it re-subscribed with a null cookie, a full load
+        that threw the restored content away."""
+        master = build_master(40)
+        provider = ResyncProvider(master)
+        store = MemorySnapshotStore()
+        first = ResilientConsumer(
+            REQUEST, provider, network=FaultyNetwork(), mode="persist", snapshot_store=store
+        )
+        first.sync_once()
+        first.close()
+        for i in range(3):
+            master.add(person(f"N{i}"))
+
+        net = FaultyNetwork()
+        restarted = ResilientConsumer(
+            REQUEST, provider, network=net, mode="persist", snapshot_store=store
+        )
+        assert restarted.warm_started and restarted.content.cookie is None
+        assert restarted.sync_once() is not None
+        assert ReferenceModel.of(master).holds(restarted.content)
+        assert net.registry.counter("sync.reconcile.decode_success").value == 1
+        assert net.stats.sync_entry_pdus == 3  # the new entries, not the 43
+        assert restarted.subscription(restarted.content).handle.active
+        assert (net.open_connections, provider.active_session_count) == (1, 1)
+
     def test_restart_keeps_values_stored_under_an_alias(self):
         # The snapshot is LDIF, which names attributes canonically: the
         # restored `sn:` is the `surname:` the master holds.
