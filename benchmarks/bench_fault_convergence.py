@@ -1,4 +1,4 @@
-"""E12 — convergence cost under injected faults (poll vs persist).
+"""E20 — convergence cost under injected faults (poll vs persist).
 
 The paper argues ReSync converges through interruptions (§5); this
 bench quantifies what that costs.  A :class:`ResilientConsumer` tracks
@@ -12,8 +12,11 @@ cycles to reconverge, total protocol round trips and bytes on the wire
 more round trips than the null-cookie load it replaced, far fewer
 bytes) — all
 deterministic (seeded fault schedules, seeded backoff jitter), so the
-exported JSON is regression-diffable by ``validate_results.py`` and the
-CI ``faults`` matrix job can assert bounded convergence at fixed seeds.
+exported JSON is regression-diffable by ``validate_results.py`` and
+every run asserts bounded convergence at fixed seeds.  The crash cells
+add two provider crashes (restart, seeded journal damage, recovery) to
+the schedule at two of the rates: master-side faults, not only lost
+PDUs.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ def run_cell(mode: str, rate: float, seed: int = SEED) -> dict:
 
 
 def run_crash_cell(mode: str, rate: float, seed: int = SEED) -> dict:
-    """One ``--provider-crash`` cell: the master itself crashes twice
+    """One crash cell: the master itself crashes twice
     mid-schedule (restart + seeded journal damage + recovery) on top of
     network faults at *rate*, so the export covers master-side faults,
     not just lost PDUs."""
@@ -168,7 +171,7 @@ def run_crash_cell(mode: str, rate: float, seed: int = SEED) -> dict:
     }
 
 
-def test_fault_convergence(benchmark, provider_crash):
+def test_fault_convergence(benchmark):
     rows = []
     metrics = {}
     for mode in ("poll", "persist"):
@@ -198,34 +201,33 @@ def test_fault_convergence(benchmark, provider_crash):
     assert metrics["persist_r00_retries"] == 0
     assert metrics["poll_r00_clean_cycles"] == 1
 
-    if provider_crash:
-        for mode in ("poll", "persist"):
-            for rate in CRASH_RATES:
-                cell = run_crash_cell(mode, rate)
-                rows.append(
-                    [
-                        f"{mode}+crash",
-                        rate,
-                        cell["faults"],
-                        cell["retries"],
-                        cell["reloads"],
-                        cell["clean_cycles"],
-                        cell["round_trips"],
-                        cell["bytes_sent"],
-                    ]
-                )
-                key = f"crash_{mode}_r{int(rate * 100):02d}"
-                metrics[f"{key}_retries"] = cell["retries"]
-                metrics[f"{key}_clean_cycles"] = cell["clean_cycles"]
-                metrics[f"{key}_round_trips"] = cell["round_trips"]
-                if mode == "persist":
-                    metrics[f"{key}_bytes"] = cell["bytes_sent"]
-                metrics[f"{key}_recoveries"] = cell["recoveries"]
-                metrics[f"{key}_replayed"] = cell["replayed"]
-        # Both scheduled crashes must actually have exercised recovery,
-        # and a crash on a clean network must not force full reloads.
-        assert metrics["crash_poll_r00_recoveries"] == len(CRASH_STEPS)
-        assert metrics["crash_persist_r00_recoveries"] == len(CRASH_STEPS)
+    for mode in ("poll", "persist"):
+        for rate in CRASH_RATES:
+            cell = run_crash_cell(mode, rate)
+            rows.append(
+                [
+                    f"{mode}+crash",
+                    rate,
+                    cell["faults"],
+                    cell["retries"],
+                    cell["reloads"],
+                    cell["clean_cycles"],
+                    cell["round_trips"],
+                    cell["bytes_sent"],
+                ]
+            )
+            key = f"crash_{mode}_r{int(rate * 100):02d}"
+            metrics[f"{key}_retries"] = cell["retries"]
+            metrics[f"{key}_clean_cycles"] = cell["clean_cycles"]
+            metrics[f"{key}_round_trips"] = cell["round_trips"]
+            if mode == "persist":
+                metrics[f"{key}_bytes"] = cell["bytes_sent"]
+            metrics[f"{key}_recoveries"] = cell["recoveries"]
+            metrics[f"{key}_replayed"] = cell["replayed"]
+    # Both scheduled crashes must actually have exercised recovery,
+    # and a crash on a clean network must not force full reloads.
+    assert metrics["crash_poll_r00_recoveries"] == len(CRASH_STEPS)
+    assert metrics["crash_persist_r00_recoveries"] == len(CRASH_STEPS)
 
     report(
         "fault_convergence",
@@ -237,9 +239,7 @@ def test_fault_convergence(benchmark, provider_crash):
             "fault_steps": FAULT_STEPS,
             "max_clean_cycles": MAX_CLEAN_CYCLES,
             "rates": ",".join(str(r) for r in RATES),
-            "crash_rates": ",".join(str(r) for r in CRASH_RATES)
-            if provider_crash
-            else "",
+            "crash_rates": ",".join(str(r) for r in CRASH_RATES),
             "entries": len(NAMES),
         },
         metrics=metrics,

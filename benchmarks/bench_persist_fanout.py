@@ -1,4 +1,4 @@
-"""E19 — batched persist fan-out vs the per-entry synchronous wire.
+"""E24 — batched persist fan-out vs the per-entry synchronous wire.
 
 The paper's §5.2 persist mode pushes every master update to every
 affected replica over its own connection — per notification: one filter

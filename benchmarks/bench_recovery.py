@@ -1,5 +1,6 @@
-"""Recovery benches: crash recovery (E13), sketch reconciliation (E17)
-and consumer snapshot warm starts (E18).
+"""E17, E18, E19, E22 — recovery benches: sketch reconciliation (E17),
+consumer snapshot warm starts (E18), persist re-open (E19) and
+provider crash recovery (E22).
 
 ``test_recovery`` — a durable :class:`ResyncProvider` journals session
 state so a crash is survivable: consumers keep their cookies and the

@@ -1,4 +1,4 @@
-"""E18 — derived: routed answering / fan-out vs the seed linear scans.
+"""E23 — derived: routed answering / fan-out vs the seed linear scans.
 
 The paper's replica answers a query by scanning every stored filter for
 containment (§7.1), and its provider fans an update out by evaluating
@@ -373,21 +373,21 @@ def test_replica_scaling(benchmark, site_entries, scaling_rows):
 
 
 # ----------------------------------------------------------------------
-# E18b — routed answering at 10^5 stored filters (docs/ROUTING.md §10):
+# E23b — routed answering at 10^5 stored filters (docs/ROUTING.md §10):
 # the per-answer cost must stay flat from the routed sweep's top (500)
 # up to the 50k rung, with containment checks per query independent of
 # the population.
 # ----------------------------------------------------------------------
-PRESCREEN_REF = 500
-PRESCREEN_RUNG = 50_000
+FLATNESS_REF = 500
+FLATNESS_RUNG = 50_000
 # The 200k/500k rungs take minutes and gigabytes; they are opt-in for
-# the nightly-scale run, not the per-PR smoke.
+# a full-scale run, not the bench job.
 FULL_SWEEP_ENV = "REPLICA_SCALING_FULL_SWEEP"
-PRESCREEN_QUERIES = 400
+FLATNESS_QUERIES = 400
 # Best of 9 (min-time estimator, see TIMING_REPEATS above): the ref
 # point's timed window is ~15ms, the jitteriest gated metric in the
 # suite, so it gets the most chances to land an unstolen pass.
-PRESCREEN_REPEATS = 9
+FLATNESS_REPEATS = 9
 
 
 def _wide_filter(block: int) -> SearchRequest:
@@ -408,7 +408,7 @@ def _wide_person(block: int) -> Entry:
     )
 
 
-def _prescreen_point(n_filters: int) -> Dict[str, float]:
+def _flatness_point(n_filters: int) -> Dict[str, float]:
     """Answer a 50/50 hit/miss mix over *n_filters* stored filters.
 
     Hits are per-block equality serials (contained in exactly one
@@ -422,11 +422,11 @@ def _prescreen_point(n_filters: int) -> Dict[str, float]:
     for block in range(n_filters):
         replica.load_directly(_wide_filter(block), [_wide_person(block)])
     rates = []
-    passes = 1 + PRESCREEN_REPEATS  # warm-up + timed repeats
+    passes = 1 + FLATNESS_REPEATS  # warm-up + timed repeats
     for rep in range(passes):
-        base = rep * PRESCREEN_QUERIES
+        base = rep * FLATNESS_QUERIES
         queries = []
-        for i in range(PRESCREEN_QUERIES):
+        for i in range(FLATNESS_QUERIES):
             serial = base + i
             if i % 2 == 0:
                 block = (serial * 7919) % n_filters
@@ -444,43 +444,43 @@ def _prescreen_point(n_filters: int) -> Dict[str, float]:
             start = time.perf_counter()
             hits = sum(1 for q in queries if replica.answer(q).is_hit)
             elapsed = time.perf_counter() - start
-        assert hits == PRESCREEN_QUERIES // 2
+        assert hits == FLATNESS_QUERIES // 2
         if rep:  # pass 0 is the warm-up
-            rates.append(PRESCREEN_QUERIES / elapsed if elapsed else 0.0)
+            rates.append(FLATNESS_QUERIES / elapsed if elapsed else 0.0)
     return {
         "rate": max(rates),  # best pass: min-time estimator (see TIMING_REPEATS)
         "checks_per_query": replica.containment_checks
-        / (passes * PRESCREEN_QUERIES),
+        / (passes * FLATNESS_QUERIES),
     }
 
 
-def test_replica_scaling_prescreen(benchmark):
-    rungs = [PRESCREEN_REF, PRESCREEN_RUNG]
+def test_replica_scaling_flatness(benchmark):
+    rungs = [FLATNESS_REF, FLATNESS_RUNG]
     if os.environ.get(FULL_SWEEP_ENV):
         rungs += [200_000, 500_000]
-    points = {n: _prescreen_point(n) for n in rungs}
+    points = {n: _flatness_point(n) for n in rungs}
     rows = [(n, points[n]["rate"], points[n]["checks_per_query"]) for n in rungs]
 
-    ref, rung = points[PRESCREEN_REF], points[PRESCREEN_RUNG]
+    ref, rung = points[FLATNESS_REF], points[FLATNESS_RUNG]
     metrics = {
         # Gated rates (validate_results: lower is a regression).
-        "prescreen_ref_per_s": ref["rate"],
-        "prescreen_50k_per_s": rung["rate"],
+        "flatness_ref_per_s": ref["rate"],
+        "flatness_50k_per_s": rung["rate"],
         # Informational context for the baseline diff.
         "flatness_50k_vs_ref": rung["rate"] / ref["rate"],
         "checks_per_query_at_50k": rung["checks_per_query"],
     }
     report(
-        "replica_scaling_prescreen",
-        f"Routed answering, 50/50 hit-miss mix, {PRESCREEN_QUERIES} "
-        f"queries per pass, best of {PRESCREEN_REPEATS}",
+        "replica_scaling_flatness",
+        f"Routed answering, 50/50 hit-miss mix, {FLATNESS_QUERIES} "
+        f"queries per pass, best of {FLATNESS_REPEATS}",
         ["size", "answers/s", "chk/q"],
         rows,
         params={
-            "ref": PRESCREEN_REF,
-            "rung": PRESCREEN_RUNG,
-            "queries_per_pass": PRESCREEN_QUERIES,
-            "timing_repeats": PRESCREEN_REPEATS,
+            "ref": FLATNESS_REF,
+            "rung": FLATNESS_RUNG,
+            "queries_per_pass": FLATNESS_QUERIES,
+            "timing_repeats": FLATNESS_REPEATS,
             "full_sweep": bool(os.environ.get(FULL_SWEEP_ENV)),
         },
         metrics=metrics,
@@ -495,25 +495,25 @@ def test_replica_scaling_prescreen(benchmark):
     # cost at most 2x the per-answer time.
     assert rung["rate"] >= ref["rate"] / 2.0, (
         "routed answering is not flat: "
-        f"{rung['rate']:.0f}/s at {PRESCREEN_RUNG} vs "
-        f"{ref['rate']:.0f}/s at {PRESCREEN_REF}"
+        f"{rung['rate']:.0f}/s at {FLATNESS_RUNG} vs "
+        f"{ref['rate']:.0f}/s at {FLATNESS_REF}"
     )
     for n in rungs:
-        if n > PRESCREEN_REF:
+        if n > FLATNESS_REF:
             # ~1 containment check per hit, none per miss; any
             # population dependence would blow through this ceiling.
             assert points[n]["checks_per_query"] <= 2.0
 
     # Timed unit: one miss at the rung.
     replica = FilterReplica("r", cache_capacity=0)
-    for block in range(PRESCREEN_RUNG):
+    for block in range(FLATNESS_RUNG):
         replica.load_directly(_wide_filter(block), [_wide_person(block)])
     sample = SearchRequest("o=xyz", Scope.SUB, "(serialNumber=99990000US)")
     benchmark(lambda: replica.answer(sample))
 
 
 # ----------------------------------------------------------------------
-# E18c — live persist sessions at 10^3..10^4 on the batched transport
+# E23c — live persist sessions at 10^3..10^4 on the batched transport
 # (docs/TRANSPORT.md): §5.2's connection-scaling worry.  The routed
 # sweep above caps at 500 poll sessions; this rung ladder drives the
 # batched fan-out (bench_persist_fanout's replay workload) at 500 and

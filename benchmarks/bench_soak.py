@@ -1,4 +1,4 @@
-"""E13 — chaos soak: invariants and graceful degradation under schedule.
+"""E21 — chaos soak: invariants and graceful degradation under schedule.
 
 Two claims ride on the soak engine (docs/FAULTS.md §5):
 

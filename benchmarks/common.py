@@ -22,9 +22,10 @@ measured rows next to the paper's, and exported as machine-readable
 ``benchmarks/results/<experiment>.json`` with the schema
 ``{bench, params, metrics, paper_expected, table}`` (validated by
 ``benchmarks/validate_results.py``; documented in
-docs/OBSERVABILITY.md §5).  Every JSON export carries the protocol
-counters (``round_trips``, ``bytes_sent``) and the QC containment-cache
-statistics so perf PRs have a baseline to diff against.
+docs/OBSERVABILITY.md §5).  Every JSON export carries the QC
+containment-cache statistics, and a bench that measured a network also
+carries its protocol counters (``round_trips``, ``bytes_sent``), so
+perf PRs have a baseline to diff against.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import gc
 import json
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -109,32 +109,6 @@ def quiesced_gc():
         yield
     finally:
         gc.enable()
-
-
-def timed_best(
-    fn: Callable[[], object], repeats: int = 5, warmup: int = 1
-) -> float:
-    """Best (minimum) wall-clock seconds of *repeats* calls to *fn*,
-    after *warmup* untimed calls, with the GC quiesced.
-
-    Committed timing metrics come through here.  The warm-up call pays
-    one-time costs (first-touch allocation, lazy imports); the minimum
-    is the estimator ``timeit`` recommends because interference from a
-    shared runner — host CPU steal, scheduler hiccups — only ever slows
-    a pass down, so the fastest pass is the stable machine-capability
-    number.  A median still drifts 20-40% through sustained steal
-    phases, which is exactly the committed-rate flake the 20% baseline
-    gate must not inherit.
-    """
-    for _ in range(warmup):
-        fn()
-    samples = []
-    with quiesced_gc():
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            samples.append(time.perf_counter() - start)
-    return float(min(samples))
 
 
 # ----------------------------------------------------------------------
@@ -244,21 +218,6 @@ def run_subtree_point(
     return driver.run(eval_trace), replica
 
 
-def plan_metrics(server: DirectoryServer) -> Dict[str, float]:
-    """The ``server.plan.*`` counters of one server's metrics registry.
-
-    Search-planner accounting (docs/PLANNER.md): per-strategy plan
-    counts plus entries examined/matched.  Benches merge this mapping
-    into their exported JSON so planner regressions show up in baseline
-    diffs.
-    """
-    return {
-        name: value
-        for name, value in server.metrics.to_dict().items()
-        if name.startswith("server.plan.")
-    }
-
-
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
@@ -335,12 +294,12 @@ def export_json(
           "table": {"headers": [...], "rows": [[...], ...]}
         }
 
-    ``metrics`` is always completed with the protocol counters
-    (``round_trips``, ``bytes_sent`` — taken from *network* when one is
-    passed, else defaulting to the values already in *metrics* or 0)
-    and the QC containment-cache statistics
-    (``qc_cache_hits``/``qc_cache_misses``/``qc_cache_evictions``), so
-    any single bench run yields a self-describing perf baseline.
+    ``metrics`` is completed with the QC containment-cache statistics
+    (``qc_cache_hits``/``qc_cache_misses``/``qc_cache_evictions``) and,
+    when *network* is passed, with its traffic counters
+    (``round_trips``, ``bytes_sent``, ...); values already in *metrics*
+    win.  A bench without a network exports no protocol counters: a
+    zero there would read as a measurement.
 
     The QC memo is process-global, so the exporter *resets it after
     reading*: each result file reports only the cache activity since
@@ -353,8 +312,6 @@ def export_json(
     if network is not None:
         for field_name, value in network.stats.as_dict().items():
             merged.setdefault(field_name, value)
-    merged.setdefault("round_trips", 0)
-    merged.setdefault("bytes_sent", 0)
     qc = containment_cache_metrics()
     merged.setdefault("qc_cache_hits", qc["core.qc.cache.hits"])
     merged.setdefault("qc_cache_misses", qc["core.qc.cache.misses"])

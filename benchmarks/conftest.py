@@ -7,23 +7,6 @@ import pytest
 from .common import BenchEnv, build_env
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--provider-crash",
-        action="store_true",
-        default=False,
-        help="also run the provider-crash cells of bench_fault_convergence "
-        "(durable provider, journal damage, mid-schedule recovery) and "
-        "export their crash_* metrics",
-    )
-
-
-@pytest.fixture(scope="session")
-def provider_crash(request) -> bool:
-    """Whether the E12 provider-crash cells were requested."""
-    return bool(request.config.getoption("--provider-crash"))
-
-
 @pytest.fixture(scope="session")
 def env() -> BenchEnv:
     """Directory + two-day Table 1 trace shared by all benches."""

@@ -8,8 +8,6 @@ documented in docs/OBSERVABILITY.md §5):
 * top-level keys ``bench`` (str), ``params`` (object of scalars),
   ``metrics`` (object of numbers), ``paper_expected`` (object or null);
   ``title`` (str) and ``table`` ({headers, rows}) are optional extras;
-* ``metrics`` must contain at least ``round_trips``, ``bytes_sent``,
-  ``qc_cache_hits`` and ``qc_cache_misses``;
 * ``bench`` must match the file name stem.
 
 With ``--baselines DIR`` each export is additionally compared against
@@ -42,8 +40,6 @@ import json
 import os
 import sys
 from typing import List, Optional
-
-REQUIRED_METRICS = ("round_trips", "bytes_sent", "qc_cache_hits", "qc_cache_misses")
 
 SCALAR = (str, int, float, bool, type(None))
 
@@ -113,9 +109,6 @@ def validate_payload(payload: object, stem: str) -> List[str]:
         for key, value in metrics.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 errors.append(f"metrics[{key!r}] is not a number")
-        for key in REQUIRED_METRICS:
-            if key not in metrics:
-                errors.append(f"metrics missing required key {key!r}")
 
     expected = payload.get("paper_expected", None)
     if expected is not None and not isinstance(expected, dict):

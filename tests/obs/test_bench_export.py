@@ -81,6 +81,24 @@ def test_fig2_json_carries_required_metrics(fig2_json):
     assert payload["paper_expected"]["worst_round_trips"] == 4
 
 
+def test_protocol_counters_only_where_a_network_was_measured(
+    tmp_path, monkeypatch
+):
+    from benchmarks import common
+    from repro.server import SimulatedNetwork
+
+    monkeypatch.setattr(common, "RESULTS_DIR", str(tmp_path))
+    bare = json.loads(Path(common.export_json("bare", metrics={"x": 1})).read_text())
+    assert "round_trips" not in bare["metrics"]
+    assert "bytes_sent" not in bare["metrics"]
+    assert "qc_cache_hits" in bare["metrics"]
+    wired = json.loads(
+        Path(common.export_json("wired", network=SimulatedNetwork())).read_text()
+    )
+    assert wired["metrics"]["round_trips"] == 0
+    assert wired["metrics"]["bytes_sent"] == 0
+
+
 def test_validator_rejects_broken_payloads(tmp_path):
     validator = _load_validator()
     good = {
@@ -101,7 +119,6 @@ def test_validator_rejects_broken_payloads(tmp_path):
     for mutate, fragment in [
         (lambda p: p.pop("metrics"), "metrics"),
         (lambda p: p.__setitem__("bench", "other"), "stem"),
-        (lambda p: p["metrics"].pop("round_trips"), "round_trips"),
         (lambda p: p["metrics"].__setitem__("round_trips", "many"), "number"),
         (lambda p: p.__setitem__("paper_expected", 7), "paper_expected"),
     ]:

@@ -5,7 +5,7 @@ isolation with probability 1, asserting both the transport-level effect
 (the raised :class:`TransportError` subclass or the shape of the
 deliveries) and the ``net.fault.*`` accounting.  Determinism is the
 load-bearing property — two plans with the same seed must produce
-byte-identical schedules — because the CI fault matrix replays fixed
+byte-identical schedules — because the fault matrix replays fixed
 seeds.
 """
 

@@ -8,11 +8,10 @@ network heals, in both poll and persist modes.
 
 Two layers:
 
-* **CI fault matrix** — fixed seeds and modes, selectable through the
+* **Fault matrix** — fixed seeds and modes, selectable through the
   ``FAULT_SEEDS`` / ``FAULT_MODES`` environment variables (defaults
-  ``101,202,303`` × ``poll,persist``), so the workflow's ``faults``
-  job can shard one (seed, mode) cell per matrix entry and any cell can
-  be replayed locally verbatim: ``FAULT_SEEDS=202 FAULT_MODES=persist
+  ``101,202,303`` × ``poll,persist``, every cell on every test run).
+  Replay one cell locally with ``FAULT_SEEDS=202 FAULT_MODES=persist
   pytest tests/sync/test_fault_resilience_property.py``.  The network
   runs a small batch window, so the ``persist`` cells cross many batch
   boundaries: whole-batch drops/truncations from the ``:b`` stream and
@@ -132,7 +131,7 @@ def run_scenario(seed: int, mode: str, rate: float = 0.3, steps: int = 12) -> tu
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("mode", MODES)
 class TestFaultMatrix:
-    """The CI matrix cells: fixed seeds × modes, moderate fault rate."""
+    """The fault matrix cells: fixed seeds × modes, moderate fault rate."""
 
     def test_converges_after_heal(self, seed, mode):
         run_scenario(seed, mode)

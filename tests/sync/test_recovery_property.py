@@ -22,10 +22,9 @@ Two claims about the durable provider (docs/PROTOCOL.md §10):
   the network heals, in both poll and persist modes.
 
 Like the fault matrix, the fixed cells are selectable through
-``RECOVERY_SEEDS`` / ``FAULT_MODES`` so the CI ``crash-recovery`` job
-can shard one (seed, mode) cell per matrix entry and any cell can be
-replayed locally verbatim:
-``RECOVERY_SEEDS=202 FAULT_MODES=persist pytest
+``RECOVERY_SEEDS`` / ``FAULT_MODES`` (defaults ``101,202,303`` ×
+``poll,persist``, every cell on every test run).  Replay one cell
+locally with ``RECOVERY_SEEDS=202 FAULT_MODES=persist pytest
 tests/sync/test_recovery_property.py``.
 """
 
@@ -492,7 +491,7 @@ def run_crash_scenario(
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("mode", MODES)
 class TestCrashRecoveryMatrix:
-    """The CI crash-recovery matrix cells: fixed seeds × modes."""
+    """The crash matrix cells: fixed seeds × modes."""
 
     def test_converges_after_crashes(self, seed, mode):
         run_crash_scenario(seed, mode)

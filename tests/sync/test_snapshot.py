@@ -1,8 +1,9 @@
 """Consumer snapshots: warm starts, damage detection, ladder fall-through.
 
 The fault-matrix cells at the bottom are seeded from ``RECOVERY_SEEDS``
-(CI's crash-recovery matrix), so each matrix cell exercises a different
-deterministic damage schedule.
+(default ``101,202,303``), each seed a different deterministic damage
+schedule.  Replay one cell locally with ``RECOVERY_SEEDS=202 pytest
+tests/sync/test_snapshot.py``.
 """
 
 import os
@@ -428,7 +429,7 @@ class TestSnapshotFaultPlan:
 
 
 # ----------------------------------------------------------------------
-# fault-matrix cells (seeded from RECOVERY_SEEDS, like CI's matrix)
+# fault-matrix cells (seeded from RECOVERY_SEEDS)
 # ----------------------------------------------------------------------
 DAMAGE_KINDS = ("snapshot_truncate", "snapshot_corrupt", "snapshot_stale")
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs-consistency checks (CI `lint` job, alongside ruff).
 
-Four classes of drift this catches (the first two have bitten this repo's docs
+Five classes of drift this catches (the first two have bitten this repo's docs
 before they were checked):
 
 1. **Dead intra-repo links** — every relative markdown link in every
@@ -32,6 +32,14 @@ before they were checked):
    "which fault reaches which exchange" and "which PDUs an update sends
    a session" are data, and the docs render it.
 
+5. **Experiment ids** — every ``benchmarks/bench_*.py`` declares the
+   experiment ids it holds at the head of its docstring (``E20 —
+   ...``; a module holding several lists them, ``E17, E18 — ...``),
+   no id is declared twice, and DESIGN.md
+   §3's per-experiment table has one row per declared id, every bench
+   file in some row, and every file a row names present in the tree
+   (a ``path::test`` target must also define that test).
+
 Run from the repository root::
 
     python tools/check_docs.py
@@ -51,6 +59,8 @@ OBSERVABILITY = os.path.join(REPO_ROOT, "docs", "OBSERVABILITY.md")
 PROTOCOL = os.path.join(REPO_ROOT, "docs", "PROTOCOL.md")
 RECOVERY = os.path.join(REPO_ROOT, "docs", "RECOVERY.md")
 FAULTS = os.path.join(REPO_ROOT, "docs", "FAULTS.md")
+DESIGN = os.path.join(REPO_ROOT, "DESIGN.md")
+BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 
 SKIP_DIRS = {
     ".git",
@@ -67,6 +77,10 @@ NAME_ROW_RE = re.compile(r"^\|\s*`([a-z0-9_.<>]+)`\s*\|")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
 #: A backticked name in a table cell, a stream suffix's colon dropped.
 TICKED_RE = re.compile(r"`:?(\w+)`")
+#: A bench module's headline: the experiment ids it holds, then " — ".
+HEADLINE_RE = re.compile(r'^"""(E\d+(?:, E\d+)*) — ')
+#: A file a DESIGN.md §3 row names, with an optional ``::test``.
+TARGET_RE = re.compile(r"`([\w/.]+\.py)(?:::(\w+))?`")
 
 
 def markdown_files() -> list:
@@ -279,6 +293,55 @@ def check_decision_tables() -> list:
     return problems
 
 
+def bench_ids() -> dict:
+    """``{benchmarks/bench_*.py: [ids its docstring headline declares]}``."""
+    ids = {}
+    for name in sorted(os.listdir(BENCH_DIR)):
+        if name.startswith("bench_") and name.endswith(".py"):
+            with open(os.path.join(BENCH_DIR, name), encoding="utf-8") as fh:
+                match = HEADLINE_RE.match(fh.readline())
+            ids[f"benchmarks/{name}"] = match.group(1).split(", ") if match else []
+    return ids
+
+
+def check_experiment_ids() -> list:
+    problems = []
+    declared = bench_ids()
+    owner = {}
+    for path, ids in declared.items():
+        if not ids:
+            problems.append(f"{path}: docstring headline declares no experiment id")
+        for exp in ids:
+            if exp in owner:
+                problems.append(f"experiment id {exp} declared by {owner[exp]} and {path}")
+            owner.setdefault(exp, path)
+    rows = {}
+    listed = set()
+    for row in table_rows(DESIGN, "Exp")[1:]:
+        exp = row[0]
+        if exp in rows:
+            problems.append(f"DESIGN.md §3: two rows for {exp}")
+        rows[exp] = row
+        for path, test in TARGET_RE.findall(row[-1]):
+            full = os.path.join(REPO_ROOT, path)
+            if not os.path.isfile(full):
+                problems.append(f"DESIGN.md §3 {exp}: {path} does not exist")
+                continue
+            if test:
+                with open(full, encoding="utf-8") as fh:
+                    if f"def {test}(" not in fh.read():
+                        problems.append(f"DESIGN.md §3 {exp}: {path} defines no {test}")
+            if path in declared:
+                listed.add(path)
+                if exp not in declared[path]:
+                    problems.append(f"DESIGN.md §3 {exp}: {path} does not declare {exp}")
+    problems += [f"{path}: in no DESIGN.md §3 row" for path in sorted(set(declared) - listed)]
+    problems += [
+        f"{exp} ({owner[exp]}): no DESIGN.md §3 row" for exp in sorted(set(owner) - set(rows))
+    ]
+    return problems
+
+
 def main() -> int:
     md_files = markdown_files()
     sources = source_texts()
@@ -287,6 +350,7 @@ def main() -> int:
         + check_instruments(sources)
         + check_journal_kinds()
         + check_decision_tables()
+        + check_experiment_ids()
     )
     if problems:
         for problem in problems:
@@ -302,7 +366,8 @@ def main() -> int:
         f"{len(documented_health())} health moves, "
         f"{len(documented_faults())} fault kinds, "
         f"{len(documented_streams())} seed streams and "
-        f"{len(documented_outcomes())} update outcomes match their tables"
+        f"{len(documented_outcomes())} update outcomes match their tables; "
+        f"{len(bench_ids())} benches declare unique experiment ids, all in DESIGN.md §3"
     )
     return 0
 
