@@ -12,7 +12,10 @@ filters under a master update stream:
   standing connections;
 * **poll every k queries** — zero standing connections, staleness
   bounded by the poll interval (measured as the fraction of hits served
-  from content the master had already changed).
+  from content the master had already changed), and one round trip per
+  poll round however many filters are stored: the replica's link
+  carries every filter's cookie in one multiplexed exchange
+  (docs/PROTOCOL.md §4), where persist holds N connections.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ def _stale_fraction(env, mode: str, poll_interval: int) -> tuple:
         replica.subscribe_persist(provider)
     updates = UpdateGenerator(env.directory, master)
 
-    stale = hits = 0
+    stale = hits = rounds = trips = 0
     eval_trace = env.day(2).of_type(QueryType.SERIAL)[:N_QUERIES]
     for index, record in enumerate(eval_trace):
         updates.apply(1)
@@ -56,17 +59,20 @@ def _stale_fraction(env, mode: str, poll_interval: int) -> tuple:
             if got != truth:
                 stale += 1
         if mode == "poll" and (index + 1) % poll_interval == 0:
+            before = network.stats.round_trips
             replica.sync(provider)
+            trips += network.stats.round_trips - before
+            rounds += 1
     connections = network.open_connections
     replica.unsubscribe_persist()
-    return hits, stale, connections
+    return hits, stale, connections, trips / rounds if rounds else "—"
 
 
 @pytest.fixture(scope="module")
 def mode_rows(env: BenchEnv):
     rows = []
     for mode, interval in (("persist", 0), ("poll", 50), ("poll", 250), ("poll", 1000)):
-        hits, stale, connections = _stale_fraction(env, mode, interval)
+        hits, stale, connections, trips = _stale_fraction(env, mode, interval)
         label = mode if mode == "persist" else f"poll/{interval}"
         rows.append(
             (
@@ -75,6 +81,7 @@ def mode_rows(env: BenchEnv):
                 hits,
                 stale,
                 stale / hits if hits else 0.0,
+                trips,
             )
         )
     return rows
@@ -85,7 +92,7 @@ def test_sync_mode_tradeoff(benchmark, env: BenchEnv, mode_rows):
     report(
         "sync_modes",
         f"Persist vs poll for {N_FILTERS} stored filters under churn",
-        ["mode", "connections", "hits", "stale hits", "stale frac"],
+        ["mode", "connections", "hits", "stale hits", "stale frac", "round trips per poll round"],
         mode_rows,
         params={"stored_filters": N_FILTERS, "queries": N_QUERIES},
         metrics={
@@ -93,6 +100,7 @@ def test_sync_mode_tradeoff(benchmark, env: BenchEnv, mode_rows):
             "persist_stale_hits": by_label["persist"][3],
             "poll50_stale_frac": by_label["poll/50"][4],
             "poll1000_stale_frac": by_label["poll/1000"][4],
+            "poll50_round_trips_per_round": by_label["poll/50"][5],
         },
         paper_expected={
             "persist_connections": N_FILTERS,
@@ -104,9 +112,11 @@ def test_sync_mode_tradeoff(benchmark, env: BenchEnv, mode_rows):
     assert by_label["persist"][1] == N_FILTERS
     assert by_label["persist"][3] == 0
 
-    # Poll: no standing connections; staleness grows with the interval.
+    # Poll: no standing connections, one exchange per round for all
+    # N filters; staleness grows with the interval.
     for label in ("poll/50", "poll/250", "poll/1000"):
         assert by_label[label][1] == 0
+        assert by_label[label][5] == 1
     assert by_label["poll/50"][4] <= by_label["poll/1000"][4]
 
     # Timed unit: a persist-mode notification delivery, commit to apply.

@@ -502,8 +502,11 @@ class FaultyNetwork(SimulatedNetwork):
         if faults.crash and kind in FAULTS["crash"][1]:
             self.crash(provider)  # counts itself, as when placed by hand
         extra_ms = self._check_reachable(provider)
-        if payload.cookie is not None and struck("cookie_invalidate"):
-            payload = replace(payload, cookie=self._invalidate_cookie(provider, payload.cookie))
+        presented = self._presented_cookie(payload, faults.truncate_keep)
+        if presented is not None and struck("cookie_invalidate"):
+            index, cookie = presented
+            cookie = self._invalidate_cookie(provider, cookie)
+            payload = replace(payload, cookie=cookie) if index is None else payload.with_cookie(index, cookie)
         if struck("drop_request"):
             self.charge_round_trip()
             raise RequestDropped(f"{kind} request lost in flight")
@@ -526,7 +529,7 @@ class FaultyNetwork(SimulatedNetwork):
         if cut:
             raise ResponseTruncated(
                 f"{kind} response cut mid-delivery",
-                partial=self._truncated(response, faults.truncate_keep),
+                partial=response.cut(faults.truncate_keep),
             )
 
         if self.plan is not None and kind in FAULTS["sketch_corrupt"][1]:
@@ -622,6 +625,22 @@ class FaultyNetwork(SimulatedNetwork):
     # ------------------------------------------------------------------
     # fault construction helpers
     # ------------------------------------------------------------------
+    @staticmethod
+    def _presented_cookie(payload, position: float) -> Optional[Tuple[Optional[int], str]]:
+        """The cookie a ``cookie_invalidate`` fault expires, as
+        ``(index, cookie)``, or None when the request presents none: the
+        payload's own cookie (index None) or — a multiplexed poll — the
+        one at *position* among the cookies it carries, so one session
+        of the N is refused (docs/FAULTS.md §3)."""
+        cookies = getattr(payload, "cookies", None)
+        if cookies is None:
+            return None if payload.cookie is None else (None, payload.cookie)
+        held = [i for i, cookie in enumerate(cookies) if cookie is not None]
+        if not held:
+            return None
+        index = held[min(int(position * len(held)), len(held) - 1)]
+        return index, cookies[index]
+
     def _invalidate_cookie(self, provider, cookie: str) -> str:
         """Expire *cookie*: server-side when the provider supports it
         (the admin time limit firing), else by corrupting it in flight.
@@ -632,20 +651,3 @@ class FaultyNetwork(SimulatedNetwork):
             return "<invalidated>"
         invalidate(cookie)
         return cookie
-
-    @staticmethod
-    def _truncated(response, keep_fraction: float):
-        """A proper prefix of *response*, cookie stripped (it travels
-        last, after the update stream)."""
-        from ..sync.protocol import SyncResponse
-
-        keep = min(
-            int(keep_fraction * len(response.updates)),
-            len(response.updates) - 1,
-        )
-        return SyncResponse(
-            updates=list(response.updates[:keep]),
-            cookie=None,
-            initial=response.initial,
-            uses_retain=response.uses_retain,
-        )

@@ -101,9 +101,11 @@ class ResponseTruncated(TransportError):
     """The response stream was cut mid-delivery.
 
     ``partial`` carries the prefix that did arrive (cookie stripped —
-    the cookie travels last).  Appliers may only use the prefix when
-    it is safe without the tail: not an initial-content response and
-    not a retain-mode response (docs/PROTOCOL.md §9).
+    the cookie travels last; a multiplexed poll's: the answers whose
+    cookie arrived, then the cut session's prefix).  Appliers may only
+    use a cookie-less prefix when it is safe without the tail: not an
+    initial-content response and not a retain-mode response
+    (docs/PROTOCOL.md §9).
     """
 
     fault = "truncate"
@@ -447,7 +449,9 @@ class SimulatedNetwork:
     # synchronization exchanges (the fault-injection seam)
     # ------------------------------------------------------------------
     def sync_exchange(self, provider, request, control) -> List[Delivery]:
-        """One poll-mode request/response exchange with *provider*.
+        """One poll-mode request/response exchange with *provider*: one
+        session's (*request*, ``ReSyncControl``), or a link round's tuple
+        of requests under one ``MultiPoll`` (docs/PROTOCOL.md §4).
 
         The perfect network charges one round trip and returns exactly
         one :class:`Delivery`.  A fault-injecting network may raise

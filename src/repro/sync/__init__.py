@@ -24,6 +24,8 @@ from .durability import (
     MemoryJournal,
 )
 from .protocol import (
+    MultiPoll,
+    MultiPollResponse,
     ReconcileFetch,
     ReconcileRequest,
     ReconcileResponse,
@@ -57,6 +59,8 @@ __all__ = [
     "SyncUpdate",
     "SyncResponse",
     "SyncProtocolError",
+    "MultiPoll",
+    "MultiPollResponse",
     "Session",
     "SessionStore",
     "ResyncProvider",

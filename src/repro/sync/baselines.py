@@ -40,7 +40,7 @@ from ..ldap.filters import attributes_of
 from ..ldap.query import SearchRequest
 from ..server.directory import DirectoryServer
 from ..server.operations import Modification, UpdateOp, UpdateRecord
-from .protocol import CsnCookieMixin, SyncProtocolError, SyncResponse, SyncUpdate
+from .protocol import CsnCookieMixin, MultiPoll, SyncProtocolError, SyncResponse, SyncUpdate
 
 __all__ = [
     "ChangelogRecord",
@@ -118,6 +118,8 @@ class ChangelogProvider(CsnCookieMixin):
         self.changelog = changelog if changelog is not None else Changelog(server)
 
     def handle(self, request: SearchRequest, control: ReSyncControl) -> SyncResponse:
+        if isinstance(control, MultiPoll):
+            return self.answer_polls(request, control)
         if control.mode is SyncMode.SYNC_END:
             return SyncResponse(updates=[], cookie=None)
         if control.mode is not SyncMode.POLL:
@@ -230,6 +232,8 @@ class TombstoneProvider(CsnCookieMixin):
         self.tombstones = store if store is not None else TombstoneStore(server)
 
     def handle(self, request: SearchRequest, control: ReSyncControl) -> SyncResponse:
+        if isinstance(control, MultiPoll):
+            return self.answer_polls(request, control)
         if control.mode is SyncMode.SYNC_END:
             return SyncResponse(updates=[], cookie=None)
         if control.mode is not SyncMode.POLL:
@@ -271,6 +275,8 @@ class FullReloadProvider(CsnCookieMixin):
         self.server = server
 
     def handle(self, request: SearchRequest, control: ReSyncControl) -> SyncResponse:
+        if isinstance(control, MultiPoll):
+            return self.answer_polls(request, control)
         if control.mode is SyncMode.SYNC_END:
             return SyncResponse(updates=[], cookie=None)
         content = self.server.search(request).entries

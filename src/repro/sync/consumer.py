@@ -182,7 +182,10 @@ class SyncedContent:
     # driving a provider
     # ------------------------------------------------------------------
     def poll(self, provider, timeout_ms: Optional[float] = None) -> SyncResponse:
-        """One poll cycle against *provider* (any provider class).
+        """One single-session poll against *provider* (any provider
+        class) — the protocol primitive; a :class:`~repro.sync.SyncLink`
+        round polls all its contents in one multiplexed exchange instead
+        (docs/PROTOCOL.md §4).
 
         One full cookie round-trip: request with the resumption cookie,
         provider-side scan, response application — traced as
@@ -202,12 +205,7 @@ class SyncedContent:
         """
         with span("sync.resync.cookie_round_trip") as sp:
             control = ReSyncControl(mode=SyncMode.POLL, cookie=self.cookie)
-            if self.network is not None:
-                # The hot exchange: the entry point by name, sparing
-                # exchange()'s lookup on every poll of every session.
-                deliveries = self.network.sync_exchange(provider, self.request, control)
-            else:
-                deliveries = exchange(None, "poll", provider, self.request, control)
+            deliveries = exchange(self.network, "poll", provider, self.request, control)
             deliveries = self.timely(deliveries, timeout_ms)
             applied = 0
             for delivery in deliveries:

@@ -8,8 +8,10 @@ the consumer does next is one lookup in :data:`LADDER`, on three facts:
 
 * **the request carried a cookie** — a refused *null* cookie is a
   refused initial load, which nothing below can repair: ``raise``;
-* **local content is non-empty** — the sketch exploits what the replica
-  already holds; an empty replica has no delta to exploit;
+* **local content is warm** — its entries outweigh the sketch floor
+  (:meth:`SketchTier.pays`): the sketch exploits what the replica
+  already holds, and below the floor a sketch costs more than the load
+  it would replace;
 * **the provider offers** ``reconcile`` — the retain and baseline
   providers do not.
 
@@ -45,8 +47,8 @@ from .reconcile import ReconcileConfig, build_sketch, entry_digest
 
 __all__ = ["LADDER", "SketchTier"]
 
-#: ``(request carried a cookie, local content non-empty, provider
-#: offers reconcile) → tiers``, tried in order until one recovers
+#: ``(request carried a cookie, local content warm, provider offers
+#: reconcile) → tiers``, tried in order until one recovers
 #: (docs/RECOVERY.md renders it, ``tools/check_docs.py`` compares).
 LADDER = {
     (False, False, False): ("raise",),
@@ -95,6 +97,19 @@ class SketchTier:
         self._delta = registry.counter("sync.reconcile.delta_entries")
         self._fetched = registry.counter("sync.reconcile.fetched_entries")
         self._deleted = registry.counter("sync.reconcile.deleted_entries")
+
+    def pays(self, content: SyncedContent) -> bool:
+        """*content* is **warm**: its entries' summed
+        ``estimated_size()`` exceeds the sketch floor
+        (:attr:`ReconcileConfig.floor_bytes`), so a sketch open costs
+        less than the load it replaces — the second fact of a
+        :data:`LADDER` lookup, and what opens a subscription by sketch."""
+        floor, held = self.config.floor_bytes, 0
+        for entry in content.entries.values():
+            held += entry.estimated_size()
+            if held > floor:
+                return True
+        return False
 
     def run(self, machine: HealthMachine, content: SyncedContent) -> Optional[SyncResponse]:
         """One sketch-reconciliation ladder of *content* against the

@@ -11,6 +11,11 @@ whole poll answer.  Traffic accounting rule (used by the experiments):
 ``add``/``modify`` PDUs carry the complete entry, ``delete``/``retain``
 PDUs carry only the DN.
 
+A link polls all its sessions in one exchange (docs/PROTOCOL.md §4):
+:class:`MultiPoll` carries one cookie per search request of the
+request tuple, and :class:`MultiPollResponse` answers only the sessions
+with something to say — an update batch, or the refusal of its cookie.
+
 The anti-entropy reconcile exchange (docs/PROTOCOL.md §11) adds three
 messages: :class:`ReconcileRequest` (sketch solicitation, sized by a
 divergence hint or an explicit doubled cell count),
@@ -24,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..ldap.controls import SyncAction
+from ..ldap.controls import ReSyncControl, SyncAction
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
 
@@ -35,6 +40,9 @@ __all__ = [
     "SyncResponse",
     "SyncProtocolError",
     "CsnCookieMixin",
+    "MultiPoll",
+    "MultiPollResponse",
+    "answer_polls",
     "ReconcileRequest",
     "ReconcileResponse",
     "ReconcileFetch",
@@ -61,6 +69,16 @@ class CsnCookieMixin:
 
     def _make_cookie(self, csn: int) -> str:
         return f"{self.COOKIE_PREFIX}:{csn}"
+
+    def answer_polls(self, requests: Sequence, polls: "MultiPoll") -> "MultiPollResponse":
+        """A multiplexed poll, answered session by session: a stateless
+        provider keeps no record to find a session quiet in, so every
+        session is named."""
+        return answer_polls(
+            lambda request, cookie: self.handle(request, ReSyncControl(cookie=cookie)),
+            requests,
+            polls,
+        )
 
 
 @dataclass(frozen=True)
@@ -173,6 +191,101 @@ class SyncResponse:
     def total_bytes(self) -> int:
         """Approximate wire size of all update PDUs."""
         return sum(u.pdu_bytes for u in self.updates)
+
+    def cut(self, keep_fraction: float) -> "SyncResponse":
+        """A proper prefix of the update stream, *keep_fraction* of the
+        way in, cookie stripped (it travels last): what a cut delivery
+        leaves the consumer (docs/PROTOCOL.md §9)."""
+        keep = min(int(keep_fraction * len(self.updates)), len(self.updates) - 1)
+        return SyncResponse(
+            updates=list(self.updates[:keep]),
+            cookie=None,
+            initial=self.initial,
+            uses_retain=self.uses_retain,
+        )
+
+
+@dataclass(frozen=True)
+class MultiPoll:
+    """The control of one link round's poll: a cookie per search request
+    of the exchange's request tuple — ``cookies[i]`` resumes
+    ``requests[i]``, a null one asks for its initial content — so N
+    sessions travel as one request (docs/PROTOCOL.md §4)."""
+
+    cookies: Tuple[Optional[str], ...]
+
+    def with_cookie(self, index: int, cookie: Optional[str]) -> "MultiPoll":
+        """This control with session *index* presenting *cookie*."""
+        cookies = list(self.cookies)
+        cookies[index] = cookie
+        return MultiPoll(tuple(cookies))
+
+
+#: One answer of a :class:`MultiPollResponse`: the index of the session
+#: in the request, and its response or the refusal of its cookie.
+Answer = Tuple[int, Union[SyncResponse, SyncProtocolError]]
+
+
+@dataclass
+class MultiPollResponse:
+    """The answer to a :class:`MultiPoll`: the sessions with something to
+    say, in stream order — each an update batch trailed by its cookie,
+    or the refusal of its cookie.  A **quiet** session (the latest
+    cookie, nothing pending, no degraded resume due) is not named: its
+    consumer keeps its cookie."""
+
+    answers: List[Answer] = field(default_factory=list)
+
+    @property
+    def updates(self) -> List[SyncUpdate]:
+        """Every named session's update PDUs, in stream order."""
+        return [u for _, a in self.answers if isinstance(a, SyncResponse) for u in a.updates]
+
+    def cut(self, keep_fraction: float) -> "MultiPollResponse":
+        """A proper prefix of the stream, *keep_fraction* of its updates
+        in: every answer whose trailer (cookie or refusal) arrived before
+        the cut, then the cut session's updates with no cookie
+        (:meth:`SyncResponse.cut`); the sessions after it are not named.
+        A trailer that falls on the cut is lost with it."""
+        total = len(self.updates)
+        keep = min(int(keep_fraction * total), total - 1)
+        kept: List[Answer] = []
+        start = 0
+        for index, answer in self.answers:
+            updates = answer.updates if isinstance(answer, SyncResponse) else ()
+            if start + len(updates) < keep:
+                kept.append((index, answer))
+                start += len(updates)
+                continue
+            if isinstance(answer, SyncResponse):
+                prefix = SyncResponse(
+                    updates=list(updates[: keep - start]),
+                    initial=answer.initial,
+                    uses_retain=answer.uses_retain,
+                )
+                kept.append((index, prefix))
+            break
+        return MultiPollResponse(kept)
+
+
+def answer_polls(
+    serve: Callable[[object, Optional[str]], Optional[SyncResponse]],
+    requests: Sequence,
+    polls: MultiPoll,
+) -> MultiPollResponse:
+    """Answer a multiplexed poll session by session: ``serve(request,
+    cookie)`` is one session's response, or None when it is quiet; a
+    session whose cookie is refused is named with the refusal."""
+    answers: List[Answer] = []
+    for index, (request, cookie) in enumerate(zip(requests, polls.cookies)):
+        try:
+            response = serve(request, cookie)
+        except SyncProtocolError as refusal:
+            answers.append((index, refusal.with_traceback(None)))
+        else:
+            if response is not None:
+                answers.append((index, response))
+    return MultiPollResponse(answers)
 
 
 @dataclass(frozen=True)

@@ -36,22 +36,22 @@ resume, O(delta).  Retry traffic lands on ``sync.resilient.*``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..ldap.query import SearchRequest
 from ..obs.registry import MetricsRegistry
+from ..obs.tracing import span
 from ..server.directory import DirectoryServer
 from ..server.network import (
     OperationTimeout,
     ResponseTruncated,
     SimulatedNetwork,
-    TransportError,
     exchange,
 )
 from .consumer import SyncedContent
 from .health import HEALTH_STATES, HealthMachine, HealthPolicy, RetryPolicy
 from .ladder import LADDER, SketchTier
-from .protocol import SyncProtocolError, SyncResponse
+from .protocol import MultiPoll, SyncProtocolError, SyncResponse
 from .reconcile import ReconcileConfig
 from .snapshot import SnapshotRecoverer, SnapshotStore
 
@@ -157,17 +157,19 @@ class SyncLink(HealthMachine):
         """One resilient round over *contents*: one gate, one retry
         budget, one verdict.
 
-        Each content is polled in turn — a subscribed one runs its
-        persist cycle instead — transport failures retried with backoff,
-        the recovery ladder (docs/RECOVERY.md) climbed on a refused
-        cookie, and the failure count is carried from content
-        to content: N contents behind a dead link spend ``max_attempts``
+        The polled contents travel as one multiplexed ``poll`` exchange
+        (:meth:`_poll`); each subscribed one then runs its persist cycle.
+        Transport failures are retried with backoff, a refused cookie
+        climbs that content's row of the recovery ladder
+        (docs/RECOVERY.md), and the failure count is carried from
+        exchange to exchange: a dead link spends ``max_attempts``
         failures and one backoff schedule, a probe round one request.
-        The first content whose attempts give out fails the round and
-        ends it; it succeeded only when every content applied a
-        response.  Returns the last applied response; None when the
-        round failed, the gate stayed shut, or *contents* is empty (a
-        no-op that does not ask the gate).  Never raises a
+        The first exchange whose attempts give out fails the round and
+        ends it; it succeeded only when every content was answered.
+        Returns the last applied response (an empty one when every
+        polled session was quiet); None when the round failed, the gate
+        stayed shut, or *contents* is empty (a no-op that does not ask
+        the gate).  Never raises a
         :class:`~repro.server.network.TransportError`; local content
         survives any failure.
         """
@@ -175,15 +177,99 @@ class SyncLink(HealthMachine):
             return None
         self._cycles.inc()
         cap = self.attempt_cap()
-        failures = 0
+        polled, subscribed = [], []
         for content in contents:
             self._polled[content.serial] = content
-            response, failures = self.attempt(lambda: self._exchange(content), cap, failures=failures)
+            (subscribed if content.serial in self._subscriptions else polled).append(content)
+        response, failures = SyncResponse(), 0
+        if polled:
+            response, failures = self._poll(polled, cap, failures)
+        for content in subscribed:
             if response is None:
-                self.failed()
-                return None
+                break
+            response, failures = self.attempt(lambda: self._persist(content), cap, failures=failures)
+        if response is None:
+            self.failed()
+            return None
         self.succeeded()
         return response
+
+    def _poll(self, contents: List[SyncedContent], cap: int, failures: int):
+        """The polled contents' part of a round: one multiplexed
+        exchange (:meth:`_exchange`), then one more for whatever a
+        refusal sent to the rebuild rung, until every content is
+        answered.  Returns ``(the last applied response — an empty one
+        when every session was quiet —, failures)``; the response is
+        None when the attempts gave out or the sketch tier spent the
+        round.  A refused *null* cookie is raised."""
+        offers = callable(getattr(self.provider, "reconcile", None))
+        waiting, last = list(contents), SyncResponse()
+        while waiting:
+            answered, failures = self.attempt(lambda: self._exchange(waiting), cap, failures=failures)
+            if answered is None:
+                return None, failures
+            applied, refused = answered
+            last = applied or last
+            waiting = []
+            for content, cookie, refusal in refused:
+                for tier in LADDER[cookie is not None, self._sketch.pays(content), offers]:
+                    if tier == "raise":
+                        raise refusal  # a fresh session was refused — not recoverable
+                    if tier == "sketch":
+                        reconciled = self.reconcile(content)
+                        if reconciled is not None:
+                            last = reconciled
+                            break
+                        if self.suspended:
+                            return None, failures  # no reload on a spent round
+                    else:  # rebuild: the next request is the initial load
+                        self._reloads.inc()
+                        content.cookie = None
+                        waiting.append(content)
+        return last, failures
+
+    def _exchange(self, waiting: List[SyncedContent]):
+        """One multiplexed poll of *waiting*: every answer applied, every
+        quiet session left holding its cookie.  Returns ``(the last
+        applied response or None, [(content, cookie, refusal)])``.
+
+        A cut response applies what arrived safely — each session whose
+        cookie arrived in full, the cut session's safe prefix
+        (:meth:`_apply_safe_prefix`) — and leaves in *waiting* only the
+        sessions still to ask before the error propagates."""
+        cookies = tuple(content.cookie for content in waiting)
+        with span("sync.resync.cookie_round_trip") as sp:
+            try:
+                deliveries = SyncedContent.timely(
+                    exchange(
+                        self.network, "poll", self.provider,
+                        tuple(content.request for content in waiting), MultiPoll(cookies),
+                    ),
+                    self.policy.timeout_ms,
+                )
+            except ResponseTruncated as exc:
+                if exc.partial is not None:
+                    done = set()
+                    for index, answer in exc.partial.answers:
+                        if isinstance(answer, SyncResponse):
+                            if answer.cookie is None:
+                                self._apply_safe_prefix(waiting[index], answer)
+                            else:
+                                waiting[index].apply(answer)
+                                done.add(index)
+                    waiting[:] = [c for i, c in enumerate(waiting) if i not in done]
+                raise
+            applied, refusals, updates = None, {}, 0
+            for delivery in deliveries:
+                for index, answer in delivery.response.answers:
+                    if isinstance(answer, SyncProtocolError):
+                        refusals[index] = answer
+                    else:
+                        waiting[index].apply(answer)
+                        applied = answer
+                        updates += len(answer.updates)
+            sp.add("updates_applied", updates)
+        return applied, [(waiting[i], cookies[i], refusal) for i, refusal in refusals.items()]
 
     def forget(self, content: SyncedContent) -> None:
         """*content* left the link: its subscription is torn down and a
@@ -221,33 +307,6 @@ class SyncLink(HealthMachine):
         """*content*'s persist subscription, open or not; None if polled."""
         return self._subscriptions.get(content.serial)
 
-    def _exchange(self, content: SyncedContent) -> Optional[SyncResponse]:
-        """One poll of *content* — a subscribed content's persist cycle
-        instead — climbing the recovery ladder when the provider refuses
-        the cookie.  Returns the applied response; None when the sketch
-        tier spent the round."""
-        if self._subscriptions and content.serial in self._subscriptions:
-            return self._persist(content)
-        while True:
-            cookie = content.cookie
-            try:
-                return content.poll(self.provider, timeout_ms=self.policy.timeout_ms)
-            except TransportError as exc:
-                self._apply_safe_prefix(content, exc)
-                raise
-            except SyncProtocolError:
-                offers = callable(getattr(self.provider, "reconcile", None))
-                for tier in LADDER[cookie is not None, len(content) > 0, offers]:
-                    if tier == "raise":
-                        raise  # a fresh session was refused — not recoverable
-                    if tier == "sketch":
-                        reconciled = self.reconcile(content)
-                        if reconciled is not None or self.suspended:
-                            return reconciled  # None: no reload on a spent round
-                    else:  # rebuild: the next request is the initial load
-                        self._reloads.inc()
-                        content.cookie = None
-
     def _persist(self, content: SyncedContent) -> Optional[SyncResponse]:
         """The persist cycle of a subscribed *content*; returns the
         response its subscription opened with, or None when the sketch
@@ -283,7 +342,8 @@ class SyncLink(HealthMachine):
             self._refreshes.inc()
         subscription.close()
         offers = callable(getattr(self.provider, "reconcile", None))
-        sketched = content.cookie is None and len(content) > 0 and offers
+        warm = self._sketch.pays(content)
+        sketched = content.cookie is None and warm and offers
         if sketched and self.reconcile(content) is None and self.suspended:
             return None  # no reload on a spent round
         while True:
@@ -295,7 +355,7 @@ class SyncLink(HealthMachine):
                 )
                 break
             except SyncProtocolError:
-                for tier in LADDER[cookie is not None, len(content) > 0, offers]:
+                for tier in LADDER[cookie is not None, warm, offers]:
                     if tier == "raise":
                         raise
                     if tier == "sketch":
@@ -341,9 +401,9 @@ class SyncLink(HealthMachine):
                 self._h_parked.inc()
 
     @staticmethod
-    def _apply_safe_prefix(content: SyncedContent, exc: TransportError) -> None:
-        """Apply the delivered prefix of a truncated response when that
-        is safe (docs/PROTOCOL.md §9).
+    def _apply_safe_prefix(content: SyncedContent, partial: SyncResponse) -> None:
+        """Apply the delivered prefix of a cut response when that is
+        safe (docs/PROTOCOL.md §9).
 
         Update batches order deletes before adds and every action is an
         idempotent state-setter, so a *plain update* prefix only moves
@@ -352,12 +412,8 @@ class SyncLink(HealthMachine):
         (a fragment replacing the whole content) and a ``retain``
         response (only meaningful complete) are retried wholesale.
         """
-        if not isinstance(exc, ResponseTruncated) or exc.partial is None:
-            return
-        partial = exc.partial
-        if partial.initial or partial.uses_retain:
-            return
-        content.apply(partial)
+        if not (partial.initial or partial.uses_retain):
+            content.apply(partial)
 
 
 class ResilientConsumer(SyncLink):

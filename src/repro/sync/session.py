@@ -567,6 +567,10 @@ class SessionStore:
         it, and collected on a later tick if it truly goes idle)."""
         if self._expiring:
             return
+        if self._activity_sorted:
+            front = next(iter(self._activity.values()), None)
+            if front is None or front >= self._tick - self.idle_limit:
+                return  # the least recently active session is inside the limit
         self._expiring = True
         try:
             if not self._activity_sorted:

@@ -286,19 +286,22 @@ class TestSyncAndSizing:
         assert "branch" in repr(replica)
 
 
-class DropResponses(FaultPlan):
-    """Exchanges ``first`` … ``first + count - 1`` (zero-based, counted
-    from construction) lose their response; every other one is clean."""
+class CutThenDrop(FaultPlan):
+    """The first exchange (counted from construction) is cut *keep* of
+    the way into its update stream; the next ``count`` lose their
+    response; every other one is clean."""
 
-    def __init__(self, first: int, count: int):
+    def __init__(self, keep: float, count: int):
         super().__init__(FaultSpec(), seed=0)
-        self._lost = range(first, first + count)
+        self._keep = keep
+        self._lost = range(1, 1 + count)
         self._seen = 0
 
     def next_exchange(self) -> ExchangeFaults:
-        lost = self._seen in self._lost
-        self._seen += 1
-        return ExchangeFaults(drop_response=lost)
+        seen, self._seen = self._seen, self._seen + 1
+        if seen == 0:
+            return ExchangeFaults(truncate=True, truncate_keep=self._keep)
+        return ExchangeFaults(drop_response=seen in self._lost)
 
 
 class TestSyncOnAFaultyNetwork:
@@ -318,19 +321,27 @@ class TestSyncOnAFaultyNetwork:
     def test_a_round_that_gives_out_mid_way_returns_and_corrupts_nothing(
         self, master, provider
     ):
-        """Regression: ``sync`` threw the transport error mid-round."""
+        """Regression: ``sync`` threw the transport error mid-round.
+
+        The round's one exchange is cut inside the second filter's
+        batch: the first filter's answer arrived whole, the second's
+        safe prefix applies, the third is not reached; its retries lose
+        the response until the link's breaker opens and ends the
+        round."""
         net, replica = self.build(master, provider)
         first, second, third = (s.content for s in replica.stored_filters())
         master.modify("cn=P0,c=in,o=xyz", [Modification.replace("sn", "changed")])
+        master.modify("cn=P1,c=in,o=xyz", [Modification.replace("sn", "changed")])
         master.delete("cn=P2,c=in,o=xyz")
+        cookies = [c.cookie for c in (first, second, third)]
         held = dict(third.entries)
 
-        # The second filter's poll and its retries lose the response
-        # until the link's breaker opens and ends the round.
-        net.plan = DropResponses(first=1, count=HealthPolicy().breaker_threshold)
-        replica.sync(provider)
-        assert first.matches_master(master)  # polled before the round gave out
-        assert not second.matches_master(master) and len(second) == 3
+        net.plan = CutThenDrop(keep=0.6, count=HealthPolicy().breaker_threshold - 1)
+        assert replica.sync(provider) is None
+        assert first.matches_master(master) and first.cookie != cookies[0]  # whole
+        assert second.cookie == cookies[1]  # cut: its cookie never arrived
+        # …after the safe prefix: P2's delete (deletes travel first), not P0's modify
+        assert not second.matches_master(master) and len(second) == 2
         assert dict(third.entries) == held  # never reached: as fresh as it was
         answer = replica.answer(self.FILTERS[2])
         assert answer.is_hit and not answer.degraded  # one failed round: not yet

@@ -324,6 +324,13 @@ class TestSubscriptionsRideTheLink:
         is repaired by the next refresh, by fetching that entry alone.
         Regression: the refresh re-opened with a null cookie, a full
         load of every subscribed filter."""
+        for i in range(6, 46):  # warm contents: above the sketch floor
+            master.add(
+                Entry(
+                    f"cn=P{i},o=xyz",
+                    {"objectClass": ["person"], "cn": f"P{i}", "sn": "T", "departmentNumber": str(i % 2)},
+                )
+            )
         net = FaultyNetwork()
         policy = RetryPolicy(persist_refresh_interval=4, jitter=0.0)
         provider, link, replica = self.build(master, net, policy)

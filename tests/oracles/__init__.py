@@ -41,6 +41,14 @@ Two scans a request used to pay for are kept the same way:
   list and filters the running set (``tests/server/test_indexes.py``:
   equal sets, equal estimates).
 
+A link round polls every content in one multiplexed exchange, and the
+provider leaves quiet sessions unnamed (docs/PROTOCOL.md §4);
+:class:`PerContentLink` is the round it replaced — one ``poll``
+exchange per content, each a full cookie resume through
+:meth:`SyncedContent.poll <repro.sync.SyncedContent.poll>` — kept as
+the protocol reference ``tests/sync/test_multiplexed_poll.py`` compares
+the multiplexed round against.
+
 The network's persist transport batches notifications into encoded
 frames (docs/TRANSPORT.md); :func:`per_pdu_persist` is the transport it
 replaced — every notification delivered inline and encoded as its own
@@ -57,14 +65,17 @@ from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_cont
 from repro.ldap import Entry, SearchRequest
 from repro.ldap.ber import encode_sync_update
 from repro.ldap.filters import attributes_of
+from repro.server import ResponseTruncated
 from repro.server.indexes import _ngrams
-from repro.sync import ResyncProvider, SessionStore
+from repro.sync import ResyncProvider, SessionStore, SyncLink, SyncProtocolError
+from repro.sync.ladder import LADDER
 
 __all__ = [
     "LinearFilterReplica",
     "LinearRecentQueryCache",
     "LinearResyncProvider",
     "LinearSessionStore",
+    "PerContentLink",
     "ReferenceModel",
     "holders_of",
     "linear_substring_candidates",
@@ -247,3 +258,41 @@ def per_pdu_persist(provider, request, deliver, network, cookie=None):
 
     network.charge_round_trip()
     return provider.persist(request, wired, cookie=cookie)
+
+
+class PerContentLink(SyncLink):
+    """A :class:`~repro.sync.SyncLink` whose polled contents each take a
+    ``poll`` exchange of their own — a full cookie resume, an empty
+    batch and a new cookie for a session with nothing to say — climbing
+    ``LADDER`` inline on a refusal: the link round before polls were
+    multiplexed."""
+
+    def _poll(self, contents, cap, failures):
+        response = None
+        for content in contents:
+            response, failures = self.attempt(lambda: self._poll_one(content), cap, failures=failures)
+            if response is None:
+                break
+        return response, failures
+
+    def _poll_one(self, content):
+        offers = callable(getattr(self.provider, "reconcile", None))
+        while True:
+            cookie = content.cookie
+            try:
+                return content.poll(self.provider, timeout_ms=self.policy.timeout_ms)
+            except ResponseTruncated as exc:
+                if exc.partial is not None:
+                    self._apply_safe_prefix(content, exc.partial)
+                raise
+            except SyncProtocolError:
+                for tier in LADDER[cookie is not None, self._sketch.pays(content), offers]:
+                    if tier == "raise":
+                        raise
+                    if tier == "sketch":
+                        reconciled = self.reconcile(content)
+                        if reconciled is not None or self.suspended:
+                            return reconciled
+                    else:
+                        self._reloads.inc()
+                        content.cookie = None

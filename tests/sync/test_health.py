@@ -17,7 +17,7 @@ load-bearing properties:
 """
 
 from repro.ldap import Entry, Scope, SearchRequest
-from repro.server import DirectoryServer, FaultyNetwork, NetworkPartitioned
+from repro.server import DirectoryServer, FaultyNetwork, NetworkPartitioned, ResponseTruncated
 from repro.sync import (
     HEALTH_STATES,
     DurabilityConfig,
@@ -286,7 +286,7 @@ class TestSketchTierHonoursTheMachine:
         budget ran out, fired ``gave_up`` once per extra fault, and
         ``sync_once`` then reloaded in the same cycle and ended
         ``healthy``."""
-        master = build_master()
+        master = build_master(20)  # warm: the refusal sketches
         provider = ResyncProvider(master)
         store = MemorySnapshotStore()
         first = ResilientConsumer(
@@ -313,7 +313,7 @@ class TestSketchTierHonoursTheMachine:
         assert net.registry.counter("sync.health.gave_up").value == 1
         assert consumer.health_state == "gave_up"
         assert reloads.value == 0
-        assert len(consumer.content) == 4  # the restored content stands
+        assert len(consumer.content) == 20  # the restored content stands
 
         trips = net.stats.round_trips
         assert consumer.sync_once() is None
@@ -404,17 +404,15 @@ class TestRoundSemantics:
         polls = []
         serve = net.sync_exchange
 
-        def cut_the_twelfth(prov, request, control):
-            polls.append(request)
-            if len(polls) == len(held):
-                net.charge_round_trip()
-                raise NetworkPartitioned("the last content's poll is lost")
-            return serve(prov, request, control)
+        def cut_after_the_first(prov, requests, control):
+            polls.append(requests)
+            response = serve(prov, requests, control)[-1].response
+            raise ResponseTruncated("cut before the twelfth", partial=response.cut(0.75))
 
-        net.sync_exchange = cut_the_twelfth
-        assert link.sync(held) is None  # a probe round: one attempt each
-        assert len(polls) == len(held)
-        assert len(held[0]) == 0 and len(held[11]) == 1  # eleven applied, one did not
+        net.sync_exchange = cut_after_the_first
+        assert link.sync(held) is None  # a probe round: one attempt
+        assert [len(requests) for requests in polls] == [len(held)]  # one exchange
+        assert len(held[0]) == 0 and len(held[11]) == 1  # the first's prefix applied, the twelfth did not
         assert link.verdicts == ("succeeded", "failed", "failed")
         assert link.failed_cycles == 2
 

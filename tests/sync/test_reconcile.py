@@ -286,7 +286,7 @@ class TestReconcileTier:
         """A journal-less provider restart leaves a *plain* dead cookie
         over warm content: the refusal enters the sketch tier like any
         other — O(delta), no reload (docs/RECOVERY.md decision table)."""
-        master = build_master(10)
+        master = build_master(20)  # warm: more than the sketch floor
         provider = ResyncProvider(master)  # no journal: restart forgets all
         net = SimulatedNetwork()
         consumer = ResilientConsumer(REQUEST, provider, network=net)
@@ -305,7 +305,7 @@ class TestReconcileTier:
         sketch tier cannot end healthy on a replica that differs from the
         master in a value spelled ``surname:``."""
         master = build_master(0)
-        for i in range(10):
+        for i in range(20):  # warm: more than the sketch floor
             master.add(
                 Entry(
                     f"cn=A{i},o=xyz",

@@ -520,7 +520,7 @@ class TestPersistResilience:
                     raise SyncProtocolError("session expired")
                 return super().persist(request, deliver, cookie)
 
-        master = build_master(10)
+        master = build_master(20)  # warm: more than the sketch floor
         provider = RefusesResumes(master)
         net = FaultyNetwork()
         consumer = ResilientConsumer(REQUEST, provider, network=net, policy=RetryPolicy(jitter=0.0))

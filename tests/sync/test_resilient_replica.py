@@ -8,7 +8,8 @@ through one caller-built :class:`SyncLink` on a
 must refuse), ``replica.sync``, ``add_filter`` / ``remove_filter`` /
 ``selector.revolution``, ``subscribe_persist`` / ``unsubscribe_persist``
 and ``network.settle()`` (persist delivery), a master modify whose
-notifications are all lost in flight, ``partition`` /
+notifications are all lost in flight, a round whose multiplexed poll
+is cut mid-session or has one cookie of its N refused, ``partition`` /
 ``heal_partition``, and a provider ``restart()`` — recovered from its
 journal when the provider is durable, forgetting every session when it
 is not.  The link refreshes a live subscription every other round, so
@@ -43,6 +44,7 @@ from repro.core import FilterReplica, FilterSelector, Generalizer, IdentityGener
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
     DirectoryServer,
+    ExchangeFaults,
     FaultPlan,
     FaultSpec,
     FaultyNetwork,
@@ -89,6 +91,18 @@ def person(name: str, unit: str, dept: str, sn: str) -> Entry:
         dn_of(name, unit),
         {"objectClass": ["person"], "cn": name, "sn": sn, "departmentNumber": dept},
     )
+
+
+class FirstExchange(FaultPlan):
+    """The first exchange (counted from construction) takes *faults*;
+    every later one, and every persist batch, is clean."""
+
+    def __init__(self, faults: ExchangeFaults):
+        super().__init__(FaultSpec(), seed=0)
+        self._script = [faults]
+
+    def next_exchange(self) -> ExchangeFaults:
+        return self._script.pop() if self._script else ExchangeFaults()
 
 
 class ReplicaStack(RuleBasedStateMachine):
@@ -244,6 +258,26 @@ class ReplicaStack(RuleBasedStateMachine):
     def sync(self):
         if self.replica.sync(self.link) is not None:
             self._round_applied()
+
+    def _faulty_round(self, faults: ExchangeFaults):
+        self.net.plan = FirstExchange(faults)
+        try:
+            self.sync()
+        finally:
+            self.net.plan = None
+
+    @rule(keep=st.floats(0.0, 0.99))
+    def cut_round(self, keep):
+        """The round's poll exchange is cut *keep* of the way into its
+        update stream: the sessions whose cookie arrived apply whole,
+        the cut one its safe prefix, the rest are asked again."""
+        self._faulty_round(ExchangeFaults(truncate=True, truncate_keep=keep))
+
+    @rule(position=st.floats(0.0, 0.99))
+    def refuse_one_cookie(self, position):
+        """One cookie of the round's N is refused: that filter alone
+        climbs its ``LADDER`` row, the others apply."""
+        self._faulty_round(ExchangeFaults(cookie_invalidate=True, truncate_keep=position))
 
     @rule()
     def subscribe_persist(self):

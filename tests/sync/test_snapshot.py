@@ -381,7 +381,7 @@ class TestConsumerWarmStart:
         """There is no snapshot exemption to end: a cookie refused after
         the restored session went live enters the sketch tier exactly
         like the just-restored one (docs/RECOVERY.md decision table)."""
-        master = build_master(10)
+        master = build_master(20)  # warm: more than the sketch floor
         provider = ResyncProvider(master)
         store = MemorySnapshotStore()
         run_session(provider, store, master)

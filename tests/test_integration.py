@@ -244,6 +244,8 @@ def test_spelling_changes_no_answer_through_every_recovery_path(phases, queries)
     master = DirectoryServer("master")
     master.add_naming_context("o=xyz")
     master.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
+    for i in range(40):  # warm: the dead cookie reconciles by sketch, not by reload
+        master.add(Entry(f"cn=f{i},o=xyz", {"objectClass": ["person"], "cn": f"f{i}"}))
     provider = ResyncProvider(master, journal=MemoryJournal())
     everything = SearchRequest("o=xyz", Scope.SUB, "(objectClass=*)")
     net, snapshots = SimulatedNetwork(), MemorySnapshotStore()
