@@ -6,6 +6,9 @@ value indexes (:mod:`repro.server.indexes`) for filter evaluation: one
 index set per attribute any stored entry holds, under the key entries
 hold it by (:meth:`~repro.ldap.attributes.AttributeRegistry.key`), so a
 filter finds it under any spelling and none means it occurs nowhere.
+A set's equality and presence indexes are kept from the first value;
+its substring and ordering indexes are built from the stored images the
+first time a plan reads them.
 
 The store is deliberately dumb about LDAP semantics — naming contexts,
 referrals and schema live in :class:`repro.server.directory.DirectoryServer`.
@@ -269,7 +272,7 @@ class EntryStore:
         key = self._registry.key(attr)
         index = self._indexes.get(key)
         if index is None:
-            index = AttributeIndexSet(self._registry.get(attr))
+            index = AttributeIndexSet(self._registry.get(attr), self._entries)
             self._indexes[key] = index
         return index
 

@@ -14,6 +14,11 @@ the whole database.  The simulated backend does the same:
   answering ``>=`` / ``<=`` range scans under the attribute's syntax:
   integer-syntax values compare numerically, not lexicographically.
 
+An :class:`AttributeIndexSet` keeps equality and presence from the
+first value posted; its substring and ordering indexes exist once a
+query needs them: the first read builds one from the owner's frozen
+images, and every later insert/remove maintains it.
+
 Indexes return *candidate supersets* (every true match is included, some
 non-matches may be); the backend always re-verifies candidates with
 :func:`repro.ldap.matching.matches`, so index bugs can cost speed but
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..ldap.attributes import AttributeRegistry, AttributeType
 from ..ldap.dn import DN
@@ -99,6 +104,9 @@ class PresenceIndex:
     def dns(self) -> Set[DN]:
         """All DNs holding the attribute."""
         return set(self._counts)
+
+    def __iter__(self) -> Iterator[DN]:
+        return iter(self._counts)
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -280,6 +288,23 @@ class OrderingIndex:
         self._keys: List[Tuple[int, object, Tuple]] = []
         self._dns: List[DN] = []
 
+    @classmethod
+    def from_holders(
+        cls, atype: AttributeType, holders: Iterable[Tuple[DN, Iterable[str]]]
+    ) -> "OrderingIndex":
+        """The index :meth:`insert` of every ``(dn, values)`` holder
+        leaves, made with one sort instead of an insort per value."""
+        index = cls(atype)
+        pairs = [
+            (index._key(value) + (dn.order_key(),), dn)
+            for dn, values in holders
+            for value in values
+        ]
+        pairs.sort(key=lambda pair: pair[0])
+        index._keys = [key for key, _dn in pairs]
+        index._dns = [dn for _key, dn in pairs]
+        return index
+
     def _key(self, value: str) -> Tuple[int, object]:
         return _typed_key(self._atype.normalize(value))
 
@@ -338,30 +363,71 @@ class OrderingIndex:
 
 
 class AttributeIndexSet:
-    """All indexes for one attribute, kept consistent together."""
+    """All indexes for one attribute, kept consistent together.
 
-    def __init__(self, atype: AttributeType, ngram: int = 3):
+    ``equality`` and ``presence`` are kept from the first value posted:
+    every search plan may read them.  ``substring`` and ``ordering`` are
+    built on first ask, from the frozen *images* of the presence DNs
+    (the owner's ``DN -> Entry`` map, which holds every DN posted here),
+    and maintained by :meth:`insert`/:meth:`remove` from then on.  Built
+    late or early, an index holds the same postings.
+    """
+
+    def __init__(self, atype: AttributeType, images: Mapping[DN, Entry], ngram: int = 3):
         self.atype = atype
         self.equality = EqualityIndex(atype)
         self.presence = PresenceIndex()
-        self.substring = SubstringIndex(atype, ngram)
-        self.ordering = OrderingIndex(atype) if atype.ordered else None
+        self._images = images
+        self._ngram = ngram
+        self._substring: Optional[SubstringIndex] = None
+        self._ordering: Optional[OrderingIndex] = None
+
+    def _holders(self) -> Iterator[Tuple[DN, List[str]]]:
+        name = self.atype.name
+        return ((dn, self._images[dn].get(name)) for dn in self.presence)
+
+    @property
+    def substring(self) -> SubstringIndex:
+        if self._substring is None:
+            index = SubstringIndex(self.atype, self._ngram)
+            for dn, values in self._holders():
+                index.insert(dn, values)
+            self._substring = index
+        return self._substring
+
+    @property
+    def ordering(self) -> Optional[OrderingIndex]:
+        """None when the attribute's syntax defines no ordering."""
+        if self._ordering is None and self.atype.ordered:
+            self._ordering = OrderingIndex.from_holders(self.atype, self._holders())
+        return self._ordering
+
+    def built(self) -> Tuple[str, ...]:
+        """The first-ask indexes built so far: ``"substring"``,
+        ``"ordering"``, both or neither."""
+        return tuple(
+            kind
+            for kind, index in (("substring", self._substring), ("ordering", self._ordering))
+            if index is not None
+        )
 
     def insert(self, dn: DN, values: Iterable[str]) -> None:
         values = list(values)
         self.equality.insert(dn, values)
         self.presence.insert(dn, values)
-        self.substring.insert(dn, values)
-        if self.ordering is not None:
-            self.ordering.insert(dn, values)
+        if self._substring is not None:
+            self._substring.insert(dn, values)
+        if self._ordering is not None:
+            self._ordering.insert(dn, values)
 
     def remove(self, dn: DN, values: Iterable[str]) -> None:
         values = list(values)
         self.equality.remove(dn, values)
         self.presence.remove(dn, values)
-        self.substring.remove(dn, values)
-        if self.ordering is not None:
-            self.ordering.remove(dn, values)
+        if self._substring is not None:
+            self._substring.remove(dn, values)
+        if self._ordering is not None:
+            self._ordering.remove(dn, values)
 
 
 class ContentIndex:

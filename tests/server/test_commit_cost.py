@@ -6,7 +6,8 @@ entry among 1 000 that share its ``sn`` and ``entrySizeBytes``, a
 over a :class:`SimulatedNetwork`, re-indexes one attribute, copies the
 entry once (the image it edits), finds the ordering-index pair without
 comparing a single DN, and BER-encodes its one shared PDU once however
-many frames carry it.
+many frames carry it.  The attribute's substring and ordering
+indexes, built by a search before the modify, are maintained with it.
 """
 
 from collections import Counter
@@ -69,6 +70,12 @@ def fleet():
 
 def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     master, net, contents = fleet
+    # The first ask builds telephoneNumber's substring and ordering
+    # indexes, so the modify below maintains both.
+    master.search(
+        SearchRequest("o=xyz", Scope.SUB, "(&(telephoneNumber>=555-0400)(telephoneNumber=*-05*))")
+    )
+    assert master.store.index_for("telephoneNumber").built() == ("substring", "ordering")
     calls = Counter()
 
     def counted(owner, name, key):
@@ -90,6 +97,7 @@ def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     ordering_remove, dn_eq = OrderingIndex.remove, DN.__eq__
 
     def remove(self, dn, values):
+        calls["ordering.remove"] += 1
         removing.append(True)
         try:
             return ordering_remove(self, dn, values)
@@ -112,6 +120,7 @@ def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     assert dict(calls) == {
         "index.remove": 1,
         "index.insert": 1,
+        "ordering.remove": 1,
         "entry.copy": 1,
         "ber.encode_sync_update": 1,
     }
@@ -122,5 +131,7 @@ def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     assert all(content.entries[TARGET] is stored for content in contents)
     assert master.store.index_for("telephoneNumber").equality.lookup("555-9999") == {TARGET}
     assert master.store.index_for("telephoneNumber").equality.lookup("555-0500") == set()
+    assert master.store.index_for("telephoneNumber").substring.candidates(["-99"]) == {TARGET}
+    assert master.store.index_for("telephoneNumber").ordering.greater_or_equal("555-9") == {TARGET}
     frame = len(ber.encode_sync_batch([SyncUpdate.modify(stored)]))
     assert net.stats.bytes_sent - sent == SESSIONS * frame

@@ -1,18 +1,22 @@
 """Tests for the attribute indexes."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ldap import DN
+from repro.ldap import DN, Entry, Scope, SearchRequest
 from repro.ldap.attributes import AttributeType, Syntax
+from repro.server import DirectoryServer
 from repro.server.indexes import (
     AttributeIndexSet,
     EqualityIndex,
     OrderingIndex,
     SubstringIndex,
 )
+from repro.workload import DirectoryConfig, generate_directory
 from tests.oracles import linear_substring_candidates, linear_substring_estimate
 
 
@@ -107,24 +111,34 @@ def test_substring_lookups_equal_the_vocabulary_scan(steps, final_asks):
     """Whatever was inserted and removed between lookups, and wherever
     the short components sit (length 0-5, initial / any / final),
     ``candidates`` and ``estimate`` are the linear oracle's exactly — the
-    same set, not a superset of it, and the same number."""
-    idx = SubstringIndex(AttributeType("sn"))
+    same set, not a superset of it, and the same number.  The index is
+    an attribute set's, so the first ask builds it from the images and
+    every later step maintains it."""
+    # A name -> values mapping reads like an Entry to the index set.
+    images = {}
+    ixs = AttributeIndexSet(AttributeType("sn"), images)
     held = {}
 
     def ask(components):
+        idx = ixs.substring
         assert idx.candidates(components) == linear_substring_candidates(idx, components)
         assert idx.estimate(components) == linear_substring_estimate(idx, components)
         # asked again: the remembered gram lists answer the same
         assert idx.candidates(components) == linear_substring_candidates(idx, components)
 
+    def remove(i):
+        ixs.remove(dn(i), held.pop(i))
+        del images[dn(i)]
+
     for step in steps:
         if step[0] == "insert":
             if step[1] in held:
-                idx.remove(dn(step[1]), held.pop(step[1]))
+                remove(step[1])
             held[step[1]] = step[2]
-            idx.insert(dn(step[1]), step[2])
+            images[dn(step[1])] = {"sn": step[2]}
+            ixs.insert(dn(step[1]), step[2])
         elif step[0] == "remove" and step[1] in held:
-            idx.remove(dn(step[1]), held.pop(step[1]))
+            remove(step[1])
         elif step[0] == "ask":
             ask(step[1])
     for components in final_asks:
@@ -206,6 +220,8 @@ class TestOrderingIndex:
             for survivor, kept in pairs:
                 rebuilt.insert(survivor, [kept])
             assert list(zip(idx._keys, idx._dns)) == list(zip(rebuilt._keys, rebuilt._dns))
+            sorted_once = OrderingIndex.from_holders(atype, [(d, [v]) for d, v in pairs])
+            assert (sorted_once._keys, sorted_once._dns) == (rebuilt._keys, rebuilt._dns)
             for probe in ["9", "40", "41", "42", "100", "oops"]:
                 assert idx.greater_or_equal(probe) == rebuilt.greater_or_equal(probe)
                 assert idx.less_or_equal(probe) == rebuilt.less_or_equal(probe)
@@ -230,13 +246,101 @@ class TestOrderingIndex:
 
 class TestAttributeIndexSet:
     def test_consistent_insert_remove(self):
-        ixs = AttributeIndexSet(AttributeType("sn"))
+        ixs = AttributeIndexSet(AttributeType("sn"), {})
         ixs.insert(dn(1), ["Doe"])
         assert ixs.equality.lookup("doe") == {dn(1)}
         ixs.remove(dn(1), ["Doe"])
         assert ixs.equality.lookup("doe") == set()
 
     def test_unordered_attribute_has_no_ordering_index(self):
-        ixs = AttributeIndexSet(AttributeType("objectClass", ordered=False))
+        ixs = AttributeIndexSet(AttributeType("objectClass", ordered=False), {})
         assert ixs.ordering is None
         ixs.insert(dn(1), ["person"])  # must not crash
+        assert ixs.built() == ()
+
+    def test_substring_and_ordering_are_built_on_first_ask(self):
+        atype = AttributeType("sn")
+        images = {dn(i): Entry(dn(i), {"sn": [f"Doe{i}"]}).freeze() for i in range(3)}
+        ixs = AttributeIndexSet(atype, images)
+        for holder, image in images.items():
+            ixs.insert(holder, image.get("sn"))
+        assert ixs.built() == ()
+        assert ixs.substring.candidates(["doe1"]) == {dn(1)}
+        assert ixs.built() == ("substring",)
+        assert ixs.ordering.less_or_equal("doe1") == {dn(0), dn(1)}
+        assert ixs.built() == ("substring", "ordering")
+        # built, both are maintained
+        images[dn(3)] = Entry(dn(3), {"sn": ["Doe10"]}).freeze()
+        ixs.insert(dn(3), ["Doe10"])
+        ixs.remove(dn(0), images.pop(dn(0)).get("sn"))
+        assert ixs.substring.candidates(["doe1"]) == {dn(1), dn(3)}
+        assert ixs.ordering.less_or_equal("doe10") == {dn(1), dn(3)}
+
+
+# ----------------------------------------------------------------------
+# the master's substring and ordering indexes exist once a query needs them
+# ----------------------------------------------------------------------
+SERIAL_BLOCK = "(serialNumber=0004*IN)"
+
+
+@pytest.fixture(scope="module")
+def directory():
+    return generate_directory(DirectoryConfig(employees=1000, seed=20050607))
+
+
+def loaded(directory, force=None) -> DirectoryServer:
+    """A master loaded with *directory*; with *force*, that attribute's
+    substring index is asked for before the load, so the load maintains
+    it entry by entry."""
+    master = DirectoryServer("master")
+    master.add_naming_context(directory.suffix)
+    if force is not None:
+        master.store._ensure_index(force).substring
+    master.load(directory.entries)
+    return master
+
+
+def built(master) -> dict:
+    return {key: ixs.built() for key, ixs in master.store._indexes.items() if ixs.built()}
+
+
+def test_load_builds_no_substring_or_ordering_index(directory):
+    master = loaded(directory)
+    assert built(master) == {}
+    assert master.store.index_for("serialNumber").presence  # equality and presence are kept
+    assert master.store.index_for("serialNumber").equality
+
+
+def test_first_substring_search_builds_that_index_and_plans_as_if_kept(directory):
+    lazy, kept = loaded(directory), loaded(directory, force="serialNumber")
+    assert built(kept) == {"serialnumber": ("substring",)}
+    request = SearchRequest(directory.suffix, Scope.SUB, SERIAL_BLOCK)
+    results = {}
+    for master in (lazy, kept):
+        plan = master.store.plan_for(request.filter)
+        found = master.search(request).entries
+        examined = master.metrics.to_dict()["server.plan.examined"]
+        results[master] = (plan.strategy, plan.estimate, plan.candidates, examined, found)
+    assert built(lazy) == {"serialnumber": ("substring",)}
+    assert results[lazy] == results[kept]
+    strategy, _estimate, candidates, examined, found = results[lazy]
+    assert strategy == "substring" and found
+    assert examined == len(candidates) < len(lazy.store)
+
+
+def test_master_holds_under_8_kb_per_entry(directory):
+    """Traced bytes a load leaves held, per entry (keeping every index
+    kind for every attribute held 11.4 kB here, n-gram postings the
+    most)."""
+    master = DirectoryServer("master")
+    master.add_naming_context(directory.suffix)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        master.load(directory.entries)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(master.store) == len(directory.entries) == 1461
+    assert held / len(master.store) <= 8 * 1024

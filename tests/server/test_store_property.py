@@ -110,42 +110,103 @@ _image_ops = st.lists(
 )
 
 
+#: First asks for a substring or an ordering index, each a filter under
+#: one spelling: aliases and another case of one attribute ask for the
+#: same index.  ``objectClass`` has no ordering; ``o`` is held by the
+#: root alone, and ``telephoneNumber`` by no entry.
+_ASKS = [
+    "(cn=a*)", "(commonName=*b)", "(sn=*a*)", "(SurName=a*)", "(mail=A*)",
+    "(description=*c)", "(age=1*)", "(objectClass=p*)", "(o=x*)",
+    "(telephoneNumber=1*)",
+    "(cn>=ab)", "(commonName<=ab)", "(sn>=b)", "(SN<=ab)", "(surname>=aa)",
+    "(mail<=ab)", "(description>=b)", "(age>=9)", "(age<=010)",
+    "(objectClass>=p)", "(o<=y)", "(telephoneNumber>=1)",
+]
+
+
 def _index_state(store: EntryStore) -> dict:
-    """Everything the attribute indexes hold, per attribute; an index
-    set left empty by deletions counts as no index set."""
+    """Everything the attribute indexes hold, per attribute, reading only
+    the indexes built so far (reading builds them); an index set left
+    empty by deletions counts as no index set."""
     state = {}
     for attr, ixs in store._indexes.items():
+        kinds = ixs.built()
         held = (
             {value: set(dns) for value, dns in ixs.equality._postings.items() if dns},
             dict(ixs.presence._counts),
-            {gram: set(dns) for gram, dns in ixs.substring._postings.items() if dns},
+            {gram: set(dns) for gram, dns in ixs.substring._postings.items() if dns}
+            if "substring" in kinds
+            else None,
             Counter(zip(ixs.ordering._keys, ixs.ordering._dns))
-            if ixs.ordering is not None
+            if "ordering" in kinds
             else None,
         )
         if any(held):
-            state[attr] = held
+            state[attr] = (kinds, held)
     return state
 
 
+def _build_as(store: EntryStore, other: EntryStore) -> None:
+    """Build in *store* the first-ask indexes *other* has built."""
+    for attr, ixs in other._indexes.items():
+        for kind in ixs.built():
+            getattr(store._ensure_index(attr), kind)
+
+
+def _build_all(store: EntryStore) -> None:
+    for ixs in store._indexes.values():
+        ixs.substring, ixs.ordering
+
+
 @settings(max_examples=200, deadline=None)
-@given(_image_ops)
-def test_index_state_equals_a_fresh_load(ops):
+@given(_image_ops, st.dictionaries(st.sampled_from(_ASKS), st.integers(0, 31)))
+def test_index_state_equals_a_fresh_load(ops, asks):
+    """A substring or ordering index first asked for before op ``i``
+    (``asks[filter] = i``; past the last op means after it) is built
+    from the images then and maintained by every later op: it holds
+    what a fresh load's index built from the final images holds, and
+    no index nobody asked for is built."""
     store = EntryStore()
     root = DN.parse("o=xyz")
     store.register_root(root)
     store.put(Entry(root, {"objectClass": ["organization"], "o": "xyz"}))
-    for op, name, image in ops:
+    asked = set()
+
+    def ask_due(step: int) -> None:
+        for text, at in asks.items():
+            if at == step or (step == len(ops) and at > step):
+                flt = parse_filter(text)
+                if store.index_for(flt.attr) is not None:
+                    asked.add((DEFAULT_REGISTRY.key(flt.attr), type(flt)))
+                store.plan_for(flt)
+
+    for step, (op, name, image) in enumerate(ops):
+        ask_due(step)
         dn = root.child(f"cn={name}")
         if op == "put":
             store.put(Entry(dn, {"objectClass": ["person"], **image}))
         else:
             store.delete(dn)
+    ask_due(len(ops))
+
+    ordered = {key for key, ixs in store._indexes.items() if ixs.atype.ordered}
+    assert {(key, kind) for key, ixs in store._indexes.items() for kind in ixs.built()} == {
+        (key, "substring" if kind is Substring else "ordering")
+        for key, kind in asked
+        if kind is Substring or key in ordered
+    }
 
     fresh = EntryStore()
     fresh.register_root(root)
     for entry in store.all_entries():
         fresh.put(entry.copy())
+    assert not any(ixs.built() for ixs in fresh._indexes.values())
+    _build_as(fresh, store)
+    assert _index_state(store) == _index_state(fresh)
+
+    # Every index built, however late: the state a fresh load holds.
+    _build_all(store)
+    _build_all(fresh)
     assert _index_state(store) == _index_state(fresh)
 
     # The weaker soundness condition, over the richer images too.
