@@ -22,9 +22,10 @@ a result calls :meth:`Entry.copy`; :meth:`Entry.copy`,
 :meth:`Entry.project` and :meth:`Entry.with_dn` return fresh mutable
 entries.  Because a frozen image never changes, it remembers what is
 derived from it — its normalized values per attribute
-(:meth:`Entry.normalized`), its :meth:`Entry.estimated_size` and its
-reconcile digest (:meth:`Entry.derived`) — the first time they are
-asked for; a mutable entry derives them afresh.
+(:meth:`Entry.normalized`), its :meth:`Entry.estimated_size`, its
+reconcile digest (:meth:`Entry.derived`) and its LDIF record
+(:meth:`Entry.rendered`) — the first time they are asked for; a mutable
+entry derives them afresh.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class Entry:
         })
     """
 
-    __slots__ = ("_dn", "_attrs", "_registry", "_frozen", "_size", "_derived")
+    __slots__ = ("_dn", "_attrs", "_registry", "_frozen", "_size", "_derived", "_ldif")
 
     def __init__(
         self,
@@ -103,6 +104,7 @@ class Entry:
         self._frozen = False
         self._size: Optional[int] = None  # a frozen image's, once measured
         self._derived: Optional[Tuple] = None  # a frozen image's (derive, value)
+        self._ldif: Optional[str] = None  # a frozen image's LDIF record, once rendered
         # AttributeRegistry.key(name) -> (canonical name, [values]), and on
         # a frozen image whose normalized values were asked for,
         # (canonical name, [values], normalized values).
@@ -332,6 +334,20 @@ class Entry:
         if self._frozen:
             self._derived = (derive, value)
         return value
+
+    def rendered(self, render: Callable[["Entry"], str]) -> str:
+        """``render(self)``: the entry's LDIF record, asked for by
+        :func:`repro.ldap.ldif.entry_to_ldif` alone.  A frozen image renders
+        it once and remembers it in a slot of its own — not
+        :meth:`derived`'s, which the reconcile digest holds for the same
+        consumer images a snapshot dump reads.  A mutable entry renders
+        afresh."""
+        text = self._ldif
+        if text is None:
+            text = render(self)
+            if self._frozen:
+                self._ldif = text
+        return text
 
     def _measure(self) -> int:
         stamped = self.first("entrySizeBytes")

@@ -15,6 +15,13 @@ strips exactly the single separator space — never the value's own
 whitespace.  The identity property ``parse_ldif(entries_to_ldif(es))
 == es`` is enforced for arbitrary generated entries in
 ``tests/ldap/test_ldif.py``.
+
+A record is rendered once per frozen image: :func:`entry_to_ldif` of a
+committed image is computed on the first ask and remembered by the image
+(:meth:`Entry.rendered <repro.ldap.entry.Entry.rendered>`), so repeated
+dumps of an unchanged content render nothing; a mutable entry renders
+afresh.  The safe-string test is one compiled match over printable
+ASCII after its first- and last-character checks.
 """
 
 from __future__ import annotations
@@ -33,6 +40,10 @@ __all__ = ["entry_to_ldif", "entries_to_ldif", "parse_ldif", "write_ldif"]
 _VERSION_LINE = re.compile(r"version:\s*\d+\s*$")
 
 
+#: Printable ASCII, the only characters a plain (non-base64) value may hold.
+_PRINTABLE = re.compile(r"[\x20-\x7e]*")
+
+
 def _is_safe(value: str) -> bool:
     """RFC 2849 SAFE-STRING test (conservative).
 
@@ -48,7 +59,7 @@ def _is_safe(value: str) -> bool:
         return False
     if value[-1] == " ":
         return False
-    return all(32 <= ord(ch) < 127 for ch in value)
+    return _PRINTABLE.fullmatch(value) is not None
 
 
 def _attr_line(name: str, value: str) -> str:
@@ -58,13 +69,18 @@ def _attr_line(name: str, value: str) -> str:
     return f"{name}:: {encoded}"
 
 
-def entry_to_ldif(entry: Entry) -> str:
-    """Render one entry as an LDIF record (no trailing blank line)."""
+def _render(entry: Entry) -> str:
     lines: List[str] = [_attr_line("dn", str(entry.dn))]
     for name, values in sorted(entry, key=lambda item: item[0].lower()):
         for value in values:
             lines.append(_attr_line(name, value))
     return "\n".join(lines)
+
+
+def entry_to_ldif(entry: Entry) -> str:
+    """Render one entry as an LDIF record (no trailing blank line).  A
+    frozen image renders its record once and remembers it."""
+    return entry.rendered(_render)
 
 
 def entries_to_ldif(entries: Iterable[Entry]) -> str:

@@ -19,7 +19,8 @@ Three pieces:
   (compaction).  ``ResyncProvider.recover()`` restores the snapshot
   and calls the same folds on the tail, rebuilding the exact
   pre-crash session state, so consumers resume from their existing
-  cookies with an incremental delta.  Two backends:
+  cookies with an incremental delta; it decodes each distinct DN text
+  once (:class:`DNMemo`), however many sessions hold it.  Two backends:
   :class:`MemoryJournal` (replayable in-memory log for tests/benches —
   records are *serialized strings*, so torn tails and corruption are
   honest) and :class:`FileJournal` (``journal.jsonl`` +
@@ -69,6 +70,7 @@ __all__ = [
     "MemoryJournal",
     "FileJournal",
     "AdmissionController",
+    "DNMemo",
 ]
 
 
@@ -111,6 +113,23 @@ class DurabilityConfig:
 # ----------------------------------------------------------------------
 # wire serialization (journal records are plain-JSON dicts)
 # ----------------------------------------------------------------------
+class DNMemo(dict):
+    """``DN text → DN``, parsing each distinct text once.
+
+    Every decoder below takes one.  ``ResyncProvider.recover()`` makes
+    one, decodes every DN text of the snapshot and the journal tail
+    through it, and drops it on return:
+    recovery parses what differs, not what is held, and the recovered
+    sessions share one immutable :class:`DN` per name."""
+
+    def __missing__(self, text: str) -> DN:
+        dn = self[text] = DN.parse(text)
+        return dn
+
+    #: ``memo(text)`` is ``memo[text]``: the decoders below call it.
+    __call__ = dict.__getitem__
+
+
 def entry_to_wire(entry: Optional[Entry]) -> Optional[dict]:
     if entry is None:
         return None
@@ -120,10 +139,10 @@ def entry_to_wire(entry: Optional[Entry]) -> Optional[dict]:
     }
 
 
-def entry_from_wire(wire: Optional[dict]) -> Optional[Entry]:
+def entry_from_wire(wire: Optional[dict], dns: DNMemo) -> Optional[Entry]:
     if wire is None:
         return None
-    return Entry(wire["dn"], wire["attrs"])
+    return Entry(dns(wire["dn"]), wire["attrs"])
 
 
 def request_to_wire(request: SearchRequest) -> dict:
@@ -135,9 +154,9 @@ def request_to_wire(request: SearchRequest) -> dict:
     }
 
 
-def request_from_wire(wire: dict) -> SearchRequest:
+def request_from_wire(wire: dict, dns: DNMemo) -> SearchRequest:
     return SearchRequest(
-        wire["base"], Scope(wire["scope"]), wire["filter"], wire["attrs"]
+        dns(wire["base"]), Scope(wire["scope"]), wire["filter"], wire["attrs"]
     )
 
 
@@ -149,11 +168,11 @@ def update_to_wire(update: SyncUpdate) -> dict:
     }
 
 
-def update_from_wire(wire: dict) -> SyncUpdate:
+def update_from_wire(wire: dict, dns: DNMemo) -> SyncUpdate:
     return SyncUpdate(
         SyncAction(wire["action"]),
-        DN.parse(wire["dn"]),
-        entry_from_wire(wire["entry"]),
+        dns(wire["dn"]),
+        entry_from_wire(wire["entry"], dns),
     )
 
 
@@ -168,14 +187,14 @@ def record_to_wire(record: UpdateRecord) -> dict:
     }
 
 
-def record_from_wire(wire: dict) -> UpdateRecord:
+def record_from_wire(wire: dict, dns: DNMemo) -> UpdateRecord:
     return UpdateRecord(
         csn=wire["csn"],
         op=UpdateOp(wire["op"]),
-        dn=DN.parse(wire["dn"]),
-        before=entry_from_wire(wire["before"]),
-        after=entry_from_wire(wire["after"]),
-        new_dn=DN.parse(wire["new_dn"]) if wire["new_dn"] is not None else None,
+        dn=dns(wire["dn"]),
+        before=entry_from_wire(wire["before"], dns),
+        after=entry_from_wire(wire["after"], dns),
+        new_dn=dns(wire["new_dn"]) if wire["new_dn"] is not None else None,
     )
 
 
@@ -200,16 +219,16 @@ def session_to_wire(session: Session) -> dict:
     }
 
 
-def session_from_wire(wire: dict) -> Session:
-    session = Session(wire["sid"], request_from_wire(wire["req"]))
+def session_from_wire(wire: dict, dns: DNMemo) -> Session:
+    session = Session(wire["sid"], request_from_wire(wire["req"], dns))
     for uw in wire["pending"]:
-        update = update_from_wire(uw)
+        update = update_from_wire(uw, dns)
         session._pending[update.dn] = update
     for uw in wire["unacked"]:
-        update = update_from_wire(uw)
+        update = update_from_wire(uw, dns)
         session._unacked[update.dn] = update
-    session.seed_content(DN.parse(d) for d in wire["content"])
-    session._delivered = {DN.parse(d) for d in wire["delivered"]}
+    session.seed_content(map(dns, wire["content"]))
+    session._delivered = set(map(dns, wire["delivered"]))
     session.generation = wire["generation"]
     session.polls = wire["polls"]
     session.last_active_tick = wire["tick"]

@@ -36,6 +36,7 @@ from ..server.directory import DirectoryServer
 from ..server.operations import UpdateOp, UpdateRecord
 from .durability import (
     AdmissionController,
+    DNMemo,
     DurabilityConfig,
     JournalBackend,
     record_from_wire,
@@ -660,7 +661,7 @@ class ResyncProvider:
         self._journal_event({"t": "touch", "sid": sid})
 
     def _fold_resume(
-        self, sid: str, first: bool, since: int, dns: List[str], csn: int
+        self, sid: str, first: bool, since: int, dns: List[DN], csn: int
     ) -> None:
         """``resume`` — an incomplete-history (eq. 3) resume served at
         directory CSN *csn* over content *dns*: the history restarts
@@ -670,7 +671,7 @@ class ResyncProvider:
         session.polls += 1
         session.abandon_history()
         session.acknowledge()
-        session.seed_content([DN.parse(d) for d in dns])
+        session.seed_content(dns)
         session.prev_drain_csn = since
         session.drain_csn = csn
         session.history_overflowed = False  # complete again from here
@@ -685,7 +686,7 @@ class ResyncProvider:
                 "first": first,
                 "since": since,
                 "csn": csn,
-                "content": dns,
+                "content": [str(d) for d in dns],
                 "persist": False,
             }
         )
@@ -738,26 +739,32 @@ class ResyncProvider:
             self._unknown_cookie.inc()
 
     #: Journal record kind → how :meth:`recover` folds one such record:
-    #: decode its fields, call the kind's fold.  The keys are the record
-    #: table of docs/PROTOCOL.md §10.1 (checked by tools/check_docs.py).
-    FOLDS: Dict[str, Callable[["ResyncProvider", dict], object]] = {
-        "update": lambda self, rec: self._fold_update(record_from_wire(rec)),
-        "create": lambda self, rec: self._fold_create(
-            request_from_wire(rec["req"]),
-            [DN.parse(d) for d in rec["content"]],
+    #: decode its fields — each DN text through the recovery's
+    #: :class:`DNMemo` — and call the kind's fold.  The keys are the
+    #: record table of docs/PROTOCOL.md §10.1 (checked by
+    #: tools/check_docs.py).
+    FOLDS: Dict[str, Callable[["ResyncProvider", dict, DNMemo], object]] = {
+        "update": lambda self, rec, dns: self._fold_update(record_from_wire(rec, dns)),
+        "create": lambda self, rec, dns: self._fold_create(
+            request_from_wire(rec["req"], dns),
+            list(map(dns, rec["content"])),
             rec["csn"],
             rec["persist"],
             rec["sid"],
         ),
-        "poll": lambda self, rec: self._fold_poll(
+        "poll": lambda self, rec, dns: self._fold_poll(
             rec["sid"], rec["gen"], rec["persist"], rec.get("quiet", False)
         ),
-        "touch": lambda self, rec: self._fold_touch(rec["sid"]),
-        "resume": lambda self, rec: self._fold_resume(
-            rec["sid"], rec["first"], rec["since"], rec["content"], rec["csn"]
+        "touch": lambda self, rec, dns: self._fold_touch(rec["sid"]),
+        "resume": lambda self, rec, dns: self._fold_resume(
+            rec["sid"],
+            rec["first"],
+            rec["since"],
+            list(map(dns, rec["content"])),
+            rec["csn"],
         ),
-        "park": lambda self, rec: self.park_session(rec["sid"]),
-        "end": lambda self, rec: self._fold_end(rec["sid"]),
+        "park": lambda self, rec, dns: self.park_session(rec["sid"]),
+        "end": lambda self, rec, dns: self._fold_end(rec["sid"]),
     }
 
     # ------------------------------------------------------------------
@@ -805,17 +812,18 @@ class ResyncProvider:
         self._snapshots.inc()
         self._journal_bytes.set(self.journal.size_bytes)
 
-    def _restore_snapshot(self, snapshot: dict) -> None:
-        """The inverse of :meth:`_write_snapshot`; every adopted session
-        image enters the router with the content it carries, in the
-        store's creation (= session-id) order — the order the router
-        must visit sessions in."""
+    def _restore_snapshot(self, snapshot: dict, dns: DNMemo) -> None:
+        """The inverse of :meth:`_write_snapshot`, decoding DN texts
+        through *dns*; every adopted session image enters the router
+        with the content it carries, in the store's creation
+        (= session-id) order — the order the router must visit sessions
+        in."""
         self._watermark = snapshot["csn"]
         self.sessions.restore_clock(snapshot["tick"], snapshot["next_id"])
         for dn, csn in snapshot["last_change"].items():
-            self._last_change[DN.parse(dn)] = csn
+            self._last_change[dns(dn)] = csn
         for wire in snapshot["sessions"]:
-            session = session_from_wire(wire)
+            session = session_from_wire(wire, dns)
             self._configure_session(session)
             self.sessions.adopt(session)
 
@@ -868,7 +876,7 @@ class ResyncProvider:
             session.session_id,
             first,
             since,
-            [str(e.dn) for e in content],
+            [e.dn for e in content],
             self._watermark,
         )
         return SyncResponse(
@@ -884,7 +892,9 @@ class ResyncProvider:
         """Rebuild session state from the journal after :meth:`restart`:
         reset, restore the snapshot, fold every record of the journal
         tail through :attr:`FOLDS` — the functions the live handlers
-        called when they wrote it, the router fan-out included.
+        called when they wrote it, the router fan-out included.  One
+        :class:`DNMemo` decodes every DN text of the snapshot and the
+        tail, each distinct text once; it is dropped on return.
 
         Two safety rules follow: (i) persist sessions are shed — their
         delivery callback died with the process and no cookie was ever
@@ -904,15 +914,16 @@ class ResyncProvider:
             self._dropped.inc(dropped)
         self._reset(0)
         self._replaying = True
+        dns = DNMemo()
         try:
             if snapshot is not None:
-                self._restore_snapshot(snapshot)
+                self._restore_snapshot(snapshot, dns)
             for rec in records:
                 # Unknown kinds (a newer writer) are skipped, not fatal.
                 fold = self.FOLDS.get(rec.get("t"))
                 if fold is not None:
                     try:
-                        fold(self, rec)
+                        fold(self, rec, dns)
                     except SyncProtocolError:
                         pass  # names a session this journal no longer holds
         finally:

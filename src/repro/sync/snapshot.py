@@ -31,6 +31,12 @@ the ladder already climbs on.  A stale-but-intact snapshot therefore
 restores content (bounded divergence) and lets the protocol decide how
 much of it is still good.
 
+A dump costs what changed since the last one: a content holds frozen
+images, and each renders its LDIF record once and remembers it
+(:func:`repro.ldap.ldif.entry_to_ldif`), so :meth:`SnapshotStore.save`
+of an unchanged content sorts, joins and hashes remembered text.  The
+document is byte-identical to one rendered afresh.
+
 Damage hooks (``damage_truncate`` / ``damage_corrupt`` /
 ``damage_stale_cookie``) mirror the journal's
 (:mod:`repro.sync.durability`) so :class:`FaultyNetwork

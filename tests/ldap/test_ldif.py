@@ -1,12 +1,27 @@
 """Tests for LDIF serialization and parsing."""
 
+import hashlib
 import io
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ldap import Entry, entries_to_ldif, entry_to_ldif, parse_ldif, write_ldif
+from repro.ldap import (
+    Entry,
+    Scope,
+    SearchRequest,
+    entries_to_ldif,
+    entry_to_ldif,
+    parse_ldif,
+    write_ldif,
+)
+from repro.ldap.ldif import _is_safe
+from repro.server import DirectoryServer
+from repro.sync import ResyncProvider, SyncedContent
+from repro.sync.snapshot import encode_snapshot
+from repro.workload import DirectoryConfig, generate_directory
+from tests.oracles import per_character_is_safe
 
 
 def sample() -> Entry:
@@ -239,3 +254,60 @@ class TestRoundTripProperty:
         for dn, original in by_dn.items():
             for name in original.attribute_names():
                 assert parsed[dn].get(name) == original.get(name)
+
+
+class TestFrozenImages:
+    """A frozen image renders its record once (DESIGN.md §8); what it
+    renders is what its mutable copy renders, byte for byte."""
+
+    @given(entries())
+    def test_frozen_record_equals_its_mutable_copys(self, entry):
+        image = entry.copy().freeze()
+        text = entry_to_ldif(image)
+        assert text == entry_to_ldif(image.copy()) == entry_to_ldif(entry)
+        assert entry_to_ldif(image) is text  # remembered, not re-rendered
+        (got,) = parse_ldif(text)
+        assert str(got.dn) == str(image.dn)
+        for name in image.attribute_names():
+            assert got.get(name) == image.get(name)
+
+    def test_a_mutable_entry_renders_its_current_values(self):
+        entry = sample()
+        before = entry_to_ldif(entry)
+        entry.put("sn", "Roe")
+        assert entry_to_ldif(entry) != before
+        assert "sn: Roe" in entry_to_ldif(entry)
+
+
+class TestSafeString:
+    @given(st.text())
+    def test_compiled_test_equals_the_per_character_one(self, value):
+        assert _is_safe(value) == per_character_is_safe(value)
+
+    @pytest.mark.parametrize(
+        "value", ["", "a", "~", " a", "a ", ":a", "<a", "a:b", "a\x7f", "a\x1f", "é", "a\nb"]
+    )
+    def test_edges(self, value):
+        assert _is_safe(value) == per_character_is_safe(value)
+
+
+#: SHA-256 of the snapshot document of country ``in``'s content in a
+#: 400-employee directory (seed 20050607), as the writer produced it
+#: before frozen images remembered their records.  A change here is a
+#: change of the dump format.
+COUNTRY_SNAPSHOT_SHA256 = "c0218caa5dcf7d008b4343ec7edd530aaf01a842ec609ad3fec57d76514abd33"
+
+
+def test_a_seeded_country_dump_is_byte_stable():
+    directory = generate_directory(DirectoryConfig(employees=400, seed=20050607))
+    master = DirectoryServer("M")
+    master.add_naming_context(directory.suffix)
+    master.load(directory.entries)
+    content = SyncedContent(
+        SearchRequest(f"c=in,{directory.suffix}", Scope.SUB, "(objectClass=*)")
+    )
+    content.poll(ResyncProvider(master))
+    assert len(content.entries) == 73
+    first = encode_snapshot(content.entries.values(), content.cookie)
+    assert hashlib.sha256(first.encode("utf-8")).hexdigest() == COUNTRY_SNAPSHOT_SHA256
+    assert encode_snapshot(content.entries.values(), content.cookie) == first

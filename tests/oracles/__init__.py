@@ -54,20 +54,35 @@ frames (docs/TRANSPORT.md); :func:`per_pdu_persist` is the transport it
 replaced — every notification delivered inline and encoded as its own
 wire PDU — kept as the control arm ``bench_persist_fanout`` measures
 the batched one against.
+
+Recovery and the snapshot dump do each piece of text work once; the
+per-piece versions they replaced stay here as references:
+
+* :func:`recover_parsing_each_text` — ``ResyncProvider.recover()`` with
+  every DN text parsed where it is read, as before the recovery's
+  :class:`~repro.sync.durability.DNMemo` (``tests/sync/test_durability.py``
+  holds the two to the same recovered sessions and the same compaction
+  snapshot);
+* :func:`per_character_is_safe` — the LDIF writer's SAFE-STRING test as
+  a loop over the value's characters (``tests/ldap/test_ldif.py``: the
+  compiled test agrees on arbitrary text).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
+from unittest import mock
 
 from repro.chaos import ReferenceModel
 from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_contained_in
-from repro.ldap import Entry, SearchRequest
+from repro.ldap import DN, Entry, SearchRequest
 from repro.ldap.ber import encode_sync_update
 from repro.ldap.filters import attributes_of
 from repro.server import ResponseTruncated
 from repro.server.indexes import _ngrams
 from repro.sync import ResyncProvider, SessionStore, SyncLink, SyncProtocolError
+from repro.sync import resync
+from repro.sync.durability import DNMemo
 from repro.sync.ladder import LADDER
 
 __all__ = [
@@ -80,7 +95,9 @@ __all__ = [
     "holders_of",
     "linear_substring_candidates",
     "linear_substring_estimate",
+    "per_character_is_safe",
     "per_pdu_persist",
+    "recover_parsing_each_text",
 ]
 
 
@@ -296,3 +313,31 @@ class PerContentLink(SyncLink):
                     else:
                         self._reloads.inc()
                         content.cookie = None
+
+
+class _ParseEachText(DNMemo):
+    """A :class:`DNMemo` that remembers nothing: every lookup parses."""
+
+    def __call__(self, text: str) -> DN:
+        return DN.parse(text)
+
+
+def recover_parsing_each_text(provider) -> int:
+    """``provider.recover()`` decoding every DN text of the snapshot and
+    the journal tail by its own ``DN.parse`` — one :class:`DN` per
+    occurrence, none shared between sessions."""
+    with mock.patch.object(resync, "DNMemo", _ParseEachText):
+        return provider.recover()
+
+
+def per_character_is_safe(value: str) -> bool:
+    """RFC 2849 SAFE-STRING test, one character at a time: empty, or no
+    leading space, ``:`` or ``<``, no trailing space, and every
+    character printable ASCII."""
+    if value == "":
+        return True
+    if value[0] in {" ", ":", "<"}:
+        return False
+    if value[-1] == " ":
+        return False
+    return all(32 <= ord(ch) < 127 for ch in value)

@@ -4,11 +4,16 @@ Covers docs/PROTOCOL.md §10 — the write-ahead journal backends and
 their damage tolerance, `ResyncProvider.recover()` rebuilding sessions
 so cookies stay honorable across crashes, bounded histories degrading
 to incomplete-history (eq. 3) resumes, resync-storm admission control,
-and the satellite bugfixes (two-phase session expiry, counted
-unknown-cookie no-ops).
+the satellite bugfixes (two-phase session expiry, counted
+unknown-cookie no-ops), and recovery decoding each DN text once into
+the sessions and compaction snapshot that parsing every occurrence
+gives.
 """
 
 from __future__ import annotations
+
+import copy
+import hashlib
 
 import pytest
 
@@ -34,6 +39,7 @@ from repro.sync import (
     SyncUpdate,
 )
 from repro.sync.durability import (
+    DNMemo,
     record_from_wire,
     record_to_wire,
     request_from_wire,
@@ -45,6 +51,7 @@ from repro.sync.durability import (
 )
 from repro.sync.session import Session
 from repro.obs.registry import MetricsRegistry
+from tests.oracles import recover_parsing_each_text
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
 
@@ -78,10 +85,10 @@ def durable_provider(master, journal=None, **cfg) -> ResyncProvider:
 class TestWireFormat:
     def test_request_round_trip(self):
         req = SearchRequest("c=us,o=xyz", Scope.ONE, "(sn=T)", ["cn", "sn"])
-        assert request_from_wire(request_to_wire(req)) == req
+        assert request_from_wire(request_to_wire(req), DNMemo()) == req
 
     def test_request_round_trip_all_attributes(self):
-        assert request_from_wire(request_to_wire(REQUEST)) == REQUEST
+        assert request_from_wire(request_to_wire(REQUEST), DNMemo()) == REQUEST
 
     def test_update_round_trip(self):
         for update in (
@@ -90,7 +97,7 @@ class TestWireFormat:
             SyncUpdate.delete(person("C").dn),
             SyncUpdate.retain(person("D").dn),
         ):
-            back = update_from_wire(update_to_wire(update))
+            back = update_from_wire(update_to_wire(update), DNMemo())
             assert back.action == update.action
             assert back.dn == update.dn
             assert (back.entry is None) == (update.entry is None)
@@ -102,10 +109,11 @@ class TestWireFormat:
         record = UpdateRecord(
             csn=7, op=UpdateOp.MODIFY, dn=before.dn, before=before, after=after
         )
-        back = record_from_wire(record_to_wire(record))
+        back = record_from_wire(record_to_wire(record), DNMemo())
         assert back.csn == 7 and back.op is UpdateOp.MODIFY
         assert back.dn == record.dn and back.effective_dn == record.effective_dn
         assert back.after == after
+        assert back.before.dn is back.after.dn is back.dn  # one DN per name
 
     def test_session_round_trip(self):
         session = Session("s9", REQUEST)
@@ -121,7 +129,7 @@ class TestWireFormat:
         session.polls = 5
         session.drain_csn = 11
         session.prev_drain_csn = 9
-        back = session_from_wire(session_to_wire(session))
+        back = session_from_wire(session_to_wire(session), DNMemo())
         assert back.session_id == "s9" and back.request == REQUEST
         assert back.content_dns == session.content_dns
         assert back.generation == 3 and back.polls == 5
@@ -490,6 +498,119 @@ class TestRecovery:
         net.crash(provider)  # restart + journal recovery in one step
         assert provider.active_session_count == 1
         assert ReferenceModel.of(master).converge(consumer.sync_once, [consumer.content], 64)
+
+
+# ----------------------------------------------------------------------
+# recovery decodes each DN text once
+# ----------------------------------------------------------------------
+OVERLAPPING = (
+    REQUEST,
+    SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)"),
+    SearchRequest("o=xyz", Scope.ONE, "(sn=T)"),
+    SearchRequest("o=xyz", Scope.SUB, "(|(cn=P1*)(cn=P2*))"),
+)
+
+
+def overlapping_sessions():
+    """A durable provider whose journal holds a snapshot of four
+    overlapping sessions — pending, unacknowledged and delivered sets
+    that differ, a degraded resume — and a tail with every kind that
+    carries DN texts (``update`` with a rename and a delete, ``create``,
+    ``resume``)."""
+    master = build_master(24)
+    provider = durable_provider(master, snapshot_interval=10_000, history_max_entries=6)
+    contents = [SyncedContent(r) for r in OVERLAPPING]
+    for content in contents:
+        content.poll(provider)
+    master.modify("cn=P1,o=xyz", [Modification.replace("departmentNumber", "7")])
+    master.modify("cn=P2,o=xyz", [Modification.replace("sn", "U")])
+    contents[0].poll(provider)  # drained: unacknowledged until the next poll
+    master.modify_dn("cn=P3,o=xyz", "cn=P30")
+    for i in range(6, 10):  # overflows two histories: their polls resume degraded
+        master.modify(f"cn=P{i},o=xyz", [Modification.replace("sn", f"S{i}")])
+    contents[1].poll(provider)
+    contents[2].poll(provider)
+    provider.restart()
+    provider.recover()  # compacts: the state so far is the snapshot
+    late = SyncedContent(SearchRequest("o=xyz", Scope.SUB, "(cn=P2*)"))
+    late.poll(provider)  # create
+    master.delete("cn=P4,o=xyz")
+    master.modify_dn("cn=P5,o=xyz", "cn=P50")
+    master.modify("cn=P20,o=xyz", [Modification.replace("departmentNumber", "9")])
+    contents[3].poll(provider)
+    for i in range(16, 24):
+        master.modify(f"cn=P{i},o=xyz", [Modification.replace("sn", f"R{i}")])
+    contents[1].poll(provider)  # resume
+    master.modify("cn=P21,o=xyz", [Modification.replace("sn", "Q")])
+    return master, provider
+
+
+#: SHA-256 of the journal :func:`overlapping_sessions` leaves (its tail
+#: records) and of the compaction snapshot a recovery of it writes, as
+#: the provider wrote them before recovery shared one DN per name: the
+#: record format and the snapshot format did not move.
+TAIL_SHA256 = "f772e0ce7028f1c349ecdfd24457f5154120c669d74b9212634069ced3001e6f"
+COMPACTION_SHA256 = "d869f75d8752e847ed2667ec6ef68363605f33364cc99f6ff589ad3fd04182ce"
+
+
+def _state(session):
+    def updates(held):
+        return {
+            dn: (u.action, u.dn, None if u.entry is None else dict(u.entry))
+            for dn, u in held.items()
+        }
+
+    return (
+        session.content_dns,
+        session._delivered,
+        updates(session._pending),
+        updates(session._unacked),
+        session.generation,
+    )
+
+
+def _dn_objects(provider):
+    """Every DN object the recovered sessions hold, by name."""
+    held = {}
+    for session in provider.sessions.active_sessions():
+        for dns in (session.content_dns, session._delivered, session._pending, session._unacked):
+            for dn in dns:
+                held.setdefault(str(dn), set()).add(id(dn))
+    return held
+
+
+class TestRecoverySharesOneDNPerName:
+    def recovered(self):
+        master, live = overlapping_sessions()
+        live.detach()
+        assert hashlib.sha256("\n".join(live.journal._records).encode()).hexdigest() == TAIL_SHA256
+        shared, alone = (
+            ResyncProvider(master, durability=live.durability, journal=copy.deepcopy(live.journal))
+            for _ in range(2)
+        )
+        assert shared.recover() == recover_parsing_each_text(alone) == 15
+        return shared, alone
+
+    def test_sessions_equal_those_decoded_text_by_text(self):
+        shared, alone = self.recovered()
+        assert [s.session_id for s in shared.sessions.active_sessions()] == [
+            s.session_id for s in alone.sessions.active_sessions()
+        ] == ["s1", "s2", "s3", "s4", "s5"]
+        for a, b in zip(shared.sessions.active_sessions(), alone.sessions.active_sessions()):
+            assert _state(a) == _state(b)
+        assert dict(shared._last_change) == dict(alone._last_change)
+
+    def test_each_name_is_one_object_across_sessions(self):
+        shared, alone = self.recovered()
+        held = _dn_objects(shared)
+        assert all(len(ids) == 1 for ids in held.values())
+        # The reference holds one per occurrence: the check is not vacuous.
+        assert any(len(ids) > 1 for ids in _dn_objects(alone).values())
+
+    def test_compaction_snapshot_is_byte_identical(self):
+        shared, alone = self.recovered()
+        assert shared.journal._snapshot == alone.journal._snapshot
+        assert hashlib.sha256(shared.journal._snapshot.encode()).hexdigest() == COMPACTION_SHA256
 
 
 # ----------------------------------------------------------------------

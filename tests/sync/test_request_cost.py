@@ -19,15 +19,21 @@ request makes the master do must not grow with what the master merely
   its values once, however many queries verify it; an all-attribute
   result — from the master, a content, a replica or the recent-query
   cache — is the frozen image itself, not a copy; and a referral chase
-  keys its loop guard by the request, not by its text.
+  keys its loop guard by the request, not by its text;
+* a restart pays once per name and once per image: ``recover()`` parses
+  each distinct DN text of the snapshot and the journal tail once, a
+  live degraded resume parses none, and repeated snapshot dumps of an
+  unchanged content render each image's LDIF record once.
 """
 
+import copy
 from collections import Counter
 
 import pytest
 
 from repro.core import FilterReplica, RecentQueryCache
-from repro.ldap import DN, AttributeType, Entry, Scope, SearchRequest
+from repro.ldap import DN, AttributeType, Entry, Scope, SearchRequest, ldif
+from repro.ldap.controls import ReSyncControl, SyncMode
 from repro.ldap.matching import compile_filter_cached
 from repro.server import (
     DirectoryServer,
@@ -36,7 +42,17 @@ from repro.server import (
     LdapClient,
     make_referral_entry,
 )
-from repro.sync import ReconcileRequest, ResyncProvider, Session, SyncedContent
+from repro.server import Modification
+from repro.sync import (
+    DurabilityConfig,
+    MemoryJournal,
+    MemorySnapshotStore,
+    ReconcileRequest,
+    ResyncProvider,
+    Session,
+    SnapshotRecoverer,
+    SyncedContent,
+)
 
 SESSIONS = 1000
 PEOPLE = 25
@@ -372,3 +388,150 @@ def test_referral_chase_formats_no_request(monkeypatch):
     # hostB refers up, hostA answers and continues to hostB's context.
     assert result.round_trips == 3 and [str(e.dn) for e in result.entries] == ["cn=P1,c=in,o=xyz"]
     assert sum(formatted.values()) == 0
+
+
+# ----------------------------------------------------------------------
+# (6) a restart pays once per name and once per image
+# ----------------------------------------------------------------------
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every text ``DN.parse`` is handed, in call order."""
+    texts = []
+    parse = DN.parse
+
+    def counted(text):
+        texts.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(DN, "parse", staticmethod(counted))
+    return texts
+
+
+#: Overlapping contents: every person, each half by serialNumber suffix,
+#: and the P1x block — most names are held by several sessions.
+OVERLAPPING = [
+    PERSONS,
+    SearchRequest("o=xyz", Scope.SUB, "(serialNumber=*IN)"),
+    SearchRequest("o=xyz", Scope.SUB, "(serialNumber=*US)"),
+    SearchRequest("ou=people,o=xyz", Scope.ONE, "(cn=P1*)"),
+]
+
+
+def durable(master) -> ResyncProvider:
+    return ResyncProvider(
+        master,
+        durability=DurabilityConfig(snapshot_interval=10_000, history_max_entries=6),
+        journal=MemoryJournal(),
+    )
+
+
+def overlapping_journal():
+    """A provider whose journal is a compaction snapshot of 40
+    overlapping sessions — pending, unacknowledged, delivered — and a
+    tail carrying every record kind that holds DN texts."""
+    master = build_master()
+    provider = durable(master)
+    contents = [SyncedContent(OVERLAPPING[i % 4]) for i in range(40)]
+    for content in contents:
+        content.poll(provider)
+    master.modify("cn=P1,ou=people,o=xyz", [Modification.replace("sn", "U")])
+    for content in contents[::3]:
+        content.poll(provider)  # drained: unacknowledged until the next poll
+    master.modify_dn("cn=P2,ou=people,o=xyz", "cn=P20b")
+    provider.restart()
+    provider.recover()  # compacts: the state so far is the snapshot
+    SyncedContent(OVERLAPPING[3]).poll(provider)  # create
+    master.delete("cn=P3,ou=people,o=xyz")
+    master.modify_dn("cn=P4,ou=people,o=xyz", "cn=P40b")
+    for i in range(10, 20):  # overflows the P1x histories
+        master.modify(f"cn=P{i},ou=people,o=xyz", [Modification.replace("sn", f"S{i}")])
+    contents[3].poll(provider)  # resume
+    provider.detach()
+    return master, provider
+
+
+def dn_texts(snapshot: dict, records: list) -> set:
+    """Every DN text a snapshot document and journal records hold
+    (docs/PROTOCOL.md §10.1)."""
+    texts = set(snapshot["last_change"])
+
+    def update(wire):
+        texts.add(wire["dn"])
+        image(wire["entry"])
+
+    def image(wire):
+        if wire is not None:
+            texts.add(wire["dn"])
+
+    for session in snapshot["sessions"]:
+        texts.add(session["req"]["base"])
+        texts.update(session["content"], session["delivered"])
+        for wire in session["pending"] + session["unacked"]:
+            update(wire)
+    for record in records:
+        if record["t"] == "update":
+            texts.add(record["dn"])
+            texts.update([record["new_dn"]] if record["new_dn"] else [])
+            image(record["before"])
+            image(record["after"])
+        elif record["t"] == "create":
+            texts.add(record["req"]["base"])
+            texts.update(record["content"])
+        elif record["t"] == "resume":
+            texts.update(record["content"])
+    return texts
+
+
+def test_recover_parses_each_distinct_dn_text_once(parsed):
+    master, crashed = overlapping_journal()
+    snapshot, records, _dropped = crashed.journal.load()
+    assert len(snapshot["sessions"]) == 40
+    assert {r["t"] for r in records} >= {"update", "create", "resume"}
+    texts = dn_texts(snapshot, records)
+    recovered = ResyncProvider(
+        master, durability=crashed.durability, journal=copy.deepcopy(crashed.journal)
+    )
+    parsed.clear()
+    recovered.recover()
+    assert len(parsed) == len(texts) and set(parsed) == texts
+    assert recovered.active_session_count == 41
+
+
+def test_a_live_degraded_resume_parses_no_dn(parsed):
+    master = build_master()
+    provider = durable(master)
+    content = SyncedContent(PERSONS)
+    content.poll(provider)
+    for i in range(8):
+        master.modify(f"cn=P{i},ou=people,o=xyz", [Modification.replace("sn", f"S{i}")])
+    parsed.clear()
+    response = provider.handle(
+        PERSONS, ReSyncControl(mode=SyncMode.POLL, cookie=content.cookie)
+    )
+    assert response.uses_retain and len(response.updates) == PEOPLE
+    assert parsed == []
+    # The journal still names the content, in the order served.
+    (resume,) = [r for r in provider.journal.load()[1] if r["t"] == "resume"]
+    assert resume["content"] == [str(u.dn) for u in response.updates]
+
+
+def test_unchanged_content_renders_each_image_once(monkeypatch):
+    lines = Counter()
+    line = ldif._attr_line
+
+    def counted(name, value):
+        lines[name] += 1
+        return line(name, value)
+
+    monkeypatch.setattr(ldif, "_attr_line", counted)
+    content = SyncedContent(PERSONS)
+    content.poll(ResyncProvider(build_master()))
+    recoverer = SnapshotRecoverer(MemorySnapshotStore(), content)
+    sizes = {recoverer.save() for _ in range(5)}
+    assert len(sizes) == 1
+    # One dn line and one line per value, for each image, once.
+    assert lines["dn"] == PEOPLE
+    assert sum(lines.values()) == sum(
+        1 + sum(len(values) for _name, values in entry)
+        for entry in content.entries.values()
+    )
