@@ -81,7 +81,6 @@ def fig7_rows(env: BenchEnv):
         for div_base in ranked[:k]:
             replica.add_context(div_base)
         replica.sync(provider)
-        network.stats.reset()
         driver = ReplicaDriver(
             master,
             replica,

@@ -119,7 +119,7 @@ def degradation_requests(seed: int = SEED) -> int:
     )
     assert consumer.sync_once() is not None  # established before the cut
     net.partition(provider)
-    net.stats.reset()
+    cut = net.stats.snapshot()
     guard = 0
     while net.elapsed_ms < DEGRADATION_HORIZON_MS:
         consumer.sync_once()
@@ -127,7 +127,7 @@ def degradation_requests(seed: int = SEED) -> int:
             break  # terminal: zero further requests, zero clock advance
         guard += 1
         assert guard < 200_000, "degradation cell failed to advance the clock"
-    return int(net.stats.round_trips)
+    return (net.stats - cut).round_trips
 
 
 def test_soak(benchmark):

@@ -165,7 +165,6 @@ def run_filter_point(
     )
     for request in filters:
         replica.add_filter(request, provider)
-    network.stats.reset()  # initial load is not update traffic
     selector = (
         selector_factory(replica, provider, master) if selector_factory else None
     )
@@ -201,7 +200,6 @@ def run_subtree_point(
     for cc in country_codes:
         replica.add_context(f"c={cc},o=xyz")
     replica.sync(provider)
-    network.stats.reset()
     update_generator = (
         UpdateGenerator(env.directory, master) if updates_per_query > 0 else None
     )

@@ -75,7 +75,6 @@ def main() -> None:
     for cc in directory.geography_countries(GEOGRAPHY):
         subtree.add_context(f"c={cc},o=xyz")
     subtree.sync(provider)
-    net.stats.reset()
     subtree_result = ReplicaDriver(
         master,
         subtree,
@@ -101,7 +100,6 @@ def main() -> None:
     filt.add_filter(SearchRequest("", Scope.SUB, "(objectClass=location)"), provider)
     for request in hot_departments:
         filt.add_filter(request, provider)
-    net.stats.reset()
     filter_result = ReplicaDriver(
         master,
         filt,

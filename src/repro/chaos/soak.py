@@ -337,8 +337,8 @@ class SoakRunner:
             fleet=[c.health_snapshot() for c in self.consumers],
             convergence_cycles=convergence,
             gave_up=sum(1 for c in self.consumers if c.health_state == "gave_up"),
-            round_trips=int(self.network.stats.round_trips),
-            bytes_sent=int(self.network.stats.bytes_sent),
+            round_trips=self.network.stats.round_trips,
+            bytes_sent=self.network.stats.bytes_sent,
             elapsed_virtual_ms=self.network.elapsed_ms + self.scheduler.now,
         )
 

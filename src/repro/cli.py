@@ -353,11 +353,11 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     cold_net = FaultyNetwork()
     cold = ResilientConsumer(request, provider, network=cold_net)
     cold.sync_once()
-    ratio = cold_net.stats.bytes_sent / max(warm_net.stats.bytes_sent, 1)
-    print(f"warm-start resume  : {warm_net.stats.bytes_sent} bytes "
+    warm_bytes, cold_bytes = warm_net.stats.bytes_sent, cold_net.stats.bytes_sent
+    print(f"warm-start resume  : {warm_bytes} bytes "
           f"({warm.snapshot_recoverer.stage})")
-    print(f"cold full rebuild  : {cold_net.stats.bytes_sent} bytes "
-          f"({ratio:.1f}x the warm start)")
+    print(f"cold full rebuild  : {cold_bytes} bytes "
+          f"({cold_bytes / max(warm_bytes, 1):.1f}x the warm start)")
 
     store.damage_corrupt(0.5)
     damaged_net = FaultyNetwork()

@@ -16,15 +16,14 @@ Encapsulates the evaluation loop every bench shares (§7):
 The result snapshot separates the two filter-replica traffic components
 of §7.3: steady-state resync traffic vs revolution (new-filter) traffic.
 
-Traffic is measured as the difference of two
-:meth:`~repro.server.network.TrafficStats.snapshot` frames around the
-run.  ``TrafficStats`` fields are registry-backed aliases of the
-``net.traffic.*`` counters (the facade contract of
-docs/OBSERVABILITY.md §3), so the same numbers are also available from
-``network.registry`` — the driver itself stays agnostic of which window
-a caller reads.  The sync mechanics the traffic reflects are specified
-in docs/PROTOCOL.md; the containment work each ``answer()`` performs is
-docs/ALGORITHMS.md §1–§3.
+Traffic is measured as the live ``network.stats`` minus a
+:meth:`~repro.server.network.TrafficStats.snapshot` taken before the
+run.  ``network.stats`` is a read-only view of the ``net.traffic.*``
+counters the network charges (docs/OBSERVABILITY.md §3), so the same
+numbers are also available from ``network.registry``.  The sync
+mechanics the traffic reflects are specified in docs/PROTOCOL.md; the
+containment work each ``answer()`` performs is docs/ALGORITHMS.md
+§1–§3.
 """
 
 from __future__ import annotations
@@ -130,7 +129,7 @@ class ReplicaDriver:
         """Drive the whole trace; returns the aggregated result.
 
         The traffic fields of the result are interval deltas: a
-        ``TrafficStats`` snapshot is taken before the first query and
+        traffic snapshot is taken before the first query and
         subtracted from the live stats after the final sync, so only
         traffic caused by *this* run is attributed to it (the network —
         and its backing metrics registry — may be shared across runs).

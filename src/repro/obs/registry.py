@@ -5,9 +5,8 @@ by four instrument kinds, all dependency-free and cheap enough for the
 simulation hot paths:
 
 * :class:`Counter` — monotonically increasing count (``inc``); an
-  explicit ``set`` exists only so legacy facades such as
-  :class:`repro.server.network.TrafficStats` can alias their historical
-  mutable fields onto registry counters.
+  explicit ``set`` exists only to mirror a count kept elsewhere (an
+  ``lru_cache``'s statistics) into the registry.
 * :class:`Gauge` — a value that goes up and down (``set``/``inc``/``dec``).
 * :class:`Histogram` — fixed log-scale buckets (each bound a constant
   multiple of the previous), recording count, sum and per-bucket
@@ -108,7 +107,7 @@ class Instrument:
 
 
 class Counter(Instrument):
-    """Monotonic count. ``set`` exists only for facade aliasing/reset."""
+    """Monotonic count. ``set`` exists only to mirror an external count."""
 
     kind = "counter"
 
@@ -122,9 +121,9 @@ class Counter(Instrument):
         self.value += amount
 
     def set(self, value: int) -> None:
-        """Overwrite the count — for legacy-facade aliasing and syncing
-        externally maintained counts (e.g. ``lru_cache`` statistics);
-        new instrumentation should only ever :meth:`inc`."""
+        """Overwrite the count — for syncing externally maintained
+        counts (e.g. ``lru_cache`` statistics); instrumentation that
+        counts events itself should only ever :meth:`inc`."""
         self.value = value
 
     def reset(self) -> None:

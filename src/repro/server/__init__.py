@@ -7,12 +7,6 @@ network so experiments can measure round trips and transferred entries.
 
 from .backend import EntryStore
 from .client import ChasedResult, LdapClient, ReferralLimitExceeded
-from .connection import (
-    BindState,
-    Connection,
-    ConnectionError_,
-    connect,
-)
 from .directory import DirectoryServer, NamingContext, UpdateListener
 from .faults import ExchangeFaults, FaultPlan, FaultSpec, FaultyNetwork
 from .network import (
@@ -25,6 +19,7 @@ from .network import (
     ServerBusy,
     ServerUnavailable,
     SimulatedNetwork,
+    TrafficCounts,
     TrafficStats,
     TransportError,
 )
@@ -46,10 +41,6 @@ __all__ = [
     "EntryStore",
     "SearchPlan",
     "SearchPlanner",
-    "Connection",
-    "BindState",
-    "ConnectionError_",
-    "connect",
     "DeterministicScheduler",
     "ScheduledEvent",
     "DirectoryServer",
@@ -60,6 +51,7 @@ __all__ = [
     "ReferralLimitExceeded",
     "SimulatedNetwork",
     "TrafficStats",
+    "TrafficCounts",
     "Delivery",
     "TransportError",
     "RequestDropped",

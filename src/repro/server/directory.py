@@ -105,9 +105,6 @@ class DirectoryServer:
     ):
         self.name = name
         self.default_referral = default_referral
-        #: when True, connections must bind before update operations
-        #: (see :mod:`repro.server.connection`).
-        self.updates_require_bind = False
         #: when True, the server maintains the ``createTimestamp`` /
         #: ``modifyTimestamp`` operational attributes as logical CSNs —
         #: what real servers do with wall-clock timestamps, and what

@@ -14,16 +14,16 @@ rather than transports:
   wall-clock-style comparisons between referral chasing and local
   answering.
 
-Counters live on :class:`TrafficStats`, which both the client and the
-ReSync sessions share.  Since ISSUE 1, ``TrafficStats`` is a *facade*
-over :class:`repro.obs.MetricsRegistry` counters (see
-docs/OBSERVABILITY.md §3): each historical field aliases the registry
-counter ``net.traffic.<field>``, so the decades of call sites that do
-``network.stats.round_trips += 1`` keep working while exporters read
-the same numbers through ``network.registry.to_dict()`` or
-``to_prometheus_text()``.  Connection accounting (§5.2's scaling
-metric — one open connection per persist-mode filter) is likewise
-mirrored to ``net.connections.open`` / ``net.connections.total``.
+The network is the one writer of the seven ``net.traffic.<field>``
+counters in its :class:`repro.obs.MetricsRegistry`: each ``charge_*``
+method adds to them with ``Counter.inc``.  :attr:`SimulatedNetwork.stats`
+is a read-only live view of those counters (:class:`TrafficStats`,
+docs/OBSERVABILITY.md §3); ``stats.snapshot()`` freezes them into a
+:class:`TrafficCounts` value, and ``stats - before`` is an interval's
+delta.  Exporters read the same numbers through
+``network.registry.to_dict()`` or ``to_prometheus_text()``.  Connection
+accounting (§5.2's scaling metric — one open connection per persist
+subscription) is ``net.connections.open`` / ``net.connections.total``.
 
 The network is also the **fault-injection seam**.  A consumer reaches
 a provider through one of four exchanges — :data:`EXCHANGES`: poll,
@@ -47,7 +47,7 @@ itself speaks the protocol in-process and charges its own estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from ..ldap.controls import ReSyncControl, SyncMode
 from ..obs.registry import Counter, MetricsRegistry
@@ -56,6 +56,7 @@ from .scheduler import DeterministicScheduler
 
 __all__ = [
     "TrafficStats",
+    "TrafficCounts",
     "SimulatedNetwork",
     "TRAFFIC_FIELDS",
     "Delivery",
@@ -201,126 +202,81 @@ def exchange(network: Optional["SimulatedNetwork"], kind: str, provider, request
     return [Delivery(served)]
 
 
+class TrafficCounts(NamedTuple):
+    """The seven protocol-level counts at one instant, or an interval's
+    delta (``later - earlier``): a frozen value.
+
+    ``entry_pdus``/``referral_pdus`` count search result messages;
+    ``sync_entry_pdus``/``sync_dn_pdus`` count ReSync update messages
+    carrying full entries vs DN-only actions (delete/retain);
+    ``bytes_sent`` is the wire volume charged with them.
+    """
+
+    round_trips: int
+    requests: int
+    entry_pdus: int
+    referral_pdus: int
+    sync_entry_pdus: int
+    sync_dn_pdus: int
+    bytes_sent: int
+
+    def as_dict(self) -> Dict[str, int]:
+        """Field name → value, in :data:`TRAFFIC_FIELDS` order."""
+        return self._asdict()
+
+    def __sub__(self, other: "TrafficCounts") -> "TrafficCounts":
+        return TrafficCounts(*[mine - theirs for mine, theirs in zip(self, other)])
+
+
 #: The seven protocol-level counters, in declaration order.  Each is
-#: backed by the registry counter ``net.traffic.<field>``.
-TRAFFIC_FIELDS = (
-    "round_trips",
-    "requests",
-    "entry_pdus",
-    "referral_pdus",
-    "sync_entry_pdus",
-    "sync_dn_pdus",
-    "bytes_sent",
-)
+#: the registry counter ``net.traffic.<field>``.
+TRAFFIC_FIELDS = TrafficCounts._fields
 
 _METRIC_PREFIX = "net.traffic."
 
 
 class TrafficStats:
-    """Protocol-level traffic counters, aliased onto a metrics registry.
+    """Read-only live view of a network's ``net.traffic.*`` counters
+    (docs/OBSERVABILITY.md §3).
 
-    ``entry_pdus``/``referral_pdus`` count search result messages;
-    ``sync_entry_pdus``/``sync_dn_pdus`` count ReSync update messages
-    carrying full entries vs DN-only actions (delete/retain);
-    ``bytes_sent`` approximates wire volume using entry sizes.
-
-    **Aliasing contract** (docs/OBSERVABILITY.md §3): every field is a
-    property reading and writing the counter ``net.traffic.<field>`` in
-    ``self.registry``.  The historical mutable-dataclass API is fully
-    preserved — keyword construction, attribute assignment and ``+=``,
-    :meth:`reset`, :meth:`snapshot` and :meth:`__sub__` all behave
-    exactly as before the rebase (regression-tested in
-    ``tests/obs/test_traffic_rebase.py``); ``snapshot()`` and
-    subtraction return detached instances owning private registries.
+    A field read returns its counter's current value; there is no write
+    path — :class:`SimulatedNetwork`'s ``charge_*`` methods are the one
+    writer.  :meth:`snapshot` freezes the seven values, and
+    ``live - snapshot`` is the interval's :class:`TrafficCounts`.
     """
 
-    __slots__ = ("registry", "_counters")
+    __slots__ = ("_counters",)
 
-    def __init__(
-        self,
-        round_trips: int = 0,
-        requests: int = 0,
-        entry_pdus: int = 0,
-        referral_pdus: int = 0,
-        sync_entry_pdus: int = 0,
-        sync_dn_pdus: int = 0,
-        bytes_sent: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-    ):
-        object.__setattr__(
-            self, "registry", registry if registry is not None else MetricsRegistry()
-        )
-        counters: Dict[str, Counter] = {}
-        initial = (
-            round_trips,
-            requests,
-            entry_pdus,
-            referral_pdus,
-            sync_entry_pdus,
-            sync_dn_pdus,
-            bytes_sent,
-        )
-        for name, value in zip(TRAFFIC_FIELDS, initial):
-            counter = self.registry.counter(_METRIC_PREFIX + name)
-            if value:
-                counter.set(counter.value + value)
-            counters[name] = counter
-        object.__setattr__(self, "_counters", counters)
+    def __init__(self, counters: Sequence[Counter]):
+        self._counters = dict(zip(TRAFFIC_FIELDS, counters))
 
-    # ------------------------------------------------------------------
-    # field aliasing
-    # ------------------------------------------------------------------
     def __getattr__(self, name: str) -> int:
-        counters = object.__getattribute__(self, "_counters")
-        try:
-            return counters[name].value
-        except KeyError:
-            raise AttributeError(name) from None
+        if name not in TRAFFIC_FIELDS:
+            raise AttributeError(name)
+        return self._counters[name].value
 
-    def __setattr__(self, name: str, value) -> None:
-        counters = object.__getattribute__(self, "_counters")
-        counter = counters.get(name)
-        if counter is None:
-            raise AttributeError(f"TrafficStats has no counter {name!r}")
-        counter.set(value)
-
-    # ------------------------------------------------------------------
-    # historical API
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Zero every counter."""
-        for counter in self._counters.values():
-            counter.reset()
-
-    def snapshot(self) -> "TrafficStats":
-        """An independent copy of the current counter values."""
-        return TrafficStats(**self.as_dict())
+    def snapshot(self) -> TrafficCounts:
+        """The counters' values now, detached from them."""
+        return TrafficCounts(*[counter.value for counter in self._counters.values()])
 
     def as_dict(self) -> Dict[str, int]:
-        """Field name → current value, in declaration order."""
-        return {name: self._counters[name].value for name in TRAFFIC_FIELDS}
+        """Field name → current value, in :data:`TRAFFIC_FIELDS` order."""
+        return self.snapshot().as_dict()
 
-    def __sub__(self, other: "TrafficStats") -> "TrafficStats":
-        mine = self.as_dict()
-        theirs = other.as_dict()
-        return TrafficStats(**{k: mine[k] - theirs[k] for k in TRAFFIC_FIELDS})
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrafficStats):
-            return NotImplemented
-        return self.as_dict() == other.as_dict()
+    def __sub__(self, other: TrafficCounts) -> TrafficCounts:
+        return self.snapshot() - other
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"TrafficStats({fields})"
+        return f"TrafficStats({self.snapshot()!r})"
 
 
 class SimulatedNetwork:
     """URL-addressed registry of servers plus shared traffic counters.
 
     Owns a :class:`repro.obs.MetricsRegistry` (``self.registry``) that
-    backs :attr:`stats` and the connection/latency instruments — the
-    single export point for one experiment's protocol traffic.
+    holds the traffic counters :attr:`stats` reads and the
+    connection/latency instruments — the single export point for one
+    experiment's protocol traffic.
 
     An embedded :class:`~repro.server.scheduler.DeterministicScheduler`
     drives batched persist fan-out (per-session
@@ -350,7 +306,18 @@ class SimulatedNetwork:
     ):
         self._servers: Dict[str, DirectoryServer] = {}
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.stats = TrafficStats(registry=self.registry)
+        traffic = [self.registry.counter(_METRIC_PREFIX + name) for name in TRAFFIC_FIELDS]
+        (
+            self._round_trips,
+            self._requests,
+            self._entry_pdus,
+            self._referral_pdus,
+            self._sync_entry_pdus,
+            self._sync_dn_pdus,
+            self._bytes_sent,
+        ) = traffic
+        #: Read-only live view of the traffic counters above.
+        self.stats = TrafficStats(traffic)
         self.round_trip_latency_ms = round_trip_latency_ms
         self.batch_config = batch
         self.scheduler = (
@@ -369,7 +336,7 @@ class SimulatedNetwork:
         self._elapsed = self.registry.gauge("net.latency.elapsed_ms")
         self._open = self.registry.gauge("net.connections.open")
         self._total = self.registry.counter("net.connections.total")
-        # Live client connections keyed by id(), for forced
+        # Live persist subscriptions keyed by id(), for forced
         # disconnection on a server crash window (see disconnect_server
         # / repro.server.faults).  A dict keeps open/close/crash
         # accounting O(1) per connection at 5k-session scale.
@@ -393,34 +360,36 @@ class SimulatedNetwork:
 
     def charge_round_trip(self) -> None:
         """Account one request/response exchange."""
-        self.stats.round_trips += 1
-        self.stats.requests += 1
+        self._round_trips.inc()
+        self._requests.inc()
         self._elapsed.inc(self.round_trip_latency_ms)
 
     def charge_entries(self, count: int, total_bytes: int = 0) -> None:
         """Account *count* search entry PDUs."""
-        self.stats.entry_pdus += count
-        self.stats.bytes_sent += total_bytes
+        self._entry_pdus.inc(count)
+        self._bytes_sent.inc(total_bytes)
 
     def charge_referrals(self, count: int) -> None:
         """Account *count* referral/continuation PDUs."""
-        self.stats.referral_pdus += count
+        self._referral_pdus.inc(count)
 
     def charge_sync_entry(self, entry_bytes: int) -> None:
         """Account one full-entry sync PDU (add/modify action)."""
-        self.stats.sync_entry_pdus += 1
-        self.stats.bytes_sent += entry_bytes
+        self._sync_entry_pdus.inc()
+        self._bytes_sent.inc(entry_bytes)
 
-    def charge_sync_dn(self, dn_bytes: int = 64) -> None:
-        """Account one DN-only sync PDU (delete/retain action)."""
-        self.stats.sync_dn_pdus += 1
-        self.stats.bytes_sent += dn_bytes
+    def charge_sync_dn(self, dn_bytes: int) -> None:
+        """Account one DN-only sync PDU (delete/retain action) of
+        *dn_bytes* on the wire."""
+        self._sync_dn_pdus.inc()
+        self._bytes_sent.inc(dn_bytes)
 
     def connection_opened(self, connection: object) -> None:
-        """Account one opened client connection (§5.2's scaling metric,
-        reported as ``net.connections.open``/``.total``) and register it
-        for forced disconnection on a crash window: *connection* has a
-        ``server`` and a ``drop()`` (:meth:`disconnect_server`)."""
+        """Account one opened connection (§5.2's scaling metric, reported
+        as ``net.connections.open``/``.total``) and register it for
+        forced disconnection on a crash window.  *connection* is a
+        link's persist :class:`~repro.sync.resilient.Subscription`: it
+        has a ``server`` and a ``drop()`` (:meth:`disconnect_server`)."""
         self._open.inc()
         self._total.inc()
         self._live_connections[id(connection)] = connection
@@ -517,10 +486,10 @@ class SimulatedNetwork:
             response, handle = self._open_persist(provider, request, deliver, payload.cookie)
             return [Delivery(response)], handle
         if kind == "fetch":
-            self.stats.bytes_sent += payload.pdu_bytes
+            self._bytes_sent.inc(payload.pdu_bytes)
         response = getattr(provider, EXCHANGES[kind][1])(request, payload)
         if kind == "sketch":
-            self.stats.bytes_sent += response.pdu_bytes
+            self._bytes_sent.inc(response.pdu_bytes)
         return [Delivery(response)], None
 
     def _open_persist(self, provider, request, deliver, cookie):
@@ -574,12 +543,10 @@ class SimulatedNetwork:
         """
         from ..ldap.ber import encoded_sync_batch_size
 
-        for update in updates:
-            if update.entry is not None:
-                self.stats.sync_entry_pdus += 1
-            else:
-                self.stats.sync_dn_pdus += 1
-        self.stats.bytes_sent += encoded_sync_batch_size(updates)
+        entries = sum(1 for update in updates if update.entry is not None)
+        self._sync_entry_pdus.inc(entries)
+        self._sync_dn_pdus.inc(len(updates) - entries)
+        self._bytes_sent.inc(encoded_sync_batch_size(updates))
 
     def settle(self, max_events: int = 1_000_000) -> int:
         """Run the embedded scheduler until idle — every pending batch
@@ -600,17 +567,9 @@ class SimulatedNetwork:
     def open_connections(self) -> int:
         return int(self._open.value)
 
-    @open_connections.setter
-    def open_connections(self, value: int) -> None:
-        self._open.set(value)
-
     @property
     def total_connections(self) -> int:
         return self._total.value
-
-    @total_connections.setter
-    def total_connections(self, value: int) -> None:
-        self._total.set(value)
 
     @property
     def servers(self) -> Dict[str, DirectoryServer]:

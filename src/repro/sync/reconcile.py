@@ -140,20 +140,21 @@ class ReconcileConfig:
             sketch from it, :func:`cells_for_divergence`).
         max_cells: give up (fall back to a full rebuild) once a doubling
             retry would exceed this many cells.
-        hash_count: hash partitions per sketch (the IBLT ``k``).
+
+    The sketch's hash partition count is not the consumer's to choose:
+    a provider always sketches with :func:`build_sketch`'s default.
     """
 
     initial_divergence: int = 8
     max_cells: int = 4096
-    hash_count: int = 3
 
     @property
     def floor_bytes(self) -> int:
         """Wire bytes of the first sketch a request sized by
-        ``initial_divergence`` solicits, every cell loaded: the least a
-        sketch-tier open costs (929 B at the defaults)."""
-        cells = cells_for_divergence(self.initial_divergence, self.hash_count)
-        return loaded_sketch_bytes(cells, self.hash_count)
+        ``initial_divergence`` solicits, every cell loaded, at the hash
+        count providers sketch with: the least a sketch-tier open costs
+        (929 B at the defaults)."""
+        return loaded_sketch_bytes(cells_for_divergence(self.initial_divergence))
 
 
 class EntrySketch:

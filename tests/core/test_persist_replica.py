@@ -185,18 +185,16 @@ class TestWhoDeliversCharges:
 
         deliveries, _handle = net.persist_exchange(provider, DEPT0, deliver)
         content.apply(deliveries[-1].response)
-        net.stats.reset()
-        return net, direct, content, framed
+        return net, net.stats.snapshot(), direct, content, framed
 
     def test_each_delivery_charged_once(self, master):
-        net, direct, content, framed = self.build(master)
+        net, before, direct, content, framed = self.build(master)
         master.modify("cn=P0,o=xyz", [Modification.replace("title", "live")])
         assert net.settle() >= 1
-        assert net.stats.sync_entry_pdus == 2
+        moved = net.stats - before
+        assert moved.sync_entry_pdus == 2
         (update,) = framed
-        assert net.stats.bytes_sent == update.pdu_bytes + encoded_sync_batch_size(
-            [update]
-        )
+        assert moved.bytes_sent == update.pdu_bytes + encoded_sync_batch_size([update])
         assert content.matches_master(master)
         assert direct.matches_master(master)
 
@@ -204,15 +202,16 @@ class TestWhoDeliversCharges:
         def reenter():
             master.modify("cn=P2,o=xyz", [Modification.replace("title", "nested")])
 
-        net, direct, content, framed = self.build(master, on_first_delivery=reenter)
+        net, before, direct, content, framed = self.build(master, on_first_delivery=reenter)
         master.modify("cn=P0,o=xyz", [Modification.replace("title", "live")])
         net.settle()
         # The nested update reached the direct consumer in-process while
         # the network was mid-delivery of the first one, and the queued
         # session in a later frame of its own.
         assert len(framed) == 2
-        assert net.stats.sync_entry_pdus == 4
-        assert net.stats.bytes_sent == sum(
+        moved = net.stats - before
+        assert moved.sync_entry_pdus == 4
+        assert moved.bytes_sent == sum(
             u.pdu_bytes + encoded_sync_batch_size([u]) for u in framed
         )
         assert content.matches_master(master)

@@ -139,8 +139,7 @@ class TestUpdateTraffic:
             replica = SubtreeReplica("branch", network=net)
             for suffix in contexts:
                 replica.add_context(suffix)
-            replica.sync(p)
-            net.stats.reset()
+            replica.sync(p)  # before the driver's window opens
             driver = ReplicaDriver(
                 m,
                 replica,

@@ -1,125 +1,255 @@
-"""TrafficStats facade regression: the historical mutable-field API
-must behave identically after the rebase onto registry counters, and
-the registry must mirror every value (docs/OBSERVABILITY.md §3)."""
+"""The traffic ledger (docs/OBSERVABILITY.md §3): the network's
+``net.traffic.*`` registry counters are the one ledger, the network's
+``charge_*`` methods their one writer (``Counter.inc``), and
+``network.stats`` a read-only live view of them."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.ldap import DN, Entry, Scope, SearchRequest
+from repro.ldap.ber import encoded_sync_batch_size
 from repro.obs import MetricsRegistry
-from repro.server import SimulatedNetwork
-from repro.server.network import TRAFFIC_FIELDS, TrafficStats
+from repro.obs.registry import Counter
+from repro.server import DirectoryServer, LdapClient, Modification, SimulatedNetwork
+from repro.server.network import TRAFFIC_FIELDS, TrafficCounts
+from repro.sync import ResyncProvider, SyncedContent
+from repro.sync.protocol import SyncUpdate
+
+
+def counter(network: SimulatedNetwork, field: str) -> Counter:
+    return network.registry.counter("net.traffic." + field)
+
+
+def person(name: str) -> Entry:
+    return Entry(f"cn={name},o=xyz", {"objectClass": ["person"], "cn": name, "sn": "T"})
 
 
 class TestHistoricalApi:
-    """Pre-rebase behaviour, field by field."""
+    """The field-read API every reader of ``network.stats`` uses."""
 
     def test_zero_construction(self):
-        stats = TrafficStats()
+        stats = SimulatedNetwork().stats
         assert all(getattr(stats, f) == 0 for f in TRAFFIC_FIELDS)
-
-    def test_keyword_construction(self):
-        stats = TrafficStats(round_trips=3, bytes_sent=128)
-        assert stats.round_trips == 3
-        assert stats.bytes_sent == 128
-        assert stats.entry_pdus == 0
-
-    def test_augmented_assignment(self):
-        stats = TrafficStats()
-        stats.round_trips += 1
-        stats.round_trips += 2
-        stats.sync_entry_pdus += 5
-        assert stats.round_trips == 3
-        assert stats.sync_entry_pdus == 5
-
-    def test_plain_assignment(self):
-        stats = TrafficStats()
-        stats.bytes_sent = 999
-        assert stats.bytes_sent == 999
 
     def test_unknown_attribute_read_raises(self):
         with pytest.raises(AttributeError):
-            TrafficStats().no_such_field
+            SimulatedNetwork().stats.no_such_field
 
     def test_unknown_attribute_write_raises(self):
         with pytest.raises(AttributeError):
-            TrafficStats().no_such_field = 1
-
-    def test_reset(self):
-        stats = TrafficStats(round_trips=9, requests=9)
-        stats.reset()
-        assert all(getattr(stats, f) == 0 for f in TRAFFIC_FIELDS)
+            SimulatedNetwork().stats.no_such_field = 1
 
     def test_as_dict_order(self):
-        assert tuple(TrafficStats().as_dict()) == TRAFFIC_FIELDS
+        assert tuple(SimulatedNetwork().stats.as_dict()) == TRAFFIC_FIELDS
 
     def test_equality(self):
-        assert TrafficStats(round_trips=2) == TrafficStats(round_trips=2)
-        assert TrafficStats(round_trips=2) != TrafficStats(round_trips=3)
-        assert TrafficStats().__eq__(42) is NotImplemented
+        a = TrafficCounts(2, 0, 0, 0, 0, 0, 0)
+        assert a == TrafficCounts(2, 0, 0, 0, 0, 0, 0)
+        assert a != TrafficCounts(3, 0, 0, 0, 0, 0, 0)
+        network = SimulatedNetwork()
+        assert network.stats.snapshot() == network.stats.snapshot()
 
     def test_repr_lists_fields(self):
-        r = repr(TrafficStats(round_trips=2))
+        network = SimulatedNetwork()
+        network.charge_round_trip()
+        network.charge_round_trip()
+        r = repr(network.stats)
         assert r.startswith("TrafficStats(") and "round_trips=2" in r
 
     def test_snapshot_is_independent(self):
-        stats = TrafficStats()
-        stats.round_trips += 1
-        frozen = stats.snapshot()
-        stats.round_trips += 10
+        network = SimulatedNetwork()
+        network.charge_round_trip()
+        frozen = network.stats.snapshot()
+        for _ in range(10):
+            network.charge_round_trip()
         assert frozen.round_trips == 1
-        assert stats.round_trips == 11
+        assert network.stats.round_trips == 11
 
     def test_subtraction_gives_interval_delta(self):
-        stats = TrafficStats()
-        stats.entry_pdus += 4
-        stats.bytes_sent += 100
-        before = stats.snapshot()
-        stats.entry_pdus += 6
-        stats.bytes_sent += 50
-        delta = stats - before
-        assert delta.entry_pdus == 6
-        assert delta.bytes_sent == 50
-        assert delta.round_trips == 0
+        network = SimulatedNetwork()
+        network.charge_entries(4, total_bytes=100)
+        before = network.stats.snapshot()
+        network.charge_entries(6, total_bytes=50)
+        delta = network.stats - before
+        assert (delta.entry_pdus, delta.bytes_sent, delta.round_trips) == (6, 50, 0)
 
     def test_subtraction_result_is_detached(self):
-        stats = TrafficStats()
-        before = stats.snapshot()
-        stats.requests += 3
-        delta = stats - before
-        stats.requests += 100
-        assert delta.requests == 3
+        network = SimulatedNetwork()
+        before = network.stats.snapshot()
+        network.charge_round_trip()
+        delta = network.stats - before
+        for _ in range(100):
+            network.charge_round_trip()
+        assert delta.requests == 1
 
 
 class TestRegistryMirroring:
-    """The facade's second window: the backing registry."""
+    """Each field is the registry counter ``net.traffic.<field>``."""
 
     def test_fields_alias_net_traffic_counters(self):
-        stats = TrafficStats()
-        stats.round_trips += 2
-        stats.sync_dn_pdus += 7
-        d = stats.registry.to_dict()
-        assert d["net.traffic.round_trips"] == 2
-        assert d["net.traffic.sync_dn_pdus"] == 7
+        network = SimulatedNetwork()
+        network.charge_round_trip()
+        network.charge_sync_dn(40)
+        d = network.registry.to_dict()
+        assert d["net.traffic.round_trips"] == network.stats.round_trips == 1
+        assert d["net.traffic.sync_dn_pdus"] == network.stats.sync_dn_pdus == 1
 
     def test_shared_registry_is_used(self):
         registry = MetricsRegistry()
-        stats = TrafficStats(registry=registry)
-        stats.requests += 1
+        network = SimulatedNetwork(registry=registry)
+        network.charge_round_trip()
         assert registry.to_dict()["net.traffic.requests"] == 1
 
     def test_counter_writes_are_visible_through_facade(self):
-        stats = TrafficStats()
-        stats.registry.counter("net.traffic.entry_pdus").inc(5)
-        assert stats.entry_pdus == 5
+        network = SimulatedNetwork()
+        counter(network, "entry_pdus").inc(5)
+        assert network.stats.entry_pdus == 5
 
-    def test_snapshot_has_private_registry(self):
-        stats = TrafficStats()
-        stats.round_trips += 1
-        frozen = stats.snapshot()
-        assert frozen.registry is not stats.registry
-        stats.round_trips += 1
-        assert frozen.registry.to_dict()["net.traffic.round_trips"] == 1
+
+class TestLiveView:
+    """The view has no write path: only the network's charges move a
+    counter."""
+
+    def test_a_field_write_raises(self):
+        network = SimulatedNetwork()
+        with pytest.raises(AttributeError):
+            network.stats.round_trips = 5
+        assert network.stats.round_trips == 0
+
+    def test_an_augmented_assignment_raises(self):
+        network = SimulatedNetwork()
+        network.charge_round_trip()
+        with pytest.raises(AttributeError):
+            network.stats.round_trips += 1
+        assert network.stats.round_trips == 1
+
+    def test_the_view_cannot_be_built_with_values(self):
+        with pytest.raises(TypeError):
+            type(SimulatedNetwork().stats)(round_trips=5)
+
+
+class TestSnapshots:
+    def test_a_snapshot_is_detached_from_the_registry(self):
+        network = SimulatedNetwork()
+        frozen = network.stats.snapshot()
+        counter(network, "bytes_sent").inc(7)
+        assert frozen.bytes_sent == 0
+        assert isinstance(frozen, TrafficCounts)
+
+    def test_a_snapshot_is_immutable(self):
+        frozen = SimulatedNetwork().stats.snapshot()
+        with pytest.raises(AttributeError):
+            frozen.round_trips = 5
+
+    def test_live_minus_snapshot_is_a_frozen_value(self):
+        network = SimulatedNetwork()
+        delta = network.stats - network.stats.snapshot()
+        assert isinstance(delta, TrafficCounts)
+        assert delta == TrafficCounts(0, 0, 0, 0, 0, 0, 0)
+
+    def test_snapshot_minus_snapshot_is_the_interval_delta(self):
+        network = SimulatedNetwork()
+        before = network.stats.snapshot()
+        network.charge_round_trip()
+        network.charge_referrals(3)
+        after = network.stats.snapshot()
+        delta = after - before
+        assert isinstance(delta, TrafficCounts)
+        assert (delta.round_trips, delta.requests, delta.referral_pdus) == (1, 1, 3)
+
+    def test_snapshot_as_dict_order_and_values(self):
+        network = SimulatedNetwork()
+        network.charge_sync_entry(120)
+        d = network.stats.snapshot().as_dict()
+        assert tuple(d) == TRAFFIC_FIELDS
+        assert (d["sync_entry_pdus"], d["bytes_sent"]) == (1, 120)
+
+    def test_unknown_snapshot_field_raises(self):
+        with pytest.raises(AttributeError):
+            SimulatedNetwork().stats.snapshot().no_such_field
+
+
+def mixed_batch():
+    """Two entry-carrying PDUs and three DN-only ones."""
+    return [
+        SyncUpdate.add(person("A")),
+        SyncUpdate.delete(DN.parse("cn=B,o=xyz")),
+        SyncUpdate.modify(person("C")),
+        SyncUpdate.retain(DN.parse("cn=D,o=xyz")),
+        SyncUpdate.delete(DN.parse("cn=E,o=xyz")),
+    ]
+
+
+#: charge → the counters it moves, as ``{field: delta}`` (the rest stay).
+CHARGES = {
+    "round_trip": (lambda n: n.charge_round_trip(), {"round_trips": 1, "requests": 1}),
+    "entries": (
+        lambda n: n.charge_entries(3, total_bytes=300),
+        {"entry_pdus": 3, "bytes_sent": 300},
+    ),
+    "referrals": (lambda n: n.charge_referrals(2), {"referral_pdus": 2}),
+    "sync_entry": (
+        lambda n: n.charge_sync_entry(120),
+        {"sync_entry_pdus": 1, "bytes_sent": 120},
+    ),
+    "sync_dn": (lambda n: n.charge_sync_dn(40), {"sync_dn_pdus": 1, "bytes_sent": 40}),
+    "sync_batch": (
+        lambda n: n.charge_sync_batch(mixed_batch()),
+        {
+            "sync_entry_pdus": 2,
+            "sync_dn_pdus": 3,
+            "bytes_sent": encoded_sync_batch_size(mixed_batch()),
+        },
+    ),
+}
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize("charge", sorted(CHARGES))
+    def test_each_charge_moves_only_its_counters_by_inc(self, charge):
+        run, moved = CHARGES[charge]
+        network = SimulatedNetwork()
+        with mock.patch.object(Counter, "set", autospec=True, side_effect=Counter.set) as spy:
+            run(network)
+        assert spy.call_count == 0
+        expected = {field: moved.get(field, 0) for field in TRAFFIC_FIELDS}
+        assert network.stats.as_dict() == expected
+
+    def test_a_dn_pdu_has_no_guessed_size(self):
+        with pytest.raises(TypeError):
+            SimulatedNetwork().charge_sync_dn()
+
+    def test_a_search_and_a_sync_batch_make_no_counter_set_call(self):
+        """Every charge is one ``Counter.inc``: a client search, a
+        polled load and a persist batch move the ledger without one
+        ``Counter.set``."""
+        master = DirectoryServer("M")
+        master.add_naming_context("o=xyz")
+        master.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
+        for i in range(3):
+            master.add(person(f"E{i}"))
+        network = SimulatedNetwork()
+        network.register(master)
+        provider = ResyncProvider(master)
+        request = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
+        with mock.patch.object(Counter, "set", autospec=True, side_effect=Counter.set) as spy:
+            LdapClient(network).search(master.url, request)
+            SyncedContent(request, network=network).poll(provider)
+            content = SyncedContent(request, network=network)
+            deliveries, _handle = network.persist_exchange(
+                provider, request, content.apply_notification
+            )
+            content.apply(deliveries[-1].response)
+            master.modify("cn=E0,o=xyz", [Modification.replace("sn", "U")])
+            network.settle()
+        assert spy.call_count == 0
+        stats = network.stats
+        assert stats.entry_pdus == 3  # the search
+        assert stats.sync_entry_pdus == 3 + 3 + 1  # two loads, one batch
+        assert stats.round_trips == 3
 
 
 class TestNetworkIntegration:
@@ -128,12 +258,8 @@ class TestNetworkIntegration:
         network.charge_round_trip()
         network.charge_entries(3, total_bytes=300)
         network.charge_sync_entry(120)
-        network.charge_sync_dn()
-        assert network.stats.round_trips == 1
-        assert network.stats.entry_pdus == 3
-        assert network.stats.sync_entry_pdus == 1
-        assert network.stats.sync_dn_pdus == 1
-        assert network.stats.bytes_sent == 300 + 120 + 64
+        network.charge_sync_dn(64)
+        assert network.stats.snapshot() == TrafficCounts(1, 1, 3, 0, 1, 1, 484)
         d = network.registry.to_dict()
         assert d["net.traffic.round_trips"] == 1
         assert d["net.traffic.bytes_sent"] == 484
@@ -162,16 +288,19 @@ class TestNetworkIntegration:
         network.connection_closed(object())
         assert network.open_connections == 0
 
-    def test_shared_registry_across_network_and_server(self):
-        from repro.server import DirectoryServer
+    def test_connection_counts_have_no_setter(self):
+        network = SimulatedNetwork()
+        with pytest.raises(AttributeError):
+            network.open_connections = 3
+        with pytest.raises(AttributeError):
+            network.total_connections = 3
 
+    def test_shared_registry_across_network_and_server(self):
         registry = MetricsRegistry()
         network = SimulatedNetwork(registry=registry)
         server = DirectoryServer("master", metrics=registry)
         server.add_naming_context("o=xyz")
         network.charge_round_trip()
-        from repro.ldap import Scope, SearchRequest
-
         server.search(SearchRequest("o=xyz", Scope.SUB, "(objectClass=*)"))
         d = registry.to_dict()
         assert d["net.traffic.round_trips"] == 1

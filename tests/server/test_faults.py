@@ -25,7 +25,6 @@ from repro.server import (
     ResponseTruncated,
     ServerUnavailable,
     TransportError,
-    connect,
 )
 from repro.sync import (
     ResilientConsumer,
@@ -232,10 +231,9 @@ class TestCrashWindows:
 
     def test_crash_drops_registered_connections(self):
         net = FaultyNetwork()
-        server = build_master()
-        net.register(server)
-        provider = ResyncProvider(server)
-        conn = connect(net, server.url)
+        provider = ResyncProvider(build_master())
+        consumer = ResilientConsumer(REQUEST, provider, network=net, mode="persist")
+        consumer.sync_once()
         assert net.open_connections == 1
 
         net.plan = FaultPlan(FaultSpec(crash=1.0, crash_length=1), seed=0)
@@ -243,7 +241,9 @@ class TestCrashWindows:
         with pytest.raises(ServerUnavailable):
             content.poll(provider)
         assert net.open_connections == 0  # forced drop, not a leak
-        conn.drop()  # idempotent: a second close must not go negative
+        subscription = consumer.subscription(consumer.content)
+        assert subscription.handle is None
+        subscription.drop()  # idempotent: a second close must not go negative
         assert net.open_connections == 0
 
     def test_unavailability_charges_round_trips(self):

@@ -225,12 +225,20 @@ def test_the_floor_is_what_the_encoder_charges_for_a_first_sketch():
     a real first sketch (sized by ``initial_divergence``) of any content
     costs at most the floor, and an empty one far less."""
     config = ReconcileConfig()
-    cells = cells_for_divergence(config.initial_divergence, config.hash_count)
+    cells = cells_for_divergence(config.initial_divergence)
     for count in (1, 5, 40, 400):
         entries = [person(f"E{i:03d}") for i in range(count)]
-        sketch = build_sketch(entries, cells, salt=count, hash_count=config.hash_count)
+        sketch = build_sketch(entries, cells, salt=count)
         assert sketch.encoded_size() <= config.floor_bytes
     assert EntrySketch(cells).encoded_size() < config.floor_bytes // 2
+
+
+def test_the_sketch_hash_count_is_not_a_consumer_setting():
+    """A sketch request carries no hash count and a provider sketches
+    with the default, so the consumer's config has none to set."""
+    with pytest.raises(TypeError):
+        ReconcileConfig(hash_count=4)
+    assert ReconcileConfig().floor_bytes == 929
 
 
 def test_a_small_content_rebuilds_where_a_sketch_costs_more():

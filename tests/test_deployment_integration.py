@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import FilterReplica, ReplicaFrontend
 from repro.ldap import Scope, SearchRequest
-from repro.server import DirectoryServer, LdapClient, SimulatedNetwork, connect
+from repro.server import DirectoryServer, LdapClient, SimulatedNetwork
 from repro.sync import ResyncProvider
 from repro.workload import (
     DirectoryConfig,
@@ -97,10 +97,15 @@ class TestDeployment:
             truth = master.search(record.request).entries
             assert {str(e.dn) for e in result.entries} == {str(e.dn) for e in truth}
 
-    def test_connection_layer_end_to_end(self, deployment):
+    def test_a_client_search_at_the_master_end_to_end(self, deployment):
+        """A client search is one hop charged to the ledger; only a
+        persist subscription counts as a connection (§5.2)."""
         directory, network, master, provider, replica, trace = deployment
-        with connect(network, "ldap://master") as conn:
-            record = trace.day(2)[0]
-            result = conn.search(record.request)
-            assert len(result.entries) >= 1
+        record = trace.day(2)[0]
+        before = network.stats.snapshot()
+        result = LdapClient(network).search("ldap://master", record.request)
+        moved = network.stats - before
+        assert len(result.entries) >= 1
+        assert moved.round_trips == 1
+        assert moved.entry_pdus == len(result.entries)
         assert network.open_connections == 0
