@@ -352,7 +352,7 @@ def run_cap_fallback_cell() -> dict:
     """The price of entering the sketch tier on *every* refused cookie,
     at its worst: a plain dead cookie over content the master has since
     replaced wholesale (every entry modified, 60% more added), so the
-    doubling ladder runs to ``ReconcileConfig.max_cells``, fails —
+    doubling ladder runs to ``repro.sync.ladder.MAX_CELLS``, fails —
     detectably — and the rebuild is paid on top."""
     master = build_reconcile_master()
     provider = ResyncProvider(master)

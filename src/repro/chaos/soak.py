@@ -111,7 +111,6 @@ class SoakConfig:
     scenario: Optional[ScenarioConfig] = None
     convergence_cycles: int = 96
     check_interval_ticks: int = 10
-    require_all_converge: bool = True
 
     def __post_init__(self):
         if self.tenants < 1:
@@ -428,16 +427,15 @@ class SoakRunner:
         for consumer in self.consumers:
             if consumer.health_state == "gave_up":
                 convergence[consumer.name] = None
-                if cfg.require_all_converge:
-                    self._fail(
-                        "I3",
-                        f"{consumer.name} exhausted its retry budget "
-                        "(gave_up) before the faults healed",
-                    )
+                self._fail(
+                    "I3",
+                    f"{consumer.name} exhausted its retry budget "
+                    "(gave_up) before the faults healed",
+                )
                 continue
             cycles = model.converge(consumer.sync_once, [consumer.content], cfg.convergence_cycles)
             convergence[consumer.name] = cycles
-            if cycles is None and cfg.require_all_converge:
+            if cycles is None:
                 self._fail(
                     "I3",
                     f"{consumer.name} did not match the master within "

@@ -410,8 +410,8 @@ class FilterReplica:
 
         Disjunct lookup goes through :meth:`_find_stored`, so the
         ``templates.may_answer`` prune applies here exactly as on the
-        direct path — a union can no longer be served via a template
-        pairing the registry rejects.
+        direct path: no union is served via a template pairing the
+        registry rejects.
         """
         from ..ldap.filters import Or, simplify
 

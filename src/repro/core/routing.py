@@ -219,13 +219,11 @@ class ContainmentIndex:
         self,
         registry: Optional[AttributeRegistry] = None,
         order: str = "insertion",
-        memo_capacity: int = MEMO_CAPACITY,
     ):
         if order not in self.ORDERS:
             raise ValueError(f"unknown order {order!r}; pick from {self.ORDERS}")
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._order = order
-        self._memo_capacity = memo_capacity
         self._uids = itertools.count(1)
         self._seqs = itertools.count(1)
         self._by_request: Dict[SearchRequest, Candidate] = {}
@@ -344,6 +342,6 @@ class ContainmentIndex:
     def memo_put(self, request: SearchRequest, cand: Candidate) -> None:
         if self._order != "insertion":
             return
-        if len(self._memo) >= self._memo_capacity:
+        if len(self._memo) >= MEMO_CAPACITY:
             self._memo.clear()
         self._memo[request] = cand

@@ -1,6 +1,6 @@
 """Unified observability: metrics registry + tracing spans.
 
-The measurement substrate every layer reports through (ISSUE 1):
+The measurement substrate every layer reports through:
 
 * :mod:`repro.obs.registry` — named :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` / :class:`Timer` instruments with hierarchical

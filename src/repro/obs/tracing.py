@@ -7,7 +7,7 @@ with :meth:`SpanHandle.add`.  With **no collector installed** (the
 module-level default) ``span()`` returns a shared no-op handle: one
 global read and a constant-returning call, so instrumented hot paths
 cost essentially nothing in normal runs (the <5% overhead budget of
-ISSUE 1 / docs/OBSERVABILITY.md §4).
+docs/OBSERVABILITY.md §4).
 
 Usage::
 
@@ -119,8 +119,7 @@ class TraceCollector:
     attributable to their phase.
     """
 
-    def __init__(self, keep_records: bool = True, max_records: int = 100_000):
-        self.keep_records = keep_records
+    def __init__(self, max_records: int = 100_000):
         self.max_records = max_records
         self.records: List[SpanRecord] = []
         self.dropped = 0
@@ -147,13 +146,12 @@ class TraceCollector:
             agg["max_s"] = duration_s
         for key, amount in handle._counts.items():
             agg[key] = agg.get(key, 0) + amount
-        if self.keep_records:
-            if len(self.records) < self.max_records:
-                self.records.append(
-                    SpanRecord(handle.name, path, duration_s, handle._counts, handle.attrs)
-                )
-            else:
-                self.dropped += 1
+        if len(self.records) < self.max_records:
+            self.records.append(
+                SpanRecord(handle.name, path, duration_s, handle._counts, handle.attrs)
+            )
+        else:
+            self.dropped += 1
 
     # ------------------------------------------------------------------
     # inspection

@@ -50,17 +50,19 @@ class ChasedResult:
         return not self.unresolved
 
 
+#: Servers one search may contact while chasing referrals.
+MAX_HOPS = 32
+
+
 class LdapClient:
     """A minimally-directory-enabled client (§3.1.1) that chases referrals.
 
     Args:
         network: the simulated network carrying requests.
-        max_hops: referral-chasing budget guarding against loops.
     """
 
-    def __init__(self, network: SimulatedNetwork, max_hops: int = 32):
+    def __init__(self, network: SimulatedNetwork):
         self.network = network
-        self.max_hops = max_hops
 
     def search(self, server_url: str, request: SearchRequest) -> ChasedResult:
         """Run *request* starting at *server_url*, chasing every referral.
@@ -86,9 +88,9 @@ class LdapClient:
                 continue  # referral loop — already asked this exact question
             visited.add(key)
             hops += 1
-            if hops > self.max_hops:
+            if hops > MAX_HOPS:
                 raise ReferralLimitExceeded(
-                    f"exceeded {self.max_hops} hops chasing referrals for {request}"
+                    f"exceeded {MAX_HOPS} hops chasing referrals for {request}"
                 )
 
             try:

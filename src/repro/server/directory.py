@@ -31,7 +31,7 @@ from ..ldap.dn import DN
 from ..ldap.entry import Entry
 from ..ldap.matching import compile_filter
 from ..ldap.query import Scope, SearchRequest
-from ..ldap.schema import DEFAULT_SCHEMA, SchemaRegistry, validate_entry
+from ..ldap.schema import DEFAULT_SCHEMA, validate_entry
 from ..obs.registry import Counter, MetricsRegistry
 from .backend import EntryStore
 from .planner import SearchPlan
@@ -84,8 +84,9 @@ class DirectoryServer:
         default_referral: URL of the superior server to refer clients to
             when name resolution fails (Figure 2's "default referral"),
             or None to answer ``NO_SUCH_OBJECT``.
-        registry / schema: attribute and object-class registries.
-        check_schema: when True, add/modify reject schema violations.
+        registry: attribute registry.
+        check_schema: when True, add/modify reject violations of
+            :data:`~repro.ldap.schema.DEFAULT_SCHEMA`.
         metrics: observability registry receiving the ``server.op.*``
             instruments (default: a private registry).
     """
@@ -99,7 +100,6 @@ class DirectoryServer:
         name: str,
         default_referral: Optional[str] = None,
         registry: Optional[AttributeRegistry] = None,
-        schema: Optional[SchemaRegistry] = None,
         check_schema: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -111,7 +111,6 @@ class DirectoryServer:
         #: tombstone-style synchronization reads (§5.2).
         self.maintain_timestamps = False
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
-        self._schema = schema if schema is not None else DEFAULT_SCHEMA
         self._check_schema = check_schema
         self.store = EntryStore(self._registry)
         #: per-operation latency/count instruments (``server.op.*``,
@@ -490,7 +489,7 @@ class DirectoryServer:
                 ResultCode.NO_SUCH_OBJECT, f"parent of {entry.dn} not found"
             )
         if self._check_schema:
-            violations = validate_entry(entry, self._schema)
+            violations = validate_entry(entry, DEFAULT_SCHEMA)
             if violations:
                 raise LdapError(
                     ResultCode.OBJECT_CLASS_VIOLATION, violations[0].problem
@@ -521,7 +520,7 @@ class DirectoryServer:
             elif mod.mod_type is ModType.DELETE:
                 updated.remove_values(mod.attr, list(mod.values) or None)
         if self._check_schema:
-            violations = validate_entry(updated, self._schema)
+            violations = validate_entry(updated, DEFAULT_SCHEMA)
             if violations:
                 raise LdapError(
                     ResultCode.OBJECT_CLASS_VIOLATION, violations[0].problem

@@ -26,15 +26,16 @@ exchange it reaches is :data:`FAULTS` below, rendered as docs/FAULTS.md
 consumer→provider exchanges all run :meth:`FaultyNetwork._exchange`;
 persist-mode notifications pass :meth:`FaultyNetwork.deliver_batch`;
 journal and snapshot damage land at crash and replica-restart time.
-Explicit :meth:`FaultyNetwork.partition` / ``set_slow`` windows (the
-chaos schedule's tool) need no plan at all.
+Partitions and slow nodes are windows, not draws: the chaos schedule
+opens them with :meth:`FaultyNetwork.partition` / ``set_slow`` and
+closes them with ``heal_partition`` / ``clear_slow``, plan or none.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs.registry import MetricsRegistry
 from .network import (
@@ -69,8 +70,6 @@ FAULTS = {
     "truncate": ("x", ("poll", "subscribe", "fetch")),
     "delay": ("x", ("poll", "sketch", "fetch")),
     "duplicate": ("x", ("poll", "fetch")),
-    "partition": ("p", _EVERY),
-    "slow": ("p", _EVERY),
     "sketch_corrupt": ("r", ("sketch",)),
     "batch_drop": ("b", ("batch",)),
     "batch_truncate": ("b", ("batch",)),
@@ -116,10 +115,6 @@ class FaultSpec:
     snapshot_truncate: float = 0.0
     snapshot_corrupt: float = 0.0
     snapshot_stale: float = 0.0
-    partition: float = 0.0
-    partition_length: int = 2
-    slow: float = 0.0
-    slow_latency_ms: float = 50.0
 
     def __post_init__(self):
         for name in FAULTS:
@@ -128,10 +123,6 @@ class FaultSpec:
                 raise ValueError(f"{name} must be a probability, got {value!r}")
         if self.crash_length < 1:
             raise ValueError("crash_length must be >= 1")
-        if self.partition_length < 1:
-            raise ValueError("partition_length must be >= 1")
-        if self.slow_latency_ms < 0:
-            raise ValueError("slow_latency_ms must be >= 0")
 
     @classmethod
     def uniform(cls, rate: float, **overrides) -> "FaultSpec":
@@ -163,10 +154,6 @@ class FaultSpec:
             snapshot_truncate=rate / 4,
             snapshot_corrupt=rate / 4,
             snapshot_stale=rate / 4,
-            # Reachability faults (partition / slow, the :p stream) stay
-            # opt-in: uniform() predates them and committed fault-matrix
-            # baselines depend on its historical behavior.  Enable them
-            # per-run via overrides or a chaos FaultSchedule window.
         )
         params.update(overrides)
         return cls(**params)
@@ -210,8 +197,8 @@ class FaultPlan:
 
     def enables(self, stream: str) -> bool:
         """True when the spec turns on any fault *stream* draws.  The
-        ``:p`` and ``:n`` streams are drawn only then, so a plan without
-        them stays at decision 0 there."""
+        ``:n`` stream is drawn only then, so a plan without it stays at
+        decision 0 there."""
         return any(getattr(self.spec, kind) > 0.0 for kind in STREAMS[stream])
 
     def next_exchange(self) -> ExchangeFaults:
@@ -265,16 +252,6 @@ class FaultPlan:
         rng = self._rng("r")
         return (rng.random() < self.spec.sketch_corrupt, rng.random())
 
-    def next_partition(self) -> Tuple[bool, bool, float]:
-        """(partition, slow, added latency ms) decisions for the next
-        exchange's reachability."""
-        rng = self._rng("p")
-        return (
-            rng.random() < self.spec.partition,
-            rng.random() < self.spec.slow,
-            rng.uniform(0.0, self.spec.slow_latency_ms),
-        )
-
     def next_snapshot(self) -> Tuple[bool, bool, bool, float]:
         """(truncate, corrupt, stale, position) decisions for the next
         replica restart that reads a content snapshot."""
@@ -311,9 +288,8 @@ class FaultyNetwork(SimulatedNetwork):
         self.plan = plan
         # server key -> remaining exchanges the server stays down for.
         self._down_for: Dict[str, int] = {}
-        # server key -> remaining exchanges unreachable; -1 = cut until
-        # heal_partition() (the chaos schedule's explicit windows).
-        self._partitioned: Dict[str, int] = {}
+        # server keys cut until heal_partition().
+        self._partitioned: Set[str] = set()
         # server key -> sustained added latency per exchange (slow node).
         self._slow: Dict[str, float] = {}
         self._fault_total = self.registry.counter("net.fault.injected")
@@ -385,19 +361,10 @@ class FaultyNetwork(SimulatedNetwork):
                 recover()
         self.disconnect_server(key)
 
-    def _refuse_while(self, windows: Dict[str, int], key: str, kind: str, error) -> None:
-        """Refuse one attempt with *error* while *key* has a window
-        open in *windows*, spending one attempt of it (a negative
-        window stays open until removed).  The attempt still costs a
+    def _refuse(self, key: str, kind: str, error) -> None:
+        """Refuse one attempt with *error*.  The attempt still costs a
         round trip: the client sent a request and waited out its
         timeout."""
-        remaining = windows.get(key, 0)
-        if remaining == 0:
-            return
-        if remaining == 1:
-            del windows[key]  # over after this attempt
-        elif remaining > 1:
-            windows[key] = remaining - 1
         self.charge_round_trip()
         self._record(kind)
         raise error(f"server {key}: {kind}")
@@ -415,7 +382,7 @@ class FaultyNetwork(SimulatedNetwork):
         session resumes from its cookie.
         """
         key = self._server_key(provider)
-        self._partitioned[key] = -1
+        self._partitioned.add(key)
         self.disconnect_server(key)
 
     def heal_partition(self, provider=None) -> None:
@@ -424,7 +391,7 @@ class FaultyNetwork(SimulatedNetwork):
         if provider is None:
             self._partitioned.clear()
         else:
-            self._partitioned.pop(self._server_key(provider), None)
+            self._partitioned.discard(self._server_key(provider))
 
     def is_partitioned(self, provider) -> bool:
         return self._server_key(provider) in self._partitioned
@@ -454,23 +421,22 @@ class FaultyNetwork(SimulatedNetwork):
         exchange attempt.
 
         Refuses the attempt inside the server's restart window
-        (:class:`ServerUnavailable`); draws the plan's ``:p`` decisions
-        (only when the spec enables them, so a plan without them stays
-        at decision 0 there) and refuses it while a partition is cut
-        (:class:`NetworkPartitioned`); returns the added latency the
-        exchange must carry.
+        (:class:`ServerUnavailable`) or while a partition window is open
+        (:class:`NetworkPartitioned`); returns the added latency an open
+        slow window makes the exchange carry.
         """
         key = self._server_key(provider)
-        self._refuse_while(self._down_for, key, "unavailable", ServerUnavailable)
+        remaining = self._down_for.get(key, 0)
+        if remaining:
+            # The attempt spends one exchange of the window.
+            if remaining == 1:
+                del self._down_for[key]
+            else:
+                self._down_for[key] = remaining - 1
+            self._refuse(key, "unavailable", ServerUnavailable)
+        if key in self._partitioned:
+            self._refuse(key, "partition", NetworkPartitioned)
         extra_ms = self._slow.get(key, 0.0)
-        if self.plan is not None and self.plan.enables("p"):
-            cut, slow, added_ms = self.plan.next_partition()
-            if cut and key not in self._partitioned:
-                self._partitioned[key] = self.plan.spec.partition_length
-                self.disconnect_server(key)
-            if slow:
-                extra_ms += added_ms
-        self._refuse_while(self._partitioned, key, "partition", NetworkPartitioned)
         if extra_ms > 0:
             self._record("slow")
             self._fault_delay_ms.inc(extra_ms)

@@ -112,10 +112,14 @@ class PresenceIndex:
         return len(self._counts)
 
 
-def _ngrams(text: str, n: int) -> Set[str]:
-    if len(text) < n:
+#: Gram length of every :class:`SubstringIndex`.
+NGRAM = 3
+
+
+def _ngrams(text: str) -> Set[str]:
+    if len(text) < NGRAM:
         return {text} if text else set()
-    return {text[i : i + n] for i in range(len(text) - n + 1)}
+    return {text[i : i + NGRAM] for i in range(len(text) - NGRAM + 1)}
 
 
 class SubstringIndex:
@@ -132,16 +136,15 @@ class SubstringIndex:
     scan and in-order union it replaced; sets and estimates are equal).
     """
 
-    def __init__(self, atype: AttributeType, ngram: int = 3):
+    def __init__(self, atype: AttributeType):
         self._atype = atype
-        self._ngram = ngram
         self._postings: Dict[str, Set[DN]] = {}
         # short component -> the vocabulary grams containing it; emptied
         # whenever a gram key appears or disappears.
         self._containing: Dict[str, List[str]] = {}
 
     def _grams_of_value(self, value: str) -> Set[str]:
-        return _ngrams(str(self._atype.normalize(value)), self._ngram)
+        return _ngrams(str(self._atype.normalize(value)))
 
     def insert(self, dn: DN, values: Iterable[str]) -> None:
         for value in values:
@@ -186,7 +189,7 @@ class SubstringIndex:
         short: List[str] = []
         for component in components:
             normalized = str(self._atype.normalize(component))
-            if len(normalized) >= self._ngram:
+            if len(normalized) >= NGRAM:
                 long.append(normalized)
             elif normalized:
                 short.append(normalized)
@@ -211,7 +214,7 @@ class SubstringIndex:
         if not long and not short:
             return None
         result: Optional[Set[DN]] = None
-        grams = {gram for component in long for gram in _ngrams(component, self._ngram)}
+        grams = {gram for component in long for gram in _ngrams(component)}
         for postings in sorted((self._postings.get(g, ()) for g in grams), key=len):
             result = set(postings) if result is None else result & postings
             if not result:
@@ -236,7 +239,7 @@ class SubstringIndex:
         """
         long, short = self._split(components)
         sizes = [
-            min(len(self._postings.get(g, ())) for g in _ngrams(component, self._ngram))
+            min(len(self._postings.get(g, ())) for g in _ngrams(component))
             for component in long
         ] + [
             sum(len(self._postings[g]) for g in self._grams_containing(component))
@@ -373,12 +376,11 @@ class AttributeIndexSet:
     late or early, an index holds the same postings.
     """
 
-    def __init__(self, atype: AttributeType, images: Mapping[DN, Entry], ngram: int = 3):
+    def __init__(self, atype: AttributeType, images: Mapping[DN, Entry]):
         self.atype = atype
         self.equality = EqualityIndex(atype)
         self.presence = PresenceIndex()
         self._images = images
-        self._ngram = ngram
         self._substring: Optional[SubstringIndex] = None
         self._ordering: Optional[OrderingIndex] = None
 
@@ -389,7 +391,7 @@ class AttributeIndexSet:
     @property
     def substring(self) -> SubstringIndex:
         if self._substring is None:
-            index = SubstringIndex(self.atype, self._ngram)
+            index = SubstringIndex(self.atype)
             for dn, values in self._holders():
                 index.insert(dn, values)
             self._substring = index

@@ -35,7 +35,6 @@ from .protocol import (
 )
 from .reconcile import (
     EntrySketch,
-    ReconcileConfig,
     build_sketch,
     cells_for_divergence,
     corrupt_cell,
@@ -78,7 +77,6 @@ __all__ = [
     "ReconcileRequest",
     "ReconcileResponse",
     "ReconcileFetch",
-    "ReconcileConfig",
     "EntrySketch",
     "build_sketch",
     "cells_for_divergence",

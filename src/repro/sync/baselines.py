@@ -113,9 +113,9 @@ class ChangelogProvider(CsnCookieMixin):
       (the all-deleted-DNs obligation).
     """
 
-    def __init__(self, server: DirectoryServer, changelog: Optional[Changelog] = None):
+    def __init__(self, server: DirectoryServer):
         self.server = server
-        self.changelog = changelog if changelog is not None else Changelog(server)
+        self.changelog = Changelog(server)
 
     def handle(self, request: SearchRequest, control: ReSyncControl) -> SyncResponse:
         if isinstance(control, MultiPoll):

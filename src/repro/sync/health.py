@@ -83,9 +83,8 @@ class RetryPolicy:
 
     Attributes:
         max_attempts: transport failures tolerated per cycle.
-        base_backoff_ms / backoff_factor / max_backoff_ms: capped
-            exponential backoff; failure *n* waits
-            ``min(base * factor**n, max)`` milliseconds.
+        base_backoff_ms / max_backoff_ms: capped doubling backoff;
+            failure *n* waits ``min(base * 2**n, max)`` milliseconds.
         jitter: fraction of the backoff randomized away (deterministic,
             from the consumer's seed): the wait is uniform in
             ``[backoff * (1 - jitter), backoff]``.
@@ -102,7 +101,6 @@ class RetryPolicy:
 
     max_attempts: int = 8
     base_backoff_ms: float = 10.0
-    backoff_factor: float = 2.0
     max_backoff_ms: float = 2000.0
     jitter: float = 0.25
     timeout_ms: Optional[float] = None
@@ -113,7 +111,7 @@ class RetryPolicy:
         """Backoff before retrying after the (zero-based) *failure*-th
         transport failure, jittered deterministically by *rng*."""
         base = min(
-            self.base_backoff_ms * self.backoff_factor**failure,
+            self.base_backoff_ms * 2.0**failure,
             self.max_backoff_ms,
         )
         if self.jitter <= 0:

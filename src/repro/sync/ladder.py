@@ -43,9 +43,22 @@ from ..server.network import exchange
 from .consumer import SyncedContent
 from .health import HealthMachine
 from .protocol import ReconcileFetch, ReconcileRequest, SyncProtocolError, SyncResponse
-from .reconcile import ReconcileConfig, build_sketch, entry_digest
+from .reconcile import build_sketch, cells_for_divergence, entry_digest, loaded_sketch_bytes
 
-__all__ = ["LADDER", "SketchTier"]
+__all__ = ["LADDER", "SketchTier", "INITIAL_DIVERGENCE", "MAX_CELLS", "SKETCH_FLOOR_BYTES"]
+
+#: Divergence hint of a ladder's first sketch request: the consumer has
+#: nothing better, and the provider sizes the sketch from it
+#: (:func:`~repro.sync.reconcile.cells_for_divergence`).
+INITIAL_DIVERGENCE = 8
+#: A ladder gives up (the next tier is the full rebuild) once a doubling
+#: retry would exceed this many cells.
+MAX_CELLS = 4096
+#: Wire bytes of the first sketch :data:`INITIAL_DIVERGENCE` solicits,
+#: every cell loaded, at the hash count providers sketch with: the least
+#: a sketch-tier open costs (929 B), and the floor above which content
+#: is warm (:meth:`SketchTier.pays`).
+SKETCH_FLOOR_BYTES = loaded_sketch_bytes(cells_for_divergence(INITIAL_DIVERGENCE))
 
 #: ``(request carried a cookie, local content warm, provider offers
 #: reconcile) → tiers``, tried in order until one recovers
@@ -77,15 +90,8 @@ class SketchTier:
     traces depend on whether the ladder ran).
     """
 
-    def __init__(
-        self,
-        provider,
-        config: ReconcileConfig,
-        seed,
-        registry: MetricsRegistry,
-    ):
+    def __init__(self, provider, seed, registry: MetricsRegistry):
         self.provider = provider
-        self.config = config
         self._salt_rng = random.Random(f"resilient-salt:{seed}")
         self._minted: Optional[str] = None
         self._attempts = registry.counter("sync.reconcile.attempts")
@@ -101,10 +107,10 @@ class SketchTier:
     def pays(self, content: SyncedContent) -> bool:
         """*content* is **warm**: its entries' summed
         ``estimated_size()`` exceeds the sketch floor
-        (:attr:`ReconcileConfig.floor_bytes`), so a sketch open costs
-        less than the load it replaces — the second fact of a
-        :data:`LADDER` lookup, and what opens a subscription by sketch."""
-        floor, held = self.config.floor_bytes, 0
+        (:data:`SKETCH_FLOOR_BYTES`), so a sketch open costs less than
+        the load it replaces — the second fact of a :data:`LADDER`
+        lookup, and what opens a subscription by sketch."""
+        floor, held = SKETCH_FLOOR_BYTES, 0
         for entry in content.entries.values():
             held += entry.estimated_size()
             if held > floor:
@@ -120,7 +126,7 @@ class SketchTier:
         into targeted per-entry fetches plus local deletes.  On a decode
         failure (undersized or corrupted sketch — always *detected*, see
         :meth:`EntrySketch.decode <repro.sync.reconcile.EntrySketch>`)
-        the cell count doubles with a fresh salt, up to the config cap.
+        the cell count doubles with a fresh salt, up to :data:`MAX_CELLS`.
 
         Returns the applied fetch response — the replica then holds the
         master's sketch-time content and a live session cookie — or
@@ -140,14 +146,13 @@ class SketchTier:
         return applied
 
     def _reconcile(self, machine: HealthMachine, content: SyncedContent) -> Optional[SyncResponse]:
-        cfg = self.config
         cap = machine.policy.max_attempts
         cells: Optional[int] = None
         salt = self._salt_rng.getrandbits(32)
         failures = 0
         while True:
             rreq = ReconcileRequest(
-                divergence_hint=cfg.initial_divergence,
+                divergence_hint=INITIAL_DIVERGENCE,
                 cells=cells,
                 salt=salt,
                 cookie=self._minted,
@@ -176,11 +181,11 @@ class SketchTier:
             if plan is not None:
                 return self._fetch_and_apply(machine, content, plan)
             # Undersized or corrupted sketch — a *detected* failure:
-            # double the cells, re-salt, bounded by the config cap.
+            # double the cells, re-salt, bounded by MAX_CELLS.
             self._failures.inc()
             cells = sketch.size * 2
             salt += 1
-            if cells > cfg.max_cells:
+            if cells > MAX_CELLS:
                 return None
 
     def _plan(self, content: SyncedContent, decoded):

@@ -28,7 +28,7 @@ directory:
   and every peeled item carries a checksum over (key, fingerprint), so
   a corrupted or undersized sketch yields a detected failure — the
   caller doubles the cell count and retries (bounded by
-  :class:`ReconcileConfig`), never applies garbage.
+  :data:`~repro.sync.ladder.MAX_CELLS`), never applies garbage.
 
 The orchestration (who asks for a sketch when, how failures ladder into
 a paced full rebuild) lives in :mod:`repro.sync.ladder` (``LADDER``,
@@ -40,7 +40,6 @@ specified in docs/PROTOCOL.md §11 and docs/RECOVERY.md tier 2.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
@@ -48,7 +47,6 @@ from ..ldap.dn import DN
 from ..ldap.entry import Entry
 
 __all__ = [
-    "ReconcileConfig",
     "EntrySketch",
     "entry_key",
     "entry_fingerprint",
@@ -128,33 +126,6 @@ def loaded_sketch_bytes(cells: int, hash_count: int = 3) -> int:
     sketch.counts = [1] * sketch.size
     sketch.key_xor = sketch.fp_xor = sketch.check_xor = [full] * sketch.size
     return sketch.encoded_size()
-
-
-@dataclass(frozen=True)
-class ReconcileConfig:
-    """Consumer-side sizing policy for the reconcile ladder.
-
-    Attributes:
-        initial_divergence: divergence hint for the first sketch request
-            when the consumer has nothing better (the provider sizes the
-            sketch from it, :func:`cells_for_divergence`).
-        max_cells: give up (fall back to a full rebuild) once a doubling
-            retry would exceed this many cells.
-
-    The sketch's hash partition count is not the consumer's to choose:
-    a provider always sketches with :func:`build_sketch`'s default.
-    """
-
-    initial_divergence: int = 8
-    max_cells: int = 4096
-
-    @property
-    def floor_bytes(self) -> int:
-        """Wire bytes of the first sketch a request sized by
-        ``initial_divergence`` solicits, every cell loaded, at the hash
-        count providers sketch with: the least a sketch-tier open costs
-        (929 B at the defaults)."""
-        return loaded_sketch_bytes(cells_for_divergence(self.initial_divergence))
 
 
 class EntrySketch:

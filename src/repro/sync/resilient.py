@@ -52,7 +52,6 @@ from .consumer import SyncedContent
 from .health import HEALTH_STATES, HealthMachine, HealthPolicy, RetryPolicy
 from .ladder import LADDER, SketchTier
 from .protocol import MultiPoll, SyncProtocolError, SyncResponse
-from .reconcile import ReconcileConfig
 from .snapshot import SnapshotRecoverer, SnapshotStore
 
 __all__ = ["RetryPolicy", "HealthPolicy", "SyncLink", "ResilientConsumer", "HEALTH_STATES"]
@@ -112,8 +111,6 @@ class SyncLink(HealthMachine):
         replica_server: optional :class:`DirectoryServer` serving this
             replica's clients; flipped into degraded stale-read mode
             while the master is unreachable.
-        reconcile_config: sizing policy for the sketch tier
-            (docs/RECOVERY.md).
         health: the :class:`HealthPolicy` (budgeted retries, circuit
             breaker, quarantine); a caller whose schedule needs more
             retries than the default budget passes one sized to it.
@@ -128,7 +125,6 @@ class SyncLink(HealthMachine):
         policy: Optional[RetryPolicy] = None,
         seed=0,
         replica_server: Optional[DirectoryServer] = None,
-        reconcile_config: ReconcileConfig = ReconcileConfig(),
         health: HealthPolicy = HealthPolicy(),
         name: Optional[str] = None,
     ):
@@ -138,7 +134,7 @@ class SyncLink(HealthMachine):
         self.registry = registry = network.registry if network is not None else MetricsRegistry()
         policy = policy if policy is not None else RetryPolicy()
         super().__init__(policy, health, network, registry, self.name, seed, replica_server)
-        self._sketch = SketchTier(provider, reconcile_config, seed, registry)
+        self._sketch = SketchTier(provider, seed, registry)
         self._reloads = registry.counter("sync.resilient.reloads")
         self._cycles = registry.counter("sync.resilient.cycles")
         self._refreshes = registry.counter("sync.resilient.refreshes")
@@ -445,7 +441,6 @@ class ResilientConsumer(SyncLink):
         seed: int = 0,
         replica_server: Optional[DirectoryServer] = None,
         mode: str = "poll",
-        reconcile_config: ReconcileConfig = ReconcileConfig(),
         snapshot_store: Optional[SnapshotStore] = None,
         snapshot_interval: int = 1,
         health: HealthPolicy = HealthPolicy(),
@@ -455,7 +450,7 @@ class ResilientConsumer(SyncLink):
             raise ValueError(f"mode must be 'poll' or 'persist', got {mode!r}")
         if snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        super().__init__(provider, network, policy, seed, replica_server, reconcile_config, health, name)
+        super().__init__(provider, network, policy, seed, replica_server, health, name)
         self.mode = mode
         self.content = SyncedContent(request, network=network)
         self._round = (self.content,)

@@ -148,32 +148,13 @@ class Session:
     # ------------------------------------------------------------------
     # update ingestion (called by the provider's update listener)
     # ------------------------------------------------------------------
-    def observe(
-        self,
-        in_before: bool,
-        in_after: bool,
-        old_dn: DN,
-        new_dn: DN,
-        after_entry: Optional[Entry],
-    ) -> None:
-        """Fold one master update into the session: its row of
-        :data:`OUTCOMES`, applied to the membership and to the history.
-
-        ``in_before``/``in_after`` say whether the entry was inside the
-        session's content before/after the update; ``old_dn``/``new_dn``
-        differ only for modifyDN.
-        """
-        pdus = OUTCOMES[in_before, in_after, old_dn != new_dn]
-        self.advance(pdus, old_dn, new_dn)
-        for pdu in pdus:
-            self.enqueue(PDUS[pdu](old_dn, after_entry))
-
     def enqueue(self, update: SyncUpdate) -> None:
         """Fold one pre-built update into the pending actions.
 
-        The PDU half of :meth:`observe`: the routed fan-out advances
-        every visited session's membership first, then enqueues one
-        shared (frozen) ``SyncUpdate`` per PDU kind per record into each.
+        The PDU half of an :data:`OUTCOMES` row (:meth:`advance` is the
+        membership half): the routed fan-out advances every visited
+        session's membership first, then enqueues one shared (frozen)
+        ``SyncUpdate`` per PDU kind per record into each.
         """
         if self.persist_queue is not None:
             # Persist mode: notifications flow immediately, no coalescing.

@@ -1,9 +1,8 @@
-"""Consumer-side snapshots: point-in-time warm starts (ROADMAP item 5).
+"""Consumer-side snapshots: point-in-time warm starts.
 
-The provider side has been durable since PR 5 (journal + recovery) —
-but a restarted *replica* still booted empty and paid a full
-O(content) rebuild.  This module closes that gap with the recovery
-ladder's new first rung (docs/RECOVERY.md):
+The provider recovers from its journal; a restarted *replica* recovers
+from a snapshot of its content, the recovery ladder's first rung
+(docs/RECOVERY.md), instead of paying a full O(content) rebuild:
 
 * :class:`SnapshotStore` — atomic storage of one point-in-time dump:
   the replicated content as LDIF (:mod:`repro.ldap.ldif`, whose

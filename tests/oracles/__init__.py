@@ -19,9 +19,11 @@ scaling/ablation benches measure:
 * :class:`LinearRecentQueryCache` — the whole window scanned
   newest-first, hits evaluated the same interpreted way;
 * :class:`LinearResyncProvider` — every active session's filter
-  evaluated, interpreted, against both images of every update
-  (``_apply_to_session``, which left ``src/`` when journal replay
-  started fanning out through the router like a live commit).
+  evaluated, interpreted, against both images of every update, and its
+  :data:`~repro.sync.session.OUTCOMES` row folded into the session one
+  update at a time (``_apply_to_session`` and :func:`observe`, which
+  left ``src/`` when journal replay started fanning out through the
+  router like a live commit).
 
 Each subclasses the production class so filter management, sync, stats,
 window and session bookkeeping are shared; only the scans differ.
@@ -79,11 +81,12 @@ from repro.ldap import DN, Entry, SearchRequest
 from repro.ldap.ber import encode_sync_update
 from repro.ldap.filters import attributes_of
 from repro.server import ResponseTruncated
-from repro.server.indexes import _ngrams
+from repro.server.indexes import NGRAM, _ngrams
 from repro.sync import ResyncProvider, SessionStore, SyncLink, SyncProtocolError
 from repro.sync import resync
 from repro.sync.durability import DNMemo
 from repro.sync.ladder import LADDER
+from repro.sync.session import OUTCOMES, PDUS
 
 __all__ = [
     "LinearFilterReplica",
@@ -95,6 +98,7 @@ __all__ = [
     "holders_of",
     "linear_substring_candidates",
     "linear_substring_estimate",
+    "observe",
     "per_character_is_safe",
     "per_pdu_persist",
     "recover_parsing_each_text",
@@ -165,14 +169,25 @@ class LinearResyncProvider(ResyncProvider):
         in_after = record.after is not None and request.selects(record.after)
         if not in_before and not in_after:
             return
-        session.observe(
-            in_before=in_before,
-            in_after=in_after,
-            old_dn=record.dn,
-            new_dn=record.effective_dn,
-            after_entry=record.after,
-        )
+        observe(session, in_before, in_after, record.dn, record.effective_dn, record.after)
         session.flush()
+
+
+def observe(session, in_before: bool, in_after: bool, old_dn: DN, new_dn: DN, after_entry) -> None:
+    """Fold one master update into *session*: its row of
+    :data:`~repro.sync.session.OUTCOMES`, applied to the membership and
+    to the history.
+
+    ``in_before``/``in_after`` say whether the entry was inside the
+    session's content before/after the update; ``old_dn``/``new_dn``
+    differ only for modifyDN.  The routed fan-out folds the same row
+    in two passes over every visited session (memberships, then PDUs);
+    this is the one-session fold the all-sessions oracle runs.
+    """
+    pdus = OUTCOMES[in_before, in_after, old_dn != new_dn]
+    session.advance(pdus, old_dn, new_dn)
+    for pdu in pdus:
+        session.enqueue(PDUS[pdu](old_dn, after_entry))
 
 
 class LinearSessionStore(SessionStore):
@@ -210,13 +225,13 @@ def linear_substring_candidates(index, components) -> Optional[set]:
         if not normalized:
             continue
         usable = True
-        if len(normalized) < index._ngram:
+        if len(normalized) < NGRAM:
             found = set().union(*_linear_short_postings(index, normalized))
             result = found if result is None else result & found
             if not result:
                 return set()
             continue
-        for gram in _ngrams(normalized, index._ngram):
+        for gram in _ngrams(normalized):
             postings = index._postings.get(gram, set())
             result = set(postings) if result is None else result & postings
             if not result:
@@ -232,12 +247,12 @@ def linear_substring_estimate(index, components) -> Optional[int]:
         normalized = str(index._atype.normalize(component))
         if not normalized:
             continue
-        if len(normalized) < index._ngram:
+        if len(normalized) < NGRAM:
             size = sum(len(p) for p in _linear_short_postings(index, normalized))
         else:
             size = min(
                 len(index._postings.get(gram, ()))
-                for gram in _ngrams(normalized, index._ngram)
+                for gram in _ngrams(normalized)
             )
         if best is None or size < best:
             best = size

@@ -10,12 +10,16 @@ scripted through ``ScriptedPlan``, the others by a probability of 1)
 and checks what the table row promises; an empty cell checks that the
 same decision leaves the exchange untouched and uncounted.
 
+Partitions and slow nodes are not table rows: no stream draws them.
+They are windows opened and closed by hand (``partition`` /
+``heal_partition``, ``set_slow`` / ``clear_slow``), and
+:func:`test_every_exchange_honours_the_windows` checks that each of the
+four exchanges honours an open one.
+
 The golden trace pins the *seeded* behaviour of the whole seam: the
 rows of ``exchange_trace.json`` were written by :func:`drive_trace`
-running on the commit before the four ``FaultyNetwork.*_exchange``
-overrides became one pipeline, and must replay identically — same
-outcome, fault counts, traffic and per-stream decision indices, row for
-row.
+and must replay identically — same outcome, fault counts, traffic and
+per-stream decision indices, row for row.
 """
 
 import json
@@ -81,15 +85,15 @@ def fetch_keys(names):
 # ----------------------------------------------------------------------
 # the golden seeded trace
 # ----------------------------------------------------------------------
-TRACE_SPEC = FaultSpec.uniform(0.3, partition=0.1, slow=0.1)
+TRACE_SPEC = FaultSpec.uniform(0.3)
 TRACE_SEEDS = (11, 24)
 TRACE_EXCHANGES = 208
-
-
-def stream_indices(plan) -> dict:
-    """Decisions made per stream — the one thing the commit that wrote
-    the trace spelled differently (seven ``_*_index`` fields)."""
-    return dict(plan.drawn)
+#: The trace's explicit windows, by row modulo 64: a partition over one
+#: exchange of each kind, then a slow node over the next four.
+PARTITION_ROWS = range(20, 24)
+SLOW_ROWS = range(24, 28)
+SLOW_MS = 25.0
+WINDOWS = ("partition", "slow")
 
 
 def shape(deliveries) -> list:
@@ -102,7 +106,9 @@ def shape(deliveries) -> list:
 def drive_trace(seed: int, exchanges: int = TRACE_EXCHANGES) -> list:
     """``exchanges`` exchanges cycling poll → subscribe → sketch → fetch
     against one provider (journaled for odd seeds) under
-    ``FaultSpec.uniform(0.3, partition=0.1, slow=0.1)``; one row each."""
+    ``FaultSpec.uniform(0.3)``, with a partition window over
+    :data:`PARTITION_ROWS` and a slow window over :data:`SLOW_ROWS`;
+    one row each."""
     master = build_master()
     journal = MemoryJournal() if seed % 2 else None
     provider = ResyncProvider(master, journal=journal)
@@ -112,6 +118,15 @@ def drive_trace(seed: int, exchanges: int = TRACE_EXCHANGES) -> list:
     rows = []
     for i in range(exchanges):
         kind = ("poll", "subscribe", "sketch", "fetch")[i % 4]
+        phase = i % 64
+        if phase == PARTITION_ROWS.start:
+            net.partition(provider)
+        elif phase == PARTITION_ROWS.stop:
+            net.heal_partition(provider)
+        if phase == SLOW_ROWS.start:
+            net.set_slow(provider, SLOW_MS)
+        elif phase == SLOW_ROWS.stop:
+            net.clear_slow(provider)
         # Keep every session's pending set non-empty: truncation needs
         # a response with updates.
         master.add(person(f"N{i}"))
@@ -134,10 +149,7 @@ def drive_trace(seed: int, exchanges: int = TRACE_EXCHANGES) -> list:
                 outcome = ["ok", shape(deliveries), len(sink)]
             elif kind == "sketch":
                 rreq = ReconcileRequest(divergence_hint=4, salt=i, cookie=minted)
-                served = net.reconcile_exchange(provider, REQUEST, rreq)
-                # The one row shape that changed: the response now
-                # travels in a Delivery list like the other three.
-                response = served[-1].response if isinstance(served, list) else served
+                response = net.reconcile_exchange(provider, REQUEST, rreq)[-1].response
                 minted = response.cookie
                 outcome = [
                     "ok",
@@ -173,7 +185,7 @@ def drive_trace(seed: int, exchanges: int = TRACE_EXCHANGES) -> list:
                 outcome,
                 net.fault_counts(),
                 list(net.stats.as_dict().values()),
-                stream_indices(net.plan),
+                dict(net.plan.drawn),
                 round(net.elapsed_ms, 6),
                 provider.active_session_count,
             ]
@@ -193,17 +205,19 @@ def test_golden_seeded_trace_replays(seed):
 
 def test_golden_trace_reaches_the_table():
     """The trace is worth pinning only while, between its seeds, every
-    stream was drawn, every exchange-reaching kind injected and every
-    outcome met at every exchange."""
+    stream was drawn, every exchange-reaching kind and both windows
+    injected and every outcome met at every exchange."""
     with open(TRACE, encoding="utf-8") as fh:
         golden = json.load(fh)
     assert all(any(rows[-1][4][s] for rows in golden.values()) for s in STREAMS)
     injected = set().union(*(rows[-1][2] for rows in golden.values()))
     assert injected >= {f for f, (_, sites) in FAULTS.items() if set(sites) & set(EXCHANGES)}
+    assert injected >= set(WINDOWS)
     met = {(row[0], row[1][0]) for rows in golden.values() for row in rows}
     for kind in EXCHANGES:
         for outcome in ("ok", "RequestDropped", "ResponseDropped", "ServerUnavailable"):
             assert (kind, outcome) in met
+        assert (kind, "NetworkPartitioned") in met
     assert {k for k, o in met if o == "ResponseTruncated"} == set(FAULTS["truncate"][1])
 
 
@@ -259,7 +273,11 @@ class Cell:
             self.net.plan = FaultPlan(FaultSpec(**{fault: 1.0}), seed=3)
         # A subscription opens with a null cookie, except to show that
         # a resumption cookie can be refused.
-        resumed = self.cookie if fault == "cookie_invalidate" else None
+        return self.attempt(kind, resumed=self.cookie if fault == "cookie_invalidate" else None)
+
+    def attempt(self, kind, resumed=None):
+        """One *kind* exchange presenting the warmed cookie of its kind
+        (*resumed* for a subscription); an exception as a value."""
         cookie = {"poll": self.cookie, "subscribe": resumed, "fetch": self.minted}.get(kind)
         try:
             return self.exchange(kind, cookie)
@@ -362,27 +380,6 @@ def check_duplicate(c, kind, outcome):
     assert c.served == 1
 
 
-def check_partition(c, kind, outcome):
-    assert isinstance(outcome, NetworkPartitioned)
-    assert c.counts() == {"partition": 1}
-    assert c.net.plan.drawn["p"] == 1
-    assert c.net.is_partitioned(c.provider)
-    assert c.net.crash_epoch == 0
-    assert c.served == 0
-    assert c.provider.active_session_count == c.sessions
-
-
-def check_slow(c, kind, outcome):
-    deliveries, _ = outcome
-    (delivery,) = deliveries
-    assert 0.0 < delivery.delay_ms <= FaultSpec().slow_latency_ms
-    assert c.net.elapsed_ms == delivery.delay_ms
-    assert c.net.registry.gauge("net.fault.delay_ms").value == delivery.delay_ms
-    assert c.counts() == {"slow": 1}
-    assert c.net.plan.drawn["p"] == 1
-    assert c.served == 1
-
-
 def check_sketch_corrupt(c, kind, outcome):
     deliveries, _ = outcome
     (delivery,) = deliveries
@@ -400,8 +397,6 @@ CHECKS = {
     "truncate": check_truncate,
     "delay": check_delay,
     "duplicate": check_duplicate,
-    "partition": check_partition,
-    "slow": check_slow,
     "sketch_corrupt": check_sketch_corrupt,
 }
 
@@ -410,6 +405,38 @@ def test_every_exchange_reaching_kind_has_a_check():
     assert set(CHECKS) == {
         fault for fault, (_, sites) in FAULTS.items() if set(sites) & set(EXCHANGES)
     }
+
+
+@pytest.mark.parametrize("kind", list(EXCHANGES))
+@pytest.mark.parametrize("window", WINDOWS)
+def test_every_exchange_honours_the_windows(window, kind):
+    """A partition or slow node is a window opened by hand, not a
+    table row a plan draws: inside a partition every exchange is
+    refused before the provider sees it, and behind a slow node every
+    one is served carrying exactly the added latency."""
+    assert window not in FAULTS
+    c = Cell()
+    c.net.plan = FaultPlan(FaultSpec(), seed=3)
+    if window == "partition":
+        c.net.partition(c.provider)
+    else:
+        c.net.set_slow(c.provider, SLOW_MS)
+    outcome = c.attempt(kind)
+    assert c.net.stats.round_trips - c.trips == 1
+    assert c.counts() == {window: 1}
+    assert c.net.plan.drawn["x"] == 1
+    if window == "partition":
+        assert isinstance(outcome, NetworkPartitioned)
+        assert c.net.is_partitioned(c.provider)
+        assert c.net.crash_epoch == 0
+        assert c.served == 0
+        assert c.provider.active_session_count == c.sessions
+        return
+    deliveries, _ = outcome
+    assert [d.delay_ms for d in deliveries] == [SLOW_MS]
+    assert c.net.elapsed_ms == SLOW_MS
+    assert c.net.registry.gauge("net.fault.delay_ms").value == SLOW_MS
+    assert c.served == 1
 
 
 @pytest.mark.parametrize("cell", SITE_CELLS, ids=cell_id)
@@ -463,7 +490,6 @@ def test_every_kind_is_a_probability_drawn_by_its_stream(fault):
     plan = FaultPlan(FaultSpec(**{fault: 1.0}), seed=5)
     nexts = {
         "x": plan.next_exchange,
-        "p": plan.next_partition,
         "r": plan.next_reconcile,
         "b": plan.next_batch,
         "n": plan.next_notification,

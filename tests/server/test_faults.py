@@ -33,6 +33,9 @@ from repro.sync import (
     SyncedContent,
 )
 
+#: The plan's seed streams: none draws reachability, since partitions
+#: and slow nodes are windows opened by hand.
+PLAN_STREAMS = {"x", "r", "b", "n", "j", "s"}
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 
 
@@ -410,18 +413,21 @@ class TestReachabilityFaults:
         assert "cn=E9,o=xyz" in {str(dn) for dn in content.dns()}
         assert provider.active_session_count == 1
 
-    def test_plan_driven_partition_window_self_heals(self):
-        net = faulty(FaultSpec(partition=1.0, partition_length=2))
+    def test_partition_window_outlasts_any_plan_until_healed(self):
+        # No stream draws reachability: under the loudest plan a window
+        # neither opens nor closes by itself; heal_partition() ends it.
+        net = faulty(FaultSpec.uniform(1.0, crash=0.0, drop_request=0.0))
         provider = ResyncProvider(build_master())
         content = SyncedContent(REQUEST, network=net)
-        for _ in range(2):
+        net.partition(provider)
+        for _ in range(5):
             with pytest.raises(NetworkPartitioned):
                 content.poll(provider)
-        # The cut lasted partition_length attempts; with the plan
-        # swapped idle the window has expired and service resumes.
-        net.plan = FaultPlan(FaultSpec(), seed=0)
+        assert net.fault_counts()["partition"] == 5
+        assert set(net.plan.drawn) == PLAN_STREAMS
+        net.heal_partition(provider)
+        net.plan = None
         content.poll(provider)
-        assert net.fault_counts() == {"partition": 2}
         assert len(content) == 4
 
     def test_slow_node_inflates_elapsed_and_records(self):
@@ -438,14 +444,24 @@ class TestReachabilityFaults:
         content.poll(provider)
         assert net.fault_counts() == {"slow": 1}  # surcharge gone
 
-    def test_plan_driven_slow_adds_transient_latency(self):
-        net = faulty(FaultSpec(slow=1.0, slow_latency_ms=25.0))
+    def test_slow_window_adds_exactly_its_latency_under_a_plan(self):
+        # The surcharge is the window's, not a draw: every exchange
+        # behind it carries the same added latency, whatever the plan.
+        net = faulty(FaultSpec(drop_request=0.5))
         provider = ResyncProvider(build_master())
         content = SyncedContent(REQUEST, network=net)
-        content.poll(provider)
-        counts = net.fault_counts()
-        assert counts.get("slow") == 1
-        assert net.elapsed_ms > 0
+        net.set_slow(provider, 25.0)
+        served = 0
+        for _ in range(6):
+            try:
+                content.poll(provider)
+                served += 1
+            except RequestDropped:
+                pass
+        assert 0 < served < 6
+        assert net.fault_counts()["slow"] == 6
+        assert net.elapsed_ms == 6 * 25.0
+        assert set(net.plan.drawn) == PLAN_STREAMS
 
 
 class TestStreamIndependence:
@@ -464,30 +480,33 @@ class TestStreamIndependence:
             noisy.next_journal()
             noisy.next_reconcile()
             noisy.next_snapshot()
-            noisy.next_partition()
             got.append(noisy.next_exchange())
         assert got == expected
         # One counter per stream of the table, each advanced only by
         # its own draws.
-        assert plain.drawn == {"x": 10, "p": 0, "r": 0, "b": 0, "n": 0, "j": 0, "s": 0}
-        assert noisy.drawn == {"x": 10, "p": 10, "r": 10, "b": 10, "n": 0, "j": 10, "s": 10}
+        assert plain.drawn == {"x": 10, "r": 0, "b": 0, "n": 0, "j": 0, "s": 0}
+        assert noisy.drawn == {"x": 10, "r": 10, "b": 10, "n": 0, "j": 10, "s": 10}
 
     @staticmethod
-    def _drive(spec: FaultSpec, cycles: int = 12):
-        """A fixed mutate+poll loop; returns the observable trace."""
+    def _drive(spec: FaultSpec, cycles: int = 12, windows=None):
+        """A fixed mutate+poll loop; returns the observable trace.
+        *windows*, if given, is called as ``windows(net, provider, i)``
+        before cycle *i*."""
         net = faulty(spec, seed=5)
         master = build_master()
         provider = ResyncProvider(master)
         content = SyncedContent(REQUEST, network=net)
         for i in range(cycles):
             master.add(person(f"X{i}"))
+            if windows is not None:
+                windows(net, provider, i)
             try:
                 content.poll(provider)
             except TransportError:
                 pass
         return {
             "faults": net.fault_counts(),
-            "drawn": {s: n for s, n in net.plan.drawn.items() if s != "p"},
+            "drawn": dict(net.plan.drawn),
             "round_trips": net.stats.round_trips,
             "elapsed_ms": net.elapsed_ms,
             "dns": sorted(str(dn) for dn in content.dns()),
@@ -519,10 +538,10 @@ class TestStreamIndependence:
         )
         assert self._drive(base) == self._drive(loud)
 
-    def test_partition_stream_gating_leaves_exchange_trace_identical(self):
-        # Enabling the :p stream with a zero-latency slow fault draws
-        # reachability decisions every exchange but changes nothing
-        # observable — the :x stream must not shift.
+    def test_windows_draw_from_no_stream(self):
+        # A partition window over cycles 3-5 and a slow one over 6-8
+        # refuse and delay exchanges but draw no decision: every stream
+        # has drawn what the window-free drive drew.
         base = FaultSpec(
             drop_request=0.35,
             drop_response=0.25,
@@ -531,10 +550,22 @@ class TestStreamIndependence:
             delay=0.3,
             max_delay_ms=20.0,
         )
-        gated = replace(base, slow=1.0, slow_latency_ms=0.0)
-        assert self._drive(base) == self._drive(gated)
-        assert faulty(base).plan.enables("p") is False
-        assert faulty(gated).plan.enables("p") is True
+
+        def windows(net, provider, i):
+            if i == 3:
+                net.partition(provider)
+            elif i == 6:
+                net.heal_partition(provider)
+                net.set_slow(provider, 40.0)
+            elif i == 9:
+                net.clear_slow(provider)
+
+        plain = self._drive(base)
+        windowed = self._drive(base, windows=windows)
+        assert windowed["faults"]["partition"] == 3
+        assert windowed["faults"]["slow"] >= 1
+        assert windowed["drawn"] == plain["drawn"]
+        assert set(plain["drawn"]) == PLAN_STREAMS
 
     def test_salt_rng_does_not_perturb_backoff_jitter(self):
         # Regression: the reconcile salt draws from its own RNG; one

@@ -125,7 +125,7 @@ class TestFigure2:
         loopy = DistributedDirectory()
         loopy.add_server("p", "o=p", default_referral="ldap://q")
         loopy.add_server("q", "o=q", default_referral="ldap://p")
-        client = LdapClient(loopy.network, max_hops=10)
+        client = LdapClient(loopy.network)
         # visited-set breaks the loop before the hop limit fires
         result = client.search("ldap://p", SearchRequest("o=zz", Scope.SUB))
         assert result.entries == []

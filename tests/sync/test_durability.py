@@ -51,7 +51,7 @@ from repro.sync.durability import (
 )
 from repro.sync.session import Session
 from repro.obs.registry import MetricsRegistry
-from tests.oracles import recover_parsing_each_text
+from tests.oracles import observe, recover_parsing_each_text
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
 
@@ -118,7 +118,8 @@ class TestWireFormat:
     def test_session_round_trip(self):
         session = Session("s9", REQUEST)
         session.seed_content([person("A").dn, person("B").dn])
-        session.observe(
+        observe(
+            session,
             in_before=True,
             in_after=True,
             old_dn=person("A").dn,

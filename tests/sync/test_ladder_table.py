@@ -20,7 +20,6 @@ from repro.server import (
 )
 from repro.sync import (
     MultiPoll,
-    ReconcileConfig,
     ResilientConsumer,
     ResyncProvider,
     RetainResyncProvider,
@@ -29,9 +28,10 @@ from repro.sync import (
     SyncProtocolError,
     entry_fingerprint,
 )
+from repro.sync import ladder
 from repro.sync.ladder import LADDER, SketchTier
 from repro.sync.reconcile import EntrySketch, build_sketch, cells_for_divergence
-from repro.sync.protocol import answer_polls
+from repro.sync.protocol import ReconcileRequest, answer_polls
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 
@@ -72,14 +72,14 @@ def refusing(provider_cls):
     return Refusing
 
 
-def build_cell(key, **consumer_kwargs):
+def build_cell(key):
     """(master, provider, consumer, counters) in the state *key* names,
     one refusal away from the ladder."""
     carried, warm, offers = key
     master = build_master(40 if warm else 0)
     provider = refusing(ResyncProvider if offers else RetainResyncProvider)(master)
     net = FaultyNetwork()
-    consumer = ResilientConsumer(REQUEST, provider, network=net, **consumer_kwargs)
+    consumer = ResilientConsumer(REQUEST, provider, network=net)
     assert consumer.sync_once() is not None
     assert (len(consumer.content) > 0) == warm
     assert callable(getattr(provider, "reconcile", None)) == offers
@@ -116,12 +116,12 @@ def test_every_cell_takes_the_tiers_the_table_names(key):
     assert counter("sync.reconcile.fallbacks").value == 0
 
 
-def test_failed_sketch_moves_on_to_the_next_tier_of_its_row():
+def test_failed_sketch_moves_on_to_the_next_tier_of_its_row(monkeypatch):
     key = (True, True, True)
     assert LADDER[key] == ("sketch", "rebuild")
-    master, provider, consumer, counter = build_cell(
-        key, reconcile_config=ReconcileConfig(initial_divergence=1, max_cells=6)
-    )
+    monkeypatch.setattr(ladder, "INITIAL_DIVERGENCE", 1)
+    monkeypatch.setattr(ladder, "MAX_CELLS", 6)
+    master, provider, consumer, counter = build_cell(key)
     for i in range(10, 30):
         master.modify(f"cn=E{i:03d},o=xyz", [Modification.replace("sn", "far")])
     assert consumer.sync_once() is not None
@@ -160,12 +160,13 @@ def test_plain_dead_cookie_over_warm_content_reconciles(death):
 @pytest.mark.parametrize("seed", [101, 202, 303])
 @pytest.mark.parametrize("rate", [0.5, 1.0])
 def test_sketch_damage_on_the_plain_cookie_path_never_installs_a_wrong_entry(
-    seed, rate
+    seed, rate, monkeypatch
 ):
     """``FaultSpec.sketch_corrupt`` on the journal-less-restart path:
     each damaged sketch is a *detected* decode failure — the tier
     doubles or falls back to the rebuild, and the replica never holds
     an entry version the master never had."""
+    monkeypatch.setattr(ladder, "MAX_CELLS", 192)
     master = build_master(40)
     provider = ResyncProvider(master)
     net = FaultyNetwork(FaultPlan(FaultSpec(sketch_corrupt=rate), seed=seed))
@@ -174,7 +175,6 @@ def test_sketch_damage_on_the_plain_cookie_path_never_installs_a_wrong_entry(
         provider,
         network=net,
         policy=RetryPolicy(jitter=0.0),
-        reconcile_config=ReconcileConfig(max_cells=192),
     )
     consumer.sync_once()
     ever_valid = {entry_fingerprint(e) for e in master.search(REQUEST).entries}
@@ -206,14 +206,13 @@ def test_warm_is_more_than_the_sketch_floor():
     """The ladder's second fact is size, not presence: a content whose
     entries weigh no more than the first sketch would rebuilds — the
     load is the cheaper recovery — and one entry more reconciles."""
-    config = ReconcileConfig()
-    assert config.floor_bytes == 929  # 24 loaded cells
-    tier = SketchTier(None, config, 0, FaultyNetwork().registry)
+    assert ladder.SKETCH_FLOOR_BYTES == 929  # 24 loaded cells
+    tier = SketchTier(None, 0, FaultyNetwork().registry)
     content = SyncedContent(REQUEST)
     assert not tier.pays(content)
     entries = [person(f"E{i:03d}") for i in range(20)]
     size = entries[0].estimated_size()
-    small = config.floor_bytes // size
+    small = ladder.SKETCH_FLOOR_BYTES // size
     content.entries = {e.dn: e for e in entries[:small]}
     assert not tier.pays(content)
     content.entries = {e.dn: e for e in entries[: small + 1]}
@@ -221,24 +220,24 @@ def test_warm_is_more_than_the_sketch_floor():
 
 
 def test_the_floor_is_what_the_encoder_charges_for_a_first_sketch():
-    """``floor_bytes`` is measured on the sketch encoder, not restated:
-    a real first sketch (sized by ``initial_divergence``) of any content
-    costs at most the floor, and an empty one far less."""
-    config = ReconcileConfig()
-    cells = cells_for_divergence(config.initial_divergence)
+    """``SKETCH_FLOOR_BYTES`` is measured on the sketch encoder, not
+    restated: a real first sketch (sized by ``INITIAL_DIVERGENCE``) of
+    any content costs at most the floor, and an empty one far less."""
+    floor = ladder.SKETCH_FLOOR_BYTES
+    cells = cells_for_divergence(ladder.INITIAL_DIVERGENCE)
     for count in (1, 5, 40, 400):
         entries = [person(f"E{i:03d}") for i in range(count)]
         sketch = build_sketch(entries, cells, salt=count)
-        assert sketch.encoded_size() <= config.floor_bytes
-    assert EntrySketch(cells).encoded_size() < config.floor_bytes // 2
+        assert sketch.encoded_size() <= floor
+    assert EntrySketch(cells).encoded_size() < floor // 2
 
 
 def test_the_sketch_hash_count_is_not_a_consumer_setting():
     """A sketch request carries no hash count and a provider sketches
-    with the default, so the consumer's config has none to set."""
+    with the default, so the consumer has none to set."""
     with pytest.raises(TypeError):
-        ReconcileConfig(hash_count=4)
-    assert ReconcileConfig().floor_bytes == 929
+        ReconcileRequest(hash_count=4)
+    assert ladder.SKETCH_FLOOR_BYTES == 929
 
 
 def test_a_small_content_rebuilds_where_a_sketch_costs_more():
@@ -257,4 +256,4 @@ def test_a_small_content_rebuilds_where_a_sketch_costs_more():
     assert consumer.content.matches_master(master)
     assert net.registry.counter("sync.reconcile.attempts").value == 0
     assert net.registry.counter("sync.resilient.reloads").value == 1
-    assert net.stats.bytes_sent - before < ReconcileConfig().floor_bytes
+    assert net.stats.bytes_sent - before < ladder.SKETCH_FLOOR_BYTES

@@ -25,12 +25,11 @@ from repro.server import (
     Modification,
 )
 from repro.server.network import RequestDropped, SimulatedNetwork
-from repro.sync import reconcile
+from repro.sync import ladder, reconcile
 from repro.sync import (
     DurabilityConfig,
     EntrySketch,
     MemoryJournal,
-    ReconcileConfig,
     ReconcileFetch,
     ReconcileRequest,
     ResilientConsumer,
@@ -348,16 +347,12 @@ class TestReconcileTier:
         assert net.registry.counter("sync.resilient.reloads").value == 0
         assert net.registry.counter("sync.reconcile.attempts").value == 0
 
-    def test_sketch_doubles_until_divergence_fits(self):
+    def test_sketch_doubles_until_divergence_fits(self, monkeypatch):
+        monkeypatch.setattr(ladder, "INITIAL_DIVERGENCE", 1)
         master = build_master(120)
         provider = overflowing_provider(master)
         net = SimulatedNetwork()
-        consumer = ResilientConsumer(
-            REQUEST,
-            provider,
-            network=net,
-            reconcile_config=ReconcileConfig(initial_divergence=1, max_cells=4096),
-        )
+        consumer = ResilientConsumer(REQUEST, provider, network=net)
         overflow_then_kill(master, provider, consumer, touched=40)
         consumer.sync_once()
         assert consumer.content.matches_master(master)
@@ -367,16 +362,13 @@ class TestReconcileTier:
         assert reg.counter("sync.reconcile.decode_failure").value >= 1
         assert reg.counter("sync.reconcile.rounds").value >= 2
 
-    def test_cap_exhaustion_falls_back_to_rebuild(self):
+    def test_cap_exhaustion_falls_back_to_rebuild(self, monkeypatch):
+        monkeypatch.setattr(ladder, "INITIAL_DIVERGENCE", 1)
+        monkeypatch.setattr(ladder, "MAX_CELLS", 6)
         master = build_master(60)
         provider = overflowing_provider(master)
         net = SimulatedNetwork()
-        consumer = ResilientConsumer(
-            REQUEST,
-            provider,
-            network=net,
-            reconcile_config=ReconcileConfig(initial_divergence=1, max_cells=6),
-        )
+        consumer = ResilientConsumer(REQUEST, provider, network=net)
         overflow_then_kill(master, provider, consumer, touched=30)
         consumer.sync_once()
         assert consumer.content.matches_master(master)
@@ -386,7 +378,7 @@ class TestReconcileTier:
         assert provider.active_session_count == 1  # abandoned ladder session ended
 
     @pytest.mark.parametrize("lost", ["fetch", "doubling_request"])
-    def test_every_fallback_ends_the_session_the_tier_minted(self, lost):
+    def test_every_fallback_ends_the_session_the_tier_minted(self, lost, monkeypatch):
         """Regression: only the cap exit ended the sketch-time session.
         When the fetch gave out, or a doubling round's request was lost
         after an earlier round had minted a session, the ladder rebuilt
@@ -411,15 +403,16 @@ class TestReconcileTier:
         provider = overflowing_provider(master)
         net = Lossy()
         # an undersized first sketch forces the doubling round
-        cells = dict(initial_divergence=1) if lost == "doubling_request" else {}
+        doubling = lost == "doubling_request"
+        if doubling:
+            monkeypatch.setattr(ladder, "INITIAL_DIVERGENCE", 1)
         consumer = ResilientConsumer(
             REQUEST,
             provider,
             network=net,
             policy=RetryPolicy(max_attempts=3, jitter=0.0),
-            reconcile_config=ReconcileConfig(**cells),
         )
-        overflow_then_kill(master, provider, consumer, touched=30 if cells else 4)
+        overflow_then_kill(master, provider, consumer, touched=30 if doubling else 4)
         assert consumer.sync_once() is not None
         assert consumer.content.matches_master(master)
         reg = net.registry
@@ -428,10 +421,11 @@ class TestReconcileTier:
         assert reg.counter("sync.resilient.reloads").value == 1
         assert provider.active_session_count == 1  # no orphan beside the rebuild's
 
-    def test_corrupted_sketches_never_install_wrong_entries(self):
+    def test_corrupted_sketches_never_install_wrong_entries(self, monkeypatch):
         """Every served sketch corrupted: the ladder must detect each
         failure, exhaust the cap, and converge through the rebuild —
         with the replica never holding a non-master entry."""
+        monkeypatch.setattr(ladder, "MAX_CELLS", 128)
         master = build_master(40)
         provider = overflowing_provider(master)
         net = FaultyNetwork(FaultPlan(FaultSpec(sketch_corrupt=1.0), seed=9))
@@ -440,7 +434,6 @@ class TestReconcileTier:
             provider,
             network=net,
             policy=RetryPolicy(jitter=0.0),
-            reconcile_config=ReconcileConfig(max_cells=128),
         )
         overflow_then_kill(master, provider, consumer)
         consumer.sync_once()

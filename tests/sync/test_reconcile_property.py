@@ -12,6 +12,8 @@ Two claims (docs/RECOVERY.md tier 2):
   at no point holds an entry version the master never had.
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from repro.chaos import ReferenceModel
@@ -26,7 +28,6 @@ from repro.server import (
 from repro.sync import (
     DurabilityConfig,
     MemoryJournal,
-    ReconcileConfig,
     ResilientConsumer,
     ResyncProvider,
     RetryPolicy,
@@ -35,6 +36,7 @@ from repro.sync import (
     entry_fingerprint,
     entry_key,
 )
+from repro.sync import ladder
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 
@@ -172,6 +174,11 @@ def mutate(master: DirectoryServer, live: set, rng_value: int, step: int) -> Non
 )
 @settings(max_examples=40, deadline=None)
 def test_any_divergence_and_corruption_converges(seed, ops, corrupt_rate, max_cells):
+    with mock.patch.object(ladder, "MAX_CELLS", max_cells):
+        diverge_and_converge(seed, ops, corrupt_rate)
+
+
+def diverge_and_converge(seed, ops, corrupt_rate):
     master = DirectoryServer("M")
     master.add_naming_context("o=xyz")
     master.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
@@ -189,7 +196,6 @@ def test_any_divergence_and_corruption_converges(seed, ops, corrupt_rate, max_ce
         network=net,
         seed=seed,
         policy=RetryPolicy(jitter=0.0),
-        reconcile_config=ReconcileConfig(max_cells=max_cells),
     )
     consumer.sync_once()
     ever_valid = {digest(e) for e in master.search(REQUEST).entries}

@@ -134,9 +134,7 @@ class TestDroppedResponseRegression:
 
 class TestRetryPolicy:
     def test_backoff_is_capped_exponential(self):
-        policy = RetryPolicy(
-            base_backoff_ms=10.0, backoff_factor=2.0, max_backoff_ms=50.0, jitter=0.0
-        )
+        policy = RetryPolicy(base_backoff_ms=10.0, max_backoff_ms=50.0, jitter=0.0)
         rng = random.Random(0)
         waits = [policy.backoff_ms(i, rng) for i in range(5)]
         assert waits == [10.0, 20.0, 40.0, 50.0, 50.0]

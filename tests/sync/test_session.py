@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.ldap import DN, Entry, Scope, SearchRequest, SyncAction
 from repro.sync import Session, SessionStore, SyncProtocolError
-from tests.oracles import LinearSessionStore, holders_of
+from tests.oracles import LinearSessionStore, holders_of, observe
 
 
 def entry(name: str, dept: str = "42") -> Entry:
@@ -28,21 +28,21 @@ def dn(name: str) -> DN:
 
 class TestObserve:
     def test_move_in_is_add(self, session):
-        session.observe(False, True, dn("a"), dn("a"), entry("a"))
+        observe(session, False, True, dn("a"), dn("a"), entry("a"))
         updates = session.drain()
         assert [u.action for u in updates] == [SyncAction.ADD]
 
     def test_move_out_is_delete(self, session):
-        session.observe(True, False, dn("a"), dn("a"), None)
+        observe(session, True, False, dn("a"), dn("a"), None)
         assert [u.action for u in session.drain()] == [SyncAction.DELETE]
 
     def test_stay_in_is_modify(self, session):
-        session.observe(True, True, dn("a"), dn("a"), entry("a"))
+        observe(session, True, True, dn("a"), dn("a"), entry("a"))
         assert [u.action for u in session.drain()] == [SyncAction.MODIFY]
 
     def test_rename_in_content_is_delete_plus_add(self, session):
         """Figure 3: E3 renamed to E5 — delete old DN, add new DN."""
-        session.observe(True, True, dn("e3"), dn("e5"), entry("e5"))
+        observe(session, True, True, dn("e3"), dn("e5"), entry("e5"))
         updates = session.drain()
         assert [(u.action, str(u.dn)) for u in updates] == [
             (SyncAction.DELETE, "cn=e3,o=xyz"),
@@ -50,20 +50,20 @@ class TestObserve:
         ]
 
     def test_never_in_content_ignored(self, session):
-        session.observe(False, False, dn("a"), dn("a"), entry("a"))
+        observe(session, False, False, dn("a"), dn("a"), entry("a"))
         assert session.drain() == []
 
 
 class TestCoalescing:
     def test_add_then_modify_is_add(self, session):
-        session.observe(False, True, dn("a"), dn("a"), entry("a"))
-        session.observe(True, True, dn("a"), dn("a"), entry("a", "42"))
+        observe(session, False, True, dn("a"), dn("a"), entry("a"))
+        observe(session, True, True, dn("a"), dn("a"), entry("a", "42"))
         updates = session.drain()
         assert [u.action for u in updates] == [SyncAction.ADD]
 
     def test_add_then_delete_vanishes(self, session):
-        session.observe(False, True, dn("a"), dn("a"), entry("a"))
-        session.observe(True, False, dn("a"), dn("a"), None)
+        observe(session, False, True, dn("a"), dn("a"), entry("a"))
+        observe(session, True, False, dn("a"), dn("a"), None)
         assert session.drain() == []
 
     def test_delivered_entry_leaving_and_reentering_keeps_delete(self, session):
@@ -77,27 +77,27 @@ class TestCoalescing:
         a stale copy forever.
         """
         session.seed_content([dn("a")])
-        session.observe(True, False, dn("a"), dn("a"), None)  # leaves
-        session.observe(False, True, dn("a"), dn("a"), entry("a"))  # re-enters
-        session.observe(True, False, dn("a"), dn("a"), None)  # leaves again
+        observe(session, True, False, dn("a"), dn("a"), None)  # leaves
+        observe(session, False, True, dn("a"), dn("a"), entry("a"))  # re-enters
+        observe(session, True, False, dn("a"), dn("a"), None)  # leaves again
         assert [u.action for u in session.drain()] == [SyncAction.DELETE]
 
     def test_undelivered_entry_entering_and_leaving_still_vanishes(self, session):
         """The counterpart: an entry the consumer never received that
         enters and leaves between polls generates no traffic at all."""
         session.seed_content([dn("b")])
-        session.observe(False, True, dn("a"), dn("a"), entry("a"))
-        session.observe(True, False, dn("a"), dn("a"), None)
+        observe(session, False, True, dn("a"), dn("a"), entry("a"))
+        observe(session, True, False, dn("a"), dn("a"), None)
         assert session.drain() == []
 
     def test_modify_then_delete_is_delete(self, session):
-        session.observe(True, True, dn("a"), dn("a"), entry("a"))
-        session.observe(True, False, dn("a"), dn("a"), None)
+        observe(session, True, True, dn("a"), dn("a"), entry("a"))
+        observe(session, True, False, dn("a"), dn("a"), None)
         assert [u.action for u in session.drain()] == [SyncAction.DELETE]
 
     def test_delete_then_add_is_add(self, session):
-        session.observe(True, False, dn("a"), dn("a"), None)
-        session.observe(False, True, dn("a"), dn("a"), entry("a"))
+        observe(session, True, False, dn("a"), dn("a"), None)
+        observe(session, False, True, dn("a"), dn("a"), entry("a"))
         updates = session.drain()
         assert [u.action for u in updates] == [SyncAction.ADD]
 
@@ -105,20 +105,20 @@ class TestCoalescing:
         first = entry("a")
         second = entry("a")
         second.put("title", "latest")
-        session.observe(True, True, dn("a"), dn("a"), first)
-        session.observe(True, True, dn("a"), dn("a"), second)
+        observe(session, True, True, dn("a"), dn("a"), first)
+        observe(session, True, True, dn("a"), dn("a"), second)
         updates = session.drain()
         assert updates[0].entry.first("title") == "latest"
 
     def test_drain_clears_pending(self, session):
-        session.observe(False, True, dn("a"), dn("a"), entry("a"))
+        observe(session, False, True, dn("a"), dn("a"), entry("a"))
         session.drain()
         assert session.drain() == []
         assert session.pending_count == 0
 
     def test_deletes_ordered_before_adds(self, session):
-        session.observe(False, True, dn("b"), dn("b"), entry("b"))
-        session.observe(True, False, dn("a"), dn("a"), None)
+        observe(session, False, True, dn("b"), dn("b"), entry("b"))
+        observe(session, True, False, dn("a"), dn("a"), None)
         actions = [u.action for u in session.drain()]
         assert actions == [SyncAction.DELETE, SyncAction.ADD]
 
@@ -127,9 +127,9 @@ class TestContentTracking:
     def test_seed_and_track(self, session):
         session.seed_content([dn("a"), dn("b")])
         assert session.content_dns == {dn("a"), dn("b")}
-        session.observe(True, False, dn("a"), dn("a"), None)
+        observe(session, True, False, dn("a"), dn("a"), None)
         assert session.content_dns == {dn("b")}
-        session.observe(False, True, dn("c"), dn("c"), entry("c"))
+        observe(session, False, True, dn("c"), dn("c"), entry("c"))
         assert dn("c") in session.content_dns
 
 

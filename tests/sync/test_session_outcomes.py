@@ -6,7 +6,7 @@ once for the PDUs and once for the membership move.  The parametrised
 test's ids are the table's own keys, so a row added to the table is
 run; each row is produced by a real master operation and checked
 through a real :class:`ResyncProvider` in poll mode and in persist
-mode, and through a bare :meth:`Session.observe`: the PDUs sent, the
+mode, and through a bare :func:`tests.oracles.observe`: the PDUs sent, the
 session's ``content_dns`` afterwards, and the router's reverse index.
 """
 
@@ -16,7 +16,7 @@ from repro.ldap import DN, Entry, ReSyncControl, Scope, SearchRequest, SyncMode
 from repro.server import DirectoryServer, Modification
 from repro.sync import ResyncProvider, Session
 from repro.sync.session import OUTCOMES, PDUS
-from tests.oracles import holders_of
+from tests.oracles import holders_of, observe
 
 REQUEST = SearchRequest("c=us,o=xyz", Scope.SUB, "(departmentNumber=42)")
 INSIDE, OUTSIDE = "cn=in,c=us,o=xyz", "cn=out,c=us,o=xyz"  # dept 42 / dept 7
@@ -125,7 +125,7 @@ def test_row_through_the_provider(row, mode):
 @pytest.mark.parametrize("row", list(OUTCOMES), ids=lambda row: "-".join(map(str, row)))
 @pytest.mark.parametrize("indexed", [False, True], ids=["stand-alone", "indexed"])
 def test_row_through_a_bare_observe(row, indexed):
-    """``Session.observe`` alone — the all-sessions oracle's path — moves
+    """``tests.oracles.observe`` alone — the all-sessions oracle's path — moves
     the same membership and records the same PDUs, with or without a
     reverse index to keep."""
     in_before, in_after, renamed = row
@@ -138,7 +138,7 @@ def test_row_through_a_bare_observe(row, indexed):
     before = {DN.parse("cn=stay,c=us,o=xyz")} | ({old_dn} if in_before else set())
     session.seed_content(before)
 
-    session.observe(in_before, in_after, old_dn, new_dn, after_entry)
+    observe(session, in_before, in_after, old_dn, new_dn, after_entry)
 
     sent, after = expected(row, old_dn, new_dn, before)
     assert session.content_dns == after

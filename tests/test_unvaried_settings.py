@@ -1,0 +1,83 @@
+"""Settings no run varies are constants, not keywords.
+
+Each value below had one setting across every workload, bench, soak,
+CLI command and example, so it is fixed where it is used: passing it is
+a ``TypeError``, and the names that carried it are gone.  The sketch
+tier's sizes are ``repro.sync.ladder``'s constants; partitions and slow
+nodes are windows opened by hand (``FaultyNetwork.partition`` /
+``set_slow``), never drawn from a plan.
+"""
+
+import pytest
+
+import repro.sync
+from repro.chaos import SoakConfig
+from repro.core import ContainmentIndex
+from repro.ldap import DEFAULT_REGISTRY, Scope, SearchRequest
+from repro.obs import TraceCollector
+from repro.server import DirectoryServer, FaultPlan, FaultSpec, LdapClient, SimulatedNetwork
+from repro.server.indexes import AttributeIndexSet, SubstringIndex
+from repro.sync import (
+    ChangelogProvider,
+    ResilientConsumer,
+    ResyncProvider,
+    RetryPolicy,
+    SyncLink,
+)
+from repro.sync import ladder
+from repro.sync.session import Session
+
+REQUEST = SearchRequest("o=xyz", Scope.SUB, "(cn=*)")
+CN = DEFAULT_REGISTRY.get("cn")
+
+
+def provider():
+    master = DirectoryServer("M")
+    master.add_naming_context("o=xyz")
+    return ResyncProvider(master)
+
+
+#: name → a call passing the removed keyword or field at the value
+#: every run used.
+REMOVED = {
+    "SyncLink(reconcile_config=)": lambda: SyncLink(provider(), reconcile_config=None),
+    "ResilientConsumer(reconcile_config=)": lambda: ResilientConsumer(
+        REQUEST, provider(), reconcile_config=None
+    ),
+    "SketchTier(config)": lambda: ladder.SketchTier(None, None, 0, SimulatedNetwork().registry),
+    "FaultSpec.partition": lambda: FaultSpec(partition=0.0),
+    "FaultSpec.partition_length": lambda: FaultSpec(partition_length=2),
+    "FaultSpec.slow": lambda: FaultSpec(slow=0.0),
+    "FaultSpec.slow_latency_ms": lambda: FaultSpec(slow_latency_ms=50.0),
+    "SubstringIndex(ngram=)": lambda: SubstringIndex(CN, ngram=3),
+    "AttributeIndexSet(ngram=)": lambda: AttributeIndexSet(CN, {}, ngram=3),
+    "ContainmentIndex(memo_capacity=)": lambda: ContainmentIndex(memo_capacity=65_536),
+    "DirectoryServer(schema=)": lambda: DirectoryServer("M", schema=None),
+    "ChangelogProvider(changelog=)": lambda: ChangelogProvider(
+        DirectoryServer("M"), changelog=None
+    ),
+    "TraceCollector(keep_records=)": lambda: TraceCollector(keep_records=True),
+    "SoakConfig.require_all_converge": lambda: SoakConfig(require_all_converge=True),
+    "RetryPolicy.backoff_factor": lambda: RetryPolicy(backoff_factor=2.0),
+    "LdapClient(max_hops=)": lambda: LdapClient(SimulatedNetwork(), max_hops=32),
+}
+
+
+@pytest.mark.parametrize("call", list(REMOVED.values()), ids=list(REMOVED))
+def test_a_removed_setting_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (repro.sync, "ReconcileConfig"),
+        (FaultPlan, "next_partition"),
+        (Session, "observe"),
+    ],
+    ids=["repro.sync.ReconcileConfig", "FaultPlan.next_partition", "Session.observe"],
+)
+def test_a_removed_name_is_gone(owner, name):
+    assert not hasattr(owner, name)
+
