@@ -47,7 +47,6 @@ from ..ldap.query import Scope, SearchRequest
 from ..server.directory import DirectoryServer
 from ..server.faults import FaultyNetwork
 from ..sync import (
-    DurabilityConfig,
     HealthPolicy,
     MemoryJournal,
     ResilientConsumer,
@@ -93,7 +92,6 @@ class SoakConfig:
     duration_hours: float = 3.0
     tick_ms: float = 60_000.0
     mode: str = "poll"
-    durable: bool = True
     policy: RetryPolicy = RetryPolicy(
         max_attempts=4,
         base_backoff_ms=20.0,
@@ -239,14 +237,7 @@ class SoakRunner:
         self.master.load(self.directory.entries)
         self.network = FaultyNetwork(seed=cfg.seed)
         self.scheduler = self.network.scheduler
-        if cfg.durable:
-            self.provider = ResyncProvider(
-                self.master,
-                durability=DurabilityConfig(),
-                journal=MemoryJournal(),
-            )
-        else:
-            self.provider = ResyncProvider(self.master)
+        self.provider = ResyncProvider(self.master, journal=MemoryJournal())
         countries = self.directory.countries()
         self.consumers: List[ResilientConsumer] = []
         for i in range(cfg.tenants):
@@ -309,7 +300,7 @@ class SoakRunner:
             queries_served += served
             degraded_queries += degraded
             self._check_staleness_honesty()
-            if cfg.durable and tick.tick % cfg.check_interval_ticks == 0:
+            if tick.tick % cfg.check_interval_ticks == 0:
                 self._check_journal_replay()
         # Drain any window boundary beyond the last tick, then heal:
         # "after the last fault window" is where convergence is owed.
@@ -318,8 +309,7 @@ class SoakRunner:
         )
         self.network.heal()
         convergence = self._check_convergence()
-        if cfg.durable:
-            self._check_journal_replay()
+        self._check_journal_replay()
         return SoakReport(
             seed=cfg.seed,
             ticks=len(self.scenario.ticks),

@@ -303,7 +303,7 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     print(f"initial content    : {initial_bytes} bytes")
     print(f"post-crash resumes : {delta_bytes} bytes")
     for name, value in sorted(master.metrics.to_dict().items()):
-        if name.startswith(("sync.durability.", "sync.admission.")):
+        if name.startswith("sync.durability."):
             print(f"{name:<40} {value}")
     journal.close()
     return 0

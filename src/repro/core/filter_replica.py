@@ -95,11 +95,6 @@ class FilterReplica:
             templates are considered answerable (template-based
             containment); other queries miss immediately.
         cache_capacity: size of the recent-user-query window (0 = off).
-        compose_unions: extension beyond the paper's single-containment
-            rule — a disjunctive query is answered when *every* disjunct
-            is contained in some stored query, by uniting the per-
-            disjunct evaluations.  Sound (each disjunct's answer set is
-            complete) and strictly increases hit ratio.
         metrics: registry for ``core.replica.*`` / ``core.route.*`` /
             ``core.qc.negcache.*`` counters (private registry by default).
     """
@@ -111,7 +106,6 @@ class FilterReplica:
         network: Optional[SimulatedNetwork] = None,
         templates: Optional[TemplateRegistry] = None,
         cache_capacity: int = 0,
-        compose_unions: bool = False,
         cache_policy: str = "fifo",
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -119,7 +113,6 @@ class FilterReplica:
         self.master_url = master_url
         self.network = network
         self.templates = templates
-        self.compose_unions = compose_unions
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = RecentQueryCache(cache_capacity, policy=cache_policy)
         self._stored: Dict[SearchRequest, StoredFilter] = {}
@@ -387,54 +380,12 @@ class FilterReplica:
                 self.stats.record(answer)
                 return answer
 
-            if self.compose_unions:
-                composed = self._answer_union(request)
-                if composed is not None:
-                    self.stats.record(composed)
-                    return composed
-
         answer = ReplicaAnswer(
             AnswerStatus.MISS,
             referrals=[Referral(self.master_url, request.base)],
         )
         self.stats.record(answer)
         return answer
-
-    def _answer_union(self, request: SearchRequest) -> Optional[ReplicaAnswer]:
-        """Union composition: each disjunct answered by some stored query.
-
-        Only applies to top-level OR filters.  Every disjunct's sub-query
-        (same base/scope/attributes, the disjunct as filter) must be
-        contained in a stored query; the answer is the DN-deduplicated
-        union of the per-disjunct evaluations.
-
-        Disjunct lookup goes through :meth:`_find_stored`, so the
-        ``templates.may_answer`` prune applies here exactly as on the
-        direct path: no union is served via a template pairing the
-        registry rejects.
-        """
-        from ..ldap.filters import Or, simplify
-
-        flt = simplify(request.filter)
-        if not isinstance(flt, Or):
-            return None
-        merged: Dict[DN, Entry] = {}
-        holders: List[StoredFilter] = []
-        for disjunct in flt.children:
-            sub_request = request.with_filter(disjunct)
-            holder = self._find_stored(sub_request, template_key(disjunct))
-            if holder is None:
-                return None  # one uncovered disjunct forfeits the union
-            holder.hits += 1
-            for entry in self._evaluate(sub_request, holder):
-                merged.setdefault(entry.dn, entry)
-            holders.append(holder)
-        return ReplicaAnswer(
-            AnswerStatus.HIT,
-            entries=list(merged.values()),
-            answered_by="union:" + " + ".join(str(h.request) for h in holders),
-            degraded=any(h.degraded for h in holders),
-        )
 
     def _admitted(self, request: SearchRequest, qkey: str) -> bool:
         """Template admission: with a registry, only member queries are

@@ -94,8 +94,6 @@ class ReplicaDriver:
         sync_interval: queries between replica sync polls.
         use_scoped: answer the scoped (subtree-friendly) query variants
             instead of the root-based ones.
-        feed_cache: insert master answers for missed queries into the
-            replica's recent-query cache (filter replicas only).
         network: network whose counters the result reads (defaults to
             the replica's network).
     """
@@ -110,7 +108,6 @@ class ReplicaDriver:
         updates_per_query: float = 0.0,
         sync_interval: int = 500,
         use_scoped: bool = False,
-        feed_cache: bool = True,
         network: Optional[SimulatedNetwork] = None,
     ):
         self.master = master
@@ -121,7 +118,6 @@ class ReplicaDriver:
         self.updates_per_query = updates_per_query
         self.sync_interval = sync_interval
         self.use_scoped = use_scoped
-        self.feed_cache = feed_cache
         self.network = network if network is not None else replica.network
 
     # ------------------------------------------------------------------
@@ -209,13 +205,10 @@ class ReplicaDriver:
 
     # ------------------------------------------------------------------
     def _handle_miss(self, request: SearchRequest) -> None:
-        """Answer a missed query at the master; maybe feed the cache."""
+        """Answer a missed query at the master; a filter replica with a
+        recent-query cache keeps the answer."""
         response = self.master.search(request)
-        if (
-            self.feed_cache
-            and isinstance(self.replica, FilterReplica)
-            and self.replica.cache.capacity > 0
-        ):
+        if isinstance(self.replica, FilterReplica) and self.replica.cache.capacity > 0:
             self.replica.observe_miss(request, response.entries)
 
     # ------------------------------------------------------------------

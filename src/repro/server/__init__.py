@@ -16,7 +16,6 @@ from .network import (
     RequestDropped,
     ResponseDropped,
     ResponseTruncated,
-    ServerBusy,
     ServerUnavailable,
     SimulatedNetwork,
     TrafficCounts,
@@ -60,7 +59,6 @@ __all__ = [
     "ServerUnavailable",
     "NetworkPartitioned",
     "OperationTimeout",
-    "ServerBusy",
     "FaultSpec",
     "FaultPlan",
     "ExchangeFaults",

@@ -105,11 +105,6 @@ class DirectoryServer:
     ):
         self.name = name
         self.default_referral = default_referral
-        #: when True, the server maintains the ``createTimestamp`` /
-        #: ``modifyTimestamp`` operational attributes as logical CSNs —
-        #: what real servers do with wall-clock timestamps, and what
-        #: tombstone-style synchronization reads (§5.2).
-        self.maintain_timestamps = False
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._check_schema = check_schema
         self.store = EntryStore(self._registry)
@@ -214,14 +209,6 @@ class DirectoryServer:
         for listener in self._listeners:
             listener.on_update(record)
         return record
-
-    def _stamp(self, entry: Entry, csn: int, created: bool) -> None:
-        """Maintain operational timestamps (logical CSNs) when enabled."""
-        if not self.maintain_timestamps:
-            return
-        if created:
-            entry.put("createTimestamp", str(csn))
-        entry.put("modifyTimestamp", str(csn))
 
     def _next_csn(self) -> int:
         self._csn += 1
@@ -496,7 +483,6 @@ class DirectoryServer:
                 )
         csn = self._next_csn()
         stored = entry.copy()  # the caller keeps its own
-        self._stamp(stored, csn, created=True)
         self.store.put(stored)
         return self._commit(
             UpdateRecord(csn=csn, op=UpdateOp.ADD, dn=stored.dn, after=stored)
@@ -526,7 +512,6 @@ class DirectoryServer:
                     ResultCode.OBJECT_CLASS_VIOLATION, violations[0].problem
                 )
         csn = self._next_csn()
-        self._stamp(updated, csn, created=False)
         self.store.put(updated)
         return self._commit(
             UpdateRecord(
@@ -615,7 +600,6 @@ class DirectoryServer:
                 new_leaf = target_dn.rdn
                 renamed.put(new_leaf.attr, [new_leaf.value])
             csn = self._next_csn()
-            self._stamp(renamed, csn, created=False)
             self.store.put(renamed)
             records.append(
                 self._commit(

@@ -69,7 +69,6 @@ __all__ = [
     "ServerUnavailable",
     "NetworkPartitioned",
     "OperationTimeout",
-    "ServerBusy",
 ]
 
 
@@ -142,24 +141,6 @@ class OperationTimeout(TransportError):
     timeout; the consumer treats it exactly like a lost response."""
 
     fault = "timeout"
-
-
-class ServerBusy(TransportError):
-    """The server refused the request under overload.
-
-    Raised by resync-storm admission control
-    (:class:`repro.sync.durability.AdmissionController`) when the
-    full-content rebuild budget is exhausted.  ``retry_after_ms`` is
-    the server's backoff hint; resilient consumers treat it as the
-    minimum wait before retrying.  A transport error, not a protocol
-    error: the consumer's session (if any) is untouched.
-    """
-
-    fault = "busy"
-
-    def __init__(self, message: str, retry_after_ms: float = 0.0):
-        super().__init__(message)
-        self.retry_after_ms = retry_after_ms
 
 
 @dataclass

@@ -17,7 +17,6 @@ from .baselines import (
 from .consumer import SyncedContent
 from .delivery import BatchConfig, DeliveryQueue
 from .durability import (
-    AdmissionController,
     DurabilityConfig,
     FileJournal,
     JournalBackend,
@@ -87,7 +86,6 @@ __all__ = [
     "JournalBackend",
     "MemoryJournal",
     "FileJournal",
-    "AdmissionController",
     "SnapshotStore",
     "MemorySnapshotStore",
     "FileSnapshotStore",

@@ -1,4 +1,4 @@
-"""Provider-side durability: session journaling, snapshots, admission.
+"""Provider-side durability: session journaling, snapshots, history cap.
 
 The §5 ReSync master keeps everything that makes cookies honorable —
 session histories, pending queues, generations — in process memory, so
@@ -9,7 +9,7 @@ a durable shadow of that state, in the spirit of directory
 reconciliation: post-crash cost proportional to the *difference*, not
 the content.
 
-Three pieces:
+Two pieces:
 
 * **Write-ahead journal + snapshots** — every fold of the provider
   (``ResyncProvider.FOLDS``: committed master update, session create,
@@ -27,21 +27,11 @@ Three pieces:
   ``snapshot.json`` for the CLI).
 
 * **Bounded histories** — :class:`DurabilityConfig` caps a session's
-  pending history by entries and/or bytes; on overflow the session
-  degrades to an incomplete-history resume (eq. 3 semantics) instead
-  of growing without bound (enforced in
-  :class:`~repro.sync.session.Session`).
+  pending history by entries; on overflow the session degrades to an
+  incomplete-history resume (eq. 3 semantics) instead of growing
+  without bound (enforced in :class:`~repro.sync.session.Session`).
 
-* **Admission control** — :class:`AdmissionController` is a token
-  bucket over full-content rebuilds.  When the bucket is empty the
-  provider answers :class:`~repro.server.network.ServerBusy` (a
-  transport-level busy with a ``retry_after_ms`` hint), which
-  :class:`~repro.sync.resilient.ResilientConsumer` backs off from —
-  so a post-crash resync storm is spread out instead of stampeding.
-  The bucket refills in *logical* time (a fraction of a token per
-  request the provider services), keeping benches deterministic.
-
-Everything is metered under ``sync.durability.*`` / ``sync.admission.*``
+Everything is metered under ``sync.durability.*``
 (docs/OBSERVABILITY.md §2) and fault-injectable through the journal
 damage hooks (``journal_truncate`` / ``journal_corrupt`` kinds in
 :class:`~repro.server.faults.FaultSpec`).
@@ -58,8 +48,6 @@ from ..ldap.controls import SyncAction
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
 from ..ldap.query import Scope, SearchRequest
-from ..obs.registry import MetricsRegistry
-from ..server.network import ServerBusy
 from ..server.operations import UpdateOp, UpdateRecord
 from .protocol import SyncUpdate
 from .session import Session
@@ -69,7 +57,6 @@ __all__ = [
     "JournalBackend",
     "MemoryJournal",
     "FileJournal",
-    "AdmissionController",
     "DNMemo",
 ]
 
@@ -81,33 +68,23 @@ class DurabilityConfig:
     Attributes:
         snapshot_interval: journal appends between snapshots (compaction
             cadence; each snapshot truncates the journal).
-        history_max_entries / history_max_bytes: per-session pending
-            history caps; ``None`` disables that cap.  A session
-            crossing either cap abandons its history and is served an
-            incomplete-history resume (eq. 3) on its next poll.
-        admission_burst: token-bucket size for concurrent full-content
-            rebuilds; ``None`` disables admission control.
-        admission_refill: tokens replenished per request the provider
-            services (logical-time refill).
-        admission_retry_after_ms: the busy response's backoff hint.
+        history_max_entries: per-session pending history cap; ``None``
+            disables it.  A session crossing the cap abandons its
+            history and is served an incomplete-history resume (eq. 3)
+            on its next poll.
     """
 
     snapshot_interval: int = 256
     history_max_entries: Optional[int] = None
-    history_max_bytes: Optional[int] = None
-    admission_burst: Optional[int] = None
-    admission_refill: float = 0.25
-    admission_retry_after_ms: float = 50.0
 
     def __post_init__(self):
         if self.snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        for name in ("history_max_entries", "history_max_bytes", "admission_burst"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be >= 1 or None, got {value!r}")
-        if self.admission_refill <= 0:
-            raise ValueError("admission_refill must be > 0")
+        if self.history_max_entries is not None and self.history_max_entries < 1:
+            raise ValueError(
+                f"history_max_entries must be >= 1 or None, "
+                f"got {self.history_max_entries!r}"
+            )
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +189,6 @@ def session_to_wire(session: Session) -> dict:
         "tick": session.last_active_tick,
         "persist": session.persist_queue is not None,
         "overflowed": session.history_overflowed,
-        "pending_bytes": session.pending_bytes,
         "drain_csn": session.drain_csn,
         "prev_drain_csn": session.prev_drain_csn,
         "degraded_since": session.degraded_since_csn,
@@ -234,7 +210,6 @@ def session_from_wire(wire: dict, dns: DNMemo) -> Session:
     session.last_active_tick = wire["tick"]
     session.persist_queue = [] if wire["persist"] else None
     session.history_overflowed = wire["overflowed"]
-    session.pending_bytes = wire["pending_bytes"]
     session.drain_csn = wire["drain_csn"]
     session.prev_drain_csn = wire["prev_drain_csn"]
     session.degraded_since_csn = wire["degraded_since"]
@@ -425,61 +400,3 @@ class FileJournal(JournalBackend):
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, self.snapshot_path)
-
-
-# ----------------------------------------------------------------------
-# resync-storm admission control
-# ----------------------------------------------------------------------
-class AdmissionController:
-    """Token bucket over full-content rebuilds (resync-storm control).
-
-    One token buys one full-content rebuild (a null-cookie request in
-    either mode); the bucket refills by ``refill`` per request the
-    provider services — logical time, so a rejected consumer that
-    backs off and retries is eventually admitted even when *every*
-    consumer needs a rebuild (no wall-clock dependency, deterministic
-    in benches).  Empty bucket → :class:`ServerBusy` carrying
-    ``retry_after_ms``, the hint
-    :class:`~repro.sync.resilient.ResilientConsumer` honors as a
-    minimum backoff.
-    """
-
-    def __init__(
-        self,
-        burst: int,
-        refill: float,
-        retry_after_ms: float,
-        registry: MetricsRegistry,
-    ):
-        self.burst = burst
-        self.refill = refill
-        self.retry_after_ms = retry_after_ms
-        self.tokens = float(burst)
-        self._admitted = registry.counter("sync.admission.admitted")
-        self._rejected = registry.counter("sync.admission.rejected")
-        self._tokens_gauge = registry.gauge("sync.admission.tokens")
-        self._tokens_gauge.set(self.tokens)
-
-    def replenish(self) -> None:
-        """One serviced request's worth of logical-time refill."""
-        self.tokens = min(float(self.burst), self.tokens + self.refill)
-        self._tokens_gauge.set(self.tokens)
-
-    def admit(self) -> None:
-        """Spend one token on a full-content rebuild, or refuse."""
-        self.replenish()
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            self._tokens_gauge.set(self.tokens)
-            self._admitted.inc()
-            return
-        self._rejected.inc()
-        raise ServerBusy(
-            "full-content rebuild refused: resync-storm admission control",
-            retry_after_ms=self.retry_after_ms,
-        )
-
-    def reset(self) -> None:
-        """Refill to burst (provider restart/recovery)."""
-        self.tokens = float(self.burst)
-        self._tokens_gauge.set(self.tokens)

@@ -288,15 +288,12 @@ class HealthMachine:
         return self.position != "gave_up"
 
     def fault(self, exc: TransportError, failure: int) -> None:
-        """Charge one transport fault — count it, wait out its backoff
-        (floored by a busy server's ``retry_after_ms``), debit the
-        lifetime budget — and move by what the charge crossed."""
+        """Charge one transport fault — count it, wait out its backoff,
+        debit the lifetime budget — and move by what the charge
+        crossed."""
         self._retries.inc()
         self._retries.labels(kind=exc.fault).inc()
-        delay = max(
-            self.policy.backoff_ms(failure, self._rng),
-            getattr(exc, "retry_after_ms", 0.0),
-        )
+        delay = self.policy.backoff_ms(failure, self._rng)
         self._backoff_total.inc(delay)
         self.clock.elapsed_ms += delay
         self.attempts_spent += 1

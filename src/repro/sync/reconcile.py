@@ -31,7 +31,7 @@ directory:
   :data:`~repro.sync.ladder.MAX_CELLS`), never applies garbage.
 
 The orchestration (who asks for a sketch when, how failures ladder into
-a paced full rebuild) lives in :mod:`repro.sync.ladder` (``LADDER``,
+a full rebuild) lives in :mod:`repro.sync.ladder` (``LADDER``,
 :class:`~repro.sync.ladder.SketchTier`); the provider-side scan in
 :meth:`~repro.sync.resync.ResyncProvider.reconcile`.  Wire framing is
 specified in docs/PROTOCOL.md §11 and docs/RECOVERY.md tier 2.

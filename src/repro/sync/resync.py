@@ -35,7 +35,6 @@ from ..obs.tracing import span
 from ..server.directory import DirectoryServer
 from ..server.operations import UpdateOp, UpdateRecord
 from .durability import (
-    AdmissionController,
     DNMemo,
     DurabilityConfig,
     JournalBackend,
@@ -166,16 +165,15 @@ class ResyncProvider:
     existing cookies with an incremental delta instead of a full
     resync.  A :class:`~repro.sync.durability.DurabilityConfig`
     additionally caps per-session histories (overflow degrades that one
-    session to an incomplete-history resume, eq. 3) and rate-limits
-    full-content rebuilds (resync-storm admission control).
+    session to an incomplete-history resume, eq. 3).
 
     Args:
         server: the master directory server.
         idle_limit: logical-time session expiry (the admin time limit).
-        durability: history caps / admission / snapshot cadence; implied
-            (with defaults) when *journal* is given.
-        journal: write-ahead journal backend; None keeps the seed
-            memory-only behavior.
+        durability: history cap / snapshot cadence; implied (with
+            defaults) when *journal* is given.
+        journal: write-ahead journal backend; None keeps the provider's
+            state in memory only, lost on :meth:`restart`.
     """
 
     def __init__(
@@ -222,14 +220,6 @@ class ResyncProvider:
         # True while recover() folds the journal: the folds then append
         # nothing and count nothing (the registry survived the crash).
         self._replaying = False
-        self.admission: Optional[AdmissionController] = None
-        if durability is not None and durability.admission_burst is not None:
-            self.admission = AdmissionController(
-                durability.admission_burst,
-                durability.admission_refill,
-                durability.admission_retry_after_ms,
-                metrics,
-            )
         server.add_update_listener(self)
 
     # ------------------------------------------------------------------
@@ -359,10 +349,7 @@ class ResyncProvider:
             raise SyncProtocolError("persist mode requires a deliver callback")
 
         if cookie is None:
-            # Initial request: the whole current content travels — the
-            # expensive full-content rebuild admission control meters.
-            if self.admission is not None:
-                self.admission.admit()  # may raise ServerBusy
+            # Initial request: the whole current content travels.
             with span("sync.resync.initial_content") as sp:
                 content = self._search_content(request)
                 session = self._fold_create(
@@ -376,8 +363,6 @@ class ResyncProvider:
             # Resumed session: scan the per-session history and emit the
             # coalesced net actions (eq. 2) — or, when the history was
             # abandoned at the cap, an incomplete-history resume (eq. 3).
-            if self.admission is not None:
-                self.admission.replenish()
             with span("sync.resync.history_scan") as sp:
                 session = self._session_of(cookie, request)
                 try:
@@ -436,9 +421,7 @@ class ResyncProvider:
         The cheap alternative to a full-content rebuild for a consumer
         whose cookie was refused over warm content — stamped ``:h`` or
         not (docs/RECOVERY.md tier 2): the sketch
-        costs O(cells) bytes instead of O(content), and admission
-        control does **not** meter it — reconciliation is precisely the
-        path that keeps a recovery storm off the rebuild budget.
+        costs O(cells) bytes instead of O(content).
 
         A fresh session is minted *at sketch time*, seeded with the
         sketched content, and journaled like any initial poll (the same
@@ -450,8 +433,6 @@ class ResyncProvider:
         """
         if rreq.cookie is not None:
             self._fold_end(rreq.cookie)
-        if self.admission is not None:
-            self.admission.replenish()
         with span("sync.resync.reconcile_scan") as sp:
             cells = (
                 rreq.cells
@@ -515,8 +496,6 @@ class ResyncProvider:
         re-subscribe.
         """
         self._reset(self.server.current_csn)
-        if self.admission is not None:
-            self.admission.reset()
         # The journal is the durable store: it survives the crash
         # untouched (modulo injected damage) for recover() to replay.
 
@@ -831,7 +810,6 @@ class ResyncProvider:
         if self.durability is None:
             return
         session.history_max_entries = self.durability.history_max_entries
-        session.history_max_bytes = self.durability.history_max_bytes
         session.overflow_callback = self._on_history_overflow
 
     def _on_history_overflow(self, session: Session) -> None:
@@ -944,8 +922,6 @@ class ResyncProvider:
             self._watermark = self.server.current_csn
             self._last_change.clear()
         self._write_snapshot()
-        if self.admission is not None:
-            self.admission.reset()
         self._recoveries.inc()
         return len(records)
 

@@ -122,15 +122,11 @@ class Session:
         self.generation = 0
         self.last_active_tick = 0
         # --- bounded history (repro.sync.durability) -------------------
-        # Approximate wire bytes of the coalesced pending actions,
-        # maintained incrementally so the cap check is O(1).
-        self.pending_bytes = 0
-        # Caps on the pending history (None: unbounded, the seed
-        # behavior).  Crossing either cap abandons the history: pending
-        # is cleared, the flag below is raised, and the provider serves
-        # the next poll as an incomplete-history resume (eq. 3).
+        # Cap on the pending history (None: unbounded).  Crossing it
+        # abandons the history: pending is cleared, the flag below is
+        # raised, and the provider serves the next poll as an
+        # incomplete-history resume (eq. 3).
         self.history_max_entries: Optional[int] = None
-        self.history_max_bytes: Optional[int] = None
         self.history_overflowed = False
         self.overflow_callback: Optional[Callable[["Session"], None]] = None
         # --- consumer-state watermarks (durability/recovery) -----------
@@ -165,15 +161,11 @@ class Session:
             # The history was abandoned at the cap: the next poll is an
             # incomplete-history resume, which re-derives everything.
             return
-        pending = self._pending.get(update.dn)
-        merged = self._coalesce(pending, update)
+        merged = self._coalesce(self._pending.get(update.dn), update)
         if merged is None:
             self._pending.pop(update.dn, None)
         else:
             self._pending[update.dn] = merged
-        self.pending_bytes += (merged.pdu_bytes if merged is not None else 0) - (
-            pending.pdu_bytes if pending is not None else 0
-        )
         self._check_history_cap()
 
     def flush(self) -> None:
@@ -204,14 +196,8 @@ class Session:
             self.draining = False
 
     def _check_history_cap(self) -> None:
-        over = (
-            self.history_max_entries is not None
-            and len(self._pending) > self.history_max_entries
-        ) or (
-            self.history_max_bytes is not None
-            and self.pending_bytes > self.history_max_bytes
-        )
-        if not over:
+        cap = self.history_max_entries
+        if cap is None or len(self._pending) <= cap:
             return
         self.abandon_history()
         if self.overflow_callback is not None:
@@ -222,7 +208,6 @@ class Session:
         parked: only an incomplete-history resume (eq. 3) can serve the
         session now, and that resume restarts the history empty."""
         self._pending.clear()
-        self.pending_bytes = 0
         self.history_overflowed = True
 
     def advance(self, pdus: Tuple[str, ...], old_dn: DN, new_dn: DN) -> None:
@@ -350,7 +335,6 @@ class Session:
                 update = self._coalesce(self._unacked.get(dn), update)
             self._unacked[dn] = update  # never drop a delete against a sent add
         self._pending.clear()
-        self.pending_bytes = 0
         self.polls += 1
         updates = self._sorted(self._unacked)
         for update in updates:

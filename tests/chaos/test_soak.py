@@ -14,6 +14,7 @@ from repro.chaos import (
     SoakConfig,
     SoakRunner,
 )
+from repro.sync import DurabilityConfig, MemoryJournal
 
 HORIZON_MS = 30 * 60_000.0
 
@@ -36,6 +37,12 @@ def run_soak(seed: int = 20050607, **overrides):
 
 
 class TestCleanRun:
+    def test_the_provider_is_journaled(self):
+        schedule = FaultSchedule.canonical(20050607, horizon_ms=HORIZON_MS)
+        runner = SoakRunner(short_config(), schedule)
+        assert isinstance(runner.provider.journal, MemoryJournal)
+        assert runner.provider.durability == DurabilityConfig()
+
     def test_short_canonical_soak_holds_every_invariant(self):
         report = run_soak()
         assert report.ticks == 30

@@ -1,11 +1,11 @@
-"""Tests for beyond-the-paper extensions: union composition, cache
-policies, operational timestamps."""
+"""Tests for beyond-the-paper extensions: cache policies; and the
+paper's single-containment rule, which no union answering extends."""
 
 import pytest
 
 from repro.core import FilterReplica, RecentQueryCache
-from repro.ldap import DN, Entry, Scope, SearchRequest
-from repro.server import DirectoryServer, Modification
+from repro.ldap import Entry, Scope, SearchRequest
+from repro.server import DirectoryServer
 from repro.sync import ResyncProvider
 
 
@@ -33,71 +33,34 @@ def dept(n: int) -> SearchRequest:
     return SearchRequest("o=xyz", Scope.SUB, f"(departmentNumber={n})")
 
 
-class TestUnionComposition:
-    def test_disjunction_answered_from_two_filters(self, master):
-        provider = ResyncProvider(master)
-        replica = FilterReplica("r", compose_unions=True)
-        replica.add_filter(dept(0), provider)
-        replica.add_filter(dept(1), provider)
-        query = SearchRequest(
-            "o=xyz", Scope.SUB, "(|(departmentNumber=0)(departmentNumber=1))"
-        )
-        answer = replica.answer(query)
-        assert answer.is_hit
-        assert answer.answered_by.startswith("union:")
-        truth = master.search(query).entries
-        assert {str(e.dn) for e in answer.entries} == {str(e.dn) for e in truth}
+def test_a_disjunction_over_two_filters_misses(master):
+    """The single-containment rule: a query is answered by one stored
+    filter that contains it, never by a union of several."""
+    provider = ResyncProvider(master)
+    replica = FilterReplica("r")
+    replica.add_filter(dept(0), provider)
+    replica.add_filter(dept(1), provider)
+    query = SearchRequest(
+        "o=xyz", Scope.SUB, "(|(departmentNumber=0)(departmentNumber=1))"
+    )
+    assert not replica.answer(query).is_hit
 
-    def test_uncovered_disjunct_misses(self, master):
-        provider = ResyncProvider(master)
-        replica = FilterReplica("r", compose_unions=True)
-        replica.add_filter(dept(0), provider)
-        query = SearchRequest(
-            "o=xyz", Scope.SUB, "(|(departmentNumber=0)(departmentNumber=2))"
-        )
-        assert not replica.answer(query).is_hit
 
-    def test_disabled_by_default(self, master):
-        provider = ResyncProvider(master)
-        replica = FilterReplica("r")
-        replica.add_filter(dept(0), provider)
-        replica.add_filter(dept(1), provider)
-        query = SearchRequest(
-            "o=xyz", Scope.SUB, "(|(departmentNumber=0)(departmentNumber=1))"
-        )
-        assert not replica.answer(query).is_hit
-
-    def test_overlapping_results_deduplicated(self, master):
-        provider = ResyncProvider(master)
-        replica = FilterReplica("r", compose_unions=True)
-        replica.add_filter(dept(0), provider)
-        replica.add_filter(
-            SearchRequest("o=xyz", Scope.SUB, "(sn=*)"), provider
-        )
-        query = SearchRequest(
-            "o=xyz", Scope.SUB, "(|(departmentNumber=0)(sn=T))"
-        )
-        answer = replica.answer(query)
-        assert answer.is_hit
-        dns = [str(e.dn) for e in answer.entries]
-        assert len(dns) == len(set(dns))
-        truth = master.search(query).entries
-        assert set(dns) == {str(e.dn) for e in truth}
-
-    def test_single_containment_still_preferred(self, master):
-        """A query contained in one stored filter is answered directly,
-        not via union composition."""
-        provider = ResyncProvider(master)
-        replica = FilterReplica("r", compose_unions=True)
-        replica.add_filter(
-            SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=*)"), provider
-        )
-        query = SearchRequest(
-            "o=xyz", Scope.SUB, "(|(departmentNumber=0)(departmentNumber=1))"
-        )
-        answer = replica.answer(query)
-        assert answer.is_hit
-        assert not answer.answered_by.startswith("union:")
+def test_a_disjunction_one_filter_contains_is_a_hit(master):
+    """A disjunction inside one stored filter is answered by that
+    filter, with exactly the master's entries."""
+    provider = ResyncProvider(master)
+    replica = FilterReplica("r")
+    wide = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=*)")
+    replica.add_filter(wide, provider)
+    query = SearchRequest(
+        "o=xyz", Scope.SUB, "(|(departmentNumber=0)(departmentNumber=1))"
+    )
+    answer = replica.answer(query)
+    assert answer.is_hit
+    assert answer.answered_by == str(wide)
+    truth = master.search(query).entries
+    assert sorted(str(e.dn) for e in answer.entries) == sorted(str(e.dn) for e in truth)
 
 
 class TestCachePolicies:
@@ -134,46 +97,3 @@ class TestCachePolicies:
     def test_replica_passes_policy_through(self):
         replica = FilterReplica("r", cache_capacity=5, cache_policy="lru")
         assert replica.cache.policy == "lru"
-
-
-class TestOperationalTimestamps:
-    def test_disabled_by_default(self, master):
-        entry = master.store.get(DN.parse("cn=P0,o=xyz"))
-        assert not entry.has_attribute("modifyTimestamp")
-
-    def test_stamped_on_add(self):
-        m = DirectoryServer("m")
-        m.maintain_timestamps = True
-        m.add_naming_context("o=xyz")
-        m.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
-        entry = m.store.get(DN.parse("o=xyz"))
-        assert entry.first("createTimestamp") == "1"
-        assert entry.first("modifyTimestamp") == "1"
-
-    def test_modify_advances_timestamp(self):
-        m = DirectoryServer("m")
-        m.maintain_timestamps = True
-        m.add_naming_context("o=xyz")
-        m.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
-        m.modify("o=xyz", [Modification.replace("description", "x")])
-        entry = m.store.get(DN.parse("o=xyz"))
-        assert entry.first("createTimestamp") == "1"
-        assert int(entry.first("modifyTimestamp")) > 1
-
-    def test_rename_stamps_moved_entries(self):
-        m = DirectoryServer("m")
-        m.maintain_timestamps = True
-        m.add_naming_context("o=xyz")
-        m.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
-        m.add(Entry("cn=a,o=xyz", {"objectClass": ["person"], "cn": "a", "sn": "s"}))
-        m.modify_dn("cn=a,o=xyz", new_rdn="cn=b")
-        entry = m.store.get(DN.parse("cn=b,o=xyz"))
-        assert int(entry.first("modifyTimestamp")) >= 3
-
-    def test_caller_entry_not_mutated(self):
-        m = DirectoryServer("m")
-        m.maintain_timestamps = True
-        m.add_naming_context("o=xyz")
-        mine = Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"})
-        m.add(mine)
-        assert not mine.has_attribute("modifyTimestamp")

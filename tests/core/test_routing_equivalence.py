@@ -10,9 +10,8 @@ once so the second pass runs through the routed side's positive memo
 and negative result cache.
 
 The file also carries the satellite regressions that ride on this
-subsystem: the union path's template pruning, cache containment-check
-accounting, replica-size memoization, and the cache's refcounted
-``entry_count``.
+subsystem: cache containment-check accounting, replica-size
+memoization, and the cache's refcounted ``entry_count``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -119,13 +118,8 @@ def _answer_fp(answer):
     )
 
 
-def _drive(replica_cls, directory, stored_requests, queries, capacity, unions, policy):
-    replica = replica_cls(
-        "r",
-        cache_capacity=capacity,
-        compose_unions=unions,
-        cache_policy=policy,
-    )
+def _drive(replica_cls, directory, stored_requests, queries, capacity, policy):
+    replica = replica_cls("r", cache_capacity=capacity, cache_policy=policy)
     for request in stored_requests:
         replica.load_directly(
             request, [e for e in directory if request.selects(e)]
@@ -148,17 +142,14 @@ def _drive(replica_cls, directory, stored_requests, queries, capacity, unions, p
     st.lists(_requests, min_size=1, max_size=6),
     st.lists(_requests, min_size=1, max_size=10),
     st.sampled_from([0, 3]),
-    st.booleans(),
     st.sampled_from(["fifo", "lru"]),
 )
-def test_routed_answers_equal_linear(
-    directory, stored_requests, queries, capacity, unions, policy
-):
+def test_routed_answers_equal_linear(directory, stored_requests, queries, capacity, policy):
     routed, routed_checks = _drive(
-        FilterReplica, directory, stored_requests, queries, capacity, unions, policy
+        FilterReplica, directory, stored_requests, queries, capacity, policy
     )
     linear, linear_checks = _drive(
-        LinearFilterReplica, directory, stored_requests, queries, capacity, unions, policy
+        LinearFilterReplica, directory, stored_requests, queries, capacity, policy
     )
     assert routed == linear
     # Routing only ever skips checks the scan would have made.
@@ -178,7 +169,7 @@ def test_routed_answers_equal_linear_with_templates(
     directory, stored_requests, queries
 ):
     def drive(replica_cls):
-        replica = replica_cls("r", templates=_TEMPLATES, compose_unions=True)
+        replica = replica_cls("r", templates=_TEMPLATES)
         for request in stored_requests:
             replica.load_directly(
                 request, [e for e in directory if request.selects(e)]
@@ -226,30 +217,6 @@ def _person(dn, **attrs):
             **{k: [v] for k, v in attrs.items()},
         },
     )
-
-
-def test_union_path_applies_template_pruning():
-    """`_answer_union` must prune template-incompatible stored filters
-    exactly like the direct path: the (mail=_) stored filter can never
-    answer a (sn=_) disjunct, so no containment check is spent on it."""
-    registry = TemplateRegistry.from_strings(
-        "(sn=_)", "(mail=_)", "(|(sn=_)(mail=_))"
-    )
-    replica = LinearFilterReplica("r", templates=registry, compose_unions=True)
-    mail_req = SearchRequest("o=xyz", Scope.SUB, "(mail=b)")
-    sn_req = SearchRequest("o=xyz", Scope.SUB, "(sn=a)")
-    replica.load_directly(mail_req, [_person("cn=m,o=xyz", mail="b")])
-    replica.load_directly(sn_req, [_person("cn=s,o=xyz", sn="a")])
-
-    query = SearchRequest("o=xyz", Scope.SUB, "(|(sn=a)(mail=b))")
-    answer = replica.answer(query)
-    assert answer.is_hit
-    assert answer.answered_by.startswith("union:")
-    assert {str(e.dn) for e in answer.entries} == {"cn=s,o=xyz", "cn=m,o=xyz"}
-    # Direct path: 2 checks (the OR query vs both stored filters).
-    # Union path: 1 per disjunct — the cross-template pair is pruned,
-    # where the seed burned a third check on (sn=a) vs (mail=b).
-    assert replica.containment_checks == 4
 
 
 def test_cache_containment_checks_counted_and_labeled():

@@ -70,13 +70,21 @@ class TestBasicRun:
         base = ReplicaDriver(master, uncached, provider=provider).run(trace)
         assert result.hit_ratio > base.hit_ratio
 
-    def test_feed_cache_disabled(self, setup):
+    def test_a_miss_feeds_the_recent_query_cache(self, setup):
+        """With no stored filter, every hit is a repeat answered from the
+        master's answer to an earlier miss."""
         directory, master, provider, trace = setup
         replica = FilterReplica("r", network=SimulatedNetwork(), cache_capacity=50)
-        result = ReplicaDriver(
-            master, replica, provider=provider, feed_cache=False
-        ).run(trace)
+        result = ReplicaDriver(master, replica, provider=provider).run(trace)
+        assert result.hits > 0
+        assert len(replica.cache) > 0
+
+    def test_a_replica_without_a_cache_is_not_fed(self, setup):
+        directory, master, provider, trace = setup
+        replica = FilterReplica("r", network=SimulatedNetwork())
+        result = ReplicaDriver(master, replica, provider=provider).run(trace)
         assert result.hits == 0
+        assert result.misses + result.partials == result.queries
 
 
 class TestSubtreeRuns:

@@ -349,17 +349,35 @@ class TestCopiesThaw:
 # the server's own edits happen before the freeze
 # ----------------------------------------------------------------------
 class TestServerEditsThenFreezes:
-    def test_timestamps_are_stamped_before_the_freeze(self, master):
-        master.maintain_timestamps = True
-        added = master.add(person("P9"))
-        assert added.after.first("createTimestamp") == str(added.csn)
-        assert added.after.first("modifyTimestamp") == str(added.csn)
-        modified = master.modify(added.dn, [Modification.replace("sn", "S")])
-        assert modified.after.first("createTimestamp") == str(added.csn)
-        assert modified.after.first("modifyTimestamp") == str(modified.csn)
-        assert modified.before.first("modifyTimestamp") == str(added.csn)
-        (renamed,) = master.modify_dn(added.dn, new_rdn="cn=P10")
-        assert renamed.after.first("modifyTimestamp") == str(renamed.csn)
+    def test_an_add_stores_the_callers_attributes_and_nothing_more(self, master):
+        mine = person("P9")
+        added = master.add(mine)
+        assert added.after == mine and added.after is not mine
+        assert sorted(added.after.attribute_names()) == sorted(mine.attribute_names())
+        assert not mine.frozen  # the caller keeps its own, unedited
+        assert master.store.get(added.dn) is added.after
+        assert_frozen(added.after)
+
+    def test_a_modify_changes_only_the_modified_attribute(self, master):
+        modified = master.modify(P1, [Modification.replace("sn", "S")])
+        assert modified.before.first("sn") == "T" and modified.after.first("sn") == "S"
+        assert sorted(modified.after.attribute_names()) == sorted(
+            modified.before.attribute_names()
+        )
+        for name in modified.before.attribute_names():
+            if name != "sn":
+                assert modified.after.get(name) == modified.before.get(name)
+        assert master.store.get(P1) is modified.after
+        assert_frozen(modified.after)
+
+    def test_a_rename_changes_only_the_naming_attribute(self, master):
+        (renamed,) = master.modify_dn(P1, new_rdn="cn=P10")
+        assert renamed.after.get("cn") == ["P10"]
+        assert sorted(renamed.after.attribute_names()) == sorted(
+            renamed.before.attribute_names()
+        )
+        assert renamed.after.get("sn") == renamed.before.get("sn")
+        assert renamed.after.object_classes == renamed.before.object_classes
         assert master.store.get(renamed.new_dn) is renamed.after
         assert_frozen(renamed.after)
 

@@ -1,13 +1,12 @@
-"""Provider durability: journaling, recovery, history caps, admission.
+"""Provider durability: journaling, recovery, history caps.
 
 Covers docs/PROTOCOL.md §10 — the write-ahead journal backends and
 their damage tolerance, `ResyncProvider.recover()` rebuilding sessions
 so cookies stay honorable across crashes, bounded histories degrading
-to incomplete-history (eq. 3) resumes, resync-storm admission control,
-the satellite bugfixes (two-phase session expiry, counted
-unknown-cookie no-ops), and recovery decoding each DN text once into
-the sessions and compaction snapshot that parsing every occurrence
-gives.
+to incomplete-history (eq. 3) resumes, the satellite bugfixes
+(two-phase session expiry, counted unknown-cookie no-ops), and
+recovery decoding each DN text once into the sessions and compaction
+snapshot that parsing every occurrence gives.
 """
 
 from __future__ import annotations
@@ -23,10 +22,8 @@ from repro.ldap.entry import Entry
 from repro.ldap.query import Scope, SearchRequest
 from repro.server import DirectoryServer, Modification
 from repro.server.faults import FaultyNetwork
-from repro.server.network import ServerBusy
 from repro.server.operations import UpdateOp, UpdateRecord
 from repro.sync import (
-    AdmissionController,
     DurabilityConfig,
     FileJournal,
     JournalBackend,
@@ -50,7 +47,6 @@ from repro.sync.durability import (
     update_to_wire,
 )
 from repro.sync.session import Session
-from repro.obs.registry import MetricsRegistry
 from tests.oracles import observe, recover_parsing_each_text
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
@@ -135,10 +131,28 @@ class TestWireFormat:
         assert back.content_dns == session.content_dns
         assert back.generation == 3 and back.polls == 5
         assert back.pending_count == session.pending_count
-        assert back.pending_bytes == session.pending_bytes
         assert (back.drain_csn, back.prev_drain_csn) == (11, 9)
         # A second trip is byte-stable (the wire format is canonical).
         assert session_to_wire(back) == session_to_wire(session)
+
+    def test_a_session_image_with_a_pending_bytes_key_still_decodes(self):
+        """Images once carried a ``pending_bytes`` key for the history's
+        byte cap; the decoder reads keys by name, so such an image still
+        loads, into the same session."""
+        session = Session("s9", REQUEST)
+        session.seed_content([person("A").dn])
+        observe(
+            session,
+            in_before=True,
+            in_after=True,
+            old_dn=person("A").dn,
+            new_dn=person("A").dn,
+            after_entry=person("A", dept="99"),
+        )
+        wire = session_to_wire(session)
+        assert "pending_bytes" not in wire
+        back = session_from_wire({**wire, "pending_bytes": 123}, DNMemo())
+        assert session_to_wire(back) == wire
 
 
 # ----------------------------------------------------------------------
@@ -257,10 +271,6 @@ class TestDurabilityConfig:
             DurabilityConfig(snapshot_interval=0)
         with pytest.raises(ValueError):
             DurabilityConfig(history_max_entries=0)
-        with pytest.raises(ValueError):
-            DurabilityConfig(admission_burst=0)
-        with pytest.raises(ValueError):
-            DurabilityConfig(admission_refill=0.0)
 
     def test_journal_implies_default_config(self):
         provider = ResyncProvider(build_master(), journal=MemoryJournal())
@@ -549,9 +559,12 @@ def overlapping_sessions():
 #: SHA-256 of the journal :func:`overlapping_sessions` leaves (its tail
 #: records) and of the compaction snapshot a recovery of it writes, as
 #: the provider wrote them before recovery shared one DN per name: the
-#: record format and the snapshot format did not move.
+#: record format and the snapshot format did not move.  The snapshot
+#: hash was taken again once since, when the byte cap on a session's
+#: history went: its session images lost their ``pending_bytes`` key and
+#: nothing else.
 TAIL_SHA256 = "f772e0ce7028f1c349ecdfd24457f5154120c669d74b9212634069ced3001e6f"
-COMPACTION_SHA256 = "d869f75d8752e847ed2667ec6ef68363605f33364cc99f6ff589ad3fd04182ce"
+COMPACTION_SHA256 = "715db7d871703ee50fb4aef5d38e7e2a6dc4da33af1afa962c817d2c8b77b182"
 
 
 def _state(session):
@@ -646,16 +659,24 @@ class TestHistoryCap:
         assert [str(u.dn) for u in response.updates] == ["cn=P4,o=xyz"]
         assert content.matches_master(master)
 
-    def test_byte_cap_also_degrades(self):
+    def test_large_entries_resume_from_history_under_the_entry_cap(self):
+        """Only the entry count bounds a history: a few large changes
+        resume as a complete-history drain, not a degraded one."""
         master = build_master()
-        provider = durable_provider(master, history_max_bytes=100)
+        provider = durable_provider(master, history_max_entries=8)
         content = SyncedContent(REQUEST)
         content.poll(provider)
         for i in range(4):
-            master.modify(f"cn=P{i},o=xyz", [Modification.replace("sn", f"S{i}")])
+            master.modify(
+                f"cn=P{i},o=xyz", [Modification.replace("description", "x" * 4096)]
+            )
         response = content.poll(provider)
-        assert response.uses_retain
+        assert not response.uses_retain
+        assert sorted(str(u.dn) for u in response.updates) == [
+            f"cn=P{i},o=xyz" for i in range(4)
+        ]
         assert content.matches_master(master)
+        assert master.metrics.counter("sync.durability.history_overflow").value == 0
 
     def test_lost_degraded_response_is_reserved_on_retry(self):
         master = build_master()
@@ -718,58 +739,33 @@ class TestHistoryCap:
                 f"cn=P{step % 12},o=xyz", [Modification.replace("sn", f"S{step}")]
             )
             assert session.pending_count <= 8
-            assert session.pending_bytes == 0 or not session.history_overflowed
         assert session.history_overflowed
-        assert session.pending_count == 0 and session.pending_bytes == 0
+        assert session.pending_count == 0
         content.poll(provider)
         assert content.matches_master(master)
 
 
 # ----------------------------------------------------------------------
-# admission control
+# rebuild storms are served, not paced
 # ----------------------------------------------------------------------
-class TestAdmission:
-    def test_token_bucket_admits_then_rejects(self):
-        controller = AdmissionController(2, 0.25, 40.0, MetricsRegistry())
-        controller.admit()
-        controller.admit()
-        with pytest.raises(ServerBusy) as excinfo:
-            controller.admit()
-        assert excinfo.value.retry_after_ms == 40.0
-        assert excinfo.value.fault == "busy"
-
-    def test_logical_refill_eventually_readmits(self):
-        controller = AdmissionController(1, 0.5, 40.0, MetricsRegistry())
-        controller.admit()
-        with pytest.raises(ServerBusy):
-            controller.admit()
-        controller.replenish()  # two serviced requests -> one token
-        controller.admit()
-
-    def test_reset_refills_to_burst(self):
-        controller = AdmissionController(1, 0.1, 40.0, MetricsRegistry())
-        controller.admit()
-        controller.reset()
-        controller.admit()
-
-    def test_provider_rejects_storm_but_serves_resumes(self):
+class TestRebuildStorm:
+    def test_every_null_cookie_rebuild_is_served(self):
         master = build_master()
-        provider = durable_provider(master, admission_burst=1, admission_refill=0.25)
-        first = SyncedContent(REQUEST)
-        first.poll(provider)
-        second = SyncedContent(REQUEST)
-        with pytest.raises(ServerBusy):
-            second.poll(provider)
-        # Resumes are never refused -- only full-content rebuilds are.
-        first.poll(provider)
-        assert master.metrics.counter("sync.admission.rejected").value == 1
+        provider = durable_provider(master)
+        contents = [SyncedContent(REQUEST) for _ in range(6)]
+        for content in contents:
+            response = content.poll(provider)
+            assert not response.uses_retain
+            assert content.matches_master(master)
+        # A resume after the storm is a history drain like any other.
+        master.delete("cn=P0,o=xyz")
+        response = contents[0].poll(provider)
+        assert [str(u.dn) for u in response.updates] == ["cn=P0,o=xyz"]
+        assert contents[0].matches_master(master)
 
-    def test_resilient_consumer_backs_off_and_gets_in(self):
+    def test_resilient_consumers_get_in_on_the_first_attempt(self):
         master = build_master()
-        provider = durable_provider(
-            master, admission_burst=1, admission_refill=0.5,
-            admission_retry_after_ms=123.0,
-        )
+        provider = durable_provider(master)
         net = FaultyNetwork()
         consumers = [
             ResilientConsumer(REQUEST, provider, network=net, seed=i)
@@ -778,18 +774,13 @@ class TestAdmission:
         for consumer in consumers:
             assert consumer.sync_once() is not None
             assert consumer.content.matches_master(master)
-        registry = master.metrics
-        assert registry.counter("sync.admission.rejected").value > 0
-        # The busy hint floors the backoff: at least one rejected retry
-        # waited >= retry_after_ms on the simulated clock.
-        assert net.registry.gauge("sync.resilient.backoff_ms").value >= 123.0
+        assert net.registry.counter("sync.resilient.retries").value == 0
+        assert net.registry.gauge("sync.resilient.backoff_ms").value == 0.0
 
-    def test_post_recovery_storm_is_paced(self):
+    def test_a_post_recovery_storm_converges_in_one_sync_each(self):
         master = build_master()
         journal = MemoryJournal()
-        provider = durable_provider(
-            master, journal=journal, admission_burst=2, admission_refill=0.5
-        )
+        provider = durable_provider(master, journal=journal)
         net = FaultyNetwork()
         consumers = [
             ResilientConsumer(REQUEST, provider, network=net, seed=i)
@@ -798,14 +789,16 @@ class TestAdmission:
         for consumer in consumers:
             consumer.sync_once()
         # Tear the whole journal: recovery drops every session, so all
-        # five consumers need simultaneous full rebuilds -- the storm.
+        # five consumers need full rebuilds at once.
         journal.damage_truncate(0.0)
         journal.damage_corrupt(0.0)
         provider.restart()
         provider.recover()
+        assert provider.sessions.active_sessions() == []
         for consumer in consumers:
-            assert ReferenceModel.of(master).converge(consumer.sync_once, [consumer.content], 64)
-        assert master.metrics.counter("sync.admission.rejected").value > 0
+            consumer.sync_once()
+            assert consumer.content.matches_master(master)
+        assert net.registry.counter("sync.resilient.retries").value == 0
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,14 @@ and the journal's size and record kinds, and at the end every session's
 ``session_to_wire`` image and the holder index — so the record is the
 same provider, not a similar one.
 
+The file was regenerated once since, when the byte cap on a session's
+history went and ``session_to_wire`` lost its ``pending_bytes`` key:
+that commit's tree, with only that key taken out of
+``session_to_wire``/``session_from_wire``, writes the new file byte for
+byte, and the diff against the old one touches only the ``pending_bytes``
+keys of the final session images and seed 7's per-step journal sizes
+(seed 12 runs journal-less).
+
 The schedule: 320 seeded master ops (adds, modifies that make an entry
 enter, leave or stay in a content, deletes, leaf renames, moves and
 subtree renames) over fifteen overlapping sessions — poll and persist,

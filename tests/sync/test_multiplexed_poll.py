@@ -246,22 +246,3 @@ def test_a_quiet_poll_keeps_a_degraded_resume_a_snapshot_cookie_still_needs():
     restarted = _restart_from_snapshot(provider, store, net)
     assert ReferenceModel.of(master).holds(restarted.content)
     assert master.metrics.counter("sync.durability.degraded_resumes").value == 2
-
-
-def test_a_quiet_poll_refills_the_admission_bucket():
-    """Admission refill is counted in served requests, and a quiet poll
-    is one: an empty bucket refills at the same rate whether the polls
-    that follow have something to say or not."""
-    master = build_master()
-    provider = ResyncProvider(
-        master, durability=DurabilityConfig(admission_burst=1, admission_refill=0.25)
-    )
-    link = SyncLink(provider, network=SimulatedNetwork())
-    content = SyncedContent(request("(objectClass=person)"))
-    link.sync((content,))  # spends the one token
-    assert provider.admission.tokens == 0.0
-    cookie = content.cookie
-    for _ in range(4):
-        link.sync((content,))
-    assert content.cookie == cookie  # every poll was quiet
-    assert provider.admission.tokens == 1.0

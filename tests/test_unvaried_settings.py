@@ -6,19 +6,30 @@ a ``TypeError``, and the names that carried it are gone.  The sketch
 tier's sizes are ``repro.sync.ladder``'s constants; partitions and slow
 nodes are windows opened by hand (``FaultyNetwork.partition`` /
 ``set_slow``), never drawn from a plan.
+
+The same holds for whole mechanisms only tests turned on: rebuild
+admission control, the byte cap on a session's history, union
+answering, operational timestamps, a driver that does not feed its
+replica's cache and a soak over a journal-less provider are gone with
+their switches.
 """
+
+import dataclasses
 
 import pytest
 
+import repro.server
 import repro.sync
 from repro.chaos import SoakConfig
-from repro.core import ContainmentIndex
+from repro.core import ContainmentIndex, FilterReplica
 from repro.ldap import DEFAULT_REGISTRY, Scope, SearchRequest
+from repro.metrics import ReplicaDriver
 from repro.obs import TraceCollector
 from repro.server import DirectoryServer, FaultPlan, FaultSpec, LdapClient, SimulatedNetwork
 from repro.server.indexes import AttributeIndexSet, SubstringIndex
 from repro.sync import (
     ChangelogProvider,
+    DurabilityConfig,
     ResilientConsumer,
     ResyncProvider,
     RetryPolicy,
@@ -60,6 +71,17 @@ REMOVED = {
     "SoakConfig.require_all_converge": lambda: SoakConfig(require_all_converge=True),
     "RetryPolicy.backoff_factor": lambda: RetryPolicy(backoff_factor=2.0),
     "LdapClient(max_hops=)": lambda: LdapClient(SimulatedNetwork(), max_hops=32),
+    "DurabilityConfig.admission_burst": lambda: DurabilityConfig(admission_burst=4),
+    "DurabilityConfig.admission_refill": lambda: DurabilityConfig(admission_refill=0.25),
+    "DurabilityConfig.admission_retry_after_ms": lambda: DurabilityConfig(
+        admission_retry_after_ms=50.0
+    ),
+    "DurabilityConfig.history_max_bytes": lambda: DurabilityConfig(history_max_bytes=4096),
+    "FilterReplica(compose_unions=)": lambda: FilterReplica("r", compose_unions=False),
+    "ReplicaDriver(feed_cache=)": lambda: ReplicaDriver(
+        DirectoryServer("M"), FilterReplica("r"), feed_cache=True
+    ),
+    "SoakConfig.durable": lambda: SoakConfig(durable=True),
 }
 
 
@@ -75,9 +97,25 @@ def test_a_removed_setting_is_a_type_error(call):
         (repro.sync, "ReconcileConfig"),
         (FaultPlan, "next_partition"),
         (Session, "observe"),
+        (repro.sync, "AdmissionController"),
+        (repro.server, "ServerBusy"),
+        (DirectoryServer("M"), "maintain_timestamps"),
     ],
-    ids=["repro.sync.ReconcileConfig", "FaultPlan.next_partition", "Session.observe"],
+    ids=[
+        "repro.sync.ReconcileConfig",
+        "FaultPlan.next_partition",
+        "Session.observe",
+        "repro.sync.AdmissionController",
+        "repro.server.ServerBusy",
+        "DirectoryServer.maintain_timestamps",
+    ],
 )
 def test_a_removed_name_is_gone(owner, name):
     assert not hasattr(owner, name)
 
+
+def test_durability_config_keeps_two_fields():
+    assert [f.name for f in dataclasses.fields(DurabilityConfig)] == [
+        "snapshot_interval",
+        "history_max_entries",
+    ]
