@@ -162,12 +162,11 @@ class DirectoryServer:
 
         The suffix entry itself must subsequently be added via
         :meth:`add`; registration only exempts it from the
-        parent-must-exist rule.
+        parent-must-exist rule (:meth:`_has_parent`).
         """
         suffix_dn = suffix if isinstance(suffix, DN) else DN.parse(suffix)
         context = NamingContext(suffix_dn)
         self._contexts.append(context)
-        self.store.register_root(suffix_dn)
         return context
 
     @property
@@ -182,6 +181,14 @@ class DirectoryServer:
                 if best is None or best.suffix.is_suffix_of(context.suffix):
                     best = context
         return best
+
+    def _has_parent(self, dn: DN) -> bool:
+        """True when *dn* may be added: it is a context suffix (a tree
+        root, exempt from the parent-must-exist rule) or its parent
+        entry exists."""
+        if dn.is_root or any(context.suffix == dn for context in self._contexts):
+            return True
+        return dn.parent in self.store
 
     def context_referrals(self, context: NamingContext) -> List[DN]:
         """DNs of referral objects inside *context* (the ``Ri`` of §2.3)."""
@@ -471,7 +478,7 @@ class DirectoryServer:
             )
         if entry.dn in self.store:
             raise LdapError(ResultCode.ENTRY_ALREADY_EXISTS, str(entry.dn))
-        if not self.store.has_parent(entry.dn):
+        if not self._has_parent(entry.dn):
             raise LdapError(
                 ResultCode.NO_SUCH_OBJECT, f"parent of {entry.dn} not found"
             )
@@ -547,7 +554,7 @@ class DirectoryServer:
         target = dn if isinstance(dn, DN) else DN.parse(dn)
         if target not in self.store:
             raise LdapError(ResultCode.NO_SUCH_OBJECT, str(target))
-        doomed = sorted(self.store.subtree_dns(target), key=len, reverse=True)
+        doomed = sorted(self.store.subtree_region(target), key=len, reverse=True)
         return [self.delete(d) for d in doomed]
 
     @timed_operation("modify_dn")
@@ -576,7 +583,7 @@ class DirectoryServer:
         rdn_text = new_rdn if new_rdn is not None else str(old_dn.rdn)
         new_dn = superior.child(rdn_text)
         if new_superior is not None and (
-            self.context_for(new_dn) is None or not self.store.has_parent(new_dn)
+            self.context_for(new_dn) is None or not self._has_parent(new_dn)
         ):
             # add's rule, applied to the target: no entry goes parentless
             raise LdapError(ResultCode.NO_SUCH_OBJECT, f"new superior {superior}")
@@ -590,7 +597,7 @@ class DirectoryServer:
             )
 
         records: List[UpdateRecord] = []
-        moved = sorted(self.store.subtree_dns(old_dn), key=len)
+        moved = sorted(self.store.subtree_region(old_dn), key=len)
         for source in moved:
             source_entry = self.store.delete(source)
             target_dn = source.rename(old_dn, new_dn)
@@ -630,7 +637,7 @@ class DirectoryServer:
                 raise LdapError(
                     ResultCode.NO_SUCH_OBJECT, f"no naming context for {entry.dn}"
                 )
-            if not self.store.has_parent(entry.dn):
+            if not self._has_parent(entry.dn):
                 raise LdapError(
                     ResultCode.NO_SUCH_OBJECT, f"parent of {entry.dn} not found"
                 )

@@ -14,10 +14,14 @@ the whole database.  The simulated backend does the same:
   answering ``>=`` / ``<=`` range scans under the attribute's syntax:
   integer-syntax values compare numerically, not lexicographically.
 
-An :class:`AttributeIndexSet` keeps equality and presence from the
-first value posted; its substring and ordering indexes exist once a
-query needs them: the first read builds one from the owner's frozen
-images, and every later insert/remove maintains it.
+An :class:`AttributeIndexSet` exists once a plan asks about its
+attribute (:meth:`repro.server.backend.EntryStore.index_for` builds it
+from the stored images, equality and presence included); its substring
+and ordering indexes exist once a query needs them: the first read
+builds one from the owner's frozen images, and every later
+insert/remove maintains it.  Each index normalizes assertion values
+through its own memo, so a plan's estimate and its lookup, and a
+recurring query, normalize each value once.
 
 Indexes return *candidate supersets* (every true match is included, some
 non-matches may be); the backend always re-verifies candidates with
@@ -32,9 +36,9 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..ldap.attributes import AttributeRegistry, AttributeType
+from ..ldap.attributes import AttributeType
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
 
@@ -44,8 +48,32 @@ __all__ = [
     "SubstringIndex",
     "OrderingIndex",
     "AttributeIndexSet",
-    "ContentIndex",
 ]
+
+
+class _Assertions(dict):
+    """Assertion value → its normalized form, one index's memo.
+
+    Every plan reads an assertion value twice — its estimate, then its
+    lookup — and a recurring query asks for the same values again; an
+    index reads them through its memo, so each is normalized once.
+    Cleared when it reaches :attr:`LIMIT`, so clients cannot grow it
+    without bound.
+    """
+
+    LIMIT = 1 << 12
+
+    __slots__ = ("_atype",)
+
+    def __init__(self, atype: AttributeType):
+        super().__init__()
+        self._atype = atype
+
+    def __missing__(self, value: str):
+        if len(self) >= self.LIMIT:
+            self.clear()
+        normalized = self[value] = self._atype.normalize(value)
+        return normalized
 
 
 class EqualityIndex:
@@ -53,6 +81,7 @@ class EqualityIndex:
 
     def __init__(self, atype: AttributeType):
         self._atype = atype
+        self._assertions = _Assertions(atype)
         self._postings: Dict[object, Set[DN]] = defaultdict(set)
 
     def insert(self, dn: DN, values: Iterable[str]) -> None:
@@ -70,11 +99,11 @@ class EqualityIndex:
 
     def lookup(self, value: str) -> Set[DN]:
         """DNs holding *value* (exact, normalized)."""
-        return set(self._postings.get(self._atype.normalize(value), ()))
+        return set(self._postings.get(self._assertions[value], ()))
 
     def estimate(self, value: str) -> int:
         """Posting-list size for *value* without copying the set."""
-        return len(self._postings.get(self._atype.normalize(value), ()))
+        return len(self._postings.get(self._assertions[value], ()))
 
     def __len__(self) -> int:
         return sum(len(p) for p in self._postings.values())
@@ -86,13 +115,13 @@ class PresenceIndex:
     def __init__(self):
         self._counts: Dict[DN, int] = {}
 
-    def insert(self, dn: DN, values: Iterable[str]) -> None:
-        n = sum(1 for _ in values)
+    def insert(self, dn: DN, values: Sequence[str]) -> None:
+        n = len(values)
         if n:
             self._counts[dn] = self._counts.get(dn, 0) + n
 
-    def remove(self, dn: DN, values: Iterable[str]) -> None:
-        n = sum(1 for _ in values)
+    def remove(self, dn: DN, values: Sequence[str]) -> None:
+        n = len(values)
         if not n:
             return
         remaining = self._counts.get(dn, 0) - n
@@ -138,6 +167,7 @@ class SubstringIndex:
 
     def __init__(self, atype: AttributeType):
         self._atype = atype
+        self._assertions = _Assertions(atype)
         self._postings: Dict[str, Set[DN]] = {}
         # short component -> the vocabulary grams containing it; emptied
         # whenever a gram key appears or disappears.
@@ -188,7 +218,7 @@ class SubstringIndex:
         long: List[str] = []
         short: List[str] = []
         for component in components:
-            normalized = str(self._atype.normalize(component))
+            normalized = str(self._assertions[component])
             if len(normalized) >= NGRAM:
                 long.append(normalized)
             elif normalized:
@@ -287,6 +317,7 @@ class OrderingIndex:
 
     def __init__(self, atype: AttributeType):
         self._atype = atype
+        self._assertions = _Assertions(atype)
         # Parallel sorted lists: keys[i] names the pair, dns[i] is its DN.
         self._keys: List[Tuple[int, object, Tuple]] = []
         self._dns: List[DN] = []
@@ -339,12 +370,12 @@ class OrderingIndex:
     # way): ``>= value`` is [0, start) + [pos, len), ``<= value`` is
     # [0, pos) + [end, len).
     def _from(self, value: str) -> Tuple[int, int]:
-        tag, norm = self._key(value)
+        tag, norm = _typed_key(self._assertions[value])
         start, _end = self._segment(tag)
         return start, bisect.bisect_left(self._keys, (tag, norm))
 
     def _through(self, value: str) -> Tuple[int, int]:
-        tag, norm = self._key(value)
+        tag, norm = _typed_key(self._assertions[value])
         _start, end = self._segment(tag)
         return bisect.bisect_left(self._keys, _successor(tag, norm)), end
 
@@ -368,8 +399,9 @@ class OrderingIndex:
 class AttributeIndexSet:
     """All indexes for one attribute, kept consistent together.
 
-    ``equality`` and ``presence`` are kept from the first value posted:
-    every search plan may read them.  ``substring`` and ``ordering`` are
+    ``equality`` and ``presence`` are kept from the set's first value
+    (:meth:`of` builds a set from the stored images): every plan that
+    reads the attribute reads them.  ``substring`` and ``ordering`` are
     built on first ask, from the frozen *images* of the presence DNs
     (the owner's ``DN -> Entry`` map, which holds every DN posted here),
     and maintained by :meth:`insert`/:meth:`remove` from then on.  Built
@@ -383,6 +415,20 @@ class AttributeIndexSet:
         self._images = images
         self._substring: Optional[SubstringIndex] = None
         self._ordering: Optional[OrderingIndex] = None
+
+    @classmethod
+    def of(cls, atype: AttributeType, images: Mapping[DN, Entry]) -> "AttributeIndexSet":
+        """The set :meth:`insert` of every image in *images* leaves: a
+        new set has built no substring or ordering index, so equality
+        and presence are all there is to post."""
+        index = cls(atype, images)
+        name = atype.name
+        for dn, image in images.items():
+            values = image.get(name)
+            if values:
+                index.equality.insert(dn, values)
+                index.presence.insert(dn, values)
+        return index
 
     def _holders(self) -> Iterator[Tuple[DN, List[str]]]:
         name = self.atype.name
@@ -430,133 +476,3 @@ class AttributeIndexSet:
             self._substring.remove(dn, values)
         if self._ordering is not None:
             self._ordering.remove(dn, values)
-
-
-class ContentIndex:
-    """Incremental per-attribute equality + DN indexes over one
-    replicated content mapping.
-
-    :class:`repro.sync.consumer.SyncedContent` (and anything else that
-    owns a ``Dict[DN, Entry]`` it mutates through a funnel) attaches one
-    of these so replica-local evaluation intersects candidate sets
-    instead of scanning the whole content (docs/ROUTING.md §3).
-
-    * equality indexes are built **lazily per attribute** on the first
-      query that constrains it, then maintained incrementally by
-      :meth:`upsert`/:meth:`discard`;
-    * a sorted ``reversed_key`` list answers BASE/ONE/SUB region probes
-      (the same subtree-range trick as :class:`repro.server.backend.
-      EntryStore`);
-    * an insertion-sequence map preserves the content dict's iteration
-      order, so index-pruned evaluation returns entries in exactly the
-      order a linear scan of the dict would.
-
-    Candidate sets are supersets; callers re-verify every candidate
-    against the real filter and scope, so staleness bugs can cost speed
-    but never correctness.
-    """
-
-    def __init__(
-        self,
-        entries: Dict[DN, "Entry"],
-        registry: Optional["AttributeRegistry"] = None,
-    ):
-        from ..ldap.attributes import DEFAULT_REGISTRY
-
-        self._entries = entries
-        self._registry = registry if registry is not None else DEFAULT_REGISTRY
-        self._eq: Dict[str, EqualityIndex] = {}
-        self._seq: Dict[DN, int] = {}
-        self._next_seq = 0
-        self._rk: List[Tuple[Tuple, DN]] = []
-        for dn in entries:
-            self._admit(dn)
-        self._rk.sort()
-
-    def _admit(self, dn: DN) -> None:
-        self._seq[dn] = self._next_seq
-        self._next_seq += 1
-        self._rk.append((dn.reversed_key(), dn))
-
-    # ------------------------------------------------------------------
-    # incremental maintenance (owner's mutation funnel)
-    # ------------------------------------------------------------------
-    def upsert(self, dn: DN, old: Optional["Entry"], new: "Entry") -> None:
-        """Fold one add/modify into every built structure."""
-        if dn not in self._seq:
-            self._seq[dn] = self._next_seq
-            self._next_seq += 1
-            bisect.insort(self._rk, (dn.reversed_key(), dn))
-        for attr, index in self._eq.items():
-            if old is not None:
-                index.remove(dn, old.get(attr))
-            index.insert(dn, new.get(attr))
-
-    def discard(self, dn: DN, old: "Entry") -> None:
-        """Fold one delete into every built structure."""
-        if self._seq.pop(dn, None) is None:
-            return
-        key = (dn.reversed_key(), dn)
-        pos = bisect.bisect_left(self._rk, key)
-        if pos < len(self._rk) and self._rk[pos] == key:
-            del self._rk[pos]
-        for attr, index in self._eq.items():
-            index.remove(dn, old.get(attr))
-
-    def seq_of(self, dn: DN) -> int:
-        """Insertion rank of *dn* (stable across upserts of the same
-        DN, advanced on re-insertion — dict-order semantics)."""
-        return self._seq.get(dn, 1 << 62)
-
-    # ------------------------------------------------------------------
-    # candidate generation
-    # ------------------------------------------------------------------
-    def _ensure_eq(self, attr: str) -> EqualityIndex:
-        key = self._registry.key(attr)
-        index = self._eq.get(key)
-        if index is None:
-            index = EqualityIndex(self._registry.get(attr))
-            for dn, entry in self._entries.items():
-                index.insert(dn, entry.get(attr))
-            self._eq[key] = index
-        return index
-
-    def region(self, base: DN) -> Set[DN]:
-        """DNs at or under *base* (SUB superset; ONE/BASE re-verify)."""
-        rk = base.reversed_key()
-        found: Set[DN] = set()
-        pos = bisect.bisect_left(self._rk, (rk,))
-        depth = len(rk)
-        while pos < len(self._rk):
-            key, dn = self._rk[pos]
-            if key[:depth] != rk:
-                break
-            found.add(dn)
-            pos += 1
-        return found
-
-    def candidates(self, request) -> Optional[Set[DN]]:
-        """Candidate DN superset for *request*, or None meaning "scan".
-
-        Intersects the equality posting lists of top-level equality
-        conjuncts; with no usable conjunct, falls back to the region
-        range when the base is below the content root.
-        """
-        from ..ldap.filters import And, Equality, simplify
-        from ..ldap.query import Scope
-
-        flt = simplify(request.filter)
-        conjuncts = flt.children if isinstance(flt, And) else (flt,)
-        best: Optional[Set[DN]] = None
-        for node in conjuncts:
-            if isinstance(node, Equality):
-                postings = self._ensure_eq(node.attr).lookup(node.value)
-                best = postings if best is None else best & postings
-                if not best:
-                    return best
-        if request.scope is Scope.BASE:
-            base_hit = {request.base} if request.base in self._seq else set()
-            return base_hit if best is None else best & base_hit
-        if best is None and len(request.base.reversed_key()) > 0:
-            return self.region(request.base)
-        return best

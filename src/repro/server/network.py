@@ -128,9 +128,8 @@ class NetworkPartitioned(TransportError):
     Unlike :class:`ServerUnavailable` the server itself is healthy —
     its session state survives, so a persist session resumes from its
     cookie once the partition heals (no crash epoch bump).  Cut and
-    healed by :meth:`repro.server.faults.FaultyNetwork.partition` /
-    ``heal_partition``, or probabilistically from the plan's ``:p``
-    stream.
+    healed by hand, as a window: :meth:`repro.server.faults.FaultyNetwork.partition`
+    / ``heal_partition``; no seed stream draws one.
     """
 
     fault = "partition"

@@ -204,10 +204,11 @@ class SearchPlanner:
 
     def _plan_predicate(self, pred: Predicate) -> Optional[_NodePlan]:
         index = self._store.index_for(pred.attr)
-        if index is None:
-            # Every attribute ever stored has an index set and index_for
-            # resolves any spelling to it, so this attribute appears on
-            # no entry: a positive assertion on it matches nothing.
+        if not index.presence:
+            # index_for resolves any spelling to the attribute's one set,
+            # built from every stored image: an empty presence index
+            # means no entry holds it, so a positive assertion on it
+            # matches nothing.
             return _NodePlan("absent", 0, set)
         if isinstance(pred, Present):
             presence = index.presence

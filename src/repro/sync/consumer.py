@@ -1,7 +1,9 @@
 """ReSync consumer: the replica side of filter synchronization.
 
 A :class:`SyncedContent` holds the replicated content of one search
-request (the paper's replication unit) and applies update PDUs:
+request (the paper's replication unit) in an
+:class:`~repro.server.backend.EntryStore` — the master's store, over a
+smaller set of images — and applies update PDUs:
 
 * ``add`` / ``modify`` — upsert the carried entry: the PDU's own frozen
   image, adopted without a copy (DESIGN.md, "Entry images: who owns,
@@ -19,7 +21,7 @@ experiments (Figures 6/7, E11) can read PDU and byte counts.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import List, Mapping, Optional
 
 from ..ldap.controls import ReSyncControl, SyncAction, SyncMode
 from ..ldap.dn import DN
@@ -27,15 +29,11 @@ from ..ldap.entry import Entry
 from ..ldap.matching import compile_filter_cached
 from ..ldap.query import SearchRequest
 from ..obs.tracing import span
-from ..server.indexes import ContentIndex
+from ..server.backend import EntryStore
 from ..server.network import Delivery, OperationTimeout, SimulatedNetwork, exchange
 from .protocol import SyncResponse, SyncUpdate
 
 __all__ = ["SyncedContent"]
-
-#: Contents below this size are always evaluated by a compiled linear
-#: scan — index bookkeeping costs more than it saves on tiny contents.
-INDEX_MIN_ENTRIES = 24
 
 _CONTENT_SERIALS = itertools.count(1)
 
@@ -51,8 +49,7 @@ class SyncedContent:
     def __init__(self, request: SearchRequest, network: Optional[SimulatedNetwork] = None):
         self.request = request
         self.network = network
-        self._entries: Dict[DN, Entry] = {}
-        self._index: Optional[ContentIndex] = None
+        self._store = EntryStore()
         self.cookie: Optional[str] = None
         self.polls = 0
         self.updates_applied = 0
@@ -67,41 +64,33 @@ class SyncedContent:
     # content mapping (all mutations funnel through here)
     # ------------------------------------------------------------------
     @property
-    def entries(self) -> Dict[DN, Entry]:
-        """The replicated entries, keyed by DN (insertion-ordered).
+    def entries(self) -> Mapping[DN, Entry]:
+        """The replicated entries, keyed by DN (insertion-ordered): the
+        store's images, read-only.
 
-        Reading is free-form; *replacing* the mapping through this
-        property (``content.entries = {...}``) resets the attached
-        :class:`~repro.server.indexes.ContentIndex` and bumps
-        :attr:`version`.  In-place mutation by callers would bypass the
-        index — external writers must assign, as the replica loaders do.
+        *Replacing* the mapping through this property
+        (``content.entries = {...}``) loads a fresh store with its
+        images, in order, and bumps :attr:`version` — the one path for
+        external writers, as the replica loaders use.
         """
-        return self._entries
+        return self._store.images()
 
     @entries.setter
-    def entries(self, mapping: Dict[DN, Entry]) -> None:
-        self._entries = dict(mapping)
-        self._index = None
-        self.version += 1
+    def entries(self, mapping: Mapping[DN, Entry]) -> None:
+        self._reset()
+        for entry in mapping.values():
+            self._store.put(entry)
 
-    def _upsert(self, dn: DN, entry: Entry) -> None:
-        old = self._entries.get(dn)
-        self._entries[dn] = entry
+    def _upsert(self, entry: Entry) -> None:
+        self._store.put(entry)
         self.version += 1
-        if self._index is not None:
-            self._index.upsert(dn, old, entry)
 
     def _discard(self, dn: DN) -> None:
-        old = self._entries.pop(dn, None)
-        if old is None:
-            return
-        self.version += 1
-        if self._index is not None:
-            self._index.discard(dn, old)
+        if self._store.delete(dn) is not None:
+            self.version += 1
 
     def _reset(self) -> None:
-        self._entries = {}
-        self._index = None
+        self._store = EntryStore()
         self.version += 1
 
     # ------------------------------------------------------------------
@@ -126,7 +115,7 @@ class SyncedContent:
             self._charge(update)
             self.updates_applied += 1
             if update.action in (SyncAction.ADD, SyncAction.MODIFY):
-                self._upsert(update.dn, update.entry)
+                self._upsert(update.entry)
                 upserted.add(update.dn)
             elif update.action is SyncAction.DELETE:
                 self._discard(update.dn)
@@ -134,7 +123,7 @@ class SyncedContent:
                 retained.add(update.dn)
         if response.uses_retain:
             keep = retained | upserted
-            self.entries = {dn: e for dn, e in self._entries.items() if dn in keep}
+            self.entries = {dn: e for dn, e in self.entries.items() if dn in keep}
         if response.cookie is not None:
             self.cookie = response.cookie
         self.polls += 1
@@ -166,7 +155,7 @@ class SyncedContent:
             self._charge(update)
         self.updates_applied += 1
         if update.action in (SyncAction.ADD, SyncAction.MODIFY):
-            self._upsert(update.dn, update.entry)
+            self._upsert(update.entry)
         elif update.action is SyncAction.DELETE:
             self._discard(update.dn)
 
@@ -255,35 +244,23 @@ class SyncedContent:
     def evaluate(self, request: SearchRequest) -> List[Entry]:
         """Entries of this content matching *request*, projected.
 
-        Replaces the replica's interpreted full scan: the filter is
-        compiled once per distinct filter
-        (:func:`~repro.ldap.matching.compile_filter_cached`) and, above
-        :data:`INDEX_MIN_ENTRIES`, a lazily built
-        :class:`~repro.server.indexes.ContentIndex` narrows evaluation
-        to a candidate set.  Candidates are re-verified and returned in
-        content insertion order, so the result is identical to the
-        linear scan's (the equivalence property of
-        ``tests/core/test_routing_equivalence.py``).
+        The master's evaluation over a smaller store: the store's
+        planner (:mod:`repro.server.planner`) narrows the content to a
+        candidate set, and the filter, compiled once per distinct filter
+        (:func:`~repro.ldap.matching.compile_filter_cached`), verifies
+        each candidate.  Candidates are visited in the content's
+        insertion order, and a scan plan walks the content in that
+        order, so the result is identical to the linear scan's (the
+        equivalence property of ``tests/core/test_routing_equivalence.py``).
         """
         compiled = compile_filter_cached(request.filter)
-        entries = self._entries
-        if len(entries) >= INDEX_MIN_ENTRIES:
-            if self._index is None:
-                self._index = ContentIndex(entries)
-            candidates = self._index.candidates(request)
-            if candidates is not None and len(candidates) < len(entries):
-                seq_of = self._index.seq_of
-                out: List[Entry] = []
-                for dn in sorted(candidates, key=seq_of):
-                    entry = entries.get(dn)
-                    if entry is not None and request.in_scope(dn) and compiled(entry):
-                        out.append(request.project(entry))
-                return out
-        return [
-            request.project(entry)
-            for entry in entries.values()
-            if request.in_scope(entry.dn) and compiled(entry)
-        ]
+        candidates = self._store.candidates_for(request.filter)
+        if candidates is None:
+            images = self._store.images().values()
+        else:
+            images = self._store.in_insertion_order(candidates)
+        in_scope, project = request.in_scope, request.project
+        return [project(entry) for entry in images if in_scope(entry.dn) and compiled(entry)]
 
     # ------------------------------------------------------------------
     # inspection

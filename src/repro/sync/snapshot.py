@@ -371,9 +371,9 @@ class SnapshotRecoverer:
 
         self._enter("resuming")
         with span("sync.snapshot.resume") as sp:
-            # Assignment through the property resets the content index
-            # and bumps the version — the sanctioned external-writer
-            # path (see SyncedContent.entries).
+            # Assignment through the property loads a fresh store and
+            # bumps the version — the sanctioned external-writer path
+            # (see SyncedContent.entries).
             self.content.entries = document.entries
             self.content.cookie = document.cookie
             sp.add("entries", len(document.entries))

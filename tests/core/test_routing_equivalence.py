@@ -31,8 +31,8 @@ from repro.ldap import (
     SearchRequest,
     Substring,
 )
-from repro.server.indexes import ContentIndex
-from repro.sync import SyncUpdate
+from repro.ldap.controls import SyncAction
+from repro.sync import SyncUpdate, SyncedContent
 
 from tests.oracles import LinearFilterReplica
 
@@ -179,28 +179,47 @@ def test_routed_answers_equal_linear_with_templates(
     assert drive(FilterReplica) == drive(LinearFilterReplica)
 
 
+_content_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(0, 7), _entry_values),
+        st.tuples(st.just("delete"), st.integers(0, 7), st.just([])),
+    ),
+    max_size=8,
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(_entries, min_size=1, max_size=8, unique_by=lambda e: str(e.dn)),
     st.lists(_requests, min_size=1, max_size=8),
-    st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+    _content_steps,
 )
-def test_content_index_candidates_sound(directory, queries, deletions):
-    """``ContentIndex.candidates`` is ``None`` ("scan") or a superset of
-    the entries the query selects, through lazy index builds and
-    deletes — the contract ``SyncedContent.evaluate`` re-verifies under."""
-    live = {e.dn: e for e in directory}
-    index = ContentIndex(live)
-    for query in queries:  # build some equality indexes
-        index.candidates(query)
-    for i in deletions:
-        dns = list(live)
-        if i < len(dns):
-            index.discard(dns[i], live.pop(dns[i]))
-    for query in queries:
-        candidates = index.candidates(query)
-        if candidates is not None:
-            assert {dn for dn, e in live.items() if query.selects(e)} <= candidates
+def test_content_evaluation_equals_a_linear_scan(directory, queries, steps):
+    """``SyncedContent.evaluate`` — plan candidates in insertion order,
+    or a scan — returns what a linear scan of ``content.entries``
+    returns, in its order, before and after puts (new, replacing, and
+    re-adding a deleted DN at the end) and deletes maintain the index
+    sets the first queries built."""
+    content = SyncedContent(SearchRequest("", Scope.SUB, "(objectClass=*)"))
+    content.entries = {e.dn: e for e in directory}
+
+    def check():
+        for query in queries:
+            scanned = [query.project(e) for e in content.entries.values() if query.selects(e)]
+            assert [_entry_fp(e) for e in content.evaluate(query)] == [
+                _entry_fp(e) for e in scanned
+            ]
+
+    check()
+    for op, i, values in steps:
+        source = directory[i % len(directory)]
+        if op == "put":
+            image = source.copy()
+            image.put("sn", values)
+            content.apply_notification(SyncUpdate(SyncAction.MODIFY, image.dn, image))
+        else:
+            content.apply_notification(SyncUpdate.delete(source.dn))
+    check()
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ldap import DN, Entry, Scope, parse_filter, matches
-from repro.server import EntryStore
+from repro.ldap import DN, Entry, parse_filter, matches
+from repro.server import DirectoryServer, EntryStore, LdapError, ResultCode
 
 
 def entry(dn_text: str, **attrs) -> Entry:
@@ -15,7 +15,6 @@ def entry(dn_text: str, **attrs) -> Entry:
 @pytest.fixture()
 def store() -> EntryStore:
     s = EntryStore()
-    s.register_root(DN.parse("o=xyz"))
     s.put(entry("o=xyz", objectClass=["organization"], o="xyz"))
     s.put(entry("c=us,o=xyz", objectClass=["country"], c="us"))
     s.put(entry("cn=a,c=us,o=xyz", cn="a", sn="alpha"))
@@ -37,14 +36,6 @@ class TestBasics:
     def test_children_sorted(self, store):
         kids = store.children_of(DN.parse("c=us,o=xyz"))
         assert [str(k) for k in kids] == ["cn=a,c=us,o=xyz", "cn=b,c=us,o=xyz"]
-
-    def test_roots(self, store):
-        assert store.roots() == [DN.parse("o=xyz")]
-
-    def test_has_parent(self, store):
-        assert store.has_parent(DN.parse("cn=new,c=us,o=xyz"))
-        assert not store.has_parent(DN.parse("cn=new,c=zz,o=xyz"))
-        assert store.has_parent(DN.parse("o=xyz"))  # registered root
 
     def test_put_replaces_and_reindexes(self, store):
         updated = entry("cn=a,c=us,o=xyz", cn="a", sn="renamed")
@@ -74,21 +65,50 @@ class TestBasics:
         assert store.referral_dns() == set()
 
 
-class TestScopeIteration:
+class TestSuffixAsRoot:
+    """The suffix-as-root rule is the server's: a naming-context suffix
+    is a tree root, exempt from the parent-must-exist rule, and every
+    other entry needs its parent."""
+
+    @pytest.fixture()
+    def server(self) -> DirectoryServer:
+        s = DirectoryServer("M")
+        s.add_naming_context("o=xyz")
+        s.add(entry("o=xyz", objectClass=["organization"], o="xyz"))  # a root: no parent
+        s.add(entry("c=us,o=xyz", objectClass=["country"], c="us"))
+        return s
+
+    def test_the_roots_are_the_suffixes(self, server):
+        assert [c.suffix for c in server.naming_contexts] == [DN.parse("o=xyz")]
+        assert DN.parse("o=xyz") in server.store
+
+    def test_has_parent(self, server):
+        server.add(entry("cn=new,c=us,o=xyz", cn="new"))
+        with pytest.raises(LdapError) as refused:
+            server.add(entry("cn=new,c=zz,o=xyz", cn="new"))
+        assert refused.value.code is ResultCode.NO_SUCH_OBJECT
+        assert DN.parse("cn=new,c=zz,o=xyz") not in server.store
+
+
+class TestRegions:
+    """A scope's region, read from the tree and order structures."""
+
     def test_base(self, store):
-        got = list(store.iter_scope(DN.parse("c=us,o=xyz"), Scope.BASE))
-        assert [str(e.dn) for e in got] == ["c=us,o=xyz"]
+        assert str(store.get(DN.parse("c=us,o=xyz")).dn) == "c=us,o=xyz"
+        assert store.subtree_region(DN.parse("cn=b,c=us,o=xyz")) == [DN.parse("cn=b,c=us,o=xyz")]
 
     def test_base_missing(self, store):
-        assert list(store.iter_scope(DN.parse("c=zz,o=xyz"), Scope.BASE)) == []
+        assert store.get(DN.parse("c=zz,o=xyz")) is None
+        assert store.subtree_region(DN.parse("c=zz,o=xyz")) == []
 
     def test_one(self, store):
-        got = {str(e.dn) for e in store.iter_scope(DN.parse("c=us,o=xyz"), Scope.ONE)}
+        got = {str(dn) for dn in store.children_of(DN.parse("c=us,o=xyz"))}
         assert got == {"cn=a,c=us,o=xyz", "cn=b,c=us,o=xyz"}
 
     def test_sub_includes_base_and_deep(self, store):
-        got = {str(e.dn) for e in store.iter_scope(DN.parse("c=us,o=xyz"), Scope.SUB)}
-        assert got == {
+        got = [str(dn) for dn in store.subtree_region(DN.parse("c=us,o=xyz"))]
+        assert got[0] == "c=us,o=xyz"  # parents first
+        assert set(got) == {
             "c=us,o=xyz",
             "cn=a,c=us,o=xyz",
             "cn=b,c=us,o=xyz",
@@ -97,13 +117,12 @@ class TestScopeIteration:
 
     def test_sub_traverses_absent_root(self):
         s = EntryStore()
-        s.register_root(DN.parse("o=xyz"))
         s.put(entry("o=xyz", objectClass=["organization"], o="xyz"))
-        got = list(s.iter_scope(DN(()), Scope.SUB))
-        assert [str(e.dn) for e in got] == ["o=xyz"]
+        assert [str(dn) for dn in s.subtree_region(DN(()))] == ["o=xyz"]
+        assert s.children_of(DN(())) == [DN.parse("o=xyz")]
 
-    def test_subtree_dns(self, store):
-        dns = store.subtree_dns(DN.parse("cn=a,c=us,o=xyz"))
+    def test_subtree_of_a_leaf_parent(self, store):
+        dns = store.subtree_region(DN.parse("cn=a,c=us,o=xyz"))
         assert len(dns) == 2
 
 
@@ -144,6 +163,12 @@ class TestCandidates:
         assert plan.strategy == "absent"
         assert plan.candidates == set()
 
+    def test_an_attribute_whose_last_holder_left_is_absent(self, store):
+        assert store.plan_for(parse_filter("(c=us)")).strategy == "equality"
+        store.delete(DN.parse("c=us,o=xyz"))  # c's set is built: kept up to date
+        plan = store.plan_for(parse_filter("(c=us)"))
+        assert (plan.strategy, plan.candidates) == ("absent", set())
+
 
 # ----------------------------------------------------------------------
 # property: candidates are always a superset of true matches
@@ -157,7 +182,6 @@ _names = st.lists(
 @given(_names, st.text(alphabet="abcdef", min_size=1, max_size=3))
 def test_candidates_superset_property(names, needle):
     store = EntryStore()
-    store.register_root(DN.parse("o=xyz"))
     store.put(entry("o=xyz", objectClass=["organization"], o="xyz"))
     for i, name in enumerate(names):
         store.put(entry(f"cn=e{i},o=xyz", cn=f"e{i}", sn=name))

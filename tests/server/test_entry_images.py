@@ -394,7 +394,7 @@ class TestServerEditsThenFreezes:
         provider = ResyncProvider(master)
         content = SyncedContent(REQUEST)
         content.poll(provider)
-        held = {dn: master.store.get(dn) for dn in master.store.subtree_dns(DN.parse("ou=a,o=xyz"))}
+        held = {dn: master.store.get(dn) for dn in master.store.subtree_region(DN.parse("ou=a,o=xyz"))}
 
         records = master.modify_dn("ou=a,o=xyz", new_rdn="ou=c", new_superior="ou=b,o=xyz")
 

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ldap import DN, Entry, Scope, SearchRequest
+from repro.ldap import DN, Entry, Scope, SearchRequest, Substring, SyncAction
 from repro.ldap.attributes import AttributeType, Syntax
 from repro.server import DirectoryServer
 from repro.server.indexes import (
@@ -15,7 +15,9 @@ from repro.server.indexes import (
     EqualityIndex,
     OrderingIndex,
     SubstringIndex,
+    _Assertions,
 )
+from repro.sync import SyncedContent, SyncUpdate
 from repro.workload import DirectoryConfig, generate_directory
 from tests.oracles import linear_substring_candidates, linear_substring_estimate
 
@@ -36,6 +38,15 @@ class TestEqualityIndex:
         idx.insert(dn(1), ["Doe"])
         idx.remove(dn(1), ["Doe"])
         assert idx.lookup("Doe") == set()
+
+    def test_assertion_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(_Assertions, "LIMIT", 4)
+        idx = EqualityIndex(AttributeType("sn"))
+        idx.insert(dn(1), ["Doe"])
+        for i in range(10):
+            assert idx.estimate(f"x{i}") == 0
+        assert len(idx._assertions) <= 4
+        assert idx.lookup("DOE") == {dn(1)}
 
     def test_remove_missing_is_noop(self):
         idx = EqualityIndex(AttributeType("sn"))
@@ -139,6 +150,36 @@ def test_substring_lookups_equal_the_vocabulary_scan(steps, final_asks):
             ixs.insert(dn(step[1]), step[2])
         elif step[0] == "remove" and step[1] in held:
             remove(step[1])
+        elif step[0] == "ask":
+            ask(step[1])
+    for components in final_asks:
+        ask(components)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_INDEX_STEPS, max_size=40), st.lists(_ASSERTION, min_size=1, max_size=6))
+def test_content_substring_lookups_equal_the_vocabulary_scan(steps, final_asks):
+    """The same property over a replicated content's store: the index is
+    built by the content's own evaluation of a substring query, and
+    every later add, modify and delete PDU the content applies maintains
+    it."""
+    content = SyncedContent(SearchRequest("o=xyz", Scope.SUB, "(objectClass=*)"))
+
+    def ask(components):
+        initial, *any_parts, final = components
+        if initial or final or any(any_parts):
+            query = Substring("sn", initial=initial, any_parts=tuple(any_parts), final=final)
+            content.evaluate(SearchRequest("o=xyz", Scope.SUB, query))
+        idx = content._store.index_for("sn").substring
+        assert idx.candidates(components) == linear_substring_candidates(idx, components)
+        assert idx.estimate(components) == linear_substring_estimate(idx, components)
+
+    for step in steps:
+        if step[0] == "insert":
+            image = Entry(dn(step[1]), {"objectClass": ["person"], "sn": step[2]})
+            content.apply_notification(SyncUpdate(SyncAction.MODIFY, image.dn, image))
+        elif step[0] == "remove":
+            content.apply_notification(SyncUpdate.delete(dn(step[1])))
         elif step[0] == "ask":
             ask(step[1])
     for components in final_asks:
@@ -295,13 +336,23 @@ def loaded(directory, force=None) -> DirectoryServer:
     master = DirectoryServer("master")
     master.add_naming_context(directory.suffix)
     if force is not None:
-        master.store._ensure_index(force).substring
+        master.store.index_for(force).substring
     master.load(directory.entries)
     return master
 
 
 def built(master) -> dict:
     return {key: ixs.built() for key, ixs in master.store._indexes.items() if ixs.built()}
+
+
+def test_load_builds_no_index_set_and_a_search_builds_only_its_own(directory):
+    master = loaded(directory)
+    assert master.store._indexes == {}
+    mail = directory.entries[-1].first("mail")
+    request = SearchRequest(directory.suffix, Scope.SUB, f"(mail={mail})")
+    assert [e.dn for e in master.search(request).entries] == [directory.entries[-1].dn]
+    assert list(master.store._indexes) == ["mail"]
+    assert built(master) == {}
 
 
 def test_load_builds_no_substring_or_ordering_index(directory):

@@ -222,7 +222,11 @@ class TestSubtreeRangeIndex:
     def test_region_matches_walk(self, store):
         base = DN.parse("ou=people,o=xyz")
         region = store.subtree_region(base)
-        walked = {e.dn for e in store.iter_scope(base, Scope.SUB)}
+        walked, stack = set(), [base]
+        while stack:  # the tree walk: children_of, depth first
+            dn = stack.pop()
+            walked.add(dn)
+            stack.extend(store.children_of(dn))
         assert set(region) == walked
         assert region[0] == base  # parents sort first
 
@@ -241,7 +245,6 @@ class TestSubtreeRangeIndex:
 
     def test_sibling_prefix_not_included(self, store):
         # "ou=people" must not capture a sibling "ou=people2" subtree.
-        store.register_root(DN.parse("o=xyz"))
         store.put(
             Entry(
                 "ou=people2,o=xyz",

@@ -3,8 +3,9 @@
 Random sequences of put/replace/delete must leave the store in a state
 where index-driven candidate search agrees with a brute-force scan for
 every probe filter — the soundness condition the server's correctness
-rests on — and, stronger, with exactly the index state of a store
-freshly loaded with the final entries: a replace re-indexes only the
+rests on — and, stronger, with exactly the state of a store freshly
+loaded with the final entries: every structure is built on first ask
+and maintained from then on, and a replace re-indexes only the
 attributes that changed (:meth:`EntryStore.put`), so whatever it skips
 must be what a full re-index would have left alone.
 """
@@ -13,7 +14,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ldap import DN, Entry, Scope, matches, parse_filter
+from repro.ldap import DN, Entry, matches, parse_filter
 from repro.ldap.attributes import DEFAULT_REGISTRY, AttributeRegistry
 from repro.ldap.filters import (
     And,
@@ -50,7 +51,6 @@ _ops = st.lists(
 def test_index_scan_agreement(ops, probe):
     store = EntryStore()
     root = DN.parse("o=xyz")
-    store.register_root(root)
     store.put(Entry(root, {"objectClass": ["organization"], "o": "xyz"}))
 
     for op, name, value in ops:
@@ -98,23 +98,31 @@ _IMAGES = st.fixed_dictionaries(
         "mail": _TEXT,  # case-exact: "aa" and "AA" are two values
         "description": _TEXT,
         "age": _NUMBERS,
+        # a referral object under either spelling of its class
+        "objectClass": st.sampled_from([["person"], ["Referral "], ["referral", "top"]]),
     },
 )
+#: Entries under the root, and two under ``e0``: the tree has depth.
+_IMAGE_NAMES = NAMES + ["e0/e6", "e0/e7"]
 _image_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("put"), st.sampled_from(NAMES), _IMAGES),
-        st.tuples(st.just("delete"), st.sampled_from(NAMES), st.just(None)),
+        st.tuples(st.just("put"), st.sampled_from(_IMAGE_NAMES), _IMAGES),
+        st.tuples(st.just("delete"), st.sampled_from(_IMAGE_NAMES), st.just(None)),
     ),
     min_size=1,
     max_size=30,
 )
 
 
-#: First asks for a substring or an ordering index, each a filter under
-#: one spelling: aliases and another case of one attribute ask for the
-#: same index.  ``objectClass`` has no ordering; ``o`` is held by the
-#: root alone, and ``telephoneNumber`` by no entry.
+#: First asks, each a filter under one spelling: aliases and another case
+#: of one attribute ask for the same index set.  Every ask builds its
+#: attribute's set (equality and presence); a substring or ordering ask
+#: over an attribute some entry holds builds that index too.
+#: ``objectClass`` has no ordering; ``o`` is held by the root alone, and
+#: ``telephoneNumber`` by no entry.
 _ASKS = [
+    "(cn=aa)", "(SN=*)", "(surname=AA)", "(mail=aa)", "(age=9)", "(description=*)",
+    "(objectClass=referral)", "(o=xyz)", "(telephoneNumber=1)",
     "(cn=a*)", "(commonName=*b)", "(sn=*a*)", "(SurName=a*)", "(mail=A*)",
     "(description=*c)", "(age=1*)", "(objectClass=p*)", "(o=x*)",
     "(telephoneNumber=1*)",
@@ -122,92 +130,141 @@ _ASKS = [
     "(mail<=ab)", "(description>=b)", "(age>=9)", "(age<=010)",
     "(objectClass>=p)", "(o<=y)", "(telephoneNumber>=1)",
 ]
+ROOT = DN.parse("o=xyz")
+#: First asks for the store's non-attribute structures.
+_STRUCTURES = {
+    "children": lambda store: store.has_children(ROOT),
+    "referrals": lambda store: store.has_referrals(),
+    "order": lambda store: store.subtree_region(ROOT),
+    "ranks": lambda store: store._ranked(),  # in_insertion_order of two or more DNs
+}
+
+
+def _image_dn(name: str) -> DN:
+    dn = ROOT
+    for part in name.split("/"):
+        dn = dn.child(f"cn={part}")
+    return dn
 
 
 def _index_state(store: EntryStore) -> dict:
-    """Everything the attribute indexes hold, per attribute, reading only
-    the indexes built so far (reading builds them); an index set left
-    empty by deletions counts as no index set."""
+    """Everything the index sets hold, per attribute, reading only the
+    indexes built so far (reading builds them)."""
     state = {}
     for attr, ixs in store._indexes.items():
         kinds = ixs.built()
-        held = (
-            {value: set(dns) for value, dns in ixs.equality._postings.items() if dns},
+        state[attr] = (
+            kinds,
+            dict(ixs.equality._postings),
             dict(ixs.presence._counts),
-            {gram: set(dns) for gram, dns in ixs.substring._postings.items() if dns}
-            if "substring" in kinds
-            else None,
+            dict(ixs.substring._postings) if "substring" in kinds else None,
             Counter(zip(ixs.ordering._keys, ixs.ordering._dns))
             if "ordering" in kinds
             else None,
         )
-        if any(held):
-            state[attr] = (kinds, held)
     return state
 
 
+def _structure_state(store: EntryStore) -> tuple:
+    """The non-attribute structures built so far (None: not built); the
+    insertion ranks as the DN order they give."""
+    ranks = store._ranks
+    return (
+        store._children,
+        store._referral_dns,
+        store._order,
+        None if ranks is None else sorted(ranks, key=ranks.__getitem__),
+    )
+
+
+def _state(store: EntryStore) -> tuple:
+    return _index_state(store), _structure_state(store)
+
+
 def _build_as(store: EntryStore, other: EntryStore) -> None:
-    """Build in *store* the first-ask indexes *other* has built."""
+    """Build in *store* the index sets, indexes and structures *other*
+    has built."""
     for attr, ixs in other._indexes.items():
+        index = store.index_for(attr)
         for kind in ixs.built():
-            getattr(store._ensure_index(attr), kind)
+            getattr(index, kind)
+    for name, built in zip(_STRUCTURES, _structure_state(other)):
+        if built is not None:
+            _STRUCTURES[name](store)
 
 
 def _build_all(store: EntryStore) -> None:
     for ixs in store._indexes.values():
         ixs.substring, ixs.ordering
+    for ask in _STRUCTURES.values():
+        ask(store)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_image_ops, st.dictionaries(st.sampled_from(_ASKS), st.integers(0, 31)))
-def test_index_state_equals_a_fresh_load(ops, asks):
-    """A substring or ordering index first asked for before op ``i``
-    (``asks[filter] = i``; past the last op means after it) is built
-    from the images then and maintained by every later op: it holds
-    what a fresh load's index built from the final images holds, and
-    no index nobody asked for is built."""
+@given(
+    _image_ops,
+    st.dictionaries(st.sampled_from(_ASKS), st.integers(0, 31)),
+    st.dictionaries(st.sampled_from(list(_STRUCTURES)), st.integers(0, 31)),
+)
+def test_index_state_equals_a_fresh_load(ops, asks, structure_asks):
+    """An index set, a substring or ordering index or a non-attribute
+    structure first asked for before op ``i`` (``asks[name] = i``; past
+    the last op means after it) is built from the images then and
+    maintained by every later op: it holds what a fresh load builds from
+    the final images, and nothing nobody asked for is built."""
+    asks = {**asks, **structure_asks}
     store = EntryStore()
-    root = DN.parse("o=xyz")
-    store.register_root(root)
-    store.put(Entry(root, {"objectClass": ["organization"], "o": "xyz"}))
-    asked = set()
+    store.put(Entry(ROOT, {"objectClass": ["organization"], "o": "xyz"}))
+    asked_sets, asked_kinds, asked_structures = set(), set(), set()
 
     def ask_due(step: int) -> None:
         for text, at in asks.items():
-            if at == step or (step == len(ops) and at > step):
-                flt = parse_filter(text)
-                if store.index_for(flt.attr) is not None:
-                    asked.add((DEFAULT_REGISTRY.key(flt.attr), type(flt)))
-                store.plan_for(flt)
+            if not (at == step or (step == len(ops) and at > step)):
+                continue
+            if text in _STRUCTURES:
+                _STRUCTURES[text](store)
+                asked_structures.add(text)
+                continue
+            flt = parse_filter(text)
+            key = DEFAULT_REGISTRY.key(flt.attr)
+            held = any(entry.has_attribute(flt.attr) for entry in store.all_entries())
+            store.plan_for(flt)
+            asked_sets.add(key)
+            if held and isinstance(flt, Substring):
+                asked_kinds.add((key, "substring"))
+            elif held and isinstance(flt, (GreaterOrEqual, LessOrEqual)):
+                asked_kinds.add((key, "ordering"))
 
     for step, (op, name, image) in enumerate(ops):
         ask_due(step)
-        dn = root.child(f"cn={name}")
+        dn = _image_dn(name)
         if op == "put":
             store.put(Entry(dn, {"objectClass": ["person"], **image}))
         else:
             store.delete(dn)
     ask_due(len(ops))
 
+    assert set(store._indexes) == asked_sets
     ordered = {key for key, ixs in store._indexes.items() if ixs.atype.ordered}
     assert {(key, kind) for key, ixs in store._indexes.items() for kind in ixs.built()} == {
-        (key, "substring" if kind is Substring else "ordering")
-        for key, kind in asked
-        if kind is Substring or key in ordered
+        (key, kind) for key, kind in asked_kinds if kind == "substring" or key in ordered
     }
+    built = {name for name, held in zip(_STRUCTURES, _structure_state(store)) if held is not None}
+    assert built == asked_structures
+    if store._ranks is not None:
+        assert _structure_state(store)[3] == list(store.images())
 
     fresh = EntryStore()
-    fresh.register_root(root)
-    for entry in store.all_entries():
+    for entry in store.images().values():
         fresh.put(entry.copy())
-    assert not any(ixs.built() for ixs in fresh._indexes.values())
+    assert _state(fresh) == ({}, (None, None, None, None))
     _build_as(fresh, store)
-    assert _index_state(store) == _index_state(fresh)
+    assert _state(store) == _state(fresh)
 
-    # Every index built, however late: the state a fresh load holds.
+    # Everything built, however late: the state a fresh load holds.
     _build_all(store)
     _build_all(fresh)
-    assert _index_state(store) == _index_state(fresh)
+    assert _state(store) == _state(fresh)
 
     # The weaker soundness condition, over the richer images too.
     for flt_text in (
@@ -259,7 +316,6 @@ def test_planner_superset_property(ops, flt):
     trees, and the compiled filter agrees with the interpreter."""
     store = EntryStore()
     root = DN.parse("o=xyz")
-    store.register_root(root)
     store.put(Entry(root, {"objectClass": ["organization"], "o": "xyz"}))
 
     for op, name, value in ops:
@@ -367,7 +423,6 @@ FOREIGN = AttributeRegistry(
 def test_compiled_filter_reads_remembered_values_as_matches_normalizes(images, flt):
     store = EntryStore()
     root = DN.parse("o=xyz")
-    store.register_root(root)
     foreign = []
     for i, image in enumerate(images):
         attrs = {"objectClass": ["person"], **image}
@@ -379,13 +434,15 @@ def test_compiled_filter_reads_remembered_values_as_matches_normalizes(images, f
 
 
 @settings(max_examples=100, deadline=None)
-@given(_ops)
-def test_tree_structure_consistent(ops):
-    """children_of and iter_scope agree with the live DN set."""
+@given(_ops, st.booleans())
+def test_tree_structure_consistent(ops, early):
+    """children_of and subtree_region agree with the live DN set, built
+    before the ops (and maintained by them) or after them."""
     store = EntryStore()
     root = DN.parse("o=xyz")
-    store.register_root(root)
     store.put(Entry(root, {"objectClass": ["organization"], "o": "xyz"}))
+    if early:
+        store.children_of(root), store.subtree_region(root)
 
     live = {root}
     for op, name, value in ops:
@@ -398,6 +455,13 @@ def test_tree_structure_consistent(ops):
             live.discard(dn)
 
     assert set(store.children_of(root)) == live - {root}
-    subtree = {e.dn for e in store.iter_scope(root, Scope.SUB)}
-    assert subtree == live
+    region = store.subtree_region(root)
+    assert set(region) == live and region[0] == root
+    walked, stack = set(), [DN(())]
+    while stack:  # the tree walk from the virtual root, depth first
+        dn = stack.pop()
+        if dn in store:
+            walked.add(dn)
+        stack.extend(store.children_of(dn))
+    assert walked == live
     assert len(store) == len(live)

@@ -11,7 +11,10 @@ The same holds for whole mechanisms only tests turned on: rebuild
 admission control, the byte cap on a session's history, union
 answering, operational timestamps, a driver that does not feed its
 replica's cache and a soak over a journal-less provider are gone with
-their switches.
+their switches.  So are a content's second evaluation stack (its own
+index and the size below which it was skipped; a content is an
+``EntryStore``) and the store's walkers and root registry nothing
+called (the suffix-as-root rule is ``DirectoryServer``'s).
 """
 
 import dataclasses
@@ -19,13 +22,22 @@ import dataclasses
 import pytest
 
 import repro.server
+import repro.server.indexes
 import repro.sync
+import repro.sync.consumer
 from repro.chaos import SoakConfig
 from repro.core import ContainmentIndex, FilterReplica
 from repro.ldap import DEFAULT_REGISTRY, Scope, SearchRequest
 from repro.metrics import ReplicaDriver
 from repro.obs import TraceCollector
-from repro.server import DirectoryServer, FaultPlan, FaultSpec, LdapClient, SimulatedNetwork
+from repro.server import (
+    DirectoryServer,
+    EntryStore,
+    FaultPlan,
+    FaultSpec,
+    LdapClient,
+    SimulatedNetwork,
+)
 from repro.server.indexes import AttributeIndexSet, SubstringIndex
 from repro.sync import (
     ChangelogProvider,
@@ -100,6 +112,12 @@ def test_a_removed_setting_is_a_type_error(call):
         (repro.sync, "AdmissionController"),
         (repro.server, "ServerBusy"),
         (DirectoryServer("M"), "maintain_timestamps"),
+        (repro.server.indexes, "ContentIndex"),
+        (repro.sync.consumer, "INDEX_MIN_ENTRIES"),
+        (EntryStore, "iter_scope"),
+        (EntryStore, "roots"),
+        (EntryStore, "subtree_dns"),
+        (EntryStore, "register_root"),
     ],
     ids=[
         "repro.sync.ReconcileConfig",
@@ -108,6 +126,12 @@ def test_a_removed_setting_is_a_type_error(call):
         "repro.sync.AdmissionController",
         "repro.server.ServerBusy",
         "DirectoryServer.maintain_timestamps",
+        "repro.server.indexes.ContentIndex",
+        "repro.sync.consumer.INDEX_MIN_ENTRIES",
+        "EntryStore.iter_scope",
+        "EntryStore.roots",
+        "EntryStore.subtree_dns",
+        "EntryStore.register_root",
     ],
 )
 def test_a_removed_name_is_gone(owner, name):

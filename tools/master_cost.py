@@ -6,7 +6,8 @@ For each employee count, generates the synthetic enterprise directory
 (seed 20050607), then loads it into a fresh ``DirectoryServer`` twice:
 once untraced, timed (``load_s``), and once under ``tracemalloc``, for
 the bytes the load leaves held per entry (``bytes_per_entry``: the
-store's frozen images, tree and attribute indexes; the generated input
+store's frozen images and its DN dict — every other structure is built
+on a query's first ask, and no query has run; the generated input
 entries are outside the count).  One line per size.  A measurement, not
 a test: EXPERIMENTS.md ("Master cost vs directory size") records its
 output.
