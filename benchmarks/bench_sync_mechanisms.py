@@ -16,15 +16,14 @@ from __future__ import annotations
 import pytest
 
 from repro.ldap import Scope, SearchRequest
-from repro.sync import (
+from repro.sync import ResyncProvider, SyncedContent
+from repro.workload.updates import UpdateGenerator
+from tests.oracles import (
     ChangelogProvider,
     FullReloadProvider,
-    ResyncProvider,
     RetainResyncProvider,
-    SyncedContent,
     TombstoneProvider,
 )
-from repro.workload.updates import UpdateGenerator
 
 from .common import BenchEnv, report
 

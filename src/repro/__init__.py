@@ -7,8 +7,9 @@ Directory Replication: Algorithms and Performance*:
   queries, controls, schema, LDIF);
 * :mod:`repro.server` — simulated directory servers, partitioning,
   referral-chasing clients and a message-counting network;
-* :mod:`repro.sync` — the ReSync filter-synchronization protocol plus
-  changelog / tombstone / full-reload baselines;
+* :mod:`repro.sync` — the ReSync filter-synchronization protocol (its
+  provider, consumers and recovery ladder; the §5.2 comparison
+  baselines live in ``tests/oracles``);
 * :mod:`repro.core` — the paper's contribution: query/filter
   containment, LDAP templates, subtree and filter replicas, filter
   generalization, dynamic selection, recent-query caching;

@@ -13,10 +13,14 @@ operations on a wire:
   bodies,
 * filter encoding per RFC 2251 §4.5.1's tagged-choice grammar.
 
-The simulated network can therefore charge *measured* byte sizes
-(:func:`encoded_entry_size`, :func:`encoded_search_request`) instead of
-estimates.  Round trips are property-tested: ``decode(encode(x)) == x``
-for every element implemented.
+The one BER size a run charges is a persist batch frame's: the network
+charges each flushed batch :func:`encoded_sync_batch_size`.  Search
+results are charged by the entries' modelled ``estimated_size()``
+(``LdapClient.search``); :func:`encoded_entry_size` measures one entry
+exactly, for :meth:`SyncUpdate.measured_bytes
+<repro.sync.protocol.SyncUpdate.measured_bytes>`.  Round trips are
+property-tested: ``decode(encode(x)) == x`` for every element
+implemented.
 """
 
 from __future__ import annotations

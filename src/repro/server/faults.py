@@ -34,7 +34,7 @@ closes them with ``heal_partition`` / ``clear_slow``, plan or none.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs.registry import MetricsRegistry
@@ -327,8 +327,7 @@ class FaultyNetwork(SimulatedNetwork):
     # ------------------------------------------------------------------
     @staticmethod
     def _server_key(provider) -> str:
-        url = getattr(getattr(provider, "server", None), "url", None)
-        return url if url is not None else f"provider:{id(provider)}"
+        return provider.server.url
 
     def crash(self, provider) -> None:
         """Crash the provider's server: lose in-memory session state,
@@ -341,10 +340,8 @@ class FaultyNetwork(SimulatedNetwork):
         self.crash_epoch += 1
         self._record("crash")
         self._down_for[key] = self.plan.spec.crash_length if self.plan else 1
-        restart = getattr(provider, "restart", None)
-        if restart is not None:
-            restart()
-        journal = getattr(provider, "journal", None)
+        provider.restart()
+        journal = provider.journal
         if journal is not None:
             # The journal is on disk: it survives the crash, possibly
             # damaged, and the restarting provider recovers from it.
@@ -356,9 +353,7 @@ class FaultyNetwork(SimulatedNetwork):
                 if corrupt:
                     self._record("journal_corrupt")
                     journal.damage_corrupt(position)
-            recover = getattr(provider, "recover", None)
-            if recover is not None:
-                recover()
+            provider.recover()
         self.disconnect_server(key)
 
     def _refuse(self, key: str, kind: str, error) -> None:
@@ -468,11 +463,12 @@ class FaultyNetwork(SimulatedNetwork):
         if faults.crash and kind in FAULTS["crash"][1]:
             self.crash(provider)  # counts itself, as when placed by hand
         extra_ms = self._check_reachable(provider)
-        presented = self._presented_cookie(payload, faults.truncate_keep)
-        if presented is not None and struck("cookie_invalidate"):
-            index, cookie = presented
-            cookie = self._invalidate_cookie(provider, cookie)
-            payload = replace(payload, cookie=cookie) if index is None else payload.with_cookie(index, cookie)
+        cookie = self._presented_cookie(payload, faults.truncate_keep)
+        if cookie is not None and struck("cookie_invalidate"):
+            # The admin time limit firing: the provider ends the session
+            # and answers its cookie with SyncProtocolError, the
+            # recovery ladder's entry.
+            provider.invalidate_cookie(cookie)
         if struck("drop_request"):
             self.charge_round_trip()
             raise RequestDropped(f"{kind} request lost in flight")
@@ -523,8 +519,8 @@ class FaultyNetwork(SimulatedNetwork):
     def damage_snapshot(self, store) -> None:
         """Apply the plan's snapshot-damage decisions to *store*.
 
-        Called by tests and benches at the moment a replica restarts —
-        just before the restarting consumer reads its
+        Called by tests at the moment a replica restarts — just before
+        the restarting consumer reads its
         :class:`~repro.sync.snapshot.SnapshotStore` — mirroring how
         :meth:`crash` damages a provider's journal at crash time.
         Truncation and corruption are *detectable* damage (the
@@ -592,28 +588,16 @@ class FaultyNetwork(SimulatedNetwork):
     # fault construction helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _presented_cookie(payload, position: float) -> Optional[Tuple[Optional[int], str]]:
-        """The cookie a ``cookie_invalidate`` fault expires, as
-        ``(index, cookie)``, or None when the request presents none: the
-        payload's own cookie (index None) or — a multiplexed poll — the
-        one at *position* among the cookies it carries, so one session
-        of the N is refused (docs/FAULTS.md §3)."""
+    def _presented_cookie(payload, position: float) -> Optional[str]:
+        """The cookie a ``cookie_invalidate`` fault expires, or None when
+        the request presents none: the payload's own cookie or — a
+        multiplexed poll — the one at *position* among the cookies it
+        carries, so one session of the N is refused (docs/FAULTS.md
+        §3)."""
         cookies = getattr(payload, "cookies", None)
         if cookies is None:
-            return None if payload.cookie is None else (None, payload.cookie)
-        held = [i for i, cookie in enumerate(cookies) if cookie is not None]
+            return payload.cookie
+        held = [cookie for cookie in cookies if cookie is not None]
         if not held:
             return None
-        index = held[min(int(position * len(held)), len(held) - 1)]
-        return index, cookies[index]
-
-    def _invalidate_cookie(self, provider, cookie: str) -> str:
-        """Expire *cookie*: server-side when the provider supports it
-        (the admin time limit firing), else by corrupting it in flight.
-        Returns the cookie to present; either way the provider answers
-        it with ``SyncProtocolError`` — the recovery ladder's entry."""
-        invalidate = getattr(provider, "invalidate_cookie", None)
-        if invalidate is None:
-            return "<invalidated>"
-        invalidate(cookie)
-        return cookie
+        return held[min(int(position * len(held)), len(held) - 1)]

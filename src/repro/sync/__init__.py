@@ -1,19 +1,16 @@
-"""Replica consistency: the ReSync protocol and baseline mechanisms (§5).
+"""Replica consistency: the ReSync protocol (§5).
 
-Masters expose *providers* (ReSync with complete session history, the
-retain variant for incomplete history, changelog, tombstone and full
-reload baselines); replicas hold :class:`SyncedContent` per replicated
-query and poll providers for the minimal update set.
+A master exposes one provider, :class:`ResyncProvider` (complete
+per-session history, eq. 2; a durable one serves eq. 3's ``retain``
+resume to a session whose history overflowed); replicas hold a
+:class:`SyncedContent` per replicated query and reach the provider
+through a :class:`SyncLink`, which polls or subscribes and climbs the
+recovery ladder when a cookie is refused.  The §5.2 comparison
+baselines (changelog, tombstone, full reload, stateless retain) are
+not part of the system: they live in ``tests/oracles``, beside the
+other references.
 """
 
-from .baselines import (
-    Changelog,
-    ChangelogProvider,
-    ChangelogRecord,
-    FullReloadProvider,
-    TombstoneProvider,
-    TombstoneStore,
-)
 from .consumer import SyncedContent
 from .delivery import BatchConfig, DeliveryQueue
 from .durability import (
@@ -41,7 +38,7 @@ from .reconcile import (
     entry_key,
 )
 from .resilient import HEALTH_STATES, HealthPolicy, ResilientConsumer, RetryPolicy, SyncLink
-from .resync import PersistHandle, ResyncProvider, RetainResyncProvider
+from .resync import PersistHandle, ResyncProvider
 from .snapshot import (
     FileSnapshotStore,
     MemorySnapshotStore,
@@ -62,7 +59,6 @@ __all__ = [
     "Session",
     "SessionStore",
     "ResyncProvider",
-    "RetainResyncProvider",
     "PersistHandle",
     "SessionRouter",
     "SyncedContent",
@@ -92,10 +88,4 @@ __all__ = [
     "SnapshotDocument",
     "SnapshotError",
     "SnapshotRecoverer",
-    "Changelog",
-    "ChangelogRecord",
-    "ChangelogProvider",
-    "TombstoneStore",
-    "TombstoneProvider",
-    "FullReloadProvider",
 ]

@@ -324,21 +324,33 @@ class MemoryJournal(JournalBackend):
     def __init__(self):
         self._snapshot: Optional[str] = None
         self._records: List[str] = []
+        #: bytes of the record lines, newlines included, kept as they
+        #: change: the provider reads :attr:`size_bytes` after every
+        #: append, and re-summing the lines there is O(records)
+        self._lines_bytes = 0
 
     def append(self, record: dict) -> None:
-        self._records.append(json.dumps(record, sort_keys=True))
+        line = json.dumps(record, sort_keys=True)
+        self._records.append(line)
+        self._lines_bytes += len(line) + 1
 
     def _read_lines(self) -> List[str]:
         return self._records
 
     def _write_lines(self, lines: List[str]) -> None:
         self._records = list(lines)
+        self._lines_bytes = sum(len(line) + 1 for line in self._records)
 
     def _read_snapshot(self) -> Optional[str]:
         return self._snapshot
 
     def _write_snapshot(self, text: str) -> None:
         self._snapshot = text
+
+    @property
+    def size_bytes(self) -> int:
+        snapshot = len(self._snapshot) if self._snapshot is not None else 0
+        return snapshot + self._lines_bytes
 
 
 class FileJournal(JournalBackend):

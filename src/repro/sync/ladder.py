@@ -4,27 +4,25 @@
 A provider that answers :class:`~repro.sync.protocol.SyncProtocolError`
 refused the request's cookie: the session is gone (expired, forgotten by
 a journal-less restart, broken off an overflowed history chain).  What
-the consumer does next is one lookup in :data:`LADDER`, on three facts:
+the consumer does next is one lookup in :data:`LADDER`, on two facts:
 
 * **the request carried a cookie** — a refused *null* cookie is a
   refused initial load, which nothing below can repair: ``raise``;
 * **local content is warm** — its entries outweigh the sketch floor
   (:meth:`SketchTier.pays`): the sketch exploits what the replica
   already holds, and below the floor a sketch costs more than the load
-  it would replace;
-* **the provider offers** ``reconcile`` — the retain and baseline
-  providers do not.
+  it would replace.
 
-A refused cookie over warm content at a reconciling provider takes the
-``sketch`` tier first, *whatever the cookie looks like*: a sketch that
-turns out too small is a detected failure costing a fraction of the
-rebuild it usually saves (``benchmarks/baselines/reconcile.json``).
-Any other refused cookie takes the paper's §5 answer, ``rebuild``:
-forget the cookie (and any subscription), so that the next request is
-the null-cookie initial load.  Only a refusal enters the ladder; poll
-and persist read one table, with the provider's real ``reconcile``
-offer.  A persist subscription opening over warm content with no
-cookie to present enters the sketch tier by choice, outside the table
+The provider always serves the sketch exchange, so a refused cookie over
+warm content takes the ``sketch`` tier first, *whatever the cookie looks
+like*: a sketch that turns out too small is a detected failure costing a
+fraction of the rebuild it usually saves
+(``benchmarks/baselines/reconcile.json``).  Any other refused cookie
+takes the paper's §5 answer, ``rebuild``: forget the cookie (and any
+subscription), so that the next request is the null-cookie initial load.
+Only a refusal enters the ladder; poll and persist read one table.  A
+persist subscription opening over warm content with no cookie to present
+enters the sketch tier by choice, outside the table
 (``SyncLink._persist``, docs/RECOVERY.md "Opening a subscription").
 
 :class:`SketchTier` is set reconciliation after *Directory
@@ -60,18 +58,14 @@ MAX_CELLS = 4096
 #: is warm (:meth:`SketchTier.pays`).
 SKETCH_FLOOR_BYTES = loaded_sketch_bytes(cells_for_divergence(INITIAL_DIVERGENCE))
 
-#: ``(request carried a cookie, local content warm, provider offers
-#: reconcile) → tiers``, tried in order until one recovers
-#: (docs/RECOVERY.md renders it, ``tools/check_docs.py`` compares).
+#: ``(request carried a cookie, local content warm) → tiers``, tried in
+#: order until one recovers (docs/RECOVERY.md renders it,
+#: ``tools/check_docs.py`` compares).
 LADDER = {
-    (False, False, False): ("raise",),
-    (False, False, True): ("raise",),
-    (False, True, False): ("raise",),
-    (False, True, True): ("raise",),
-    (True, False, False): ("rebuild",),
-    (True, False, True): ("rebuild",),
-    (True, True, False): ("rebuild",),
-    (True, True, True): ("sketch", "rebuild"),
+    (False, False): ("raise",),
+    (False, True): ("raise",),
+    (True, False): ("rebuild",),
+    (True, True): ("sketch", "rebuild"),
 }
 
 

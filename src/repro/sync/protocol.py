@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..ldap.controls import ReSyncControl, SyncAction
+from ..ldap.controls import SyncAction
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
 
@@ -39,7 +39,6 @@ __all__ = [
     "SyncUpdate",
     "SyncResponse",
     "SyncProtocolError",
-    "CsnCookieMixin",
     "MultiPoll",
     "MultiPollResponse",
     "answer_polls",
@@ -51,34 +50,6 @@ __all__ = [
 
 class SyncProtocolError(Exception):
     """Protocol violation: unknown cookie, bad mode transition, etc."""
-
-
-class CsnCookieMixin:
-    """Cookie handling of the stateless providers (eq. 3's retain
-    variant and the §5.2 baselines): cookies encode the last-poll CSN."""
-
-    COOKIE_PREFIX: str = "csn"
-
-    def _parse_cookie(self, cookie: Optional[str]) -> int:
-        if cookie is None:
-            return 0
-        prefix, _, csn = cookie.partition(":")
-        if prefix != self.COOKIE_PREFIX or not csn.isdigit():
-            raise SyncProtocolError(f"malformed cookie {cookie!r}")
-        return int(csn)
-
-    def _make_cookie(self, csn: int) -> str:
-        return f"{self.COOKIE_PREFIX}:{csn}"
-
-    def answer_polls(self, requests: Sequence, polls: "MultiPoll") -> "MultiPollResponse":
-        """A multiplexed poll, answered session by session: a stateless
-        provider keeps no record to find a session quiet in, so every
-        session is named."""
-        return answer_polls(
-            lambda request, cookie: self.handle(request, ReSyncControl(cookie=cookie)),
-            requests,
-            polls,
-        )
 
 
 @dataclass(frozen=True)
@@ -213,12 +184,6 @@ class MultiPoll:
     sessions travel as one request (docs/PROTOCOL.md §4)."""
 
     cookies: Tuple[Optional[str], ...]
-
-    def with_cookie(self, index: int, cookie: Optional[str]) -> "MultiPoll":
-        """This control with session *index* presenting *cookie*."""
-        cookies = list(self.cookies)
-        cookies[index] = cookie
-        return MultiPoll(tuple(cookies))
 
 
 #: One answer of a :class:`MultiPollResponse`: the index of the session

@@ -103,7 +103,7 @@ class SyncLink(HealthMachine):
     :class:`Subscription`.  A replica keeps one link per provider.
 
     Args:
-        provider: the master-side provider (any ``handle``-speaking one).
+        provider: the master's :class:`~repro.sync.ResyncProvider`.
         network: network joining replica and master; faults are
             injected here (:class:`repro.server.faults.FaultyNetwork`).
         policy: retry/backoff/timeout policy.
@@ -143,11 +143,6 @@ class SyncLink(HealthMachine):
         self._polled: Dict[int, SyncedContent] = {}
         #: content serial → its persist subscription
         self._subscriptions: Dict[int, Subscription] = {}
-
-    @property
-    def server(self):
-        """The master behind :attr:`provider` (crash bookkeeping), or None."""
-        return getattr(self.provider, "server", None)
 
     def sync(self, contents: Sequence[SyncedContent]) -> Optional[SyncResponse]:
         """One resilient round over *contents*: one gate, one retry
@@ -198,7 +193,6 @@ class SyncLink(HealthMachine):
         when every session was quiet —, failures)``; the response is
         None when the attempts gave out or the sketch tier spent the
         round.  A refused *null* cookie is raised."""
-        offers = callable(getattr(self.provider, "reconcile", None))
         waiting, last = list(contents), SyncResponse()
         while waiting:
             answered, failures = self.attempt(lambda: self._exchange(waiting), cap, failures=failures)
@@ -208,7 +202,7 @@ class SyncLink(HealthMachine):
             last = applied or last
             waiting = []
             for content, cookie, refusal in refused:
-                for tier in LADDER[cookie is not None, self._sketch.pays(content), offers]:
+                for tier in LADDER[cookie is not None, self._sketch.pays(content)]:
                     if tier == "raise":
                         raise refusal  # a fresh session was refused — not recoverable
                     if tier == "sketch":
@@ -283,7 +277,7 @@ class SyncLink(HealthMachine):
             if subscription is not None:
                 if other.provider is not self.provider or other.network is not self.network:
                     subscription.close()
-                    subscription = Subscription(self.network, self.server)
+                    subscription = Subscription(self.network, self.provider.server)
                 self._subscriptions[content.serial] = subscription
         return self
 
@@ -291,7 +285,7 @@ class SyncLink(HealthMachine):
         """Hold *content* by a persist subscription: the next round that
         reaches it opens one (a no-op when already subscribed)."""
         if content.serial not in self._subscriptions:
-            self._subscriptions[content.serial] = Subscription(self.network, self.server)
+            self._subscriptions[content.serial] = Subscription(self.network, self.provider.server)
 
     def unsubscribe(self, content: SyncedContent) -> None:
         """Tear *content*'s subscription down; rounds poll it again."""
@@ -337,9 +331,8 @@ class SyncLink(HealthMachine):
                 return subscription.response
             self._refreshes.inc()
         subscription.close()
-        offers = callable(getattr(self.provider, "reconcile", None))
         warm = self._sketch.pays(content)
-        sketched = content.cookie is None and warm and offers
+        sketched = content.cookie is None and warm
         if sketched and self.reconcile(content) is None and self.suspended:
             return None  # no reload on a spent round
         while True:
@@ -351,7 +344,7 @@ class SyncLink(HealthMachine):
                 )
                 break
             except SyncProtocolError:
-                for tier in LADDER[cookie is not None, warm, offers]:
+                for tier in LADDER[cookie is not None, warm]:
                     if tier == "raise":
                         raise
                     if tier == "sketch":
@@ -389,11 +382,10 @@ class SyncLink(HealthMachine):
         retain tier, so it stops accumulating history for us."""
         for subscription in self._subscriptions.values():
             subscription.close()
-        park = getattr(self.provider, "park_session", None)
-        if self.position != "quarantined" or not callable(park):
+        if self.position != "quarantined":
             return
         for content in self._polled.values():
-            if content.cookie is not None and park(content.cookie):
+            if content.cookie is not None and self.provider.park_session(content.cookie):
                 self._h_parked.inc()
 
     @staticmethod
@@ -419,7 +411,6 @@ class ResilientConsumer(SyncLink):
 
     Args (beyond :class:`SyncLink`'s):
         request: the replicated search request (the unit of replication).
-        provider: persist mode additionally needs ``persist``.
         mode: ``"poll"`` (cookie sessions) or ``"persist"`` (the content
             is subscribed on construction: an open connection carrying
             change notifications).

@@ -1,26 +1,24 @@
 """The ReSync filter-synchronization protocol (§5.2) — master side.
 
-Two providers implement the two synchronization equations of §5.1:
+:class:`ResyncProvider` implements the synchronization equations of
+§5.1.  The master keeps one record per session
+(:class:`~repro.sync.session.Session`: the history of entries leaving
+the content, fed by the update-listener hook of
+:class:`~repro.server.directory.DirectoryServer`), so each poll sends
+exactly the net adds, modifies and deletes since the last poll —
+**complete history**, eq. 2.  Both modes of update are served:
+``poll`` (cookie-based resumption) and ``persist`` (an open connection
+carrying change notifications, extending the persistent-search idea of
+[15]).
 
-* :class:`ResyncProvider` — **complete history** (eq. 2).  The master
-  keeps one record per session (:class:`~repro.sync.session.Session`:
-  the history of entries leaving the content, fed by the update-listener
-  hook of :class:`~repro.server.directory.DirectoryServer`) and each poll
-  sends exactly the net adds, modifies and deletes since the last poll.
-  Supports both modes of update: ``poll`` (cookie-based resumption) and
-  ``persist`` (an open connection carrying change notifications,
-  extending the persistent-search idea of [15]).
-
-* :class:`RetainResyncProvider` — **incomplete history** (eq. 3).  The
-  master keeps no per-session state, only a per-entry last-change CSN.
-  Each poll returns full entries for everything that changed since the
-  cookie's CSN and still matches, plus a DN-only ``retain`` action for
-  every unchanged in-content entry; the replica discards whatever is
-  neither retained nor sent.  Convergent without history, at the price
-  of one retain PDU per unchanged entry per poll.
-
-Both speak the same request/response types, so the consumer
-(:mod:`repro.sync.consumer`) and the experiments treat them uniformly.
+A durable provider caps each session's history; a session that
+overflowed its cap, or that a quarantined link parked, is resumed by
+**incomplete history**, eq. 3: full entries for everything in the
+content that changed since the consumer's last-known state, plus a
+DN-only ``retain`` action for every unchanged in-content entry, decided
+by the per-entry last-change CSNs of :class:`LastChangeMap`.  The
+provider also serves the recovery ladder's sketch exchange
+(:meth:`ResyncProvider.reconcile`).
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .durability import (
     session_to_wire,
 )
 from .protocol import (
-    CsnCookieMixin,
     MultiPoll,
     MultiPollResponse,
     ReconcileFetch,
@@ -61,7 +58,7 @@ from .reconcile import build_sketch, cells_for_divergence, entry_digest
 from .router import SessionRouter
 from .session import OUTCOMES, PDUS, Session, SessionStore
 
-__all__ = ["ResyncProvider", "RetainResyncProvider", "PersistHandle"]
+__all__ = ["ResyncProvider", "PersistHandle"]
 
 DeliverFn = Callable[[SyncUpdate], None]
 
@@ -83,9 +80,9 @@ def _add(image: Entry) -> SyncUpdate:
 
 class LastChangeMap(Dict[DN, int]):
     """Eq. 3's master-side state: the CSN at which each live entry last
-    changed, maintained from the update stream.  The one implementation
-    behind :class:`RetainResyncProvider` and the durable
-    :class:`ResyncProvider`'s degraded resumes."""
+    changed, maintained from the update stream — what the durable
+    :class:`ResyncProvider`'s degraded resumes classify by (and the
+    stateless retain baseline of ``tests/oracles`` too)."""
 
     def note(self, record: UpdateRecord) -> None:
         """Fold one committed update into the map."""
@@ -925,61 +922,3 @@ class ResyncProvider:
         self._recoveries.inc()
         return len(records)
 
-
-class RetainResyncProvider(CsnCookieMixin):
-    """Incomplete-history ReSync master (eq. 3, ``retain`` actions).
-
-    Keeps no per-session state: the cookie encodes the CSN of the last
-    poll, and a per-entry last-change CSN map (maintained from the
-    update stream) decides changed vs unchanged.
-    """
-
-    def __init__(self, server: DirectoryServer):
-        self.server = server
-        self._last_change = LastChangeMap()
-        self._unknown_cookie = server.metrics.counter("sync.session.unknown_cookie")
-        server.add_update_listener(self)
-
-    def on_update(self, record: UpdateRecord) -> None:
-        self._last_change.note(record)
-
-    def handle(self, request: SearchRequest, control: ReSyncControl) -> SyncResponse:
-        """Service a poll following eq. (3).
-
-        Persist mode is not meaningful without history; only ``poll``
-        and ``sync_end`` are accepted.
-        """
-        if isinstance(control, MultiPoll):
-            return self.answer_polls(request, control)
-        if control.mode is SyncMode.SYNC_END:
-            # Stateless provider: sync_end drops nothing, but a cookie
-            # this provider never minted is still a counted no-op
-            # (mirrors ResyncProvider._fold_end).
-            if control.cookie is not None:
-                try:
-                    self._parse_cookie(control.cookie)
-                except SyncProtocolError:
-                    self._unknown_cookie.inc()
-            return SyncResponse(updates=[], cookie=None)
-        if control.mode is not SyncMode.POLL:
-            raise SyncProtocolError(
-                "RetainResyncProvider supports poll mode only"
-            )
-        # Stateless scan: the whole current content is re-derived and
-        # classified changed/unchanged against the cookie CSN (eq. 3).
-        with span("sync.resync.retain_scan") as sp:
-            since = self._parse_cookie(control.cookie)
-            now = self.server.current_csn
-            content = master_content(self.server, request)
-            initial = control.cookie is None
-            if initial:
-                updates = [_add(e) for e in content]
-            else:
-                updates = self._last_change.classify(content, since)
-            sp.add("actions_emitted", len(updates))
-        return SyncResponse(
-            updates=updates,
-            cookie=self._make_cookie(now),
-            initial=initial,
-            uses_retain=not initial,
-        )

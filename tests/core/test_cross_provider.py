@@ -11,10 +11,10 @@ import pytest
 from repro.core import FilterReplica, SubtreeReplica
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import DirectoryServer, Modification, SimulatedNetwork
-from repro.sync import (
+from repro.sync import ResyncProvider
+from tests.oracles import (
     ChangelogProvider,
     FullReloadProvider,
-    ResyncProvider,
     RetainResyncProvider,
     TombstoneProvider,
 )

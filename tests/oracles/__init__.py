@@ -57,6 +57,14 @@ replaced — every notification delivered inline and encoded as its own
 wire PDU — kept as the control arm ``bench_persist_fanout`` measures
 the batched one against.
 
+The system has one provider, :class:`~repro.sync.ResyncProvider`; the
+mechanisms §5.2 argues it against — :class:`ChangelogProvider`,
+:class:`TombstoneProvider`, :class:`FullReloadProvider` and the
+stateless eq.-3 :class:`RetainResyncProvider`, with their
+:class:`CsnCookieMixin` cookies — live in :mod:`tests.oracles.strawmen`
+and are re-exported here: the E11 bench (``bench_sync_mechanisms``)
+measures them, and the convergence properties run every one of them.
+
 Recovery and the snapshot dump do each piece of text work once; the
 per-piece versions they replaced stay here as references:
 
@@ -88,13 +96,32 @@ from repro.sync.durability import DNMemo
 from repro.sync.ladder import LADDER
 from repro.sync.session import OUTCOMES, PDUS
 
+from .strawmen import (
+    Changelog,
+    ChangelogProvider,
+    ChangelogRecord,
+    CsnCookieMixin,
+    FullReloadProvider,
+    RetainResyncProvider,
+    TombstoneProvider,
+    TombstoneStore,
+)
+
 __all__ = [
+    "Changelog",
+    "ChangelogProvider",
+    "ChangelogRecord",
+    "CsnCookieMixin",
+    "FullReloadProvider",
     "LinearFilterReplica",
     "LinearRecentQueryCache",
     "LinearResyncProvider",
     "LinearSessionStore",
     "PerContentLink",
     "ReferenceModel",
+    "RetainResyncProvider",
+    "TombstoneProvider",
+    "TombstoneStore",
     "holders_of",
     "linear_substring_candidates",
     "linear_substring_estimate",
@@ -308,7 +335,6 @@ class PerContentLink(SyncLink):
         return response, failures
 
     def _poll_one(self, content):
-        offers = callable(getattr(self.provider, "reconcile", None))
         while True:
             cookie = content.cookie
             try:
@@ -318,7 +344,7 @@ class PerContentLink(SyncLink):
                     self._apply_safe_prefix(content, exc.partial)
                 raise
             except SyncProtocolError:
-                for tier in LADDER[cookie is not None, self._sketch.pays(content), offers]:
+                for tier in LADDER[cookie is not None, self._sketch.pays(content)]:
                     if tier == "raise":
                         raise
                     if tier == "sketch":

@@ -1,4 +1,4 @@
-"""Baseline synchronization mechanisms (§5.2's alternatives to ReSync).
+"""The §5.2 comparison baselines: the mechanisms ReSync is argued against.
 
 The paper argues that, absent ReSync's per-session history, existing
 mechanisms either lose convergence or inflate history/traffic:
@@ -18,10 +18,20 @@ mechanisms either lose convergence or inflate history/traffic:
   across the content boundary).
 * **Full reload** — retransmit the whole content each poll; trivially
   convergent, maximal traffic.
+* **Retain** — eq. 3 with no per-session state at all
+  (:class:`RetainResyncProvider`): full entries for everything changed
+  since the cookie's CSN, a DN-only ``retain`` for every unchanged
+  in-content entry.  The durable ``ResyncProvider`` serves the same
+  equation to a session whose history overflowed, through the same
+  :class:`~repro.sync.resync.LastChangeMap`.
 
-All three speak the provider interface of :mod:`repro.sync.resync`
-(``handle(request, control) → SyncResponse``) so the consumer and the
-E11 bench treat every mechanism uniformly.  All are *convergent* in this
+Each speaks the provider's ``handle(request, control) → SyncResponse``,
+poll mode only, with stateless cookies that encode the last-poll CSN
+(:class:`CsnCookieMixin`), so a :class:`~repro.sync.SyncedContent` and
+the E11 bench (``benchmarks/bench_sync_mechanisms.py``) treat every
+mechanism uniformly.  None offers ``reconcile``, ``persist``,
+``invalidate_cookie`` or ``restart``: the consumer stack's recovery
+ladder assumes the one provider that does.  All are *convergent* in this
 implementation — the paper's complaint about them is cost, which the
 bench measures; the pure information-theoretic failure (changelog alone
 cannot reconstruct whether a modified-then-deleted entry was in content)
@@ -31,25 +41,63 @@ shows up as the conservative extra DELETE PDUs they must send.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..ldap.attributes import DEFAULT_REGISTRY
-from ..ldap.controls import ReSyncControl, SyncMode
-from ..ldap.dn import DN
-from ..ldap.filters import attributes_of
-from ..ldap.query import SearchRequest
-from ..server.directory import DirectoryServer
-from ..server.operations import Modification, UpdateOp, UpdateRecord
-from .protocol import CsnCookieMixin, MultiPoll, SyncProtocolError, SyncResponse, SyncUpdate
+from repro.ldap.attributes import DEFAULT_REGISTRY
+from repro.ldap.controls import ReSyncControl, SyncMode
+from repro.ldap.dn import DN
+from repro.ldap.filters import attributes_of
+from repro.ldap.query import SearchRequest
+from repro.server.directory import DirectoryServer
+from repro.server.operations import Modification, UpdateOp, UpdateRecord
+from repro.sync.protocol import (
+    MultiPoll,
+    MultiPollResponse,
+    SyncProtocolError,
+    SyncResponse,
+    SyncUpdate,
+    answer_polls,
+)
+from repro.sync.resync import LastChangeMap, _add, master_content
 
 __all__ = [
+    "CsnCookieMixin",
     "ChangelogRecord",
     "Changelog",
     "ChangelogProvider",
     "TombstoneStore",
     "TombstoneProvider",
     "FullReloadProvider",
+    "RetainResyncProvider",
 ]
+
+
+class CsnCookieMixin:
+    """Cookie handling of the stateless providers: cookies encode the
+    last-poll CSN."""
+
+    COOKIE_PREFIX: str = "csn"
+
+    def _parse_cookie(self, cookie: Optional[str]) -> int:
+        if cookie is None:
+            return 0
+        prefix, _, csn = cookie.partition(":")
+        if prefix != self.COOKIE_PREFIX or not csn.isdigit():
+            raise SyncProtocolError(f"malformed cookie {cookie!r}")
+        return int(csn)
+
+    def _make_cookie(self, csn: int) -> str:
+        return f"{self.COOKIE_PREFIX}:{csn}"
+
+    def answer_polls(self, requests: Sequence, polls: MultiPoll) -> MultiPollResponse:
+        """A multiplexed poll, answered session by session: a stateless
+        provider keeps no record to find a session quiet in, so every
+        session is named."""
+        return answer_polls(
+            lambda request, cookie: self.handle(request, ReSyncControl(cookie=cookie)),
+            requests,
+            polls,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -285,4 +333,64 @@ class FullReloadProvider(CsnCookieMixin):
             cookie=self._make_cookie(self.server.current_csn),
             initial=control.cookie is None,
             uses_retain=control.cookie is not None,
+        )
+
+
+# ----------------------------------------------------------------------
+# retain (eq. 3, stateless)
+# ----------------------------------------------------------------------
+class RetainResyncProvider(CsnCookieMixin):
+    """Incomplete-history ReSync master (eq. 3, ``retain`` actions).
+
+    Keeps no per-session state: the cookie encodes the CSN of the last
+    poll, and a per-entry last-change CSN map (maintained from the
+    update stream) decides changed vs unchanged.
+    """
+
+    def __init__(self, server: DirectoryServer):
+        self.server = server
+        self._last_change = LastChangeMap()
+        self._unknown_cookie = server.metrics.counter("sync.session.unknown_cookie")
+        server.add_update_listener(self)
+
+    def on_update(self, record: UpdateRecord) -> None:
+        self._last_change.note(record)
+
+    def handle(self, request: SearchRequest, control: ReSyncControl) -> SyncResponse:
+        """Service a poll following eq. (3).
+
+        Persist mode is not meaningful without history; only ``poll``
+        and ``sync_end`` are accepted.
+        """
+        if isinstance(control, MultiPoll):
+            return self.answer_polls(request, control)
+        if control.mode is SyncMode.SYNC_END:
+            # Stateless provider: sync_end drops nothing, but a cookie
+            # this provider never minted is still a counted no-op
+            # (mirrors ResyncProvider._fold_end).
+            if control.cookie is not None:
+                try:
+                    self._parse_cookie(control.cookie)
+                except SyncProtocolError:
+                    self._unknown_cookie.inc()
+            return SyncResponse(updates=[], cookie=None)
+        if control.mode is not SyncMode.POLL:
+            raise SyncProtocolError(
+                "RetainResyncProvider supports poll mode only"
+            )
+        # Stateless scan: the whole current content is re-derived and
+        # classified changed/unchanged against the cookie CSN (eq. 3).
+        since = self._parse_cookie(control.cookie)
+        now = self.server.current_csn
+        content = master_content(self.server, request)
+        initial = control.cookie is None
+        if initial:
+            updates = [_add(e) for e in content]
+        else:
+            updates = self._last_change.classify(content, since)
+        return SyncResponse(
+            updates=updates,
+            cookie=self._make_cookie(now),
+            initial=initial,
+            uses_retain=not initial,
         )

@@ -12,12 +12,11 @@ from repro.ldap import (
     SyncMode,
 )
 from repro.server import Modification
-from repro.sync import (
+from repro.sync import SyncProtocolError, SyncedContent
+from tests.oracles import (
     Changelog,
     ChangelogProvider,
     FullReloadProvider,
-    SyncProtocolError,
-    SyncedContent,
     TombstoneProvider,
     TombstoneStore,
 )

@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 from repro.chaos import ReferenceModel
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import DirectoryServer, Modification
-from repro.sync import (
+from repro.sync import ResyncProvider, SyncedContent
+from tests.oracles import (
     ChangelogProvider,
     FullReloadProvider,
-    ResyncProvider,
     RetainResyncProvider,
-    SyncedContent,
     TombstoneProvider,
 )
 

@@ -30,7 +30,6 @@ from repro.sync import (
     MemoryJournal,
     ResilientConsumer,
     ResyncProvider,
-    RetainResyncProvider,
     SyncedContent,
     SyncProtocolError,
     SyncUpdate,
@@ -47,7 +46,7 @@ from repro.sync.durability import (
     update_to_wire,
 )
 from repro.sync.session import Session
-from tests.oracles import observe, recover_parsing_each_text
+from tests.oracles import RetainResyncProvider, observe, recover_parsing_each_text
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
 
@@ -251,6 +250,33 @@ class TestJournalBackends:
             journal.sizes = sizes
         assert memory.sizes == on_disk.sizes
         assert on_disk.sizes[-1] == JournalBackend.size_bytes.fget(on_disk)
+
+    def test_memory_journal_size_is_the_full_sum_as_it_goes(self):
+        """``MemoryJournal`` keeps ``size_bytes`` as a running total; it
+        and the ``journal_bytes`` gauge the provider sets must read what
+        the shared definition sums from the text, across appends,
+        compaction and both damage hooks."""
+        master = build_master()
+        journal = MemoryJournal()
+        provider = durable_provider(master, journal=journal, snapshot_interval=5)
+        gauge = master.metrics.gauge("sync.durability.journal_bytes")
+
+        def full() -> int:
+            return JournalBackend.size_bytes.fget(journal)
+
+        content = SyncedContent(REQUEST)
+        content.poll(provider)
+        for step in range(12):
+            master.modify(f"cn=P{step % 6},o=xyz", [Modification.replace("sn", f"S{step}")])
+            content.poll(provider)
+            assert journal.size_bytes == gauge.value == full() > 0
+        assert master.metrics.counter("sync.durability.snapshots").value >= 2
+        for damage in (lambda: journal.damage_truncate(0.5), lambda: journal.damage_corrupt(0.5)):
+            master.modify("cn=P0,o=xyz", [Modification.replace("sn", "again")])
+            damage()
+            assert journal.size_bytes == full()
+            master.modify("cn=P1,o=xyz", [Modification.replace("sn", "again")])
+            assert journal.size_bytes == gauge.value == full()
 
     def test_file_journal_survives_reopen(self, tmp_path):
         path = str(tmp_path / "j")

@@ -1,11 +1,10 @@
 """Every cell of the ``LADDER`` table, against real providers.
 
 The parametrised test's ids are the table's own keys — ``(request
-carried a cookie, local content warm, provider offers reconcile)``
-— and each cell is *built* from its key (which provider, how much
-content, which cookie), so a row added to ``LADDER`` is run, and what
-the consumer is seen to do is compared with the tiers the row names
-(docs/RECOVERY.md renders the same table).
+carried a cookie, local content warm)`` — and each cell is *built* from
+its key (how much content, which cookie), so a row added to ``LADDER``
+is run, and what the consumer is seen to do is compared with the tiers
+the row names (docs/RECOVERY.md renders the same table).
 """
 
 import pytest
@@ -22,7 +21,6 @@ from repro.sync import (
     MultiPoll,
     ResilientConsumer,
     ResyncProvider,
-    RetainResyncProvider,
     RetryPolicy,
     SyncedContent,
     SyncProtocolError,
@@ -53,40 +51,34 @@ def build_master(matching: int) -> DirectoryServer:
     return master
 
 
-def refusing(provider_cls):
-    """*provider_cls*, able to refuse initial loads on demand — the one
-    thing no real provider does by itself."""
+class Refusing(ResyncProvider):
+    """A provider able to refuse initial loads on demand — the one thing
+    a real one does not do by itself."""
 
-    class Refusing(provider_cls):
-        refuse_null = False
+    refuse_null = False
 
-        def handle(self, request, control, *args, **kwargs):
-            if isinstance(control, MultiPoll):  # a link round: each session on its own
-                return answer_polls(
-                    lambda r, cookie: self.handle(r, ReSyncControl(cookie=cookie)), request, control
-                )
-            if self.refuse_null and control.cookie is None:
-                raise SyncProtocolError("initial load refused")
-            return super().handle(request, control, *args, **kwargs)
-
-    return Refusing
+    def handle(self, request, control, *args, **kwargs):
+        if isinstance(control, MultiPoll):  # a link round: each session on its own
+            return answer_polls(
+                lambda r, cookie: self.handle(r, ReSyncControl(cookie=cookie)), request, control
+            )
+        if self.refuse_null and control.cookie is None:
+            raise SyncProtocolError("initial load refused")
+        return super().handle(request, control, *args, **kwargs)
 
 
 def build_cell(key):
     """(master, provider, consumer, counters) in the state *key* names,
     one refusal away from the ladder."""
-    carried, warm, offers = key
+    carried, warm = key
     master = build_master(40 if warm else 0)
-    provider = refusing(ResyncProvider if offers else RetainResyncProvider)(master)
+    provider = Refusing(master)
     net = FaultyNetwork()
     consumer = ResilientConsumer(REQUEST, provider, network=net)
     assert consumer.sync_once() is not None
     assert (len(consumer.content) > 0) == warm
-    assert callable(getattr(provider, "reconcile", None)) == offers
-    if carried and offers:
+    if carried:
         provider.invalidate_cookie(consumer.content.cookie)
-    elif carried:
-        consumer.content.cookie = "<expired>"  # the stateless provider's refusal
     else:
         # Where a consumer stands after the ladder chose ``rebuild``.
         consumer.content.cookie = None
@@ -96,6 +88,12 @@ def build_cell(key):
         master.modify("cn=E001,o=xyz", [Modification.replace("sn", "changed")])
         master.delete("cn=E002,o=xyz")
     return master, provider, consumer, net.registry.counter
+
+
+def test_the_table_is_keyed_by_two_facts():
+    """Cookie carried × content warm, every pair once: whether the
+    provider serves the sketch tier is not a fact, it always does."""
+    assert sorted(LADDER) == [(False, False), (False, True), (True, False), (True, True)]
 
 
 @pytest.mark.parametrize("key", list(LADDER), ids=str)
@@ -117,7 +115,7 @@ def test_every_cell_takes_the_tiers_the_table_names(key):
 
 
 def test_failed_sketch_moves_on_to_the_next_tier_of_its_row(monkeypatch):
-    key = (True, True, True)
+    key = (True, True)
     assert LADDER[key] == ("sketch", "rebuild")
     monkeypatch.setattr(ladder, "INITIAL_DIVERGENCE", 1)
     monkeypatch.setattr(ladder, "MAX_CELLS", 6)
@@ -242,7 +240,7 @@ def test_the_sketch_hash_count_is_not_a_consumer_setting():
 
 def test_a_small_content_rebuilds_where_a_sketch_costs_more():
     """A refused cookie over a content below the floor takes the
-    ``(True, False, True)`` row: the null-cookie load, no sketch, and
+    ``(True, False)`` row: the null-cookie load, no sketch, and
     fewer bytes than the sketch floor alone."""
     master = build_master(5)
     provider = ResyncProvider(master)

@@ -421,7 +421,7 @@ def test_parent_format_journal_still_replays():
     # built, so the replica resumes from the cookie it already holds.
     live.detach()
     journal = MemoryJournal()
-    journal._records = list(PARENT_FORMAT_JOURNAL)
+    journal._write_lines(PARENT_FORMAT_JOURNAL)
     recovered = ResyncProvider(master, durability=live.durability, journal=journal)
     assert recovered.recover() == len(PARENT_FORMAT_JOURNAL)
     assert [session_to_wire(s) for s in recovered.sessions.active_sessions()] == [

@@ -29,11 +29,11 @@ from repro.sync import (
     MemoryJournal,
     ResilientConsumer,
     ResyncProvider,
-    RetainResyncProvider,
     RetryPolicy,
     SyncedContent,
     SyncProtocolError,
 )
+from tests.oracles import RetainResyncProvider
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 
@@ -77,9 +77,9 @@ class TestDroppedResponseRegression:
     """
 
     @staticmethod
-    def synced(net, provider_cls=ResyncProvider, **policy):
+    def synced(net, **policy):
         master = build_master()
-        provider = provider_cls(master)
+        provider = ResyncProvider(master)
         consumer = ResilientConsumer(
             REQUEST, provider, network=net, policy=RetryPolicy(jitter=0.0, **policy)
         )
@@ -118,18 +118,6 @@ class TestDroppedResponseRegression:
         with pytest.raises(ResponseDropped):
             consumer.content.reload(provider)
         assert len(consumer.content) == 4  # stale but serviceable
-
-    def test_protocol_error_still_reloads(self):
-        # Against a provider with no ``reconcile`` operation the refused
-        # cookie takes the paper's one answer (docs/RECOVERY.md).
-        net = FaultyNetwork(ScriptedPlan())
-        master, provider, consumer = self.synced(net, RetainResyncProvider)
-
-        consumer.content.cookie = "<expired>"
-        master.add(person("E9"))
-        consumer.sync_once()
-        assert consumer.content.matches_master(master)
-        assert net.registry.counter("sync.resilient.reloads").value == 1
 
 
 class TestRetryPolicy:
@@ -317,19 +305,6 @@ class TestResilientPoll:
         assert consumer.sync_once() is not None  # half-open probe: initial load
         assert consumer.content.matches_master(master)
 
-    def test_cookie_invalidation_falls_back_to_reload(self):
-        master = build_master()
-        provider = RetainResyncProvider(master)  # offers no sketch tier
-        net = FaultyNetwork(
-            ScriptedPlan(ExchangeFaults(), ExchangeFaults(cookie_invalidate=True))
-        )
-        consumer = ResilientConsumer(REQUEST, provider, network=net)
-        consumer.sync_once()
-        master.delete("cn=E1,o=xyz")
-        consumer.sync_once()  # cookie invalidated -> reload, same cycle
-        assert consumer.content.matches_master(master)
-        assert net.registry.counter("sync.resilient.reloads").value == 1
-
     def test_truncated_prefix_applied_then_retried(self):
         master = build_master()
         provider = ResyncProvider(master)
@@ -372,6 +347,30 @@ class TestResilientPoll:
         net.plan = ScriptedPlan(ExchangeFaults(truncate=True, truncate_keep=0.5))
         consumer.sync_once()
         assert consumer.content.matches_master(master)
+
+    def test_degraded_resume_truncation_retried_wholesale(self):
+        """A durable provider's eq.-3 resume is only meaningful
+        complete: a cut one applies nothing, and the retry with the old
+        cookie is served the whole resume again."""
+        master = build_master()
+        provider = ResyncProvider(
+            master, durability=DurabilityConfig(history_max_entries=2), journal=MemoryJournal()
+        )
+        net = FaultyNetwork(ScriptedPlan())
+        consumer = ResilientConsumer(
+            REQUEST, provider, network=net, policy=RetryPolicy(jitter=0.0)
+        )
+        consumer.sync_once()
+        for name in ("E0", "E1", "E2"):
+            master.modify(f"cn={name},o=xyz", [Modification.replace("sn", "changed")])
+        net.plan = ScriptedPlan(ExchangeFaults(truncate=True, truncate_keep=0.5))
+        before = consumer.content.updates_applied
+        assert consumer.sync_once() is not None
+        assert consumer.content.matches_master(master)
+        # No prefix applied: three adds and a retain, once.
+        assert consumer.content.updates_applied - before == 4
+        assert master.metrics.counter("sync.durability.degraded_resumes").value == 2
+        assert consumer.content.cookie.endswith(":h")
 
 
 class TestDegradedMode:

@@ -12,12 +12,8 @@ from repro.ldap import (
     SyncMode,
 )
 from repro.server import DirectoryServer, Modification
-from repro.sync import (
-    ResyncProvider,
-    RetainResyncProvider,
-    SyncProtocolError,
-    SyncedContent,
-)
+from repro.sync import ResyncProvider, SyncProtocolError, SyncedContent
+from tests.oracles import RetainResyncProvider
 
 
 def person(name: str, dept: str = "42") -> Entry:

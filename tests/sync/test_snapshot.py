@@ -23,7 +23,6 @@ from repro.sync import (
     MemorySnapshotStore,
     ResilientConsumer,
     ResyncProvider,
-    RetainResyncProvider,
     SnapshotError,
     SnapshotRecoverer,
     SyncedContent,
@@ -357,25 +356,6 @@ class TestConsumerWarmStart:
         # instead of a full reload (O(delta), docs/RECOVERY.md).
         assert net.registry.counter("sync.reconcile.attempts").value == 1
         assert net.registry.counter("sync.resilient.reloads").value == 0
-
-    def test_stale_cookie_without_reconcile_reloads(self):
-        """A provider with no ``reconcile`` operation cannot serve the
-        sketch tier: the refused snapshot cookie takes the reload."""
-        master = build_master(10)
-        provider = RetainResyncProvider(master)
-        store = MemorySnapshotStore()
-        run_session(provider, store, master)
-        store.damage_stale_cookie()
-
-        net = FaultyNetwork()
-        restarted = ResilientConsumer(
-            REQUEST, provider, network=net, snapshot_store=store
-        )
-        assert restarted.warm_started
-        restarted.sync_once()
-        assert restarted.content.matches_master(master)
-        assert net.registry.counter("sync.resilient.reloads").value == 1
-        assert net.registry.counter("sync.reconcile.attempts").value == 0
 
     def test_refusal_after_first_success_takes_the_same_tier(self):
         """There is no snapshot exemption to end: a cookie refused after

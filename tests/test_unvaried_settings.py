@@ -14,7 +14,10 @@ replica's cache and a soak over a journal-less provider are gone with
 their switches.  So are a content's second evaluation stack (its own
 index and the size below which it was skipped; a content is an
 ``EntryStore``) and the store's walkers and root registry nothing
-called (the suffix-as-root rule is ``DirectoryServer``'s).
+called (the suffix-as-root rule is ``DirectoryServer``'s).  The §5.2
+comparison baselines no run of the system uses — changelog, tombstone,
+full reload and the stateless retain provider, with their CSN cookies —
+are references in ``tests/oracles``, no longer names of ``repro.sync``.
 """
 
 import dataclasses
@@ -25,6 +28,7 @@ import repro.server
 import repro.server.indexes
 import repro.sync
 import repro.sync.consumer
+import repro.sync.protocol
 from repro.chaos import SoakConfig
 from repro.core import ContainmentIndex, FilterReplica
 from repro.ldap import DEFAULT_REGISTRY, Scope, SearchRequest
@@ -40,7 +44,6 @@ from repro.server import (
 )
 from repro.server.indexes import AttributeIndexSet, SubstringIndex
 from repro.sync import (
-    ChangelogProvider,
     DurabilityConfig,
     ResilientConsumer,
     ResyncProvider,
@@ -49,6 +52,7 @@ from repro.sync import (
 )
 from repro.sync import ladder
 from repro.sync.session import Session
+from tests.oracles import ChangelogProvider
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(cn=*)")
 CN = DEFAULT_REGISTRY.get("cn")
@@ -118,6 +122,16 @@ def test_a_removed_setting_is_a_type_error(call):
         (EntryStore, "roots"),
         (EntryStore, "subtree_dns"),
         (EntryStore, "register_root"),
+        (repro.sync, "Changelog"),
+        (repro.sync, "ChangelogRecord"),
+        (repro.sync, "ChangelogProvider"),
+        (repro.sync, "TombstoneStore"),
+        (repro.sync, "TombstoneProvider"),
+        (repro.sync, "FullReloadProvider"),
+        (repro.sync, "RetainResyncProvider"),
+        (repro.sync.protocol, "CsnCookieMixin"),
+        (repro.sync.protocol.MultiPoll, "with_cookie"),
+        (repro.sync, "baselines"),
     ],
     ids=[
         "repro.sync.ReconcileConfig",
@@ -132,6 +146,16 @@ def test_a_removed_setting_is_a_type_error(call):
         "EntryStore.roots",
         "EntryStore.subtree_dns",
         "EntryStore.register_root",
+        "repro.sync.Changelog",
+        "repro.sync.ChangelogRecord",
+        "repro.sync.ChangelogProvider",
+        "repro.sync.TombstoneStore",
+        "repro.sync.TombstoneProvider",
+        "repro.sync.FullReloadProvider",
+        "repro.sync.RetainResyncProvider",
+        "repro.sync.protocol.CsnCookieMixin",
+        "repro.sync.protocol.MultiPoll.with_cookie",
+        "repro.sync.baselines",
     ],
 )
 def test_a_removed_name_is_gone(owner, name):

@@ -212,10 +212,11 @@ def table_rows(path: str, first_header: str) -> list:
 
 
 def documented_ladder() -> dict:
-    """docs/RECOVERY.md's decision table as ``{(bool, bool, bool): tiers}``."""
+    """docs/RECOVERY.md's decision table as ``{(cookie carried, content
+    warm): tiers}``."""
     rows = table_rows(RECOVERY, "request carried a cookie")
     return {
-        tuple(cell == "yes" for cell in row[:3]): tuple(re.findall(r"`(\w+)`", row[3]))
+        tuple(cell == "yes" for cell in row[:2]): tuple(re.findall(r"`(\w+)`", row[2]))
         for row in rows[1:]
     }
 
