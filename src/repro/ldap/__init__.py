@@ -32,7 +32,6 @@ from .filters import (
 from .ldif import entries_to_ldif, entry_to_ldif, parse_ldif, write_ldif
 from .matching import matches, substring_match
 from .query import ALL_ATTRIBUTES, Scope, SearchRequest
-from .url import LdapUrl, LdapUrlParseError
 from .schema import (
     DEFAULT_SCHEMA,
     ObjectClass,
@@ -75,8 +74,6 @@ __all__ = [
     "Scope",
     "SearchRequest",
     "ALL_ATTRIBUTES",
-    "LdapUrl",
-    "LdapUrlParseError",
     "Control",
     "SortControl",
     "ReSyncControl",

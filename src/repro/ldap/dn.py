@@ -264,13 +264,6 @@ class DN:
         """
         return self._normalized[::-1]
 
-    def order_key(self) -> Tuple[Tuple[Tuple[str, str], ...], ...]:
-        """The normalized RDN tuples, leaf first: a total order over DNs
-        that agrees with ``==`` and allocates nothing (it is the tuple
-        the DN already holds).  :class:`repro.server.indexes.OrderingIndex`
-        breaks ties between equal values with it."""
-        return self._normalized
-
     # ------------------------------------------------------------------
     # dunder plumbing
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ The measurement substrate every layer reports through:
 * :mod:`repro.obs.registry` — named :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` / :class:`Timer` instruments with hierarchical
   names and labeled children, grouped in a :class:`MetricsRegistry`
-  with ``to_dict`` / ``to_prometheus_text`` / snapshot-diff exporters;
+  with ``to_dict`` / ``to_prometheus_text`` exporters;
 * :mod:`repro.obs.tracing` — ``span("layer.component.phase")`` context
   managers recording nested durations and counts, no-ops unless a
   :class:`TraceCollector` is installed.
@@ -21,7 +21,6 @@ from .registry import (
     MetricsRegistry,
     Timer,
     default_buckets,
-    snapshot_diff,
 )
 from .tracing import (
     SpanRecord,
@@ -39,7 +38,6 @@ __all__ = [
     "Histogram",
     "Timer",
     "MetricsRegistry",
-    "snapshot_diff",
     "default_buckets",
     "span",
     "SpanRecord",

@@ -28,10 +28,8 @@ experiments never share counters.  Fault injection
 owning network's registry under this same scheme — the per-``kind``
 fault series are label children, per docs/PROTOCOL.md §9.
 Exporters: :meth:`~MetricsRegistry.to_dict`
-(JSON-friendly), :meth:`~MetricsRegistry.to_prometheus_text`
-(Prometheus exposition format, dots mapped to underscores), and
-:meth:`~MetricsRegistry.snapshot` with :func:`snapshot_diff` for
-interval accounting.
+(JSON-friendly) and :meth:`~MetricsRegistry.to_prometheus_text`
+(Prometheus exposition format, dots mapped to underscores).
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ __all__ = [
     "Histogram",
     "Timer",
     "MetricsRegistry",
-    "snapshot_diff",
     "default_buckets",
 ]
 
@@ -334,10 +331,6 @@ class MetricsRegistry:
         """
         return {i.full_name: i.value_dict() for i in self}
 
-    def snapshot(self) -> Dict[str, object]:
-        """An independent copy of :meth:`to_dict` for interval diffing."""
-        return self.to_dict()
-
     def to_prometheus_text(self) -> str:
         """Prometheus exposition format (name dots become underscores)."""
         lines: List[str] = []
@@ -362,34 +355,3 @@ class MetricsRegistry:
                 lines.append(f"{pname}{lab} {instrument.value}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-
-def snapshot_diff(
-    after: Mapping[str, object], before: Mapping[str, object]
-) -> Dict[str, object]:
-    """Numeric element-wise ``after - before`` over snapshot dicts.
-
-    Keys only present in *after* diff against zero; histogram sub-dicts
-    are diffed recursively (min/max/mean are carried from *after* since
-    they are not interval-additive).
-    """
-    out: Dict[str, object] = {}
-    for key, value in after.items():
-        prev = before.get(key)
-        if isinstance(value, Mapping):
-            prev_map = prev if isinstance(prev, Mapping) else {}
-            sub: Dict[str, object] = {}
-            for k, v in value.items():
-                if k in ("min", "max", "mean"):
-                    sub[k] = v
-                elif isinstance(v, Mapping):
-                    pv = prev_map.get(k)
-                    sub[k] = snapshot_diff(v, pv if isinstance(pv, Mapping) else {})
-                else:
-                    pv = prev_map.get(k, 0)
-                    sub[k] = v - pv if isinstance(pv, (int, float)) else v
-            out[key] = sub
-        elif isinstance(value, (int, float)):
-            out[key] = value - (prev if isinstance(prev, (int, float)) else 0)
-        else:
-            out[key] = value
-    return out

@@ -120,39 +120,11 @@ class DirectoryServer:
         self._contexts: List[NamingContext] = []
         self._listeners: List[UpdateListener] = []
         self._csn = 0
-        #: degraded stale-read mode (``server.degraded`` gauge): set by a
-        #: resilient sync consumer when this server is a replica whose
-        #: master is unreachable.  Searches still answer — availability
-        #: over freshness — but every result is stamped ``degraded=True``
-        #: so callers can tell a stale read from a fresh one.
-        self._degraded = self.metrics.gauge("server.degraded")
 
     @property
     def url(self) -> str:
         """This server's LDAP URL."""
         return f"ldap://{self.name}"
-
-    # ------------------------------------------------------------------
-    # degraded (stale-read) mode
-    # ------------------------------------------------------------------
-    @property
-    def degraded(self) -> bool:
-        """True while this server is serving stale reads (its master is
-        unreachable; see :class:`repro.sync.ResilientConsumer`)."""
-        return bool(self._degraded.value)
-
-    def enter_degraded(self) -> None:
-        """Mark this server as serving stale reads (master unreachable).
-
-        Searches keep answering from the last synchronized content —
-        the graceful-degradation trade: availability over freshness —
-        with every :class:`SearchResult` stamped ``degraded=True``.
-        """
-        self._degraded.set(1)
-
-    def exit_degraded(self) -> None:
-        """Back in sync with the master: results are fresh again."""
-        self._degraded.set(0)
 
     # ------------------------------------------------------------------
     # naming contexts
@@ -317,8 +289,6 @@ class DirectoryServer:
                 result.entries.append(entry)
         self._record_plan(plan, examined, matched)
         self._apply_controls(result, controls)
-        if self._degraded.value:
-            result.degraded = True
         return result
 
     def _record_plan(self, plan: SearchPlan, examined: int, matched: int) -> None:
@@ -374,8 +344,6 @@ class DirectoryServer:
                     merged.entries.append(entry)
             merged.referrals.extend(partial.referrals)
         self._apply_controls(merged, controls)
-        if self._degraded.value:
-            merged.degraded = True
         return merged
 
     def _iter_region(

@@ -9,19 +9,16 @@ the whole database.  The simulated backend does the same:
   over values), answering ``(attr=*)`` and feeding planner estimates,
 * :class:`SubstringIndex` — n-gram (trigram by default) posting lists,
   giving candidate sets for substring filters; candidates are verified
-  against the real filter by the caller,
-* :class:`OrderingIndex` — sorted list of (typed key, DN) pairs
-  answering ``>=`` / ``<=`` range scans under the attribute's syntax:
-  integer-syntax values compare numerically, not lexicographically.
+  against the real filter by the caller.
 
 An :class:`AttributeIndexSet` exists once a plan asks about its
 attribute (:meth:`repro.server.backend.EntryStore.index_for` builds it
 from the stored images, equality and presence included); its substring
-and ordering indexes exist once a query needs them: the first read
-builds one from the owner's frozen images, and every later
-insert/remove maintains it.  Each index normalizes assertion values
-through its own memo, so a plan's estimate and its lookup, and a
-recurring query, normalize each value once.
+index exists once a query needs it: the first read builds it from the
+owner's frozen images, and every later insert/remove maintains it.
+Each index normalizes assertion values through its own memo, so a
+plan's estimate and its lookup, and a recurring query, normalize each
+value once.
 
 Indexes return *candidate supersets* (every true match is included, some
 non-matches may be); the backend always re-verifies candidates with
@@ -34,7 +31,6 @@ materializing the set — which the cost-based search planner
 
 from __future__ import annotations
 
-import bisect
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -46,7 +42,6 @@ __all__ = [
     "EqualityIndex",
     "PresenceIndex",
     "SubstringIndex",
-    "OrderingIndex",
     "AttributeIndexSet",
 ]
 
@@ -278,134 +273,16 @@ class SubstringIndex:
         return min(sizes) if sizes else None
 
 
-# Typed sort-key tags: integers order before strings so each segment of
-# the sorted key list is internally same-typed (and thus comparable).
-_INT_TAG = 0
-_STR_TAG = 1
-
-
-def _typed_key(normalized) -> Tuple[int, object]:
-    if isinstance(normalized, int):
-        return (_INT_TAG, normalized)
-    return (_STR_TAG, str(normalized))
-
-
-def _successor(tag: int, norm) -> Tuple[int, object]:
-    """The least ``(tag, value)`` prefix sorting after every key that
-    carries ``(tag, norm)`` — the value's immediate successor in its
-    segment, so range ends are plain tuple bisects like range starts."""
-    return (tag, norm + 1) if tag == _INT_TAG else (tag, norm + "\0")
-
-
-class OrderingIndex:
-    """Sorted-value index answering ordering (range) assertions.
-
-    Keys are syntax-aware: an integer-syntax attribute sorts its values
-    numerically (``9 < 10``), not by their string form (``"10" < "9"``).
-    Values whose normalization degrades to a string (schema-violating
-    data under an integer syntax) live in a separate key segment; range
-    lookups include the *whole* other segment, because
-    :func:`repro.ldap.matching.compare_values` falls back to string
-    comparison for mixed types and either side of the range could match.
-    With clean data the other segment is empty and lookups are exact.
-
-    A key is ``(type tag, value, DN order key)``: the DN breaks ties
-    between the thousands of entries that can share one value, so a
-    (value, DN) pair has exactly one position and :meth:`remove` is one
-    bisect to it, however many entries hold the value.
-    """
-
-    def __init__(self, atype: AttributeType):
-        self._atype = atype
-        self._assertions = _Assertions(atype)
-        # Parallel sorted lists: keys[i] names the pair, dns[i] is its DN.
-        self._keys: List[Tuple[int, object, Tuple]] = []
-        self._dns: List[DN] = []
-
-    @classmethod
-    def from_holders(
-        cls, atype: AttributeType, holders: Iterable[Tuple[DN, Iterable[str]]]
-    ) -> "OrderingIndex":
-        """The index :meth:`insert` of every ``(dn, values)`` holder
-        leaves, made with one sort instead of an insort per value."""
-        index = cls(atype)
-        pairs = [
-            (index._key(value) + (dn.order_key(),), dn)
-            for dn, values in holders
-            for value in values
-        ]
-        pairs.sort(key=lambda pair: pair[0])
-        index._keys = [key for key, _dn in pairs]
-        index._dns = [dn for _key, dn in pairs]
-        return index
-
-    def _key(self, value: str) -> Tuple[int, object]:
-        return _typed_key(self._atype.normalize(value))
-
-    def insert(self, dn: DN, values: Iterable[str]) -> None:
-        dn_key = (dn.order_key(),)
-        for value in values:
-            key = self._key(value) + dn_key
-            pos = bisect.bisect_left(self._keys, key)
-            self._keys.insert(pos, key)
-            self._dns.insert(pos, dn)
-
-    def remove(self, dn: DN, values: Iterable[str]) -> None:
-        dn_key = (dn.order_key(),)
-        for value in values:
-            key = self._key(value) + dn_key
-            pos = bisect.bisect_left(self._keys, key)
-            if pos < len(self._keys) and self._keys[pos] == key:
-                del self._keys[pos]
-                del self._dns[pos]
-
-    def _segment(self, tag: int) -> Tuple[int, int]:
-        """[start, end) positions of the keys sharing *tag*."""
-        start = bisect.bisect_left(self._keys, (tag,))
-        end = bisect.bisect_left(self._keys, (tag + 1,))
-        return start, end
-
-    # A range is its in-segment run plus every differently-typed key
-    # (mixed-type comparisons degrade to strings and may match either
-    # way): ``>= value`` is [0, start) + [pos, len), ``<= value`` is
-    # [0, pos) + [end, len).
-    def _from(self, value: str) -> Tuple[int, int]:
-        tag, norm = _typed_key(self._assertions[value])
-        start, _end = self._segment(tag)
-        return start, bisect.bisect_left(self._keys, (tag, norm))
-
-    def _through(self, value: str) -> Tuple[int, int]:
-        tag, norm = _typed_key(self._assertions[value])
-        _start, end = self._segment(tag)
-        return bisect.bisect_left(self._keys, _successor(tag, norm)), end
-
-    def greater_or_equal(self, value: str) -> Set[DN]:
-        start, pos = self._from(value)
-        return set(self._dns[:start]) | set(self._dns[pos:])
-
-    def less_or_equal(self, value: str) -> Set[DN]:
-        pos, end = self._through(value)
-        return set(self._dns[:pos]) | set(self._dns[end:])
-
-    def estimate_greater_or_equal(self, value: str) -> int:
-        start, pos = self._from(value)
-        return start + (len(self._keys) - pos)
-
-    def estimate_less_or_equal(self, value: str) -> int:
-        pos, end = self._through(value)
-        return pos + (len(self._keys) - end)
-
-
 class AttributeIndexSet:
     """All indexes for one attribute, kept consistent together.
 
     ``equality`` and ``presence`` are kept from the set's first value
     (:meth:`of` builds a set from the stored images): every plan that
-    reads the attribute reads them.  ``substring`` and ``ordering`` are
-    built on first ask, from the frozen *images* of the presence DNs
-    (the owner's ``DN -> Entry`` map, which holds every DN posted here),
-    and maintained by :meth:`insert`/:meth:`remove` from then on.  Built
-    late or early, an index holds the same postings.
+    reads the attribute reads them.  ``substring`` is built on first
+    ask, from the frozen *images* of the presence DNs (the owner's
+    ``DN -> Entry`` map, which holds every DN posted here), and
+    maintained by :meth:`insert`/:meth:`remove` from then on.  Built
+    late or early, it holds the same postings.
     """
 
     def __init__(self, atype: AttributeType, images: Mapping[DN, Entry]):
@@ -414,13 +291,12 @@ class AttributeIndexSet:
         self.presence = PresenceIndex()
         self._images = images
         self._substring: Optional[SubstringIndex] = None
-        self._ordering: Optional[OrderingIndex] = None
 
     @classmethod
     def of(cls, atype: AttributeType, images: Mapping[DN, Entry]) -> "AttributeIndexSet":
         """The set :meth:`insert` of every image in *images* leaves: a
-        new set has built no substring or ordering index, so equality
-        and presence are all there is to post."""
+        new set has built no substring index, so equality and presence
+        are all there is to post."""
         index = cls(atype, images)
         name = atype.name
         for dn, image in images.items():
@@ -430,34 +306,15 @@ class AttributeIndexSet:
                 index.presence.insert(dn, values)
         return index
 
-    def _holders(self) -> Iterator[Tuple[DN, List[str]]]:
-        name = self.atype.name
-        return ((dn, self._images[dn].get(name)) for dn in self.presence)
-
     @property
     def substring(self) -> SubstringIndex:
         if self._substring is None:
             index = SubstringIndex(self.atype)
-            for dn, values in self._holders():
-                index.insert(dn, values)
+            name = self.atype.name
+            for dn in self.presence:
+                index.insert(dn, self._images[dn].get(name))
             self._substring = index
         return self._substring
-
-    @property
-    def ordering(self) -> Optional[OrderingIndex]:
-        """None when the attribute's syntax defines no ordering."""
-        if self._ordering is None and self.atype.ordered:
-            self._ordering = OrderingIndex.from_holders(self.atype, self._holders())
-        return self._ordering
-
-    def built(self) -> Tuple[str, ...]:
-        """The first-ask indexes built so far: ``"substring"``,
-        ``"ordering"``, both or neither."""
-        return tuple(
-            kind
-            for kind, index in (("substring", self._substring), ("ordering", self._ordering))
-            if index is not None
-        )
 
     def insert(self, dn: DN, values: Iterable[str]) -> None:
         values = list(values)
@@ -465,8 +322,6 @@ class AttributeIndexSet:
         self.presence.insert(dn, values)
         if self._substring is not None:
             self._substring.insert(dn, values)
-        if self._ordering is not None:
-            self._ordering.insert(dn, values)
 
     def remove(self, dn: DN, values: Iterable[str]) -> None:
         values = list(values)
@@ -474,5 +329,3 @@ class AttributeIndexSet:
         self.presence.remove(dn, values)
         if self._substring is not None:
             self._substring.remove(dn, values)
-        if self._ordering is not None:
-            self._ordering.remove(dn, values)

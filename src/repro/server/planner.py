@@ -12,10 +12,10 @@ candidate DN set the server then verifies:
 * an AND **intersects multiple indexable conjuncts**, cheapest first,
   stopping when the running set is small enough that further
   intersection costs more than it saves;
-* an OR **unions** its children's candidate sets — the union is a scan
-  only when some child is itself unplannable;
-* NOT (and anything else without a sound index strategy) falls back to
-  a **scope scan**;
+* OR, NOT, a range (``>=``/``<=``) and anything else without an index
+  strategy fall back to a **scope scan** — Table 1's traffic is
+  equality, substring and AND, and a scan is a sound superset of any
+  filter's matches;
 * a filter whose whole candidate set would approach the store size is
   answered by a scan outright — walking the region beats materializing
   a near-total set and then probing it.
@@ -35,17 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Set
 
 from ..ldap.dn import DN
-from ..ldap.filters import (
-    And,
-    Equality,
-    Filter,
-    GreaterOrEqual,
-    LessOrEqual,
-    Or,
-    Predicate,
-    Present,
-    Substring,
-)
+from ..ldap.filters import And, Equality, Filter, Predicate, Present, Substring
 
 __all__ = ["SearchPlan", "SearchPlanner"]
 
@@ -70,9 +60,7 @@ class SearchPlan:
         "equality",    # single equality posting list
         "presence",    # presence index
         "substring",   # n-gram candidate set
-        "range",       # ordering-index range scan
         "intersect",   # AND of several indexable conjuncts
-        "union",       # OR of indexable children
         "absent",      # predicate over an attribute no entry holds
     )
 
@@ -106,7 +94,7 @@ class SearchPlanner:
     """Plans filters against one :class:`repro.server.backend.EntryStore`.
 
     The cost model is deliberately simple — posting sizes are exact for
-    equality/presence/range and upper bounds for substring — because the
+    equality/presence and upper bounds for substring — because the
     estimates only need to *rank* strategies, not predict runtimes.
     """
 
@@ -153,13 +141,8 @@ class SearchPlanner:
         if isinstance(flt, And):
             plans = [self._plan_node(child) for child in flt.children]
             return self._plan_and([p for p in plans if p is not None])
-        if isinstance(flt, Or):
-            plans = [self._plan_node(child) for child in flt.children]
-            if not plans or any(p is None for p in plans):
-                return None
-            return self._plan_or(plans)
-        # NOT (and unknown nodes): the complement of an index lookup is
-        # not cheaply available; only a scan is sound.
+        # OR and NOT: a union of children's candidates, or the
+        # complement of a lookup, is not planned; a scan is sound.
         return None
 
     def _plan_and(self, plans: List[_NodePlan]) -> Optional[_NodePlan]:
@@ -188,20 +171,6 @@ class SearchPlanner:
         kind = "intersect" if len(plans) > 1 else plans[0].kind
         return _NodePlan(kind, plans[0].estimate, materialize)
 
-    def _plan_or(self, plans: List[_NodePlan]) -> _NodePlan:
-        estimate = min(sum(p.estimate for p in plans), len(self._store))
-
-        def materialize() -> Optional[Set[DN]]:
-            union: Set[DN] = set()
-            for node in plans:
-                found = node.materialize()
-                if found is None:
-                    return None
-                union |= found
-            return union
-
-        return _NodePlan("union", estimate, materialize)
-
     def _plan_predicate(self, pred: Predicate) -> Optional[_NodePlan]:
         index = self._store.index_for(pred.attr)
         if not index.presence:
@@ -228,23 +197,5 @@ class SearchPlanner:
             return _NodePlan(
                 "substring", estimate, lambda: substring.candidates(components)
             )
-        if isinstance(pred, (GreaterOrEqual, LessOrEqual)):
-            ordering = index.ordering
-            if ordering is None:
-                # The attribute's syntax defines no ordering; matching
-                # returns False for every entry (see repro.ldap.matching).
-                return _NodePlan("absent", 0, set)
-            value = pred.value
-            if isinstance(pred, GreaterOrEqual):
-                return _NodePlan(
-                    "range",
-                    ordering.estimate_greater_or_equal(value),
-                    lambda: ordering.greater_or_equal(value),
-                )
-            return _NodePlan(
-                "range",
-                ordering.estimate_less_or_equal(value),
-                lambda: ordering.less_or_equal(value),
-            )
-        # Approx (and future predicate kinds) have no index strategy.
+        # Ranges, Approx (and future predicate kinds) have no index strategy.
         return None

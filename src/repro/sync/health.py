@@ -164,8 +164,7 @@ class HealthMachine:
     *clock* is the virtual-time ledger: anything with a writable
     ``elapsed_ms`` (and maybe a ``scheduler.now``) — the link's
     network, or a private one.  *name* labels the per-link
-    ``sync.health.*`` metrics; *replica_server* is flipped into degraded
-    stale-read mode with the flag.
+    ``sync.health.*`` metrics.
     """
 
     def __init__(
@@ -176,12 +175,10 @@ class HealthMachine:
         registry: Optional[MetricsRegistry] = None,
         name: str = "consumer",
         seed: int = 0,
-        replica_server=None,
     ):
         self.policy = policy
         self.health = health
         self.clock = clock if clock is not None else SimpleNamespace(elapsed_ms=0.0)
-        self.replica_server = replica_server
         self._rng = random.Random(f"resilient:{seed}")
         self.position = "closed"
         self.degraded = False
@@ -366,11 +363,6 @@ class HealthMachine:
         if degraded is not None and degraded != self.degraded:
             self.degraded = degraded
             self._degraded_gauge.set(int(degraded))
-            if self.replica_server is not None:
-                if degraded:
-                    self.replica_server.enter_degraded()
-                else:
-                    self.replica_server.exit_degraded()
         health_state, breaker_state = self.health_state, self.breaker_state
         if breaker_state != shown[1]:
             self._h_breaker.set(_BREAKER_STATES.index(breaker_state))

@@ -110,16 +110,6 @@ class SyncUpdate:
         return len(ber.encode_sync_update(self))
 
     @classmethod
-    def add(cls, entry: Entry) -> "SyncUpdate":
-        """An ``add`` PDU over a private copy of the caller's *entry*."""
-        return cls(SyncAction.ADD, entry.dn, entry.copy())
-
-    @classmethod
-    def modify(cls, entry: Entry) -> "SyncUpdate":
-        """A ``modify`` PDU over a private copy of the caller's *entry*."""
-        return cls(SyncAction.MODIFY, entry.dn, entry.copy())
-
-    @classmethod
     def delete(cls, dn: DN) -> "SyncUpdate":
         return cls(SyncAction.DELETE, dn)
 

@@ -11,10 +11,8 @@ crash (:mod:`repro.server.faults`).  Three parts:
   attempt loop retries them with capped, jittered exponential backoff,
   never touching local content, and charges each to the health machine
   (budget, breaker, quarantine).  After ``degraded_after`` failed
-  rounds in a row the link (and optionally the
-  :class:`~repro.server.directory.DirectoryServer` serving its clients)
-  is **degraded**: reads keep answering from the last synchronized
-  content, stamped ``degraded=True``;
+  rounds in a row the link is **degraded**: reads keep answering from
+  the last synchronized content, stamped ``degraded=True``;
 * :mod:`repro.sync.ladder` — a protocol error
   (:class:`~repro.sync.protocol.SyncProtocolError`) means the session
   is gone, and the tier taken is one lookup in ``LADDER``
@@ -41,7 +39,6 @@ from typing import Dict, List, Optional, Sequence
 from ..ldap.query import SearchRequest
 from ..obs.registry import MetricsRegistry
 from ..obs.tracing import span
-from ..server.directory import DirectoryServer
 from ..server.network import (
     OperationTimeout,
     ResponseTruncated,
@@ -108,9 +105,6 @@ class SyncLink(HealthMachine):
             injected here (:class:`repro.server.faults.FaultyNetwork`).
         policy: retry/backoff/timeout policy.
         seed: seeds the deterministic backoff jitter.
-        replica_server: optional :class:`DirectoryServer` serving this
-            replica's clients; flipped into degraded stale-read mode
-            while the master is unreachable.
         health: the :class:`HealthPolicy` (budgeted retries, circuit
             breaker, quarantine); a caller whose schedule needs more
             retries than the default budget passes one sized to it.
@@ -124,7 +118,6 @@ class SyncLink(HealthMachine):
         network: Optional[SimulatedNetwork] = None,
         policy: Optional[RetryPolicy] = None,
         seed=0,
-        replica_server: Optional[DirectoryServer] = None,
         health: HealthPolicy = HealthPolicy(),
         name: Optional[str] = None,
     ):
@@ -133,7 +126,7 @@ class SyncLink(HealthMachine):
         self.name = name if name is not None else f"consumer-{seed}"
         self.registry = registry = network.registry if network is not None else MetricsRegistry()
         policy = policy if policy is not None else RetryPolicy()
-        super().__init__(policy, health, network, registry, self.name, seed, replica_server)
+        super().__init__(policy, health, network, registry, self.name, seed)
         self._sketch = SketchTier(provider, seed, registry)
         self._reloads = registry.counter("sync.resilient.reloads")
         self._cycles = registry.counter("sync.resilient.cycles")
@@ -430,7 +423,6 @@ class ResilientConsumer(SyncLink):
         network: Optional[SimulatedNetwork] = None,
         policy: Optional[RetryPolicy] = None,
         seed: int = 0,
-        replica_server: Optional[DirectoryServer] = None,
         mode: str = "poll",
         snapshot_store: Optional[SnapshotStore] = None,
         snapshot_interval: int = 1,
@@ -441,7 +433,7 @@ class ResilientConsumer(SyncLink):
             raise ValueError(f"mode must be 'poll' or 'persist', got {mode!r}")
         if snapshot_interval < 1:
             raise ValueError("snapshot_interval must be >= 1")
-        super().__init__(provider, network, policy, seed, replica_server, health, name)
+        super().__init__(provider, network, policy, seed, health, name)
         self.mode = mode
         self.content = SyncedContent(request, network=network)
         self._round = (self.content,)

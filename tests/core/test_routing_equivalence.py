@@ -34,7 +34,7 @@ from repro.ldap import (
 from repro.ldap.controls import SyncAction
 from repro.sync import SyncUpdate, SyncedContent
 
-from tests.oracles import LinearFilterReplica
+from tests.oracles import LinearFilterReplica, copied_pdu
 
 # Three attributes, each under several spellings (canonical, alias,
 # another case) drawn independently for filters and for entries, in both
@@ -287,7 +287,7 @@ def test_replica_sizes_memoized_with_invalidation(monkeypatch):
     assert len(sizing_calls) == after_first  # memo hit: no re-walk
 
     # Content mutation through the sync path invalidates the memo.
-    stored.content.apply_notification(SyncUpdate.add(e2))
+    stored.content.apply_notification(copied_pdu(SyncAction.ADD, e2))
     assert replica.entry_count() == 2
     assert replica.size_bytes() > baseline
     assert len(sizing_calls) > after_first

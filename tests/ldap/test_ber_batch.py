@@ -10,7 +10,7 @@ length.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ldap import DN, Entry
+from repro.ldap import DN, Entry, SyncAction
 from repro.ldap.ber import (
     BerError,
     decode_sync_batch,
@@ -21,6 +21,7 @@ from repro.ldap.ber import (
 )
 from repro.server import SimulatedNetwork
 from repro.sync import SyncUpdate
+from tests.oracles import copied_pdu
 
 # Printable, LDAP-safe attribute values (no RDN metacharacters in cn).
 _names = st.text(
@@ -50,7 +51,7 @@ def sync_updates(draw):
     kind = draw(st.sampled_from(["add", "modify", "delete", "retain"]))
     if kind in ("add", "modify"):
         entry = draw(entries())
-        return SyncUpdate.add(entry) if kind == "add" else SyncUpdate.modify(entry)
+        return copied_pdu(SyncAction.ADD, entry) if kind == "add" else copied_pdu(SyncAction.MODIFY, entry)
     dn = DN.parse(f"cn={draw(_names)},o=xyz")
     return SyncUpdate.delete(dn) if kind == "delete" else SyncUpdate.retain(dn)
 
@@ -107,7 +108,7 @@ class TestBatchFraming:
             dn = DN.parse(f"cn={name},o=xyz")
             for pad in range(max(0, step - 120), step):
                 entry = Entry(dn, {"objectClass": ["person"], "description": ["x" * pad]})
-                updates = [SyncUpdate.delete(dn), SyncUpdate.add(entry)]
+                updates = [SyncUpdate.delete(dn), copied_pdu(SyncAction.ADD, entry)]
                 body = sum(len(encode_sync_update(update)) for update in updates)
                 if not step - 12 <= body <= step + 2:
                     continue
@@ -126,7 +127,7 @@ class TestBatchFraming:
         monkeypatch.setattr(
             ber, "encode_sync_update", lambda update: encoded.append(update) or encode(update)
         )
-        shared = SyncUpdate.add(Entry("cn=p,o=xyz", {"objectClass": ["person"], "cn": "p"}))
+        shared = copied_pdu(SyncAction.ADD, Entry("cn=p,o=xyz", {"objectClass": ["person"], "cn": "p"}))
         other = SyncUpdate.delete(shared.dn)
         sizes = [encoded_sync_batch_size([shared, other][:n]) for n in (1, 2, 2, 1)]
         assert encoded == [shared, other]

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.obs import Histogram, MetricsRegistry, default_buckets, snapshot_diff
+from repro.obs import Histogram, MetricsRegistry, default_buckets
 
 
 class TestCounter:
@@ -163,40 +163,18 @@ class TestRegistryExport:
         assert registry.to_dict()["a"] == 0
         assert registry.to_dict()["h"]["count"] == 0
 
-    def test_snapshot_is_detached(self):
+    def test_to_dict_is_detached(self):
+        # The e2e harness diffs two to_dict() frames of one registry.
         registry = MetricsRegistry()
         c = registry.counter("a")
-        c.inc(1)
-        snap = registry.snapshot()
-        c.inc(10)
-        assert snap["a"] == 1
-
-    def test_snapshot_diff_counters(self):
-        registry = MetricsRegistry()
-        c = registry.counter("a")
-        c.inc(3)
-        before = registry.snapshot()
-        c.inc(4)
-        diff = snapshot_diff(registry.snapshot(), before)
-        assert diff["a"] == 4
-
-    def test_snapshot_diff_histograms(self):
-        registry = MetricsRegistry()
         h = registry.histogram("h", bounds=(1.0,))
+        c.inc(1)
         h.observe(0.5)
-        before = registry.snapshot()
-        h.observe(0.5)
+        frame = registry.to_dict()
+        c.inc(10)
         h.observe(2.0)
-        diff = snapshot_diff(registry.snapshot(), before)
-        assert diff["h"]["count"] == 2
-        assert diff["h"]["sum"] == pytest.approx(2.5)
-        # min/max/mean come from the *after* frame (not interval-additive).
-        assert diff["h"]["min"] == 0.5
-        assert diff["h"]["max"] == 2.0
-        assert diff["h"]["buckets"]["+Inf"] == 2
-
-    def test_snapshot_diff_new_key_diffs_against_zero(self):
-        assert snapshot_diff({"a": 7}, {})["a"] == 7
+        assert frame["a"] == 1
+        assert frame["h"]["count"] == 1 and frame["h"]["buckets"]["+Inf"] == 1
 
     def test_prometheus_text(self):
         registry = MetricsRegistry()

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from repro.ldap import DN, Entry, Scope, SearchRequest
+from repro.ldap import DN, Entry, Scope, SearchRequest, SyncAction
 from repro.ldap.ber import encoded_sync_batch_size
 from repro.obs import MetricsRegistry
 from repro.obs.registry import Counter
@@ -17,6 +17,7 @@ from repro.server import DirectoryServer, LdapClient, Modification, SimulatedNet
 from repro.server.network import TRAFFIC_FIELDS, TrafficCounts
 from repro.sync import ResyncProvider, SyncedContent
 from repro.sync.protocol import SyncUpdate
+from tests.oracles import copied_pdu
 
 
 def counter(network: SimulatedNetwork, field: str) -> Counter:
@@ -175,9 +176,9 @@ class TestSnapshots:
 def mixed_batch():
     """Two entry-carrying PDUs and three DN-only ones."""
     return [
-        SyncUpdate.add(person("A")),
+        copied_pdu(SyncAction.ADD, person("A")),
         SyncUpdate.delete(DN.parse("cn=B,o=xyz")),
-        SyncUpdate.modify(person("C")),
+        copied_pdu(SyncAction.MODIFY, person("C")),
         SyncUpdate.retain(DN.parse("cn=D,o=xyz")),
         SyncUpdate.delete(DN.parse("cn=E,o=xyz")),
     ]

@@ -64,6 +64,9 @@ stateless eq.-3 :class:`RetainResyncProvider`, with their
 :class:`CsnCookieMixin` cookies — live in :mod:`tests.oracles.strawmen`
 and are re-exported here: the E11 bench (``bench_sync_mechanisms``)
 measures them, and the convergence properties run every one of them.
+So is :func:`copied_pdu`, the ``add``/``modify`` PDU over a private copy
+of a caller's entry that they and the tests build (the provider wraps
+its frozen store images uncopied).
 
 Recovery and the snapshot dump do each piece of text work once; the
 per-piece versions they replaced stay here as references:
@@ -105,6 +108,7 @@ from .strawmen import (
     RetainResyncProvider,
     TombstoneProvider,
     TombstoneStore,
+    copied_pdu,
 )
 
 __all__ = [
@@ -122,6 +126,7 @@ __all__ = [
     "RetainResyncProvider",
     "TombstoneProvider",
     "TombstoneStore",
+    "copied_pdu",
     "holders_of",
     "linear_substring_candidates",
     "linear_substring_estimate",

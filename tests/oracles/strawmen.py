@@ -44,8 +44,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ldap.attributes import DEFAULT_REGISTRY
-from repro.ldap.controls import ReSyncControl, SyncMode
+from repro.ldap.controls import ReSyncControl, SyncAction, SyncMode
 from repro.ldap.dn import DN
+from repro.ldap.entry import Entry
 from repro.ldap.filters import attributes_of
 from repro.ldap.query import SearchRequest
 from repro.server.directory import DirectoryServer
@@ -69,7 +70,17 @@ __all__ = [
     "TombstoneProvider",
     "FullReloadProvider",
     "RetainResyncProvider",
+    "copied_pdu",
 ]
+
+
+def copied_pdu(action: SyncAction, entry: Entry) -> SyncUpdate:
+    """An ``add`` or ``modify`` PDU over a private copy of *entry*: the
+    PDU freezes what it carries, and the caller keeps its entry mutable.
+    The provider wraps its frozen store images uncopied
+    (:func:`repro.sync.resync._add`); the strawmen and tests, which build
+    PDUs from entries they go on editing, copy here."""
+    return SyncUpdate(action, entry.dn, entry.copy())
 
 
 class CsnCookieMixin:
@@ -176,7 +187,7 @@ class ChangelogProvider(CsnCookieMixin):
         if control.cookie is None:
             content = self.server.search(request).entries
             return SyncResponse(
-                updates=[SyncUpdate.add(e) for e in content],
+                updates=[copied_pdu(SyncAction.ADD, e) for e in content],
                 cookie=self._make_cookie(now),
                 initial=True,
             )
@@ -210,12 +221,12 @@ class ChangelogProvider(CsnCookieMixin):
                 updates.append(SyncUpdate.delete(record.dn))
             live = self.server.store.get(record.new_dn)
             if live is not None and request.selects(live):
-                updates.append(SyncUpdate.add(request.project(live)))
+                updates.append(copied_pdu(SyncAction.ADD, request.project(live)))
             return updates
         live = self.server.store.get(record.dn)
         if live is not None and request.selects(live):
-            make = SyncUpdate.add if record.op is UpdateOp.ADD else SyncUpdate.modify
-            updates.append(make(request.project(live)))
+            action = SyncAction.ADD if record.op is UpdateOp.ADD else SyncAction.MODIFY
+            updates.append(copied_pdu(action, request.project(live)))
             return updates
         if record.op is UpdateOp.MODIFY and request.in_scope(record.dn):
             touched = {DEFAULT_REGISTRY.key(m.attr) for m in record.modifications}
@@ -290,7 +301,7 @@ class TombstoneProvider(CsnCookieMixin):
         if control.cookie is None:
             content = self.server.search(request).entries
             return SyncResponse(
-                updates=[SyncUpdate.add(e) for e in content],
+                updates=[copied_pdu(SyncAction.ADD, e) for e in content],
                 cookie=self._make_cookie(now),
                 initial=True,
             )
@@ -304,7 +315,7 @@ class TombstoneProvider(CsnCookieMixin):
             if live is None:
                 continue  # a later tombstone covers it
             if request.selects(live):
-                net[dn] = SyncUpdate.modify(request.project(live))
+                net[dn] = copied_pdu(SyncAction.MODIFY, request.project(live))
             elif request.in_scope(dn):
                 net[dn] = SyncUpdate.delete(dn)
         updates = sorted(
@@ -329,7 +340,7 @@ class FullReloadProvider(CsnCookieMixin):
             return SyncResponse(updates=[], cookie=None)
         content = self.server.search(request).entries
         return SyncResponse(
-            updates=[SyncUpdate.add(e) for e in content],
+            updates=[copied_pdu(SyncAction.ADD, e) for e in content],
             cookie=self._make_cookie(self.server.current_csn),
             initial=control.cookie is None,
             uses_retain=control.cookie is not None,

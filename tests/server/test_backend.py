@@ -135,13 +135,9 @@ class TestCandidates:
         cands = store.candidates_for(parse_filter("(&(objectClass=person)(sn=beta))"))
         assert cands == {DN.parse("cn=b,c=us,o=xyz")}
 
-    def test_or_unions_children(self, store):
-        cands = store.candidates_for(parse_filter("(|(sn=beta)(sn=alpha))"))
-        assert cands == {
-            DN.parse("cn=a,c=us,o=xyz"),
-            DN.parse("cn=b,c=us,o=xyz"),
-        }
-        assert store.plan_for(parse_filter("(|(sn=beta)(sn=alpha))")).strategy == "union"
+    def test_or_not_narrowed(self, store):
+        assert store.candidates_for(parse_filter("(|(sn=beta)(sn=alpha))")) is None
+        assert store.plan_for(parse_filter("(|(sn=beta)(sn=alpha))")).strategy == "scan"
 
     def test_presence_uses_presence_index(self, store):
         # The store is tiny, so the planner returns the presence set

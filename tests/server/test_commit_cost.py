@@ -4,19 +4,18 @@ The machine-independent guard of the write path: on a 12-attribute
 entry among 1 000 that share its ``sn`` and ``entrySizeBytes``, a
 ``modify`` replacing one attribute, fanned out to 8 persist sessions
 over a :class:`SimulatedNetwork`, re-indexes one attribute, copies the
-entry once (the image it edits), finds the ordering-index pair without
-comparing a single DN, and BER-encodes its one shared PDU once however
-many frames carry it.  The attribute's substring and ordering
-indexes, built by a search before the modify, are maintained with it.
+entry once (the image it edits), and BER-encodes its one shared PDU
+once however many frames carry it.  The attribute's substring index,
+built by a search before the modify, is maintained with it.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.ldap import DN, Entry, Scope, SearchRequest, ber
+from repro.ldap import DN, Entry, Scope, SearchRequest, SyncAction, ber
 from repro.server import DirectoryServer, Modification, SimulatedNetwork
-from repro.server.indexes import AttributeIndexSet, OrderingIndex
+from repro.server.indexes import AttributeIndexSet
 from repro.sync import ResyncProvider, SyncedContent, SyncUpdate
 
 POPULATION = 1000
@@ -70,12 +69,10 @@ def fleet():
 
 def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     master, net, contents = fleet
-    # The first ask builds telephoneNumber's substring and ordering
-    # indexes, so the modify below maintains both.
-    master.search(
-        SearchRequest("o=xyz", Scope.SUB, "(&(telephoneNumber>=555-0400)(telephoneNumber=*-05*))")
-    )
-    assert master.store.index_for("telephoneNumber").built() == ("substring", "ordering")
+    # The first ask builds telephoneNumber's substring index, so the
+    # modify below maintains it.
+    master.search(SearchRequest("o=xyz", Scope.SUB, "(telephoneNumber=*-05*)"))
+    assert master.store.index_for("telephoneNumber")._substring is not None
     calls = Counter()
 
     def counted(owner, name, key):
@@ -92,26 +89,6 @@ def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     counted(Entry, "copy", "entry.copy")
     counted(ber, "encode_sync_update", "ber.encode_sync_update")
 
-    # DN comparisons made while OrderingIndex.remove runs.
-    removing = []
-    ordering_remove, dn_eq = OrderingIndex.remove, DN.__eq__
-
-    def remove(self, dn, values):
-        calls["ordering.remove"] += 1
-        removing.append(True)
-        try:
-            return ordering_remove(self, dn, values)
-        finally:
-            removing.pop()
-
-    def eq(self, other):
-        if removing:
-            calls["dn.__eq__ in ordering.remove"] += 1
-        return dn_eq(self, other)
-
-    monkeypatch.setattr(OrderingIndex, "remove", remove)
-    monkeypatch.setattr(DN, "__eq__", eq)
-
     sent = net.stats.bytes_sent
     master.modify(TARGET, [Modification.replace("telephoneNumber", "555-9999")])
     net.settle()
@@ -120,7 +97,6 @@ def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     assert dict(calls) == {
         "index.remove": 1,
         "index.insert": 1,
-        "ordering.remove": 1,
         "entry.copy": 1,
         "ber.encode_sync_update": 1,
     }
@@ -132,6 +108,5 @@ def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     assert master.store.index_for("telephoneNumber").equality.lookup("555-9999") == {TARGET}
     assert master.store.index_for("telephoneNumber").equality.lookup("555-0500") == set()
     assert master.store.index_for("telephoneNumber").substring.candidates(["-99"]) == {TARGET}
-    assert master.store.index_for("telephoneNumber").ordering.greater_or_equal("555-9") == {TARGET}
-    frame = len(ber.encode_sync_batch([SyncUpdate.modify(stored)]))
+    frame = len(ber.encode_sync_batch([SyncUpdate(SyncAction.MODIFY, TARGET, stored)]))
     assert net.stats.bytes_sent - sent == SESSIONS * frame

@@ -1,19 +1,17 @@
 """Tests for the attribute indexes."""
 
 import gc
-import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ldap import DN, Entry, Scope, SearchRequest, Substring, SyncAction
-from repro.ldap.attributes import AttributeType, Syntax
+from repro.ldap.attributes import AttributeType
 from repro.server import DirectoryServer
 from repro.server.indexes import (
     AttributeIndexSet,
     EqualityIndex,
-    OrderingIndex,
     SubstringIndex,
     _Assertions,
 )
@@ -186,105 +184,6 @@ def test_content_substring_lookups_equal_the_vocabulary_scan(steps, final_asks):
         ask(components)
 
 
-class TestOrderingIndex:
-    def test_ge_le(self):
-        idx = OrderingIndex(AttributeType("sn"))
-        for i, name in enumerate(["alpha", "beta", "gamma"]):
-            idx.insert(dn(i), [name])
-        assert idx.greater_or_equal("beta") == {dn(1), dn(2)}
-        assert idx.less_or_equal("beta") == {dn(0), dn(1)}
-
-    def test_integer_syntax_orders_numerically(self):
-        # Regression: the old index sorted stringified keys, so "9" > "10"
-        # lexicographically and numeric ranges got wrong-shaped candidates.
-        idx = OrderingIndex(AttributeType("age", syntax=Syntax.INTEGER))
-        idx.insert(dn(1), ["9"])
-        idx.insert(dn(2), ["10"])
-        idx.insert(dn(3), ["100"])
-        assert idx.greater_or_equal("10") == {dn(2), dn(3)}
-        assert idx.less_or_equal("10") == {dn(1), dn(2)}
-        assert idx.greater_or_equal("9") == {dn(1), dn(2), dn(3)}
-        assert idx.less_or_equal("9") == {dn(1)}
-
-    def test_integer_syntax_mixed_values_stay_sound(self):
-        # A schema-violating non-numeric value under an integer syntax
-        # lands in the string segment; range lookups must keep it as a
-        # candidate because matching degrades to string comparison.
-        idx = OrderingIndex(AttributeType("age", syntax=Syntax.INTEGER))
-        idx.insert(dn(1), ["9"])
-        idx.insert(dn(2), ["unknown"])
-        assert dn(2) in idx.greater_or_equal("10")
-        assert dn(2) in idx.less_or_equal("10")
-        assert idx.estimate_greater_or_equal("10") >= 1
-
-    def test_remove_specific_value(self):
-        idx = OrderingIndex(AttributeType("sn"))
-        idx.insert(dn(1), ["a"])
-        idx.insert(dn(2), ["a"])
-        idx.remove(dn(1), ["a"])
-        assert idx.greater_or_equal("a") == {dn(2)}
-
-    @pytest.mark.parametrize("holders, rebuild_every", [(200, 1), (2000, 25)])
-    def test_removal_under_one_widely_shared_value(self, holders, rebuild_every):
-        """Many DNs hold one value (beside a few neighbours, one of them
-        a schema violator in the string segment) and are removed in
-        random order.  The estimates are held to plain counts of the
-        survivors at every step; pairs, range answers and estimates are
-        held to an index rebuilt from the survivors at every step of
-        the small population and, because a rebuild is a few
-        milliseconds at 2 000, at every 25th and each of the last 25
-        steps of the large one (a removal of the wrong pair stays wrong
-        until both pairs are gone, so a later rebuild still sees it)."""
-        atype = AttributeType("age", syntax=Syntax.INTEGER)
-        pairs = [(dn(i), "41") for i in range(holders)]
-        pairs += [(dn(-1), "40"), (dn(-2), "42"), (dn(-3), "oops"), (dn(-4), "9")]
-        idx = OrderingIndex(atype)
-        for holder, value in pairs:
-            idx.insert(holder, [value])
-        random.Random(41).shuffle(pairs)
-        probes = [9, 40, 41, 42, 100]
-        while pairs:
-            holder, value = pairs.pop()
-            idx.remove(holder, [value])
-            numbers = [int(v) for _dn, v in pairs if v != "oops"]
-            violators = len(pairs) - len(numbers)
-            for probe in probes:
-                assert idx.estimate_greater_or_equal(str(probe)) == violators + sum(
-                    n >= probe for n in numbers
-                )
-                assert idx.estimate_less_or_equal(str(probe)) == violators + sum(
-                    n <= probe for n in numbers
-                )
-            if len(pairs) % rebuild_every and len(pairs) > 25:
-                continue
-            rebuilt = OrderingIndex(atype)
-            for survivor, kept in pairs:
-                rebuilt.insert(survivor, [kept])
-            assert list(zip(idx._keys, idx._dns)) == list(zip(rebuilt._keys, rebuilt._dns))
-            sorted_once = OrderingIndex.from_holders(atype, [(d, [v]) for d, v in pairs])
-            assert (sorted_once._keys, sorted_once._dns) == (rebuilt._keys, rebuilt._dns)
-            for probe in ["9", "40", "41", "42", "100", "oops"]:
-                assert idx.greater_or_equal(probe) == rebuilt.greater_or_equal(probe)
-                assert idx.less_or_equal(probe) == rebuilt.less_or_equal(probe)
-                assert idx.estimate_greater_or_equal(probe) == (
-                    rebuilt.estimate_greater_or_equal(probe)
-                )
-                assert idx.estimate_less_or_equal(probe) == (
-                    rebuilt.estimate_less_or_equal(probe)
-                )
-        assert idx.greater_or_equal("0") == set()
-
-    def test_one_dn_holding_a_value_twice(self):
-        # Two spellings of one normalized value post the pair twice;
-        # each remove takes one of them.
-        idx = OrderingIndex(AttributeType("sn"))
-        idx.insert(dn(1), ["Doe", "DOE"])
-        idx.remove(dn(1), ["doe"])
-        assert idx.less_or_equal("doe") == {dn(1)}
-        idx.remove(dn(1), ["Doe"])
-        assert idx.less_or_equal("doe") == set()
-
-
 class TestAttributeIndexSet:
     def test_consistent_insert_remove(self):
         ixs = AttributeIndexSet(AttributeType("sn"), {})
@@ -293,33 +192,23 @@ class TestAttributeIndexSet:
         ixs.remove(dn(1), ["Doe"])
         assert ixs.equality.lookup("doe") == set()
 
-    def test_unordered_attribute_has_no_ordering_index(self):
-        ixs = AttributeIndexSet(AttributeType("objectClass", ordered=False), {})
-        assert ixs.ordering is None
-        ixs.insert(dn(1), ["person"])  # must not crash
-        assert ixs.built() == ()
-
-    def test_substring_and_ordering_are_built_on_first_ask(self):
+    def test_substring_is_built_on_first_ask(self):
         atype = AttributeType("sn")
         images = {dn(i): Entry(dn(i), {"sn": [f"Doe{i}"]}).freeze() for i in range(3)}
         ixs = AttributeIndexSet(atype, images)
         for holder, image in images.items():
             ixs.insert(holder, image.get("sn"))
-        assert ixs.built() == ()
+        assert ixs._substring is None
         assert ixs.substring.candidates(["doe1"]) == {dn(1)}
-        assert ixs.built() == ("substring",)
-        assert ixs.ordering.less_or_equal("doe1") == {dn(0), dn(1)}
-        assert ixs.built() == ("substring", "ordering")
-        # built, both are maintained
+        # built, it is maintained
         images[dn(3)] = Entry(dn(3), {"sn": ["Doe10"]}).freeze()
         ixs.insert(dn(3), ["Doe10"])
         ixs.remove(dn(0), images.pop(dn(0)).get("sn"))
         assert ixs.substring.candidates(["doe1"]) == {dn(1), dn(3)}
-        assert ixs.ordering.less_or_equal("doe10") == {dn(1), dn(3)}
 
 
 # ----------------------------------------------------------------------
-# the master's substring and ordering indexes exist once a query needs them
+# the master's substring indexes exist once a query needs them
 # ----------------------------------------------------------------------
 SERIAL_BLOCK = "(serialNumber=0004*IN)"
 
@@ -341,8 +230,9 @@ def loaded(directory, force=None) -> DirectoryServer:
     return master
 
 
-def built(master) -> dict:
-    return {key: ixs.built() for key, ixs in master.store._indexes.items() if ixs.built()}
+def built(master) -> set:
+    """The attribute keys whose substring index has been built."""
+    return {key for key, ixs in master.store._indexes.items() if ixs._substring is not None}
 
 
 def test_load_builds_no_index_set_and_a_search_builds_only_its_own(directory):
@@ -352,19 +242,19 @@ def test_load_builds_no_index_set_and_a_search_builds_only_its_own(directory):
     request = SearchRequest(directory.suffix, Scope.SUB, f"(mail={mail})")
     assert [e.dn for e in master.search(request).entries] == [directory.entries[-1].dn]
     assert list(master.store._indexes) == ["mail"]
-    assert built(master) == {}
+    assert built(master) == set()
 
 
-def test_load_builds_no_substring_or_ordering_index(directory):
+def test_load_builds_no_substring_index(directory):
     master = loaded(directory)
-    assert built(master) == {}
+    assert built(master) == set()
     assert master.store.index_for("serialNumber").presence  # equality and presence are kept
     assert master.store.index_for("serialNumber").equality
 
 
 def test_first_substring_search_builds_that_index_and_plans_as_if_kept(directory):
     lazy, kept = loaded(directory), loaded(directory, force="serialNumber")
-    assert built(kept) == {"serialnumber": ("substring",)}
+    assert built(kept) == {"serialnumber"}
     request = SearchRequest(directory.suffix, Scope.SUB, SERIAL_BLOCK)
     results = {}
     for master in (lazy, kept):
@@ -372,7 +262,7 @@ def test_first_substring_search_builds_that_index_and_plans_as_if_kept(directory
         found = master.search(request).entries
         examined = master.metrics.to_dict()["server.plan.examined"]
         results[master] = (plan.strategy, plan.estimate, plan.candidates, examined, found)
-    assert built(lazy) == {"serialnumber": ("substring",)}
+    assert built(lazy) == {"serialnumber"}
     assert results[lazy] == results[kept]
     strategy, _estimate, candidates, examined, found = results[lazy]
     assert strategy == "substring" and found

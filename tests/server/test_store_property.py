@@ -10,8 +10,6 @@ attributes that changed (:meth:`EntryStore.put`), so whatever it skips
 must be what a full re-index would have left alone.
 """
 
-from collections import Counter
-
 from hypothesis import given, settings, strategies as st
 
 from repro.ldap import DN, Entry, matches, parse_filter
@@ -116,10 +114,10 @@ _image_ops = st.lists(
 
 #: First asks, each a filter under one spelling: aliases and another case
 #: of one attribute ask for the same index set.  Every ask builds its
-#: attribute's set (equality and presence); a substring or ordering ask
-#: over an attribute some entry holds builds that index too.
-#: ``objectClass`` has no ordering; ``o`` is held by the root alone, and
-#: ``telephoneNumber`` by no entry.
+#: attribute's set (equality and presence); a substring ask over an
+#: attribute some entry holds builds that index too, and a range ask,
+#: planned as a scan, builds the set alone.  ``o`` is held by the root
+#: alone, and ``telephoneNumber`` by no entry.
 _ASKS = [
     "(cn=aa)", "(SN=*)", "(surname=AA)", "(mail=aa)", "(age=9)", "(description=*)",
     "(objectClass=referral)", "(o=xyz)", "(telephoneNumber=1)",
@@ -152,15 +150,10 @@ def _index_state(store: EntryStore) -> dict:
     indexes built so far (reading builds them)."""
     state = {}
     for attr, ixs in store._indexes.items():
-        kinds = ixs.built()
         state[attr] = (
-            kinds,
             dict(ixs.equality._postings),
             dict(ixs.presence._counts),
-            dict(ixs.substring._postings) if "substring" in kinds else None,
-            Counter(zip(ixs.ordering._keys, ixs.ordering._dns))
-            if "ordering" in kinds
-            else None,
+            None if ixs._substring is None else dict(ixs._substring._postings),
         )
     return state
 
@@ -186,8 +179,8 @@ def _build_as(store: EntryStore, other: EntryStore) -> None:
     has built."""
     for attr, ixs in other._indexes.items():
         index = store.index_for(attr)
-        for kind in ixs.built():
-            getattr(index, kind)
+        if ixs._substring is not None:
+            index.substring
     for name, built in zip(_STRUCTURES, _structure_state(other)):
         if built is not None:
             _STRUCTURES[name](store)
@@ -195,7 +188,7 @@ def _build_as(store: EntryStore, other: EntryStore) -> None:
 
 def _build_all(store: EntryStore) -> None:
     for ixs in store._indexes.values():
-        ixs.substring, ixs.ordering
+        ixs.substring
     for ask in _STRUCTURES.values():
         ask(store)
 
@@ -207,15 +200,15 @@ def _build_all(store: EntryStore) -> None:
     st.dictionaries(st.sampled_from(list(_STRUCTURES)), st.integers(0, 31)),
 )
 def test_index_state_equals_a_fresh_load(ops, asks, structure_asks):
-    """An index set, a substring or ordering index or a non-attribute
-    structure first asked for before op ``i`` (``asks[name] = i``; past
+    """An index set, a substring index or a non-attribute structure
+    first asked for before op ``i`` (``asks[name] = i``; past
     the last op means after it) is built from the images then and
     maintained by every later op: it holds what a fresh load builds from
     the final images, and nothing nobody asked for is built."""
     asks = {**asks, **structure_asks}
     store = EntryStore()
     store.put(Entry(ROOT, {"objectClass": ["organization"], "o": "xyz"}))
-    asked_sets, asked_kinds, asked_structures = set(), set(), set()
+    asked_sets, asked_substrings, asked_structures = set(), set(), set()
 
     def ask_due(step: int) -> None:
         for text, at in asks.items():
@@ -231,9 +224,7 @@ def test_index_state_equals_a_fresh_load(ops, asks, structure_asks):
             store.plan_for(flt)
             asked_sets.add(key)
             if held and isinstance(flt, Substring):
-                asked_kinds.add((key, "substring"))
-            elif held and isinstance(flt, (GreaterOrEqual, LessOrEqual)):
-                asked_kinds.add((key, "ordering"))
+                asked_substrings.add(key)
 
     for step, (op, name, image) in enumerate(ops):
         ask_due(step)
@@ -245,10 +236,9 @@ def test_index_state_equals_a_fresh_load(ops, asks, structure_asks):
     ask_due(len(ops))
 
     assert set(store._indexes) == asked_sets
-    ordered = {key for key, ixs in store._indexes.items() if ixs.atype.ordered}
-    assert {(key, kind) for key, ixs in store._indexes.items() for kind in ixs.built()} == {
-        (key, kind) for key, kind in asked_kinds if kind == "substring" or key in ordered
-    }
+    assert {key for key, ixs in store._indexes.items() if ixs._substring is not None} == (
+        asked_substrings
+    )
     built = {name for name, held in zip(_STRUCTURES, _structure_state(store)) if held is not None}
     assert built == asked_structures
     if store._ranks is not None:

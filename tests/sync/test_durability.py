@@ -17,7 +17,7 @@ import hashlib
 import pytest
 
 from repro.chaos import ReferenceModel
-from repro.ldap.controls import ReSyncControl, SyncMode
+from repro.ldap.controls import ReSyncControl, SyncAction, SyncMode
 from repro.ldap.entry import Entry
 from repro.ldap.query import Scope, SearchRequest
 from repro.server import DirectoryServer, Modification
@@ -46,7 +46,7 @@ from repro.sync.durability import (
     update_to_wire,
 )
 from repro.sync.session import Session
-from tests.oracles import RetainResyncProvider, observe, recover_parsing_each_text
+from tests.oracles import RetainResyncProvider, copied_pdu, observe, recover_parsing_each_text
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
 
@@ -87,8 +87,8 @@ class TestWireFormat:
 
     def test_update_round_trip(self):
         for update in (
-            SyncUpdate.add(person("A")),
-            SyncUpdate.modify(person("B")),
+            copied_pdu(SyncAction.ADD, person("A")),
+            copied_pdu(SyncAction.MODIFY, person("B")),
             SyncUpdate.delete(person("C").dn),
             SyncUpdate.retain(person("D").dn),
         ):

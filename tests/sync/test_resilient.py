@@ -381,32 +381,23 @@ class TestDegradedMode:
     def test_enters_and_exits_degraded(self):
         master = build_master()
         provider = ResyncProvider(master)
-        replica_server = build_master(n=0)
         net = self.unreachable_net()
         consumer = ResilientConsumer(
             REQUEST,
             provider,
             network=net,
-            replica_server=replica_server,
             policy=RetryPolicy(max_attempts=2, degraded_after=2, jitter=0.0),
         )
         assert consumer.sync_once() is None
         assert not consumer.degraded  # one failed cycle: not yet
         assert consumer.sync_once() is None
         assert consumer.degraded
-        assert replica_server.degraded
         assert net.registry.gauge("sync.resilient.degraded").value == 1
-
-        # Stale reads keep answering, stamped degraded.
-        result = replica_server.search(SearchRequest("o=xyz", Scope.SUB, "(objectClass=*)"))
-        assert result.degraded
 
         net.heal()
         assert consumer.sync_once() is not None
         assert not consumer.degraded
-        assert not replica_server.degraded
-        result = replica_server.search(SearchRequest("o=xyz", Scope.SUB, "(objectClass=*)"))
-        assert not result.degraded
+        assert net.registry.gauge("sync.resilient.degraded").value == 0
 
     def test_content_survives_degradation(self):
         master = build_master()

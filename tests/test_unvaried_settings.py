@@ -18,12 +18,20 @@ called (the suffix-as-root rule is ``DirectoryServer``'s).  The §5.2
 comparison baselines no run of the system uses — changelog, tombstone,
 full reload and the stateless retain provider, with their CSN cookies —
 are references in ``tests/oracles``, no longer names of ``repro.sync``.
+
+Nor does ``src/`` keep what no run reaches: range and OR planning (a
+range or an OR plans a scan), the server-side degraded mode a link
+flipped (a degraded read is stamped by the answering content's link),
+LDAP URL parsing, the interval-diff exporter and the copying PDU
+constructors (``tests.oracles.copied_pdu``).
 """
 
 import dataclasses
 
 import pytest
 
+import repro.ldap
+import repro.obs
 import repro.server
 import repro.server.indexes
 import repro.sync
@@ -31,9 +39,9 @@ import repro.sync.consumer
 import repro.sync.protocol
 from repro.chaos import SoakConfig
 from repro.core import ContainmentIndex, FilterReplica
-from repro.ldap import DEFAULT_REGISTRY, Scope, SearchRequest
+from repro.ldap import DEFAULT_REGISTRY, DN, Scope, SearchRequest
 from repro.metrics import ReplicaDriver
-from repro.obs import TraceCollector
+from repro.obs import MetricsRegistry, TraceCollector
 from repro.server import (
     DirectoryServer,
     EntryStore,
@@ -43,12 +51,14 @@ from repro.server import (
     SimulatedNetwork,
 )
 from repro.server.indexes import AttributeIndexSet, SubstringIndex
+from repro.server.planner import SearchPlanner
 from repro.sync import (
     DurabilityConfig,
     ResilientConsumer,
     ResyncProvider,
     RetryPolicy,
     SyncLink,
+    SyncUpdate,
 )
 from repro.sync import ladder
 from repro.sync.session import Session
@@ -98,6 +108,10 @@ REMOVED = {
         DirectoryServer("M"), FilterReplica("r"), feed_cache=True
     ),
     "SoakConfig.durable": lambda: SoakConfig(durable=True),
+    "SyncLink(replica_server=)": lambda: SyncLink(provider(), replica_server=None),
+    "ResilientConsumer(replica_server=)": lambda: ResilientConsumer(
+        REQUEST, provider(), replica_server=None
+    ),
 }
 
 
@@ -132,6 +146,21 @@ def test_a_removed_setting_is_a_type_error(call):
         (repro.sync.protocol, "CsnCookieMixin"),
         (repro.sync.protocol.MultiPoll, "with_cookie"),
         (repro.sync, "baselines"),
+        (repro.ldap, "LdapUrl"),
+        (repro.ldap, "LdapUrlParseError"),
+        (repro.ldap, "url"),
+        (repro.server.indexes, "OrderingIndex"),
+        (AttributeIndexSet, "ordering"),
+        (AttributeIndexSet, "built"),
+        (SearchPlanner, "_plan_or"),
+        (DN, "order_key"),
+        (repro.obs, "snapshot_diff"),
+        (MetricsRegistry, "snapshot"),
+        (DirectoryServer, "enter_degraded"),
+        (DirectoryServer, "exit_degraded"),
+        (DirectoryServer, "degraded"),
+        (SyncUpdate, "add"),
+        (SyncUpdate, "modify"),
     ],
     ids=[
         "repro.sync.ReconcileConfig",
@@ -156,6 +185,21 @@ def test_a_removed_setting_is_a_type_error(call):
         "repro.sync.protocol.CsnCookieMixin",
         "repro.sync.protocol.MultiPoll.with_cookie",
         "repro.sync.baselines",
+        "repro.ldap.LdapUrl",
+        "repro.ldap.LdapUrlParseError",
+        "repro.ldap.url",
+        "repro.server.indexes.OrderingIndex",
+        "AttributeIndexSet.ordering",
+        "AttributeIndexSet.built",
+        "SearchPlanner._plan_or",
+        "DN.order_key",
+        "repro.obs.snapshot_diff",
+        "MetricsRegistry.snapshot",
+        "DirectoryServer.enter_degraded",
+        "DirectoryServer.exit_degraded",
+        "DirectoryServer.degraded",
+        "SyncUpdate.add",
+        "SyncUpdate.modify",
     ],
 )
 def test_a_removed_name_is_gone(owner, name):
