@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core import AnswerStatus, SubtreeReplica
+from repro.core import AnswerStatus, ReplicaFrontend, SubtreeReplica
 from repro.ldap import DN, Entry, Scope, SearchRequest
-from repro.server import DirectoryServer
-from repro.sync import ResyncProvider
+from repro.server import DirectoryServer, FaultyNetwork
+from repro.sync import ResyncProvider, RetryPolicy
 
 
 def person(dn: str, **attrs) -> Entry:
@@ -150,6 +150,30 @@ class TestSyncAndSizing:
         replica.sync(provider)
         answer = replica.answer(SearchRequest("c=us,o=xyz", Scope.SUB, "(sn=T)"))
         assert {e.first("cn") for e in answer.entries} == {"Alice", "Dawn"}
+
+    def test_a_hit_over_a_degraded_link_says_so_until_a_round_succeeds(self, master):
+        provider = ResyncProvider(master)
+        net = FaultyNetwork()
+        replica = SubtreeReplica("branch", network=net)
+        replica.add_context("c=us,o=xyz")
+        replica.sync(provider)
+        frontend = ReplicaFrontend("branch", replica)
+        request = SearchRequest("c=us,o=xyz", Scope.SUB, "(sn=T)")
+        assert not replica.answer(request).degraded
+
+        net.partition(provider)
+        for _ in range(RetryPolicy().degraded_after):
+            replica.sync(provider)
+        master.delete("cn=Bob,c=us,o=xyz")  # what the stamp warns about
+        answer = replica.answer(request)
+        assert answer.is_hit and answer.degraded and len(answer.entries) == 2
+        assert frontend.search(request).degraded
+
+        net.heal_partition(provider)
+        replica.sync(provider)
+        answer = replica.answer(request)
+        assert answer.is_hit and not answer.degraded and len(answer.entries) == 1
+        assert not frontend.search(request).degraded
 
     def test_size_bytes_counts_unique(self, replica):
         assert replica.size_bytes() > 0
