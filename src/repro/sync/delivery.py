@@ -129,10 +129,6 @@ class DeliveryQueue:
     # ------------------------------------------------------------------
     # offering (the provider side)
     # ------------------------------------------------------------------
-    def offer(self, update: SyncUpdate) -> None:
-        """Queue one notification; may flush or degrade."""
-        self.offer_many([update])
-
     def offer_many(self, updates: List[SyncUpdate]) -> None:
         """Queue a run of notifications (one provider flush) at once.
 

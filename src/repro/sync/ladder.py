@@ -196,7 +196,7 @@ class SketchTier:
         master_only, replica_only = decoded
         local = {}  # key → (dn, fingerprint)
         for dn, entry in content.entries.items():
-            key, fp = entry_digest(entry)
+            key, fp, _ = entry_digest(entry)
             local[key] = (dn, fp)
         master_keys = {key for key, _ in master_only}
         delete_dns = []

@@ -106,33 +106,39 @@ class UpdateGenerator:
     # ------------------------------------------------------------------
     # operation kinds
     # ------------------------------------------------------------------
-    def _random_employee(self) -> Optional[DN]:
+    def _random_employee(self) -> Optional[int]:
+        """Index in ``_employees`` of a random employee the master still
+        holds, dropping stale names on the way; None once none is left.
+        ``randrange`` draws as ``choice`` does, and the list holds no
+        name twice, so deleting by index is ``remove`` without the scan."""
         while self._employees:
-            dn = self._rng.choice(self._employees)
-            if self.master.store.get(dn) is not None:
-                return dn
-            self._employees.remove(dn)
+            i = self._rng.randrange(len(self._employees))
+            if self.master.store.get(self._employees[i]) is not None:
+                return i
+            del self._employees[i]
         return None
 
     def _do_benign(self) -> bool:
-        dn = self._random_employee()
-        if dn is None:
+        i = self._random_employee()
+        if i is None:
             return False
         phone = (
             f"{self._rng.randrange(200, 999)}-{self._rng.randrange(100, 999)}"
             f"-{self._rng.randrange(1000, 9999)}"
         )
-        self.master.modify(dn, [Modification.replace("telephoneNumber", phone)])
+        self.master.modify(
+            self._employees[i], [Modification.replace("telephoneNumber", phone)]
+        )
         return True
 
     def _do_dept_change(self) -> bool:
-        dn = self._random_employee()
-        if dn is None:
+        i = self._random_employee()
+        if i is None:
             return False
         division = self._rng.choice(self._division_numbers)
         dept = f"{division}{self._rng.randrange(40):02d}"
         self.master.modify(
-            dn,
+            self._employees[i],
             [
                 Modification.replace("departmentNumber", dept),
                 Modification.replace("divisionNumber", division),
@@ -170,20 +176,21 @@ class UpdateGenerator:
         return True
 
     def _do_leave(self) -> bool:
-        dn = self._random_employee()
-        if dn is None:
+        i = self._random_employee()
+        if i is None:
             return False
-        self.master.delete(dn)
-        self._employees.remove(dn)
+        self.master.delete(self._employees[i])
+        del self._employees[i]
         return True
 
     def _do_rename(self) -> bool:
-        dn = self._random_employee()
-        if dn is None:
+        i = self._random_employee()
+        if i is None:
             return False
+        dn = self._employees[i]
         new_rdn = f"cn={dn.rdn.value} (r{self.master.current_csn})"
         records = self.master.modify_dn(dn, new_rdn=new_rdn)
-        self._employees.remove(dn)
+        del self._employees[i]
         self._employees.append(records[0].new_dn)
         return True
 

@@ -79,6 +79,13 @@ per-piece versions they replaced stay here as references:
 * :func:`per_character_is_safe` — the LDIF writer's SAFE-STRING test as
   a loop over the value's characters (``tests/ldap/test_ldif.py``: the
   compiled test agrees on arbitrary text).
+
+The reconcile sketch hashes each position once from pre-made bytes and
+takes an item's checksum from the image's remembered digest;
+:class:`ReferenceSketch` (:mod:`tests.oracles.sketch`) hashes part by
+part and checksums every item it inserts, as the sketch first did
+(``tests/sync/test_sketch_reference.py``: every cell equal, after build,
+insert and peel).
 """
 
 from __future__ import annotations
@@ -99,6 +106,7 @@ from repro.sync.durability import DNMemo
 from repro.sync.ladder import LADDER
 from repro.sync.session import OUTCOMES, PDUS
 
+from .sketch import ReferenceSketch, reference_digest, reference_sketch
 from .strawmen import (
     Changelog,
     ChangelogProvider,
@@ -123,6 +131,7 @@ __all__ = [
     "LinearSessionStore",
     "PerContentLink",
     "ReferenceModel",
+    "ReferenceSketch",
     "RetainResyncProvider",
     "TombstoneProvider",
     "TombstoneStore",
@@ -134,6 +143,8 @@ __all__ = [
     "per_character_is_safe",
     "per_pdu_persist",
     "recover_parsing_each_text",
+    "reference_digest",
+    "reference_sketch",
 ]
 
 

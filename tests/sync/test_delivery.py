@@ -44,7 +44,7 @@ class TestSizeAndAgeFlush:
     def test_size_bound_triggers_flush(self):
         net, queue, applied = make_queue(BatchConfig(max_batch=3, max_age_ms=100.0))
         for i in range(3):
-            queue.offer(copied_pdu(SyncAction.ADD, person(f"E{i}")))
+            queue.offer_many([copied_pdu(SyncAction.ADD, person(f"E{i}"))])
         # third offer hit max_batch: flushed inline, nothing pending
         assert len(applied) == 3
         assert queue.pending_count == 0
@@ -52,7 +52,7 @@ class TestSizeAndAgeFlush:
 
     def test_age_bound_flushes_partial_batch(self):
         net, queue, applied = make_queue(BatchConfig(max_batch=64, max_age_ms=5.0))
-        queue.offer(copied_pdu(SyncAction.ADD, person("E0")))
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E0"))])
         assert applied == []  # not due yet
         net.scheduler.run_for(4.0)
         assert applied == []
@@ -65,7 +65,7 @@ class TestSizeAndAgeFlush:
         net, queue, applied = make_queue(BatchConfig(max_batch=4, max_age_ms=1.0))
         updates = [copied_pdu(SyncAction.ADD, person(f"E{i}")) for i in range(10)]
         for update in updates:
-            queue.offer(update)
+            queue.offer_many([update])
         net.settle()
         assert applied == updates  # exact sequence, no coalescing
 
@@ -89,7 +89,7 @@ class TestBytesAccounting:
         ]
         before = net.stats.bytes_sent
         for update in updates:
-            queue.offer(update)
+            queue.offer_many([update])
         assert net.stats.bytes_sent - before == encoded_sync_batch_size(updates)
         assert net.stats.sync_entry_pdus == 3
         assert net.stats.sync_dn_pdus == 1
@@ -99,11 +99,11 @@ class TestBackpressure:
     def test_busy_consumer_defers_flush(self):
         net, queue, applied = make_queue(BatchConfig(max_batch=2, max_age_ms=1.0))
         queue.consumer_delay_ms = 50.0
-        queue.offer(copied_pdu(SyncAction.ADD, person("E0")))
-        queue.offer(copied_pdu(SyncAction.ADD, person("E1")))  # flush #1, consumer busy
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E0"))])
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E1"))])  # flush #1, consumer busy
         assert len(applied) == 2 and queue.busy
-        queue.offer(copied_pdu(SyncAction.ADD, person("E2")))
-        queue.offer(copied_pdu(SyncAction.ADD, person("E3")))  # would flush, deferred
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E2"))])
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E3"))])  # would flush, deferred
         assert len(applied) == 2
         assert net.registry.counter("sync.batch.deferred").value == 1
         net.settle()  # ack fires, deferred batch drains
@@ -117,7 +117,7 @@ class TestBackpressure:
         # 30 updates to only 3 DNs while the consumer is stuck
         for r in range(10):
             for i in range(3):
-                queue.offer(copied_pdu(SyncAction.MODIFY, person(f"E{i}", sn=f"r{r}")))
+                queue.offer_many([copied_pdu(SyncAction.MODIFY, person(f"E{i}", sn=f"r{r}"))])
         assert queue.degraded
         # memory bounded by distinct DNs, not by update count
         assert queue.pending_count == 3
@@ -131,11 +131,11 @@ class TestBackpressure:
         config = BatchConfig(max_batch=2, max_age_ms=1.0, high_water=2)
         net, queue, applied = make_queue(config)
         queue.consumer_delay_ms = 1000.0
-        queue.offer(copied_pdu(SyncAction.ADD, person("E0")))
-        queue.offer(copied_pdu(SyncAction.ADD, person("E1")))  # flush; consumer busy
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E0"))])
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E1"))])  # flush; consumer busy
         for sn in ("a", "b", "c"):
-            queue.offer(copied_pdu(SyncAction.MODIFY, person("E0", sn=sn)))
-        queue.offer(SyncUpdate.delete(DN.parse("cn=E0,o=xyz")))
+            queue.offer_many([copied_pdu(SyncAction.MODIFY, person("E0", sn=sn))])
+        queue.offer_many([SyncUpdate.delete(DN.parse("cn=E0,o=xyz"))])
         assert queue.degraded
         net.settle()
         per_dn = [u for u in applied[2:] if str(u.dn) == "cn=E0,o=xyz"]
@@ -147,13 +147,13 @@ class TestClose:
         net, queue, applied = make_queue(BatchConfig(max_batch=8, max_age_ms=5.0))
         closed = []
         queue.on_close = closed.append
-        queue.offer(copied_pdu(SyncAction.ADD, person("E0")))
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E0"))])
         queue.close()
         assert closed == [queue]
         net.settle()  # the armed age timer was cancelled: no delivery
         assert applied == []
         # closed queue swallows further offers
-        queue.offer(copied_pdu(SyncAction.ADD, person("E1")))
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E1"))])
         assert queue.pending_count == 0
 
     def test_reentrant_offer_during_flush_stays_queued(self):
@@ -169,11 +169,11 @@ class TestClose:
         def deliver(update):
             applied.append(update)
             if len(applied) < 4:
-                queue.offer(copied_pdu(SyncAction.ADD, person(f"R{len(applied)}")))
+                queue.offer_many([copied_pdu(SyncAction.ADD, person(f"R{len(applied)}"))])
 
         queue._deliver = deliver
-        queue.offer(copied_pdu(SyncAction.ADD, person("E0")))
-        queue.offer(copied_pdu(SyncAction.ADD, person("E1")))
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E0"))])
+        queue.offer_many([copied_pdu(SyncAction.ADD, person("E1"))])
         net.settle()
         # E0,E1 → reentrant R1,R2 → reentrant R3; all delivered, no
         # recursion blowup, nothing stranded.

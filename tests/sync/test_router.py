@@ -551,7 +551,7 @@ def test_expiry_closes_the_sessions_delivery_queue():
     assert provider.active_session_count == 1
     assert not stale.active
     assert net.persist_queues == {}
-    queue.offer(SyncUpdate.delete(DN.parse("cn=e0,o=xyz")))  # closed: dropped
+    queue.offer_many([SyncUpdate.delete(DN.parse("cn=e0,o=xyz"))])  # closed: dropped
     assert queue.pending_count == 0
 
 
