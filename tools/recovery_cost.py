@@ -1,18 +1,22 @@
 """What a restart costs per held entry as the fleet grows.
 
     PYTHONPATH=src python tools/recovery_cost.py 40 200 1000
+    PYTHONPATH=src python tools/recovery_cost.py --employees 20000 --narrow 4
 
 For each session count, loads the synthetic enterprise directory (1 000
-employees, seed 20050607) into a master behind a durable
+employees by default, seed 20050607) into a master behind a durable
 ``ResyncProvider`` and opens that many poll sessions, session *i* over
 country ``i mod 10``'s subtree — so every name is held by about a tenth
-of the fleet, as replicas of one region overlap.  A crash and recovery
-compacts the journal into a snapshot; a few updates and polls then
-leave a journal tail.  Two numbers per size, each per held entry (the
-sum of the sessions' content sizes):
+of the fleet, as replicas of one region overlap.  With ``--narrow``
+every session instead holds one department's employees, through a
+filter at the suffix: a few narrow replicas of a large directory.  A
+crash and recovery compacts the journal into a snapshot; a few updates
+and polls then leave a journal tail.  Two numbers per size, each per
+held entry (the sum of the sessions' content sizes):
 
-* ``recover_us`` — one ``recover()`` of a fresh provider over a copy of
-  that journal (snapshot restore plus tail replay);
+* ``recover_us`` — the median of five ``recover()`` calls, each of a
+  fresh provider over a copy of that journal (snapshot restore plus
+  tail replay);
 * ``save_first_us`` / ``save_again_us`` — ``SnapshotStore.save`` of
   every session's consumer content, the first time and then again with
   nothing changed (a consumer dumps after each successful cycle).
@@ -23,9 +27,11 @@ One line per size.  A measurement, not a test: EXPERIMENTS.md
 
 from __future__ import annotations
 
+import argparse
 import copy
 import gc
 import sys
+from statistics import median
 from time import perf_counter
 
 from repro.ldap import Scope, SearchRequest
@@ -43,7 +49,7 @@ SEED = 20050607
 EMPLOYEES = 1000
 
 
-def fleet(directory, sessions: int):
+def fleet(directory, sessions: int, narrow: bool):
     master = DirectoryServer("master")
     master.add_naming_context(directory.suffix)
     master.load(directory.entries)
@@ -52,22 +58,23 @@ def fleet(directory, sessions: int):
         durability=DurabilityConfig(snapshot_interval=1_000_000),
         journal=MemoryJournal(),
     )
-    countries = directory.countries()
+    employees = directory.all_employees()
+    if narrow:
+        dept = employees[0].get("departmentNumber")[0]
+        employees = [e for e in employees if e.get("departmentNumber")[0] == dept]
+        bases, selector = [directory.suffix], f"(departmentNumber={dept})"
+    else:
+        bases = [f"c={country},{directory.suffix}" for country in directory.countries()]
+        selector = "(objectClass=*)"
     contents = [
-        SyncedContent(
-            SearchRequest(
-                f"c={countries[i % len(countries)]},{directory.suffix}",
-                Scope.SUB,
-                "(objectClass=*)",
-            )
-        )
+        SyncedContent(SearchRequest(bases[i % len(bases)], Scope.SUB, selector))
         for i in range(sessions)
     ]
     for content in contents:
         content.poll(provider)
     provider.restart()
     provider.recover()  # compacts: the fleet so far is the snapshot
-    for employee in directory.all_employees()[:20]:
+    for employee in employees[:20]:
         master.modify(employee.dn, [Modification.replace("telephoneNumber", "0")])
     for content in contents[::7]:
         content.poll(provider)
@@ -75,17 +82,20 @@ def fleet(directory, sessions: int):
     return master, provider, contents
 
 
-def measure(directory, sessions: int) -> str:
-    master, crashed, contents = fleet(directory, sessions)
+def measure(directory, sessions: int, narrow: bool) -> str:
+    master, crashed, contents = fleet(directory, sessions, narrow)
     held = sum(len(content.entries) for content in contents)
-    recovered = ResyncProvider(
-        master, durability=crashed.durability, journal=copy.deepcopy(crashed.journal)
-    )
-    gc.collect()
-    started = perf_counter()
-    recovered.recover()
-    recover_s = perf_counter() - started
-    recovered.detach()
+    times = []
+    for _round in range(5):
+        recovered = ResyncProvider(
+            master, durability=crashed.durability, journal=copy.deepcopy(crashed.journal)
+        )
+        gc.collect()
+        started = perf_counter()
+        recovered.recover()
+        times.append(perf_counter() - started)
+        recovered.detach()
+    recover_s = median(times)
     saves = []
     for _round in range(2):
         started = perf_counter()
@@ -93,7 +103,7 @@ def measure(directory, sessions: int) -> str:
             MemorySnapshotStore().save(content.entries.values(), content.cookie)
         saves.append(perf_counter() - started)
     return (
-        f"sessions={sessions} held_entries={held} "
+        f"dit={len(master.store)} sessions={sessions} held_entries={held} "
         f"recover_s={recover_s:.3f} recover_us={recover_s / held * 1e6:.2f} "
         f"save_first_us={saves[0] / held * 1e6:.2f} "
         f"save_again_us={saves[1] / held * 1e6:.2f}"
@@ -101,9 +111,14 @@ def measure(directory, sessions: int) -> str:
 
 
 def main(argv) -> int:
-    directory = generate_directory(DirectoryConfig(employees=EMPLOYEES, seed=SEED))
-    for sessions in [int(arg) for arg in argv] or [40]:
-        print(measure(directory, sessions), flush=True)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("sessions", type=int, nargs="*", default=[40])
+    parser.add_argument("--employees", type=int, default=EMPLOYEES)
+    parser.add_argument("--narrow", action="store_true")
+    args = parser.parse_args(argv)
+    directory = generate_directory(DirectoryConfig(employees=args.employees, seed=SEED))
+    for sessions in args.sessions:
+        print(measure(directory, sessions, args.narrow), flush=True)
     return 0
 
 
