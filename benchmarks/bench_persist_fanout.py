@@ -14,7 +14,8 @@ apples-to-apples on accounting fidelity: the synchronous control arm is
 ``tests.oracles.per_pdu_persist`` (every notification delivered inline
 and BER-encoded as its own PDU — what a real per-entry wire transport
 pays), the batched arm is ``SimulatedNetwork.persist_exchange``, which
-encodes coalesced batch frames (:func:`repro.ldap.ber.encode_sync_batch`).
+charges each coalesced batch its frame's BER length
+(:func:`repro.ldap.ber.encoded_sync_batch_size`).
 
 The timed unit is the **fan-out replay**: a fixed schedule of committed
 :class:`~repro.server.operations.UpdateRecord` (captured once from a

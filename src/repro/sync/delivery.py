@@ -7,8 +7,9 @@ per-notification overhead dominates.  The network's persist transport
 (docs/TRANSPORT.md) instead hands each session's deliveries to a
 :class:`DeliveryQueue` that:
 
-* **batches** — notifications accumulate and flush as one wire frame
-  (:func:`repro.ldap.ber.encode_sync_batch`) when the batch reaches
+* **batches** — notifications accumulate and flush as one batch,
+  charged its BER frame's length
+  (:func:`repro.ldap.ber.encoded_sync_batch_size`), when the batch reaches
   ``max_batch`` PDUs or the oldest pending PDU reaches ``max_age_ms``
   on the scheduler's virtual clock (the delivery-latency bound);
 * **applies backpressure** — a consumer that is still applying the

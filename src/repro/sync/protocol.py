@@ -81,24 +81,15 @@ class SyncUpdate:
 
     @property
     def pdu_bytes(self) -> int:
-        """Approximate wire size of this PDU.
+        """Approximate wire size of this PDU, what a poll charges.
 
         Uses the entry's modelled size (the ``entrySizeBytes`` stamp
-        emulating the paper's ~6KB employee entries).  For the *actual*
-        BER-encoded size of the simulated entry, use
-        :meth:`measured_bytes`.
+        emulating the paper's ~6KB employee entries).  A persist batch
+        frame charges each PDU's BER length, :attr:`encoded_size`.
         """
         if self.entry is not None:
             return self.entry.estimated_size()
         return len(str(self.dn)) or 8
-
-    def measured_bytes(self) -> int:
-        """Exact RFC 2251 BER wire size of this PDU's payload."""
-        from ..ldap import ber
-
-        if self.entry is not None:
-            return ber.encoded_entry_size(self.entry)
-        return ber.encoded_dn_size(self.dn)
 
     @cached_property
     def encoded_size(self) -> int:
@@ -246,7 +237,8 @@ def answer_polls(
 @dataclass(frozen=True)
 class ReconcileRequest:
     """Solicit an anti-entropy sketch over the provider's current
-    content (docs/PROTOCOL.md §11).
+    content (docs/PROTOCOL.md §11).  Like a poll's control it is not
+    charged; the sketch that answers it is.
 
     Attributes:
         divergence_hint: the consumer's estimate of the symmetric
@@ -265,11 +257,6 @@ class ReconcileRequest:
     cells: Optional[int] = None
     salt: int = 0
     cookie: Optional[str] = None
-
-    @property
-    def pdu_bytes(self) -> int:
-        """Approximate wire size: three small integers plus the cookie."""
-        return 12 + len(self.cookie or "")
 
 
 @dataclass

@@ -56,7 +56,7 @@ from .protocol import (
 )
 from .reconcile import build_sketch, cells_for_divergence, entry_digest
 from .router import SessionRouter
-from .session import OUTCOMES, PDUS, Session, SessionStore
+from .session import IDLE_LIMIT, OUTCOMES, PDUS, Session, SessionStore
 
 __all__ = ["ResyncProvider", "PersistHandle"]
 
@@ -176,7 +176,7 @@ class ResyncProvider:
     def __init__(
         self,
         server: DirectoryServer,
-        idle_limit: int = 100_000,
+        idle_limit: int = IDLE_LIMIT,
         durability: Optional[DurabilityConfig] = None,
         journal: Optional[JournalBackend] = None,
     ):

@@ -54,6 +54,11 @@ from .router import SessionRouter
 
 __all__ = ["Session", "SessionStore", "OUTCOMES", "PDUS"]
 
+#: Store ticks a session may go untouched before it expires (the
+#: paper's admin time limit, in logical time): the default of both
+#: :class:`SessionStore` and :class:`~repro.sync.ResyncProvider`.
+IDLE_LIMIT = 100_000
+
 #: What one master update sends one session: ``(in content before, in
 #: content after, DN changed)`` → the PDUs, in order (Figure 3: a rename
 #: that keeps an entry in content is a delete for the old DN plus an add
@@ -380,7 +385,7 @@ class SessionStore:
     the scan it replaced, and ends exactly the same sessions in the
     same order)."""
 
-    def __init__(self, idle_limit: int = 1000):
+    def __init__(self, idle_limit: int = IDLE_LIMIT):
         self._sessions: Dict[str, Session] = {}
         # session id -> the last_active_tick it was placed at, in
         # non-decreasing tick order whenever _activity_sorted says so: a

@@ -1,10 +1,13 @@
 """BER round-tripping of batched sync PDUs (docs/TRANSPORT.md §3).
 
-The persist transport frames every coalesced persist batch as one
-real wire PDU through the existing BER encoder, so ``bytes_sent``
-becomes encoded-length-accurate.  Property: encode→decode of *any*
-batch is identity, and the charged byte delta is exactly the frame
-length.
+The persist transport charges every coalesced batch the length of its
+BER frame, computed by :func:`repro.ldap.ber.encoded_sync_batch_size`
+without building the frame.  Against the frame builder and decoders of
+``tests.oracles``: the size is exactly the frame's length, encode→decode
+of *any* batch is identity, and the charged byte delta is exactly the
+frame length.  ``add`` PDUs carry their entry through the attribute
+codec, so the entry cases (several values, alias spellings, unicode,
+one attribute over several sequences) are inputs here too.
 """
 
 import pytest
@@ -12,16 +15,25 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ldap import DN, Entry, SyncAction
 from repro.ldap.ber import (
+    TAG_ENUMERATED,
+    TAG_SET,
     BerError,
-    decode_sync_batch,
-    decode_sync_update,
-    encode_sync_batch,
+    encode_integer,
+    encode_octet_string,
+    encode_sequence,
     encode_sync_update,
+    encode_tlv,
     encoded_sync_batch_size,
 )
 from repro.server import SimulatedNetwork
 from repro.sync import SyncUpdate
-from tests.oracles import copied_pdu
+from tests.oracles import (
+    APP_SYNC_BATCH,
+    copied_pdu,
+    decode_sync_batch,
+    decode_sync_update,
+    encode_sync_batch,
+)
 
 # Printable, LDAP-safe attribute values (no RDN metacharacters in cn).
 _names = st.text(
@@ -153,3 +165,105 @@ class TestBytesCharged:
         net = SimulatedNetwork()
         assert net.deliver_batch(lambda u: None, []) == 0
         assert net.stats.bytes_sent == 0
+
+
+# ----------------------------------------------------------------------
+# entries through the attribute codec, as add PDUs
+# ----------------------------------------------------------------------
+def roundtrip_entry(entry: Entry) -> Entry:
+    """*entry* as an ``add`` PDU, alone and in a batch frame, decoded:
+    the two decodings agree and the frame is the size charged."""
+    update = copied_pdu(SyncAction.ADD, entry)
+    alone = decode_sync_update(encode_sync_update(update)).entry
+    frame = encode_sync_batch([update], message_id=3)
+    assert encoded_sync_batch_size([update], 3) == len(frame)
+    message_id, (framed,) = decode_sync_batch(frame)
+    assert message_id == 3
+    assert framed.entry == alone and alone.frozen
+    return alone
+
+
+class TestEntryPdus:
+    def test_roundtrip(self):
+        entry = Entry(
+            "cn=John Doe,o=xyz",
+            {
+                "objectClass": ["inetOrgPerson", "top"],
+                "cn": ["John Doe", "Johnny"],
+                "sn": "Doe",
+                "serialNumber": "004217IN",
+            },
+        )
+        assert roundtrip_entry(entry) == entry
+
+    def test_roundtrip_of_an_entry_spelled_with_aliases(self):
+        entry = Entry("cn=a,o=xyz", {"commonName": "a", "surname": ["aa", "bb"]})
+        decoded = roundtrip_entry(entry)
+        assert decoded.semantically_equal(entry)
+        assert decoded.get("surname") == ["aa", "bb"]
+
+    def test_unicode_values(self):
+        entry = Entry("cn=café,o=xyz", {"cn": "café", "description": "naïve"})
+        assert roundtrip_entry(entry) == entry
+
+
+def _attribute_sequences(*pairs) -> bytes:
+    """A PartialAttributeList written by hand, one sequence per pair —
+    our own encoder writes one per attribute and never repeats one."""
+    return b"".join(
+        encode_sequence(
+            encode_octet_string(name)
+            + encode_tlv(TAG_SET, b"".join(encode_octet_string(v) for v in values))
+        )
+        for name, values in pairs
+    )
+
+
+#: One attribute in three sequences: two spellings, one of them twice.
+SPLIT = (("cn", ["a"]), ("sn", ["s"]), ("commonName", ["b", "a "]), ("cn", ["c"]))
+
+
+def test_one_attribute_in_several_sequences_merges():
+    """A PDU that spells one attribute in several sequences decodes as
+    the Entry constructor and the LDIF reader read it: one list, the
+    values verbatim and in wire order."""
+    add = encode_sequence(
+        encode_integer(0, tag=TAG_ENUMERATED)
+        + encode_octet_string("cn=a,o=xyz")
+        + encode_sequence(_attribute_sequences(*SPLIT))
+    )
+    delete = encode_sequence(
+        encode_integer(2, tag=TAG_ENUMERATED) + encode_octet_string("cn=b,o=xyz")
+    )
+    wire = encode_sequence(encode_integer(7) + encode_tlv(APP_SYNC_BATCH, add + delete))
+    message_id, (added, deleted) = decode_sync_batch(wire)
+    assert message_id == 7
+    assert added.entry.get("cn") == ["a", "b", "a ", "c"]
+    assert added.entry.get("commonName") == added.entry.get("cn")
+    assert added.entry.get("sn") == ["s"]
+    assert added.entry == Entry("cn=a,o=xyz", {"cn": ["a", "b", "a ", "c"], "sn": "s"})
+    assert added.entry.frozen
+    assert deleted.entry is None and str(deleted.dn) == "cn=b,o=xyz"
+    # ...which is what the constructor makes of two spellings
+    assert Entry("cn=a,o=xyz", {"cn": "a", "commonName": "b"}).get("cn") == ["a", "b"]
+
+
+_stripped_values = st.lists(
+    st.text(min_size=1, max_size=12).filter(lambda s: s == s.strip() and s.strip()),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(["cn", "sn", "mail", "description", "commonName", "surname", "SN"]),
+        _stripped_values,
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_entry_roundtrip_property(attrs):
+    attrs.setdefault("cn", ["probe"])
+    entry = Entry("cn=probe,o=xyz", attrs)
+    assert roundtrip_entry(entry) == entry

@@ -86,6 +86,13 @@ takes an item's checksum from the image's remembered digest;
 part and checksums every item it inserts, as the sketch first did
 (``tests/sync/test_sketch_reference.py``: every cell equal, after build,
 insert and peel).
+
+A run charges a persist batch the length of its BER frame without
+building it (:func:`repro.ldap.ber.encoded_sync_batch_size`);
+:func:`encode_sync_batch` (:mod:`tests.oracles.ber`) builds the frame,
+and :func:`decode_sync_batch`, :func:`decode_sync_update` and the TLV
+readers under them read it back (``tests/ldap/test_ber_batch.py``: the
+size equals the frame's length, and decode∘encode is the identity).
 """
 
 from __future__ import annotations
@@ -106,6 +113,15 @@ from repro.sync.durability import DNMemo
 from repro.sync.ladder import LADDER
 from repro.sync.session import OUTCOMES, PDUS
 
+from .ber import (
+    APP_SYNC_BATCH,
+    decode_integer,
+    decode_sync_batch,
+    decode_sync_update,
+    decode_tlv,
+    encode_sync_batch,
+    iter_tlvs,
+)
 from .sketch import ReferenceSketch, reference_digest, reference_sketch
 from .strawmen import (
     Changelog,
@@ -120,6 +136,7 @@ from .strawmen import (
 )
 
 __all__ = [
+    "APP_SYNC_BATCH",
     "Changelog",
     "ChangelogProvider",
     "ChangelogRecord",
@@ -136,7 +153,13 @@ __all__ = [
     "TombstoneProvider",
     "TombstoneStore",
     "copied_pdu",
+    "decode_integer",
+    "decode_sync_batch",
+    "decode_sync_update",
+    "decode_tlv",
+    "encode_sync_batch",
     "holders_of",
+    "iter_tlvs",
     "linear_substring_candidates",
     "linear_substring_estimate",
     "observe",

@@ -17,6 +17,7 @@ from repro.ldap import DN, Entry, Scope, SearchRequest, SyncAction, ber
 from repro.server import DirectoryServer, Modification, SimulatedNetwork
 from repro.server.indexes import AttributeIndexSet
 from repro.sync import ResyncProvider, SyncedContent, SyncUpdate
+from tests.oracles import encode_sync_batch
 
 POPULATION = 1000
 SESSIONS = 8
@@ -108,5 +109,5 @@ def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     assert master.store.index_for("telephoneNumber").equality.lookup("555-9999") == {TARGET}
     assert master.store.index_for("telephoneNumber").equality.lookup("555-0500") == set()
     assert master.store.index_for("telephoneNumber").substring.candidates(["-99"]) == {TARGET}
-    frame = len(ber.encode_sync_batch([SyncUpdate(SyncAction.MODIFY, TARGET, stored)]))
+    frame = len(encode_sync_batch([SyncUpdate(SyncAction.MODIFY, TARGET, stored)]))
     assert net.stats.bytes_sent - sent == SESSIONS * frame

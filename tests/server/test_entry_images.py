@@ -27,7 +27,7 @@ from repro.sync import (
     SyncUpdate,
 )
 from repro.sync.reconcile import entry_key
-from tests.oracles import copied_pdu
+from tests.oracles import copied_pdu, decode_sync_update
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
 P1 = DN.parse("cn=P1,o=xyz")
@@ -301,7 +301,7 @@ class TestOneImagePerCommit:
         from repro.ldap import ber
 
         wire = ber.encode_sync_update(copied_pdu(SyncAction.ADD, person("P1")))
-        update = ber.decode_sync_update(wire)
+        update = decode_sync_update(wire)
         content = SyncedContent(REQUEST)
         content.apply_notification(update)
         assert content.entries[P1] is update.entry

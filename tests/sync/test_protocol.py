@@ -70,24 +70,3 @@ class TestSyncResponse:
         assert r.cookie is None
         assert not r.initial
         assert not r.uses_retain
-
-
-class TestMeasuredBytes:
-    def test_entry_pdu_measured_via_ber(self):
-        update = copied_pdu(SyncAction.ADD, entry())
-        measured = update.measured_bytes()
-        assert measured > 20
-        from repro.ldap.ber import encoded_entry_size
-
-        assert measured == encoded_entry_size(update.entry)
-
-    def test_dn_pdu_measured_via_ber(self):
-        update = SyncUpdate.delete(DN.parse("cn=a,o=xyz"))
-        assert update.measured_bytes() == len("cn=a,o=xyz") + 2
-
-    def test_modelled_vs_measured_differ_with_stamp(self):
-        stamped = entry()
-        stamped.put("entrySizeBytes", "6000")
-        update = copied_pdu(SyncAction.ADD, stamped)
-        assert update.pdu_bytes == 6000
-        assert update.measured_bytes() != 6000

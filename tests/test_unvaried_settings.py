@@ -23,7 +23,12 @@ Nor does ``src/`` keep what no run reaches: range and OR planning (a
 range or an OR plans a scan), the server-side degraded mode a link
 flipped (a degraded read is stamped by the answering content's link),
 LDAP URL parsing, the interval-diff exporter and the copying PDU
-constructors (``tests.oracles.copied_pdu``).
+constructors (``tests.oracles.copied_pdu``).  ``repro.ldap.ber`` keeps
+only the encoder whose lengths the persist wire charges: the search and
+filter codecs are gone, and the frame builder and decoders the charged
+size is checked against live in ``tests.oracles``.  A PDU has no
+measured size beside the two it is charged, and a sketch request no
+size at all.
 """
 
 import dataclasses
@@ -31,6 +36,7 @@ import dataclasses
 import pytest
 
 import repro.ldap
+import repro.ldap.ber
 import repro.obs
 import repro.server
 import repro.server.indexes
@@ -56,6 +62,7 @@ from repro.sync import (
     DeliveryQueue,
     DurabilityConfig,
     EntrySketch,
+    ReconcileRequest,
     ResilientConsumer,
     ResyncProvider,
     RetryPolicy,
@@ -123,6 +130,32 @@ def test_a_removed_setting_is_a_type_error(call):
         call()
 
 
+#: What left ``repro.ldap.ber``: deleted, or moved to ``tests.oracles``.
+BER_GONE = (
+    "encode_filter",
+    "decode_filter",
+    "FILTER_AND",
+    "FILTER_PRESENT",
+    "encode_search_request",
+    "decode_search_request",
+    "APP_SEARCH_REQUEST",
+    "encode_search_result_entry",
+    "decode_search_result_entry",
+    "APP_SEARCH_RESULT_ENTRY",
+    "encode_boolean",
+    "encoded_entry_size",
+    "encoded_dn_size",
+    "decode_tlv",
+    "iter_tlvs",
+    "decode_integer",
+    "_decode_attributes",
+    "decode_sync_update",
+    "encode_sync_batch",
+    "decode_sync_batch",
+    "APP_SYNC_BATCH",
+)
+
+
 @pytest.mark.parametrize(
     "owner, name",
     [
@@ -165,7 +198,10 @@ def test_a_removed_setting_is_a_type_error(call):
         (SyncUpdate, "modify"),
         (DeliveryQueue, "offer"),
         (EntrySketch, "insert"),
-    ],
+        (SyncUpdate, "measured_bytes"),
+        (ReconcileRequest, "pdu_bytes"),
+    ]
+    + [(repro.ldap.ber, name) for name in BER_GONE],
     ids=[
         "repro.sync.ReconcileConfig",
         "FaultPlan.next_partition",
@@ -206,7 +242,10 @@ def test_a_removed_setting_is_a_type_error(call):
         "SyncUpdate.modify",
         "DeliveryQueue.offer",
         "EntrySketch.insert",
-    ],
+        "SyncUpdate.measured_bytes",
+        "ReconcileRequest.pdu_bytes",
+    ]
+    + [f"repro.ldap.ber.{name}" for name in BER_GONE],
 )
 def test_a_removed_name_is_gone(owner, name):
     assert not hasattr(owner, name)

@@ -1,4 +1,4 @@
-"""Which functions under ``src/repro/`` no command enters.
+r"""Which functions under ``src/repro/`` no command enters.
 
     python tools/reached.py 'python benchmarks/e2e/run.py' 'python -m pytest benchmarks -q'
 
@@ -13,6 +13,27 @@ that no process entered; exits 1 if a command failed.
 Run it in a scratch clone: the benches rewrite ``benchmarks/results/``.
 The hook is slow: ``pytest benchmarks`` takes about 15 minutes under it
 on a two-core box.
+
+What every run reaches is the union over every command that runs the
+system — the five e2e workloads, the benches, the examples and each CLI
+command — with ``D`` exported as an empty scratch directory::
+
+    python tools/reached.py \
+      'python benchmarks/e2e/run.py' \
+      'python -m pytest benchmarks -q' \
+      'for f in examples/*.py; do python "$f" || exit 1; done' \
+      'python -m repro.cli gen-directory --employees 200 --out "$D/dit.ldif"' \
+      'python -m repro.cli gen-carrier --subscribers 200 --out "$D/carrier.ldif"' \
+      'python -m repro.cli gen-workload --employees 200 --queries 200 --out "$D/trace"' \
+      'python -m repro.cli case-study' \
+      'python -m repro.cli obs' \
+      'python -m repro.cli recovery --journal-dir "$D/journal"' \
+      'python -m repro.cli snapshot --snapshot-dir "$D/snapshots"' \
+      'python -m repro.cli soak --hours 0.5 --tenants 2 --seed 7'
+
+``recovery`` and ``snapshot`` require their directory: without it they
+exit 2, are reported failed, and the functions only they enter drop out
+of the trace.
 """
 
 from __future__ import annotations
