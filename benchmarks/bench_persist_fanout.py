@@ -14,8 +14,9 @@ apples-to-apples on accounting fidelity: the synchronous control arm is
 ``tests.oracles.per_pdu_persist`` (every notification delivered inline
 and BER-encoded as its own PDU — what a real per-entry wire transport
 pays), the batched arm is ``SimulatedNetwork.persist_exchange``, which
-charges each coalesced batch its frame's BER length
-(:func:`repro.ldap.ber.encoded_sync_batch_size`).
+charges each coalesced batch its frame's BER length, computed by length
+arithmetic without encoding (:func:`repro.ldap.ber.encoded_sync_batch_size`;
+the control arm's per-PDU bytes come from the test oracle's encoder).
 
 The timed unit is the **fan-out replay**: a fixed schedule of committed
 :class:`~repro.server.operations.UpdateRecord` (captured once from a

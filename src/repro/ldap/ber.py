@@ -1,149 +1,100 @@
-"""BER sizes of what the persist wire charges (X.690 subset, RFC 2251 §5).
+"""BER lengths of what the persist wire charges (X.690 subset, RFC 2251 §5).
 
 LDAP messages are BER: definite lengths, primitive-or-constructed
-tag-length-value elements.  The one BER size a run charges is a persist
-batch frame's: the network charges each flushed batch
-:func:`encoded_sync_batch_size`, frame arithmetic over the length of
-each update PDU (:func:`encode_sync_update`, computed once per PDU as
-:attr:`SyncUpdate.encoded_size
-<repro.sync.protocol.SyncUpdate.encoded_size>`).  The reconcile sketch's
-wire size is its cells as INTEGER sequences (:func:`encode_integer`,
-:func:`encode_sequence`).  Search results are charged by the entries'
-modelled ``estimated_size()`` (``LdapClient.search``), polls by each
-update's ``pdu_bytes``; neither is encoded.
+tag-length-value elements.  A run charges BER lengths and never builds
+BER bytes, so every size here is length arithmetic: one tag byte, a
+length field of one byte below 128 and of ``1 + n`` bytes for an
+``n``-byte length above, then the value.
 
-Nothing here decodes.  The frame builder and the decoders are the
-oracle in ``tests/oracles/ber.py``: ``encoded_sync_batch_size(u) ==
-len(encode_sync_batch(u))`` and decode∘encode is the identity, both
-property-tested in ``tests/ldap/test_ber_batch.py``.
+* :func:`sync_update_size` — one ReSync update PDU, computed once per
+  PDU as :attr:`SyncUpdate.encoded_size
+  <repro.sync.protocol.SyncUpdate.encoded_size>`;
+* :func:`encoded_sync_batch_size` — a persist batch frame around those
+  PDUs, what the network charges each flushed batch;
+* :func:`integer_size` — one INTEGER, the reconcile sketch's parameters
+  and cells (:meth:`EntrySketch.encoded_size
+  <repro.sync.reconcile.EntrySketch.encoded_size>`).
+
+Search results are charged by the entries' modelled
+``estimated_size()`` (``LdapClient.search``), polls by each update's
+``pdu_bytes``; neither is BER.
+
+The encoders whose output these lengths measure, and the decoders that
+read that output back, are the oracle in ``tests/oracles/ber.py`` (the
+sketch's encoder in ``tests/oracles/sketch.py``): each size equals the
+length of the bytes the oracle builds (``tests/ldap/test_ber_sizes.py``),
+and decode∘encode is the identity (``tests/ldap/test_ber_batch.py``).
 """
 
 from __future__ import annotations
 
-from .entry import Entry
-
-__all__ = [
-    "BerError",
-    "encode_tlv",
-    "encode_integer",
-    "encode_octet_string",
-    "encode_sequence",
-    "encode_sync_update",
-    "encoded_sync_batch_size",
-]
-
-# Universal tags
-TAG_INTEGER = 0x02
-TAG_OCTET_STRING = 0x04
-TAG_ENUMERATED = 0x0A
-TAG_SEQUENCE = 0x30
-TAG_SET = 0x31
+__all__ = ["tlv_size", "integer_size", "sync_update_size", "encoded_sync_batch_size"]
 
 
-class BerError(ValueError):
-    """Malformed BER data."""
-
-
-# ----------------------------------------------------------------------
-# primitive TLV machinery
-# ----------------------------------------------------------------------
-def _encode_length(length: int) -> bytes:
+def tlv_size(length: int) -> int:
+    """Bytes of one tag-length-value element whose value is *length*
+    bytes: the tag, the length field, the value."""
     if length < 0x80:
-        return bytes([length])
-    out = []
-    while length:
-        out.append(length & 0xFF)
-        length >>= 8
-    out.reverse()
-    return bytes([0x80 | len(out)]) + bytes(out)
+        return length + 2
+    return length + 2 + (length.bit_length() + 7) // 8
 
 
-def encode_tlv(tag: int, value: bytes) -> bytes:
-    """One tag-length-value element with a definite length."""
-    return bytes([tag]) + _encode_length(len(value)) + value
+def integer_size(value: int) -> int:
+    """Bytes of an INTEGER (or ENUMERATED) element holding *value*: the
+    fewest two's-complement bytes that keep its sign, one of them for 0,
+    after the tag and a one-byte length."""
+    return (value if value >= 0 else ~value).bit_length() // 8 + 3
 
 
-def _tlv_size(length: int) -> int:
-    """``len(encode_tlv(tag, value))`` for a value of *length* bytes:
-    the tag, the length field, the value."""
-    return 1 + len(_encode_length(length)) + length
+def _text_size(text: str) -> int:
+    """UTF-8 bytes of *text*."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
-def encode_integer(value: int, tag: int = TAG_INTEGER) -> bytes:
-    if value == 0:
-        body = b"\x00"
-    else:
-        length = (value.bit_length() + 8) // 8  # sign bit headroom
-        body = value.to_bytes(length, "big", signed=True)
-        # strip redundant leading byte while preserving the sign bit
-        while (
-            len(body) > 1
-            and (
-                (body[0] == 0x00 and body[1] < 0x80)
-                or (body[0] == 0xFF and body[1] >= 0x80)
-            )
-        ):
-            body = body[1:]
-    return encode_tlv(tag, body)
+#: The action of a sync update PDU: an ENUMERATED whose codes (add 0,
+#: modify 1, delete 2, retain 3) all take one byte.
+_ACTION_SIZE = integer_size(3)
+
+#: The messageID of a sync batch frame, always 1.
+_MESSAGE_ID_SIZE = integer_size(1)
 
 
-def encode_octet_string(text: str, tag: int = TAG_OCTET_STRING) -> bytes:
-    return encode_tlv(tag, text.encode("utf-8"))
-
-
-def encode_sequence(*parts: bytes, tag: int = TAG_SEQUENCE) -> bytes:
-    return encode_tlv(tag, b"".join(parts))
-
-
-def _encode_attributes(entry: Entry) -> bytes:
-    """PartialAttributeList: SEQUENCE OF { type, SET OF values }."""
-    attributes = b""
-    for name, values in sorted(entry, key=lambda item: item[0].lower()):
-        vals = b"".join(encode_octet_string(v) for v in values)
-        attributes += encode_sequence(
-            encode_octet_string(name) + encode_tlv(TAG_SET, vals)
-        )
-    return attributes
-
-
-# ----------------------------------------------------------------------
-# coalesced ReSync notification batches (docs/TRANSPORT.md §3)
-# ----------------------------------------------------------------------
-#: ENUMERATED codes of the per-update SyncAction, wire order fixed.
-_SYNC_ACTION_CODES = {"add": 0, "modify": 1, "delete": 2, "retain": 3}
-
-
-def encode_sync_update(update) -> bytes:
-    """One ReSync update PDU::
+def sync_update_size(update) -> int:
+    """Bytes of one ReSync update PDU::
 
         SEQUENCE { action ENUMERATED, dn OCTET STRING,
-                   attributes PartialAttributeList (present iff the
-                   action carries an entry) }
+                   attributes SEQUENCE OF SEQUENCE {
+                       type OCTET STRING, vals SET OF OCTET STRING }
+                   (present iff the action carries an entry) }
 
-    *update* is a :class:`repro.sync.protocol.SyncUpdate` (typed loosely
-    here to keep the layering one-way: ``sync`` imports ``ldap``).
+    summed over the entry's attributes in the order the entry holds
+    them (order changes no length), without copying a value.  *update*
+    is a :class:`repro.sync.protocol.SyncUpdate` (typed loosely here to
+    keep the layering one-way: ``sync`` imports ``ldap``).
     """
-    code = _SYNC_ACTION_CODES.get(update.action.value)
-    if code is None:
-        raise BerError(f"cannot encode sync action {update.action!r}")
-    body = encode_integer(code, tag=TAG_ENUMERATED) + encode_octet_string(
-        str(update.dn)
-    )
+    body = _ACTION_SIZE + tlv_size(_text_size(str(update.dn)))
     if update.entry is not None:
-        body += encode_sequence(_encode_attributes(update.entry))
-    return encode_sequence(body)
+        attributes = 0
+        for name, values in update.entry.items():
+            vals = 0
+            for value in values:
+                vals += tlv_size(_text_size(value))
+            attributes += tlv_size(tlv_size(_text_size(name)) + tlv_size(vals))
+        body += tlv_size(attributes)
+    return tlv_size(body)
 
 
-def encoded_sync_batch_size(updates, message_id: int = 1) -> int:
-    """Wire size of *updates* framed as one sync batch PDU::
+def encoded_sync_batch_size(updates) -> int:
+    """Bytes of *updates* framed as one sync batch PDU::
 
-        LDAPMessage { messageID INTEGER,
+        LDAPMessage { messageID INTEGER (1),
                       [APPLICATION 26] SEQUENCE OF update }
 
-    by frame arithmetic over the lengths each update computed once
+    by arithmetic over the length each update computed once
     (:attr:`repro.sync.protocol.SyncUpdate.encoded_size`) — a PDU shared
-    by many sessions' frames is not encoded again for each.  It equals
-    the length of the frame ``tests.oracles.encode_sync_batch`` builds."""
-    operation = _tlv_size(sum(update.encoded_size for update in updates))
-    return _tlv_size(len(encode_integer(message_id)) + operation)
-
+    by many sessions' frames is not sized again for each.  It equals the
+    length of the frame ``tests.oracles.encode_sync_batch`` builds."""
+    body = 0
+    for update in updates:
+        body += update.encoded_size
+    return tlv_size(_MESSAGE_ID_SIZE + tlv_size(body))

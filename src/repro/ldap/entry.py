@@ -278,6 +278,13 @@ class Entry:
         for held in self._attrs.values():
             yield held[0], list(held[1])
 
+    def items(self) -> Iterator[Tuple[str, List[str]]]:
+        """``(canonical name, values)`` for every attribute held, as
+        iteration yields them but uncopied: the lists are the entry's
+        own, read-only."""
+        for held in self._attrs.values():
+            yield held[0], held[1]
+
     # ------------------------------------------------------------------
     # projection and copying
     # ------------------------------------------------------------------

@@ -49,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
+from ..ldap import ber
 from ..ldap.controls import ReSyncControl, SyncMode
 from ..obs.registry import Counter, MetricsRegistry
 from .directory import DirectoryServer
@@ -514,19 +515,21 @@ class SimulatedNetwork:
         return len(updates)
 
     def charge_sync_batch(self, updates: List) -> None:
-        """Account one encoded sync batch frame.
+        """Account one sync batch frame.
 
-        ``bytes_sent`` grows by the exact BER-encoded frame length
-        (:func:`repro.ldap.ber.encoded_sync_batch_size`), so the byte
-        metric is encoded-length-accurate for queued sessions; the
-        per-kind PDU counters still count each carried update.
+        ``bytes_sent`` grows by the exact length of the frame's BER
+        encoding (:func:`repro.ldap.ber.encoded_sync_batch_size`,
+        arithmetic: no byte is built), so the byte metric is
+        encoded-length-accurate for queued sessions; the per-kind PDU
+        counters still count each carried update.
         """
-        from ..ldap.ber import encoded_sync_batch_size
-
-        entries = sum(1 for update in updates if update.entry is not None)
+        entries = 0
+        for update in updates:
+            if update.entry is not None:
+                entries += 1
         self._sync_entry_pdus.inc(entries)
         self._sync_dn_pdus.inc(len(updates) - entries)
-        self._bytes_sent.inc(encoded_sync_batch_size(updates))
+        self._bytes_sent.inc(ber.encoded_sync_batch_size(updates))
 
     def settle(self, max_events: int = 1_000_000) -> int:
         """Run the embedded scheduler until idle — every pending batch

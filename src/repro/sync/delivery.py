@@ -8,7 +8,7 @@ per-notification overhead dominates.  The network's persist transport
 :class:`DeliveryQueue` that:
 
 * **batches** — notifications accumulate and flush as one batch,
-  charged its BER frame's length
+  charged its BER frame's length, computed without building the frame
   (:func:`repro.ldap.ber.encoded_sync_batch_size`), when the batch reaches
   ``max_batch`` PDUs or the oldest pending PDU reaches ``max_age_ms``
   on the scheduler's virtual clock (the delivery-latency bound);

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from ..ldap import ber
 from ..ldap.controls import SyncAction
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
@@ -93,12 +94,11 @@ class SyncUpdate:
 
     @cached_property
     def encoded_size(self) -> int:
-        """Length of this PDU inside a sync batch frame —
-        ``len(ber.encode_sync_update(self))``, encoded at most once per
-        PDU however many sessions' frames carry it."""
-        from ..ldap import ber
-
-        return len(ber.encode_sync_update(self))
+        """Length of this PDU inside a sync batch frame, by length
+        arithmetic (:func:`repro.ldap.ber.sync_update_size`): computed at
+        most once per PDU however many sessions' frames carry it, and no
+        byte of it is built."""
+        return ber.sync_update_size(self)
 
     @classmethod
     def delete(cls, dn: DN) -> "SyncUpdate":
@@ -277,7 +277,9 @@ class ReconcileResponse:
 
     @property
     def pdu_bytes(self) -> int:
-        """Measured wire size: the BER-encoded sketch plus the cookie."""
+        """Wire size: the sketch's BER length
+        (:meth:`~repro.sync.reconcile.EntrySketch.encoded_size`) plus the
+        cookie."""
         return self.sketch.encoded_size() + len(self.cookie) + 8
 
 

@@ -44,6 +44,7 @@ from functools import lru_cache
 from hashlib import blake2b
 from typing import Iterable, List, Optional, Tuple
 
+from ..ldap.ber import integer_size, tlv_size
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
 
@@ -256,31 +257,21 @@ class EntrySketch:
     # ------------------------------------------------------------------
     # wire size
     # ------------------------------------------------------------------
-    def encoded_bytes(self) -> bytes:
-        """RFC 2251-style BER encoding of the sketch (the measured wire
-        form: a SEQUENCE of per-cell SEQUENCEs plus the parameters)."""
-        from ..ldap import ber
-
-        cells = b"".join(
-            ber.encode_sequence(
-                ber.encode_integer(self.counts[i]),
-                ber.encode_integer(self.key_xor[i]),
-                ber.encode_integer(self.fp_xor[i]),
-                ber.encode_integer(self.check_xor[i]),
-            )
-            for i in range(self.size)
-        )
-        return ber.encode_sequence(
-            ber.encode_integer(self.size),
-            ber.encode_integer(self.salt),
-            ber.encode_integer(self.hash_count),
-            ber.encode_sequence(cells),
-        )
-
     def encoded_size(self) -> int:
-        """Wire bytes of :meth:`encoded_bytes` (charged to the network's
-        ``bytes_sent`` by the reconcile exchange)."""
-        return len(self.encoded_bytes())
+        """Wire bytes of the sketch's BER form, charged to the network's
+        ``bytes_sent`` by the reconcile exchange::
+
+            SEQUENCE { size INTEGER, salt INTEGER, hashCount INTEGER,
+                       cells SEQUENCE OF SEQUENCE {
+                           count, keyXor, fpXor, checkXor INTEGER } }
+
+        by length arithmetic: each INTEGER's length comes from its bit
+        length (:func:`repro.ldap.ber.integer_size`)."""
+        cells = 0
+        for cell in zip(self.counts, self.key_xor, self.fp_xor, self.check_xor):
+            cells += tlv_size(sum(map(integer_size, cell)))
+        params = integer_size(self.size) + integer_size(self.salt) + integer_size(self.hash_count)
+        return tlv_size(params + tlv_size(cells))
 
 
 def build_sketch(

@@ -1,11 +1,17 @@
-"""The BER primitives the persist wire's sizes are built from, read
-back by the oracle's decoders."""
+"""The oracle's BER primitives, read back by its decoders: the bytes
+whose lengths the persist wire's size arithmetic is held equal to."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ldap.ber import BerError, encode_integer, encode_octet_string
-from tests.oracles import decode_integer, decode_tlv, iter_tlvs
+from tests.oracles import (
+    BerError,
+    decode_integer,
+    decode_tlv,
+    encode_integer,
+    encode_octet_string,
+    iter_tlvs,
+)
 
 
 class TestTlv:

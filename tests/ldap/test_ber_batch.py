@@ -4,8 +4,8 @@ The persist transport charges every coalesced batch the length of its
 BER frame, computed by :func:`repro.ldap.ber.encoded_sync_batch_size`
 without building the frame.  Against the frame builder and decoders of
 ``tests.oracles``: the size is exactly the frame's length, encode→decode
-of *any* batch is identity, and the charged byte delta is exactly the
-frame length.  ``add`` PDUs carry their entry through the attribute
+of *any* batch is identity (whatever its message id; a run's frames all
+carry 1), and the charged byte delta is exactly the frame length.  ``add`` PDUs carry their entry through the attribute
 codec, so the entry cases (several values, alias spellings, unicode,
 one attribute over several sequences) are inputs here too.
 """
@@ -14,25 +14,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ldap import DN, Entry, SyncAction
-from repro.ldap.ber import (
-    TAG_ENUMERATED,
-    TAG_SET,
-    BerError,
-    encode_integer,
-    encode_octet_string,
-    encode_sequence,
-    encode_sync_update,
-    encode_tlv,
-    encoded_sync_batch_size,
-)
+from repro.ldap.ber import encoded_sync_batch_size
 from repro.server import SimulatedNetwork
 from repro.sync import SyncUpdate
 from tests.oracles import (
     APP_SYNC_BATCH,
+    TAG_ENUMERATED,
+    TAG_SET,
+    BerError,
     copied_pdu,
     decode_sync_batch,
     decode_sync_update,
+    encode_integer,
+    encode_octet_string,
+    encode_sequence,
     encode_sync_batch,
+    encode_sync_update,
+    encode_tlv,
 )
 
 # Printable, LDAP-safe attribute values (no RDN metacharacters in cn).
@@ -100,13 +98,10 @@ class TestBatchFraming:
         for a, b in zip(updates, decoded):
             assert_update_equal(a, b)
 
-    @given(st.lists(sync_updates(), max_size=12), st.integers(1, 2**31 - 1))
+    @given(st.lists(sync_updates(), max_size=12))
     @settings(max_examples=100)
-    def test_size_helper_matches_encoding(self, updates, message_id):
+    def test_size_helper_matches_encoding(self, updates):
         assert encoded_sync_batch_size(updates) == len(encode_sync_batch(updates))
-        assert encoded_sync_batch_size(updates, message_id) == len(
-            encode_sync_batch(updates, message_id)
-        )
 
     @pytest.mark.parametrize("step", [0x80, 0x100, 0x10000])
     def test_size_helper_across_length_of_length_steps(self, step):
@@ -125,24 +120,21 @@ class TestBatchFraming:
                 if not step - 12 <= body <= step + 2:
                     continue
                 bodies.add(body)
-                for message_id in (1, 127, 128, 2**20):
-                    assert encoded_sync_batch_size(updates, message_id) == len(
-                        encode_sync_batch(updates, message_id)
-                    ), (body, message_id)
+                assert encoded_sync_batch_size(updates) == len(encode_sync_batch(updates)), body
         assert set(range(step - 12, step + 3)) <= bodies
 
-    def test_size_helper_encodes_a_shared_pdu_once(self, monkeypatch):
+    def test_size_helper_sizes_a_shared_pdu_once(self, monkeypatch):
         from repro.ldap import ber
 
-        encoded = []
-        encode = ber.encode_sync_update
+        sized = []
+        size = ber.sync_update_size
         monkeypatch.setattr(
-            ber, "encode_sync_update", lambda update: encoded.append(update) or encode(update)
+            ber, "sync_update_size", lambda update: sized.append(update) or size(update)
         )
         shared = copied_pdu(SyncAction.ADD, Entry("cn=p,o=xyz", {"objectClass": ["person"], "cn": "p"}))
         other = SyncUpdate.delete(shared.dn)
         sizes = [encoded_sync_batch_size([shared, other][:n]) for n in (1, 2, 2, 1)]
-        assert encoded == [shared, other]
+        assert sized == [shared, other]
         monkeypatch.undo()
         assert sizes == [len(encode_sync_batch([shared, other][:n])) for n in (1, 2, 2, 1)]
 
@@ -175,8 +167,8 @@ def roundtrip_entry(entry: Entry) -> Entry:
     the two decodings agree and the frame is the size charged."""
     update = copied_pdu(SyncAction.ADD, entry)
     alone = decode_sync_update(encode_sync_update(update)).entry
+    assert encoded_sync_batch_size([update]) == len(encode_sync_batch([update]))
     frame = encode_sync_batch([update], message_id=3)
-    assert encoded_sync_batch_size([update], 3) == len(frame)
     message_id, (framed,) = decode_sync_batch(frame)
     assert message_id == 3
     assert framed.entry == alone and alone.frozen

@@ -87,12 +87,19 @@ part and checksums every item it inserts, as the sketch first did
 (``tests/sync/test_sketch_reference.py``: every cell equal, after build,
 insert and peel).
 
-A run charges a persist batch the length of its BER frame without
-building it (:func:`repro.ldap.ber.encoded_sync_batch_size`);
-:func:`encode_sync_batch` (:mod:`tests.oracles.ber`) builds the frame,
-and :func:`decode_sync_batch`, :func:`decode_sync_update` and the TLV
-readers under them read it back (``tests/ldap/test_ber_batch.py``: the
-size equals the frame's length, and decode∘encode is the identity).
+A run charges BER lengths without building BER: a persist batch frame
+(:func:`repro.ldap.ber.encoded_sync_batch_size`), each update PDU in it
+(:func:`repro.ldap.ber.sync_update_size`) and a reconcile sketch
+(:meth:`EntrySketch.encoded_size
+<repro.sync.reconcile.EntrySketch.encoded_size>`) are length
+arithmetic.  The encoders they measure live here:
+:func:`encode_sync_batch`, :func:`encode_sync_update` and the TLV
+writers under them (:mod:`tests.oracles.ber`), and the sketch's
+:func:`encoded_bytes` (:mod:`tests.oracles.sketch`);
+:func:`decode_sync_batch`, :func:`decode_sync_update` and the TLV
+readers read the frames back (``tests/ldap/test_ber_sizes.py``: every
+size equals the length of the bytes built; ``tests/ldap/test_ber_batch.py``:
+decode∘encode is the identity).
 """
 
 from __future__ import annotations
@@ -103,7 +110,6 @@ from unittest import mock
 from repro.chaos import ReferenceModel
 from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_contained_in
 from repro.ldap import DN, Entry, SearchRequest
-from repro.ldap.ber import encode_sync_update
 from repro.ldap.filters import attributes_of
 from repro.server import ResponseTruncated
 from repro.server.indexes import NGRAM, _ngrams
@@ -115,14 +121,22 @@ from repro.sync.session import OUTCOMES, PDUS
 
 from .ber import (
     APP_SYNC_BATCH,
+    BerError,
+    TAG_ENUMERATED,
+    TAG_SET,
     decode_integer,
     decode_sync_batch,
     decode_sync_update,
     decode_tlv,
+    encode_integer,
+    encode_octet_string,
+    encode_sequence,
     encode_sync_batch,
+    encode_sync_update,
+    encode_tlv,
     iter_tlvs,
 )
-from .sketch import ReferenceSketch, reference_digest, reference_sketch
+from .sketch import ReferenceSketch, encoded_bytes, reference_digest, reference_sketch
 from .strawmen import (
     Changelog,
     ChangelogProvider,
@@ -137,6 +151,7 @@ from .strawmen import (
 
 __all__ = [
     "APP_SYNC_BATCH",
+    "BerError",
     "Changelog",
     "ChangelogProvider",
     "ChangelogRecord",
@@ -150,6 +165,8 @@ __all__ = [
     "ReferenceModel",
     "ReferenceSketch",
     "RetainResyncProvider",
+    "TAG_ENUMERATED",
+    "TAG_SET",
     "TombstoneProvider",
     "TombstoneStore",
     "copied_pdu",
@@ -157,7 +174,13 @@ __all__ = [
     "decode_sync_batch",
     "decode_sync_update",
     "decode_tlv",
+    "encode_integer",
+    "encode_octet_string",
+    "encode_sequence",
     "encode_sync_batch",
+    "encode_sync_update",
+    "encode_tlv",
+    "encoded_bytes",
     "holders_of",
     "iter_tlvs",
     "linear_substring_candidates",
@@ -340,7 +363,7 @@ def per_pdu_persist(provider, request, deliver, network, cookie=None):
     """Open a persist session whose notifications travel synchronously,
     one BER-encoded PDU each: *deliver* runs inline with the master
     update and *network* is charged the exact frame length
-    (:func:`repro.ldap.ber.encode_sync_update`) per notification — what
+    (:func:`encode_sync_update`) per notification — what
     a per-entry wire transport pays.  *deliver* must not charge on its
     own (apply into a :class:`~repro.sync.SyncedContent` built without
     a network).  Returns ``(initial response, handle)``.

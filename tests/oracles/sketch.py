@@ -8,6 +8,11 @@ once.  :class:`ReferenceSketch` is the construction it replaced — a
 item inserted by hashing its checksum and each of its positions anew —
 kept so ``tests/sync/test_sketch_reference.py`` can hold every cell of
 the production sketch, its inserts and its peel equal to this one.
+
+A run charges a sketch its BER length without building it
+(:meth:`EntrySketch.encoded_size <repro.sync.reconcile.EntrySketch.encoded_size>`,
+arithmetic); :func:`encoded_bytes` builds the BER that length measures
+(``tests/ldap/test_ber_sizes.py``: the two agree).
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import hashlib
 from typing import List, Optional, Tuple
 
 from repro.ldap import Entry
+
+from .ber import encode_integer, encode_sequence
 
 
 def per_part_h64(*parts) -> int:
@@ -110,3 +117,28 @@ def reference_sketch(
     for entry in entries:
         sketch.insert(*reference_digest(entry))
     return sketch
+
+
+def encoded_bytes(sketch) -> bytes:
+    """The BER form of *sketch* (any object with ``size``, ``salt``,
+    ``hash_count`` and the four cell arrays)::
+
+        SEQUENCE { size INTEGER, salt INTEGER, hashCount INTEGER,
+                   cells SEQUENCE OF SEQUENCE {
+                       count, keyXor, fpXor, checkXor INTEGER } }
+    """
+    cells = b"".join(
+        encode_sequence(
+            encode_integer(sketch.counts[i]),
+            encode_integer(sketch.key_xor[i]),
+            encode_integer(sketch.fp_xor[i]),
+            encode_integer(sketch.check_xor[i]),
+        )
+        for i in range(sketch.size)
+    )
+    return encode_sequence(
+        encode_integer(sketch.size),
+        encode_integer(sketch.salt),
+        encode_integer(sketch.hash_count),
+        encode_sequence(cells),
+    )

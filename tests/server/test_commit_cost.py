@@ -4,8 +4,9 @@ The machine-independent guard of the write path: on a 12-attribute
 entry among 1 000 that share its ``sn`` and ``entrySizeBytes``, a
 ``modify`` replacing one attribute, fanned out to 8 persist sessions
 over a :class:`SimulatedNetwork`, re-indexes one attribute, copies the
-entry once (the image it edits), and BER-encodes its one shared PDU
-once however many frames carry it.  The attribute's substring index,
+entry once (the image it edits), and sizes its one shared PDU once
+(:func:`repro.ldap.ber.sync_update_size`, length arithmetic) however
+many frames carry it.  The attribute's substring index,
 built by a search before the modify, is maintained with it.
 """
 
@@ -88,7 +89,7 @@ def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
     counted(AttributeIndexSet, "insert", "index.insert")
     counted(AttributeIndexSet, "remove", "index.remove")
     counted(Entry, "copy", "entry.copy")
-    counted(ber, "encode_sync_update", "ber.encode_sync_update")
+    counted(ber, "sync_update_size", "ber.sync_update_size")
 
     sent = net.stats.bytes_sent
     master.modify(TARGET, [Modification.replace("telephoneNumber", "555-9999")])
@@ -99,7 +100,7 @@ def test_one_attribute_modify_costs_one_attribute(fleet, monkeypatch):
         "index.remove": 1,
         "index.insert": 1,
         "entry.copy": 1,
-        "ber.encode_sync_update": 1,
+        "ber.sync_update_size": 1,
     }
     # ...and it all happened: every replica holds the store's new image,
     # each session's frame was charged.

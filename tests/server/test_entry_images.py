@@ -27,7 +27,7 @@ from repro.sync import (
     SyncUpdate,
 )
 from repro.sync.reconcile import entry_key
-from tests.oracles import copied_pdu, decode_sync_update
+from tests.oracles import copied_pdu, decode_sync_update, encode_sync_update
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(objectClass=person)")
 P1 = DN.parse("cn=P1,o=xyz")
@@ -298,9 +298,7 @@ class TestOneImagePerCommit:
         assert_frozen(content.entries[P1])
 
     def test_ber_decoded_pdu_is_frozen_on_arrival(self):
-        from repro.ldap import ber
-
-        wire = ber.encode_sync_update(copied_pdu(SyncAction.ADD, person("P1")))
+        wire = encode_sync_update(copied_pdu(SyncAction.ADD, person("P1")))
         update = decode_sync_update(wire)
         content = SyncedContent(REQUEST)
         content.apply_notification(update)

@@ -56,6 +56,7 @@ from repro.sync import (
     build_sketch,
     entry_key,
 )
+from tests.oracles import encoded_bytes
 from tests.sync.test_resilient import ScriptedPlan
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
@@ -156,7 +157,7 @@ def drive_trace(seed: int, exchanges: int = TRACE_EXCHANGES) -> list:
                     response.cookie,
                     response.content_count,
                     response.pdu_bytes,
-                    zlib.crc32(response.sketch.encoded_bytes()),
+                    zlib.crc32(encoded_bytes(response.sketch)),
                 ]
             else:
                 fetch = ReconcileFetch(
@@ -384,7 +385,7 @@ def check_sketch_corrupt(c, kind, outcome):
     deliveries, _ = outcome
     (delivery,) = deliveries
     intact = build_sketch(c.master.search(REQUEST).entries, delivery.response.sketch.size, salt=7)
-    assert delivery.response.sketch.encoded_bytes() != intact.encoded_bytes()
+    assert encoded_bytes(delivery.response.sketch) != encoded_bytes(intact)
     assert c.counts() == {"sketch_corrupt": 1}
     assert c.net.plan.drawn["r"] == 1
 

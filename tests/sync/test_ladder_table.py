@@ -218,9 +218,9 @@ def test_warm_is_more_than_the_sketch_floor():
 
 
 def test_the_floor_is_what_the_encoder_charges_for_a_first_sketch():
-    """``SKETCH_FLOOR_BYTES`` is measured on the sketch encoder, not
-    restated: a real first sketch (sized by ``INITIAL_DIVERGENCE``) of
-    any content costs at most the floor, and an empty one far less."""
+    """``SKETCH_FLOOR_BYTES`` is measured by the sketch's own wire size,
+    not restated: a real first sketch (sized by ``INITIAL_DIVERGENCE``)
+    of any content costs at most the floor, and an empty one far less."""
     floor = ladder.SKETCH_FLOOR_BYTES
     cells = cells_for_divergence(ladder.INITIAL_DIVERGENCE)
     for count in (1, 5, 40, 400):

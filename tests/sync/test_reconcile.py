@@ -42,6 +42,7 @@ from repro.sync import (
     entry_fingerprint,
     entry_key,
 )
+from tests.oracles import encoded_bytes
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 
@@ -169,7 +170,7 @@ class TestEntrySketch:
         large = build_sketch([person("A")], 96).encoded_size()
         assert 0 < small < large
         # BER framing: a parseable definite-length SEQUENCE
-        assert build_sketch([person("A")], 24).encoded_bytes()[0] == 0x30
+        assert encoded_bytes(build_sketch([person("A")], 24))[0] == 0x30
 
 
 # ----------------------------------------------------------------------

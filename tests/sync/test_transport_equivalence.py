@@ -26,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chaos import ReferenceModel
 from repro.ldap import DN, Entry, Scope, SearchRequest
-from repro.ldap.ber import encode_sync_update
 from repro.server import (
     DirectoryServer,
     FaultPlan,
@@ -42,6 +41,7 @@ from repro.sync import (
     RetryPolicy,
     SyncedContent,
 )
+from tests.oracles import encode_sync_update
 
 REQUEST = SearchRequest("o=xyz", Scope.SUB, "(departmentNumber=42)")
 NAMES = [f"P{i}" for i in range(6)]

@@ -24,11 +24,12 @@ range or an OR plans a scan), the server-side degraded mode a link
 flipped (a degraded read is stamped by the answering content's link),
 LDAP URL parsing, the interval-diff exporter and the copying PDU
 constructors (``tests.oracles.copied_pdu``).  ``repro.ldap.ber`` keeps
-only the encoder whose lengths the persist wire charges: the search and
-filter codecs are gone, and the frame builder and decoders the charged
-size is checked against live in ``tests.oracles``.  A PDU has no
-measured size beside the two it is charged, and a sketch request no
-size at all.
+only the length arithmetic the persist wire charges: the search and
+filter codecs are gone, and every encoder (the PDU's, the frame's, the
+sketch's ``encoded_bytes``) and decoder the charged sizes are checked
+against live in ``tests.oracles``.  A batch frame always carries message
+id 1, so its size takes no ``message_id``.  A PDU has no measured size
+beside the two it is charged, and a sketch request no size at all.
 """
 
 import dataclasses
@@ -118,6 +119,9 @@ REMOVED = {
     ),
     "SoakConfig.durable": lambda: SoakConfig(durable=True),
     "SyncLink(replica_server=)": lambda: SyncLink(provider(), replica_server=None),
+    "encoded_sync_batch_size(message_id=)": lambda: repro.ldap.ber.encoded_sync_batch_size(
+        [], message_id=1
+    ),
     "ResilientConsumer(replica_server=)": lambda: ResilientConsumer(
         REQUEST, provider(), replica_server=None
     ),
@@ -153,6 +157,17 @@ BER_GONE = (
     "encode_sync_batch",
     "decode_sync_batch",
     "APP_SYNC_BATCH",
+    "BerError",
+    "_encode_length",
+    "_tlv_size",
+    "encode_tlv",
+    "encode_integer",
+    "encode_octet_string",
+    "encode_sequence",
+    "_encode_attributes",
+    "encode_sync_update",
+    "_SYNC_ACTION_CODES",
+    "TAG_SEQUENCE",
 )
 
 
@@ -200,6 +215,7 @@ BER_GONE = (
         (EntrySketch, "insert"),
         (SyncUpdate, "measured_bytes"),
         (ReconcileRequest, "pdu_bytes"),
+        (EntrySketch, "encoded_bytes"),
     ]
     + [(repro.ldap.ber, name) for name in BER_GONE],
     ids=[
@@ -244,6 +260,7 @@ BER_GONE = (
         "EntrySketch.insert",
         "SyncUpdate.measured_bytes",
         "ReconcileRequest.pdu_bytes",
+        "EntrySketch.encoded_bytes",
     ]
     + [f"repro.ldap.ber.{name}" for name in BER_GONE],
 )
