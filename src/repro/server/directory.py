@@ -24,11 +24,12 @@ beneath a referral object is *not* held by this server.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from ..ldap.attributes import AttributeRegistry, DEFAULT_REGISTRY
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
+from ..ldap.controls import SortControl
 from ..ldap.matching import compile_filter
 from ..ldap.query import Scope, SearchRequest
 from ..ldap.schema import DEFAULT_SCHEMA, validate_entry
@@ -240,72 +241,186 @@ class DirectoryServer:
         directory enabled applications) are answered across all held
         contexts when this server is authoritative (no superior
         referral configured); a distributed member refers them upward.
-        """
-        if request.base.is_root:
-            if self.default_referral is not None:
-                return SearchResult(
-                    referrals=[Referral(self.default_referral, request.base)],
-                    code=ResultCode.REFERRAL,
-                )
-            if self._contexts:
-                return self._evaluate_all_contexts(request, controls)
-            return SearchResult(code=ResultCode.NO_SUCH_OBJECT)
 
-        context = self.context_for(request.base)
+        Name resolution settles the search's regions — the base, or
+        for a null base every held context's suffix — and
+        :meth:`_search_regions` runs one loop from the plan's candidates
+        to the result (docs/PLANNER.md, "From plan to result").
+        """
+        base = request.base
+        if base.is_root:
+            if self.default_referral is not None:
+                return self._refer_upward(base)
+            if not self._contexts:
+                return SearchResult(code=ResultCode.NO_SUCH_OBJECT)
+            if request.scope is not Scope.SUB:
+                # BASE/ONE on the (virtual) root match nothing: the
+                # root has no entry.
+                return SearchResult()
+            # SUBTREE covers the union of the context subtrees; a
+            # suffix not held, or held as a referral object, adds none.
+            store = self.store
+            regions = [
+                context.suffix
+                for context in self._contexts
+                if context.suffix in store and not store.is_referral(context.suffix)
+            ]
+            if not regions:
+                return SearchResult()
+            return self._search_regions(request, regions, controls)
+
+        context = self.context_for(base)
         if context is None:
             if self.default_referral is not None:
-                return SearchResult(
-                    referrals=[Referral(self.default_referral, request.base)],
-                    code=ResultCode.REFERRAL,
-                )
+                return self._refer_upward(base)
             return SearchResult(code=ResultCode.NO_SUCH_OBJECT)
 
-        base_entry = self.store.get(request.base)
+        base_entry = self.store.get(base)
         if base_entry is None:
             # The base may lie under a referral object we hold: then the
             # client must continue at the subordinate server.
-            referral = self._referral_above(request.base, context)
+            referral = self._referral_above(base, context)
             if referral is not None:
                 return SearchResult(referrals=[referral], code=ResultCode.REFERRAL)
             return SearchResult(code=ResultCode.NO_SUCH_OBJECT)
 
-        is_referral = self.store.is_referral
-        if is_referral(request.base) and request.scope is not Scope.BASE:
-            target = self._referral_of(base_entry, request.base)
+        if request.scope is not Scope.BASE and self.store.is_referral(base):
+            target = self._referral_of(base_entry, base)
             return SearchResult(referrals=[target], code=ResultCode.REFERRAL)
+        return self._search_regions(request, [base], controls)
 
+    def _refer_upward(self, base: DN) -> SearchResult:
+        return SearchResult(
+            referrals=[Referral(self.default_referral, base)],
+            code=ResultCode.REFERRAL,
+        )
+
+    def _search_regions(
+        self, request: SearchRequest, regions: List[DN], controls: Sequence["object"]
+    ) -> SearchResult:
+        """Plan once, compile the filter once, then one loop per region
+        from the plan's candidates to the result.
+
+        Each region is a held, non-referral base entry.  The order of
+        the entries is the region's: candidate-set order, subtree-range
+        order past :attr:`RANGE_SCAN_THRESHOLD` SUBTREE candidates, and
+        walk order for a scan or a BASE search; regions follow one
+        another, and an entry a nested region meets again is dropped.
+        A candidate is tested for scope only where the region does not
+        cover every stored DN (:meth:`_covers`), and for referral
+        objects only when the store holds one.
+        """
+        store = self.store
+        flt = request.filter
+        plan = store.plan_for(flt)
+        candidates = plan.candidates
+        predicate = compile_filter(flt, self._registry)
+        scope = request.scope
+        get = store.images().get
+        held = store.has_referrals()
         result = SearchResult()
-        plan = self.store.plan_for(request.filter)
-        predicate = compile_filter(request.filter, self._registry)
         examined = matched = 0
-        for entry in self._iter_region(request, plan.candidates):
-            if is_referral(entry.dn):
-                if entry.dn != request.base:
-                    result.referrals.append(self._referral_of(entry, entry.dn))
-                continue
-            examined += 1
-            if predicate(entry):
-                matched += 1
-                result.entries.append(entry)
-        self._record_plan(plan, examined, matched)
-        self._apply_controls(result, controls)
+        for base in regions:
+            in_scope = base.is_ancestor_or_self if scope is Scope.SUB else base.is_parent_of
+            by_walk = scope is Scope.BASE or candidates is None
+            if by_walk:
+                dns: Iterable[DN] = self._walk(base, scope)
+            elif scope is Scope.SUB and len(candidates) > self.RANGE_SCAN_THRESHOLD:
+                dns = [dn for dn in store.subtree_region(base) if dn in candidates]
+            elif scope is Scope.SUB and self._covers(base):
+                dns = candidates
+            else:
+                dns = [dn for dn in candidates if in_scope(dn)]
+            found: List[Entry] = []
+            keep = found.append
+            if not held:
+                for dn in dns:
+                    entry = get(dn)
+                    if entry is not None:
+                        examined += 1
+                        if predicate(entry):
+                            keep(entry)
+            else:
+                # A walk never descends below a referral object; any
+                # other region drops what lies below one.
+                is_referral = store.is_referral
+                under_referral = self._under_referral
+                referrals = result.referrals
+                for dn in dns:
+                    if not by_walk and under_referral(dn, base):
+                        continue
+                    entry = get(dn)
+                    if entry is None:
+                        continue
+                    if is_referral(dn):
+                        if dn != base:
+                            referrals.append(self._referral_of(entry, dn))
+                        continue
+                    examined += 1
+                    if predicate(entry):
+                        keep(entry)
+                if not by_walk:
+                    # Referral objects in the region surface even when
+                    # the index skipped them.
+                    for dn in store.referrals_under(base):
+                        if dn in candidates or dn == base:
+                            continue
+                        if in_scope(dn) and not under_referral(dn, base):
+                            referrals.append(self._referral_of(get(dn), dn))
+            matched += len(found)
+            if len(regions) == 1:
+                result.entries = found
+            else:
+                seen = {entry.dn for entry in result.entries}
+                result.entries.extend(entry for entry in found if entry.dn not in seen)
+        self._record_plan(plan, examined, matched, len(regions))
+        if controls:
+            self._apply_controls(result, controls)
         return result
 
-    def _record_plan(self, plan: SearchPlan, examined: int, matched: int) -> None:
+    def _covers(self, base: DN) -> bool:
+        """True when the subtree at *base* holds every stored DN: every
+        held context's suffix lies in it, and ``add``, ``load`` and
+        ``modify_dn`` keep every entry inside a held context."""
+        return all(base.is_ancestor_or_self(context.suffix) for context in self._contexts)
+
+    def _walk(self, base: DN, scope: Scope) -> List[DN]:
+        """The region at the stored *base* in walk order: the base; its
+        children; or a depth-first walk (children in reverse name
+        order) that does not descend below a referral object."""
+        store = self.store
+        if scope is Scope.BASE:
+            return [base]
+        children_of = store.children_of
+        if scope is Scope.ONE:
+            return children_of(base)
+        is_referral = store.is_referral if store.has_referrals() else None
+        walked: List[DN] = []
+        stack = [base]
+        while stack:
+            dn = stack.pop()
+            walked.append(dn)
+            if is_referral is not None and dn != base and is_referral(dn):
+                continue  # do not descend below a referral object
+            stack.extend(children_of(dn))
+        return walked
+
+    def _record_plan(
+        self, plan: SearchPlan, examined: int, matched: int, regions: int
+    ) -> None:
+        """One plan per region, as each region was once its own search."""
         counter = self._plan_strategy_counters.get(plan.strategy)
         if counter is None:
             counter = self.metrics.counter(
                 "server.plan.strategy", strategy=plan.strategy
             )
             self._plan_strategy_counters[plan.strategy] = counter
-        counter.inc()
+        counter.inc(regions)
         self._plan_examined.inc(examined)
         self._plan_matched.inc(matched)
 
     def _apply_controls(self, result: SearchResult, controls: Sequence["object"]) -> None:
         """Apply search controls to a result (RFC 2891 sorting, §2.2)."""
-        from ..ldap.controls import SortControl
-
         for control in controls:
             if isinstance(control, SortControl) and control.keys:
 
@@ -321,92 +436,6 @@ class DirectoryServer:
                     return tuple(parts)
 
                 result.entries.sort(key=sort_key, reverse=control.reverse)
-
-    def _evaluate_all_contexts(
-        self, request: SearchRequest, controls: Sequence["object"] = ()
-    ) -> SearchResult:
-        """Answer a null-based subtree search across every held context.
-
-        BASE/ONE scopes on the (virtual) root match nothing — the root
-        has no entry; SUBTREE covers the union of the context subtrees.
-        """
-        merged = SearchResult()
-        if request.scope is not Scope.SUB:
-            return merged
-        seen = set()
-        for context in self._contexts:
-            partial = self.evaluate(request.with_base(context.suffix))
-            if partial.code is not ResultCode.SUCCESS:
-                continue
-            for entry in partial.entries:
-                if entry.dn not in seen:
-                    seen.add(entry.dn)
-                    merged.entries.append(entry)
-            merged.referrals.extend(partial.referrals)
-        self._apply_controls(merged, controls)
-        return merged
-
-    def _iter_region(
-        self, request: SearchRequest, candidates: Optional[Set[DN]]
-    ) -> Iterable[Entry]:
-        """Entries in the search region, pruned below referral objects.
-
-        Referral objects themselves are yielded (the caller turns them
-        into continuation references).  When the planner produced a
-        candidate set for a ONE/SUBTREE search, iterate candidates
-        instead of walking the region — but referral objects in the
-        region must still surface, so they are scanned separately
-        (there are few).  Large SUBTREE candidate sets intersect with
-        the store's sorted subtree range instead of paying a per-DN
-        ancestry check.
-        """
-        if request.scope is Scope.BASE or candidates is None:
-            yield from self._walk_region(request.base, request.scope)
-            return
-        if (
-            request.scope is Scope.SUB
-            and len(candidates) > self.RANGE_SCAN_THRESHOLD
-        ):
-            for dn in self.store.subtree_region(request.base):
-                if dn in candidates and not self._under_referral(dn, request.base):
-                    entry = self.store.get(dn)
-                    if entry is not None:
-                        yield entry
-        else:
-            for dn in candidates:
-                if request.in_scope(dn):
-                    entry = self.store.get(dn)
-                    if entry is not None and not self._under_referral(
-                        dn, request.base
-                    ):
-                        yield entry
-        # Referral objects in the region must surface even when the
-        # index skipped them; the store keeps them indexed separately.
-        for dn in self.store.referrals_under(request.base):
-            if dn in candidates or dn == request.base:
-                continue
-            if request.in_scope(dn) and not self._under_referral(dn, request.base):
-                yield self.store.get(dn)
-
-    def _walk_region(self, base: DN, scope: Scope) -> Iterable[Entry]:
-        if scope is Scope.BASE:
-            entry = self.store.get(base)
-            if entry is not None:
-                yield entry
-            return
-        if scope is Scope.ONE:
-            for child_dn in self.store.children_of(base):
-                yield self.store.get(child_dn)
-            return
-        stack = [base]
-        while stack:
-            dn = stack.pop()
-            entry = self.store.get(dn)
-            if entry is not None:
-                yield entry
-                if dn != base and self.store.is_referral(dn):
-                    continue  # do not descend below a referral object
-            stack.extend(self.store.children_of(dn))
 
     def _referral_of(self, entry: Entry, target: DN) -> Referral:
         url = entry.first("ref") or (self.default_referral or self.url)
@@ -550,11 +579,10 @@ class DirectoryServer:
         )
         rdn_text = new_rdn if new_rdn is not None else str(old_dn.rdn)
         new_dn = superior.child(rdn_text)
-        if new_superior is not None and (
-            self.context_for(new_dn) is None or not self._has_parent(new_dn)
-        ):
+        if self.context_for(new_dn) is None or not self._has_parent(new_dn):
             # add's rule, applied to the target: no entry goes parentless
-            raise LdapError(ResultCode.NO_SUCH_OBJECT, f"new superior {superior}")
+            # or outside every held context (a renamed suffix included)
+            raise LdapError(ResultCode.NO_SUCH_OBJECT, f"no parent or context for {new_dn}")
         if new_dn == old_dn:
             raise LdapError(ResultCode.UNWILLING_TO_PERFORM, "no-op modifyDN")
         if new_dn in self.store:

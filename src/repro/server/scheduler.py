@@ -77,6 +77,9 @@ class DeterministicScheduler:
         self._heap: List[ScheduledEvent] = []
         self._seq = 0
         self._now = 0.0
+        #: virtual time something occupies without an event of its own
+        #: (:meth:`hold_until`); the run loop ends no earlier.
+        self._held_until = 0.0
         self._rng = random.Random(f"sched:{seed}")
         self._events_run = self.registry.counter("net.sched.events")
         self._now_gauge = self.registry.gauge("net.sched.now_ms")
@@ -107,12 +110,7 @@ class DeterministicScheduler:
         """Schedule *callback(*args)* at ``now + delay_ms``."""
         if delay_ms < 0:
             raise ValueError(f"negative delay {delay_ms!r}")
-        event = ScheduledEvent(
-            self._now + delay_ms, self._rng.random(), self._seq, callback, args
-        )
-        self._seq += 1
-        heapq.heappush(self._heap, event)
-        return event
+        return self.call_at(self._now + delay_ms, callback, *args)
 
     def call_soon(self, callback: Callable, *args) -> ScheduledEvent:
         """Schedule *callback(*args)* at the current virtual time."""
@@ -125,7 +123,21 @@ class DeterministicScheduler:
         :class:`~repro.chaos.FaultSchedule` arms its fault windows with
         this, so window boundaries land at exact virtual-clock stamps
         independent of when the schedule was armed."""
-        return self.call_later(max(0.0, due_ms - self._now), callback, *args)
+        event = ScheduledEvent(
+            max(due_ms, self._now), self._rng.random(), self._seq, callback, args
+        )
+        self._seq += 1
+        heapq.heappush(self._heap, event)
+        return event
+
+    def hold_until(self, due_ms: float) -> None:
+        """Occupy the clock until *due_ms* without scheduling an event:
+        :meth:`run_until_idle` leaves the clock there at the earliest.
+        A persist queue's consumer is busy applying a batch until a
+        stamped time (:class:`~repro.sync.delivery.DeliveryQueue`); a
+        settled network has waited it out, event or not."""
+        if due_ms > self._held_until:
+            self._held_until = due_ms
 
     def cancel(self, event: ScheduledEvent) -> None:
         """Cancel a scheduled event (no-op if it already ran)."""
@@ -154,7 +166,8 @@ class DeterministicScheduler:
         return False
 
     def run_until_idle(self, max_events: int = 1_000_000) -> int:
-        """Run events (advancing the clock) until none remain.
+        """Run events (advancing the clock) until none remain, and no
+        earlier than what :meth:`hold_until` holds.
 
         *max_events* is a runaway-loop backstop — a callback chain that
         keeps rescheduling itself forever raises instead of hanging.
@@ -166,6 +179,9 @@ class DeterministicScheduler:
                 raise RuntimeError(
                     f"scheduler did not go idle within {max_events} events"
                 )
+        if self._held_until > self._now:
+            self._now = self._held_until
+            self._now_gauge.set(self._now)
         return ran
 
     def run_for(self, duration_ms: float, max_events: int = 1_000_000) -> int:

@@ -13,8 +13,10 @@ per-notification overhead dominates.  The network's persist transport
   ``max_batch`` PDUs or the oldest pending PDU reaches ``max_age_ms``
   on the scheduler's virtual clock (the delivery-latency bound);
 * **applies backpressure** — a consumer that is still applying the
-  previous batch (``consumer_delay_ms`` of virtual time) defers the
-  next flush instead of overrunning it;
+  previous batch (``consumer_delay_ms`` of virtual time, stamped as the
+  time it is busy until, not scheduled as an event) defers the next
+  flush instead of overrunning it: a flush attempted before that time
+  schedules the one retry, at that time;
 * **bounds memory under backpressure** — when a deferred queue grows
   past ``high_water`` pending PDUs it *degrades to coalesced-retain*:
   the exact notification sequence is folded into one net update per DN
@@ -108,7 +110,10 @@ class DeliveryQueue:
         self._coalesced: Dict[DN, Tuple[SyncUpdate, float]] = {}
         self._degraded = False
         self._timer = None
-        self._busy = False  # consumer still applying the last batch
+        #: The consumer applies the last batch until this virtual time;
+        #: a flush attempted before it arms the one ``_retry`` there.
+        self._busy_until = 0.0
+        self._retry = None
         self._closed = False
         #: Simulated per-batch consumer apply time; >0 exercises the
         #: backpressure path (set by benches/tests per session).
@@ -178,7 +183,8 @@ class DeliveryQueue:
 
     @property
     def busy(self) -> bool:
-        return self._busy
+        """True while the consumer is still applying the last batch."""
+        return self._scheduler.now < self._busy_until
 
     # ------------------------------------------------------------------
     # coalesced-retain degradation
@@ -215,11 +221,13 @@ class DeliveryQueue:
         """
         if self._closed or self.pending_count == 0:
             return 0
-        if self._busy:
+        if self.busy:
             # Backpressure: the consumer is still applying the previous
             # batch.  Leave the data queued (degrading bounds it); the
-            # ack callback retries the flush.
+            # one retry runs when the consumer is done.
             self._deferred.inc()
+            if self._retry is None:
+                self._retry = self._scheduler.call_at(self._busy_until, self._on_ready)
             return 0
         if self._timer is not None:
             self._scheduler.cancel(self._timer)
@@ -240,18 +248,20 @@ class DeliveryQueue:
             self._latency_hist.observe(latency)
             self.latencies.append(latency)
         if self.consumer_delay_ms > 0:
-            self._busy = True
-            self._scheduler.call_later(self.consumer_delay_ms, self._on_ack)
+            self._busy_until = now + self.consumer_delay_ms
+            self._scheduler.hold_until(self._busy_until)
         # Offers made reentrantly by the deliver callbacks stay queued;
         # re-arm so they flush by the age bound at the latest.
-        if self.pending_count >= self._max_batch and not self._busy:
+        if self.pending_count >= self._max_batch and not self.busy:
             self._scheduler.call_soon(self.flush)
         elif self.pending_count:
             self._arm_timer(now)
         return delivered
 
-    def _on_ack(self) -> None:
-        self._busy = False
+    def _on_ready(self) -> None:
+        """The consumer is done with the last batch and a flush was
+        held back meanwhile: send what is due."""
+        self._retry = None
         if self._closed:
             return
         if self.pending_count >= self._max_batch:
@@ -264,9 +274,10 @@ class DeliveryQueue:
         if self._closed:
             return
         self._closed = True
-        if self._timer is not None:
-            self._scheduler.cancel(self._timer)
-            self._timer = None
+        for event in (self._timer, self._retry):
+            if event is not None:
+                self._scheduler.cancel(event)
+        self._timer = self._retry = None
         self._pending.clear()
         self._coalesced.clear()
         self._degraded = False

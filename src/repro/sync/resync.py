@@ -455,19 +455,30 @@ class ResyncProvider:
     ) -> SyncResponse:
         """Resolve decoded master-only keys into full-entry ``add`` PDUs.
 
-        Keys are matched against the *current* content: an entry
-        modified since the sketch travels in its newest version (the
-        session redelivers the modify — idempotent), one deleted since
-        is skipped (the session delivers the delete on the next poll).
-        The response cookie resumes the sketch-time session, which from
-        here on is an ordinary §4 poll session.
+        Keys are matched against the *current* content, read from what
+        the sketch named: the session's membership (``content_dns``,
+        kept current by the router since the sketch), each DN's stored
+        image — no search.  An entry modified since the sketch travels
+        in its newest version (the session redelivers the modify —
+        idempotent); one deleted, renamed away or gone out of the
+        filter since is skipped (the session delivers the delete on the
+        next poll).  The picks go out in DN order, as the content read
+        orders them.  The response cookie resumes the sketch-time
+        session, which from here on is an ordinary §4 poll session.
         """
         with span("sync.resync.reconcile_fetch") as sp:
             session = self._session_of(fetch.cookie, request)
-            content = self._search_content(request)
-            by_key = {entry_digest(e)[0]: e for e in content}
             wanted = set(fetch.keys)
-            updates = [_add(e) for key, e in by_key.items() if key in wanted]
+            get = self.server.store.get
+            # A stored image's key is its DN's entry_key, remembered
+            # with its digest (the sketch digested most of them).
+            picks = [
+                image
+                for image in map(get, session.content_dns)
+                if image is not None and entry_digest(image)[0] in wanted
+            ]
+            picks.sort(key=lambda image: str(image.dn))
+            updates = [_add(request.project(image)) for image in picks]
             sp.add("entries_sent", len(updates))
             self._fold_touch(session.session_id)
         self._reconcile_fetches.inc()

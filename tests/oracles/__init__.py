@@ -87,6 +87,14 @@ part and checksums every item it inserts, as the sketch first did
 (``tests/sync/test_sketch_reference.py``: every cell equal, after build,
 insert and peel).
 
+A master search settles its regions once and runs one loop from the
+plan's candidates to the result; :func:`reference_evaluate`
+(:class:`ReferenceSearch`, :mod:`tests.oracles.search`) is the region
+walk it replaced — a re-entry per held context for a null base, a scope
+and a referral test per candidate, a compile per re-entry
+(``tests/server/test_evaluate_reference.py``: the same images in the
+same order, the same references, codes and ``server.plan.*`` counts).
+
 A run charges BER lengths without building BER: a persist batch frame
 (:func:`repro.ldap.ber.encoded_sync_batch_size`), each update PDU in it
 (:func:`repro.ldap.ber.sync_update_size`) and a reconcile sketch
@@ -136,6 +144,7 @@ from .ber import (
     encode_tlv,
     iter_tlvs,
 )
+from .search import ReferenceSearch, reference_evaluate
 from .sketch import ReferenceSketch, encoded_bytes, reference_digest, reference_sketch
 from .strawmen import (
     Changelog,
@@ -163,6 +172,7 @@ __all__ = [
     "LinearSessionStore",
     "PerContentLink",
     "ReferenceModel",
+    "ReferenceSearch",
     "ReferenceSketch",
     "RetainResyncProvider",
     "TAG_ENUMERATED",
@@ -190,6 +200,7 @@ __all__ = [
     "per_pdu_persist",
     "recover_parsing_each_text",
     "reference_digest",
+    "reference_evaluate",
     "reference_sketch",
 ]
 

@@ -245,6 +245,51 @@ class TestProviderReconcile:
             provider.reconcile_fetch(other, ReconcileFetch(keys=(), cookie=response.cookie))
 
 
+class TestFetchReadsWhatTheSketchNamed:
+    """``reconcile_fetch`` reads the session's membership and the stored
+    images, not a search: what changed between the sketch and the fetch
+    reaches the response as a content search at fetch time would."""
+
+    @pytest.mark.parametrize("attributes", [None, ("cn",)])
+    def test_changes_between_sketch_and_fetch(self, monkeypatch, attributes):
+        master = build_master(12)
+        provider = ResyncProvider(master)
+        request = SearchRequest(REQUEST.base, REQUEST.scope, REQUEST.filter, attributes)
+        response = provider.reconcile(request, ReconcileRequest(cells=96))
+        wanted = {entry_key(e.dn) for e in master.search(request).entries}
+        master.modify("cn=E000,o=xyz", [Modification.replace("sn", "modified")])
+        master.delete("cn=E001,o=xyz")
+        master.modify_dn("cn=E002,o=xyz", new_rdn="cn=R002")
+        master.modify("cn=E003,o=xyz", [Modification.replace("departmentNumber", "7")])
+        master.add(person("E999"))
+        # What the fetch owes: the wanted keys of the content at fetch time.
+        now = sorted(master.search(request).entries, key=lambda e: str(e.dn))
+        expected = [e for e in now if entry_key(e.dn) in wanted]
+
+        evaluations = []
+        monkeypatch.setattr(
+            DirectoryServer,
+            "evaluate",
+            lambda self, *args, **kwargs: evaluations.append(args) or None,
+        )
+        fetched = provider.reconcile_fetch(
+            request, ReconcileFetch(keys=tuple(wanted), cookie=response.cookie)
+        )
+        assert evaluations == []
+        assert [str(u.dn) for u in fetched.updates] == [str(e.dn) for e in expected]
+        assert "cn=E001,o=xyz" not in {str(u.dn) for u in fetched.updates}
+        assert len(fetched.updates) == 9  # E000 and E004..E011
+        for update, entry in zip(fetched.updates, expected):
+            assert update.action.value == "add"
+            assert update.entry.semantically_equal(entry)
+            if attributes is None:  # the stored image itself, newest version
+                assert update.entry is master.store.get(update.dn)
+        assert fetched.updates[0].entry.first("cn") == "E000"
+        if attributes is None:
+            assert fetched.updates[0].entry.first("sn") == "modified"
+        assert fetched.cookie == response.cookie
+
+
 # ----------------------------------------------------------------------
 # the consumer ladder
 # ----------------------------------------------------------------------

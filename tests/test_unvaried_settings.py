@@ -216,6 +216,10 @@ BER_GONE = (
         (SyncUpdate, "measured_bytes"),
         (ReconcileRequest, "pdu_bytes"),
         (EntrySketch, "encoded_bytes"),
+        (DirectoryServer, "_evaluate_all_contexts"),
+        (DirectoryServer, "_iter_region"),
+        (DirectoryServer, "_walk_region"),
+        (DeliveryQueue, "_on_ack"),
     ]
     + [(repro.ldap.ber, name) for name in BER_GONE],
     ids=[
@@ -261,6 +265,10 @@ BER_GONE = (
         "SyncUpdate.measured_bytes",
         "ReconcileRequest.pdu_bytes",
         "EntrySketch.encoded_bytes",
+        "DirectoryServer._evaluate_all_contexts",
+        "DirectoryServer._iter_region",
+        "DirectoryServer._walk_region",
+        "DeliveryQueue._on_ack",
     ]
     + [f"repro.ldap.ber.{name}" for name in BER_GONE],
 )

@@ -8,9 +8,12 @@ once untraced, timed (``load_s``), and once under ``tracemalloc``, for
 the bytes the load leaves held per entry (``bytes_per_entry``: the
 store's frozen images and its DN dict — every other structure is built
 on a query's first ask, and no query has run; the generated input
-entries are outside the count).  One line per size.  A measurement, not
-a test: EXPERIMENTS.md ("Master cost vs directory size") records its
-output.
+entries are outside the count).  Then it searches that master with the
+root-based requests of a 2 000-query Table 1 trace (seed 20050607 + 1),
+once to build what the queries ask for and then three times timed, and
+reports the best pass as ``searches_per_s``.  One line per size.  A
+measurement, not a test: EXPERIMENTS.md ("Master cost vs directory
+size") records its output.
 """
 
 from __future__ import annotations
@@ -21,9 +24,15 @@ import tracemalloc
 from time import perf_counter
 
 from repro.server import DirectoryServer
-from repro.workload import DirectoryConfig, generate_directory
+from repro.workload import (
+    DirectoryConfig,
+    WorkloadConfig,
+    WorkloadGenerator,
+    generate_directory,
+)
 
 SEED = 20050607
+QUERIES = 2000
 
 
 def loaded(directory) -> DirectoryServer:
@@ -51,8 +60,28 @@ def measure(employees: int) -> str:
     entries = len(master.store)
     return (
         f"employees={employees} entries={entries} load_s={load_s:.2f} "
-        f"bytes_per_entry={held / entries:.0f} held_mb={held / 2**20:.1f}"
+        f"bytes_per_entry={held / entries:.0f} held_mb={held / 2**20:.1f} "
+        f"searches_per_s={searches_per_s(master, directory):.0f}"
     )
+
+
+def searches_per_s(master: DirectoryServer, directory) -> float:
+    trace = WorkloadGenerator(directory, WorkloadConfig(seed=SEED + 1)).generate(QUERIES)
+    requests = [record.request for record in trace]
+    for request in requests:  # first asks build indexes and sets
+        master.search(request)
+    best = float("inf")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            started = perf_counter()
+            for request in requests:
+                master.search(request)
+            best = min(best, perf_counter() - started)
+    finally:
+        gc.enable()
+    return len(requests) / best
 
 
 def main(argv) -> int:
