@@ -4,7 +4,9 @@ A query ``Q`` is semantically contained in a stored query ``Qs`` when:
 
 (i)   the region defined by Q's base and scope falls completely inside
       the corresponding region of Qs,
-(ii)  Q's requested attributes are a subset of Qs's, and
+(ii)  Q's requested attributes are a subset of Qs's and, under an
+      attribute list, Q is Qs or the list holds every attribute Q's
+      filter tests, and
 (iii) Q's filter is more restrictive than Qs's filter.
 
 Scope values are the integers BASE=0, SINGLE LEVEL=1, SUBTREE=2, as the
@@ -32,6 +34,7 @@ from functools import lru_cache
 from typing import Dict, Optional
 
 from ..ldap.attributes import AttributeRegistry
+from ..ldap.filters import attributes_of
 from ..ldap.query import Scope, SearchRequest
 from .filter_containment import filter_contained_in
 
@@ -78,12 +81,22 @@ def region_contained_in(q: SearchRequest, qs: SearchRequest) -> bool:
 
 
 def attributes_contained_in(q: SearchRequest, qs: SearchRequest) -> bool:
-    """Condition (ii): A ⊆ As, with ``*`` meaning all user attributes."""
+    """Condition (ii): A ⊆ As, with ``*`` meaning all user attributes,
+    and — under an attribute list As — either Q is Qs or every attribute
+    Q's filter tests is in As.
+
+    A replica holds Qs's entries projected to As, so it cannot test an
+    attribute outside As: ``(departmentNumber=42)`` over images that
+    kept only ``cn`` would match nothing.  Qs itself needs no test —
+    its content is its answer (docs/ALGORITHMS.md §1, condition 2).
+    """
     if qs.wants_all_attributes:
         return True
     if q.wants_all_attributes:
         return False
-    return q.attributes <= qs.attributes
+    if not q.attributes <= qs.attributes:
+        return False
+    return q == qs or attributes_of(q.filter) <= qs.attributes
 
 
 def query_contained_in(

@@ -355,10 +355,9 @@ class FilterReplica:
         return cached
 
     def _answer(self, request: SearchRequest) -> ReplicaAnswer:
-        qkey = template_key(request.filter)
-        admitted = self._admitted(request, qkey)
-
-        if admitted:
+        # The template key is read only by a TemplateRegistry's prune.
+        qkey = template_key(request.filter) if self.templates is not None else ""
+        if self._admitted(request):
             stored = self._find_stored(request, qkey)
             if stored is not None:
                 stored.hits += 1
@@ -387,7 +386,7 @@ class FilterReplica:
         self.stats.record(answer)
         return answer
 
-    def _admitted(self, request: SearchRequest, qkey: str) -> bool:
+    def _admitted(self, request: SearchRequest) -> bool:
         """Template admission: with a registry, only member queries are
         candidates for local answering."""
         if self.templates is None:

@@ -13,8 +13,10 @@ whole window newest-first, only guard-atom/region candidates are
 containment-checked, in the same newest-first order, so hits and
 results are byte-identical to the linear scan
 (``tests/oracles.LinearRecentQueryCache``, the property-test oracle).
-Hit evaluation uses compiled filters (one closure per distinct query
-filter via :func:`~repro.ldap.matching.compile_filter_cached`), and
+A hit on the cached request itself returns the held result as it is,
+projected; any other hit is evaluated with a compiled filter (one
+closure per distinct query filter via
+:func:`~repro.ldap.matching.compile_filter_cached`), and
 ``containment_checks`` counts the :func:`query_contained_in` calls
 actually made — the replica folds it into its §7.4 overhead metric.
 """
@@ -196,12 +198,15 @@ class RecentQueryCache:
             self.containment_checks += 1
             if query_contained_in(request, cached.request):
                 self.hits += 1
-                compiled = compile_filter_cached(request.filter)
-                answer = [
-                    request.project(entry)
-                    for entry in cached.entries.values()
-                    if request.in_scope(entry.dn) and compiled(entry)
-                ]
+                if request == cached.request:
+                    answer = [request.project(entry) for entry in cached.entries.values()]
+                else:
+                    compiled = compile_filter_cached(request.filter)
+                    answer = [
+                        request.project(entry)
+                        for entry in cached.entries.values()
+                        if request.in_scope(entry.dn) and compiled(entry)
+                    ]
                 if self.policy == "lru":
                     self._window.move_to_end(cached.request)
                     self._index.touch(cached.request)

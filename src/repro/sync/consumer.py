@@ -244,22 +244,32 @@ class SyncedContent:
     def evaluate(self, request: SearchRequest) -> List[Entry]:
         """Entries of this content matching *request*, projected.
 
-        The master's evaluation over a smaller store: the store's
-        planner (:mod:`repro.server.planner`) narrows the content to a
-        candidate set, and the filter, compiled once per distinct filter
-        (:func:`~repro.ldap.matching.compile_filter_cached`), verifies
-        each candidate.  Candidates are visited in the content's
+        The content's own request is answered as held: ReSync keeps the
+        content equal to the master's answer to it (§5), so every held
+        image is returned, in insertion order, with no plan, no index
+        build and no filter test.  That is also the one correct answer
+        under an attribute list, where the held images may lack an
+        attribute the filter tests (docs/ALGORITHMS.md §1, condition 2).
+
+        Any other request gets the master's evaluation over a smaller
+        store: the store's planner (:mod:`repro.server.planner`) narrows
+        the content to a candidate set, and the filter, compiled once per
+        distinct filter (:func:`~repro.ldap.matching.compile_filter_cached`),
+        verifies each candidate.  Candidates are visited in the content's
         insertion order, and a scan plan walks the content in that
         order, so the result is identical to the linear scan's (the
         equivalence property of ``tests/core/test_routing_equivalence.py``).
         """
+        project = request.project
+        if request == self.request:
+            return [project(entry) for entry in self._store.images().values()]
         compiled = compile_filter_cached(request.filter)
         candidates = self._store.candidates_for(request.filter)
         if candidates is None:
             images = self._store.images().values()
         else:
             images = self._store.in_insertion_order(candidates)
-        in_scope, project = request.in_scope, request.project
+        in_scope = request.in_scope
         return [project(entry) for entry in images if in_scope(entry.dn) and compiled(entry)]
 
     # ------------------------------------------------------------------

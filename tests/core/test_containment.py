@@ -75,8 +75,9 @@ class TestAttributeContainment:
         assert not attributes_contained_in(q, qs)
 
     def test_subset(self):
-        q = SearchRequest("o=xyz", attributes=["mail"])
-        qs = SearchRequest("o=xyz", attributes=["mail", "cn"])
+        # The filter tests only held attributes (condition (ii)'s second half).
+        q = SearchRequest("o=xyz", filter="(mail=*)", attributes=["mail"])
+        qs = SearchRequest("o=xyz", filter="(mail=*)", attributes=["mail", "cn"])
         assert attributes_contained_in(q, qs)
         assert not attributes_contained_in(qs, q)
 
@@ -87,7 +88,7 @@ class TestAttributeContainment:
 
     def test_alias_insensitive(self):
         # Condition (ii), A ⊆ As, is over attribute types, not spellings.
-        q = SearchRequest("o=xyz", attributes=["surname", "commonName"])
+        q = SearchRequest("o=xyz", filter="(surname=*)", attributes=["surname", "commonName"])
         qs = SearchRequest("o=xyz", attributes=["cn", "sn", "mail"])
         assert attributes_contained_in(q, qs)
         assert q.attributes == SearchRequest("o=xyz", attributes=["SN", "cn"]).attributes
@@ -98,7 +99,7 @@ class TestFullQc:
         q = SearchRequest(
             "c=us,o=xyz", Scope.SUB, "(&(sn=Doe)(givenName=J))", ["mail"]
         )
-        qs = SearchRequest("o=xyz", Scope.SUB, "(sn=Doe)", ["mail", "cn"])
+        qs = SearchRequest("o=xyz", Scope.SUB, "(sn=Doe)", ["mail", "cn", "sn", "givenName"])
         assert query_contained_in(q, qs)
 
     def test_region_failure(self):

@@ -15,7 +15,8 @@ scaling/ablation benches measure:
 
 * :class:`LinearFilterReplica` — every stored filter containment-checked
   in insertion order, no negative cache, hits evaluated by an
-  interpreted scan of the whole content;
+  interpreted scan of the whole content (the stored request itself is
+  answered with the whole content, which is its answer);
 * :class:`LinearRecentQueryCache` — the whole window scanned
   newest-first, hits evaluated the same interpreted way;
 * :class:`LinearResyncProvider` — every active session's filter
@@ -95,6 +96,13 @@ and a referral test per candidate, a compile per re-entry
 (``tests/server/test_evaluate_reference.py``: the same images in the
 same order, the same references, codes and ``server.plan.*`` counts).
 
+A content answers its own request as held, and the recent-query
+window answers a hit on the cached request itself the same way;
+:func:`plan_and_test_evaluate` is the evaluation every request paid
+before — plan, insertion rank, compiled filter — and still the one
+every other request pays (``tests/core/test_held_request.py``: the same
+images in the same order for every other request, under update churn).
+
 A run charges BER lengths without building BER: a persist batch frame
 (:func:`repro.ldap.ber.encoded_sync_batch_size`), each update PDU in it
 (:func:`repro.ldap.ber.sync_update_size`) and a reconcile sketch
@@ -119,6 +127,7 @@ from repro.chaos import ReferenceModel
 from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_contained_in
 from repro.ldap import DN, Entry, SearchRequest
 from repro.ldap.filters import attributes_of
+from repro.ldap.matching import compile_filter_cached
 from repro.server import ResponseTruncated
 from repro.server.indexes import NGRAM, _ngrams
 from repro.sync import ResyncProvider, SessionStore, SyncLink, SyncProtocolError
@@ -198,6 +207,7 @@ __all__ = [
     "observe",
     "per_character_is_safe",
     "per_pdu_persist",
+    "plan_and_test_evaluate",
     "recover_parsing_each_text",
     "reference_digest",
     "reference_evaluate",
@@ -206,7 +216,8 @@ __all__ = [
 
 
 class LinearRecentQueryCache(RecentQueryCache):
-    """Recent-query window answered by a newest-first scan."""
+    """Recent-query window answered by a newest-first scan; a hit on
+    the cached request itself is the held result, projected."""
 
     def lookup(self, request: SearchRequest) -> Optional[Tuple[List[Entry], str]]:
         self.lookups += 1
@@ -217,10 +228,11 @@ class LinearRecentQueryCache(RecentQueryCache):
             self.containment_checks += 1
             if query_contained_in(request, cached.request):
                 self.hits += 1
+                held = request == cached.request
                 answer = [
                     request.project(entry)
                     for entry in cached.entries.values()
-                    if request.selects(entry)
+                    if held or request.selects(entry)
                 ]
                 if self.policy == "lru":
                     self._window.move_to_end(cached.request)
@@ -247,11 +259,27 @@ class LinearFilterReplica(FilterReplica):
         return None
 
     def _evaluate(self, request: SearchRequest, stored: StoredFilter) -> List[Entry]:
+        held = request == stored.request
         return [
             request.project(entry)
             for entry in stored.content.entries.values()
-            if request.selects(entry)
+            if held or request.selects(entry)
         ]
+
+
+def plan_and_test_evaluate(content, request: SearchRequest) -> List[Entry]:
+    """*request* over *content* (a :class:`~repro.sync.SyncedContent`)
+    the way every request was evaluated before a content answered its
+    own request as held: the store's plan, candidates in insertion rank,
+    the compiled filter and the scope test on each."""
+    store = content._store
+    compiled = compile_filter_cached(request.filter)
+    candidates = store.candidates_for(request.filter)
+    if candidates is None:
+        images = store.images().values()
+    else:
+        images = store.in_insertion_order(candidates)
+    return [request.project(e) for e in images if request.in_scope(e.dn) and compiled(e)]
 
 
 class LinearResyncProvider(ResyncProvider):
