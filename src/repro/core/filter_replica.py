@@ -50,7 +50,7 @@ from ..sync.resilient import SyncLink
 from .containment import query_contained_in
 from .query_cache import NegativeResultCache, RecentQueryCache
 from .replica import AnswerStatus, HitStats, ReplicaAnswer, link_for
-from .routing import ContainmentIndex
+from .routing import ContainmentIndex, Probe
 from .templates import TemplateRegistry, template_key
 
 __all__ = ["StoredFilter", "FilterReplica"]
@@ -306,7 +306,9 @@ class FilterReplica:
             sp.add("hit", 1 if result.status is AnswerStatus.HIT else 0)
         return result
 
-    def _find_stored(self, request: SearchRequest, qkey: str) -> Optional[StoredFilter]:
+    def _find_stored(
+        self, request: SearchRequest, qkey: str, probe: Probe
+    ) -> Optional[StoredFilter]:
         """First stored query containing *request*, in insertion order.
 
         Consults the :class:`ContainmentIndex` (positive memo, then
@@ -326,7 +328,7 @@ class FilterReplica:
         if memo is not None:
             self._route_memo_hits.inc()
             return memo.handle
-        candidates = self._index.candidates(request)
+        candidates = self._index.candidates(request, probe)
         self._route_candidates.inc(len(candidates))
         for cand in candidates:
             stored = cand.handle
@@ -343,11 +345,11 @@ class FilterReplica:
             self._negative.note_miss(request)
         return None
 
-    def _cache_lookup(self, request: SearchRequest):
+    def _cache_lookup(self, request: SearchRequest, probe: Probe):
         """Cache lookup with its containment checks folded into the
         replica's §7.4 overhead metric (labeled ``source=cache``)."""
         before = self.cache.containment_checks
-        cached = self.cache.lookup(request)
+        cached = self.cache.lookup(request, probe)
         checked = self.cache.containment_checks - before
         if checked:
             self.containment_checks += checked
@@ -358,7 +360,9 @@ class FilterReplica:
         # The template key is read only by a TemplateRegistry's prune.
         qkey = template_key(request.filter) if self.templates is not None else ""
         if self._admitted(request):
-            stored = self._find_stored(request, qkey)
+            # both indexes route from one normalization of the leaves
+            probe = Probe(request.filter)
+            stored = self._find_stored(request, qkey, probe)
             if stored is not None:
                 stored.hits += 1
                 answer = ReplicaAnswer(
@@ -370,7 +374,7 @@ class FilterReplica:
                 self.stats.record(answer)
                 return answer
 
-            cached = self._cache_lookup(request)
+            cached = self._cache_lookup(request, probe)
             if cached is not None:
                 entries, source = cached
                 answer = ReplicaAnswer(

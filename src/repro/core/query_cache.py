@@ -29,11 +29,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
-from ..ldap.filters import attributes_of
 from ..ldap.matching import compile_filter_cached
 from ..ldap.query import SearchRequest
 from .containment import query_contained_in
-from .routing import ContainmentIndex
+from .routing import ContainmentIndex, Probe
 
 __all__ = ["CachedQuery", "NegativeResultCache", "RecentQueryCache"]
 
@@ -104,10 +103,6 @@ class CachedQuery:
 
     request: SearchRequest
     entries: Dict[DN, Entry]
-    filter_attrs: frozenset = frozenset()
-    """Attributes of the cached filter — a cheap containment prescreen:
-    our sound checker can only prove ``q ⊆ qs`` when every attribute
-    *qs* constrains is also constrained by *q*."""
 
 
 class RecentQueryCache:
@@ -173,7 +168,6 @@ class RecentQueryCache:
         cached = CachedQuery(
             request=request,
             entries={e.dn: _image(e) for e in entries},
-            filter_attrs=attributes_of(request.filter),
         )
         self._window[request] = cached
         self._ref(cached.entries)
@@ -182,19 +176,20 @@ class RecentQueryCache:
             old_request, old_cached = self._window.popitem(last=False)
             self._evict(old_request, old_cached)
 
-    def lookup(self, request: SearchRequest) -> Optional[Tuple[List[Entry], str]]:
+    def lookup(
+        self, request: SearchRequest, probe: Optional[Probe] = None
+    ) -> Optional[Tuple[List[Entry], str]]:
         """Answer *request* from a containing cached query, if any.
 
         Returns (entries, cache key) on a hit, None on a miss.  Newest
         cached queries are consulted first (temporal locality); only
-        routed candidates are checked.
+        routed candidates are checked.  *probe* is the request filter's
+        :class:`~repro.core.routing.Probe` when the caller routed it
+        through another index already.
         """
         self.lookups += 1
-        request_attrs = attributes_of(request.filter)
-        for cand in self._index.candidates(request):
+        for cand in self._index.candidates(request, probe):
             cached = cand.handle
-            if not cached.filter_attrs <= request_attrs:
-                continue
             self.containment_checks += 1
             if query_contained_in(request, cached.request):
                 self.hits += 1

@@ -6,20 +6,28 @@ query_contained_in` until one contains the incoming query — linear in
 the population size.  The :class:`ContainmentIndex` here replaces the
 scan with candidate routing: every registered query is summarized by
 
-* a set of **guard atoms** — a necessary condition on the incoming
-  query's leaf predicates for containment to be provable (see
-  :func:`guard_atoms`; docs/ROUTING.md carries the soundness argument),
+* its **guard sets** — necessary conditions on the incoming query's
+  leaf predicates for containment to be provable (see
+  :func:`guard_sets`; docs/ROUTING.md §3 carries the soundness
+  argument).  The query is posted under one of them; a stored AND
+  keeps the guard set of each other conjunct as a *requirement* the
+  probe must also meet,
 * its **region key** — ``base.reversed_key()``, so the region-
   containment prerequisite (stored base is ancestor-or-self of the
   query base) becomes prefix probing of the query's own key.
 
-``candidates(q)`` returns the registered queries whose guard atoms
-intersect ``probe_atoms(q)`` *and* whose region key prefixes ``q``'s —
-a superset of everything the linear scan could match, usually a few
-entries instead of the whole population.  A bounded positive memo
-(query → first containing candidate) short-circuits repeat queries; it
-is invalidated lazily through candidate liveness, so ``remove()`` (and
-cache eviction, which removes) needs no memo bookkeeping.
+``candidates(q)`` returns the registered queries whose posted guard
+set intersects ``probe_atoms(q)``, whose every required guard set does
+too, *and* whose region key prefixes ``q``'s — a superset of
+everything the linear scan could match, usually a few entries instead
+of the whole population.  A probe carries ``pfx`` atoms only at the
+prefix lengths some registered guard has (a
+:class:`~repro.sync.router.PrefixLengths`, the counter the
+provider-side ``SessionRouter`` keeps its own lengths in).  A bounded
+positive memo (query → first containing candidate) short-circuits
+repeat queries; it is invalidated lazily through candidate liveness,
+so ``remove()`` (and cache eviction, which removes) needs no memo
+bookkeeping.
 
 Completeness contract (property-tested in
 ``tests/core/test_routing.py``): for every pair with
@@ -33,14 +41,13 @@ extra candidates only cost a check.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..ldap.attributes import AttributeRegistry, DEFAULT_REGISTRY
 from ..ldap.filters import (
     And,
     Equality,
     Filter,
-    Not,
     Or,
     Predicate,
     Substring,
@@ -48,8 +55,16 @@ from ..ldap.filters import (
     simplify,
 )
 from ..ldap.query import SearchRequest
+from ..sync.router import PrefixLengths, rank
 
-__all__ = ["ContainmentIndex", "Candidate", "guard_atoms", "probe_atoms"]
+__all__ = [
+    "ContainmentIndex",
+    "Candidate",
+    "Probe",
+    "guard_atoms",
+    "guard_sets",
+    "probe_atoms",
+]
 
 #: ``(kind, ...)`` tuples; kinds: ``eq``, ``pfx``, ``attr``, ``any``.
 Atom = Tuple[str, ...]
@@ -90,23 +105,41 @@ def _predicate_guard(pred: Predicate, registry: AttributeRegistry) -> Atom:
     return ("attr", key)
 
 
-_STRENGTH = {"any": 0, "attr": 1, "pfx": 2, "eq": 3}
+#: How many registrations are posted under an atom set (ranking ties).
+Posted = Callable[[FrozenSet[Atom]], int]
 
 
-def _guard_score(atoms: FrozenSet[Atom]) -> Tuple[int, int, int]:
-    """Selectivity rank of one guard set (higher = better).
+def guard_sets(
+    flt: Filter,
+    registry: Optional[AttributeRegistry] = None,
+    posted: Posted = lambda atoms: 0,
+) -> Tuple[FrozenSet[Atom], Tuple[FrozenSet[Atom], ...]]:
+    """``(posted, required)`` guard sets of a *stored* filter.
 
-    A guard set has OR semantics, so it is as weak as its weakest atom;
-    prefer any-free sets, then a stronger weakest atom, then fewer
-    atoms.
+    Necessary condition: if ``filter_contained_in(q, flt)`` holds for
+    any query filter ``q``, then ``probe_atoms(q)`` intersects the
+    posted set and every required set.  For a filter that is not an
+    AND, ``posted`` is :func:`guard_atoms` and nothing is required.
+    ``Q ⊆ (& c…)`` needs ``Q ⊆ c`` for *every* conjunct (Proposition
+    3), so a stored AND is posted under its best-ranked conjunct's
+    guard set (:func:`~repro.sync.router.rank`, the ``SessionRouter``'s
+    rule; ties go to the set *posted* reports fewer registrations
+    under, then to the first) and requires each other conjunct's —
+    less any set holding ``("any",)``, which every probe meets.
     """
-    has_any = any(a[0] == "any" for a in atoms)
-    weakest = min(_STRENGTH[a[0]] for a in atoms)
-    return (0 if has_any else 1, weakest, -len(atoms))
+    reg = registry if registry is not None else DEFAULT_REGISTRY
+    flt = simplify(flt)
+    if not isinstance(flt, And) or not flt.children:
+        return _guard(flt, reg, posted), ()
+    sets = [_guard(child, reg, posted) for child in flt.children]
+    best = _best(sets, posted)
+    # in conjunct order, so a probe tests them in the same order in any process
+    required = dict.fromkeys(atoms for atoms in sets if _ANY not in atoms and atoms != best)
+    return best, tuple(required)
 
 
 def guard_atoms(flt: Filter, registry: Optional[AttributeRegistry] = None) -> FrozenSet[Atom]:
-    """Guard atoms of a *stored* filter.
+    """The guard set a *stored* filter is posted under.
 
     Necessary condition: if ``filter_contained_in(q, flt)`` holds for
     any query filter ``q``, then ``probe_atoms(q)`` intersects
@@ -114,7 +147,9 @@ def guard_atoms(flt: Filter, registry: Optional[AttributeRegistry] = None) -> Fr
     :func:`repro.core.filter_containment.filter_contained_in`:
 
     * AND — containment requires ``q ⊆ c`` for *every* conjunct, so any
-      single conjunct's guards suffice; the most selective one is kept.
+      single conjunct's guards suffice; the best-ranked one is kept
+      (:func:`~repro.sync.router.rank`; ties go to the first, as nothing
+      is posted here).
     * OR — ``q ⊆ (| d…)`` may be proved through any one disjunct (and a
       disjunctive ``q`` through different disjuncts per branch), so the
       guard is the union over children.  This is why a plain
@@ -122,62 +157,100 @@ def guard_atoms(flt: Filter, registry: Optional[AttributeRegistry] = None) -> Fr
     * NOT and other unprovable shapes — the always-match ``("any",)``
       bucket.
     """
-    reg = registry if registry is not None else DEFAULT_REGISTRY
-    return _guard(simplify(flt), reg)
+    return guard_sets(flt, registry)[0]
 
 
-def _guard(flt: Filter, reg: AttributeRegistry) -> FrozenSet[Atom]:
+def _best(sets: List[FrozenSet[Atom]], posted: Posted) -> FrozenSet[Atom]:
+    best = sets[0]
+    best_rank = rank(best, posted(best))
+    for atoms in sets[1:]:
+        found = rank(atoms, posted(atoms))
+        if found > best_rank:
+            best, best_rank = atoms, found
+    return best
+
+
+def _guard(flt: Filter, reg: AttributeRegistry, posted: Posted) -> FrozenSet[Atom]:
     if isinstance(flt, Predicate):
         return frozenset((_predicate_guard(flt, reg),))
-    if isinstance(flt, And):
-        best: Optional[FrozenSet[Atom]] = None
-        for child in flt.children:
-            atoms = _guard(child, reg)
-            if best is None or _guard_score(atoms) > _guard_score(best):
-                best = atoms
-        return best if best is not None else frozenset((_ANY,))
+    if isinstance(flt, And) and flt.children:
+        return _best([_guard(child, reg, posted) for child in flt.children], posted)
     if isinstance(flt, Or):
         merged: Set[Atom] = set()
         for child in flt.children:
-            merged |= _guard(child, reg)
+            merged |= _guard(child, reg, posted)
         return frozenset(merged) if merged else frozenset((_ANY,))
-    if isinstance(flt, Not):
-        return frozenset((_ANY,))
-    return frozenset((_ANY,))  # pragma: no cover - all node kinds handled
+    return frozenset((_ANY,))  # NOT, and an empty AND
 
 
-def probe_atoms(flt: Filter, registry: Optional[AttributeRegistry] = None) -> Set[Atom]:
+def probe_atoms(
+    flt: Filter,
+    registry: Optional[AttributeRegistry] = None,
+    prefix_lengths: Optional[Dict[str, Dict[int, int]]] = None,
+) -> Set[Atom]:
     """Atoms an incoming *query* filter satisfies.
 
     Every leaf predicate contributes its attribute atom; equalities add
-    their exact-value atom plus every prefix (matching stored anchored
-    substrings); anchored substrings add their initial's prefixes.  The
-    ``("any",)`` bucket is always probed.  Probing all leaves — also
-    those under NOT — keeps the set a superset of what any containment
-    derivation can require.
+    their exact-value atom; equality values and anchored-substring
+    initials add a ``pfx`` atom at each length *prefix_lengths* (a
+    :class:`~repro.sync.router.PrefixLengths`) registers for the
+    attribute and the text is long enough for — no other ``pfx`` atom
+    can meet a registered guard.  The ``("any",)`` bucket is always
+    probed.  Probing all leaves — also those under NOT — keeps the set
+    a superset of what any containment derivation can require.
     """
-    reg = registry if registry is not None else DEFAULT_REGISTRY
-    atoms: Set[Atom] = {_ANY}
-    for pred in iter_predicates(flt):
-        key = reg.key(pred.attr)
-        atoms.add(("attr", key))
-        if isinstance(pred, Equality):
-            value = _norm(reg, pred.attr, pred.value)
+    return Probe(flt, registry).atoms(prefix_lengths)
+
+
+class Probe:
+    """A query filter's leaves, normalized once for every index that
+    routes it — a replica's stored filters, then its recent-query
+    window — and only when an index first asks."""
+
+    __slots__ = ("filter", "registry", "_leaves")
+
+    def __init__(self, flt: Filter, registry: Optional[AttributeRegistry] = None):
+        self.filter = flt
+        self.registry = registry if registry is not None else DEFAULT_REGISTRY
+        # (attr key, normalized equality value, text prefixes are cut from)
+        self._leaves: Optional[List[Tuple[str, str, str]]] = None
+
+    def _derive(self) -> List[Tuple[str, str, str]]:
+        reg = self.registry
+        leaves = []
+        for pred in iter_predicates(self.filter):
+            key = reg.key(pred.attr)
+            if isinstance(pred, Equality):
+                value = _norm(reg, pred.attr, pred.value)
+                leaves.append((key, value, value))
+            elif isinstance(pred, Substring) and pred.initial:
+                leaves.append((key, "", _norm(reg, pred.attr, pred.initial)))
+            else:
+                leaves.append((key, "", ""))
+        return leaves
+
+    def atoms(self, prefix_lengths: Optional[Dict[str, Dict[int, int]]]) -> Set[Atom]:
+        """The probe atoms at the prefix lengths one index registers."""
+        if self._leaves is None:
+            self._leaves = self._derive()
+        atoms: Set[Atom] = {_ANY}
+        for key, value, text in self._leaves:
+            atoms.add(("attr", key))
             if value:
                 atoms.add(("eq", key, value))
-                for i in range(1, len(value) + 1):
-                    atoms.add(("pfx", key, value[:i]))
-        elif isinstance(pred, Substring) and pred.initial:
-            prefix = _norm(reg, pred.attr, pred.initial)
-            for i in range(1, len(prefix) + 1):
-                atoms.add(("pfx", key, prefix[:i]))
-    return atoms
+            lens = prefix_lengths.get(key) if text and prefix_lengths else None
+            if lens:
+                size = len(text)
+                for n in lens:
+                    if n <= size:
+                        atoms.add(("pfx", key, text[:n]))
+        return atoms
 
 
 class Candidate:
     """One registered query plus its routing summary."""
 
-    __slots__ = ("uid", "seq", "request", "handle", "atoms", "region")
+    __slots__ = ("uid", "seq", "request", "handle", "atoms", "required", "region")
 
     def __init__(
         self,
@@ -186,6 +259,7 @@ class Candidate:
         request: SearchRequest,
         handle: object,
         atoms: FrozenSet[Atom],
+        required: Tuple[FrozenSet[Atom], ...],
         region: Tuple,
     ):
         self.uid = uid
@@ -193,7 +267,12 @@ class Candidate:
         self.request = request
         self.handle = handle
         self.atoms = atoms
+        self.required = required
         self.region = region
+
+    def guards(self):
+        """Every guard set: the posted one, then the required ones."""
+        return (self.atoms,) + self.required
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"Candidate(#{self.uid}, {self.request})"
@@ -228,6 +307,8 @@ class ContainmentIndex:
         self._seqs = itertools.count(1)
         self._by_request: Dict[SearchRequest, Candidate] = {}
         self._atom_postings: Dict[Atom, Set[Candidate]] = {}
+        # every pfx atom of every guard set, posted or required
+        self._pfx_lens = PrefixLengths()
         self._memo: Dict[SearchRequest, Candidate] = {}
         # plain-int accounting; owners mirror these into metric counters
         self.probes = 0
@@ -237,20 +318,30 @@ class ContainmentIndex:
     # ------------------------------------------------------------------
     # population maintenance
     # ------------------------------------------------------------------
+    def _posted(self, atoms: FrozenSet[Atom]) -> int:
+        postings = self._atom_postings
+        return sum(len(postings.get(atom, ())) for atom in atoms)
+
     def add(self, request: SearchRequest, handle: object) -> Candidate:
         """Register *request*; an existing registration is replaced."""
         self.remove(request)
+        atoms, required = guard_sets(request.filter, self._registry, self._posted)
         cand = Candidate(
             uid=next(self._uids),
             seq=next(self._seqs),
             request=request,
             handle=handle,
-            atoms=guard_atoms(request.filter, self._registry),
+            atoms=atoms,
+            required=required,
             region=request.base.reversed_key(),
         )
         self._by_request[request] = cand
         for atom in cand.atoms:
             self._atom_postings.setdefault(atom, set()).add(cand)
+        for guard in cand.guards():
+            for atom in guard:
+                if atom[0] == "pfx":
+                    self._pfx_lens.add(atom)
         return cand
 
     def remove(self, request: SearchRequest) -> bool:
@@ -264,6 +355,10 @@ class ContainmentIndex:
                 postings.discard(cand)
                 if not postings:
                     del self._atom_postings[atom]
+        for guard in cand.guards():
+            for atom in guard:
+                if atom[0] == "pfx":
+                    self._pfx_lens.discard(atom)
         return True
 
     def touch(self, request: SearchRequest) -> None:
@@ -275,6 +370,7 @@ class ContainmentIndex:
     def clear(self) -> None:
         self._by_request.clear()
         self._atom_postings.clear()
+        self._pfx_lens.clear()
         self._memo.clear()
 
     def __len__(self) -> int:
@@ -286,25 +382,33 @@ class ContainmentIndex:
     # ------------------------------------------------------------------
     # candidate routing
     # ------------------------------------------------------------------
-    def candidates(self, request: SearchRequest) -> List[Candidate]:
+    def candidates(
+        self, request: SearchRequest, probe: Optional[Probe] = None
+    ) -> List[Candidate]:
         """Registered queries that could contain *request*, in order.
 
-        Guard-atom buckets are intersected with the region prefix
-        probes of ``request.base.reversed_key()`` — a registered query
-        can only contain *request* when its base is an ancestor-or-self
-        of the request's base (:func:`~repro.core.containment.
-        region_contained_in`), i.e. its region key is one of the
-        ``len(rk) + 1`` prefixes of the request's own key.  The region
-        test is a per-candidate membership check against that small
-        prefix set, so its cost tracks the matched candidates, not the
+        *probe* is the request filter's :class:`Probe` when the caller
+        routes it through another index too; one is made otherwise.
+
+        The posting lists of the request's probe atoms are united; a
+        matched query is kept only when the probe also meets each of its
+        required guard sets (every other conjunct of a stored AND) and
+        its base is an ancestor-or-self of the request's
+        (:func:`~repro.core.containment.region_contained_in`), i.e. its
+        region key is one of the ``len(rk) + 1`` prefixes of
+        ``request.base.reversed_key()``.  Both tests are per matched
+        candidate, so their cost tracks the matches, not the
         population.
         """
         self.probes += 1
         if not self._by_request:
             return []
+        if probe is None or probe.registry is not self._registry:
+            probe = Probe(request.filter, self._registry)
+        atoms = probe.atoms(self._pfx_lens)
         matched: Set[Candidate] = set()
         postings_get = self._atom_postings.get
-        for atom in probe_atoms(request.filter, self._registry):
+        for atom in atoms:
             postings = postings_get(atom)
             if postings:
                 matched |= postings
@@ -312,7 +416,12 @@ class ContainmentIndex:
             return []
         rk = request.base.reversed_key()
         prefixes = {rk[:i] for i in range(len(rk) + 1)}
-        matched = {c for c in matched if c.region in prefixes}
+        matched = {
+            c
+            for c in matched
+            if c.region in prefixes
+            and all(not guard.isdisjoint(atoms) for guard in c.required)
+        }
         if self._order == "insertion":
             ordered = sorted(matched, key=lambda c: c.uid)
         else:

@@ -63,12 +63,56 @@ from ..server.operations import UpdateRecord
 if TYPE_CHECKING:  # session.py imports this module: the store owns a router
     from .session import Session
 
-__all__ = ["SessionRouter"]
+__all__ = ["PrefixLengths", "SessionRouter", "rank"]
 
 #: ``(kind, attr[, value])``; kinds ``eq``, ``pfx``, ``attr`` as in
-#: :mod:`repro.core.routing`, ranked by how few entries they admit.
+#: :mod:`repro.core.routing` (which adds ``any``), ranked by how few
+#: entries — or, there, queries — reach them.
 Atom = Tuple
-_STRENGTH = {"attr": 0, "pfx": 1, "eq": 2}
+_STRENGTH = {"any": 0, "attr": 1, "pfx": 2, "eq": 3}
+
+
+def rank(atoms: FrozenSet[Atom], posted: int) -> Tuple[int, int]:
+    """Selectivity of one atom set (higher = fewer reach it).
+
+    A set has OR semantics, so it is as weak as its weakest atom; among
+    equally weak sets the one fewer registrations are *currently*
+    posted under ranks higher (*posted*, counted by the caller).  The
+    :class:`SessionRouter` and the replica-side
+    :class:`~repro.core.routing.ContainmentIndex` choose an AND's
+    conjunct by this rule.
+    """
+    weakest = min((_STRENGTH[atom[0]] for atom in atoms), default=len(_STRENGTH))
+    return (weakest, -posted)
+
+
+class PrefixLengths(dict):
+    """``attr → {prefix length → registrations}`` over ``pfx`` atoms.
+
+    A ``pfx`` atom is keyed by the whole prefix, so a value could be
+    probed with every one of its own prefixes — one atom per
+    character.  Counting the registered lengths per attribute lets a
+    probe slice each value once per length something is registered
+    at.  What counts as a registration is the owner's: the
+    :class:`SessionRouter` counts every distinct posted atom, the
+    :class:`~repro.core.routing.ContainmentIndex` every ``pfx`` atom of
+    every guard set it holds.
+    """
+
+    def add(self, atom: Atom) -> None:
+        lens = self.setdefault(atom[1], {})
+        n = len(atom[2])
+        lens[n] = lens.get(n, 0) + 1
+
+    def discard(self, atom: Atom) -> None:
+        lens = self[atom[1]]
+        n = len(atom[2])
+        lens[n] -= 1
+        if not lens[n]:
+            del lens[n]
+            if not lens:
+                del self[atom[1]]
+
 
 _EMPTY: FrozenSet["Session"] = frozenset()
 _serial = attrgetter("serial")  # creation order == the linear scan's order
@@ -115,7 +159,7 @@ class SessionRouter:
         self._postings: Dict[str, Dict[Atom, Set[Session]]] = {}
         # attr -> {prefix length -> distinct ``pfx`` atoms of that length}:
         # a value is probed once per registered length, never per character.
-        self._pfx_lens: Dict[str, Dict[int, int]] = {}
+        self._pfx_lens = PrefixLengths()
         self._unanchored: Set[Session] = set()
         self._holders: Dict[DN, Set[Session]] = HolderIndex()
 
@@ -160,13 +204,12 @@ class SessionRouter:
         return None  # NOT: matches entries lacking the attribute
 
     def _rank(self, atoms: FrozenSet[Atom]) -> Tuple[int, int]:
-        """Selectivity of one atom set (higher = fewer entries reach it):
-        OR semantics make it as weak as its weakest atom."""
+        """Selectivity of one atom set (higher = fewer entries reach it),
+        by :func:`rank` over the sessions posted now."""
         posted = sum(
             len(self._postings.get(atom[1], {}).get(atom, ())) for atom in atoms
         )
-        weakest = min((_STRENGTH[atom[0]] for atom in atoms), default=len(_STRENGTH))
-        return (weakest, -posted)
+        return rank(atoms, posted)
 
     # ------------------------------------------------------------------
     # registration
@@ -184,8 +227,7 @@ class SessionRouter:
             if bucket is None:
                 bucket = posted[atom] = set()
                 if atom[0] == "pfx":
-                    lens = self._pfx_lens.setdefault(atom[1], {})
-                    lens[len(atom[2])] = lens.get(len(atom[2]), 0) + 1
+                    self._pfx_lens.add(atom)
             bucket.add(session)
         session.index_under(weakref.proxy(self._holders))
 
@@ -200,12 +242,7 @@ class SessionRouter:
                 if not posted:
                     del self._postings[atom[1]]
                 if atom[0] == "pfx":
-                    lens = self._pfx_lens[atom[1]]
-                    lens[len(atom[2])] -= 1
-                    if not lens[len(atom[2])]:
-                        del lens[len(atom[2])]
-                        if not lens:
-                            del self._pfx_lens[atom[1]]
+                    self._pfx_lens.discard(atom)
         session.index_under(None)
 
     # ------------------------------------------------------------------

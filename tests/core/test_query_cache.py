@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import RecentQueryCache
+from repro.core import FilterReplica, RecentQueryCache, query_contained_in
 from repro.ldap import Entry, Scope, SearchRequest
+from repro.server import DirectoryServer
 
 
 def q(filter_text: str) -> SearchRequest:
@@ -106,6 +107,46 @@ class TestLookup:
         narrowed = SearchRequest("", Scope.SUB, "(cn=a)", ["cn"])
         entries, _ = cache.lookup(narrowed)
         assert not entries[0].has_attribute("mail")
+
+
+class TestNoAttributePrescreen:
+    """A cached query whose filter names an attribute the request's does
+    not may still contain it: ``(sn=a) ⊆ (|(sn=a)(cn=b))`` by the Or-right
+    rule (docs/ROUTING.md §3), so the window must answer it."""
+
+    CACHED = SearchRequest("o=xyz", Scope.SUB, "(|(sn=a)(cn=b))")
+    QUERY = SearchRequest("o=xyz", Scope.SUB, "(sn=a)")
+
+    @pytest.fixture()
+    def master(self) -> DirectoryServer:
+        m = DirectoryServer("master")
+        m.add_naming_context("o=xyz")
+        m.add(Entry("o=xyz", {"objectClass": ["organization"], "o": "xyz"}))
+        for name, sn in (("p0", "a"), ("b", "x"), ("p2", "a"), ("p3", "y")):
+            m.add(Entry(f"cn={name},o=xyz", {"objectClass": ["person"], "cn": name, "sn": sn}))
+        return m
+
+    @staticmethod
+    def _dns(entries):
+        return sorted(str(e.dn) for e in entries)
+
+    def test_window_answers_a_disjunct_as_the_master(self, master):
+        assert query_contained_in(self.QUERY, self.CACHED)
+        cache = RecentQueryCache(5)
+        cache.insert(self.CACHED, master.search(self.CACHED).entries)
+        found = cache.lookup(self.QUERY)
+        assert found is not None
+        entries, source = found
+        assert source == str(self.CACHED)
+        expected = self._dns(master.search(self.QUERY).entries)
+        assert self._dns(entries) == expected == ["cn=p0,o=xyz", "cn=p2,o=xyz"]
+
+    def test_replica_answers_from_the_window_as_the_master(self, master):
+        replica = FilterReplica("r", cache_capacity=5)
+        replica.observe_miss(self.CACHED, master.search(self.CACHED).entries)
+        answer = replica.answer(self.QUERY)
+        assert answer.answered_by == f"cache:{self.CACHED}"
+        assert self._dns(answer.entries) == self._dns(master.search(self.QUERY).entries)
 
 
 class TestEntryCount:

@@ -4,15 +4,20 @@ The index is pure routing: it must never *miss* a registered query that
 could contain an incoming one (completeness), while extra candidates
 only cost a containment check.  Completeness is the load-bearing
 invariant — it is what lets `FilterReplica`/`RecentQueryCache` skip the
-linear scan without changing a single answer — so it gets a Hypothesis
-property over the same closed world the containment soundness suite
-uses.
+linear scan without changing a single answer — so it gets Hypothesis
+properties over the same closed world the containment soundness suite
+uses, and over add/remove churn with alias spellings, stored ANDs that
+share a conjunct and values longer than every registered prefix, in
+both candidate orders.  Cost pins hold what the routing saves: one
+candidate per department query among same-template stored ANDs, and no
+``pfx`` atom for an attribute no guard has a prefix on.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import query_contained_in
-from repro.core.routing import ContainmentIndex, guard_atoms, probe_atoms
+from repro.core.routing import ContainmentIndex, guard_atoms, guard_sets, probe_atoms
 from repro.ldap import (
     And,
     Equality,
@@ -63,12 +68,35 @@ def test_or_guard_unions_children():
     assert guard_atoms(flt) == {("eq", "sn", "a"), ("pfx", "cn", "b")}
 
 
-def test_probe_atoms_cover_equality_prefixes():
-    atoms = probe_atoms(Equality("sn", "abc"))
-    assert ("eq", "sn", "abc") in atoms
+def test_and_guard_sets_require_every_other_conjunct():
+    flt = And((Equality("objectClass", "department"), Equality("l", "x"), Not(Equality("sn", "a"))))
+    posted, required = guard_sets(flt)
+    assert posted == {("eq", "objectclass", "department")}
+    # The NOT conjunct's ("any",) set is met by every probe: not required.
+    assert set(required) == {frozenset({("eq", "l", "x")})}
+    assert guard_sets(Equality("sn", "a")) == ({("eq", "sn", "a")}, ())
+
+
+def test_and_guard_sets_require_in_conjunct_order():
+    # Not hash order: a probe then runs the same tests in every process.
+    names = ["l", "ou", "st", "title", "mail", "uid"]
+    flt = And(tuple(Equality(name, "x") for name in ["objectClass"] + names))
+    posted, required = guard_sets(flt)
+    assert posted == {("eq", "objectclass", "x")}
+    assert required == tuple(frozenset({("eq", name, "x")}) for name in names)
+
+
+def test_probe_atoms_add_prefixes_only_at_registered_lengths():
+    lengths = {"sn": {1: 1, 3: 2, 5: 1}, "cn": {2: 1}}
+    atoms = probe_atoms(Equality("sn", "abcd"), prefix_lengths=lengths)
+    assert ("eq", "sn", "abcd") in atoms
     assert ("attr", "sn") in atoms
-    assert {("pfx", "sn", "a"), ("pfx", "sn", "ab"), ("pfx", "sn", "abc")} <= atoms
     assert ("any",) in atoms
+    # length 2 is registered for cn only, 5 is longer than the value
+    assert {a for a in atoms if a[0] == "pfx"} == {("pfx", "sn", "a"), ("pfx", "sn", "abc")}
+    initial = probe_atoms(Substring("sn", initial="abc"), prefix_lengths=lengths)
+    assert {a for a in initial if a[0] == "pfx"} == {("pfx", "sn", "a"), ("pfx", "sn", "abc")}
+    assert not [a for a in probe_atoms(Equality("sn", "abcd")) if a[0] == "pfx"]
 
 
 # ----------------------------------------------------------------------
@@ -166,6 +194,38 @@ def test_readd_after_remove_gets_fresh_memo_identity():
     assert [c is fresh for c in index.candidates(query)] == [True]
 
 
+def test_and_posts_under_the_conjunct_fewest_are_posted_under():
+    index = ContainmentIndex()
+    first = index.add(_req("(&(objectClass=department)(departmentNumber=1))"), 1)
+    second = index.add(_req("(&(objectClass=department)(departmentNumber=2))"), 2)
+    assert first.atoms == {("eq", "objectclass", "department")}
+    assert second.atoms == {("eq", "departmentnumber", "2")}
+    assert second.required == (frozenset({("eq", "objectclass", "department")}),)
+    # An AND is a candidate only where the probe meets every conjunct.
+    got = index.candidates(_req("(&(objectClass=department)(departmentNumber=2))"))
+    assert [c.request for c in got] == [second.request]
+    assert index.candidates(_req("(departmentNumber=2)")) == []
+
+
+def test_and_with_an_or_conjunct_requires_one_disjunct():
+    index = ContainmentIndex()
+    stored = _req("(&(sn=a)(|(cn=b)(uid=c)))")
+    index.add(stored, 1)
+    query = _req("(&(sn=a)(cn=b))")
+    assert query_contained_in(query, stored)
+    assert [c.request for c in index.candidates(query)] == [stored]
+    assert index.candidates(_req("(&(sn=a)(l=b))")) == []
+
+
+def test_a_required_prefix_guard_registers_its_length():
+    index = ContainmentIndex()
+    stored = _req("(&(sn=a)(cn=ab*))")  # posted under sn=a, requires cn=ab*
+    index.add(stored, 1)
+    query = _req("(&(sn=a)(cn=abc))")
+    assert query_contained_in(query, stored)
+    assert [c.request for c in index.candidates(query)] == [stored]
+
+
 def test_memo_disabled_in_recency_order():
     index = ContainmentIndex(order="recency")
     stored = _req("(sn=a)")
@@ -173,6 +233,52 @@ def test_memo_disabled_in_recency_order():
     query = _req("(sn=a)")
     index.memo_put(query, cand)
     assert index.memo_get(query) is None
+
+
+# ----------------------------------------------------------------------
+# cost pins
+# ----------------------------------------------------------------------
+
+
+def _department(n: int, m: int) -> SearchRequest:
+    return _req(
+        f"(&(objectClass=department)(departmentNumber={n})(divisionNumber={m}))"
+    )
+
+
+@pytest.mark.parametrize("order", ContainmentIndex.ORDERS)
+def test_department_query_has_one_candidate_among_forty(order):
+    index = ContainmentIndex(order=order)
+    stored = [_department(n, n % 7) for n in range(40)]
+    for request in stored:
+        index.add(request, request)
+    for n in (0, 17, 39):
+        got = index.candidates(_department(n, n % 7))
+        assert [c.request for c in got] == [stored[n]]
+
+
+class _RecordingPostings(dict):
+    """The index's atom postings, recording every atom looked up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def get(self, atom, default=None):
+        self.asked.append(atom)
+        return super().get(atom, default)
+
+
+@pytest.mark.parametrize("order", ContainmentIndex.ORDERS)
+def test_mail_probe_without_a_mail_prefix_guard_builds_no_prefix_atom(order):
+    index = ContainmentIndex(order=order)
+    index.add(_req("(serialNumber=0001*US)"), 1)
+    index.add(_req("(mail=someone@example.com)"), 2)
+    index._atom_postings = _RecordingPostings(index._atom_postings)
+    got = index.candidates(_req("(mail=someone@example.com)"))
+    assert [c.handle for c in got] == [2]
+    assert index._atom_postings.asked
+    assert [a for a in index._atom_postings.asked if a[0] == "pfx"] == []
 
 
 # ----------------------------------------------------------------------
@@ -213,11 +319,12 @@ _requests = st.builds(
 )
 
 
+@pytest.mark.parametrize("order", ContainmentIndex.ORDERS)
 @settings(max_examples=300, deadline=None)
 @given(_requests, st.lists(_requests, min_size=1, max_size=8))
-def test_candidates_superset_of_containing(query, population):
+def test_candidates_superset_of_containing(order, query, population):
     """Any stored query that contains *query* must be routed."""
-    index = ContainmentIndex()
+    index = ContainmentIndex(order=order)
     for stored in population:
         index.add(stored, stored)
     routed = {c.request for c in index.candidates(query)}
@@ -226,3 +333,101 @@ def test_candidates_superset_of_containing(query, population):
             assert stored in routed, (
                 f"routing skipped containing query {stored} for {query}"
             )
+
+
+# ----------------------------------------------------------------------
+# completeness under churn: aliases, shared conjuncts, long values
+# ----------------------------------------------------------------------
+
+# Two spellings each of sn and cn; mail only ever takes equalities, so
+# no guard posts a prefix on it; "abcdefghij" is longer than every
+# initial a guard can post.
+_CHURN_ATTRS = ["sn", "surname", "cn", "commonName", "uid"]
+_CHURN_VALUES = ["a", "ab", "abc", "abcdefghij", "b", "ba"]
+_churn_attr = st.sampled_from(_CHURN_ATTRS)
+_churn_value = st.sampled_from(_CHURN_VALUES)
+_churn_equality = st.builds(
+    Equality, st.sampled_from(_CHURN_ATTRS + ["mail"]), _churn_value
+)
+
+_churn_leaves = st.one_of(
+    _churn_equality,
+    st.builds(GreaterOrEqual, _churn_attr, _churn_value),
+    st.builds(Present, _churn_attr),
+    st.builds(lambda a, v: Substring(a, initial=v), _churn_attr, st.sampled_from(_CHURN_VALUES[:3])),
+    st.builds(lambda a, v: Substring(a, any_parts=(v,)), _churn_attr, _churn_value),
+)
+
+_churn_filters = st.recursive(
+    _churn_leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=3).map(lambda cs: And(tuple(cs))),
+        st.lists(kids, min_size=1, max_size=3).map(lambda cs: Or(tuple(cs))),
+        kids.map(Not),
+    ),
+    max_leaves=5,
+)
+
+# Stored ANDs of two or more equalities sharing one conjunct, under
+# either spelling of its attribute; another conjunct may be an anchored
+# substring, whose prefix length must be probed though nothing is
+# posted under it, or an OR of equalities, which a probe meets through
+# any one disjunct.
+_shared_conjunct = st.sampled_from(
+    [Equality("objectClass", "department"), Equality("objectclass", "Department")]
+)
+_shared_ands = st.builds(
+    lambda shared, rest: And((shared,) + tuple(rest)),
+    _shared_conjunct,
+    st.lists(
+        st.one_of(
+            _churn_equality,
+            st.builds(
+                lambda a, v: Substring(a, initial=v), _churn_attr, st.sampled_from(_CHURN_VALUES[:3])
+            ),
+            st.lists(_churn_equality, min_size=2, max_size=2).map(lambda cs: Or(tuple(cs))),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+_churn_requests = st.builds(
+    SearchRequest,
+    st.sampled_from(_BASES),
+    st.just(Scope.SUB),
+    st.one_of(_churn_filters, _shared_ands),
+)
+
+
+@pytest.mark.parametrize("order", ContainmentIndex.ORDERS)
+@settings(max_examples=150, deadline=None)
+@given(
+    population=st.lists(_churn_requests, min_size=1, max_size=6),
+    ops=st.lists(st.tuples(st.booleans(), st.integers(0, 5)), min_size=1, max_size=14),
+    extra=st.lists(_churn_requests, max_size=3),
+)
+def test_candidates_complete_under_churn(order, population, ops, extra):
+    """Every registered query containing a probe is routed after every
+    add, remove and re-add, whatever spelling either side uses."""
+    index = ContainmentIndex(order=order)
+    live = set()
+    for add, i in ops:
+        stored = population[i % len(population)]
+        if add:
+            index.add(stored, stored)
+            live.add(stored)
+        else:
+            index.remove(stored)
+            live.discard(stored)
+        for query in list(population) + list(extra):
+            routed = {c.request for c in index.candidates(query)}
+            assert routed <= live
+            for held in live:
+                if query_contained_in(query, held):
+                    assert held in routed, (
+                        f"routing skipped containing query {held} for {query}"
+                    )
+    for stored in list(live):
+        index.remove(stored)
+    assert not index._pfx_lens and not index._atom_postings

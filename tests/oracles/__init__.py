@@ -126,7 +126,6 @@ from unittest import mock
 from repro.chaos import ReferenceModel
 from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_contained_in
 from repro.ldap import DN, Entry, SearchRequest
-from repro.ldap.filters import attributes_of
 from repro.ldap.matching import compile_filter_cached
 from repro.server import ResponseTruncated
 from repro.server.indexes import NGRAM, _ngrams
@@ -219,12 +218,9 @@ class LinearRecentQueryCache(RecentQueryCache):
     """Recent-query window answered by a newest-first scan; a hit on
     the cached request itself is the held result, projected."""
 
-    def lookup(self, request: SearchRequest) -> Optional[Tuple[List[Entry], str]]:
+    def lookup(self, request: SearchRequest, probe=None) -> Optional[Tuple[List[Entry], str]]:
         self.lookups += 1
-        request_attrs = attributes_of(request.filter)
         for cached in reversed(self._window.values()):
-            if not cached.filter_attrs <= request_attrs:
-                continue
             self.containment_checks += 1
             if query_contained_in(request, cached.request):
                 self.hits += 1
@@ -248,7 +244,7 @@ class LinearFilterReplica(FilterReplica):
         self.cache = LinearRecentQueryCache(self.cache.capacity, policy=self.cache.policy)
         self._negative = None
 
-    def _find_stored(self, request: SearchRequest, qkey: str) -> Optional[StoredFilter]:
+    def _find_stored(self, request: SearchRequest, qkey: str, probe=None) -> Optional[StoredFilter]:
         for stored in self._stored.values():
             if self.templates is not None and not self.templates.may_answer(stored.key, qkey):
                 continue

@@ -45,7 +45,7 @@ import repro.sync
 import repro.sync.consumer
 import repro.sync.protocol
 from repro.chaos import SoakConfig
-from repro.core import ContainmentIndex, FilterReplica
+from repro.core import CachedQuery, ContainmentIndex, FilterReplica
 from repro.ldap import DEFAULT_REGISTRY, DN, Scope, SearchRequest
 from repro.metrics import ReplicaDriver
 from repro.obs import MetricsRegistry, TraceCollector
@@ -220,6 +220,7 @@ BER_GONE = (
         (DirectoryServer, "_iter_region"),
         (DirectoryServer, "_walk_region"),
         (DeliveryQueue, "_on_ack"),
+        (CachedQuery, "filter_attrs"),
     ]
     + [(repro.ldap.ber, name) for name in BER_GONE],
     ids=[
@@ -269,6 +270,7 @@ BER_GONE = (
         "DirectoryServer._iter_region",
         "DirectoryServer._walk_region",
         "DeliveryQueue._on_ack",
+        "CachedQuery.filter_attrs",
     ]
     + [f"repro.ldap.ber.{name}" for name in BER_GONE],
 )
