@@ -1,19 +1,27 @@
 """The reference model: what the stack owes, stated once (docs/FAULTS.md §5).
 
 A contained query is answered as the master would answer it (QC, §3–4),
-ReSync converges (§5), and a degraded replica never lies about
-staleness.  ``entries`` is the master as it should be: kept by a state
-machine's own rules, or read by :meth:`ReferenceModel.of` in an
-interpreted walk of the store that shares no planner, index or compiled
-filter with the ``master.evaluate`` path that served the replica.
+a key lookup is answered as the master answered it when the holding
+content last synced (:meth:`ReferenceModel.keyed`), ReSync converges
+(§5), and a degraded replica never lies about staleness.  ``entries``
+is the master as it should be: kept by a state machine's own rules, or
+read by :meth:`ReferenceModel.of` in an interpreted walk of the store
+that shares no planner, index or compiled filter with the
+``master.evaluate`` path that served the replica.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
-from ..core.containment import query_contained_in
+from ..core.containment import (
+    attributes_contained_in,
+    query_contained_in,
+    region_contained_in,
+)
+from ..ldap.attributes import DEFAULT_REGISTRY
 from ..ldap.entry import Entry
+from ..ldap.filters import And, Equality
 from ..ldap.query import SearchRequest
 from ..sync.consumer import SyncedContent
 from ..sync.health import HealthMachine
@@ -45,6 +53,32 @@ class ReferenceModel:
         if any(query_contained_in(request, f) for f in admitted):
             return self.content(request)
         return None
+
+    def keyed(
+        self, request: SearchRequest, held: SearchRequest
+    ) -> Optional[Dict[str, Entry]]:
+        """The key rule, stated once (docs/ALGORITHMS.md §1, "The key
+        rule").  A replica answers *request* — an equality on a unique
+        attribute, alone or a conjunct of a top-level AND — from the one
+        image of that value it holds, in the content of *held*.  The
+        master holds at most one entry with that value (it refuses a
+        second holder), so its answer is that entry or nothing, and the
+        answer owed is content(request) of the master as of the holding
+        content's sync point: this model, taken then.
+
+        The master enforces the key over what it holds, so the rule is
+        sound only while *request*'s region lies inside *held*'s, a
+        region the master answered from its own contexts; and, as QC's
+        condition (ii), while *held* keeps every attribute *request*
+        asks for and tests.  Otherwise None: a referral."""
+        flt = request.filter
+        conjuncts = flt.children if isinstance(flt, And) else (flt,)
+        unique = DEFAULT_REGISTRY.unique_keys()
+        if not any(isinstance(c, Equality) and c.attr_key in unique for c in conjuncts):
+            return None
+        if not (region_contained_in(request, held) and attributes_contained_in(request, held)):
+            return None
+        return self.content(request)
 
     def holds(self, content: SyncedContent) -> bool:
         """*content* is image-identical to its request's content

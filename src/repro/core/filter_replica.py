@@ -7,14 +7,19 @@ is answered locally iff it is semantically contained in some stored
 query (the ``QC`` algorithm of §4), otherwise a referral to the master
 is generated.
 
-The replica combines the three content sources of §7:
+The replica combines the three content sources of §7, and one rule of
+its own:
 
 * **stored filters** — generalized queries (and whole-subtree queries
   like the location tree), kept consistent through a ReSync provider;
 * **recent user queries** — an optional :class:`RecentQueryCache`
   window exploiting temporal locality (cached, never updated);
 * **dynamic selection** — stored filters can be installed/discarded at
-  runtime by :class:`repro.core.selection.FilterSelector` revolutions.
+  runtime by :class:`repro.core.selection.FilterSelector` revolutions;
+* **the key rule** — a query both missed is answered from the one held
+  image of a unique attribute's value it asks for by equality, found in
+  a replica-wide :class:`~repro.core.keys.KeyTable` (docs/ALGORITHMS.md
+  §1, "The key rule").
 
 The ``QC`` scan is candidate routing through a
 :class:`~repro.core.routing.ContainmentIndex` — guard-atom posting
@@ -47,7 +52,9 @@ from ..server.operations import Referral
 from ..sync.consumer import SyncedContent
 from ..sync.protocol import SyncResponse
 from ..sync.resilient import SyncLink
-from .containment import query_contained_in
+from ..ldap.matching import compile_filter_cached
+from .containment import attributes_contained_in, query_contained_in, region_contained_in
+from .keys import KeyTable
 from .query_cache import NegativeResultCache, RecentQueryCache
 from .replica import AnswerStatus, HitStats, ReplicaAnswer, link_for
 from .routing import ContainmentIndex, Probe
@@ -117,6 +124,9 @@ class FilterReplica:
         self.cache = RecentQueryCache(cache_capacity, policy=cache_policy)
         self._stored: Dict[SearchRequest, StoredFilter] = {}
         self._index = ContainmentIndex()
+        self._keys = KeyTable()
+        # the last referred request and its probe, for observe_miss
+        self._missed: Optional[Tuple[SearchRequest, Probe]] = None
         # Stored-path negative cache: only when no template registry is
         # attached — registries are mutable, and a template registered
         # after a recorded miss could change the prune decision.
@@ -138,6 +148,7 @@ class FilterReplica:
         )
         self._route_candidates = self.metrics.counter("core.route.candidates")
         self._route_memo_hits = self.metrics.counter("core.route.memo_hits")
+        self._key_hits = self.metrics.counter("core.replica.key_hits")
 
     # ------------------------------------------------------------------
     # stored-filter management
@@ -185,6 +196,7 @@ class FilterReplica:
     def _admit(self, stored: StoredFilter) -> None:
         """*stored* holds an applied response: it may answer."""
         self._index.add(stored.request, stored)
+        self._keys.attach(stored.content, stored)
         if self._negative is not None:
             # The new filter may contain a previously-missed request.
             self._negative.invalidate()
@@ -196,7 +208,10 @@ class FilterReplica:
         self._pending.pop(request, None)
         self._index.remove(request)
         self._size_memo = None
-        if stored is None or stored.link is None:
+        if stored is None:
+            return
+        self._keys.detach(stored.content)
+        if stored.link is None:
             return
         stored.link.forget(stored.content)
         if provider is not None and stored.content.cookie:
@@ -298,7 +313,8 @@ class FilterReplica:
         """Answer *request* locally or refer to the master.
 
         Order: template admission check, stored filters (template-pruned
-        containment), then the recent-query cache.  Traced as
+        containment), the recent-query cache, then the key rule
+        (:meth:`_key_answer`).  Traced as
         ``core.replica.answer`` (no-op without a collector).
         """
         with span("core.replica.answer") as sp:
@@ -383,12 +399,51 @@ class FilterReplica:
                 self.stats.record(answer)
                 return answer
 
+            answer = self._key_answer(request, probe)
+            if answer is not None:
+                self._key_hits.inc()
+                self.stats.record(answer)
+                return answer
+            self._missed = (request, probe)
+
         answer = ReplicaAnswer(
             AnswerStatus.MISS,
             referrals=[Referral(self.master_url, request.base)],
         )
         self.stats.record(answer)
         return answer
+
+    def _key_answer(self, request: SearchRequest, probe: Probe) -> Optional[ReplicaAnswer]:
+        """The key rule (docs/ALGORITHMS.md §1): a HIT from the one held
+        image E of the value a key equality of *request* asks for, or
+        None — no image holds it; two different images do (contents
+        synced at different points may disagree); or no content holding
+        E has *request*'s region inside its own (the master's, where the
+        key is enforced) and every attribute *request* asks for or
+        tests.  The answer is {E}, projected, when E is in the region
+        and matches all of *request*, else ∅; it names the first such
+        content, and is degraded when that content's link is."""
+        holders = self._keys.holders(request.filter, probe)
+        if not holders:
+            return None
+        images = [stored.content.entries[dn] for stored, dn in holders]
+        image = images[0]
+        if any(held is not image for held in images):
+            return None
+        for stored, _dn in holders:
+            if region_contained_in(request, stored.request) and attributes_contained_in(
+                request, stored.request
+            ):
+                break
+        else:
+            return None
+        matched = request.in_scope(image.dn) and compile_filter_cached(request.filter)(image)
+        return ReplicaAnswer(
+            AnswerStatus.HIT,
+            entries=[request.project(image)] if matched else [],
+            answered_by=f"key:{stored.request}",
+            degraded=stored.degraded,
+        )
 
     def _admitted(self, request: SearchRequest) -> bool:
         """Template admission: with a registry, only member queries are
@@ -402,8 +457,12 @@ class FilterReplica:
         return stored.content.evaluate(request)
 
     def observe_miss(self, request: SearchRequest, entries: Sequence[Entry]) -> None:
-        """Feed a master-answered query back into the recent-query cache."""
-        self.cache.insert(request, entries)
+        """Feed a master-answered query back into the recent-query cache;
+        the last referred request's probe is reused for its routing."""
+        missed = self._missed
+        probe = missed[1] if missed is not None and missed[0] == request else None
+        self._missed = None
+        self.cache.insert(request, entries, probe)
 
     # ------------------------------------------------------------------
     # negative-cache observability

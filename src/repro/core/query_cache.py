@@ -158,8 +158,13 @@ class RecentQueryCache:
         self._deref(cached.entries)
         self._index.remove(request)
 
-    def insert(self, request: SearchRequest, entries: Sequence[Entry]) -> None:
-        """Cache *request* with its result, evicting the oldest entry."""
+    def insert(
+        self, request: SearchRequest, entries: Sequence[Entry], probe: Optional[Probe] = None
+    ) -> None:
+        """Cache *request* with its result, evicting the oldest entry.
+        *probe* is the request filter's :class:`~repro.core.routing.Probe`
+        when the request was just routed as a query: its routing
+        registration reuses the probe's normalized leaves."""
         if self.capacity == 0:
             return
         previous = self._window.pop(request, None)
@@ -171,7 +176,7 @@ class RecentQueryCache:
         )
         self._window[request] = cached
         self._ref(cached.entries)
-        self._index.add(request, cached)
+        self._index.add(request, cached, probe)
         while len(self._window) > self.capacity:
             old_request, old_cached = self._window.popitem(last=False)
             self._evict(old_request, old_cached)

@@ -79,7 +79,22 @@ def _norm(registry: AttributeRegistry, attr: str, value: str) -> str:
     return str(registry.get(attr).normalize(value))
 
 
-def _predicate_guard(pred: Predicate, registry: AttributeRegistry) -> Atom:
+#: A query leaf, normalized: (attr key, equality value, text prefixes
+#: are cut from); the empty string where the leaf has none.
+Leaf = Tuple[str, str, str]
+
+
+def _leaf(pred: Predicate, registry: AttributeRegistry) -> Leaf:
+    key = registry.key(pred.attr)
+    if isinstance(pred, Equality):
+        value = _norm(registry, pred.attr, pred.value)
+        return (key, value, value)
+    if isinstance(pred, Substring) and pred.initial:
+        return (key, "", _norm(registry, pred.attr, pred.initial))
+    return (key, "", "")
+
+
+def _predicate_guard(leaf: Leaf) -> Atom:
     """The single guard atom of a stored leaf predicate.
 
     Chosen so that ``predicate_contained_in(p1, pred)`` (for any query
@@ -93,15 +108,11 @@ def _predicate_guard(pred: Predicate, registry: AttributeRegistry) -> Atom:
       only requires a query predicate on the same attribute →
       ``("attr", attr)``.
     """
-    key = registry.key(pred.attr)
-    if isinstance(pred, Equality):
-        value = _norm(registry, pred.attr, pred.value)
-        if value:
-            return ("eq", key, value)
-    elif isinstance(pred, Substring) and pred.initial:
-        prefix = _norm(registry, pred.attr, pred.initial)
-        if prefix:
-            return ("pfx", key, prefix)
+    key, value, text = leaf
+    if value:
+        return ("eq", key, value)
+    if text:
+        return ("pfx", key, text)
     return ("attr", key)
 
 
@@ -113,6 +124,7 @@ def guard_sets(
     flt: Filter,
     registry: Optional[AttributeRegistry] = None,
     posted: Posted = lambda atoms: 0,
+    probe: Optional["Probe"] = None,
 ) -> Tuple[FrozenSet[Atom], Tuple[FrozenSet[Atom], ...]]:
     """``(posted, required)`` guard sets of a *stored* filter.
 
@@ -126,12 +138,18 @@ def guard_sets(
     rule; ties go to the set *posted* reports fewer registrations
     under, then to the first) and requires each other conjunct's —
     less any set holding ``("any",)``, which every probe meets.
+
+    *probe* is the filter's own :class:`Probe` when it was just routed
+    as a query (a missed query entering the recent-query window): its
+    leaves are reused, not normalized again.
     """
     reg = registry if registry is not None else DEFAULT_REGISTRY
+    if probe is not None and probe.registry is not reg:
+        probe = None
     flt = simplify(flt)
     if not isinstance(flt, And) or not flt.children:
-        return _guard(flt, reg, posted), ()
-    sets = [_guard(child, reg, posted) for child in flt.children]
+        return _guard(flt, reg, probe, posted), ()
+    sets = [_guard(child, reg, probe, posted) for child in flt.children]
     best = _best(sets, posted)
     # in conjunct order, so a probe tests them in the same order in any process
     required = dict.fromkeys(atoms for atoms in sets if _ANY not in atoms and atoms != best)
@@ -170,15 +188,18 @@ def _best(sets: List[FrozenSet[Atom]], posted: Posted) -> FrozenSet[Atom]:
     return best
 
 
-def _guard(flt: Filter, reg: AttributeRegistry, posted: Posted) -> FrozenSet[Atom]:
+def _guard(
+    flt: Filter, reg: AttributeRegistry, probe: Optional["Probe"], posted: Posted
+) -> FrozenSet[Atom]:
     if isinstance(flt, Predicate):
-        return frozenset((_predicate_guard(flt, reg),))
+        leaf = probe.leaf(flt) if probe is not None else _leaf(flt, reg)
+        return frozenset((_predicate_guard(leaf),))
     if isinstance(flt, And) and flt.children:
-        return _best([_guard(child, reg, posted) for child in flt.children], posted)
+        return _best([_guard(child, reg, probe, posted) for child in flt.children], posted)
     if isinstance(flt, Or):
         merged: Set[Atom] = set()
         for child in flt.children:
-            merged |= _guard(child, reg, posted)
+            merged |= _guard(child, reg, probe, posted)
         return frozenset(merged) if merged else frozenset((_ANY,))
     return frozenset((_ANY,))  # NOT, and an empty AND
 
@@ -205,36 +226,34 @@ def probe_atoms(
 class Probe:
     """A query filter's leaves, normalized once for every index that
     routes it — a replica's stored filters, then its recent-query
-    window — and only when an index first asks."""
+    window, then its key table, and the window's registration of the
+    query when it missed — and only when one first asks."""
 
     __slots__ = ("filter", "registry", "_leaves")
 
     def __init__(self, flt: Filter, registry: Optional[AttributeRegistry] = None):
         self.filter = flt
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        # (attr key, normalized equality value, text prefixes are cut from)
-        self._leaves: Optional[List[Tuple[str, str, str]]] = None
+        self._leaves: Optional[List[Tuple[Predicate, Leaf]]] = None
 
-    def _derive(self) -> List[Tuple[str, str, str]]:
-        reg = self.registry
-        leaves = []
-        for pred in iter_predicates(self.filter):
-            key = reg.key(pred.attr)
-            if isinstance(pred, Equality):
-                value = _norm(reg, pred.attr, pred.value)
-                leaves.append((key, value, value))
-            elif isinstance(pred, Substring) and pred.initial:
-                leaves.append((key, "", _norm(reg, pred.attr, pred.initial)))
-            else:
-                leaves.append((key, "", ""))
-        return leaves
+    def _derived(self) -> List[Tuple[Predicate, Leaf]]:
+        if self._leaves is None:
+            reg = self.registry
+            self._leaves = [(pred, _leaf(pred, reg)) for pred in iter_predicates(self.filter)]
+        return self._leaves
+
+    def leaf(self, pred: Predicate) -> Leaf:
+        """*pred*'s leaf: derived with the filter's when *pred* is one of
+        its predicates (the same object), else on its own."""
+        for held, leaf in self._derived():
+            if held is pred:
+                return leaf
+        return _leaf(pred, self.registry)
 
     def atoms(self, prefix_lengths: Optional[Dict[str, Dict[int, int]]]) -> Set[Atom]:
         """The probe atoms at the prefix lengths one index registers."""
-        if self._leaves is None:
-            self._leaves = self._derive()
         atoms: Set[Atom] = {_ANY}
-        for key, value, text in self._leaves:
+        for _pred, (key, value, text) in self._derived():
             atoms.add(("attr", key))
             if value:
                 atoms.add(("eq", key, value))
@@ -322,10 +341,13 @@ class ContainmentIndex:
         postings = self._atom_postings
         return sum(len(postings.get(atom, ())) for atom in atoms)
 
-    def add(self, request: SearchRequest, handle: object) -> Candidate:
-        """Register *request*; an existing registration is replaced."""
+    def add(
+        self, request: SearchRequest, handle: object, probe: Optional[Probe] = None
+    ) -> Candidate:
+        """Register *request*; an existing registration is replaced.
+        *probe* is the request filter's :class:`Probe`, when it has one."""
         self.remove(request)
-        atoms, required = guard_sets(request.filter, self._registry, self._posted)
+        atoms, required = guard_sets(request.filter, self._registry, self._posted, probe)
         cand = Candidate(
             uid=next(self._uids),
             seq=next(self._seqs),

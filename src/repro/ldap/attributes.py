@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 __all__ = [
     "Syntax",
@@ -85,6 +85,9 @@ class AttributeType:
         single_valued: whether the schema restricts the attribute to one
             value (advisory; the store enforces it on add/modify).
         ordered: whether ordering (``>=``/``<=``) matches are defined.
+        unique: whether the attribute is a key: no two entries of one
+            master hold a value equal under the attribute's equality
+            syntax (the master refuses a second holder).
     """
 
     name: str
@@ -92,6 +95,7 @@ class AttributeType:
     aliases: Tuple[str, ...] = ()
     single_valued: bool = False
     ordered: bool = True
+    unique: bool = False
 
     @property
     def key(self) -> str:
@@ -113,6 +117,7 @@ class AttributeRegistry:
     def __init__(self, types: Iterable[AttributeType] = ()):
         self._by_name: Dict[str, AttributeType] = {}
         self._keys: Dict[str, str] = {}  # spelling -> key() memo
+        self._unique: Optional[FrozenSet[str]] = None
         for at in types:
             self.register(at)
 
@@ -122,6 +127,7 @@ class AttributeRegistry:
         for alias in attribute_type.aliases:
             self._by_name[alias.lower()] = attribute_type
         self._keys.clear()  # a spelling may resolve differently now
+        self._unique = None
 
     def key(self, name: str) -> str:
         """The identity of the attribute *name* spells: the lower-cased
@@ -135,6 +141,12 @@ class AttributeRegistry:
         if key is None:
             key = self._keys[name] = sys.intern(self.get(name).key)
         return key
+
+    def unique_keys(self) -> FrozenSet[str]:
+        """Keys of the registered attributes marked ``unique``."""
+        if self._unique is None:
+            self._unique = frozenset(at.key for at in self._by_name.values() if at.unique)
+        return self._unique
 
     def get(self, name: str) -> AttributeType:
         """Resolve *name*, synthesizing a directory-string type if unknown."""
@@ -160,8 +172,8 @@ def _standard_types() -> Tuple[AttributeType, ...]:
         AttributeType("cn", aliases=("commonName",)),
         AttributeType("sn", aliases=("surname",)),
         AttributeType("givenName"),
-        AttributeType("uid", aliases=("userid",)),
-        AttributeType("mail", syntax=Syntax.CASE_EXACT_STRING),
+        AttributeType("uid", aliases=("userid",), unique=True),
+        AttributeType("mail", syntax=Syntax.CASE_EXACT_STRING, unique=True),
         AttributeType("telephoneNumber"),
         AttributeType("serialNumber"),
         AttributeType("employeeNumber", single_valued=True),

@@ -12,7 +12,9 @@ from the stored images, and kept up to date by :meth:`put` and
   (:meth:`~repro.ldap.attributes.AttributeRegistry.key`), so a filter
   finds it under any spelling; within a set, the substring and ordering
   indexes are again built on first ask;
-* the parent → children map, for one-level scope and the leaf rule;
+* the parent → children map, for one-level scope and the leaf rule,
+  and each walked parent's children sorted by name, kept until a child
+  of it is put or deleted;
 * the referral set, for continuation references;
 * the subtree order lists, for subtree regions;
 * an insertion rank, for returning candidates in the order a scan of
@@ -86,6 +88,7 @@ class EntryStore:
         # until something reads them.
         self._indexes: Dict[str, AttributeIndexSet] = {}
         self._children: Optional[Dict[DN, Set[DN]]] = None
+        self._sorted_children: Dict[DN, List[DN]] = {}
         self._referral_dns: Optional[Set[DN]] = None
         # Subtree range index: (keys, DNs), sorted by reversed-DN key, so
         # every subtree is one contiguous [lo, hi) slice (parents first).
@@ -117,8 +120,16 @@ class EntryStore:
         return iter(list(self._entries.values()))
 
     def children_of(self, dn: DN) -> List[DN]:
-        """DNs of the direct children of *dn*."""
-        return sorted(self._tree().get(dn, ()), key=str)
+        """DNs of the direct children of *dn*, sorted by name.  A parent's
+        list is sorted once and kept until a child of it is put or
+        deleted: the store's own list, read-only."""
+        kids = self._sorted_children.get(dn)
+        if kids is None:
+            found = self._tree().get(dn)
+            if not found:
+                return []
+            kids = self._sorted_children[dn] = sorted(found, key=str)
+        return kids
 
     def has_children(self, dn: DN) -> bool:
         """True when *dn* has at least one child entry."""
@@ -171,6 +182,7 @@ class EntryStore:
             del keys[pos]
             del dns[pos]
         if self._children is not None and not dn.is_root:
+            self._sorted_children.pop(dn.parent, None)
             siblings = self._children.get(dn.parent)
             if siblings is not None:
                 siblings.discard(dn)
@@ -190,6 +202,7 @@ class EntryStore:
             keys.insert(pos, key)
             dns.insert(pos, dn)
         if self._children is not None and not dn.is_root:
+            self._sorted_children.pop(dn.parent, None)
             self._children[dn.parent].add(dn)
 
     # ------------------------------------------------------------------

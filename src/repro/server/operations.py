@@ -50,6 +50,7 @@ class ResultCode(enum.IntEnum):
     UNWILLING_TO_PERFORM = 53
     REFERRAL = 10
     NO_SUCH_ATTRIBUTE = 16
+    CONSTRAINT_VIOLATION = 19  # RFC 4511: a second holder of a unique value
     OBJECT_CLASS_VIOLATION = 65
 
 

@@ -59,6 +59,10 @@ class SyncedContent:
         self.version = 0
         #: Process-unique identity, never reused (unlike ``id()``).
         self.serial = next(_CONTENT_SERIALS)
+        #: Told of every image this content gains, replaces or loses
+        #: (``replace``/``remove``/``drop``/``fill``): a replica's key table
+        #: (:class:`repro.core.keys.KeyTable`) while the content is admitted.
+        self.watcher = None
 
     # ------------------------------------------------------------------
     # content mapping (all mutations funnel through here)
@@ -80,16 +84,26 @@ class SyncedContent:
         self._reset()
         for entry in mapping.values():
             self._store.put(entry)
+        if self.watcher is not None:
+            self.watcher.fill(self)
 
     def _upsert(self, entry: Entry) -> None:
+        watcher = self.watcher
+        if watcher is not None:
+            watcher.replace(self, self._store.get(entry.dn), entry)
         self._store.put(entry)
         self.version += 1
 
     def _discard(self, dn: DN) -> None:
-        if self._store.delete(dn) is not None:
+        entry = self._store.delete(dn)
+        if entry is not None:
+            if self.watcher is not None:
+                self.watcher.remove(self, entry)
             self.version += 1
 
     def _reset(self) -> None:
+        if self.watcher is not None:
+            self.watcher.drop(self)
         self._store = EntryStore()
         self.version += 1
 

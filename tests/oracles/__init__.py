@@ -31,6 +31,11 @@ window and session bookkeeping are shared; only the scans differ.
 :func:`holders_of` recomputes the router's one derived table, the
 ``DN → sessions`` holder index, from the session records it inverts.
 
+:class:`UnenforcedDirectoryServer` is a master that lets a second
+entry hold a value of a unique attribute, the counterexample that shows
+the replica's key rule rests on the master's enforcement
+(``tests/core/test_key_rule.py``).
+
 Two scans a request used to pay for are kept the same way:
 
 * :class:`LinearSessionStore` — expiry by a look at every live session
@@ -127,7 +132,7 @@ from repro.chaos import ReferenceModel
 from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_contained_in
 from repro.ldap import DN, Entry, SearchRequest
 from repro.ldap.matching import compile_filter_cached
-from repro.server import ResponseTruncated
+from repro.server import DirectoryServer, ResponseTruncated
 from repro.server.indexes import NGRAM, _ngrams
 from repro.sync import ResyncProvider, SessionStore, SyncLink, SyncProtocolError
 from repro.sync import resync
@@ -187,6 +192,7 @@ __all__ = [
     "TAG_SET",
     "TombstoneProvider",
     "TombstoneStore",
+    "UnenforcedDirectoryServer",
     "copied_pdu",
     "decode_integer",
     "decode_sync_batch",
@@ -261,6 +267,14 @@ class LinearFilterReplica(FilterReplica):
             for entry in stored.content.entries.values()
             if held or request.selects(entry)
         ]
+
+
+class UnenforcedDirectoryServer(DirectoryServer):
+    """A master that skips the unique-attribute check: ``add``,
+    ``modify`` and ``modify_dn`` accept a second holder of a key value."""
+
+    def _refuse_second_holder(self, entry, keys, holder=None) -> None:
+        return None
 
 
 def plan_and_test_evaluate(content, request: SearchRequest) -> List[Entry]:

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ldap import DN, Entry, parse_filter, matches
-from repro.server import DirectoryServer, EntryStore, LdapError, ResultCode
+from repro.ldap import DN, Entry, Scope, SearchRequest, parse_filter, matches
+from repro.server import DirectoryServer, EntryStore, LdapError, ResultCode, backend
 
 
 def entry(dn_text: str, **attrs) -> Entry:
@@ -36,6 +36,35 @@ class TestBasics:
     def test_children_sorted(self, store):
         kids = store.children_of(DN.parse("c=us,o=xyz"))
         assert [str(k) for k in kids] == ["cn=a,c=us,o=xyz", "cn=b,c=us,o=xyz"]
+
+    def test_a_second_identical_scan_sorts_nothing(self, store, monkeypatch):
+        """A parent's sorted children are kept until a child of it is put
+        or deleted, and the walk order does not change."""
+        server = DirectoryServer("m")
+        server.add_naming_context("o=xyz")
+        server.load(store.images().values())
+        sorts = []
+
+        def counting(items, **kwargs):
+            sorts.append(kwargs.get("key"))
+            return sorted(items, **kwargs)
+
+        scan = SearchRequest("o=xyz", Scope.SUB, "(!(sn=none))")
+        first = [str(e.dn) for e in server.search(scan).entries]
+        monkeypatch.setattr(backend, "sorted", counting, raising=False)
+        assert [str(e.dn) for e in server.search(scan).entries] == first
+        assert sorts == []
+        server.add(entry("cn=c,c=us,o=xyz", cn="c", sn="gamma"))
+        server.delete("cn=x,cn=a,c=us,o=xyz")
+        walked = [str(e.dn) for e in server.search(scan).entries]
+        # c=us gained a child; cn=a lost its only one, leaving nothing to sort
+        assert len(sorts) == 1
+        assert walked == [
+            "o=xyz", "c=us,o=xyz", "cn=c,c=us,o=xyz", "cn=b,c=us,o=xyz", "cn=a,c=us,o=xyz",
+        ]
+        sorts.clear()
+        server.search(scan)
+        assert sorts == []
 
     def test_put_replaces_and_reindexes(self, store):
         updated = entry("cn=a,c=us,o=xyz", cn="a", sn="renamed")

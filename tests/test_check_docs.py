@@ -37,6 +37,23 @@ def test_decision_tables_match_their_docs(check_docs):
     assert check_docs.check_decision_tables() == []
 
 
+def test_the_key_table_is_the_schemas_unique_attributes(check_docs):
+    assert set(check_docs.documented_keys()) == {"mail", "uid"}
+    assert check_docs.documented_keys() == check_docs.schema_keys()
+
+
+def test_a_key_missing_from_the_docs_is_reported(check_docs, monkeypatch):
+    documented = check_docs.documented_keys()
+    monkeypatch.setattr(
+        check_docs, "documented_keys", lambda: {k: v for k, v in documented.items() if k != "uid"}
+    )
+    problems = check_docs.check_decision_tables()
+    assert problems == [
+        "docs/ALGORITHMS.md §1 key table and the unique attributes of DEFAULT_REGISTRY "
+        "differ at uid"
+    ]
+
+
 def test_experiment_ids_are_unique_and_listed_in_design(check_docs):
     assert check_docs.check_experiment_ids() == []
 

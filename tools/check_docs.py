@@ -28,9 +28,12 @@ before they were checked):
    docs/FAULTS.md §2 (stream → kinds) and §3 (kind → stream, cells)
    the ``FAULTS`` dict of ``repro.server.faults``, and docs/PROTOCOL.md
    §3's outcome table the ``OUTCOMES`` dict of ``repro.sync.session``,
-   key for key and outcome for outcome: "which rung", "which state",
-   "which fault reaches which exchange" and "which PDUs an update sends
-   a session" are data, and the docs render it.
+   and docs/ALGORITHMS.md §1's key table the attributes the default
+   attribute registry marks ``unique`` (syntax and spellings), key for
+   key and outcome for outcome: "which rung", "which state", "which
+   fault reaches which exchange", "which PDUs an update sends a
+   session" and "which attributes the master keeps unique" are data,
+   and the docs render it.
 
 5. **Experiment ids** — every ``benchmarks/bench_*.py`` declares the
    experiment ids it holds at the head of its docstring (``E20 —
@@ -60,6 +63,7 @@ PROTOCOL = os.path.join(REPO_ROOT, "docs", "PROTOCOL.md")
 RECOVERY = os.path.join(REPO_ROOT, "docs", "RECOVERY.md")
 FAULTS = os.path.join(REPO_ROOT, "docs", "FAULTS.md")
 DESIGN = os.path.join(REPO_ROOT, "DESIGN.md")
+ALGORITHMS = os.path.join(REPO_ROOT, "docs", "ALGORITHMS.md")
 BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
 
 SKIP_DIRS = {
@@ -264,6 +268,26 @@ def documented_outcomes() -> dict:
     }
 
 
+def documented_keys() -> dict:
+    """docs/ALGORITHMS.md §1's key table as ``{key: (syntax, spellings)}``."""
+    return {
+        TICKED_RE.findall(row[0])[0]: (
+            TICKED_RE.findall(row[1])[0],
+            tuple(TICKED_RE.findall(row[2])),
+        )
+        for row in table_rows(ALGORITHMS, "unique attribute")[1:]
+    }
+
+
+def schema_keys() -> dict:
+    """The default registry's unique attributes, as :func:`documented_keys`."""
+    sys.path.insert(0, SRC_ROOT)
+    from repro.ldap.attributes import DEFAULT_REGISTRY
+
+    types = (DEFAULT_REGISTRY.get(key) for key in sorted(DEFAULT_REGISTRY.unique_keys()))
+    return {t.key: (t.syntax.value, (t.name,) + t.aliases) for t in types}
+
+
 def check_decision_tables() -> list:
     sys.path.insert(0, SRC_ROOT)
     from repro.server.faults import FAULTS as fault_table, STREAMS
@@ -283,6 +307,8 @@ def check_decision_tables() -> list:
          documented_streams(), STREAMS),
         ("docs/PROTOCOL.md §3 outcome table and repro.sync.session.OUTCOMES",
          documented_outcomes(), OUTCOMES),
+        ("docs/ALGORITHMS.md §1 key table and the unique attributes of DEFAULT_REGISTRY",
+         documented_keys(), schema_keys()),
     ):
         differing = sorted(
             str(key)
@@ -367,7 +393,8 @@ def main() -> int:
         f"{len(documented_health())} health moves, "
         f"{len(documented_faults())} fault kinds, "
         f"{len(documented_streams())} seed streams and "
-        f"{len(documented_outcomes())} update outcomes match their tables; "
+        f"{len(documented_outcomes())} update outcomes and "
+        f"{len(documented_keys())} unique attributes match their tables; "
         f"{len(bench_ids())} benches declare unique experiment ids, all in DESIGN.md §3"
     )
     return 0
