@@ -96,9 +96,11 @@ class DistributedDirectory:
         Each entry goes to the server whose (most specific) naming
         context contains its DN, skipping DNs that sit below another
         server's referral glue on that server.  Returns per-server load
-        counts.
+        counts.  A server refuses its share, and nothing is stored, when
+        two of its entries hold one value of a unique attribute
+        (:meth:`DirectoryServer.refuse_duplicate_keys`).
         """
-        counts: Dict[str, int] = {name: 0 for name in self._servers}
+        placed: Dict[str, Dict[DN, Entry]] = {name: {} for name in self._servers}
         ordered = sorted(entries, key=lambda e: len(e.dn))
         for entry in ordered:
             best_server: Optional[DirectoryServer] = None
@@ -110,11 +112,17 @@ class DistributedDirectory:
                     best_depth = len(context.suffix)
             if best_server is None:
                 raise ValueError(f"no server holds a context for {entry.dn}")
-            if entry.dn in best_server.store:
-                continue  # referral glue already placed there
-            best_server.store.put(entry.copy())
-            counts[best_server.name] += 1
-        return counts
+            batch = placed[best_server.name]
+            if entry.dn in best_server.store or entry.dn in batch:
+                continue  # referral glue already placed there, or a repeated DN
+            batch[entry.dn] = entry
+        for name, batch in placed.items():
+            self._servers[name].refuse_duplicate_keys(list(batch.values()))
+        for name, batch in placed.items():
+            store = self._servers[name].store
+            for entry in batch.values():
+                store.put(entry.copy())
+        return {name: len(batch) for name, batch in placed.items()}
 
     def total_entries(self) -> int:
         """Entries across all servers (glue referral objects included)."""
