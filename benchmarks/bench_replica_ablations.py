@@ -12,13 +12,17 @@ Two design choices DESIGN.md calls out, isolated on the same workload:
   FIFO of arrivals; LRU (hits refresh) is the classical alternative.
   With popularity skew on top of temporal locality, LRU retains hot
   queries longer.
+
+Every arm, and the timed unit, runs the reference replica
+``tests.oracles.LinearFilterReplica``: the pruning and the LRU window
+are that scan's, not settings of the production ``FilterReplica``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import FilterReplica, TemplateRegistry
+from repro.core import TemplateRegistry
 from repro.server import SimulatedNetwork
 from repro.sync import ResyncProvider
 from repro.workload import QueryType
@@ -111,10 +115,10 @@ def test_replica_ablations(benchmark, env: BenchEnv, ablation_rows):
     # popularity-skewed workload.
     assert by_name["cache LRU/50"][1] >= by_name["cache FIFO/50"][1] - 0.005
 
-    # Timed unit: the pruned answer path.
+    # Timed unit: the pruned answer path the table measures.
     master = env.fresh_master()
     provider = ResyncProvider(master)
-    replica = FilterReplica(
+    replica = LinearFilterReplica(
         "bench", network=SimulatedNetwork(), templates=TEMPLATES
     )
     for block, cc, _h in hot_blocks(env)[:N_FILTERS]:

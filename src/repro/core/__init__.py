@@ -37,7 +37,7 @@ from .generalization import (
 )
 from .query_cache import CachedQuery, NegativeResultCache, RecentQueryCache
 from .replica import AnswerStatus, HitStats, ReplicaAnswer
-from .routing import ContainmentIndex, guard_atoms, probe_atoms
+from .routing import ContainmentIndex
 from .selection import CandidateStats, FilterSelector, SelectionReport
 from .subtree_replica import ReplicationContext, SubtreeReplica
 from .templates import Template, TemplateRegistry, template_key
@@ -65,8 +65,6 @@ __all__ = [
     "CachedQuery",
     "NegativeResultCache",
     "ContainmentIndex",
-    "guard_atoms",
-    "probe_atoms",
     "Generalizer",
     "IdentityGeneralization",
     "PrefixGeneralization",

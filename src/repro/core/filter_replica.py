@@ -29,12 +29,10 @@ instead of all of them, and hit evaluation runs compiled filters over
 :meth:`SyncedContent.evaluate`'s incremental indexes instead of an
 interpreted full-content rescan.  The seed linear scan lives on as the
 equivalence oracle ``tests/oracles.LinearFilterReplica``
-(docs/ROUTING.md §9).
-
-Template-based containment (§3.4.2) prunes the stored filters checked
-per query; ``containment_checks`` counts the comparisons actually made
-(the query-processing-overhead metric of §7.4), including the cache
-path's, split out as ``core.replica.containment_checks{source}``.
+(docs/ROUTING.md §9), with §3.4.2's template pruning of that scan.
+``containment_checks`` counts the comparisons actually made (the
+query-processing-overhead metric of §7.4), including the cache path's,
+split out as ``core.replica.containment_checks{source}``.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ from .keys import KeyTable
 from .query_cache import NegativeResultCache, RecentQueryCache
 from .replica import AnswerStatus, HitStats, ReplicaAnswer, link_for
 from .routing import ContainmentIndex, Probe
-from .templates import TemplateRegistry, template_key
 
 __all__ = ["StoredFilter", "FilterReplica"]
 
@@ -77,7 +74,6 @@ class StoredFilter:
 
     request: SearchRequest
     content: SyncedContent
-    key: str
     hits: int = 0
     sync_interval: int = 1
     link: Optional[SyncLink] = None
@@ -98,9 +94,6 @@ class FilterReplica:
         name: replica name for diagnostics.
         master_url: referral target for misses.
         network: optional traffic accounting shared with sync.
-        templates: when given, only queries belonging to the registered
-            templates are considered answerable (template-based
-            containment); other queries miss immediately.
         cache_capacity: size of the recent-user-query window (0 = off).
         metrics: registry for ``core.replica.*`` / ``core.route.*`` /
             ``core.qc.negcache.*`` counters (private registry by default).
@@ -111,35 +104,27 @@ class FilterReplica:
         name: str,
         master_url: str = "ldap://master",
         network: Optional[SimulatedNetwork] = None,
-        templates: Optional[TemplateRegistry] = None,
         cache_capacity: int = 0,
-        cache_policy: str = "fifo",
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.name = name
         self.master_url = master_url
         self.network = network
-        self.templates = templates
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = RecentQueryCache(cache_capacity, policy=cache_policy)
+        self.cache = RecentQueryCache(cache_capacity)
         self._stored: Dict[SearchRequest, StoredFilter] = {}
         self._index = ContainmentIndex()
         self._keys = KeyTable()
         # the last referred request and its probe, for observe_miss
         self._missed: Optional[Tuple[SearchRequest, Probe]] = None
-        # Stored-path negative cache: only when no template registry is
-        # attached — registries are mutable, and a template registered
-        # after a recorded miss could change the prune decision.
-        self._negative: Optional[NegativeResultCache] = (
-            NegativeResultCache() if templates is None else None
-        )
+        self._negative = NegativeResultCache()  # of the stored-filter scan
         self._links: Dict[int, SyncLink] = {}  # provider identity → default link
         #: held, but outside the index: no response applied yet
         self._pending: Dict[SearchRequest, StoredFilter] = {}
         self.stats = HitStats()
         self.containment_checks = 0
         self._sync_round = 0
-        self._size_memo: Optional[Tuple[Tuple, int, int]] = None
+        self._size_memo: Optional[Tuple[Tuple, Set[DN], int]] = None
         self._checks_stored = self.metrics.counter(
             "core.replica.containment_checks", source="stored"
         )
@@ -179,7 +164,6 @@ class FilterReplica:
         stored = StoredFilter(
             request=request,
             content=SyncedContent(request, network=self.network),
-            key=template_key(request.filter),
             sync_interval=sync_interval,
         )
         if provider is not None:
@@ -197,9 +181,8 @@ class FilterReplica:
         """*stored* holds an applied response: it may answer."""
         self._index.add(stored.request, stored)
         self._keys.attach(stored.content, stored)
-        if self._negative is not None:
-            # The new filter may contain a previously-missed request.
-            self._negative.invalidate()
+        # The new filter may contain a previously-missed request.
+        self._negative.invalidate()
 
     def remove_filter(self, request: SearchRequest, provider=None) -> None:
         """Discard a replicated query, tearing down its subscription and,
@@ -312,9 +295,8 @@ class FilterReplica:
     def answer(self, request: SearchRequest) -> ReplicaAnswer:
         """Answer *request* locally or refer to the master.
 
-        Order: template admission check, stored filters (template-pruned
-        containment), the recent-query cache, then the key rule
-        (:meth:`_key_answer`).  Traced as
+        Order: stored filters (routed containment), the recent-query
+        cache, then the key rule (:meth:`_key_answer`).  Traced as
         ``core.replica.answer`` (no-op without a collector).
         """
         with span("core.replica.answer") as sp:
@@ -322,14 +304,11 @@ class FilterReplica:
             sp.add("hit", 1 if result.status is AnswerStatus.HIT else 0)
         return result
 
-    def _find_stored(
-        self, request: SearchRequest, qkey: str, probe: Probe
-    ) -> Optional[StoredFilter]:
+    def _find_stored(self, request: SearchRequest, probe: Probe) -> Optional[StoredFilter]:
         """First stored query containing *request*, in insertion order.
 
         Consults the :class:`ContainmentIndex` (positive memo, then
-        guard-atom/region candidates), applies the
-        ``templates.may_answer`` prune and counts each
+        guard-atom/region candidates) and counts each
         :func:`query_contained_in` actually run.
 
         A request that already proved to miss every stored filter
@@ -338,7 +317,7 @@ class FilterReplica:
         candidate walk and its containment checks.  The *answer* is
         identical either way — only the re-derivation cost differs.
         """
-        if self._negative is not None and self._negative.known_miss(request):
+        if self._negative.known_miss(request):
             return None
         memo = self._index.memo_get(request)
         if memo is not None:
@@ -348,17 +327,12 @@ class FilterReplica:
         self._route_candidates.inc(len(candidates))
         for cand in candidates:
             stored = cand.handle
-            if self.templates is not None and not self.templates.may_answer(
-                stored.key, qkey
-            ):
-                continue
             self.containment_checks += 1
             self._checks_stored.inc()
             if query_contained_in(request, stored.request):
                 self._index.memo_put(request, cand)
                 return stored
-        if self._negative is not None:
-            self._negative.note_miss(request)
+        self._negative.note_miss(request)
         return None
 
     def _cache_lookup(self, request: SearchRequest, probe: Probe):
@@ -373,38 +347,35 @@ class FilterReplica:
         return cached
 
     def _answer(self, request: SearchRequest) -> ReplicaAnswer:
-        # The template key is read only by a TemplateRegistry's prune.
-        qkey = template_key(request.filter) if self.templates is not None else ""
-        if self._admitted(request):
-            # both indexes route from one normalization of the leaves
-            probe = Probe(request.filter)
-            stored = self._find_stored(request, qkey, probe)
-            if stored is not None:
-                stored.hits += 1
-                answer = ReplicaAnswer(
-                    AnswerStatus.HIT,
-                    entries=self._evaluate(request, stored),
-                    answered_by=str(stored.request),
-                    degraded=stored.degraded,
-                )
-                self.stats.record(answer)
-                return answer
+        # both indexes route from one normalization of the leaves
+        probe = Probe(request.filter)
+        stored = self._find_stored(request, probe)
+        if stored is not None:
+            stored.hits += 1
+            answer = ReplicaAnswer(
+                AnswerStatus.HIT,
+                entries=self._evaluate(request, stored),
+                answered_by=str(stored.request),
+                degraded=stored.degraded,
+            )
+            self.stats.record(answer)
+            return answer
 
-            cached = self._cache_lookup(request, probe)
-            if cached is not None:
-                entries, source = cached
-                answer = ReplicaAnswer(
-                    AnswerStatus.HIT, entries=entries, answered_by=f"cache:{source}"
-                )
-                self.stats.record(answer)
-                return answer
+        cached = self._cache_lookup(request, probe)
+        if cached is not None:
+            entries, source = cached
+            answer = ReplicaAnswer(
+                AnswerStatus.HIT, entries=entries, answered_by=f"cache:{source}"
+            )
+            self.stats.record(answer)
+            return answer
 
-            answer = self._key_answer(request, probe)
-            if answer is not None:
-                self._key_hits.inc()
-                self.stats.record(answer)
-                return answer
-            self._missed = (request, probe)
+        answer = self._key_answer(request, probe)
+        if answer is not None:
+            self._key_hits.inc()
+            self.stats.record(answer)
+            return answer
+        self._missed = (request, probe)
 
         answer = ReplicaAnswer(
             AnswerStatus.MISS,
@@ -445,13 +416,6 @@ class FilterReplica:
             degraded=stored.degraded,
         )
 
-    def _admitted(self, request: SearchRequest) -> bool:
-        """Template admission: with a registry, only member queries are
-        candidates for local answering."""
-        if self.templates is None:
-            return True
-        return self.templates.classify(request.filter) is not None
-
     def _evaluate(self, request: SearchRequest, stored: StoredFilter) -> List[Entry]:
         """Evaluate *request* over the containing stored query's content."""
         return stored.content.evaluate(request)
@@ -478,8 +442,6 @@ class FilterReplica:
         maintained counts.
         """
         negcache = self._negative
-        if negcache is None:
-            return
         counter = self.metrics.counter
         counter("core.qc.negcache.hits", site="stored").set(negcache.hits)
         counter("core.qc.negcache.lookups", site="stored").set(negcache.lookups)
@@ -499,7 +461,8 @@ class FilterReplica:
             for stored in self._stored.values()
         )
 
-    def _sizes(self) -> Tuple[int, int]:
+    def _sizes(self) -> Tuple[Set[DN], int]:
+        """The DNs the stored contents hold, and their bytes."""
         fingerprint = self._content_fingerprint()
         memo = self._size_memo
         if memo is None or memo[0] != fingerprint:
@@ -510,16 +473,16 @@ class FilterReplica:
                     if dn not in seen:
                         seen.add(dn)
                         total += entry.estimated_size()
-            memo = (fingerprint, len(seen), total)
+            memo = (fingerprint, seen, total)
             self._size_memo = memo
         return memo[1], memo[2]
 
-    def entry_count(self, include_cache: bool = True) -> int:
-        """Unique entries held (the paper's replica-size metric)."""
-        count = self._sizes()[0]
-        if include_cache:
-            count += self.cache.entry_count()
-        return count
+    def entry_count(self) -> int:
+        """Unique entries held (the paper's replica-size metric): the DNs
+        the stored contents hold, and the window's that none of them
+        holds — a DN held twice counts once."""
+        seen = self._sizes()[0]
+        return len(seen) + sum(dn not in seen for dn in self.cache.dns())
 
     def size_bytes(self) -> int:
         """Approximate stored bytes across stored filters."""

@@ -19,7 +19,7 @@ missed (docs/ALGORITHMS.md §1, "The key rule").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..ldap.attributes import DEFAULT_REGISTRY
 from ..ldap.dn import DN
@@ -103,10 +103,6 @@ class KeyTable:
                 if held:
                     return held
         return []
-
-    def __len__(self) -> int:
-        """Key values posted."""
-        return sum(len(postings) for postings in self._postings.values())
 
     def _build(self, key: str) -> dict:
         postings = self._postings[key] = {}

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, KeysView, List, Optional, Sequence, Tuple
 
 from ..ldap.dn import DN
 from ..ldap.entry import Entry
@@ -109,24 +109,18 @@ class RecentQueryCache:
     """Window of the last *capacity* user queries.
 
     The paper caches "recently performed user queries … for a short time
-    window" — a FIFO of arrivals.  The ``lru`` policy is the classical
-    alternative (hits refresh a query's position), exposed for the
-    replacement-policy ablation; FIFO remains the paper-faithful
-    default.
+    window" — a FIFO of arrivals: a hit does not refresh a query's
+    position (the LRU alternative E16 measures is the reference
+    window's, ``tests/oracles.LinearRecentQueryCache``).
 
     Queries identical to an already-cached one refresh its result but do
     not consume an extra slot.
     """
 
-    POLICIES = ("fifo", "lru")
-
-    def __init__(self, capacity: int = 50, policy: str = "fifo"):
+    def __init__(self, capacity: int = 50):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        if policy not in self.POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; pick from {self.POLICIES}")
         self.capacity = capacity
-        self.policy = policy
         self._window: "OrderedDict[SearchRequest, CachedQuery]" = OrderedDict()
         self._index = ContainmentIndex(order="recency")
         self._dn_refs: Dict[DN, int] = {}
@@ -138,7 +132,7 @@ class RecentQueryCache:
         return len(self._window)
 
     # ------------------------------------------------------------------
-    # replica-size refcounts (entry_count in O(1), not a window scan)
+    # replica-size refcounts (the held DNs without a window scan)
     # ------------------------------------------------------------------
     def _ref(self, dns) -> None:
         refs = self._dn_refs
@@ -207,15 +201,13 @@ class RecentQueryCache:
                         for entry in cached.entries.values()
                         if request.in_scope(entry.dn) and compiled(entry)
                     ]
-                if self.policy == "lru":
-                    self._window.move_to_end(cached.request)
-                    self._index.touch(cached.request)
                 return answer, str(cached.request)
         return None
 
-    def entry_count(self) -> int:
-        """Unique entries held in the window (counts toward replica size)."""
-        return len(self._dn_refs)
+    def dns(self) -> KeysView[DN]:
+        """The DNs of the entries held in the window, each once (they
+        count toward the replica's size)."""
+        return self._dn_refs.keys()
 
     def stored_queries(self) -> List[SearchRequest]:
         """Cached requests, oldest first."""

@@ -17,7 +17,7 @@ scan with candidate routing: every registered query is summarized by
   query base) becomes prefix probing of the query's own key.
 
 ``candidates(q)`` returns the registered queries whose posted guard
-set intersects ``probe_atoms(q)``, whose every required guard set does
+set intersects ``q``'s :class:`Probe` atoms, whose every required guard set does
 too, *and* whose region key prefixes ``q``'s — a superset of
 everything the linear scan could match, usually a few entries instead
 of the whole population.  A probe carries ``pfx`` atoms only at the
@@ -61,9 +61,7 @@ __all__ = [
     "ContainmentIndex",
     "Candidate",
     "Probe",
-    "guard_atoms",
     "guard_sets",
-    "probe_atoms",
 ]
 
 #: ``(kind, ...)`` tuples; kinds: ``eq``, ``pfx``, ``attr``, ``any``.
@@ -129,9 +127,20 @@ def guard_sets(
     """``(posted, required)`` guard sets of a *stored* filter.
 
     Necessary condition: if ``filter_contained_in(q, flt)`` holds for
-    any query filter ``q``, then ``probe_atoms(q)`` intersects the
+    any query filter ``q``, then ``Probe(q).atoms(...)`` intersects the
     posted set and every required set.  For a filter that is not an
-    AND, ``posted`` is :func:`guard_atoms` and nothing is required.
+    AND, ``posted`` is its one guard set and nothing is required; the
+    shape rules mirror the recursion of
+    :func:`repro.core.filter_containment.filter_contained_in`:
+
+    * a predicate — its one guard atom (:func:`_predicate_guard`);
+    * OR — ``q ⊆ (| d…)`` may be proved through any one disjunct (and a
+      disjunctive ``q`` through different disjuncts per branch), so the
+      guard is the union over children.  This is why a plain
+      attribute-subset prescreen would be unsound here;
+    * NOT and other unprovable shapes — the always-match ``("any",)``
+      bucket.
+
     ``Q ⊆ (& c…)`` needs ``Q ⊆ c`` for *every* conjunct (Proposition
     3), so a stored AND is posted under its best-ranked conjunct's
     guard set (:func:`~repro.sync.router.rank`, the ``SessionRouter``'s
@@ -154,28 +163,6 @@ def guard_sets(
     # in conjunct order, so a probe tests them in the same order in any process
     required = dict.fromkeys(atoms for atoms in sets if _ANY not in atoms and atoms != best)
     return best, tuple(required)
-
-
-def guard_atoms(flt: Filter, registry: Optional[AttributeRegistry] = None) -> FrozenSet[Atom]:
-    """The guard set a *stored* filter is posted under.
-
-    Necessary condition: if ``filter_contained_in(q, flt)`` holds for
-    any query filter ``q``, then ``probe_atoms(q)`` intersects
-    ``guard_atoms(flt)``.  Shape rules mirror the recursion of
-    :func:`repro.core.filter_containment.filter_contained_in`:
-
-    * AND — containment requires ``q ⊆ c`` for *every* conjunct, so any
-      single conjunct's guards suffice; the best-ranked one is kept
-      (:func:`~repro.sync.router.rank`; ties go to the first, as nothing
-      is posted here).
-    * OR — ``q ⊆ (| d…)`` may be proved through any one disjunct (and a
-      disjunctive ``q`` through different disjuncts per branch), so the
-      guard is the union over children.  This is why a plain
-      attribute-subset prescreen would be unsound here.
-    * NOT and other unprovable shapes — the always-match ``("any",)``
-      bucket.
-    """
-    return guard_sets(flt, registry)[0]
 
 
 def _best(sets: List[FrozenSet[Atom]], posted: Posted) -> FrozenSet[Atom]:
@@ -202,25 +189,6 @@ def _guard(
             merged |= _guard(child, reg, probe, posted)
         return frozenset(merged) if merged else frozenset((_ANY,))
     return frozenset((_ANY,))  # NOT, and an empty AND
-
-
-def probe_atoms(
-    flt: Filter,
-    registry: Optional[AttributeRegistry] = None,
-    prefix_lengths: Optional[Dict[str, Dict[int, int]]] = None,
-) -> Set[Atom]:
-    """Atoms an incoming *query* filter satisfies.
-
-    Every leaf predicate contributes its attribute atom; equalities add
-    their exact-value atom; equality values and anchored-substring
-    initials add a ``pfx`` atom at each length *prefix_lengths* (a
-    :class:`~repro.sync.router.PrefixLengths`) registers for the
-    attribute and the text is long enough for — no other ``pfx`` atom
-    can meet a registered guard.  The ``("any",)`` bucket is always
-    probed.  Probing all leaves — also those under NOT — keeps the set
-    a superset of what any containment derivation can require.
-    """
-    return Probe(flt, registry).atoms(prefix_lengths)
 
 
 class Probe:
@@ -269,12 +237,11 @@ class Probe:
 class Candidate:
     """One registered query plus its routing summary."""
 
-    __slots__ = ("uid", "seq", "request", "handle", "atoms", "required", "region")
+    __slots__ = ("uid", "request", "handle", "atoms", "required", "region")
 
     def __init__(
         self,
         uid: int,
-        seq: int,
         request: SearchRequest,
         handle: object,
         atoms: FrozenSet[Atom],
@@ -282,7 +249,6 @@ class Candidate:
         region: Tuple,
     ):
         self.uid = uid
-        self.seq = seq
         self.request = request
         self.handle = handle
         self.atoms = atoms
@@ -323,7 +289,6 @@ class ContainmentIndex:
         self._registry = registry if registry is not None else DEFAULT_REGISTRY
         self._order = order
         self._uids = itertools.count(1)
-        self._seqs = itertools.count(1)
         self._by_request: Dict[SearchRequest, Candidate] = {}
         self._atom_postings: Dict[Atom, Set[Candidate]] = {}
         # every pfx atom of every guard set, posted or required
@@ -350,7 +315,6 @@ class ContainmentIndex:
         atoms, required = guard_sets(request.filter, self._registry, self._posted, probe)
         cand = Candidate(
             uid=next(self._uids),
-            seq=next(self._seqs),
             request=request,
             handle=handle,
             atoms=atoms,
@@ -382,12 +346,6 @@ class ContainmentIndex:
                 if atom[0] == "pfx":
                     self._pfx_lens.discard(atom)
         return True
-
-    def touch(self, request: SearchRequest) -> None:
-        """Refresh *request*'s recency stamp (LRU move-to-end)."""
-        cand = self._by_request.get(request)
-        if cand is not None:
-            cand.seq = next(self._seqs)
 
     def clear(self) -> None:
         self._by_request.clear()
@@ -447,7 +405,7 @@ class ContainmentIndex:
         if self._order == "insertion":
             ordered = sorted(matched, key=lambda c: c.uid)
         else:
-            ordered = sorted(matched, key=lambda c: -c.seq)
+            ordered = sorted(matched, key=lambda c: -c.uid)
         self.candidates_yielded += len(ordered)
         return ordered
 

@@ -5,9 +5,11 @@ entries, each with meta information ``Ci = (Si, Ri1 … RiCi)`` — the
 context suffix and the DNs of referral objects marking subordinate
 contexts held elsewhere.
 
-Answerability is the paper's ``isContained`` algorithm: a query can be
-answered when its base lies inside some context's subtree and not below
-any of that context's referral objects.  Even then the answer may be
+Answerability is the paper's ``isContained`` algorithm (§3.4.1,
+:meth:`SubtreeReplica._context_for`; its line-by-line transcription is
+the reference ``tests/oracles.is_contained``): a query can be answered
+when its base lies inside some context's subtree and not below any of
+that context's referral objects.  Even then the answer may be
 *partial* — a referral object inside the search region generates a
 continuation reference (§3.1.3), which forfeits the hit.
 
@@ -121,20 +123,10 @@ class SubtreeReplica:
     # ------------------------------------------------------------------
     # the paper's isContained algorithm (§3.4.1)
     # ------------------------------------------------------------------
-    def is_contained(self, base: DN) -> bool:
-        """True when a query based at *base* can be (at least partially)
-        answered: transcription of ``isContained(b, C)``."""
-        for context in self._contexts:
-            if context.suffix == base:
-                return True
-            if not context.suffix.is_suffix_of(base):
-                continue
-            if any(r.is_ancestor_or_self(base) for r in context.referral_dns()):
-                return False
-            return True
-        return False
-
     def _context_for(self, base: DN) -> Optional[ReplicationContext]:
+        """The first context whose subtree holds *base* outside every one
+        of its referral objects — the context ``isContained(b, C)``
+        answers from — or None."""
         for context in self._contexts:
             if context.suffix.is_ancestor_or_self(base):
                 if any(

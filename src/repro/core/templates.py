@@ -21,6 +21,10 @@ Templates make containment tractable three ways (§3.4.2):
 
 In template-based containment, only queries belonging to a configured
 template set are replicated and answered; everything else is referred.
+Admission and pruning simplify the paper's linear scan, and that scan is
+the reference ``tests.oracles.LinearFilterReplica(templates=)`` (E16);
+the production replica routes its candidates instead and takes no
+registry.
 """
 
 from __future__ import annotations

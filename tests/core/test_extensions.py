@@ -1,5 +1,7 @@
-"""Tests for beyond-the-paper extensions: cache policies; and the
-paper's single-containment rule, which no union answering extends."""
+"""Tests for beyond-the-paper extensions: the LRU window E16 measures,
+which is the reference window's (``tests.oracles``), beside the
+production FIFO; and the paper's single-containment rule, which no union
+answering extends."""
 
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core import FilterReplica, RecentQueryCache
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import DirectoryServer
 from repro.sync import ResyncProvider
+from tests.oracles import LinearFilterReplica, LinearRecentQueryCache
 
 
 @pytest.fixture()
@@ -73,7 +76,7 @@ class TestCachePolicies:
         return SearchRequest("", Scope.SUB, f"(cn={name})")
 
     def test_lru_keeps_hot_entries(self):
-        cache = RecentQueryCache(2, policy="lru")
+        cache = LinearRecentQueryCache(2, policy="lru")
         cache.insert(self.q("hot"), [self.person("hot")])
         cache.insert(self.q("cold"), [self.person("cold")])
         assert cache.lookup(self.q("hot")) is not None  # refreshes 'hot'
@@ -82,7 +85,7 @@ class TestCachePolicies:
         assert cache.lookup(self.q("cold")) is None
 
     def test_fifo_evicts_by_arrival(self):
-        cache = RecentQueryCache(2, policy="fifo")
+        cache = RecentQueryCache(2)  # the production window: FIFO, no setting
         cache.insert(self.q("hot"), [self.person("hot")])
         cache.insert(self.q("cold"), [self.person("cold")])
         assert cache.lookup(self.q("hot")) is not None  # does NOT refresh
@@ -92,8 +95,9 @@ class TestCachePolicies:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            RecentQueryCache(2, policy="random")
+            LinearRecentQueryCache(2, policy="random")
 
     def test_replica_passes_policy_through(self):
-        replica = FilterReplica("r", cache_capacity=5, cache_policy="lru")
-        assert replica.cache.policy == "lru"
+        replica = LinearFilterReplica("r", cache_capacity=5, cache_policy="lru")
+        assert isinstance(replica.cache, LinearRecentQueryCache)
+        assert (replica.cache.capacity, replica.cache.policy) == (5, "lru")

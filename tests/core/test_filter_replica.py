@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import AnswerStatus, FilterReplica, ReplicaFrontend, TemplateRegistry
+from repro.core import AnswerStatus, FilterReplica, ReplicaFrontend, Template, TemplateRegistry
 from repro.ldap import Entry, Scope, SearchRequest
 from repro.server import (
     DirectoryServer,
@@ -14,6 +14,7 @@ from repro.server import (
     SimulatedNetwork,
 )
 from repro.sync import HealthPolicy, ResyncProvider, RetryPolicy
+from tests.oracles import LinearFilterReplica
 
 
 def person(dn: str, **attrs) -> Entry:
@@ -161,9 +162,13 @@ class TestAnswer:
 
 
 class TestTemplateAdmission:
+    """§3.4.2's template-based containment is the reference scan's
+    (``LinearFilterReplica(templates=)``); the production replica has no
+    template setting."""
+
     def test_non_member_query_misses_immediately(self, master, provider):
         templates = TemplateRegistry.from_strings("(serialnumber=_)", "(serialnumber=_*_)")
-        replica = FilterReplica("branch", templates=templates)
+        replica = LinearFilterReplica("branch", templates=templates)
         replica.add_filter(STORED, provider)
         before = replica.containment_checks
         q = SearchRequest("", Scope.SUB, "(cn=P0)")
@@ -172,14 +177,14 @@ class TestTemplateAdmission:
 
     def test_member_query_answered(self, master, provider):
         templates = TemplateRegistry.from_strings("(serialnumber=_)", "(serialnumber=_*_)")
-        replica = FilterReplica("branch", templates=templates)
+        replica = LinearFilterReplica("branch", templates=templates)
         replica.add_filter(STORED, provider)
         q = SearchRequest("", Scope.SUB, "(serialNumber=000200IN)")
         assert replica.answer(q).status is AnswerStatus.HIT
 
     def test_incompatible_templates_pruned(self, master, provider):
         templates = TemplateRegistry.from_strings("(serialnumber=_)", "(mail=_)")
-        replica = FilterReplica("branch", templates=templates)
+        replica = LinearFilterReplica("branch", templates=templates)
         mail_q = SearchRequest("", Scope.SUB, "(mail=a@b.c)")
         replica.add_filter(mail_q, provider)
         before = replica.containment_checks
@@ -211,17 +216,20 @@ class TestNegativeCache:
         assert counter("core.qc.negcache.hits", site="stored").value >= 1
         assert counter("core.qc.negcache.lookups", site="stored").value >= 2
 
-    def test_no_negative_cache_with_template_registry(self):
-        """Registries are mutable: a template registered after a recorded
-        miss could change the prune decision, so no misses are recorded."""
+    def test_the_template_scan_records_no_miss(self):
+        """Registries are mutable: a template registered after a miss
+        changes the admission and the prune, so the reference scan under a
+        registry consults no negative cache, and the repeat is answered."""
         registry = TemplateRegistry.from_strings("(sn=_)")
-        replica = FilterReplica("r", templates=registry)
-        assert replica._negative is None
-        query = SearchRequest("o=xyz", Scope.SUB, "(sn=ab)")
+        replica = LinearFilterReplica("r", templates=registry)
+        query = SearchRequest("o=xyz", Scope.SUB, "(uid=ab)")
+        replica.load_directly(query, [person("cn=s,o=xyz", uid="ab")])
+        assert not replica.answer(query).is_hit  # no template admits it
         assert not replica.answer(query).is_hit
-        assert not replica.answer(query).is_hit
-        replica.sync_amq_metrics()
-        assert not any(k.startswith("core.qc.negcache") for k in replica.metrics.to_dict())
+        registry.add(Template.parse("(uid=_)"))
+        answer = replica.answer(query)
+        assert answer.is_hit and answer.answered_by == str(query)
+        assert replica._negative.lookups == 0
 
 
 class TestCacheIntegration:

@@ -205,7 +205,8 @@ class TestReplicaCases:
         replica.add_filter(BLOCK, provider)
         replica.remove_filter(BLOCK, provider)
         assert replica.answer(q("(mail=p1@xyz.com)")).status is AnswerStatus.MISS
-        assert not replica._keys
+        # no content followed, no value posted
+        assert not replica._keys._attached and not any(replica._keys._postings.values())
 
 
 class TestCost:

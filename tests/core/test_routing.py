@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import query_contained_in
-from repro.core.routing import ContainmentIndex, guard_atoms, guard_sets, probe_atoms
+from repro.core.routing import ContainmentIndex, Probe, guard_sets
 from repro.ldap import (
     And,
     Equality,
@@ -37,35 +37,40 @@ from repro.ldap import (
 # ----------------------------------------------------------------------
 
 
+def posted(flt):
+    """The guard set a stored *flt* is posted under."""
+    return guard_sets(flt)[0]
+
+
 def test_equality_guard_is_exact_value():
-    assert guard_atoms(Equality("sn", "Kumar")) == {("eq", "sn", "kumar")}
+    assert posted(Equality("sn", "Kumar")) == {("eq", "sn", "kumar")}
 
 
 def test_anchored_substring_guard_is_prefix():
-    assert guard_atoms(Substring("sn", initial="Ku")) == {("pfx", "sn", "ku")}
+    assert posted(Substring("sn", initial="Ku")) == {("pfx", "sn", "ku")}
 
 
 def test_unanchored_substring_guard_is_attribute():
-    assert guard_atoms(Substring("sn", any_parts=("um",))) == {("attr", "sn")}
+    assert posted(Substring("sn", any_parts=("um",))) == {("attr", "sn")}
 
 
 def test_range_and_present_guards_are_attribute():
-    assert guard_atoms(GreaterOrEqual("uid", "5")) == {("attr", "uid")}
-    assert guard_atoms(Present("uid")) == {("attr", "uid")}
+    assert posted(GreaterOrEqual("uid", "5")) == {("attr", "uid")}
+    assert posted(Present("uid")) == {("attr", "uid")}
 
 
 def test_not_guard_is_any():
-    assert guard_atoms(Not(Equality("sn", "a"))) == {("any",)}
+    assert posted(Not(Equality("sn", "a"))) == {("any",)}
 
 
 def test_and_guard_picks_most_selective_conjunct():
     flt = And((Present("objectClass"), Equality("sn", "a")))
-    assert guard_atoms(flt) == {("eq", "sn", "a")}
+    assert posted(flt) == {("eq", "sn", "a")}
 
 
 def test_or_guard_unions_children():
     flt = Or((Equality("sn", "a"), Substring("cn", initial="b")))
-    assert guard_atoms(flt) == {("eq", "sn", "a"), ("pfx", "cn", "b")}
+    assert posted(flt) == {("eq", "sn", "a"), ("pfx", "cn", "b")}
 
 
 def test_and_guard_sets_require_every_other_conjunct():
@@ -88,15 +93,15 @@ def test_and_guard_sets_require_in_conjunct_order():
 
 def test_probe_atoms_add_prefixes_only_at_registered_lengths():
     lengths = {"sn": {1: 1, 3: 2, 5: 1}, "cn": {2: 1}}
-    atoms = probe_atoms(Equality("sn", "abcd"), prefix_lengths=lengths)
+    atoms = Probe(Equality("sn", "abcd")).atoms(lengths)
     assert ("eq", "sn", "abcd") in atoms
     assert ("attr", "sn") in atoms
     assert ("any",) in atoms
     # length 2 is registered for cn only, 5 is longer than the value
     assert {a for a in atoms if a[0] == "pfx"} == {("pfx", "sn", "a"), ("pfx", "sn", "abc")}
-    initial = probe_atoms(Substring("sn", initial="abc"), prefix_lengths=lengths)
+    initial = Probe(Substring("sn", initial="abc")).atoms(lengths)
     assert {a for a in initial if a[0] == "pfx"} == {("pfx", "sn", "a"), ("pfx", "sn", "abc")}
-    assert not [a for a in probe_atoms(Equality("sn", "abcd")) if a[0] == "pfx"]
+    assert not [a for a in Probe(Equality("sn", "abcd")).atoms(None) if a[0] == "pfx"]
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +162,7 @@ def test_insertion_order_preserved():
     assert got == [first, second]
 
 
-def test_recency_order_newest_first_and_touch():
+def test_recency_order_newest_first_and_readd():
     index = ContainmentIndex(order="recency")
     first = _req("(sn=a)")
     second = _req("(|(sn=a)(sn=b))")
@@ -165,7 +170,7 @@ def test_recency_order_newest_first_and_touch():
     index.add(second, 2)
     probe = _req("(sn=a)")
     assert [c.request for c in index.candidates(probe)] == [second, first]
-    index.touch(first)  # LRU hit moves it to the front
+    index.add(first, 3)  # the window re-inserting a query moves it to the front
     assert [c.request for c in index.candidates(probe)] == [first, second]
 
 

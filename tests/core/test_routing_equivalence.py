@@ -7,16 +7,21 @@ stored-filter sets, query streams, and cache feedback, and requires
 identical answers: status, entry list *including order*,
 ``answered_by`` attribution, and referrals.  Every stream is replayed
 once so the second pass runs through the routed side's positive memo
-and negative result cache.
+and negative result cache.  Both windows are the paper's FIFO.
+
+§3.4.2's template pruning is the reference scan's
+(``LinearFilterReplica(templates=)``); its property is soundness: for
+every query the registry admits, the pruned scan answers exactly as the
+production replica does, which has no template setting.
 
 The file also carries the satellite regressions that ride on this
 subsystem: cache containment-check accounting, replica-size
-memoization, and the cache's refcounted ``entry_count``.
+memoization, and the cache's refcounted held DNs (``dns()``).
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FilterReplica, RecentQueryCache, TemplateRegistry
+from repro.core import FilterReplica, RecentQueryCache, Template, TemplateRegistry
 from repro.ldap import (
     And,
     DN,
@@ -118,8 +123,7 @@ def _answer_fp(answer):
     )
 
 
-def _drive(replica_cls, directory, stored_requests, queries, capacity, policy):
-    replica = replica_cls("r", cache_capacity=capacity, cache_policy=policy)
+def _drive(replica, directory, stored_requests, queries):
     for request in stored_requests:
         replica.load_directly(
             request, [e for e in directory if request.selects(e)]
@@ -142,41 +146,87 @@ def _drive(replica_cls, directory, stored_requests, queries, capacity, policy):
     st.lists(_requests, min_size=1, max_size=6),
     st.lists(_requests, min_size=1, max_size=10),
     st.sampled_from([0, 3]),
-    st.sampled_from(["fifo", "lru"]),
 )
-def test_routed_answers_equal_linear(directory, stored_requests, queries, capacity, policy):
+def test_routed_answers_equal_linear(directory, stored_requests, queries, capacity):
     routed, routed_checks = _drive(
-        FilterReplica, directory, stored_requests, queries, capacity, policy
+        FilterReplica("r", cache_capacity=capacity), directory, stored_requests, queries
     )
     linear, linear_checks = _drive(
-        LinearFilterReplica, directory, stored_requests, queries, capacity, policy
+        LinearFilterReplica("r", cache_capacity=capacity), directory, stored_requests, queries
     )
     assert routed == linear
     # Routing only ever skips checks the scan would have made.
     assert routed_checks <= linear_checks
 
 
-_TEMPLATES = TemplateRegistry.from_strings("(sn=_)", "(uid=_)", "(|(sn=_)(uid=_))")
+# Templates over the drawn shapes: every leaf kind on each attribute in
+# its canonical spelling, ANDs and ORs of two, and one with a fixed value.
+_TEMPLATE_TEXTS = [
+    f"({attr}{shape})"
+    for attr in _SPELLINGS
+    for shape in ("=_", ">=_", "<=_", "=*", "=_*", "=*_")
+] + [
+    "(&(sn=_)(uid=_))",
+    "(&(uid=_)(l=_*))",
+    "(&(sn>=_)(sn<=_))",
+    "(|(sn=_)(uid=_))",
+    "(|(l=_*)(l=*_))",
+    "(&(l=ab)(sn=_))",
+]
+
+_template_filters = st.one_of(
+    st.sampled_from(_TEMPLATE_TEXTS).flatmap(
+        lambda text: st.builds(
+            lambda values: _fill(text, values), st.lists(_value, min_size=4, max_size=4)
+        )
+    ),
+    _filters,
+)
 
 
-@settings(max_examples=60, deadline=None)
+def _fill(text, values):
+    """*text* with its ``_`` placeholders replaced by *values* in order."""
+    parts = text.split("_")
+    return "".join(p + v for p, v in zip(parts[:-1], values)) + parts[-1]
+
+
+_TEMPLATES = TemplateRegistry(Template.parse(text) for text in _TEMPLATE_TEXTS)
+
+# Stored blocks cover the namespace; queries land anywhere in it.
+_template_blocks = st.builds(
+    SearchRequest, st.sampled_from(["", "o=xyz"]), st.just(Scope.SUB), _template_filters
+)
+_template_queries = st.builds(
+    SearchRequest,
+    st.sampled_from(_BASES),
+    st.sampled_from([Scope.SUB, Scope.ONE, Scope.BASE]),
+    _template_filters,
+)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     st.lists(_entries, min_size=1, max_size=8, unique_by=lambda e: str(e.dn)),
-    st.lists(_requests, min_size=1, max_size=6),
-    st.lists(_requests, min_size=1, max_size=10),
+    st.lists(_template_blocks, min_size=1, max_size=6),
+    st.lists(_template_queries, min_size=1, max_size=10),
+    st.sampled_from([0, 3]),
 )
-def test_routed_answers_equal_linear_with_templates(
-    directory, stored_requests, queries
-):
-    def drive(replica_cls):
-        replica = replica_cls("r", templates=_TEMPLATES)
-        for request in stored_requests:
-            replica.load_directly(
-                request, [e for e in directory if request.selects(e)]
-            )
-        return [_answer_fp(replica.answer(q)) for q in queries]
-
-    assert drive(FilterReplica) == drive(LinearFilterReplica)
+def test_template_pruning_is_sound(directory, stored_requests, queries, capacity):
+    """For every query the registry admits, the reference scan under
+    template pruning answers exactly as the production replica: the
+    prune skips no stored filter that contains the query first."""
+    registry = _TEMPLATES
+    admitted = [q for q in queries if registry.classify(q.filter) is not None]
+    routed, _ = _drive(
+        FilterReplica("r", cache_capacity=capacity), directory, stored_requests, admitted
+    )
+    pruned, _ = _drive(
+        LinearFilterReplica("r", templates=registry, cache_capacity=capacity),
+        directory,
+        stored_requests,
+        admitted,
+    )
+    assert pruned == routed
 
 
 _content_steps = st.lists(
@@ -302,7 +352,26 @@ def test_replica_sizes_memoized_with_invalidation(monkeypatch):
     assert replica.entry_count() == 0
 
 
-def test_cache_entry_count_refcounted():
+def test_replica_size_counts_a_dn_held_twice_once():
+    """§7's replica size is the entries held: a DN both a stored filter
+    and the recent-query window hold counts once."""
+    replica = FilterReplica("r", cache_capacity=4)
+    e1 = _person("cn=a,o=xyz", sn="a")
+    e2 = _person("cn=b,o=xyz", sn="b")
+    e3 = _person("cn=c,o=xyz", sn="c")
+    replica.load_directly(SearchRequest("o=xyz", Scope.SUB, "(sn<=b)"), [e1, e2])
+    replica.observe_miss(SearchRequest("o=xyz", Scope.SUB, "(sn>=b)"), [e2, e3])
+    assert len(replica.cache.dns()) == 2
+    assert replica.entry_count() == 3  # {a, b} ∪ {b, c}
+    replica.observe_miss(SearchRequest("o=xyz", Scope.SUB, "(sn=a)"), [e1])
+    assert replica.entry_count() == 3
+    replica.remove_filter(SearchRequest("o=xyz", Scope.SUB, "(sn<=b)"))
+    assert replica.entry_count() == 3  # the window still holds all three
+    replica.cache.clear()
+    assert replica.entry_count() == 0
+
+
+def test_cache_dns_refcounted():
     cache = RecentQueryCache(capacity=2)
     e1 = _person("cn=a,o=xyz", sn="a")
     e2 = _person("cn=b,o=xyz", sn="b")
@@ -313,10 +382,10 @@ def test_cache_entry_count_refcounted():
 
     cache.insert(q1, [e1, e2])
     cache.insert(q2, [e2, e3])
-    assert cache.entry_count() == 3
+    assert len(cache.dns()) == 3
     cache.insert(q3, [e3])  # evicts q1; e1 leaves, e2 survives via q2
-    assert cache.entry_count() == 2
+    assert len(cache.dns()) == 2
     cache.insert(q2, [e1])  # refresh replaces q2's result set
-    assert cache.entry_count() == 2  # {e1, e3}
+    assert len(cache.dns()) == 2  # {e1, e3}
     cache.clear()
-    assert cache.entry_count() == 0
+    assert len(cache.dns()) == 0

@@ -1,11 +1,13 @@
 """Tests for the subtree replication baseline (§3.4.1)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import AnswerStatus, ReplicaFrontend, SubtreeReplica
 from repro.ldap import DN, Entry, Scope, SearchRequest
 from repro.server import DirectoryServer, FaultyNetwork
 from repro.sync import ResyncProvider, RetryPolicy
+from tests.oracles import is_contained
 
 
 def person(dn: str, **attrs) -> Entry:
@@ -36,33 +38,71 @@ def replica(master) -> SubtreeReplica:
     return r
 
 
+def answerable(replica: SubtreeReplica, base: str) -> bool:
+    """The paper's isContained(b, C) over *replica*'s contexts, checked
+    against the rule the replica answers by."""
+    dn = DN.parse(base)
+    expected = is_contained(replica.contexts, dn)
+    assert (replica._context_for(dn) is not None) == expected
+    return expected
+
+
 class TestIsContained:
-    """Transcription checks of the paper's isContained algorithm."""
+    """Transcription checks of the paper's isContained algorithm, and of
+    the replica's own statement of it (``_context_for``)."""
 
     def test_base_equals_suffix(self, replica):
-        assert replica.is_contained(DN.parse("c=us,o=xyz"))
+        assert answerable(replica, "c=us,o=xyz")
 
     def test_base_inside_context(self, replica):
-        assert replica.is_contained(DN.parse("cn=Alice,c=us,o=xyz"))
+        assert answerable(replica, "cn=Alice,c=us,o=xyz")
 
     def test_base_outside(self, replica):
-        assert not replica.is_contained(DN.parse("c=in,o=xyz"))
-        assert not replica.is_contained(DN.parse("o=xyz"))
+        assert not answerable(replica, "c=in,o=xyz")
+        assert not answerable(replica, "o=xyz")
 
     def test_base_below_referral_excluded(self):
         r = SubtreeReplica("branch")
         r.add_context(
             "c=us,o=xyz", referrals=[("ou=research,c=us,o=xyz", "ldap://hostB")]
         )
-        assert not r.is_contained(DN.parse("cn=x,ou=research,c=us,o=xyz"))
-        assert not r.is_contained(DN.parse("ou=research,c=us,o=xyz"))
-        assert r.is_contained(DN.parse("cn=y,c=us,o=xyz"))
+        assert not answerable(r, "cn=x,ou=research,c=us,o=xyz")
+        assert not answerable(r, "ou=research,c=us,o=xyz")
+        assert answerable(r, "cn=y,c=us,o=xyz")
 
     def test_multiple_contexts(self):
         r = SubtreeReplica("branch")
         r.add_context("c=us,o=xyz")
         r.add_context("c=in,o=xyz")
-        assert r.is_contained(DN.parse("cn=x,c=in,o=xyz"))
+        assert answerable(r, "cn=x,c=in,o=xyz")
+
+
+# A small namespace: every DN is a path of up to four RDNs under o=xyz.
+_RDNS = ["c=us", "c=in", "ou=a", "ou=b", "cn=x"]
+_paths = st.lists(st.sampled_from(_RDNS), max_size=4)
+
+
+def _dn(path) -> str:
+    return ",".join(list(reversed(path)) + ["o=xyz"])
+
+
+# A context: a suffix path, and referral objects strictly below it.
+_below = st.lists(st.sampled_from(_RDNS), min_size=1, max_size=2)
+_contexts = st.tuples(_paths, st.lists(_below, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_contexts, max_size=3), _paths)
+def test_context_for_is_is_contained(layout, base_path):
+    """Over random suffix and referral layouts — nested and overlapping
+    contexts, referrals at any depth below their suffix — the context
+    the replica answers from exists exactly when isContained(b, C) says
+    the base can be answered."""
+    r = SubtreeReplica("branch")
+    for suffix, below in layout:
+        referrals = [(_dn(suffix + rel), "ldap://sub") for rel in below]
+        r.add_context(_dn(suffix), referrals=referrals)
+    answerable(r, _dn(base_path))
 
 
 class TestAnswer:

@@ -16,9 +16,18 @@ scaling/ablation benches measure:
 * :class:`LinearFilterReplica` — every stored filter containment-checked
   in insertion order, no negative cache, hits evaluated by an
   interpreted scan of the whole content (the stored request itself is
-  answered with the whole content, which is its answer);
+  answered with the whole content, which is its answer).  Given a
+  :class:`~repro.core.TemplateRegistry` (``templates=``), it runs §3.4.2's
+  template-based containment over that scan: a query no template admits
+  is referred at once, and a stored filter whose template cannot
+  contain the query's is skipped — the pruning E16 measures;
 * :class:`LinearRecentQueryCache` — the whole window scanned
-  newest-first, hits evaluated the same interpreted way;
+  newest-first, hits evaluated the same interpreted way; ``policy="lru"``
+  is E16's replacement-policy arm (a hit moves its query to the newest
+  end), beside the paper's FIFO window;
+* :func:`is_contained` — §3.4.1's ``isContained(b, C)``, transcribed
+  line by line, the reference ``SubtreeReplica._context_for`` is held to
+  (``tests/core/test_subtree_replica.py``);
 * :class:`LinearResyncProvider` — every active session's filter
   evaluated, interpreted, against both images of every update, and its
   :data:`~repro.sync.session.OUTCOMES` row folded into the session one
@@ -125,14 +134,24 @@ decode∘encode is the identity).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 from unittest import mock
 
 from repro.chaos import ReferenceModel
-from repro.core import FilterReplica, RecentQueryCache, StoredFilter, query_contained_in
+from repro.core import (
+    AnswerStatus,
+    FilterReplica,
+    RecentQueryCache,
+    ReplicaAnswer,
+    ReplicationContext,
+    StoredFilter,
+    TemplateRegistry,
+    query_contained_in,
+    template_key,
+)
 from repro.ldap import DN, Entry, SearchRequest
 from repro.ldap.matching import compile_filter_cached
-from repro.server import DirectoryServer, ResponseTruncated
+from repro.server import DirectoryServer, Referral, ResponseTruncated
 from repro.server.indexes import NGRAM, _ngrams
 from repro.sync import ResyncProvider, SessionStore, SyncLink, SyncProtocolError
 from repro.sync import resync
@@ -206,6 +225,7 @@ __all__ = [
     "encode_tlv",
     "encoded_bytes",
     "holders_of",
+    "is_contained",
     "iter_tlvs",
     "linear_substring_candidates",
     "linear_substring_estimate",
@@ -222,7 +242,17 @@ __all__ = [
 
 class LinearRecentQueryCache(RecentQueryCache):
     """Recent-query window answered by a newest-first scan; a hit on
-    the cached request itself is the held result, projected."""
+    the cached request itself is the held result, projected.  Under
+    ``policy="lru"`` a hit also moves its query to the newest end, so
+    eviction drops the least recently used query, not the oldest."""
+
+    POLICIES = ("fifo", "lru")
+
+    def __init__(self, capacity: int = 50, policy: str = "fifo"):
+        if policy not in self.POLICIES:
+            raise ValueError(f"unknown policy {policy!r}; pick from {self.POLICIES}")
+        super().__init__(capacity)
+        self.policy = policy
 
     def lookup(self, request: SearchRequest, probe=None) -> Optional[Tuple[List[Entry], str]]:
         self.lookups += 1
@@ -243,16 +273,56 @@ class LinearRecentQueryCache(RecentQueryCache):
 
 
 class LinearFilterReplica(FilterReplica):
-    """Replica answered by the seed's scan over all stored filters."""
+    """Replica answered by the seed's scan over all stored filters.
 
-    def __init__(self, *args, **kwargs):
+    With *templates*, the scan is §3.4.2's template-based containment:
+    only a query some registered template admits is a candidate for
+    local answering (:meth:`_admitted`), and a stored filter whose
+    template the registry says cannot contain the query's
+    (:meth:`TemplateRegistry.may_answer`) is skipped unchecked.
+    *cache_policy* is the window's (:class:`LinearRecentQueryCache`).
+    """
+
+    def __init__(
+        self,
+        *args,
+        templates: Optional[TemplateRegistry] = None,
+        cache_policy: str = "fifo",
+        **kwargs,
+    ):
         super().__init__(*args, **kwargs)
-        self.cache = LinearRecentQueryCache(self.cache.capacity, policy=self.cache.policy)
-        self._negative = None
+        self.templates = templates
+        self.cache = LinearRecentQueryCache(self.cache.capacity, policy=cache_policy)
+        #: stored request → its template key, made once at install
+        self._template_keys = {}
 
-    def _find_stored(self, request: SearchRequest, qkey: str, probe=None) -> Optional[StoredFilter]:
+    def add_filter(
+        self, request: SearchRequest, provider=None, sync_interval: int = 1
+    ) -> StoredFilter:
+        self._template_keys[request] = template_key(request.filter)
+        return super().add_filter(request, provider, sync_interval)
+
+    def _admitted(self, request: SearchRequest) -> bool:
+        """Template admission: with a registry, only member queries are
+        candidates for local answering."""
+        return self.templates is None or self.templates.classify(request.filter) is not None
+
+    def _answer(self, request: SearchRequest) -> ReplicaAnswer:
+        if self._admitted(request):
+            return super()._answer(request)
+        answer = ReplicaAnswer(
+            AnswerStatus.MISS, referrals=[Referral(self.master_url, request.base)]
+        )
+        self.stats.record(answer)
+        return answer
+
+    def _find_stored(self, request: SearchRequest, probe=None) -> Optional[StoredFilter]:
+        templates = self.templates
+        qkey = template_key(request.filter) if templates is not None else ""
         for stored in self._stored.values():
-            if self.templates is not None and not self.templates.may_answer(stored.key, qkey):
+            if templates is not None and not templates.may_answer(
+                self._template_keys[stored.request], qkey
+            ):
                 continue
             self.containment_checks += 1
             self._checks_stored.inc()
@@ -267,6 +337,23 @@ class LinearFilterReplica(FilterReplica):
             for entry in stored.content.entries.values()
             if held or request.selects(entry)
         ]
+
+
+def is_contained(contexts: Iterable[ReplicationContext], base: DN) -> bool:
+    """§3.4.1's ``isContained(b, C)``: can a query based at *base* be (at
+    least partially) answered by a subtree replica holding *contexts*?
+    A context whose suffix is *base* answers; one whose suffix is above
+    *base* answers unless one of its referral objects is *base* or above
+    it; the first context that decides, decides."""
+    for context in contexts:
+        if context.suffix == base:
+            return True
+        if not context.suffix.is_suffix_of(base):
+            continue
+        if any(r.is_ancestor_or_self(base) for r in context.referral_dns()):
+            return False
+        return True
+    return False
 
 
 class UnenforcedDirectoryServer(DirectoryServer):

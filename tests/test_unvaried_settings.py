@@ -30,6 +30,14 @@ sketch's ``encoded_bytes``) and decoder the charged sizes are checked
 against live in ``tests.oracles``.  A batch frame always carries message
 id 1, so its size takes no ``message_id``.  A PDU has no measured size
 beside the two it is charged, and a sketch request no size at all.
+
+The production replica has one answer path and one window: no template
+registry (§3.4.2's admission and pruning are the reference scan's,
+``tests.oracles.LinearFilterReplica(templates=)``), no window policy (the
+LRU arm is ``LinearRecentQueryCache(policy=)``), no routing helper only
+tests called, and no second statement of §3.4.1's ``isContained``
+(``tests.oracles.is_contained``).  Each of those cases fails on the tree
+that still had the setting or the name.
 """
 
 import dataclasses
@@ -45,7 +53,18 @@ import repro.sync
 import repro.sync.consumer
 import repro.sync.protocol
 from repro.chaos import SoakConfig
-from repro.core import CachedQuery, ContainmentIndex, FilterReplica
+import repro.core
+import repro.core.routing
+from repro.core import (
+    CachedQuery,
+    ContainmentIndex,
+    FilterReplica,
+    RecentQueryCache,
+    StoredFilter,
+    SubtreeReplica,
+    TemplateRegistry,
+)
+from repro.core.keys import KeyTable
 from repro.ldap import DEFAULT_REGISTRY, DN, Scope, SearchRequest
 from repro.metrics import ReplicaDriver
 from repro.obs import MetricsRegistry, TraceCollector
@@ -125,6 +144,10 @@ REMOVED = {
     "ResilientConsumer(replica_server=)": lambda: ResilientConsumer(
         REQUEST, provider(), replica_server=None
     ),
+    "FilterReplica(templates=)": lambda: FilterReplica("r", templates=TemplateRegistry()),
+    "FilterReplica(cache_policy=)": lambda: FilterReplica("r", cache_policy="fifo"),
+    "RecentQueryCache(policy=)": lambda: RecentQueryCache(2, policy="fifo"),
+    "StoredFilter.key": lambda: StoredFilter(REQUEST, None, key="(cn=_)"),
 }
 
 
@@ -221,6 +244,17 @@ BER_GONE = (
         (DirectoryServer, "_walk_region"),
         (DeliveryQueue, "_on_ack"),
         (CachedQuery, "filter_attrs"),
+        (FilterReplica("r"), "templates"),
+        (FilterReplica, "_admitted"),
+        (RecentQueryCache(), "policy"),
+        (RecentQueryCache, "POLICIES"),
+        (ContainmentIndex, "touch"),
+        (repro.core, "guard_atoms"),
+        (repro.core, "probe_atoms"),
+        (repro.core.routing, "guard_atoms"),
+        (repro.core.routing, "probe_atoms"),
+        (SubtreeReplica, "is_contained"),
+        (KeyTable, "__len__"),
     ]
     + [(repro.ldap.ber, name) for name in BER_GONE],
     ids=[
@@ -271,6 +305,17 @@ BER_GONE = (
         "DirectoryServer._walk_region",
         "DeliveryQueue._on_ack",
         "CachedQuery.filter_attrs",
+        "FilterReplica.templates",
+        "FilterReplica._admitted",
+        "RecentQueryCache.policy",
+        "RecentQueryCache.POLICIES",
+        "ContainmentIndex.touch",
+        "repro.core.guard_atoms",
+        "repro.core.probe_atoms",
+        "repro.core.routing.guard_atoms",
+        "repro.core.routing.probe_atoms",
+        "SubtreeReplica.is_contained",
+        "KeyTable.__len__",
     ]
     + [f"repro.ldap.ber.{name}" for name in BER_GONE],
 )
